@@ -157,14 +157,26 @@ fn bench_huffman() {
             }
         })
         .collect();
-    let stream = huffman::encode(&symbols);
     let n = symbols.len() as u64;
-    bench("compress/huffman/encode", Throughput::Elements(n), || {
-        huffman::encode(&symbols)
-    });
-    bench("compress/huffman/decode", Throughput::Elements(n), || {
-        huffman::decode(&stream).unwrap()
-    });
+    for n_streams in [1usize, 4] {
+        let segs = errflow_compress::format::split_slices(&symbols, n_streams);
+        let stream = huffman::encode_multi(&segs);
+        bench(
+            &format!("compress/huffman/encode/{n_streams}-stream"),
+            Throughput::Elements(n),
+            || huffman::encode_multi(&segs),
+        );
+        bench(
+            &format!("compress/huffman/decode/{n_streams}-stream"),
+            Throughput::Elements(n),
+            || huffman::decode_multi(&stream).unwrap(),
+        );
+        bench(
+            &format!("compress/huffman/decode-oracle/{n_streams}-stream"),
+            Throughput::Elements(n),
+            || errflow_compress::reference::huffman_decode_multi(&stream).unwrap(),
+        );
+    }
 }
 
 fn bench_quantization() {

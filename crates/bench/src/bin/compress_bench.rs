@@ -1,10 +1,10 @@
 //! `compress-bench` — throughput sweep for the error-bounded codecs.
 //!
 //! Sweeps every backend (SZ, ZFP, MGARD) over payload sizes and relative
-//! tolerances, comparing the optimized hot paths against the frozen
-//! seed-path decoders retained in `errflow_compress::reference`, plus a
-//! chunked-decode thread sweep, and emits `BENCH_compress.json` so the
-//! codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
+//! tolerances, comparing each fast decoder against the slow oracle in
+//! `errflow_compress::reference` **on the very stream being measured**,
+//! plus a chunked-decode thread sweep, and emits `BENCH_compress.json` so
+//! the codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
 //!
 //! ```sh
 //! cargo run --release -p errflow-bench --bin compress-bench            # full sweep
@@ -12,10 +12,11 @@
 //! ```
 //!
 //! Every measured decode is also checked **bit-identical** against the
-//! reference decoder and verified against its error bound — the bench
-//! doubles as a format-stability test.  `--smoke` runs a reduced sweep
-//! and **fails** (exit 1) if any optimized decoder is slower than its
-//! seed-path baseline at the default chunk size (65 536 values).
+//! oracle and verified against its error bound — the bench doubles as a
+//! format-stability test.  `--smoke` runs a reduced sweep and **fails**
+//! (exit 1) if any fast decoder is slower than the oracle on the same
+//! stream at the default chunk size (65 536 values), or below its absolute
+//! throughput floor.
 
 use errflow_compress::chunked::{ChunkedCompressor, DEFAULT_CHUNK};
 use errflow_compress::{
@@ -28,20 +29,14 @@ use std::time::Instant;
 
 struct CodecResult {
     backend: &'static str,
-    /// Stream container version the row measured: `"v1"` (legacy layout,
-    /// bit-identical to the frozen reference decoder) or `"v2"`
-    /// (interleaved multi-stream).
-    format: &'static str,
     n: usize,
     rel_tol: f64,
     ratio: f64,
     compress_secs: f64,
     decompress_secs: f64,
     decompress_into_secs: f64,
+    /// The oracle decoding the same stream.
     reference_secs: f64,
-    /// Whether the row was proven bit-identical against the reference
-    /// decoder (v1 rows only — the oracle predates v2).
-    bit_identical: bool,
 }
 
 struct ChunkedResult {
@@ -51,7 +46,7 @@ struct ChunkedResult {
     threads: Vec<(usize, f64)>,
 }
 
-/// Conservative absolute floors for v2 single-thread decode throughput
+/// Conservative absolute floors for single-thread decode throughput
 /// (`decompress_into`, GB/s) at the default chunk size — see CI gate 2.
 const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
 
@@ -82,84 +77,25 @@ fn field(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// `(backend, format, measured compressor, v1 seed compressor)`.  The seed
-/// compressor emits the legacy layout the frozen reference decoder
-/// understands; for v1 rows it is the measured compressor itself, so the
-/// row is additionally proven bit-identical against the oracle.
-#[allow(clippy::type_complexity)]
-fn backends() -> Vec<(
-    &'static str,
-    &'static str,
-    Box<dyn Compressor>,
-    Box<dyn Compressor>,
-)> {
-    vec![
-        (
-            "sz",
-            "v2",
-            Box::new(SzCompressor::default()) as Box<dyn Compressor>,
-            Box::new(SzCompressor::v1_format()) as Box<dyn Compressor>,
-        ),
-        (
-            "zfp",
-            "v2",
-            Box::new(ZfpCompressor::default()),
-            Box::new(ZfpCompressor::v1_format()),
-        ),
-        (
-            "sz",
-            "v1",
-            Box::new(SzCompressor::v1_format()),
-            Box::new(SzCompressor::v1_format()),
-        ),
-        (
-            "zfp",
-            "v1",
-            Box::new(ZfpCompressor::v1_format()),
-            Box::new(ZfpCompressor::v1_format()),
-        ),
-        (
-            "mgard",
-            "v1",
-            Box::new(MgardCompressor::default()),
-            Box::new(MgardCompressor::default()),
-        ),
-    ]
-}
-
-fn run_codec(
-    backend: &'static str,
-    format: &'static str,
-    c: &dyn Compressor,
-    seed_c: &dyn Compressor,
-    data: &[f32],
-    rel_tol: f64,
-    reps: usize,
-) -> CodecResult {
+fn run_codec(c: &dyn Compressor, data: &[f32], rel_tol: f64, reps: usize) -> CodecResult {
+    let backend = c.name();
     let n = data.len();
     let bound = ErrorBound::rel_linf(rel_tol);
     let stream = c.compress(data, &bound).expect("compress");
 
-    // Correctness first.  v1 rows must agree bit-for-bit with the frozen
-    // seed-path decoder; v2 rows (which the oracle predates) are held to
-    // the error-bound contract plus decompress/decompress_into agreement.
+    // Correctness first: the fast decoder must agree bit-for-bit with the
+    // oracle on this stream, and honour the error-bound contract.
     let fast = c.decompress(&stream).expect("decompress");
-    let bit_identical = format == "v1";
-    if bit_identical {
-        let slow = reference::decompress(backend, &stream).expect("reference decompress");
-        assert_eq!(fast.len(), slow.len(), "{backend}: length mismatch");
-        for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{backend}: optimized and reference decoders diverged at index {i}"
-            );
-        }
+    let slow = reference::decompress(backend, &stream).expect("reference decompress");
+    assert_eq!(fast.len(), slow.len(), "{backend}: length mismatch");
+    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{backend}: fast and reference decoders diverged at index {i}"
+        );
     }
-    assert!(
-        bound.verify(data, &fast),
-        "{backend}/{format}: bound violated"
-    );
+    assert!(bound.verify(data, &fast), "{backend}: bound violated");
 
     let compress_secs = time_best(reps, || {
         std::hint::black_box(c.compress(data, &bound).expect("compress"));
@@ -175,16 +111,12 @@ fn run_codec(
         std::hint::black_box(&out);
     });
     assert_eq!(out, fast, "{backend}: decompress_into diverged");
-    // Seed baseline: the frozen decoder on a legacy-layout stream of the
-    // same data, so every row's speedup is against the same yardstick.
-    let seed_stream = seed_c.compress(data, &bound).expect("seed compress");
     let reference_secs = time_best(reps, || {
-        std::hint::black_box(reference::decompress(backend, &seed_stream).expect("reference"));
+        std::hint::black_box(reference::decompress(backend, &stream).expect("reference"));
     });
 
     CodecResult {
         backend,
-        format,
         n,
         rel_tol,
         ratio: (n * 4) as f64 / stream.len() as f64,
@@ -192,7 +124,6 @@ fn run_codec(
         decompress_secs,
         decompress_into_secs,
         reference_secs,
-        bit_identical,
     }
 }
 
@@ -256,13 +187,12 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
     for (i, r) in codec.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"backend\": \"{}\", \"format\": \"{}\", \"n\": {}, \"rel_tol\": {:.0e}, \
+            "    {{\"backend\": \"{}\", \"n\": {}, \"rel_tol\": {:.0e}, \
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
              \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
-             \"speedup_vs_reference\": {:.2}, \"bit_identical\": {}}}",
+             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true}}",
             r.backend,
-            r.format,
             r.n,
             r.rel_tol,
             r.ratio,
@@ -271,7 +201,6 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             gbps(r.n, r.decompress_into_secs),
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
-            r.bit_identical,
         );
         s.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
     }
@@ -369,12 +298,13 @@ fn main() {
             3
         };
         for &tol in &tolerances {
-            for (name, format, c, seed_c) in backends() {
-                let r = run_codec(name, format, c.as_ref(), seed_c.as_ref(), &data, tol, reps);
+            for c in errflow_compress::all_backends() {
+                let r = run_codec(c.as_ref(), &data, tol, reps);
                 eprintln!(
-                    "[compress-bench] {name}/{format} n={n} tol={tol:.0e}: ratio {0:.1}x; \
-                     comp {1:.2} GB/s; decomp {2:.2} GB/s (into {3:.2}); \
-                     reference {4:.2} GB/s ({5:.1}x speedup)",
+                    "[compress-bench] {} n={n} tol={tol:.0e}: ratio {:.1}x; \
+                     comp {:.2} GB/s; decomp {:.2} GB/s (into {:.2}); \
+                     reference {:.2} GB/s ({:.1}x speedup)",
+                    r.backend,
                     r.ratio,
                     gbps(n, r.compress_secs),
                     gbps(n, r.decompress_secs),
@@ -389,39 +319,24 @@ fn main() {
 
     let chunked_n = if smoke { DEFAULT_CHUNK * 4 } else { 1 << 20 };
     let chunked_reps = if smoke { 2 } else { 3 };
-    // Every backend/format the serve path can wrap gets the thread sweep
-    // (mgard has no v2 container, so it is v1-only).
+    // Every backend the serve path can wrap gets the thread sweep.
     let chunked = vec![
         run_chunked(
-            "chunked-sz-v2",
+            "chunked-sz",
             SzCompressor::default,
             chunked_n,
             &thread_counts,
             chunked_reps,
         ),
         run_chunked(
-            "chunked-sz-v1",
-            SzCompressor::v1_format,
-            chunked_n,
-            &thread_counts,
-            chunked_reps,
-        ),
-        run_chunked(
-            "chunked-zfp-v2",
+            "chunked-zfp",
             ZfpCompressor::default,
             chunked_n,
             &thread_counts,
             chunked_reps,
         ),
         run_chunked(
-            "chunked-zfp-v1",
-            ZfpCompressor::v1_format,
-            chunked_n,
-            &thread_counts,
-            chunked_reps,
-        ),
-        run_chunked(
-            "chunked-mgard-v1",
+            "chunked-mgard",
             MgardCompressor::default,
             chunked_n,
             &thread_counts,
@@ -444,34 +359,34 @@ fn main() {
     let json = to_json(&codec, &chunked);
     if smoke {
         println!("{json}");
-        // CI gate 1: at the default chunk size every optimized decoder must
-        // be at least as fast as its frozen seed-path baseline (5% timing
+        // CI gate 1: at the default chunk size every fast decoder must be at
+        // least as fast as the oracle decoding the same stream (5% timing
         // slack for loaded CI machines).
         let mut failed = false;
         for r in codec.iter().filter(|r| r.n == DEFAULT_CHUNK) {
             if r.decompress_secs > r.reference_secs * 1.05 {
                 eprintln!(
-                    "[compress-bench] FAIL: {}/{} optimized decode {:.4}s slower than \
-                     seed path {:.4}s at n={}",
-                    r.backend, r.format, r.decompress_secs, r.reference_secs, r.n
+                    "[compress-bench] FAIL: {} fast decode {:.4}s slower than the \
+                     oracle's {:.4}s at n={}",
+                    r.backend, r.decompress_secs, r.reference_secs, r.n
                 );
                 failed = true;
             }
         }
-        // CI gate 2: absolute decode-throughput floors for the v2 SIMD
-        // kernels, set well below (≈ 40% of) the numbers recorded in
+        // CI gate 2: absolute decode-throughput floors for the SZ and ZFP
+        // hot loops, set well below (≈ 40% of) the numbers recorded in
         // BENCH_compress.json so only a real regression — a kernel
         // silently falling back to scalar, a format change serializing
         // the lanes — trips them on a loaded CI box.
         for &(backend, floor) in SMOKE_DECODE_FLOORS_GBPS {
             for r in codec
                 .iter()
-                .filter(|r| r.backend == backend && r.format == "v2" && r.n == DEFAULT_CHUNK)
+                .filter(|r| r.backend == backend && r.n == DEFAULT_CHUNK)
             {
                 let got = gbps(r.n, r.decompress_into_secs);
                 if got < floor {
                     eprintln!(
-                        "[compress-bench] FAIL: {backend}/v2 decompress_into {got:.3} GB/s \
+                        "[compress-bench] FAIL: {backend} decompress_into {got:.3} GB/s \
                          below the {floor:.3} GB/s smoke floor at n={}",
                         r.n
                     );

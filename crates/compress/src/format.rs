@@ -1,32 +1,36 @@
-//! Versioned stream-format constants and helpers for the v2 interleaved
-//! layout.
+//! The stream container every backend writes, and helpers its writers and
+//! readers share.
 //!
-//! **v1** streams (the seed format, frozen in [`crate::reference`]) encode
-//! one serial entropy/bit stream per payload: decode throughput is capped
-//! by the single symbol-to-symbol dependency chain.  **v2** streams split
-//! each payload into [`V2_STREAMS`] independently-decodable sub-streams so
-//! the decoder can run several dependency chains at once — interleaved
-//! scalar chains on portable hosts, gather-based AVX2 lanes where
-//! available (see `huffman_simd` / `zfp_simd`).
+//! A stream opens with [`MAGIC_V2`], a backend tag byte and a sub-stream
+//! count, then splits its payload into that many independently-decodable
+//! sub-streams ([`V2_STREAMS`] when written by this tree), so a decoder can
+//! run several dependency chains at once instead of one serial
+//! symbol-to-symbol (or block-to-block) chain: interleaved scalar chains
+//! for the Huffman block and the SZ predictor, one ZFP block per AVX2 lane
+//! where available (see `zfp_simd`).  Which part of the payload is split
+//! is the backend's business and is documented on its module.
 //!
-//! A v2 stream opens with [`MAGIC_V2`]: eight bytes whose top byte is
+//! The headerless single-stream layout that predates the container ("v1")
+//! is no longer written by anything.  It stays **readable**: any stream
+//! that does not open with the magic is handed to the slow decoders in
+//! [`crate::reference`], which also decode the container and so serve as
+//! the differential oracle for the fast paths.  The magic's top byte is
 //! `0xBF`, so reinterpreted as the little-endian `u64` element count that
 //! opens every v1 header it exceeds `2^63` — no decodable v1 stream can
-//! collide (v1 counts are bounded by payload size long before that), and
-//! v1 decoders reject such a count as implausible rather than misparsing.
-//! The byte after the magic tags the backend, so a ZFP v2 stream handed to
-//! the SZ decoder fails with a typed error instead of being misread.
+//! collide (v1 counts are bounded by payload size long before that).  The
+//! tag byte makes a ZFP stream handed to the SZ decoder fail with a typed
+//! error instead of being misread.
 
 use crate::traits::CompressError;
 
-/// v2 stream magic: `b"EFv2"` plus three discriminator bytes and a high
+/// Container magic: `b"EFv2"` plus three discriminator bytes and a high
 /// byte ≥ `0x80` (see module docs for why the high byte matters).
 pub const MAGIC_V2: [u8; 8] = *b"EFv2\x9e\xad\xf5\xbf";
 
-/// Sub-streams per v2 payload.  Four matches both the AVX2 kernels' lane
+/// Sub-streams per payload.  Four matches both the AVX2 ZFP kernel's lane
 /// width (4 × 64-bit bit-windows per ymm register) and the ILP sweet spot
-/// of the interleaved scalar fallback; it is recorded per stream, so the
-/// constant can change without invalidating old v2 streams.
+/// of the interleaved scalar loops; it is recorded per stream, so the
+/// constant can change without invalidating old streams.
 pub const V2_STREAMS: usize = 4;
 
 /// Upper bound on the per-stream sub-stream count a decoder will accept.
@@ -40,14 +44,16 @@ pub enum BackendTag {
     Sz = 1,
     /// ZFP-class block stream.
     Zfp = 2,
+    /// MGARD-class multilevel coefficient stream.
+    Mgard = 3,
 }
 
-/// `true` when `stream` opens with the v2 magic.
+/// `true` when `stream` opens with the container magic.
 pub fn is_v2(stream: &[u8]) -> bool {
     stream.len() >= 8 && stream[..8] == MAGIC_V2
 }
 
-/// Parses the fixed v2 preamble (magic, backend tag, sub-stream count),
+/// Parses the fixed preamble (magic, backend tag, sub-stream count),
 /// advancing `pos` past it.  The caller has already checked [`is_v2`];
 /// this validates the tag and bounds the stream count.
 pub fn read_preamble(
@@ -72,7 +78,7 @@ pub fn read_preamble(
     Ok(s)
 }
 
-/// Writes the fixed v2 preamble.
+/// Writes the fixed preamble.
 pub fn write_preamble(out: &mut Vec<u8>, tag: BackendTag, n_streams: usize) {
     debug_assert!(n_streams >= 1 && n_streams <= MAX_STREAMS);
     out.extend_from_slice(&MAGIC_V2);
@@ -126,6 +132,15 @@ pub fn split_even(n: usize, s: usize) -> Vec<(usize, usize)> {
         off += len;
     }
     out
+}
+
+/// `items` cut into the `s` contiguous sub-slices of [`split_even`] — the
+/// segments a symbol stream is handed to the Huffman block writer in.
+pub fn split_slices<T>(items: &[T], s: usize) -> Vec<&[T]> {
+    split_even(items.len(), s)
+        .into_iter()
+        .map(|(off, len)| &items[off..off + len])
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,12 +3,29 @@
 //! SZ- and MGARD-class compressors turn most values into small quantization
 //! codes with a highly skewed distribution; entropy coding those codes is
 //! where their compression ratio comes from.  This is a self-contained
-//! canonical Huffman coder: the stream stores `(symbol, code length)` pairs
-//! and the payload; canonical code assignment makes decode tables cheap to
+//! canonical Huffman coder: the block stores `(symbol, code length)` pairs
+//! and the payloads; canonical code assignment makes decode tables cheap to
 //! rebuild.
 //!
-//! Decoding is table-driven and **register-batched**: the decoder loads a
-//! 57-bit window of the payload into a 64-bit register once, then decodes
+//! ## One block format: multi-stream
+//!
+//! Serial Huffman decode is latency-bound: every symbol's table lookup
+//! depends on the previous symbol's length, so one dependency chain caps
+//! throughput regardless of ILP or SIMD width.  The block format breaks
+//! that chain: [`encode_multi`] takes up to [`crate::format::MAX_STREAMS`]
+//! contiguous segments that share one code table but carry **independent
+//! payloads**, and [`decode_multi_into`] runs one chain per sub-stream —
+//! four interleaved scalar chains when the block has four of them, one
+//! resumable lane at a time otherwise.  Runs of ≥ [`MIN_RUN`] identical
+//! symbols are collapsed per segment (so a run never straddles a
+//! sub-stream boundary), and blocks Huffman cannot shrink are stored as raw
+//! 16-bit symbols ([`FLAG_RAW16`]).  Every entropy-coded backend
+//! ([`crate::SzCompressor`], [`crate::MgardCompressor`],
+//! [`crate::Sz2dCompressor`]) writes this block over a
+//! [`crate::format::split_slices`] of its symbol stream.
+//!
+//! Decoding is table-driven and **register-batched**: a lane loads a
+//! 57-bit window of its payload into a 64-bit register once, then decodes
 //! as many symbols as fit (typically 4–10 for skewed alphabets) with one
 //! table lookup + shift each before refilling.  A `2^13`-entry prefix table
 //! resolves every code of ≤ 13 bits in one lookup (the common case by
@@ -19,24 +36,11 @@
 //!
 //! Both directions carry reusable scratch state ([`DecodeScratch`],
 //! [`EncodeScratch`]) so steady-state coding performs no per-call
-//! `HashMap`/table allocations; the plain [`encode`]/[`decode`] entry
-//! points reuse a thread-local scratch transparently.  The byte format is
-//! identical to the pre-optimization coder (checked by the parity tests in
-//! [`crate::reference`]).
-//!
-//! ## Multi-stream (v2) coding
-//!
-//! Serial Huffman decode is latency-bound: every symbol's table lookup
-//! depends on the previous symbol's length, so one dependency chain caps
-//! throughput regardless of ILP or SIMD width.  The multi-stream entry
-//! points ([`encode_multi`], [`decode_multi_into`]) break that chain by
-//! splitting the input into [`crate::format::V2_STREAMS`] contiguous
-//! segments that share one code table but carry **independent payloads**:
-//! the decoder runs one chain per sub-stream — four interleaved scalar
-//! chains portably, or four gather-driven register lanes on AVX2 hosts
-//! (see `huffman_simd`).  Runs are collapsed per segment, so a run never
-//! straddles a sub-stream boundary.  This block format is the entropy
-//! layer of the v2 container streams written by [`crate::SzCompressor`].
+//! `HashMap`/table allocations; the plain [`encode_multi`]/[`decode_multi`]
+//! entry points reuse a thread-local scratch transparently.  The slow,
+//! obvious decoder for the same bytes is
+//! [`crate::reference::huffman_decode_multi`], which the tests hold this
+//! one to symbol for symbol.
 
 use crate::bitstream::{load_word, BitWriter};
 use crate::traits::{read_len_u32, read_len_u64, read_u8, CompressError};
@@ -73,15 +77,11 @@ fn bitrev(v: u64, len: u8) -> u64 {
 /// Reusable decoder state: the prefix table, canonical decode arrays, and
 /// the intermediate symbol buffer for RLE expansion.  Obtain one via
 /// `Default` (or as part of [`crate::CodecScratch`]) and pass it to
-/// [`decode_into`]; buffers grow to the high-water mark and stay there.
+/// [`decode_multi_into`]; buffers grow to the high-water mark and stay there.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// `2^PEEK` entries of `(symbol, code length)`; length 0 = slow path.
-    table: Vec<(u32, u8)>,
-    /// `2^PEEK` packed entries `len << 32 | sym` for the multi-stream
-    /// decoder (a single-`u64` layout the AVX2 gather kernel can fetch in
-    /// one instruction); length 0 = slow path.  Only one of `table` /
-    /// `table64` is filled per decode, depending on the entry point.
+    /// `2^PEEK` packed entries `len << 32 | sym` (one `u64` load per
+    /// lookup); length 0 = slow path.
     table64: Vec<u64>,
     /// Parsed `(symbol, length)` pairs in canonical order.
     lengths: Vec<(u32, u8)>,
@@ -122,74 +122,8 @@ thread_local! {
     static DEC_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
 }
 
-/// Encodes a symbol sequence; returns a self-describing byte stream.
-///
-/// Runs of ≥ [`MIN_RUN`] identical symbols are collapsed to a
-/// `(symbol, RUN_MARKER)` pair plus an out-of-band run length, so smooth
-/// data — where the quantizer emits the same code for long stretches —
-/// decodes at memory speed instead of per-symbol entropy-decode speed.
-/// (This is the behaviour that makes real SZ's decompression fast at loose
-/// tolerances, the Fig. 7 regime.)  RLE is skipped entirely if the input
-/// ever uses the marker value itself.
-pub fn encode(symbols: &[u32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(symbols, &mut out);
-    out
-}
-
-/// [`encode`] appending to an existing buffer, reusing a thread-local
-/// [`EncodeScratch`] so steady-state encoding allocates nothing but the
-/// output bytes.
-pub fn encode_into(symbols: &[u32], out: &mut Vec<u8>) {
-    ENC_SCRATCH.with(|s| encode_with(symbols, out, &mut s.borrow_mut()));
-}
-
-/// [`encode_into`] with caller-owned scratch state.
-pub fn encode_with(symbols: &[u32], out: &mut Vec<u8>, s: &mut EncodeScratch) {
-    // Every encode path (`encode`, `encode_into`) funnels through here, so
-    // one span covers them all.
-    let _span = errflow_obs::trace::span("codec.huffman.encode");
-    out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
-
-    s.transformed.clear();
-    s.runs.clear();
-    // Single fused pass: run detection doubles as the marker scan, so the
-    // input is read once instead of twice (`contains` + collapse).
-    let rle_ok = rle_collapse_checked(symbols, &mut s.transformed, &mut s.runs);
-    let transformed: &[u32] = if rle_ok { &s.transformed } else { symbols };
-    out.push(rle_ok as u8);
-    out.extend_from_slice(&(s.runs.len() as u32).to_le_bytes());
-    for &r in &s.runs {
-        write_varint(out, r);
-    }
-
-    out.extend_from_slice(&(transformed.len() as u64).to_le_bytes());
-    if transformed.is_empty() {
-        out.extend_from_slice(&0u32.to_le_bytes());
-        return;
-    }
-
-    let lengths = code_lengths(transformed, &mut s.freq);
-
-    // Header: number of distinct symbols, then (symbol, length) pairs in
-    // canonical order.
-    out.extend_from_slice(&(lengths.len() as u32).to_le_bytes());
-    for &(sym, len) in &lengths {
-        out.extend_from_slice(&sym.to_le_bytes());
-        out.push(len);
-    }
-
-    let (dense, marker_code, map) = build_encode_lut(&lengths, &mut s.lut);
-    let w = &mut s.writer;
-    w.reset();
-    write_payload_symbols(w, transformed, dense, &s.lut, marker_code, &map);
-    let payload_len = w.bit_len().div_ceil(8);
-    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    w.append_bytes_to(out);
-}
-
-/// Builds the symbol → (bit-reversed code, length) lookup shared by the
-/// single- and multi-stream encoders.  The writer emits LSB-first, so
+/// Builds the symbol → (bit-reversed code, length) lookup the payload
+/// writer indexes.  The writer emits LSB-first, so
 /// storing the bit-reversed canonical code produces the MSB-first stream
 /// order decoding needs.  Dense array lookup for small alphabets (with the
 /// `RUN_MARKER` code held out-of-band), `HashMap` fallback otherwise.
@@ -313,9 +247,9 @@ fn choose_raw16(rle_ok: bool, sorted: &[(u32, u64)], n_original: usize, n_runs: 
     2 * n_original < estimated_huffman_bytes(sorted, n_sym) + 2 * n_runs
 }
 
-/// Multi-stream variant of [`encode`]: `segments` are encoded against one
-/// shared code table but into independent payloads, one per segment, so
-/// they can be decoded as parallel lanes.  See the module docs.
+/// Encodes `segments` against one shared code table but into independent
+/// payloads, one per segment, so they can be decoded as parallel lanes;
+/// returns a self-describing block.  See the module docs.
 pub fn encode_multi(segments: &[&[u32]]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_multi_into(segments, &mut out);
@@ -348,8 +282,15 @@ pub fn encode_multi_into(segments: &[&[u32]], out: &mut Vec<u8>) {
 /// histogram says Huffman cannot beat 16 bits/symbol — the incompressible
 /// regime where entropy coding is pure overhead in both directions.
 ///
-/// RLE runs are collapsed **per segment**, so a run marker never leads a
-/// sub-stream and expansion needs no cross-lane state.
+/// Runs of ≥ [`MIN_RUN`] identical symbols are collapsed to a
+/// `(symbol, RUN_MARKER)` pair plus an out-of-band run length, so smooth
+/// data — where the quantizer emits the same code for long stretches —
+/// decodes at memory speed instead of per-symbol entropy-decode speed.
+/// (This is the behaviour that makes real SZ's decompression fast at loose
+/// tolerances, the Fig. 7 regime.)  Runs are collapsed **per segment**, so
+/// a run marker never leads a sub-stream and expansion needs no cross-lane
+/// state; RLE is skipped entirely if the input ever uses the marker value
+/// itself.
 pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeScratch) {
     let _span = errflow_obs::trace::span("codec.huffman.encode_multi");
     debug_assert!(
@@ -506,24 +447,11 @@ fn rle_collapse_checked(symbols: &[u32], transformed: &mut Vec<u32>, runs: &mut 
     true
 }
 
-/// Inverse of [`rle_collapse_checked`].  Appends to `out`; run expansion is a
-/// single `Vec::resize` fill per run (memset speed for the dominant-symbol
-/// stretches that make up smooth-field streams).
-fn rle_expand_into(
-    transformed: &[u32],
-    runs: &[u32],
-    n_original: usize,
-    out: &mut Vec<u32>,
-) -> Result<(), CompressError> {
-    out.reserve(crate::traits::safe_capacity(
-        n_original,
-        transformed.len() * 4,
-    ));
-    rle_expand_segment(transformed, runs, n_original, out)
-}
-
-/// Segment-scoped RLE expansion: appends exactly `n_original` symbols onto
-/// `out` (which may already hold earlier segments).  A run marker's
+/// Inverse of [`rle_collapse_checked`], scoped to one segment: appends
+/// exactly `n_original` symbols onto `out` (which may already hold earlier
+/// segments); run expansion is a single `Vec::resize` fill per run (memset
+/// speed for the dominant-symbol stretches that make up smooth-field
+/// streams).  A run marker's
 /// predecessor must lie **inside** this segment — the encoder collapses
 /// runs per segment, so a marker leading a segment is corruption, and a
 /// run can never replicate another sub-stream's data.
@@ -573,137 +501,9 @@ fn rle_expand_segment(
     Ok(())
 }
 
-/// Decodes a stream produced by [`encode`].  Returns the symbols and the
-/// number of bytes consumed from `stream`.
-pub fn decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
-    DEC_SCRATCH.with(|s| {
-        let mut out = Vec::new();
-        let consumed = decode_into(stream, &mut out, &mut s.borrow_mut())?;
-        Ok((out, consumed))
-    })
-}
-
-/// [`decode`] into a caller-owned buffer with reusable scratch state.
-/// `out` is cleared first; on success it holds the decoded symbols and the
-/// return value is the number of bytes consumed from `stream`.
-pub fn decode_into(
-    stream: &[u8],
-    out: &mut Vec<u32>,
-    s: &mut DecodeScratch,
-) -> Result<usize, CompressError> {
-    let _span = errflow_obs::trace::span("codec.huffman.decode");
-    out.clear();
-    let mut pos = 0usize;
-    let n_original = read_len_u64(stream, &mut pos, "n_original")?;
-    let rle_used = read_u8(stream, &mut pos, "rle flag")? != 0;
-    let n_runs = read_len_u32(stream, &mut pos, "n_runs")?;
-    // Every run costs at least one varint byte: reject forged counts before
-    // reserving anything.
-    if n_runs > stream.len() - pos {
-        return Err(CompressError::CorruptStream(
-            "declared run count exceeds stream length".into(),
-        ));
-    }
-    s.runs.clear();
-    s.runs
-        .reserve(crate::traits::safe_capacity(n_runs, stream.len()));
-    for _ in 0..n_runs {
-        s.runs.push(read_varint(stream, &mut pos)?);
-    }
-    let n_symbols = read_len_u64(stream, &mut pos, "n_symbols")?;
-    let n_distinct = read_len_u32(stream, &mut pos, "n_distinct")?;
-    if n_symbols == 0 {
-        if n_original != 0 {
-            return Err(CompressError::CorruptStream(
-                "empty payload for nonempty stream".into(),
-            ));
-        }
-        return Ok(pos);
-    }
-    if n_distinct == 0 {
-        return Err(CompressError::CorruptStream(
-            "nonempty payload with empty alphabet".into(),
-        ));
-    }
-    // Transformed-length accounting: without RLE, the payload decodes to
-    // exactly `n_original` symbols; with RLE, every transformed symbol
-    // except run markers (at most one per run) emits at least one output
-    // symbol.  Reject inconsistent headers before any table allocation.
-    if !rle_used && n_symbols != n_original {
-        return Err(CompressError::CorruptStream(
-            "symbol count disagrees with declared output length".into(),
-        ));
-    }
-    if rle_used && n_symbols > n_original.saturating_add(s.runs.len()) {
-        return Err(CompressError::CorruptStream(
-            "symbol count exceeds declared output length plus runs".into(),
-        ));
-    }
-    let max_len = parse_code_table(stream, &mut pos, s, n_distinct)?;
-    let with_table = n_symbols >= TABLE_MIN_SYMBOLS;
-    build_canon_arrays(
-        s,
-        max_len,
-        if with_table {
-            FastTable::Pairs
-        } else {
-            FastTable::None
-        },
-    );
-
-    let payload_len = read_len_u64(stream, &mut pos, "payload_len")?;
-    // Overflow-proof bounds check: slice from `pos` first, then take
-    // `payload_len` — `pos + payload_len` is never materialised.
-    let payload = stream
-        .get(pos..)
-        .and_then(|rest| rest.get(..payload_len))
-        .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
-    // Every decoded symbol consumes at least one payload bit.
-    if n_symbols > payload_len.saturating_mul(8) {
-        return Err(CompressError::CorruptStream(
-            "declared symbol count exceeds payload bits".into(),
-        ));
-    }
-    let consumed = pos + payload_len;
-
-    let DecodeScratch {
-        table,
-        first_code,
-        count,
-        offset,
-        syms,
-        transformed,
-        runs,
-        ..
-    } = s;
-    let canon = CanonicalArrays {
-        first_code,
-        count,
-        offset,
-        syms,
-        max_len,
-    };
-    if rle_used {
-        transformed.clear();
-        transformed.reserve(crate::traits::safe_capacity(n_symbols, payload.len()));
-        decode_symbols(payload, n_symbols, with_table, table, &canon, transformed)?;
-        rle_expand_into(transformed, runs, n_original, out)?;
-    } else {
-        out.reserve(crate::traits::safe_capacity(n_symbols, payload.len()));
-        decode_symbols(payload, n_symbols, with_table, table, &canon, out)?;
-        if out.len() != n_original {
-            return Err(CompressError::CorruptStream(format!(
-                "decoded {} symbols, expected {n_original}",
-                out.len()
-            )));
-        }
-    }
-    Ok(consumed)
-}
-
-/// Parses and validates the `(symbol, length)` code-table section shared
-/// by the single- and multi-stream decoders, leaving the canonical-order
-/// pairs in `s.lengths`.  Returns the maximum code length.
+/// Parses and validates the `(symbol, length)` code-table section, leaving
+/// the canonical-order pairs in `s.lengths`.  Returns the maximum code
+/// length.
 fn parse_code_table(
     stream: &[u8],
     pos: &mut usize,
@@ -755,32 +555,14 @@ fn parse_code_table(
     Ok(max_len)
 }
 
-/// Which fast prefix table [`build_canon_arrays`] should fill alongside
-/// the canonical arrays.
-enum FastTable {
-    /// No fast table — every symbol takes the canonical walk (small
-    /// payloads, where the `2^PEEK` fill would dominate).
-    None,
-    /// `(symbol, length)` pair entries — the single-stream decode layout.
-    Pairs,
-    /// Packed `len << 32 | sym` entries — the multi-stream layout the
-    /// AVX2 gather kernel fetches as single `u64`s.
-    Packed,
-}
-
-/// Builds the canonical decode arrays and the requested fast prefix table
-/// in one pass over the canonical code assignment in `s.lengths`.
-fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, fast: FastTable) {
-    match fast {
-        FastTable::None => {}
-        FastTable::Pairs => {
-            s.table.clear();
-            s.table.resize(1 << PEEK, (0, 0));
-        }
-        FastTable::Packed => {
-            s.table64.clear();
-            s.table64.resize(1 << PEEK, 0);
-        }
+/// Builds the canonical decode arrays — and, when `with_table`, the packed
+/// `2^PEEK` prefix table — in one pass over the canonical code assignment
+/// in `s.lengths`.  Small payloads skip the table (see
+/// [`TABLE_MIN_SYMBOLS`]) and take the canonical walk for every symbol.
+fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, with_table: bool) {
+    if with_table {
+        s.table64.clear();
+        s.table64.resize(1 << PEEK, 0);
     }
     s.first_code.clear();
     s.first_code.resize(max_len as usize + 1, 0);
@@ -802,26 +584,12 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, fast: FastTable) {
         }
         s.count[len as usize] += 1;
         s.syms.push(sym);
-        if (len as u32) <= PEEK {
-            let base = bitrev(code, len) as usize;
-            let step = 1usize << len;
-            match fast {
-                FastTable::None => {}
-                FastTable::Pairs => {
-                    let mut idx = base;
-                    while idx < (1 << PEEK) {
-                        s.table[idx] = (sym, len);
-                        idx += step;
-                    }
-                }
-                FastTable::Packed => {
-                    let packed = ((len as u64) << 32) | sym as u64;
-                    let mut idx = base;
-                    while idx < (1 << PEEK) {
-                        s.table64[idx] = packed;
-                        idx += step;
-                    }
-                }
+        if with_table && (len as u32) <= PEEK {
+            let packed = ((len as u64) << 32) | sym as u64;
+            let mut idx = bitrev(code, len) as usize;
+            while idx < (1 << PEEK) {
+                s.table64[idx] = packed;
+                idx += 1usize << len;
             }
         }
         // wrapping_add: a Kraft-*complete* table whose last code is the
@@ -858,11 +626,13 @@ pub fn decode_multi(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
 
 /// [`decode_multi`] into a caller-owned buffer with reusable scratch.
 ///
-/// Validation mirrors [`decode_into`] per sub-stream, plus the cross-stream
+/// `out` is cleared first; on success it holds the decoded symbols and the
+/// return value is the number of bytes consumed from `stream`.  Every
+/// declared count is validated against the bytes actually present before
+/// anything is allocated for it — per sub-stream, plus the cross-stream
 /// invariants: per-stream output counts must sum to the declared total, and
 /// per-stream payload lengths must all fit the remaining stream.  Decoding
-/// then runs one lane per sub-stream — the AVX2 gather kernel when the host
-/// supports it, interleaved-capable scalar lanes otherwise.
+/// then runs one lane per sub-stream (see [`decode_lanes`]).
 pub fn decode_multi_into(
     stream: &[u8],
     out: &mut Vec<u32>,
@@ -908,6 +678,11 @@ pub fn decode_multi_into(
             s.runs.push(read_varint(stream, &mut pos)?);
         }
         let n_sym = read_len_u64(stream, &mut pos, "sub-stream n_symbols")?;
+        // Transformed-length accounting: without RLE, the payload decodes
+        // to exactly `n_original` symbols; with RLE, every transformed
+        // symbol except run markers (at most one per run) emits at least
+        // one output symbol.  Reject inconsistent headers before any table
+        // allocation.
         if !rle_used && n_sym != n_orig_s {
             return Err(CompressError::CorruptStream(
                 "symbol count disagrees with declared output length".into(),
@@ -1007,15 +782,7 @@ pub fn decode_multi_into(
     }
     let max_len = parse_code_table(stream, &mut pos, s, n_distinct)?;
     let with_table = sum_symbols >= TABLE_MIN_SYMBOLS;
-    build_canon_arrays(
-        s,
-        max_len,
-        if with_table {
-            FastTable::Packed
-        } else {
-            FastTable::None
-        },
-    );
+    build_canon_arrays(s, max_len, with_table);
 
     let mut total_payload = 0usize;
     let mut byte_cursor = 0usize;
@@ -1084,37 +851,19 @@ pub fn decode_multi_into(
     Ok(consumed)
 }
 
-// Test-only switch routing 4-stream decodes through the AVX2 gather
-// kernel, so its parity with the interleaved scalar loop stays covered
-// without mutating process environment from tests.
-#[cfg(all(test, target_arch = "x86_64"))]
-thread_local! {
-    static FORCE_GATHER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
-fn force_gather_for_test() -> bool {
-    FORCE_GATHER.with(|f| f.get())
-}
-
-#[cfg(all(not(test), target_arch = "x86_64"))]
-fn force_gather_for_test() -> bool {
-    false
-}
-
-/// Per-lane decode cursor shared between the scalar lane decoder and the
-/// AVX2 kernel: an absolute bit position in the shared payload region, the
+/// Per-lane decode cursor handed from the interleaved loop to the scalar
+/// lane decoder: an absolute bit position in the shared payload region, the
 /// lane's end bit, and how many symbols it has produced.
-pub(crate) struct LaneCursor {
-    pub(crate) bitpos: usize,
-    pub(crate) end_bit: usize,
-    pub(crate) written: usize,
+struct LaneCursor {
+    bitpos: usize,
+    end_bit: usize,
+    written: usize,
 }
 
 /// Decodes every sub-stream into its contiguous region of `dst` (regions
-/// ordered by sub-stream, sized `n_symbols` each).  Dispatches to the AVX2
-/// gather kernel when available; the resumable scalar lane decoder runs
-/// the tail (and the whole decode on portable hosts).
+/// ordered by sub-stream, sized `n_symbols` each).  Four-stream blocks with
+/// a prefix table start in the interleaved loop; the resumable scalar lane
+/// decoder runs the lane tails, and the whole decode for any other shape.
 fn decode_lanes(
     payload: &[u8],
     subs: &[SubStream],
@@ -1139,32 +888,7 @@ fn decode_lanes(
         })
         .collect();
     if cursors.len() == 4 && !table64.is_empty() {
-        // Two interchangeable hot-loop arms, both leaving cursors resumable
-        // for the scalar finish below.  The interleaved scalar loop is the
-        // default: four dependent load→lookup→shift chains overlap in the
-        // out-of-order core and beat AVX2 `vpgatherqq` table lookups (whose
-        // gather latency dominates) on every x86 host we've measured.  The
-        // gather kernel stays selectable for A/B measurement on future
-        // micro-architectures with faster gathers.
-        #[cfg(target_arch = "x86_64")]
-        let use_gather = errflow_tensor::simd::has_avx2()
-            && !errflow_tensor::simd::force_scalar()
-            && (std::env::var_os("ERRFLOW_HUFF_GATHER").is_some_and(|v| v == "1")
-                || force_gather_for_test());
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_gather = false;
-        if use_gather {
-            #[cfg(target_arch = "x86_64")]
-            crate::huffman_simd::decode_lanes_avx2(
-                payload,
-                table64,
-                canon,
-                &mut cursors,
-                &mut regions,
-            )?;
-        } else {
-            decode_lanes_ilp4(payload, table64, canon, &mut cursors, &mut regions)?;
-        }
+        decode_lanes_ilp4(payload, table64, canon, &mut cursors, &mut regions)?;
     }
     for (cur, region) in cursors.iter_mut().zip(regions.iter_mut()) {
         decode_lane_scalar(
@@ -1176,9 +900,8 @@ fn decode_lanes(
             region,
             &mut cur.written,
         )?;
-        // The SIMD kernel consumes bits without re-checking the lane
-        // boundary per symbol; a lane that ran past its own payload (only
-        // possible on a corrupt stream) is rejected here.
+        // A lane that ran past its own payload (only possible on a corrupt
+        // stream) is rejected here.
         if cur.bitpos > cur.end_bit {
             return Err(CompressError::CorruptStream(
                 "sub-stream payload overread".into(),
@@ -1290,12 +1013,15 @@ fn decode_lanes_ilp4(
 }
 
 /// Resumable register-batched decode of one lane: fills `dst[*written..]`
-/// reading from `payload` between `*bitpos` and `end_bit`.  Identical hot
-/// loop to [`decode_symbols`], but against the packed `table64` layout, a
-/// slice destination, and lane-relative bounds — bits past `end_bit`
-/// belong to the *next* lane and are never consumed, though the 57-bit
-/// window may harmlessly observe them (a table entry only ever commits
-/// bits of the code itself).
+/// reading from `payload` between `*bitpos` and `end_bit`.
+///
+/// Hot loop: refill a 64-bit register with ≥ 57 payload bits, then decode
+/// table hits back-to-back with one lookup + shift each until fewer than
+/// `PEEK` trustworthy bits remain in the register.  Long codes (table miss)
+/// and the last < `PEEK` bits of the lane take the canonical walk.  Bounds
+/// are lane-relative — bits past `end_bit` belong to the *next* lane and
+/// are never consumed, though the 57-bit window may harmlessly observe them
+/// (a table entry only ever commits bits of the code itself).
 fn decode_lane_scalar(
     payload: &[u8],
     bitpos: &mut usize,
@@ -1355,94 +1081,13 @@ fn decode_lane_scalar(
     Ok(())
 }
 
-/// Decodes a single symbol of one lane — the re-sync step the AVX2 kernel
-/// takes when a lane hits a long code (table miss).
-pub(crate) fn decode_one_symbol(
-    payload: &[u8],
-    bitpos: &mut usize,
-    end_bit: usize,
-    table64: &[u64],
-    canon: &CanonicalArrays<'_>,
-) -> Result<u32, CompressError> {
-    let rem = end_bit.saturating_sub(*bitpos);
-    if !table64.is_empty() && rem > 0 {
-        let entry = table64[(load_word(payload, *bitpos) & ((1u64 << PEEK) - 1)) as usize];
-        let len = (entry >> 32) as usize;
-        if len > 0 && len <= rem {
-            *bitpos += len;
-            return Ok(entry as u32);
-        }
-    }
-    decode_one_slow(payload, bitpos, end_bit, canon)
-}
-
 /// Borrowed canonical decode arrays for the slow (long-code) path.
-pub(crate) struct CanonicalArrays<'a> {
+struct CanonicalArrays<'a> {
     first_code: &'a [u64],
     count: &'a [u32],
     offset: &'a [u32],
     syms: &'a [u32],
     max_len: u8,
-}
-
-/// Decodes exactly `n_symbols` symbols from `payload` into `out`.
-///
-/// Hot loop: refill a 64-bit register with ≥ 57 payload bits, then decode
-/// table hits back-to-back with one lookup + shift each until fewer than
-/// `PEEK` trustworthy bits remain in the register.  Long codes (table miss)
-/// and the last < `PEEK` bits of the stream take the canonical walk.
-fn decode_symbols(
-    payload: &[u8],
-    n_symbols: usize,
-    with_table: bool,
-    table: &[(u32, u8)],
-    canon: &CanonicalArrays<'_>,
-    out: &mut Vec<u32>,
-) -> Result<(), CompressError> {
-    let total_bits = payload.len() * 8;
-    let mut bitpos = 0usize;
-    if !with_table {
-        while out.len() < n_symbols {
-            out.push(decode_one_slow(payload, &mut bitpos, total_bits, canon)?);
-        }
-        return Ok(());
-    }
-    let mask = (1u64 << PEEK) - 1;
-    let peek = PEEK as usize;
-    while out.len() < n_symbols {
-        let rem = total_bits - bitpos;
-        if rem >= peek {
-            let mut word = load_word(payload, bitpos);
-            let mut left = rem.min(57);
-            let mut long_code = false;
-            while left >= peek && out.len() < n_symbols {
-                let (sym, len) = table[(word & mask) as usize];
-                if len == 0 {
-                    long_code = true;
-                    break;
-                }
-                let l = len as usize;
-                word >>= l;
-                bitpos += l;
-                left -= l;
-                out.push(sym);
-            }
-            if long_code {
-                out.push(decode_one_slow(payload, &mut bitpos, total_bits, canon)?);
-            }
-            continue;
-        }
-        // Tail: fewer than PEEK bits remain in the whole stream, so the
-        // peek pads with zeros; only accept a table hit that fits.
-        let (sym, len) = table[(load_word(payload, bitpos) & mask) as usize];
-        if len > 0 && len as usize <= rem {
-            bitpos += len as usize;
-            out.push(sym);
-        } else {
-            out.push(decode_one_slow(payload, &mut bitpos, total_bits, canon)?);
-        }
-    }
-    Ok(())
 }
 
 /// Canonical decode of one symbol, bit by bit: O(1) array arithmetic per
@@ -1469,25 +1114,21 @@ fn decode_one_slow(
                 "no symbol matches the read prefix".into(),
             ));
         }
-        let c = canon.count[clen] as u64;
-        if c > 0 && code >= canon.first_code[clen] && code < canon.first_code[clen] + c {
-            let idx = canon.offset[clen] as u64 + (code - canon.first_code[clen]);
+        // `code - first < count`, not `code < first + count`: the sum
+        // overflows on a corrupt table whose 64-bit codes end at the
+        // all-ones one.
+        let first = canon.first_code[clen];
+        if code >= first && code - first < canon.count[clen] as u64 {
+            let idx = canon.offset[clen] as u64 + (code - first);
             return Ok(canon.syms[idx as usize]);
         }
     }
 }
 
-/// Computes Huffman code lengths from symbol frequencies, returned in
-/// canonical order (ascending length, then ascending symbol).  `freq` is
-/// reusable dense-counting scratch.
-fn code_lengths(symbols: &[u32], freq: &mut Vec<u64>) -> Vec<(u32, u8)> {
-    let sorted = frequencies(symbols, freq);
-    code_lengths_from_sorted(sorted)
-}
-
-/// [`code_lengths`] continuation for callers that already hold the sorted
-/// `(symbol, frequency)` histogram (the multi-stream encoder histograms
-/// first to pick between Huffman and raw16 payloads).
+/// Computes Huffman code lengths from the sorted `(symbol, frequency)`
+/// histogram (the encoder histograms first to pick between Huffman and
+/// raw16 payloads), returned in canonical order (ascending length, then
+/// ascending symbol).
 ///
 /// Uses the two-queue construction: leaves sorted by frequency in one
 /// queue, merged nodes (whose frequencies come out non-decreasing) in a
@@ -1655,19 +1296,30 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u32, CompressError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::split_slices;
     use errflow_tensor::rng::StdRng;
 
+    /// Encodes `symbols` as an `n_streams`-segment block.
+    fn encode_split(symbols: &[u32], n_streams: usize) -> Vec<u8> {
+        encode_multi(&split_slices(symbols, n_streams))
+    }
+
+    /// Round-trips 1- and 4-segment blocks through the thread-local and
+    /// caller-owned-scratch decoders and the slow oracle.
     fn roundtrip(symbols: &[u32]) {
-        let enc = encode(symbols);
-        let (dec, consumed) = decode(&enc).expect("decode");
-        assert_eq!(dec, symbols);
-        assert_eq!(consumed, enc.len());
-        // Caller-owned scratch path matches the thread-local path.
-        let mut scratch = DecodeScratch::default();
-        let mut out = Vec::new();
-        let consumed2 = decode_into(&enc, &mut out, &mut scratch).expect("decode_into");
-        assert_eq!(out, symbols);
-        assert_eq!(consumed2, consumed);
+        for n_streams in [1, 4] {
+            let enc = encode_split(symbols, n_streams);
+            let (dec, consumed) = decode_multi(&enc).expect("decode");
+            assert_eq!(dec, symbols);
+            assert_eq!(consumed, enc.len());
+            let mut scratch = DecodeScratch::default();
+            let mut out = Vec::new();
+            let consumed2 = decode_multi_into(&enc, &mut out, &mut scratch).expect("decode_into");
+            assert_eq!(out, symbols);
+            assert_eq!(consumed2, consumed);
+            let oracle = crate::reference::huffman_decode_multi(&enc).expect("oracle");
+            assert_eq!(oracle, (dec, consumed));
+        }
     }
 
     #[test]
@@ -1699,7 +1351,7 @@ mod tests {
                 }
             })
             .collect();
-        let enc = encode(&symbols);
+        let enc = encode_split(&symbols, 4);
         assert!(
             enc.len() < symbols.len() * 4 / 8,
             "compressed {} vs raw {}",
@@ -1719,7 +1371,7 @@ mod tests {
     #[test]
     fn long_codes_take_slow_path() {
         // A heavily skewed geometric-ish distribution over many symbols
-        // produces code lengths well beyond the 12-bit fast table.
+        // produces code lengths well beyond the 13-bit fast table.
         let mut symbols = Vec::new();
         for sym in 0u32..24 {
             let count = 1usize << (24 - sym).min(16);
@@ -1737,18 +1389,20 @@ mod tests {
 
     #[test]
     fn truncated_stream_errors() {
-        let enc = encode(&[1, 2, 3, 1, 2, 3]);
-        assert!(decode(&enc[..enc.len() - 1]).is_err());
-        assert!(decode(&enc[..4]).is_err());
-        assert!(decode(&[]).is_err());
+        for n_streams in [1, 4] {
+            let enc = encode_split(&[1, 2, 3, 1, 2, 3], n_streams);
+            assert!(decode_multi(&enc[..enc.len() - 1]).is_err());
+            assert!(decode_multi(&enc[..4]).is_err());
+        }
+        assert!(decode_multi(&[]).is_err());
     }
 
     #[test]
     fn decode_reports_consumed_bytes_with_trailing_data() {
-        let mut enc = encode(&[5, 5, 9]);
+        let mut enc = encode_split(&[5, 5, 9], 4);
         let orig_len = enc.len();
         enc.extend_from_slice(&[0xab; 10]);
-        let (dec, consumed) = decode(&enc).expect("decode");
+        let (dec, consumed) = decode_multi(&enc).expect("decode");
         assert_eq!(dec, vec![5, 5, 9]);
         assert_eq!(consumed, orig_len);
     }
@@ -1777,15 +1431,17 @@ mod tests {
         assert!(t.len() < symbols.len());
         assert_eq!(runs.len(), 2);
         let mut back = Vec::new();
-        rle_expand_into(&t, &runs, symbols.len(), &mut back).unwrap();
+        rle_expand_segment(&t, &runs, symbols.len(), &mut back).unwrap();
         assert_eq!(back, symbols);
     }
 
     #[test]
     fn long_runs_compress_to_almost_nothing() {
         let symbols = vec![3u32; 1_000_000];
-        let enc = encode(&symbols);
-        assert!(enc.len() < 100, "run-length stream is {} bytes", enc.len());
+        for (n_streams, cap) in [(1, 100), (4, 200)] {
+            let len = encode_split(&symbols, n_streams).len();
+            assert!(len < cap, "{n_streams}-stream run block is {len} bytes");
+        }
         roundtrip(&symbols);
     }
 
@@ -1803,16 +1459,9 @@ mod tests {
         let mut symbols = vec![7u32; 3 * 256];
         symbols.extend(vec![9u32; 200]);
         symbols[3 * 256 + 100] = RUN_MARKER;
-        let segs = crate::format::split_even(symbols.len(), 4);
-        let seg_slices: Vec<&[u32]> = segs
-            .iter()
-            .map(|&(off, len)| &symbols[off..off + len])
-            .collect();
-        let enc = encode_multi(&seg_slices);
+        let enc = encode_split(&symbols, 4);
         assert_eq!(enc[9], 0, "rle byte must be off");
-        let (back, consumed) = decode_multi(&enc).expect("decode");
-        assert_eq!(back, symbols);
-        assert_eq!(consumed, enc.len());
+        roundtrip(&symbols);
     }
 
     #[test]
@@ -1843,10 +1492,14 @@ mod tests {
             let n = 100 + round * 321;
             let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let mut enc = Vec::new();
-            encode_with(&symbols, &mut enc, &mut enc_scratch);
-            assert_eq!(enc, encode(&symbols), "scratch encode must be identical");
+            encode_multi_with(&[&symbols], &mut enc, &mut enc_scratch);
+            assert_eq!(
+                enc,
+                encode_multi(&[&symbols]),
+                "scratch encode must be identical"
+            );
             let mut out = Vec::new();
-            let consumed = decode_into(&enc, &mut out, &mut dec_scratch).unwrap();
+            let consumed = decode_multi_into(&enc, &mut out, &mut dec_scratch).unwrap();
             assert_eq!(out, symbols);
             assert_eq!(consumed, enc.len());
         }
@@ -1874,51 +1527,7 @@ mod tests {
             let alphabet = rng.gen_range(1usize..400);
             let n = rng.gen_range(0usize..2000);
             let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet as u32)).collect();
-            let enc = encode(&symbols);
-            let (dec, consumed) = decode(&enc).expect("decode");
-            assert_eq!(dec, symbols);
-            assert_eq!(consumed, enc.len());
-        }
-    }
-
-    /// The AVX2 gather kernel (the env-selectable multi-stream arm) must
-    /// decode exactly like the default interleaved scalar loop, including
-    /// skewed alphabets whose long codes miss the fast table.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn prop_multi_stream_gather_kernel_matches_scalar() {
-        if !errflow_tensor::simd::has_avx2() {
-            eprintln!("skipping: host lacks AVX2");
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(0xFACE);
-        for round in 0..32 {
-            let n = rng.gen_range(1usize..40_000);
-            let symbols: Vec<u32> = if round % 3 == 0 {
-                // Geometric-ish skew: long tail of rare symbols → codes
-                // beyond PEEK → gather kernel long-code re-sync path.
-                (0..n)
-                    .map(|_| {
-                        let r: f64 = rng.gen_range(0.0..1.0);
-                        (-(1.0 - r).ln() * 80.0) as u32
-                    })
-                    .collect()
-            } else {
-                (0..n).map(|_| rng.gen_range(0..500)).collect()
-            };
-            let segs = crate::format::split_even(n, 4);
-            let seg_slices: Vec<&[u32]> = segs
-                .iter()
-                .map(|&(off, len)| &symbols[off..off + len])
-                .collect();
-            let enc = encode_multi(&seg_slices);
-            let (scalar, consumed) = decode_multi(&enc).expect("scalar decode");
-            assert_eq!(scalar, symbols);
-            assert_eq!(consumed, enc.len());
-            FORCE_GATHER.with(|f| f.set(true));
-            let gathered = decode_multi(&enc).map(|(s, _)| s);
-            FORCE_GATHER.with(|f| f.set(false));
-            assert_eq!(gathered.expect("gather decode"), symbols, "round {round}");
+            roundtrip(&symbols);
         }
     }
 }

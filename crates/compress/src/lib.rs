@@ -19,13 +19,20 @@
 //! given an [`ErrorBound`], the reconstruction error never exceeds the
 //! requested tolerance (property-tested in each module and in the
 //! workspace-level integration suite).
+//!
+//! There is one stream format: every backend writes the multi-stream
+//! container described in [`format`] (SZ, MGARD and [`Sz2dCompressor`]
+//! entropy-code through the one Huffman block in [`huffman`]), and each
+//! backend has one fast decoder for it.  [`reference`] holds the slow
+//! decoders for the same bytes — the oracle the tests and `compress-bench`
+//! compare against — and is also where streams in the retired
+//! pre-container layout are still read.
 
 pub mod bitstream;
 pub mod chunked;
 pub mod error_bound;
 pub mod format;
 pub mod huffman;
-mod huffman_simd;
 pub mod metrics;
 pub mod mgard;
 pub mod reference;
@@ -49,8 +56,8 @@ pub use zfp::ZfpCompressor;
 /// All three compressor backends, boxed, for sweep experiments.
 pub fn all_backends() -> Vec<Box<dyn Compressor>> {
     vec![
-        Box::new(ZfpCompressor::default()),
-        Box::new(SzCompressor::default()),
+        Box::new(ZfpCompressor),
+        Box::new(SzCompressor),
         Box::new(MgardCompressor),
     ]
 }

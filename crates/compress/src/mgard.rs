@@ -14,15 +14,33 @@
 //! user's pointwise budget can be applied at full strength on every level.
 //! Reconstruction is verified in `f32` during compression; any value that
 //! would violate the bound is escaped verbatim.
-
+//!
 //! Both directions stage the level hierarchy in reused workspace buffers
 //! (pooled [`CodecScratch`](crate::CodecScratch)): compression flattens the
 //! nested grids into one arena and reconstruction ping-pongs between two
 //! level buffers, so steady-state coding allocates nothing per call.
+//!
+//! ## Stream layout
+//!
+//! ```text
+//! [magic u64][tag=Mgard u8][n_streams u8]
+//! [n u64][eb f64][coarse_len u32][coarse f32 × coarse_len]
+//! [multi-stream Huffman block over the coefficient symbols]
+//! [outlier f32 table]
+//! ```
+//!
+//! The level recursion itself stays serial (each level interpolates the
+//! one below), so only the entropy stage is split: the coefficient symbols,
+//! coarsest level first, are cut by [`format::split_slices`] into
+//! [`V2_STREAMS`] segments for [`huffman::encode_multi_into`].  Streams
+//! without the container magic (the retired layout, a single-stream
+//! Huffman block after the same header fields) are decoded by
+//! [`crate::reference::mgard_decompress`].
 
 use crate::error_bound::ErrorBound;
-use crate::format;
+use crate::format::{self, BackendTag, V2_STREAMS};
 use crate::huffman;
+use crate::reference;
 use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
@@ -52,6 +70,10 @@ impl MgardCompressor {
         scratch: &mut CodecScratch,
     ) -> Result<(usize, f64, Vec<usize>, usize), CompressError> {
         let mut pos = 0usize;
+        // The coefficient symbols are one flat sequence to the level
+        // recursion; the sub-stream count only shapes the Huffman block,
+        // which re-declares and validates it.
+        format::read_preamble(stream, &mut pos, BackendTag::Mgard)?;
         let n = crate::traits::read_len_u64(stream, &mut pos, "element count")?;
         let eb = crate::traits::read_f64(stream, &mut pos, "error bound")?;
         let coarse_len = crate::traits::read_len_u32(stream, &mut pos, "coarse length")?;
@@ -71,7 +93,7 @@ impl MgardCompressor {
             coarse.push(crate::traits::read_f32(stream, &mut pos, "coarse level")?);
         }
         let consumed =
-            huffman::decode_into(&stream[pos..], &mut scratch.symbols, &mut scratch.huff)?;
+            huffman::decode_multi_into(&stream[pos..], &mut scratch.symbols, &mut scratch.huff)?;
         pos += consumed;
 
         let expected_symbols: usize = lens
@@ -263,17 +285,21 @@ impl Compressor for MgardCompressor {
         }
 
         let mut out = Vec::new();
+        format::write_preamble(&mut out, BackendTag::Mgard, V2_STREAMS);
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
         out.extend_from_slice(&eb.to_le_bytes());
         out.extend_from_slice(&(coarse_len as u32).to_le_bytes());
         format::write_f32_table(&mut out, &fa[coarse_start..coarse_start + coarse_len]);
-        huffman::encode_into(symbols, &mut out);
+        huffman::encode_multi_into(&format::split_slices(symbols, V2_STREAMS), &mut out);
         format::write_f32_table(&mut out, &outliers);
         Ok(out)
     }
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.mgard.decompress");
+        if !format::is_v2(stream) {
+            return reference::mgard_decompress(stream);
+        }
         let mut pooled = scratch::acquire();
         let (n, eb, lens, pos) = Self::decode_core(stream, &mut pooled)?;
         // n equals decoded-symbol count + coarse count at this point, both
@@ -289,6 +315,9 @@ impl Compressor for MgardCompressor {
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
+        if !format::is_v2(stream) {
+            return reference::decompress_into(self.name(), stream, out);
+        }
         let (n, eb, lens, pos) = Self::decode_core(stream, scratch)?;
         if n != out.len() {
             return Err(CompressError::CorruptStream(format!(

@@ -1,18 +1,26 @@
-//! Frozen pre-optimization ("seed-path") decoders.
+//! Slow, obvious decoders for every stream this crate has ever written.
 //!
-//! The codec hot-path overhaul rewrote the Huffman/SZ/ZFP/MGARD decode
-//! loops for throughput while keeping the byte format unchanged.  This
-//! module preserves the original decode paths verbatim — per-symbol
-//! table-probe Huffman decode, per-block `BitReader` ZFP decode, per-level
-//! `Vec` MGARD reconstruction — for two purposes:
+//! The codec hot-path work rewrote the Huffman/SZ/ZFP/MGARD decode loops
+//! for throughput and then moved every backend onto the multi-stream
+//! container ([`crate::format`]).  This module keeps the original seed
+//! decode paths — per-symbol table-probe Huffman decode, per-block
+//! `BitReader` ZFP decode, per-level `Vec` MGARD reconstruction — and
+//! wraps them in a plain container parse, for three purposes:
 //!
-//! 1. **Parity oracle**: tests assert the optimized decoders produce
-//!    bit-identical outputs on streams the seed decoders accept.
-//! 2. **Benchmark baseline**: `compress-bench` reports optimized throughput
-//!    as a speedup over these functions, the same way `gemm-bench` gates
-//!    the blocked kernel against `matmul_naive`.
+//! 1. **Differential oracle**: tests assert the fast decoders produce
+//!    bit-identical outputs on the streams the tree writes today.
+//! 2. **Back-compat**: a stream without the container magic (the retired
+//!    "v1" layout, which nothing writes any more) is decoded here; the
+//!    backends' `decompress`/`decompress_into` dispatch such bytes to this
+//!    module.
+//! 3. **Benchmark baseline**: `compress-bench` reports fast-path throughput
+//!    as a speedup over these functions on the same stream, the same way
+//!    `gemm-bench` gates the blocked kernel against `matmul_naive`.
 //!
-//! Nothing here should be "improved" — its value is staying fixed.
+//! Nothing here shares code with the fast paths (the magic, the segment
+//! split and the varint reader are restated on purpose), and nothing here
+//! should be made faster — its value is staying fixed.  It does take
+//! untrusted bytes, so every length is checked before it is used.
 
 use crate::traits::{safe_capacity, CompressError};
 use std::collections::HashMap;
@@ -22,6 +30,12 @@ const RUN_MARKER: u32 = u32::MAX;
 const MAX_CODE: i64 = 32_767;
 const ESCAPE: u32 = 0;
 const PRECISION: i32 = 38;
+const MAGIC_V2: [u8; 8] = *b"EFv2\x9e\xad\xf5\xbf";
+const MAX_STREAMS: usize = 16;
+const FLAG_RAW16: u8 = 2;
+const TAG_SZ: u8 = 1;
+const TAG_ZFP: u8 = 2;
+const TAG_MGARD: u8 = 3;
 
 /// Seed bit reader: byte-copy `peek_word`, per-call bounds checks.
 struct RefBitReader<'a> {
@@ -154,9 +168,11 @@ fn canonical_codes(lengths: &[(u32, u8)]) -> HashMap<u32, (u64, u8)> {
     let mut code = 0u64;
     let mut prev_len = 0u8;
     for &(sym, len) in lengths {
-        code <<= len - prev_len;
+        // Wrapping: a corrupt table may open with a 64-bit code or end on
+        // the all-ones one; decode then yields garbage, never a panic.
+        code = code.wrapping_shl((len - prev_len) as u32);
         codes.insert(sym, (code, len));
-        code += 1;
+        code = code.wrapping_add(1);
         prev_len = len;
     }
     codes
@@ -177,6 +193,13 @@ fn rle_expand(
             let &prev = out
                 .last()
                 .ok_or_else(|| CompressError::CorruptStream("run marker at stream start".into()))?;
+            // Checked before extending: a forged run length must not drive
+            // a giant allocation just to fail the length check below.
+            if count as usize > n_original - out.len() {
+                return Err(CompressError::CorruptStream(
+                    "expanded stream longer than declared".into(),
+                ));
+            }
             out.extend(std::iter::repeat_n(prev, count as usize));
         } else {
             out.push(s);
@@ -196,43 +219,32 @@ fn rle_expand(
     Ok(out)
 }
 
-/// Seed-path Huffman decode: fresh table/`HashMap` per call, one table
-/// probe per symbol.
-pub fn huffman_decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
-    let mut pos = 0usize;
-    let n_original = read_u64(stream, &mut pos)? as usize;
-    let rle_used = *stream
-        .get(pos)
-        .ok_or_else(|| CompressError::CorruptStream("truncated rle flag".into()))?
-        != 0;
-    pos += 1;
-    let n_runs = read_u32(stream, &mut pos)? as usize;
-    let mut runs = Vec::with_capacity(safe_capacity(n_runs, stream.len()));
-    for _ in 0..n_runs {
-        runs.push(read_varint(stream, &mut pos)?);
-    }
-    let n_symbols = read_u64(stream, &mut pos)? as usize;
-    let n_distinct = read_u32(stream, &mut pos)? as usize;
-    if n_symbols == 0 {
-        if n_original != 0 {
-            return Err(CompressError::CorruptStream(
-                "empty payload for nonempty stream".into(),
-            ));
-        }
-        return Ok((Vec::new(), pos));
-    }
-    if n_distinct == 0 {
-        return Err(CompressError::CorruptStream(
-            "nonempty payload with empty alphabet".into(),
-        ));
-    }
+/// Seed-path decode tables for one canonical code: the `2^PEEK` prefix
+/// table plus the per-length arrays of the canonical walk, built fresh
+/// (through a `HashMap`) for every block.
+struct CodeTable {
+    table: Vec<(u32, u8)>,
+    first_code: Vec<u64>,
+    count: Vec<u32>,
+    offset: Vec<u32>,
+    canonical_syms: Vec<u32>,
+    max_len: u8,
+}
+
+/// Reads and validates `n_distinct` `(symbol u32, length u8)` entries at
+/// `stream[*pos..]` and builds the decode tables.
+fn read_code_table(
+    stream: &[u8],
+    pos: &mut usize,
+    n_distinct: usize,
+) -> Result<CodeTable, CompressError> {
     let mut lengths = Vec::with_capacity(safe_capacity(n_distinct, stream.len()));
     for _ in 0..n_distinct {
-        let sym = read_u32(stream, &mut pos)?;
+        let sym = read_u32(stream, pos)?;
         let len = *stream
-            .get(pos)
+            .get(*pos)
             .ok_or_else(|| CompressError::CorruptStream("truncated code table".into()))?;
-        pos += 1;
+        *pos += 1;
         if len == 0 || len > 64 {
             return Err(CompressError::CorruptStream(format!(
                 "invalid code length {len}"
@@ -273,13 +285,13 @@ pub fn huffman_decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError>
         let mut code = 0u64;
         let mut prev_len = 0u8;
         for (i, &(_, len)) in lengths.iter().enumerate() {
-            code <<= len - prev_len;
+            code = code.wrapping_shl((len - prev_len) as u32);
             if count[len as usize] == 0 {
                 first_code[len as usize] = code;
                 offset[len as usize] = i as u32;
             }
             count[len as usize] += 1;
-            code += 1;
+            code = code.wrapping_add(1);
             prev_len = len;
         }
     }
@@ -295,78 +307,261 @@ pub fn huffman_decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError>
             }
         }
     }
-
-    let payload_len = read_u64(stream, &mut pos)? as usize;
-    let payload = stream
-        .get(pos..pos + payload_len)
-        .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
-    let consumed = pos + payload_len;
-
-    let mut r = RefBitReader::new(payload);
-    let mut out = Vec::with_capacity(safe_capacity(n_symbols, payload.len()));
-    while out.len() < n_symbols {
-        let peek = r.peek_bits_lossy(PEEK) as usize;
-        let (sym, len) = table[peek];
-        if len > 0 && (len as usize) <= r.remaining_bits() {
-            r.skip_bits(len as u32);
-            out.push(sym);
-            continue;
-        }
-        let mut code = 0u64;
-        let mut clen = 0usize;
-        let sym = loop {
-            let bit = r
-                .read_bit()
-                .ok_or_else(|| CompressError::CorruptStream("payload ended early".into()))?;
-            code = (code << 1) | bit as u64;
-            clen += 1;
-            if clen > max_len as usize {
-                return Err(CompressError::CorruptStream(
-                    "no symbol matches the read prefix".into(),
-                ));
-            }
-            let c = count[clen] as u64;
-            if c > 0 && code >= first_code[clen] && code < first_code[clen] + c {
-                let idx = offset[clen] as u64 + (code - first_code[clen]);
-                break canonical_syms[idx as usize];
-            }
-        };
-        out.push(sym);
-    }
-    let expanded = if rle_used {
-        rle_expand(&out, &runs, n_original)?
-    } else {
-        if out.len() != n_original {
-            return Err(CompressError::CorruptStream(format!(
-                "decoded {} symbols, expected {n_original}",
-                out.len()
-            )));
-        }
-        out
-    };
-    Ok((expanded, consumed))
+    Ok(CodeTable {
+        table,
+        first_code,
+        count,
+        offset,
+        canonical_syms,
+        max_len,
+    })
 }
 
-/// Seed-path SZ decompression: two-pass (Huffman, then predict) with a
-/// growing reconstruction `Vec`.
-pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    if stream.len() < 16 {
-        return Err(CompressError::CorruptStream("header too short".into()));
+impl CodeTable {
+    /// Decodes exactly `n_symbols` symbols from `payload`, one table probe
+    /// (or one bit-by-bit canonical walk) per symbol.
+    fn decode(&self, payload: &[u8], n_symbols: usize) -> Result<Vec<u32>, CompressError> {
+        let mut r = RefBitReader::new(payload);
+        let mut out = Vec::with_capacity(safe_capacity(n_symbols, payload.len()));
+        while out.len() < n_symbols {
+            let peek = r.peek_bits_lossy(PEEK) as usize;
+            let (sym, len) = self.table[peek];
+            if len > 0 && (len as usize) <= r.remaining_bits() {
+                r.skip_bits(len as u32);
+                out.push(sym);
+                continue;
+            }
+            let mut code = 0u64;
+            let mut clen = 0usize;
+            let sym = loop {
+                let bit = r
+                    .read_bit()
+                    .ok_or_else(|| CompressError::CorruptStream("payload ended early".into()))?;
+                code = (code << 1) | bit as u64;
+                clen += 1;
+                if clen > self.max_len as usize {
+                    return Err(CompressError::CorruptStream(
+                        "no symbol matches the read prefix".into(),
+                    ));
+                }
+                // `code - first < count`, not `code < first + count`: the
+                // sum overflows on a corrupt table whose 64-bit codes end at
+                // the all-ones one.
+                let first = self.first_code[clen];
+                if code >= first && code - first < self.count[clen] as u64 {
+                    break self.canonical_syms
+                        [(self.offset[clen] as u64 + (code - first)) as usize];
+                }
+            };
+            out.push(sym);
+        }
+        Ok(out)
     }
-    let n = u64::from_le_bytes(fixed(&stream[0..8], "length header")?) as usize;
-    let eb = f64::from_le_bytes(fixed(&stream[8..16], "bound header")?);
-    let (symbols, consumed) = huffman_decode(&stream[16..])?;
-    if symbols.len() != n {
+}
+
+/// `stream[pos..pos + len]`, or a typed error; never computes `pos + len`.
+fn slice_at<'a>(
+    stream: &'a [u8],
+    pos: usize,
+    len: usize,
+    what: &str,
+) -> Result<&'a [u8], CompressError> {
+    stream
+        .get(pos..)
+        .and_then(|rest| rest.get(..len))
+        .ok_or_else(|| CompressError::CorruptStream(format!("truncated {what}")))
+}
+
+/// Seed-path decode of the retired single-stream Huffman block: fresh
+/// table/`HashMap` per call, one table probe per symbol.
+pub fn huffman_decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
+    let mut pos = 0usize;
+    let n_original = read_u64(stream, &mut pos)? as usize;
+    let rle_used = *stream
+        .get(pos)
+        .ok_or_else(|| CompressError::CorruptStream("truncated rle flag".into()))?
+        != 0;
+    pos += 1;
+    let n_runs = read_u32(stream, &mut pos)? as usize;
+    let mut runs = Vec::with_capacity(safe_capacity(n_runs, stream.len()));
+    for _ in 0..n_runs {
+        runs.push(read_varint(stream, &mut pos)?);
+    }
+    let n_symbols = read_u64(stream, &mut pos)? as usize;
+    let n_distinct = read_u32(stream, &mut pos)? as usize;
+    if n_symbols == 0 {
+        if n_original != 0 {
+            return Err(CompressError::CorruptStream(
+                "empty payload for nonempty stream".into(),
+            ));
+        }
+        return Ok((Vec::new(), pos));
+    }
+    if n_distinct == 0 {
+        return Err(CompressError::CorruptStream(
+            "nonempty payload with empty alphabet".into(),
+        ));
+    }
+    let codes = read_code_table(stream, &mut pos, n_distinct)?;
+
+    let payload_len = read_u64(stream, &mut pos)? as usize;
+    let payload = slice_at(stream, pos, payload_len, "payload")?;
+    let consumed = pos + payload_len;
+
+    let out = codes.decode(payload, n_symbols)?;
+    Ok((finish_symbols(out, rle_used, &runs, n_original)?, consumed))
+}
+
+/// Undoes the run-length collapse of one decoded payload if it was applied,
+/// and checks the result against the declared length either way.
+fn finish_symbols(
+    symbols: Vec<u32>,
+    rle_used: bool,
+    runs: &[u32],
+    n_original: usize,
+) -> Result<Vec<u32>, CompressError> {
+    if rle_used {
+        return rle_expand(&symbols, runs, n_original);
+    }
+    if symbols.len() != n_original {
         return Err(CompressError::CorruptStream(format!(
-            "expected {n} symbols, decoded {}",
+            "decoded {} symbols, expected {n_original}",
             symbols.len()
         )));
     }
-    let mut pos = 16 + consumed;
-    let mut recon: Vec<f32> = Vec::with_capacity(safe_capacity(n, stream.len()));
+    Ok(symbols)
+}
+
+/// Oracle decode of the multi-stream Huffman block
+/// ([`crate::huffman::encode_multi_with`] documents the layout): the
+/// sub-streams are decoded one after another through the seed-path probe
+/// and expanded segment by segment.
+pub fn huffman_decode_multi(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
+    let mut pos = 0usize;
+    let n_original = read_u64(stream, &mut pos)? as usize;
+    let head = slice_at(stream, pos, 2, "block header")?;
+    let (n_streams, flag) = (head[0] as usize, head[1]);
+    pos += 2;
+    if n_streams == 0 || n_streams > MAX_STREAMS || flag > FLAG_RAW16 {
+        return Err(CompressError::CorruptStream(format!(
+            "bad block header: {n_streams} sub-streams, flag {flag}"
+        )));
+    }
+    // Per sub-stream: (declared output length, run lengths, payload symbols).
+    let mut subs: Vec<(usize, Vec<u32>, usize)> = Vec::with_capacity(n_streams);
+    for _ in 0..n_streams {
+        let n_orig_s = read_u64(stream, &mut pos)? as usize;
+        let n_runs = read_u32(stream, &mut pos)? as usize;
+        let mut runs = Vec::with_capacity(safe_capacity(n_runs, stream.len()));
+        for _ in 0..n_runs {
+            runs.push(read_varint(stream, &mut pos)?);
+        }
+        let n_sym = read_u64(stream, &mut pos)? as usize;
+        if flag == FLAG_RAW16 && (n_sym != n_orig_s || n_runs != 0) {
+            return Err(CompressError::CorruptStream(
+                "raw16 sub-stream with runs or a symbol-count mismatch".into(),
+            ));
+        }
+        subs.push((n_orig_s, runs, n_sym));
+    }
+    let declared = subs
+        .iter()
+        .try_fold(0usize, |acc, sub| acc.checked_add(sub.0));
+    if declared != Some(n_original) {
+        return Err(CompressError::CorruptStream(
+            "sub-stream output lengths don't sum to the declared total".into(),
+        ));
+    }
+    // The code table is absent from raw16 blocks and empty when no
+    // sub-stream holds a symbol.
+    let any_symbols = subs.iter().any(|sub| sub.2 > 0);
+    let mut codes = None;
+    if flag != FLAG_RAW16 {
+        let n_distinct = read_u32(stream, &mut pos)? as usize;
+        if any_symbols != (n_distinct > 0) {
+            return Err(CompressError::CorruptStream(
+                "code table and symbol counts disagree on emptiness".into(),
+            ));
+        }
+        if any_symbols {
+            codes = Some(read_code_table(stream, &mut pos, n_distinct)?);
+        }
+    }
+    let mut payload_lens = Vec::with_capacity(n_streams);
+    for _ in 0..n_streams {
+        payload_lens.push(read_u64(stream, &mut pos)? as usize);
+    }
+    let mut out: Vec<u32> = Vec::new();
+    for ((n_orig_s, runs, n_sym), payload_len) in subs.into_iter().zip(payload_lens) {
+        let payload = slice_at(stream, pos, payload_len, "sub-stream payload")?;
+        pos += payload_len;
+        let symbols: Vec<u32> = if let Some(codes) = &codes {
+            codes.decode(payload, n_sym)?
+        } else {
+            // Raw16 stores two bytes per symbol; a Huffman block without a
+            // code table holds no symbols, so the same check covers it.
+            if n_sym.checked_mul(2) != Some(payload_len) {
+                return Err(CompressError::CorruptStream(
+                    "payload length disagrees with symbol count".into(),
+                ));
+            }
+            payload
+                .chunks_exact(2)
+                .map(|pair| u32::from(u16::from_le_bytes([pair[0], pair[1]])))
+                .collect()
+        };
+        out.extend(finish_symbols(symbols, flag == 1, &runs, n_orig_s)?);
+    }
+    Ok((out, pos))
+}
+
+/// `n` items in `s` contiguous segments whose lengths differ by at most one
+/// (the first `n % s` get the extra item), as `(offset, len)` pairs — how
+/// every container splits values, blocks or symbols into sub-streams.
+fn split_even(n: usize, s: usize) -> Vec<(usize, usize)> {
+    let mut off = 0usize;
+    (0..s)
+        .map(|i| {
+            let len = n / s + usize::from(i < n % s);
+            off += len;
+            (off - len, len)
+        })
+        .collect()
+}
+
+/// Looks for the container preamble (magic, `tag`, sub-stream count).
+/// Returns the sub-stream count — the body starts at byte 10 — or `None`
+/// for a stream without the magic, i.e. in the retired layout: the same
+/// body with a single sub-stream whose length is not declared.
+fn read_preamble(stream: &[u8], tag: u8) -> Result<Option<usize>, CompressError> {
+    if stream.len() < 8 || stream[..8] != MAGIC_V2 {
+        return Ok(None);
+    }
+    let head = slice_at(stream, 8, 2, "container preamble")?;
+    let n_streams = head[1] as usize;
+    if head[0] != tag || n_streams == 0 || n_streams > MAX_STREAMS {
+        return Err(CompressError::CorruptStream(format!(
+            "bad container preamble: tag {} (expected {tag}), {n_streams} sub-streams",
+            head[0]
+        )));
+    }
+    Ok(Some(n_streams))
+}
+
+/// Seed-path SZ reconstruction of one predictor chain: appends one value
+/// per symbol to `recon` (the chain's history starts empty), taking escaped
+/// values from `table`.  Returns the table bytes consumed.
+fn sz_reconstruct(
+    symbols: &[u32],
+    eb: f64,
+    table: &[u8],
+    recon: &mut Vec<f32>,
+) -> Result<usize, CompressError> {
+    let start = recon.len();
+    let mut pos = 0usize;
     for (i, &sym) in symbols.iter().enumerate() {
         if sym == ESCAPE {
-            let bytes = stream
+            let bytes = table
                 .get(pos..pos + 4)
                 .ok_or_else(|| CompressError::CorruptStream("truncated outlier table".into()))?;
             pos += 4;
@@ -375,11 +570,58 @@ pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
             let code = sym as i64 - MAX_CODE - 1;
             let pred = match i {
                 0 => 0.0,
-                1 => recon[0] as f64,
-                _ => 2.0 * recon[i - 1] as f64 - recon[i - 2] as f64,
+                1 => recon[start] as f64,
+                _ => 2.0 * recon[start + i - 1] as f64 - recon[start + i - 2] as f64,
             };
             recon.push((pred + 2.0 * eb * code as f64) as f32);
         }
+    }
+    Ok(pos)
+}
+
+/// SZ decompression: Huffman-decode every symbol, then run the seed-path
+/// predictor loop once per segment.  The container declares each segment's
+/// outlier table, which the segment must consume exactly; the retired
+/// layout is one segment whose table is whatever follows the Huffman block.
+pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
+    let container = read_preamble(stream, TAG_SZ)?;
+    let mut pos = if container.is_some() { 10 } else { 0 };
+    let n = read_u64(stream, &mut pos)? as usize;
+    let eb = f64::from_bits(read_u64(stream, &mut pos)?);
+    let mut table_lens = Vec::new();
+    for _ in 0..container.unwrap_or(0) {
+        table_lens.push(read_u32(stream, &mut pos)? as usize * 4);
+    }
+    let (symbols, consumed) = match container {
+        Some(_) => huffman_decode_multi(&stream[pos..])?,
+        None => huffman_decode(&stream[pos..])?,
+    };
+    pos += consumed;
+    if container.is_none() {
+        table_lens.push(stream.len() - pos);
+    }
+    if symbols.len() != n {
+        return Err(CompressError::CorruptStream(format!(
+            "expected {n} symbols, decoded {}",
+            symbols.len()
+        )));
+    }
+    let mut recon: Vec<f32> = Vec::with_capacity(safe_capacity(n, stream.len()));
+    let segments = split_even(n, table_lens.len());
+    for ((off, len), table_len) in segments.into_iter().zip(table_lens) {
+        let table = slice_at(stream, pos, table_len, "outlier table")?;
+        pos += table_len;
+        let used = sz_reconstruct(&symbols[off..off + len], eb, table, &mut recon)?;
+        if container.is_some() && used != table_len {
+            return Err(CompressError::CorruptStream(
+                "segment outlier table has unread bytes".into(),
+            ));
+        }
+    }
+    if pos != stream.len() {
+        return Err(CompressError::CorruptStream(
+            "bytes after the last outlier table".into(),
+        ));
     }
     Ok(recon)
 }
@@ -447,19 +689,39 @@ fn decode_block(r: &mut RefBitReader<'_>) -> Result<[f32; 4], CompressError> {
     Ok(std::array::from_fn(|i| (ints[i] as f64 * scale) as f32))
 }
 
-/// Seed-path ZFP decompression: per-block checked reads through the
-/// byte-copy reader, `extend_from_slice` into the output.
+/// ZFP decompression: per-block checked reads through the byte-copy
+/// reader, `extend_from_slice` into the output.  The container deals the
+/// blocks contiguously and evenly to its sub-streams and declares their
+/// lengths; the retired layout is one bit stream to the end of the bytes.
 pub fn zfp_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    if stream.len() < 8 {
-        return Err(CompressError::CorruptStream("header too short".into()));
+    let container = read_preamble(stream, TAG_ZFP)?;
+    let mut pos = if container.is_some() { 10 } else { 0 };
+    let n = read_u64(stream, &mut pos)? as usize;
+    let mut payload_lens = Vec::new();
+    for _ in 0..container.unwrap_or(0) {
+        payload_lens.push(read_u64(stream, &mut pos)? as usize);
     }
-    let n = u64::from_le_bytes(fixed(&stream[0..8], "length header")?) as usize;
-    let mut r = RefBitReader::new(&stream[8..]);
+    if container.is_none() {
+        payload_lens.push(stream.len() - pos);
+    }
     let mut out = Vec::with_capacity(safe_capacity(n, stream.len()));
-    while out.len() < n {
-        let take = (n - out.len()).min(4);
-        let block = decode_block(&mut r)?;
-        out.extend_from_slice(&block[..take]);
+    let parts = split_even(n.div_ceil(4), payload_lens.len());
+    for ((block_off, blocks), payload_len) in parts.into_iter().zip(payload_lens) {
+        let mut r = RefBitReader::new(slice_at(stream, pos, payload_len, "sub-stream")?);
+        pos += payload_len;
+        // Saturating: a forged count just decodes blocks until the
+        // sub-stream runs dry and `decode_block` errors.
+        let end = block_off.saturating_add(blocks).saturating_mul(4).min(n);
+        while out.len() < end {
+            let take = (end - out.len()).min(4);
+            let block = decode_block(&mut r)?;
+            out.extend_from_slice(&block[..take]);
+        }
+    }
+    if pos != stream.len() {
+        return Err(CompressError::CorruptStream(
+            "bytes after the last sub-stream".into(),
+        ));
     }
     Ok(out)
 }
@@ -487,7 +749,11 @@ fn interpolate(recon: &[f32], i: usize, len: usize) -> f32 {
 }
 
 /// Seed-path MGARD decompression: fresh per-level reconstruction `Vec`s.
+/// The container only puts its preamble in front of the retired layout's
+/// header fields and swaps the Huffman block for the multi-stream one.
 pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
+    let v2 = read_preamble(stream, TAG_MGARD)?.is_some();
+    let stream = if v2 { &stream[10..] } else { stream };
     if stream.len() < 20 {
         return Err(CompressError::CorruptStream("header too short".into()));
     }
@@ -511,7 +777,11 @@ pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         pos += 4;
         coarse.push(f32::from_le_bytes(fixed(bytes, "coarse level")?));
     }
-    let (symbols, consumed) = huffman_decode(&stream[pos..])?;
+    let (symbols, consumed) = if v2 {
+        huffman_decode_multi(&stream[pos..])?
+    } else {
+        huffman_decode(&stream[pos..])?
+    };
     pos += consumed;
 
     let expected_symbols: usize = lens
@@ -555,7 +825,7 @@ pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
     Ok(recon_coarse)
 }
 
-/// Dispatches to the seed-path decoder for a backend by [`Compressor::name`]
+/// Dispatches to the decoder for a backend by [`Compressor::name`]
 /// (`"sz"`, `"zfp"`, `"mgard"`).
 ///
 /// [`Compressor::name`]: crate::traits::Compressor::name
@@ -568,6 +838,25 @@ pub fn decompress(backend: &str, stream: &[u8]) -> Result<Vec<f32>, CompressErro
             "no reference decoder for backend {other:?}"
         ))),
     }
+}
+
+/// [`decompress`] into a caller-sized slice — the backends'
+/// `decompress_into` for streams that predate the container.
+pub(crate) fn decompress_into(
+    backend: &str,
+    stream: &[u8],
+    out: &mut [f32],
+) -> Result<(), CompressError> {
+    let values = decompress(backend, stream)?;
+    if values.len() != out.len() {
+        return Err(CompressError::CorruptStream(format!(
+            "stream declares {} values, expected {}",
+            values.len(),
+            out.len()
+        )));
+    }
+    out.copy_from_slice(&values);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -591,7 +880,7 @@ mod tests {
     #[test]
     fn huffman_parity_with_optimized_decoder() {
         let mut rng = StdRng::seed_from_u64(0xFACE);
-        for _ in 0..32 {
+        for round in 0..32 {
             let n = rng.gen_range(0usize..4000);
             let alphabet = rng.gen_range(1u32..300);
             let mut symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
@@ -600,10 +889,12 @@ mod tests {
                 let v = rng.gen_range(0..alphabet);
                 symbols[10..150].fill(v);
             }
-            let enc = huffman::encode(&symbols);
-            let seed = huffman_decode(&enc).expect("seed decode");
-            let fast = huffman::decode(&enc).expect("optimized decode");
+            let segs = crate::format::split_slices(&symbols, 1 + round % 5);
+            let enc = huffman::encode_multi(&segs);
+            let seed = huffman_decode_multi(&enc).expect("seed decode");
+            let fast = huffman::decode_multi(&enc).expect("optimized decode");
             assert_eq!(seed, fast);
+            assert_eq!(seed.0, symbols);
         }
     }
 
@@ -611,12 +902,9 @@ mod tests {
     fn backend_parity_with_optimized_decoders() {
         let data = smooth_field(10_000);
         let bound = ErrorBound::rel_linf(1e-4);
-        // The frozen oracle predates the v2 containers, so sz/zfp pin the
-        // legacy layout here; v2 parity is covered by the cross-version
-        // integration tests.
         for c in [
-            &SzCompressor::v1_format() as &dyn Compressor,
-            &ZfpCompressor::v1_format(),
+            &SzCompressor::new() as &dyn Compressor,
+            &ZfpCompressor::new(),
             &MgardCompressor::new(),
         ] {
             let stream = c.compress(&data, &bound).expect("compress");

@@ -22,26 +22,26 @@
 //! inverse straight into the caller's slice through pooled
 //! [`CodecScratch`](crate::CodecScratch) state.
 //!
-//! ## Stream versions
+//! ## Stream layout
 //!
 //! The serial predictor chain is the decode bottleneck: each value's
 //! prediction needs the previous two *reconstructed* values, so one chain
-//! of convert→multiply→add latency gates every element.  The default
-//! **v2** container breaks the chain: values are split into
+//! of convert→multiply→add latency gates every element.  The stream
+//! container ([`crate::format`]) breaks the chain: values are split into
 //! [`crate::format::V2_STREAMS`] contiguous segments, the predictor
 //! restarts at each segment boundary (costing at most a few poorly
 //! predicted values per segment), outlier tables are per-segment, and the
 //! quantization symbols are entropy-coded with the multi-stream Huffman
 //! block ([`crate::huffman::encode_multi`]).  Decode then runs four
 //! independent predictor chains interleaved — roughly a 4× cut in chain
-//! latency — on top of the lane-parallel entropy decode.
-//! [`SzCompressor::v1_format`] keeps emitting the legacy single-stream
-//! layout (bit-identical to the frozen [`crate::reference`] oracle);
-//! decoding accepts both.
+//! latency — on top of the lane-parallel entropy decode.  Streams without
+//! the container magic (the retired single-stream layout) are decoded by
+//! [`crate::reference::sz_decompress`].
 
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, V2_STREAMS};
 use crate::huffman;
+use crate::reference;
 use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
@@ -54,22 +54,12 @@ const ESCAPE: u32 = 0;
 
 /// SZ-class compressor (see module docs).
 #[derive(Debug, Clone, Default)]
-pub struct SzCompressor {
-    /// Emit the legacy v1 single-stream layout instead of v2.
-    emit_v1: bool,
-}
+pub struct SzCompressor;
 
 impl SzCompressor {
-    /// Creates the compressor with default settings (v2 streams).
+    /// Creates the compressor.
     pub fn new() -> Self {
-        SzCompressor::default()
-    }
-
-    /// Creates a compressor that emits the legacy v1 single-stream layout
-    /// (bit-identical to the frozen reference encoder).  Decoding accepts
-    /// both layouts regardless of this setting.
-    pub fn v1_format() -> Self {
-        SzCompressor { emit_v1: true }
+        SzCompressor
     }
 
     /// Predicts element `i` from the last two reconstructed values: linear
@@ -126,7 +116,7 @@ impl SzCompressor {
         outliers.len() - outliers_before
     }
 
-    /// One quantization step of one predictor chain (the v2 encode fast
+    /// One quantization step of one predictor chain (the encode fast
     /// path).  Same accept/reject semantics as [`Self::quantize_segment`],
     /// restructured for chain latency: the bin width divide becomes a
     /// multiply by the precomputed reciprocal, and the half-away-from-zero
@@ -278,61 +268,6 @@ impl SzCompressor {
             format::write_f32_table(&mut out, lane);
         }
         out
-    }
-
-    /// Parses the header and entropy-decodes the quantization symbols into
-    /// `scratch.symbols`.  Returns `(n, eb, outlier_table_offset)`.  All
-    /// size validation happens here, before any data-sized allocation.
-    fn decode_core(
-        stream: &[u8],
-        scratch: &mut CodecScratch,
-    ) -> Result<(usize, f64, usize), CompressError> {
-        let mut hdr = 0usize;
-        let n = crate::traits::read_len_u64(stream, &mut hdr, "element count")?;
-        let eb = crate::traits::read_f64(stream, &mut hdr, "error bound")?;
-        let consumed =
-            huffman::decode_into(&stream[16..], &mut scratch.symbols, &mut scratch.huff)?;
-        if scratch.symbols.len() != n {
-            return Err(CompressError::CorruptStream(format!(
-                "expected {n} symbols, decoded {}",
-                scratch.symbols.len()
-            )));
-        }
-        Ok((n, eb, 16 + consumed))
-    }
-
-    /// Fused inverse pass: reconstructs `out` (length == symbol count) from
-    /// the quantization symbols and the outlier table at `stream[pos..]`,
-    /// carrying the two-element history in registers.
-    fn reconstruct(
-        stream: &[u8],
-        mut pos: usize,
-        eb: f64,
-        symbols: &[u32],
-        out: &mut [f32],
-    ) -> Result<(), CompressError> {
-        debug_assert_eq!(symbols.len(), out.len());
-        // All-escape fast path, as in `reconstruct_v2`: one table entry per
-        // element and all symbols escaped means the table IS the data.
-        if stream.len() - pos == 4 * out.len() && symbols.iter().all(|&s| s == ESCAPE) {
-            format::read_f32_table(&stream[pos..], out);
-            return Ok(());
-        }
-        let mut prev = 0.0f32;
-        let mut prev2 = 0.0f32;
-        for (i, (&sym, slot)) in symbols.iter().zip(out.iter_mut()).enumerate() {
-            let v = if sym == ESCAPE {
-                crate::traits::read_f32(stream, &mut pos, "outlier table")?
-            } else {
-                let code = sym as i64 - MAX_CODE - 1;
-                let pred = Self::predict(i, prev, prev2);
-                (pred + 2.0 * eb * code as f64) as f32
-            };
-            *slot = v;
-            prev2 = prev;
-            prev = v;
-        }
-        Ok(())
     }
 
     /// Parses a v2 header and entropy-decodes the symbols into
@@ -610,38 +545,20 @@ impl Compressor for SzCompressor {
         let _span = errflow_obs::trace::span("codec.sz.compress");
         check_tolerance(bound.tolerance)?;
         let eb = bound.pointwise_budget(data);
-        if !self.emit_v1 {
-            return Ok(Self::compress_v2(data, eb));
-        }
-        let mut scratch = scratch::acquire();
-        let CodecScratch { symbols, .. } = &mut *scratch;
-        symbols.clear();
-        symbols.reserve(data.len());
-        let mut outliers: Vec<f32> = Vec::new();
-        Self::quantize_segment(data, eb, symbols, &mut outliers);
-
-        let mut out = Vec::new();
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        out.extend_from_slice(&eb.to_le_bytes());
-        huffman::encode_into(symbols, &mut out);
-        format::write_f32_table(&mut out, &outliers);
-        Ok(out)
+        Ok(Self::compress_v2(data, eb))
     }
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.sz.decompress");
-        let mut scratch = scratch::acquire();
-        if format::is_v2(stream) {
-            let (n, eb, spans) = Self::decode_core_v2(stream, &mut scratch)?;
-            let mut recon = vec![0.0f32; n];
-            Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, &mut recon)?;
-            return Ok(recon);
+        if !format::is_v2(stream) {
+            return reference::sz_decompress(stream);
         }
-        let (n, eb, pos) = Self::decode_core(stream, &mut scratch)?;
+        let mut scratch = scratch::acquire();
+        let (n, eb, spans) = Self::decode_core_v2(stream, &mut scratch)?;
         // n == symbols.len() here, which the entropy decoder already
         // bounded by the actual payload size — safe to allocate.
         let mut recon = vec![0.0f32; n];
-        Self::reconstruct(stream, pos, eb, &scratch.symbols, &mut recon)?;
+        Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, &mut recon)?;
         Ok(recon)
     }
 
@@ -651,24 +568,17 @@ impl Compressor for SzCompressor {
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        if format::is_v2(stream) {
-            let (n, eb, spans) = Self::decode_core_v2(stream, scratch)?;
-            if n != out.len() {
-                return Err(CompressError::CorruptStream(format!(
-                    "stream declares {n} values, expected {}",
-                    out.len()
-                )));
-            }
-            return Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, out);
+        if !format::is_v2(stream) {
+            return reference::decompress_into(self.name(), stream, out);
         }
-        let (n, eb, pos) = Self::decode_core(stream, scratch)?;
+        let (n, eb, spans) = Self::decode_core_v2(stream, scratch)?;
         if n != out.len() {
             return Err(CompressError::CorruptStream(format!(
                 "stream declares {n} values, expected {}",
                 out.len()
             )));
         }
-        Self::reconstruct(stream, pos, eb, &scratch.symbols, out)
+        Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, out)
     }
 }
 

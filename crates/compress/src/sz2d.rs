@@ -11,8 +11,13 @@
 //! [`crate::SzCompressor`] keeps the generic [`crate::Compressor`] trait);
 //! the bound contract is identical: every reconstructed value lands within
 //! the pointwise budget, verified in `f32` with verbatim escape.
+//!
+//! Stream layout: `[nx u64][ny u64][eb f64]`, the multi-stream Huffman
+//! block ([`crate::huffman::encode_multi`]) over the row-major symbols cut
+//! by [`format::split_slices`], then the outlier `f32` table.
 
 use crate::error_bound::ErrorBound;
+use crate::format::{self, V2_STREAMS};
 use crate::huffman;
 use crate::traits::{check_tolerance, CompressError};
 
@@ -27,6 +32,20 @@ impl Sz2dCompressor {
     /// Creates the compressor.
     pub fn new() -> Self {
         Sz2dCompressor
+    }
+
+    /// Element count of an `nx × ny` grid.  A grid with exactly one zero
+    /// dimension holds no values but still names an unbounded number of
+    /// empty rows (or columns) for the row loops to walk, so it is rejected
+    /// on both sides; `0 × 0` is the empty grid.
+    fn grid_len(nx: usize, ny: usize) -> Result<usize, CompressError> {
+        if (nx == 0) != (ny == 0) {
+            return Err(CompressError::CorruptStream(format!(
+                "degenerate {nx}x{ny} grid"
+            )));
+        }
+        nx.checked_mul(ny)
+            .ok_or_else(|| CompressError::CorruptStream("grid dimensions overflow".into()))
     }
 
     /// 2-D Lorenzo prediction from reconstructed neighbours.
@@ -50,7 +69,7 @@ impl Sz2dCompressor {
         bound: &ErrorBound,
     ) -> Result<Vec<u8>, CompressError> {
         check_tolerance(bound.tolerance)?;
-        if data.len() != nx * ny {
+        if data.len() != Self::grid_len(nx, ny)? {
             return Err(CompressError::CorruptStream(format!(
                 "buffer length {} does not match {nx}x{ny}",
                 data.len()
@@ -87,7 +106,7 @@ impl Sz2dCompressor {
         out.extend_from_slice(&(nx as u64).to_le_bytes());
         out.extend_from_slice(&(ny as u64).to_le_bytes());
         out.extend_from_slice(&eb.to_le_bytes());
-        out.extend_from_slice(&huffman::encode(&symbols));
+        huffman::encode_multi_into(&format::split_slices(&symbols, V2_STREAMS), &mut out);
         for v in &outliers {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -101,10 +120,8 @@ impl Sz2dCompressor {
         let nx = crate::traits::read_len_u64(stream, &mut hdr, "grid width")?;
         let ny = crate::traits::read_len_u64(stream, &mut hdr, "grid height")?;
         let eb = crate::traits::read_f64(stream, &mut hdr, "error bound")?;
-        let n = nx
-            .checked_mul(ny)
-            .ok_or_else(|| CompressError::CorruptStream("grid dimensions overflow".into()))?;
-        let (symbols, consumed) = huffman::decode(&stream[24..])?;
+        let n = Self::grid_len(nx, ny)?;
+        let (symbols, consumed) = huffman::decode_multi(&stream[24..])?;
         if symbols.len() != n {
             return Err(CompressError::CorruptStream(format!(
                 "expected {n} symbols, decoded {}",

@@ -19,7 +19,7 @@
 //!
 //! Zero / verbatim blocks (rare: all-zero or non-finite data) drop that
 //! round to the scalar finish.  Lanes near their payload end finish on the
-//! checked scalar path, exactly like the v1 decoder's last blocks.
+//! checked scalar path, exactly like the portable decoder's last blocks.
 //!
 //! On valid streams the kernel is bit-exact with the scalar path: the
 //! integer lifting wraps identically, the `i64 → f64` conversion is exact

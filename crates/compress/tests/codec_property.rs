@@ -1,5 +1,7 @@
 //! Property-style round-trip coverage: random fields × every backend ×
-//! every bound mode must reconstruct within the certified bound.
+//! every bound mode must reconstruct within the certified bound, and the
+//! slow oracle in `errflow_compress::reference` must decode every stream
+//! to the same bits as the fast decoder.
 //!
 //! Fields are drawn from the in-workspace PRNG (`errflow_tensor::rng`) at
 //! several roughness levels — smooth correlated walks (the compressors'
@@ -8,7 +10,7 @@
 //! paths see every symbol class the coders emit.
 
 use errflow_compress::{
-    Compressor, ErrorBound, MgardCompressor, Sz2dCompressor, SzCompressor, ZfpCompressor,
+    reference, Compressor, ErrorBound, MgardCompressor, Sz2dCompressor, SzCompressor, ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
@@ -99,6 +101,17 @@ fn random_fields_roundtrip_within_bound_all_backends() {
                 assert!(
                     bound.verify(&data, &recon),
                     "{} violated {bound:?} on {label}",
+                    be.name()
+                );
+                let oracle = reference::decompress(be.name(), &stream)
+                    .unwrap_or_else(|e| panic!("{} oracle {label}: {e}", be.name()));
+                assert!(
+                    oracle.len() == recon.len()
+                        && oracle
+                            .iter()
+                            .zip(&recon)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} fast decoder and oracle differ under {bound:?} on {label}",
                     be.name()
                 );
             }

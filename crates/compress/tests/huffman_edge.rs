@@ -3,24 +3,39 @@
 //! payloads that *contain* the run-marker sentinel as data, codes longer
 //! than the prefix-table width, and degenerate single-symbol streams.
 //!
-//! Every case checks byte-for-byte stream stability via the frozen
-//! seed-path decoder in `errflow_compress::reference`, so "optimized" can
-//! never silently come to mean "different format".
+//! Every case runs as a 1-segment and a 4-segment block and is decoded by
+//! both the fast decoder and the slow oracle in
+//! `errflow_compress::reference`, which must agree symbol for symbol.
 
-use errflow_compress::huffman::{decode, encode, MIN_RUN, PEEK, RUN_MARKER};
-use errflow_compress::reference;
+use errflow_compress::format::split_slices;
+use errflow_compress::huffman::{decode_multi, encode_multi, MIN_RUN, PEEK, RUN_MARKER};
+use errflow_compress::reference::huffman_decode_multi;
 use errflow_tensor::rng::StdRng;
 
-/// Round-trips through the optimized decoder AND the frozen seed-path
-/// decoder, asserting both agree with the input.
+/// Encodes `symbols` as an `n_streams`-segment block.
+fn encode(symbols: &[u32], n_streams: usize) -> Vec<u8> {
+    encode_multi(&split_slices(symbols, n_streams))
+}
+
+/// Round-trips through the fast decoder AND the oracle, asserting both
+/// agree with the input.
 fn roundtrip_both(symbols: &[u32]) {
-    let stream = encode(symbols);
-    let (fast, consumed) = decode(&stream).expect("optimized decode");
-    assert_eq!(fast, symbols, "optimized decoder mismatch");
-    assert_eq!(consumed, stream.len());
-    let (slow, ref_consumed) = reference::huffman_decode(&stream).expect("reference decode");
-    assert_eq!(slow, symbols, "reference decoder mismatch");
-    assert_eq!(ref_consumed, consumed);
+    for n_streams in [1, 4] {
+        let stream = encode(symbols, n_streams);
+        let (fast, consumed) = decode_multi(&stream).expect("fast decode");
+        assert_eq!(fast, symbols, "fast decoder mismatch");
+        assert_eq!(consumed, stream.len());
+        let (slow, ref_consumed) = huffman_decode_multi(&stream).expect("oracle decode");
+        assert_eq!(slow, symbols, "oracle mismatch");
+        assert_eq!(ref_consumed, consumed);
+    }
+}
+
+/// Both decoders must reject `stream` (never panic, never allocate per a
+/// forged count).
+fn assert_both_reject(stream: &[u8], what: &str) {
+    assert!(decode_multi(stream).is_err(), "fast decoder: {what}");
+    assert!(huffman_decode_multi(stream).is_err(), "oracle: {what}");
 }
 
 #[test]
@@ -88,16 +103,21 @@ fn codes_longer_than_peek_table_width() {
         let j = rng.gen_range(0..(i + 1) as u64) as usize;
         symbols.swap(i, j);
     }
-    let stream = encode(&symbols);
-    // Sanity: the code table really does exceed the PEEK width.  Header is
-    // n:u64, rle:u8, runs:u32 (+varints), transformed:u64, n_codes:u32;
-    // the shuffle leaves no collapsible runs, so offsets are fixed.
-    let n_runs = u32::from_le_bytes(stream[9..13].try_into().unwrap());
+    let stream = encode(&symbols, 1);
+    // Sanity: the code table really does exceed the PEEK width.  A
+    // 1-segment block is n:u64, n_streams:u8, flag:u8, then per stream
+    // n:u64, runs:u32 (+varints), transformed:u64, then n_codes:u32; the
+    // shuffle leaves no collapsible runs, so offsets are fixed.
+    assert_eq!(
+        stream[9], 1,
+        "skewed input must take the Huffman + RLE mode"
+    );
+    let n_runs = u32::from_le_bytes(stream[18..22].try_into().unwrap());
     assert_eq!(n_runs, 0, "shuffle should leave no RLE runs");
-    let n_codes = u32::from_le_bytes(stream[21..25].try_into().unwrap());
+    let n_codes = u32::from_le_bytes(stream[30..34].try_into().unwrap());
     assert!(n_codes >= 200, "expected a wide alphabet, got {n_codes}");
     let max_len = (0..n_codes as usize)
-        .map(|i| stream[25 + 5 * i + 4])
+        .map(|i| stream[34 + 5 * i + 4])
         .max()
         .unwrap();
     assert!(
@@ -138,74 +158,105 @@ fn complete_64bit_kraft_table_does_not_panic() {
     // A crafted canonical table with lengths 1..=64 plus a second 64-bit
     // code: the Kraft sum is exactly 2^64, so the final canonical code is
     // the all-ones 64-bit value and the post-assignment increment wraps.
-    // Accepting or rejecting the stream are both fine; panicking is not.
-    let mut s = Vec::new();
-    s.extend_from_slice(&1u64.to_le_bytes()); // n_original
-    s.push(0); // rle flag
-    s.extend_from_slice(&0u32.to_le_bytes()); // n_runs
-    s.extend_from_slice(&1u64.to_le_bytes()); // n_symbols
-    s.extend_from_slice(&65u32.to_le_bytes()); // n_distinct
-    for i in 0u32..64 {
-        s.extend_from_slice(&i.to_le_bytes());
-        s.push((i + 1) as u8); // lengths 1..=64
+    // Accepting or rejecting the stream are both fine; panicking is not,
+    // and neither is the two decoders disagreeing.
+    let block = |payload: &[u8]| {
+        let mut s = Vec::new();
+        s.extend_from_slice(&1u64.to_le_bytes()); // n_original
+        s.push(1); // n_streams
+        s.push(0); // flag: Huffman, no RLE
+        s.extend_from_slice(&1u64.to_le_bytes()); // sub-stream n_original
+        s.extend_from_slice(&0u32.to_le_bytes()); // n_runs
+        s.extend_from_slice(&1u64.to_le_bytes()); // n_symbols
+        s.extend_from_slice(&65u32.to_le_bytes()); // n_distinct
+        for i in 0u32..64 {
+            s.extend_from_slice(&i.to_le_bytes());
+            s.push((i + 1) as u8); // lengths 1..=64
+        }
+        s.extend_from_slice(&64u32.to_le_bytes());
+        s.push(64); // second length-64 code -> Kraft sum exactly 2^64
+        s.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        s.extend_from_slice(payload);
+        s
+    };
+    // One 0 bit decodes symbol 0; 64 one-bits walk all the way down to the
+    // all-ones code, where `first_code + count` would overflow.
+    for payload in [&[0x00u8][..], &[0xff; 8]] {
+        let s = block(payload);
+        assert_eq!(
+            decode_multi(&s).ok(),
+            huffman_decode_multi(&s).ok(),
+            "decoders disagree on the crafted table"
+        );
     }
-    s.extend_from_slice(&64u32.to_le_bytes());
-    s.push(64); // second length-64 code -> Kraft sum exactly 2^64
-    s.extend_from_slice(&1u64.to_le_bytes()); // payload_len
-    s.push(0x00); // payload: one 0 bit decodes symbol 0
-    let _ = decode(&s);
 }
 
 #[test]
 fn forged_header_lengths_are_rejected_not_trusted() {
-    // Build one valid stream, then corrupt each header length field to a
-    // value the stream cannot hold; every variant must return an error
-    // (never panic, never allocate per the forged count).
-    let valid = encode(&[1u32, 2, 3, 2, 1, 2, 3]);
+    // Build one valid 1-segment Huffman block, then corrupt each header
+    // length field to a value the stream cannot hold; every variant must
+    // return an error (never panic, never allocate per the forged count).
+    // Long enough that the encoder does not fall back to raw 16-bit
+    // symbols, and without a run long enough to collapse.
+    let valid = encode(&[1u32, 2, 3, 2, 1, 2, 3].repeat(10), 1);
+    assert_eq!(valid[9], 1, "expected a Huffman block");
+    assert_eq!(valid[18..22], [0; 4], "expected no runs");
 
     // n_distinct forged to u32::MAX: the 5-bytes-per-entry bound trips.
     let mut forged = valid.clone();
-    forged[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(
-        decode(&forged).is_err(),
-        "forged n_distinct must be rejected"
-    );
+    forged[30..34].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_both_reject(&forged, "forged n_distinct must be rejected");
 
     // n_symbols forged far past the declared output length.
     let mut forged = valid.clone();
-    forged[13..21].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(
-        decode(&forged).is_err(),
-        "forged n_symbols must be rejected"
-    );
+    forged[22..30].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_both_reject(&forged, "forged n_symbols must be rejected");
 
-    // payload_len forged past the end of the stream.  Its offset: header is
-    // n:u64 rle:u8 n_runs:u32 (no runs) n_symbols:u64 n_distinct:u32
-    // + 5 bytes per table entry, then payload_len:u64.
+    // payload_len forged past the end of the stream.  Its offset: the
+    // 34-byte header above + 5 bytes per table entry.
     let mut forged = valid.clone();
-    let n_distinct = u32::from_le_bytes(valid[21..25].try_into().unwrap()) as usize;
-    let off = 25 + 5 * n_distinct;
+    let n_distinct = u32::from_le_bytes(valid[30..34].try_into().unwrap()) as usize;
+    let off = 34 + 5 * n_distinct;
     forged[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(
-        decode(&forged).is_err(),
-        "forged payload_len must be rejected"
-    );
+    assert_both_reject(&forged, "forged payload_len must be rejected");
 
-    // n_runs forged huge with the rle flag off.
-    let mut forged = valid;
-    forged[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(decode(&forged).is_err(), "forged n_runs must be rejected");
+    // n_runs forged huge.
+    let mut forged = valid.clone();
+    forged[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_both_reject(&forged, "forged n_runs must be rejected");
+
+    // A run length forged to u32::MAX must fail the length accounting
+    // before anything is materialised for it.
+    let mut runs = vec![7u32; MIN_RUN * 2];
+    runs.extend([1, 2, 3].repeat(20));
+    let mut forged = encode(&runs, 1);
+    assert_eq!(forged[18..22], 1u32.to_le_bytes(), "expected one run");
+    let varint_len = forged[22..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    forged.splice(22..22 + varint_len, [0xff, 0xff, 0xff, 0xff, 0x0f]);
+    assert_both_reject(&forged, "forged run length must be rejected");
+
+    // Sub-stream count outside 1..=16, and an unknown payload flag.
+    for (at, bad) in [(8, 0u8), (8, 17), (9, 3)] {
+        let mut forged = valid.clone();
+        forged[at] = bad;
+        assert_both_reject(&forged, "forged block header byte must be rejected");
+    }
 }
 
 #[test]
 fn truncated_streams_error_cleanly() {
-    let valid = encode(&[9u32, 9, 9, 9, 8, 7, 6, 5]);
-    for cut in 0..valid.len() {
-        // Every prefix must produce Err, not a panic or a bogus Ok.
-        assert!(
-            decode(&valid[..cut]).is_err(),
-            "truncation at {cut} of {} decoded successfully",
-            valid.len()
-        );
+    // The short input is stored as raw 16-bit symbols, the long one as a
+    // Huffman block.
+    for symbols in [
+        vec![9u32, 9, 9, 9, 8, 7, 6, 5],
+        [9u32, 9, 9, 9, 8, 7, 6, 5].repeat(12),
+    ] {
+        for n_streams in [1, 4] {
+            let valid = encode(&symbols, n_streams);
+            for cut in 0..valid.len() {
+                // Every prefix must produce Err, not a panic or a bogus Ok.
+                assert_both_reject(&valid[..cut], "truncated block decoded successfully");
+            }
+        }
     }
 }

@@ -1,13 +1,13 @@
-//! Cross-version (v1 ↔ v2) stream-format matrix.
+//! Stream-format matrix: the container every backend writes, and the
+//! retired single-stream ("v1") layout that is still read.
 //!
-//! * v1 streams from the pinned `v1_format()` encoders must decode
-//!   **bit-identically** through the optimized decoders and the frozen
-//!   [`errflow_compress::reference`] oracle — the optimization work on the
-//!   hot paths must never change a v1 result.
-//! * v2 streams must round-trip within the requested bound under every
-//!   bound mode the backend supports.
-//! * A v2 header whose declared sub-stream / table lengths don't sum to
-//!   the actual payload must be rejected with a typed
+//! * v1 streams (golden fixtures — no encoder for them is left) must decode
+//!   **bit-identically** through the backends' public decoders and the
+//!   [`errflow_compress::reference`] oracle.
+//! * Container streams must round-trip within the requested bound under
+//!   every bound mode the backend supports.
+//! * A container header whose declared sub-stream / table lengths don't sum
+//!   to the actual payload must be rejected with a typed
 //!   [`CompressError::CorruptStream`], never silently truncated.
 
 use errflow_compress::{
@@ -29,17 +29,15 @@ fn field(n: usize) -> Vec<f32> {
 
 #[test]
 fn v1_streams_decode_bit_identically_to_the_oracle() {
-    let data = field(4097);
     let mut sc = scratch::acquire();
-    let v1_backends: Vec<(&str, Box<dyn Compressor>)> = vec![
-        ("sz", Box::new(SzCompressor::v1_format())),
-        ("zfp", Box::new(ZfpCompressor::v1_format())),
+    let v1_streams: [(&dyn Compressor, &[u8]); 2] = [
+        (&SzCompressor::new(), include_bytes!("fixtures/sz_v1.bin")),
+        (&ZfpCompressor::new(), include_bytes!("fixtures/zfp_v1.bin")),
     ];
-    for (name, v1) in &v1_backends {
-        let bound = ErrorBound::rel_linf(1e-4);
-        let stream = v1.compress(&data, &bound).unwrap();
-        let oracle = reference::decompress(name, &stream).unwrap();
-        let fast = v1.decompress(&stream).unwrap();
+    for (c, stream) in v1_streams {
+        let name = c.name();
+        let oracle = reference::decompress(name, stream).unwrap();
+        let fast = c.decompress(stream).unwrap();
         assert_eq!(oracle.len(), fast.len(), "{name}: length mismatch");
         for (i, (a, b)) in oracle.iter().zip(&fast).enumerate() {
             assert_eq!(
@@ -48,8 +46,8 @@ fn v1_streams_decode_bit_identically_to_the_oracle() {
                 "{name}: v1 decode diverges from the oracle at index {i}"
             );
         }
-        let mut into = vec![0.0f32; data.len()];
-        v1.decompress_into(&stream, &mut into, &mut sc).unwrap();
+        let mut into = vec![0.0f32; oracle.len()];
+        c.decompress_into(stream, &mut into, &mut sc).unwrap();
         assert!(oracle
             .iter()
             .zip(&into)
@@ -90,19 +88,24 @@ fn v2_round_trips_under_every_supported_bound_mode() {
     }
 }
 
-/// ZFP's v2 container re-encodes the *same* per-block stream, merely split
-/// at block boundaries — so v1 and v2 must reconstruct bit-identical
-/// values, not merely bound-respecting ones.
+/// ZFP's container re-encodes the *same* per-block stream the v1 layout
+/// held, merely split at block boundaries — so the v1 fixture and today's
+/// encoding of the fixture's field must reconstruct bit-identical values,
+/// not merely bound-respecting ones.
 #[test]
 fn zfp_v2_reconstruction_matches_v1_exactly() {
-    let data = field(8191);
-    let bound = ErrorBound::rel_linf(1e-5);
-    let v1 = ZfpCompressor::v1_format()
-        .decompress(&ZfpCompressor::v1_format().compress(&data, &bound).unwrap())
+    let data: Vec<f32> = include_bytes!("fixtures/field.f32")
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    let zfp = ZfpCompressor::new();
+    let v1 = zfp
+        .decompress(include_bytes!("fixtures/zfp_v1.bin"))
         .unwrap();
-    let v2 = ZfpCompressor::new()
-        .decompress(&ZfpCompressor::new().compress(&data, &bound).unwrap())
+    let v2 = zfp
+        .decompress(&zfp.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap())
         .unwrap();
+    assert_eq!(v1.len(), v2.len());
     assert!(v1.iter().zip(&v2).all(|(a, b)| a.to_bits() == b.to_bits()));
 }
 

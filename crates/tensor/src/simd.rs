@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! The GEMM microkernel ([`crate::gemm`]) and the codec decode kernels
-//! (`errflow_compress::{huffman_simd, zfp_simd}`) all follow the same
+//! (`errflow_compress::zfp_simd`) all follow the same
 //! pattern: a portable scalar body that autovectorizes, plus an
 //! AVX2-instantiated body selected at runtime.  This module centralises the
 //! detection so every kernel asks one cached question instead of repeating
