@@ -20,6 +20,6 @@ pub mod ratio_model;
 pub mod stage;
 
 pub use io::StorageModel;
-pub use planner::{PayloadLayout, PipelinePlan, PipelineReport, Planner, PlannerConfig};
+pub use planner::{PayloadLayout, PipelinePlan, PipelineReport, PlanTable, Planner, PlannerConfig};
 pub use ratio_model::RatioModel;
 pub use stage::TimeBreakdown;

@@ -128,14 +128,100 @@ pub struct PipelineReport {
     pub predicted_rel_bound: f64,
 }
 
+/// Everything [`Planner::plan`] reads, evaluated once: the reference QoI
+/// magnitudes, the formats fastest-first, each format's quantization bound
+/// and the network's amplification.  None of it depends on the tolerance,
+/// so a plan is a handful of comparisons on this table — cheap enough to
+/// sit inside a tolerance-allocation loop (§IV-D) or a server's plan-cache
+/// miss, with no model in reach.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanTable {
+    qoi_ref_l2: f64,
+    qoi_ref_linf: f64,
+    /// Each format with its `NetworkAnalysis::quantization_bound`, in the
+    /// order the selector walks (fastest first).
+    formats_by_speed: [(QuantFormat, f64); 5],
+    amplification: f64,
+}
+
+impl PlanTable {
+    /// Mean reference QoI magnitude in the given norm.
+    pub fn qoi_reference(&self, norm: Norm) -> f64 {
+        match norm {
+            Norm::L2 => self.qoi_ref_l2,
+            Norm::LInf => self.qoi_ref_linf,
+        }
+    }
+
+    /// Allocates the tolerance per §IV-D (see module docs).
+    pub fn plan(&self, cfg: &PlannerConfig) -> PipelinePlan {
+        assert!(
+            (0.0..=1.0).contains(&cfg.quant_share),
+            "quant_share must be in [0, 1]"
+        );
+        let abs_tol = cfg.rel_tolerance * self.qoi_reference(cfg.norm);
+        let quant_budget = abs_tol * cfg.quant_share;
+        let (chosen, chosen_bound) = self
+            .formats_by_speed
+            .into_iter()
+            .find(|&(_, b)| b <= quant_budget)
+            .unwrap_or((QuantFormat::Fp32, 0.0));
+        // All unutilized tolerance flows to compression.
+        let compression_budget = (abs_tol - chosen_bound).max(0.0);
+        PipelinePlan {
+            format: chosen,
+            abs_tolerance: abs_tol,
+            predicted_quant_bound: chosen_bound,
+            compression_budget,
+            input_budget_l2: compression_budget / self.amplification,
+            predicted_total_bound: chosen_bound + compression_budget,
+        }
+    }
+}
+
+/// Formats ordered fastest-first for a model of `flops` per sample (the
+/// "best" order the selector walks), each with its quantization bound.
+fn formats_by_speed(
+    exec: &ExecutionModel,
+    flops: f64,
+    analysis: &NetworkAnalysis,
+) -> [(QuantFormat, f64); 5] {
+    let mut fmts = QuantFormat::ALL;
+    fmts.sort_by(|a, b| {
+        exec.samples_per_sec(flops, *b)
+            .partial_cmp(&exec.samples_per_sec(flops, *a))
+            // A degenerate executor profile (zero/NaN throughput) keeps
+            // the declaration order rather than panicking the planner.
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    fmts.map(|f| (f, analysis.quantization_bound(f)))
+}
+
+/// Converts a plan's input budget into the compressor's bound.
+///
+/// Backends with L2 support take the budget directly; L∞-only backends
+/// (ZFP) get a pointwise budget of `B/√n`, which implies the L2 bound.
+pub fn input_bound(
+    plan: &PipelinePlan,
+    compressor: &dyn Compressor,
+    payload_len: usize,
+) -> ErrorBound {
+    let l2_bound = ErrorBound::abs_l2(plan.input_budget_l2);
+    if compressor.supports(&l2_bound) {
+        l2_bound
+    } else {
+        let n = payload_len.max(1) as f64;
+        ErrorBound::abs_linf(plan.input_budget_l2 / n.sqrt())
+    }
+}
+
 /// Fig. 1's "error flow analysis" box: couples a model's
 /// [`NetworkAnalysis`] with the throughput models and reference QoI
 /// magnitudes needed to turn relative tolerances into plans.
 pub struct Planner<'m, M: Model> {
     model: &'m M,
     analysis: NetworkAnalysis,
-    qoi_ref_l2: f64,
-    qoi_ref_linf: f64,
+    table: PlanTable,
     exec: ExecutionModel,
     storage: StorageModel,
 }
@@ -162,10 +248,11 @@ impl<'m, M: Model> Planner<'m, M> {
         Self::with_analysis(model, calibration_inputs, analysis)
     }
 
-    /// Builds a planner around a **precomputed** analysis.  The spectral
-    /// analysis is the expensive part of construction; callers that plan
-    /// repeatedly for the same model (e.g. the serving layer's plan cache)
-    /// compute it once and clone it in here per rebuild.
+    /// Builds a planner around a **precomputed** analysis (the spectral
+    /// analysis is the expensive part of construction).  Everything
+    /// [`Planner::plan`] needs is evaluated here, into a [`PlanTable`];
+    /// callers that plan repeatedly for the same model (e.g. the serving
+    /// layer) construct once and keep [`Planner::table`].
     pub fn with_analysis(
         model: &'m M,
         calibration_inputs: &[Vec<f32>],
@@ -183,18 +270,25 @@ impl<'m, M: Model> Planner<'m, M> {
             linf_acc += Norm::LInf.eval(&y);
         }
         let n = calibration_inputs.len() as f64;
+        let exec = ExecutionModel::default();
+        let table = PlanTable {
+            qoi_ref_l2: (l2_acc / n).max(f64::MIN_POSITIVE),
+            qoi_ref_linf: (linf_acc / n).max(f64::MIN_POSITIVE),
+            formats_by_speed: formats_by_speed(&exec, model.flops(), &analysis),
+            amplification: analysis.amplification().max(f64::MIN_POSITIVE),
+        };
         Planner {
             model,
             analysis,
-            qoi_ref_l2: (l2_acc / n).max(f64::MIN_POSITIVE),
-            qoi_ref_linf: (linf_acc / n).max(f64::MIN_POSITIVE),
-            exec: ExecutionModel::default(),
+            table,
+            exec,
             storage: StorageModel::default(),
         }
     }
 
     /// Overrides the execution model (e.g. different hardware calibration).
     pub fn with_execution_model(mut self, exec: ExecutionModel) -> Self {
+        self.table.formats_by_speed = formats_by_speed(&exec, self.model.flops(), &self.analysis);
         self.exec = exec;
         self
     }
@@ -210,58 +304,20 @@ impl<'m, M: Model> Planner<'m, M> {
         &self.analysis
     }
 
-    /// Mean reference QoI magnitude in the given norm.
-    pub fn qoi_reference(&self, norm: Norm) -> f64 {
-        match norm {
-            Norm::L2 => self.qoi_ref_l2,
-            Norm::LInf => self.qoi_ref_linf,
-        }
+    /// The model-free planning table: what a caller that plans repeatedly
+    /// for this model keeps instead of the planner.
+    pub fn table(&self) -> &PlanTable {
+        &self.table
     }
 
-    /// Formats ordered fastest-first for this model (the "best" order the
-    /// selector walks).
-    fn formats_by_speed(&self) -> Vec<QuantFormat> {
-        let mut fmts: Vec<QuantFormat> = QuantFormat::ALL.to_vec();
-        fmts.sort_by(|a, b| {
-            self.exec
-                .samples_per_sec(self.model.flops(), *b)
-                .partial_cmp(&self.exec.samples_per_sec(self.model.flops(), *a))
-                // A degenerate executor profile (zero/NaN throughput) keeps
-                // the declaration order rather than panicking the planner.
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        fmts
+    /// Mean reference QoI magnitude in the given norm.
+    pub fn qoi_reference(&self, norm: Norm) -> f64 {
+        self.table.qoi_reference(norm)
     }
 
     /// Allocates the tolerance per §IV-D (see module docs).
     pub fn plan(&self, cfg: &PlannerConfig) -> PipelinePlan {
-        assert!(
-            (0.0..=1.0).contains(&cfg.quant_share),
-            "quant_share must be in [0, 1]"
-        );
-        let abs_tol = cfg.rel_tolerance * self.qoi_reference(cfg.norm);
-        let quant_budget = abs_tol * cfg.quant_share;
-        let mut chosen = QuantFormat::Fp32;
-        let mut chosen_bound = 0.0;
-        for f in self.formats_by_speed() {
-            let b = self.analysis.quantization_bound(f);
-            if b <= quant_budget {
-                chosen = f;
-                chosen_bound = b;
-                break;
-            }
-        }
-        // All unutilized tolerance flows to compression.
-        let compression_budget = (abs_tol - chosen_bound).max(0.0);
-        let amplification = self.analysis.amplification().max(f64::MIN_POSITIVE);
-        PipelinePlan {
-            format: chosen,
-            abs_tolerance: abs_tol,
-            predicted_quant_bound: chosen_bound,
-            compression_budget,
-            input_budget_l2: compression_budget / amplification,
-            predicted_total_bound: chosen_bound + compression_budget,
-        }
+        self.table.plan(cfg)
     }
 
     /// **Future-work extension** (§IV-D: "the need for an optimization
@@ -339,23 +395,14 @@ impl<'m, M: Model> Planner<'m, M> {
         Ok(best.expect("at least one share evaluated"))
     }
 
-    /// Converts a plan's input budget into the compressor's bound.
-    ///
-    /// Backends with L2 support take the budget directly; L∞-only backends
-    /// (ZFP) get a pointwise budget of `B/√n`, which implies the L2 bound.
+    /// [`input_bound`] as a method (the planner itself adds nothing to it).
     pub fn compressor_bound(
         &self,
         plan: &PipelinePlan,
         compressor: &dyn Compressor,
         payload_len: usize,
     ) -> ErrorBound {
-        let l2_bound = ErrorBound::abs_l2(plan.input_budget_l2);
-        if compressor.supports(&l2_bound) {
-            l2_bound
-        } else {
-            let n = payload_len.max(1) as f64;
-            ErrorBound::abs_linf(plan.input_budget_l2 / n.sqrt())
-        }
+        input_bound(plan, compressor, payload_len)
     }
 
     /// Executes the planned pipeline on real samples.
@@ -375,7 +422,7 @@ impl<'m, M: Model> Planner<'m, M> {
         assert!(!samples.is_empty(), "cannot execute on no samples");
         let d = samples[0].len();
         let payload = flatten(samples, layout);
-        let bound = self.compressor_bound(plan, compressor, payload.len());
+        let bound = input_bound(plan, compressor, payload.len());
         let (recon_payload, mut stats) = {
             let _span = errflow_obs::trace::span("pipeline.roundtrip");
             compressor.roundtrip(&payload, &bound)?

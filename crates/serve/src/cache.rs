@@ -1,5 +1,11 @@
-//! Plan cache: memoizes the planner's (expensive) decisions across
-//! requests.
+//! Plan cache: memoizes the planner's decisions across requests.
+//!
+//! An entry is the per-key part of serving a request — the plan and its
+//! certified bound, microseconds of arithmetic to rebuild — plus a shared
+//! handle to the chosen format's quantized and packed weights, which the
+//! server keeps outside this cache (one set per format, never evicted).
+//! Evicting an entry therefore drops no weights, and a miss re-derives
+//! none.
 //!
 //! A plan depends on the model, the tolerance, the norm the tolerance is
 //! expressed in, and the payload layout.  Tolerances are continuous, so
@@ -82,6 +88,10 @@ impl<V> PlanCache<V> {
     ///
     /// `build` runs under the cache lock, which intentionally serialises
     /// concurrent misses on the same key: one worker plans, the rest hit.
+    /// The server's `build` is the plan arithmetic and an `Arc::clone`
+    /// (microseconds); only the first build that selects a given weight
+    /// format also quantizes and packs that format's weights under the
+    /// lock, at most five times in a server's life.
     pub fn get_or_insert_with(&self, key: PlanKey, build: impl FnOnce() -> V) -> (Arc<V>, bool) {
         let mut guard = errflow_tensor::sync::lock_recover(&self.map);
         let (map, stamp) = &mut *guard;

@@ -19,7 +19,8 @@
 //!                      errflow_tensor::pool thread pool)       │
 //!                                                              ▼
 //!                     plan cache (LRU over tolerance buckets)  │
-//!                     miss: Planner::with_analysis + quantize  │
+//!                     miss: PlanTable::plan + Arc to the       │
+//!                     format's weights (built once per format) │
 //!                                                              ▼
 //!                     per-job chunked compression roundtrip    │
 //!                                                              ▼

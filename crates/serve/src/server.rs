@@ -1,8 +1,9 @@
 //! The inference server: admission control → plan cache → batched
 //! execution → certified responses.
 //!
-//! A [`Server`] owns one model, its (expensive, computed-once) spectral
-//! [`NetworkAnalysis`], and a set of worker threads behind a bounded
+//! A [`Server`] owns one model, the [`PlanTable`] its (expensive,
+//! computed-once) spectral [`NetworkAnalysis`] and calibration forwards
+//! reduce to, and a set of worker threads behind a bounded
 //! per-worker [`ShardedQueue`] (work-stealing; see [`crate::shard`]).
 //! Workers are *dedicated* threads registered with the
 //! shared workspace pool ([`errflow_tensor::pool`]): they block on the
@@ -21,10 +22,13 @@
 //!    control: at capacity it returns [`ServeError::QueueFull`]
 //!    immediately (callers shed or retry).  [`Server::submit`] blocks
 //!    instead.
-//! 2. A worker pops a batch of same-plan-key jobs, resolves the plan
-//!    through the LRU [`crate::cache::PlanCache`] (miss = rebuild a
-//!    [`Planner`] from the precomputed analysis, plan at the bucket
-//!    floor, quantize the weights **and pack their GEMM panels**), runs
+//! 2. A worker pops a batch of same-plan-key jobs and resolves the plan
+//!    through the LRU [`crate::cache::PlanCache`].  A miss is arithmetic:
+//!    [`PlanTable::plan`] at the bucket floor, plus an `Arc` to the chosen
+//!    format's quantized weights and packed GEMM panels.  Those are a
+//!    function of `(model, format)` alone, so the server builds them at
+//!    most once per format (≤ 5 resident copies, never evicted) and every
+//!    plan of that format shares them.  The worker then runs
 //!    every payload through the error-bounded compression roundtrip with
 //!    chunk decode fused straight into the batch input matrix's row
 //!    slabs, and hands the prepared batch to a per-worker forward
@@ -39,19 +43,18 @@ use crate::queue::QueueFull;
 use crate::shard::ShardedQueue;
 use crate::stats::{RequestStages, ServerStats, StatsSnapshot};
 use errflow_compress::chunked::ChunkedCompressor;
-use errflow_compress::{
-    CompressError, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
-};
+use errflow_compress::{CompressError, Compressor, MgardCompressor, SzCompressor, ZfpCompressor};
+use errflow_core::analysis::format_index;
 use errflow_core::{quantize_model, NetworkAnalysis};
 use errflow_nn::{Model, PackedWeights};
-use errflow_pipeline::planner::{flatten, PayloadLayout};
-use errflow_pipeline::{PipelinePlan, Planner, PlannerConfig};
+use errflow_pipeline::planner::{flatten, input_bound, PayloadLayout};
+use errflow_pipeline::{PipelinePlan, PlanTable, Planner, PlannerConfig};
 use errflow_quant::QuantFormat;
 use errflow_tensor::norms::Norm;
 use errflow_tensor::sync::lock_recover;
 use errflow_tensor::Matrix;
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which error-bounded compression backend ingests request payloads.
@@ -299,24 +302,30 @@ struct Job {
     t0_trace_ns: u64,
 }
 
-/// Everything a plan-cache entry needs to serve a hit without touching
-/// the planner: the plan, the pre-quantized weights (plus their GEMM
-/// panels, packed once at insert so cache hits never re-pack), and the
-/// certified relative bound.
-struct CachedPlan<M> {
-    plan: PipelinePlan,
+/// One format's share of every plan that selects it: the model quantized
+/// to that format and its GEMM panels, packed once.
+struct FormatWeights<M> {
     quantized: M,
     /// Packed weight panels for `forward_batch_matrix`; `None` for models
     /// whose forward path is not GEMM-lowered.
     packed: Option<PackedWeights>,
+}
+
+/// A plan-cache entry: the per-key arithmetic (the plan and its certified
+/// relative bound) and a handle to the per-format weights.
+struct CachedPlan<M> {
+    plan: PipelinePlan,
     rel_bound: f64,
+    weights: Arc<FormatWeights<M>>,
 }
 
 struct Inner<M> {
     model: M,
-    analysis: NetworkAnalysis,
-    calibration: Vec<Vec<f32>>,
+    table: PlanTable,
     cache: PlanCache<CachedPlan<M>>,
+    /// Filled on a format's first plan and kept for the server's life,
+    /// indexed by [`format_index`].
+    weights: [OnceLock<Arc<FormatWeights<M>>>; 5],
     stats: ServerStats,
     cfg: ServeConfig,
     model_id: u64,
@@ -328,6 +337,19 @@ struct Inner<M> {
     /// Process-wide `codec.decode.streams.*` total at construction time
     /// (same delta convention as `scratch_base`).
     decode_streams_base: u64,
+}
+
+impl<M: Model + Clone> Inner<M> {
+    /// The shared weights for `format`, quantized and packed by whichever
+    /// caller asks first; concurrent first callers wait for that one build.
+    fn weights_for(&self, format: QuantFormat) -> Arc<FormatWeights<M>> {
+        Arc::clone(self.weights[format_index(format)].get_or_init(|| {
+            self.stats.weight_builds.inc();
+            let quantized = quantize_model(&self.model, format);
+            let packed = quantized.pack_weights();
+            Arc::new(FormatWeights { quantized, packed })
+        }))
+    }
 }
 
 /// Sum of the per-backend decode sub-stream counters the codecs bump on
@@ -361,26 +383,12 @@ fn layout_code(layout: PayloadLayout) -> u8 {
     }
 }
 
-/// Converts a plan's admissible input L2 budget into the compressor's
-/// native bound mode (same rule as `Planner::compressor_bound`, restated
-/// here so cache hits never need a planner instance).
-fn compressor_bound(
-    plan: &PipelinePlan,
-    compressor: &dyn Compressor,
-    payload_len: usize,
-) -> ErrorBound {
-    let l2 = ErrorBound::abs_l2(plan.input_budget_l2);
-    if compressor.supports(&l2) {
-        l2
-    } else {
-        ErrorBound::abs_linf(plan.input_budget_l2 / (payload_len.max(1) as f64).sqrt())
-    }
-}
-
 impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
-    /// Builds the server: runs the spectral analysis once, then spawns the
-    /// worker pool.  `calibration` fixes the reference QoI magnitudes that
-    /// relative tolerances are measured against (as in [`Planner::new`]).
+    /// Builds the server: runs the spectral analysis and the calibration
+    /// forwards once, keeps the [`PlanTable`] they reduce to, then spawns
+    /// the worker pool.  `calibration` fixes the reference QoI magnitudes
+    /// that relative tolerances are measured against (as in
+    /// [`Planner::new`]).
     pub fn new(model: M, calibration: Vec<Vec<f32>>, cfg: ServeConfig) -> Self {
         assert!(!calibration.is_empty(), "need calibration inputs");
         assert!(
@@ -391,15 +399,16 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
         for x in &calibration {
             assert_eq!(x.len(), input_dim, "calibration sample dim mismatch");
         }
-        let analysis = NetworkAnalysis::of(&model);
+        let table =
+            *Planner::with_analysis(&model, &calibration, NetworkAnalysis::of(&model)).table();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         (input_dim, model.output_dim(), model.num_params()).hash(&mut h);
         model.flops().to_bits().hash(&mut h);
         let inner = Arc::new(Inner {
             model,
-            analysis,
-            calibration,
+            table,
             cache: PlanCache::new(cfg.cache_capacity),
+            weights: Default::default(),
             stats: ServerStats::default(),
             cfg,
             model_id: h.finish(),
@@ -604,6 +613,7 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             queue_depth: queue.len(),
             cache_hits: inner.cache.hits(),
             cache_misses: inner.cache.misses(),
+            weight_builds: s.weight_builds.get(),
             decomp_ns: s.decomp_ns.get(),
             decomp_bytes_in: s.decomp_bytes_in.get(),
             decomp_bytes_out: s.decomp_bytes_out.get(),
@@ -712,17 +722,7 @@ fn worker_loop<M: Model + Clone + Send + Sync + 'static>(
         let (cached, hit) = {
             let _span = errflow_obs::trace::span("serve.plan");
             inner.cache.get_or_insert_with(batch[0].key, || {
-                // Miss: rebuild a planner around the precomputed analysis
-                // (cheap — only re-derives QoI references), plan at the bucket
-                // floor, quantize the weights once for all future hits, and
-                // pack the quantized weights' GEMM panels so cache hits run
-                // the prepacked forward path without ever re-packing.
-                let planner = Planner::with_analysis(
-                    &inner.model,
-                    &inner.calibration,
-                    inner.analysis.clone(),
-                );
-                let plan = planner.plan(&PlannerConfig {
+                let plan = inner.table.plan(&PlannerConfig {
                     rel_tolerance: plan_tol,
                     norm,
                     quant_share: inner.cfg.quant_share,
@@ -732,14 +732,11 @@ fn worker_loop<M: Model + Clone + Send + Sync + 'static>(
                 // so the certificate never lands above the tolerance it was
                 // planned for.
                 let rel_bound =
-                    (plan.predicted_total_bound / planner.qoi_reference(norm)).min(plan_tol);
-                let quantized = quantize_model(&inner.model, plan.format);
-                let packed = quantized.pack_weights();
+                    (plan.predicted_total_bound / inner.table.qoi_reference(norm)).min(plan_tol);
                 CachedPlan {
                     plan,
                     rel_bound,
-                    packed,
-                    quantized,
+                    weights: inner.weights_for(plan.format),
                 }
             })
         };
@@ -798,7 +795,7 @@ fn prepare_batch<M: Model + Clone + Send + Sync>(
     for (job, wait) in batch.into_iter().zip(waits) {
         let n = job.samples.len();
         let payload = flatten(&job.samples, job.layout);
-        let bound = compressor_bound(&cached.plan, compressor, payload.len());
+        let bound = input_bound(&cached.plan, compressor, payload.len());
         match compressor.compress(&payload, &bound) {
             Ok(stream) => pending.push(Pending {
                 job,
@@ -975,9 +972,9 @@ fn finish_batch<M: Model + Clone + Send + Sync>(inner: &Inner<M>, p: PreparedBat
     let t_fwd = Instant::now();
     let out = {
         let _span = errflow_obs::trace::span("serve.forward");
-        p.cached
-            .quantized
-            .forward_batch_matrix(&p.inputs, p.cached.packed.as_ref())
+        let w = &p.cached.weights;
+        w.quantized
+            .forward_batch_matrix(&p.inputs, w.packed.as_ref())
     };
     let forward_ns = t_fwd.elapsed().as_nanos() as u64;
     inner.stats.stages.forward.record_ns(forward_ns);
@@ -1031,6 +1028,7 @@ fn finish_batch<M: Model + Clone + Send + Sync>(inner: &Inner<M>, p: PreparedBat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use errflow_compress::ErrorBound;
     use errflow_nn::{Activation, Mlp};
 
     fn tiny_model() -> Mlp {

@@ -84,7 +84,8 @@ pub struct RequestStages {
     pub ingress_ns: u64,
     /// Admission → a worker dequeued the job.
     pub batch_wait_ns: u64,
-    /// Plan-cache lookup (miss: plan + quantize) for the job's batch.
+    /// Plan-cache lookup for the job's batch (miss: plan arithmetic; a
+    /// format's first miss also quantizes and packs its weights).
     pub plan_ns: u64,
     /// Decompressing this job's own payload.
     pub decompress_ns: u64,
@@ -260,6 +261,9 @@ pub struct ServerStats {
     /// Jobs carried by those batches (`batched_jobs / batches` = mean
     /// coalescing factor).
     pub batched_jobs: ScopedCounter,
+    /// Per-format weight sets (quantize + pack) built; ≤ 5 per server,
+    /// however many plans miss the cache.
+    pub weight_builds: ScopedCounter,
     /// Wall time spent decompressing request payloads, in nanoseconds.
     pub decomp_ns: ScopedCounter,
     /// Compressed bytes fed into payload decompression.
@@ -281,6 +285,7 @@ impl Default for ServerStats {
             failed: ScopedCounter::new("serve.failed"),
             batches: ScopedCounter::new("serve.batches"),
             batched_jobs: ScopedCounter::new("serve.batched_jobs"),
+            weight_builds: ScopedCounter::new("serve.weight_builds"),
             decomp_ns: ScopedCounter::new("serve.decomp_ns"),
             decomp_bytes_in: ScopedCounter::new("serve.decomp_bytes_in"),
             decomp_bytes_out: ScopedCounter::new("serve.decomp_bytes_out"),
@@ -325,6 +330,9 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Plan-cache lookups that planned from scratch.
     pub cache_misses: u64,
+    /// Per-format weight sets (quantize + pack) built since construction;
+    /// ≤ 5, however many lookups missed.
+    pub weight_builds: u64,
     /// Wall time spent decompressing request payloads, in nanoseconds.
     pub decomp_ns: u64,
     /// Compressed bytes fed into payload decompression.
@@ -419,6 +427,7 @@ mod tests {
             queue_depth: 0,
             cache_hits: 0,
             cache_misses: 0,
+            weight_builds: 0,
             decomp_ns: 0,
             decomp_bytes_in: 0,
             decomp_bytes_out: 0,

@@ -1,13 +1,19 @@
 //! End-to-end serving tests: concurrent submission against the bounded
 //! queue, plan-cache behaviour, and admission-control backpressure.
 
+use errflow_compress::chunked::ChunkedCompressor;
+use errflow_compress::{Compressor, SzCompressor};
+use errflow_core::quantize_model;
 use errflow_nn::{Activation, Mlp, Model};
-use errflow_pipeline::planner::PayloadLayout;
+use errflow_pipeline::planner::{flatten, unflatten, PayloadLayout};
+use errflow_pipeline::{Planner, PlannerConfig};
+use errflow_quant::QuantFormat;
 use errflow_scidata::task::TrainingMode;
 use errflow_scidata::{SyntheticTask, TaskKind};
 use errflow_serve::{BackendKind, Request, ServeConfig, ServeError, Server};
 use errflow_tensor::norms::Norm;
 use errflow_tensor::rng::StdRng;
+use std::sync::Barrier;
 
 fn model() -> Mlp {
     Mlp::new(
@@ -118,6 +124,130 @@ fn second_identical_request_hits_the_plan_cache() {
         .unwrap();
     assert!(!other.cache_hit);
     assert_eq!(server.stats().cache_misses, 2);
+}
+
+/// A tolerance in quarter-decade bucket `e` (floor `10^(e/4)`).  For
+/// `model()` under L2 at the default share, buckets ≤ -7 plan to `Fp32`,
+/// -6…-2 to `Fp16` and ≥ -1 to `Int8`.
+fn tolerance_in_bucket(e: i32) -> f64 {
+    1.05 * 10f64.powf(e as f64 / 4.0)
+}
+
+fn l2_sample_major(samples: Vec<Vec<f32>>, rel_tolerance: f64) -> Request {
+    Request {
+        samples,
+        rel_tolerance,
+        norm: Norm::L2,
+        layout: PayloadLayout::SampleMajor,
+    }
+}
+
+/// Eight live buckets on one cache slot: every request misses and plans
+/// again, yet the quantized + packed weights are a function of the format
+/// alone, so the server builds three sets, not sixteen — and what it serves
+/// from the shared set is bit-for-bit what `quantize_model` gives on the
+/// same reconstructed inputs.
+#[test]
+fn every_plan_of_a_format_serves_from_one_shared_weight_build() {
+    let m = model();
+    let cal = calibration(5);
+    let server = Server::new(
+        m.clone(),
+        cal.clone(),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let planner = Planner::new(&m, &cal);
+    let codec = ChunkedCompressor::new(SzCompressor::default());
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut formats = Vec::new();
+    for round in 0..2 {
+        for e in -8..0 {
+            let tol = tolerance_in_bucket(e);
+            let payload = samples(&mut rng, 8, 6);
+            let resp = server
+                .process(l2_sample_major(payload.clone(), tol))
+                .unwrap();
+            assert!(!resp.cache_hit, "bucket {e} survived seven other plans");
+            assert!(resp.rel_bound <= tol, "bucket {e}: {}", resp.rel_bound);
+
+            let plan = planner.plan(&PlannerConfig {
+                rel_tolerance: resp.plan_tolerance,
+                norm: Norm::L2,
+                quant_share: 0.5,
+            });
+            assert_eq!(plan.format, resp.format);
+            let flat = flatten(&payload, PayloadLayout::SampleMajor);
+            let bound = planner.compressor_bound(&plan, &codec, flat.len());
+            let recon = codec
+                .decompress(&codec.compress(&flat, &bound).unwrap())
+                .unwrap();
+            let expected = quantize_model(&m, resp.format).forward_batch(&unflatten(
+                &recon,
+                8,
+                6,
+                PayloadLayout::SampleMajor,
+            ));
+            let bits = |ys: &[Vec<f32>]| -> Vec<u32> {
+                ys.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&resp.outputs), bits(&expected), "bucket {e}");
+            if round == 0 {
+                formats.push(resp.format);
+            }
+        }
+    }
+    formats.dedup();
+    assert_eq!(
+        formats,
+        [QuantFormat::Fp32, QuantFormat::Fp16, QuantFormat::Int8]
+    );
+    let snap = server.stats();
+    assert_eq!((snap.cache_hits, snap.cache_misses), (0, 16));
+    assert_eq!(snap.weight_builds, 3, "one per distinct format");
+    assert_eq!(snap.failed, 0);
+}
+
+/// Eight submitters released together onto four workers, walking the five
+/// `Fp16` buckets over two cache slots: the cold format's weights are
+/// built by whichever worker plans first and by nobody else.
+#[test]
+fn cold_format_hammered_from_many_threads_is_built_once() {
+    let server = Server::new(
+        model(),
+        calibration(6),
+        ServeConfig {
+            workers: 4,
+            cache_capacity: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let submitters = 8;
+    let start = Barrier::new(submitters);
+    std::thread::scope(|scope| {
+        for s in 0..submitters {
+            let (server, start) = (&server, &start);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(200 + s as u64);
+                start.wait();
+                for i in 0..10 {
+                    let tol = tolerance_in_bucket(-6 + ((s + i) % 5) as i32);
+                    let resp = server
+                        .process(l2_sample_major(samples(&mut rng, 4, 6), tol))
+                        .unwrap();
+                    assert_eq!(resp.format, QuantFormat::Fp16);
+                    assert!(resp.rel_bound <= tol);
+                }
+            });
+        }
+    });
+    let snap = server.stats();
+    assert_eq!(snap.completed, 80);
+    assert!(snap.cache_misses >= 5, "five buckets, two slots");
+    assert_eq!(snap.weight_builds, 1);
 }
 
 /// With workers stalled (none running), the queue fills to capacity and
