@@ -5,8 +5,7 @@
 //!   or through a call made with A held into a function that (transitively)
 //!   acquires B.  Cycles in this graph are potential deadlocks.  The same
 //!   rule also flags blocking operations (channel recv, `join()`, `poll`,
-//!   condvar waits, …) performed while a lock is held — with a capacity-1
-//!   overlap channel or a work-stealing shard lock, that is a lock-shaped
+//!   condvar waits, …) performed while a lock is held — a lock-shaped
 //!   stall even when no cycle exists.
 //! * **pool-blocking** — functions reachable from `parallel_for` job bodies
 //!   must not block: pool workers are a fixed-size resource, and a parked

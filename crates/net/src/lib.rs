@@ -15,8 +15,7 @@
 //!   multiplexes many sockets per io thread.
 //! * [`server`] — [`server::NetServer`], per-core acceptor/reader threads
 //!   with connection limits and idle timeouts, dispatching into the
-//!   sharded work-stealing admission queue of
-//!   [`errflow_serve::Server`].  Backpressure
+//!   bounded admission queue of [`errflow_serve::Server`].  Backpressure
 //!   ([`errflow_serve::server::ServeError::QueueFull`]) becomes a
 //!   *retryable* error frame — never a dropped connection.
 //! * [`client`] — [`client::NetClient`], a small blocking client.

@@ -1,6 +1,6 @@
 //! The network frontend: nonblocking acceptor/reader io threads driving
 //! [`Conn`] state machines and dispatching decoded requests into an
-//! [`errflow_serve::Server`] through its sharded admission queue.
+//! [`errflow_serve::Server`] through its bounded admission queue.
 //!
 //! Threading: `io_threads` dedicated threads (from
 //! [`errflow_tensor::pool::ThreadPool::spawn_dedicated`], so they are

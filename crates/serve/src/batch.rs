@@ -6,7 +6,7 @@
 //! (same quantized model, same certified bound), so their samples ride one
 //! batched GEMM pass over a single input [`Matrix`].  Sample-major
 //! payloads decode *directly* into their row slab of that matrix (see
-//! `server::prepare_batch`); feature-major payloads decode into a scratch
+//! `server::decode_into_rows`); feature-major payloads decode into a scratch
 //! slab and are transposed into place by [`transpose_into`].  After the
 //! forward pass, [`extract_rows`] splits the output matrix back into
 //! per-job sample vectors.

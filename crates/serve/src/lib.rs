@@ -49,7 +49,6 @@ pub mod cache;
 pub mod loadgen;
 pub mod queue;
 pub mod server;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
 
@@ -57,7 +56,6 @@ pub use cache::{bucket_tolerance, PlanCache, PlanKey};
 pub use loadgen::{run_loadgen, BenchSummary, LoadgenConfig};
 pub use queue::{BoundedQueue, QueueFull};
 pub use server::{BackendKind, Request, Response, ServeConfig, ServeError, Server, Ticket};
-pub use shard::ShardedQueue;
 pub use stats::{
     BoundMarginSummary, LatencyHistogram, LatencySummary, RequestStages, StageBreakdown,
     StatsSnapshot,

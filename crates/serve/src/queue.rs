@@ -63,6 +63,12 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
+    /// `true` once [`BoundedQueue::close`] has run; a closed queue never
+    /// admits again, so a rejection seen after this is final.
+    pub fn is_closed(&self) -> bool {
+        lock_recover(&self.state).closed
+    }
+
     /// Enqueues without blocking; rejects with [`QueueFull`] when the queue
     /// is at capacity or closed.
     pub fn try_push(&self, item: T) -> Result<(), QueueFull<T>> {
@@ -238,7 +244,9 @@ mod tests {
         let q2 = Arc::clone(&q);
         let popper = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!q.is_closed());
         q.close();
+        assert!(q.is_closed());
         assert_eq!(popper.join().unwrap(), None);
         assert!(q.try_push(1).is_err());
         assert!(q.push(1).is_err());

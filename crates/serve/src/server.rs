@@ -3,8 +3,9 @@
 //!
 //! A [`Server`] owns one model, the [`PlanTable`] its (expensive,
 //! computed-once) spectral [`NetworkAnalysis`] and calibration forwards
-//! reduce to, and a set of worker threads behind a bounded
-//! per-worker [`ShardedQueue`] (work-stealing; see [`crate::shard`]).
+//! reduce to, and `workers` threads behind one [`BoundedQueue`].  Each
+//! worker runs a batch's whole chain (plan → compression roundtrip →
+//! forward → respond) serially, so requests overlap only across workers.
 //! Workers are *dedicated* threads registered with the
 //! shared workspace pool ([`errflow_tensor::pool`]): they block on the
 //! queue (so they sit outside the pool's compute-worker set) while their
@@ -31,16 +32,14 @@
 //!    plan of that format shares them.  The worker then runs
 //!    every payload through the error-bounded compression roundtrip with
 //!    chunk decode fused straight into the batch input matrix's row
-//!    slabs, and hands the prepared batch to a per-worker forward
-//!    consumer that executes **one** batched (packed-weight) forward
-//!    pass — so batch *N+1*'s decode overlaps batch *N*'s forward.
+//!    slabs, executes **one** batched (packed-weight) forward pass over
+//!    it and responds, before it pops the next batch.
 //! 3. The caller collects its [`Response`] through the returned
 //!    [`Ticket`].
 
 use crate::batch::{extract_rows, transpose_into};
 use crate::cache::{bucket_tolerance, PlanCache, PlanKey};
-use crate::queue::QueueFull;
-use crate::shard::ShardedQueue;
+use crate::queue::{BoundedQueue, QueueFull};
 use crate::stats::{RequestStages, ServerStats, StatsSnapshot};
 use errflow_compress::chunked::ChunkedCompressor;
 use errflow_compress::{CompressError, Compressor, MgardCompressor, SzCompressor, ZfpCompressor};
@@ -54,7 +53,7 @@ use errflow_tensor::norms::Norm;
 use errflow_tensor::sync::lock_recover;
 use errflow_tensor::Matrix;
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which error-bounded compression backend ingests request payloads.
@@ -363,7 +362,7 @@ fn decode_streams_total() -> u64 {
 /// request lifecycle.
 pub struct Server<M: Model + Clone + Send + Sync + 'static> {
     inner: Arc<Inner<M>>,
-    queue: Arc<ShardedQueue<Job>>,
+    queue: Arc<BoundedQueue<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -416,10 +415,7 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             scratch_base: errflow_compress::scratch::pool_stats(),
             decode_streams_base: decode_streams_total(),
         });
-        // One shard per worker so every worker has a home deque to drain
-        // before stealing; an admission-only server (workers = 0) still
-        // needs one shard to enqueue into.
-        let queue = Arc::new(ShardedQueue::new(cfg.workers.max(1), cfg.queue_capacity));
+        let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         // Workers are pool-accounted *dedicated* threads: they block on the
         // queue, so they live outside the compute-worker set, while their
         // chunk-decode fan-out rides the shared pool's compute workers.
@@ -429,7 +425,7 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
                 let queue = Arc::clone(&queue);
                 errflow_tensor::pool::global()
                     .spawn_dedicated(format!("errflow-serve-{i}"), move || {
-                        worker_loop(inner, queue, i)
+                        worker_loop(&inner, &queue)
                     })
             })
             .collect();
@@ -477,14 +473,20 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
         Ok((key, plan_tol))
     }
 
-    fn build_job(
+    /// The one admission path: validate, enqueue (blocking or not) and
+    /// count.  The queue reports a closed queue as "full"; a shut-down
+    /// server will never admit, so that is [`ServeError::Shutdown`] and not
+    /// a rejection the caller should retry.
+    fn admit(
         &self,
         req: Request,
         ingress_ns: u64,
         responder: Responder,
-    ) -> Result<Job, ServeError> {
+        block: bool,
+    ) -> Result<(), ServeError> {
+        let _span = errflow_obs::trace::span("serve.enqueue");
         let (key, plan_tol) = self.validate(&req)?;
-        Ok(Job {
+        let job = Job {
             samples: req.samples,
             key,
             plan_tol,
@@ -494,29 +496,18 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             ingress_ns,
             t0: Instant::now(),
             t0_trace_ns: errflow_obs::trace::now_ns(),
-        })
-    }
-
-    fn make_job(&self, req: Request) -> Result<(Job, Ticket), ServeError> {
-        let slot = Arc::new(Slot::new());
-        let ticket = Ticket {
-            slot: Arc::clone(&slot),
         };
-        let job = self.build_job(req, 0, Responder::Slot(slot))?;
-        Ok((job, ticket))
-    }
-
-    /// Submits without blocking.  Returns [`ServeError::QueueFull`] when
-    /// admission control rejects the request (the payload is dropped; the
-    /// caller owns retry policy).
-    pub fn try_submit(&self, req: Request) -> Result<Ticket, ServeError> {
-        let _span = errflow_obs::trace::span("serve.enqueue");
-        let (job, ticket) = self.make_job(req)?;
-        match self.queue.try_push(job) {
+        let pushed = if block {
+            self.queue.push(job)
+        } else {
+            self.queue.try_push(job)
+        };
+        match pushed {
             Ok(()) => {
                 self.inner.stats.submitted.inc();
-                Ok(ticket)
+                Ok(())
             }
+            Err(QueueFull(_)) if self.queue.is_closed() => Err(ServeError::Shutdown),
             Err(QueueFull(_)) => {
                 self.inner.stats.rejected.inc();
                 Err(ServeError::QueueFull)
@@ -524,18 +515,23 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
         }
     }
 
+    fn admit_ticket(&self, req: Request, block: bool) -> Result<Ticket, ServeError> {
+        let slot = Arc::new(Slot::new());
+        self.admit(req, 0, Responder::Slot(Arc::clone(&slot)), block)?;
+        Ok(Ticket { slot })
+    }
+
+    /// Submits without blocking.  Returns [`ServeError::QueueFull`] when
+    /// admission control rejects the request (the payload is dropped; the
+    /// caller owns retry policy), [`ServeError::Shutdown`] after shutdown.
+    pub fn try_submit(&self, req: Request) -> Result<Ticket, ServeError> {
+        self.admit_ticket(req, false)
+    }
+
     /// Submits, blocking while the queue is at capacity (backpressure is
     /// exerted on the caller instead of surfacing [`ServeError::QueueFull`]).
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
-        let _span = errflow_obs::trace::span("serve.enqueue");
-        let (job, ticket) = self.make_job(req)?;
-        match self.queue.push(job) {
-            Ok(()) => {
-                self.inner.stats.submitted.inc();
-                Ok(ticket)
-            }
-            Err(QueueFull(_)) => Err(ServeError::Shutdown),
-        }
+        self.admit_ticket(req, true)
     }
 
     /// Convenience: submit (blocking) and wait for the response.
@@ -550,27 +546,16 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
     /// returns).  `ingress_ns` is the frontend's frame read + decode time;
     /// it is attributed to the request's [`RequestStages`].
     ///
-    /// On [`ServeError::QueueFull`] or validation failure the hook is never
-    /// invoked and the error returns synchronously, so the caller can map
-    /// it to a retryable wire error without waiting.
+    /// On [`ServeError::QueueFull`], [`ServeError::Shutdown`] or validation
+    /// failure the hook is never invoked and the error returns synchronously,
+    /// so the caller can map it to a wire error without waiting.
     pub fn try_submit_with(
         &self,
         req: Request,
         ingress_ns: u64,
         hook: impl FnOnce(Result<Response, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
-        let _span = errflow_obs::trace::span("serve.enqueue");
-        let job = self.build_job(req, ingress_ns, Responder::Hook(Box::new(hook)))?;
-        match self.queue.try_push(job) {
-            Ok(()) => {
-                self.inner.stats.submitted.inc();
-                Ok(())
-            }
-            Err(QueueFull(_)) => {
-                self.inner.stats.rejected.inc();
-                Err(ServeError::QueueFull)
-            }
-        }
+        self.admit(req, ingress_ns, Responder::Hook(Box::new(hook)), false)
     }
 
     /// Records a frontend egress interval (response encode + socket write)
@@ -596,7 +581,7 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
         move || Self::snapshot_of(&inner, &queue)
     }
 
-    fn snapshot_of(inner: &Inner<M>, queue: &ShardedQueue<Job>) -> StatsSnapshot {
+    fn snapshot_of(inner: &Inner<M>, queue: &BoundedQueue<Job>) -> StatsSnapshot {
         let s = &inner.stats;
         // The scratch pool is process-wide; report the delta since this
         // server was built (saturating: concurrent pool traffic makes the
@@ -648,174 +633,208 @@ impl<M: Model + Clone + Send + Sync + 'static> Drop for Server<M> {
     }
 }
 
-/// A batch whose payloads have been compressed and decoded into the batch
-/// input matrix — everything the forward consumer needs to run the batched
-/// pass and respond.  The producer → consumer handoff unit of the
-/// per-worker double buffer.
-struct PreparedBatch<M> {
-    /// Jobs that survived the compression roundtrip, in batch order.
-    jobs: Vec<Job>,
-    /// Per-job queue-wait nanoseconds (same order as `jobs`).
-    waits: Vec<u64>,
-    /// Per-job `(first_row, n_samples)` into `inputs` / the output matrix.
-    rows: Vec<(usize, usize)>,
-    /// The assembled batch input matrix (total samples × input dim).
-    inputs: Matrix,
-    cached: Arc<CachedPlan<M>>,
-    hit: bool,
-    plan_ns: u64,
-    plan_tol: f64,
-    /// The fused batch-level decode interval, attributed to every job.
-    dec_ns: u64,
-}
-
-fn worker_loop<M: Model + Clone + Send + Sync + 'static>(
-    inner: Arc<Inner<M>>,
-    queue: Arc<ShardedQueue<Job>>,
-    worker: usize,
-) {
+/// One worker thread: pop a same-plan batch, serve it start to finish,
+/// repeat until the queue is closed and drained.
+fn worker_loop<M: Model + Clone + Send + Sync>(inner: &Inner<M>, queue: &BoundedQueue<Job>) {
     let compressor = inner.cfg.backend.build(inner.cfg.decode_threads);
-    // Double buffer: this thread (the producer) compresses + decodes batch
-    // N+1 while the consumer runs batch N's forward pass and responds.
-    // The rendezvous channel holds at most one prepared batch, bounding
-    // the pipeline at two batches in flight per worker.
-    let (tx, rx) = mpsc::sync_channel::<PreparedBatch<M>>(1);
-    let consumer = {
-        let inner = Arc::clone(&inner);
-        errflow_tensor::pool::global().spawn_dedicated(
-            format!("errflow-serve-{worker}-fwd"),
-            move || {
-                while let Ok(prepared) = rx.recv() {
-                    finish_batch(&inner, prepared);
-                }
-            },
-        )
-    };
-    while let Some(batch) = queue.pop_batch(worker, inner.cfg.max_batch.max(1), |j: &Job| j.key) {
-        // Stage attribution invariant: every interval recorded below is a
-        // disjoint slice of wall time inside [job.t0, fulfill), so each
-        // request's stage sum is ≤ its end-to-end latency.  Batch-level
-        // intervals (plan, decompress, forward) are attributed in full to
-        // every job in the batch; that keeps the invariant because they
-        // are still disjoint from the job's own batch-wait/respond slices
-        // (the producer→consumer channel wait is deliberately left
-        // unattributed, so the invariant survives the overlap).
-        let dequeued = Instant::now();
-        let dequeued_trace_ns = errflow_obs::trace::now_ns();
-        inner.stats.note_batch(batch.len());
-        let mut batch_wait_ns = Vec::with_capacity(batch.len());
-        for job in &batch {
-            let wait = dequeued.duration_since(job.t0).as_nanos() as u64;
-            inner.stats.stages.batch_wait.record_ns(wait);
-            if job.ingress_ns > 0 {
-                inner.stats.stages.ingress.record_ns(job.ingress_ns);
-            }
-            // Queue wait crosses threads, so it is recorded as an explicit
-            // interval rather than a scoped guard.
-            errflow_obs::trace::record_span("serve.batch_wait", job.t0_trace_ns, dequeued_trace_ns);
-            batch_wait_ns.push(wait);
-        }
-
-        let plan_tol = batch[0].plan_tol;
-        let norm = batch[0].norm;
-        let t_plan = Instant::now();
-        let (cached, hit) = {
-            let _span = errflow_obs::trace::span("serve.plan");
-            inner.cache.get_or_insert_with(batch[0].key, || {
-                let plan = inner.table.plan(&PlannerConfig {
-                    rel_tolerance: plan_tol,
-                    norm,
-                    quant_share: inner.cfg.quant_share,
-                });
-                // The planner guarantees predicted_total_bound ≤ plan_tol ·
-                // qoi_ref; the min() strips the division's last-ulp rounding
-                // so the certificate never lands above the tolerance it was
-                // planned for.
-                let rel_bound =
-                    (plan.predicted_total_bound / inner.table.qoi_reference(norm)).min(plan_tol);
-                CachedPlan {
-                    plan,
-                    rel_bound,
-                    weights: inner.weights_for(plan.format),
-                }
-            })
-        };
-        let plan_ns = t_plan.elapsed().as_nanos() as u64;
-        inner.stats.stages.plan.record_ns(plan_ns);
-
-        if let Some(prepared) = prepare_batch(
-            &inner,
-            compressor.as_ref(),
-            batch,
-            batch_wait_ns,
-            cached,
-            hit,
-            plan_ns,
-            plan_tol,
-        ) {
-            // A send error means the consumer died (only possible on a
-            // panic in finish_batch); stop producing rather than drop
-            // batches silently.
-            if tx.send(prepared).is_err() {
-                break;
-            }
-        }
+    while let Some(batch) = queue.pop_batch(inner.cfg.max_batch.max(1), |j: &Job| j.key) {
+        serve_batch(inner, compressor.as_ref(), batch);
     }
-    drop(tx);
-    let _ = consumer.join();
 }
 
 /// One payload that survived compression, waiting on the fused decode.
 struct Pending {
     job: Job,
-    wait: u64,
+    wait_ns: u64,
     stream: Vec<u8>,
+    /// Samples in the payload, and the batch-matrix row its first one
+    /// decodes into.
     n: usize,
+    row0: usize,
 }
 
-/// The producer half of a batch: compress every payload under the plan's
-/// input budget, then decode **all** payloads' chunk units in one joint
-/// fan-out straight into the batch input matrix.  Sample-major payloads
-/// decode zero-copy into their row slab; feature-major payloads decode
-/// into a scratch slab and are transposed into place.  Payloads that fail
-/// either half get their error response here and drop out of the batch.
-#[allow(clippy::too_many_arguments)]
-fn prepare_batch<M: Model + Clone + Send + Sync>(
+/// Serves one same-plan batch on the calling worker: resolve the plan,
+/// compress every payload under the plan's input budget, decode them all
+/// into the batch input matrix, run one batched forward pass over it
+/// (prepacked weight panels when the model provides them) and fan the
+/// responses out.  Payloads that fail either codec half get their error
+/// response at that point and drop out of the batch.
+fn serve_batch<M: Model + Clone + Send + Sync>(
     inner: &Inner<M>,
     compressor: &dyn Compressor,
     batch: Vec<Job>,
-    waits: Vec<u64>,
-    cached: Arc<CachedPlan<M>>,
-    hit: bool,
-    plan_ns: u64,
-    plan_tol: f64,
-) -> Option<PreparedBatch<M>> {
+) {
+    // Stage attribution invariant: every interval recorded below is a
+    // disjoint slice of wall time inside [job.t0, fulfill), so each
+    // request's stage sum is ≤ its end-to-end latency.  Batch-level
+    // intervals (plan, decompress, forward) are attributed in full to
+    // every job in the batch; that keeps the invariant because they
+    // are still disjoint from the job's own batch-wait/respond slices.
+    // The chain is serial on this thread, so what the stages leave
+    // unattributed is flatten + compress.
+    let dequeued = Instant::now();
+    let dequeued_trace_ns = errflow_obs::trace::now_ns();
+    inner.stats.note_batch(batch.len());
+
+    let plan_tol = batch[0].plan_tol;
+    let norm = batch[0].norm;
+    let t_plan = Instant::now();
+    let (cached, hit) = {
+        let _span = errflow_obs::trace::span("serve.plan");
+        inner.cache.get_or_insert_with(batch[0].key, || {
+            let plan = inner.table.plan(&PlannerConfig {
+                rel_tolerance: plan_tol,
+                norm,
+                quant_share: inner.cfg.quant_share,
+            });
+            // The planner guarantees predicted_total_bound ≤ plan_tol ·
+            // qoi_ref; the min() strips the division's last-ulp rounding
+            // so the certificate never lands above the tolerance it was
+            // planned for.
+            let rel_bound =
+                (plan.predicted_total_bound / inner.table.qoi_reference(norm)).min(plan_tol);
+            CachedPlan {
+                plan,
+                rel_bound,
+                weights: inner.weights_for(plan.format),
+            }
+        })
+    };
+    let plan_ns = t_plan.elapsed().as_nanos() as u64;
+    inner.stats.stages.plan.record_ns(plan_ns);
+
+    let fail = |job: Job, e: CompressError| {
+        inner.stats.failed.inc();
+        job.responder
+            .fulfill(Err(ServeError::Compression(e.to_string())));
+    };
     let d = inner.input_dim;
     let mut pending: Vec<Pending> = Vec::with_capacity(batch.len());
-    for (job, wait) in batch.into_iter().zip(waits) {
+    let mut total = 0usize;
+    for job in batch {
+        let wait_ns = dequeued.duration_since(job.t0).as_nanos() as u64;
+        inner.stats.stages.batch_wait.record_ns(wait_ns);
+        if job.ingress_ns > 0 {
+            inner.stats.stages.ingress.record_ns(job.ingress_ns);
+        }
+        // Queue wait crosses threads, so it is recorded as an explicit
+        // interval rather than a scoped guard.
+        errflow_obs::trace::record_span("serve.batch_wait", job.t0_trace_ns, dequeued_trace_ns);
         let n = job.samples.len();
         let payload = flatten(&job.samples, job.layout);
         let bound = input_bound(&cached.plan, compressor, payload.len());
         match compressor.compress(&payload, &bound) {
-            Ok(stream) => pending.push(Pending {
-                job,
-                wait,
-                stream,
-                n,
-            }),
-            Err(e) => {
-                inner.stats.failed.inc();
-                job.responder
-                    .fulfill(Err(ServeError::Compression(e.to_string())));
+            Ok(stream) => {
+                pending.push(Pending {
+                    job,
+                    wait_ns,
+                    stream,
+                    n,
+                    row0: total,
+                });
+                total += n;
             }
+            Err(e) => fail(job, e),
         }
     }
     if pending.is_empty() {
-        return None;
+        return;
     }
 
-    let total: usize = pending.iter().map(|p| p.n).sum();
     let mut inputs = Matrix::zeros(total, d);
+    let t_dec = Instant::now();
+    let errors = decode_into_rows(inner, compressor, &pending, &mut inputs);
+    let dec_ns = t_dec.elapsed().as_nanos() as u64;
+
+    let bytes_in: u64 = pending.iter().map(|p| p.stream.len() as u64).sum();
+    let mut bytes_out = 0u64;
+    // Row offsets were fixed when the matrix was carved, so a payload that
+    // failed to decode leaves its rows zeroed and the others where they are.
+    let mut served = Vec::with_capacity(pending.len());
+    for (p, err) in pending.into_iter().zip(errors) {
+        match err {
+            Some(e) => fail(p.job, e),
+            None => {
+                inner.stats.stages.decompress.record_ns(dec_ns);
+                bytes_out += (p.n * d * 4) as u64;
+                served.push(p);
+            }
+        }
+    }
+    inner.stats.note_decomp(dec_ns, bytes_in, bytes_out);
+    if served.is_empty() {
+        return;
+    }
+
+    let batch_size = served.len();
+    let t_fwd = Instant::now();
+    let out = {
+        let _span = errflow_obs::trace::span("serve.forward");
+        let w = &cached.weights;
+        w.quantized.forward_batch_matrix(&inputs, w.packed.as_ref())
+    };
+    let forward_ns = t_fwd.elapsed().as_nanos() as u64;
+    inner.stats.stages.forward.record_ns(forward_ns);
+
+    let t_respond = Instant::now();
+    let _respond_span = errflow_obs::trace::span("serve.respond");
+    for p in served {
+        let job = p.job;
+        let outputs = extract_rows(&out, p.row0, p.n);
+        // Certification check: the cached plan's bound must not exceed
+        // the bucket-floor tolerance the request mapped to.
+        if cached.rel_bound <= job.plan_tol {
+            inner.stats.stages.bound_pass.inc();
+        } else {
+            inner.stats.stages.bound_fail.inc();
+        }
+        inner
+            .stats
+            .stages
+            .record_bound_margin(cached.rel_bound, job.plan_tol);
+        // respond_ns is measured *before* the end-to-end latency so the
+        // stage sum stays ≤ latency for this request.
+        let respond_ns = t_respond.elapsed().as_nanos() as u64;
+        inner.stats.stages.respond.record_ns(respond_ns);
+        let latency = job.t0.elapsed();
+        inner.stats.latency.record(latency);
+        inner.stats.completed.inc();
+        // egress_ns stays 0 here: the net frontend stamps it into the
+        // wire frame during encode (after this fulfill) and records it
+        // via `Server::note_egress_ns`.
+        job.responder.fulfill(Ok(Response {
+            outputs,
+            rel_bound: cached.rel_bound,
+            format: cached.plan.format,
+            plan_tolerance: plan_tol,
+            cache_hit: hit,
+            batch_size,
+            latency,
+            stages: RequestStages {
+                ingress_ns: job.ingress_ns,
+                batch_wait_ns: p.wait_ns,
+                plan_ns,
+                decompress_ns: dec_ns,
+                forward_ns,
+                respond_ns,
+                egress_ns: 0,
+            },
+        }));
+    }
+}
+
+/// Decodes **all** pending payloads' chunk units in one joint fan-out
+/// straight into `inputs`, which holds one row per sample in `pending`
+/// order.  Sample-major payloads decode zero-copy into their row slab;
+/// feature-major payloads decode into a scratch slab and are transposed
+/// into place.  Returns each payload's decode error, if it had one.
+fn decode_into_rows<M>(
+    inner: &Inner<M>,
+    compressor: &dyn Compressor,
+    pending: &[Pending],
+    inputs: &mut Matrix,
+) -> Vec<Option<CompressError>> {
+    let d = inner.input_dim;
     // Feature-major payloads cannot decode straight into row slabs (their
     // flat layout is the transpose), so they share one scratch slab,
     // addressed by (offset, len) per payload.
@@ -827,9 +846,6 @@ fn prepare_batch<M: Model + Clone + Send + Sync>(
     let mut fm_buf = vec![0.0f32; fm_total];
     let errors: Vec<Mutex<Option<CompressError>>> =
         (0..pending.len()).map(|_| Mutex::new(None)).collect();
-
-    let t_dec = Instant::now();
-    let mut bytes_in = 0u64;
     // (payload index, scratch offset, row slab) for the post-decode
     // transpose of each feature-major payload.
     let mut fm_transposes: Vec<(usize, usize, &mut [f32])> = Vec::new();
@@ -847,7 +863,6 @@ fn prepare_batch<M: Model + Clone + Send + Sync>(
         let mut cells: Vec<Cell> = Vec::new();
         let mut unit_payload: Vec<usize> = Vec::new();
         for (i, p) in pending.iter().enumerate() {
-            bytes_in += p.stream.len() as u64;
             let want = (p.n * d).min(rest.len());
             let (slab, tail) = rest.split_at_mut(want);
             rest = tail;
@@ -919,110 +934,7 @@ fn prepare_batch<M: Model + Clone + Send + Sync>(
             ));
         }
     }
-    let dec_ns = t_dec.elapsed().as_nanos() as u64;
-
-    let mut jobs = Vec::with_capacity(pending.len());
-    let mut ok_waits = Vec::with_capacity(pending.len());
-    let mut rows = Vec::with_capacity(pending.len());
-    let mut row0 = 0usize;
-    let mut bytes_out = 0u64;
-    for (i, p) in pending.into_iter().enumerate() {
-        let err = errors.get(i).and_then(|m| lock_recover(m).take());
-        match err {
-            Some(e) => {
-                inner.stats.failed.inc();
-                p.job
-                    .responder
-                    .fulfill(Err(ServeError::Compression(e.to_string())));
-            }
-            None => {
-                inner.stats.stages.decompress.record_ns(dec_ns);
-                bytes_out += (p.n * d * 4) as u64;
-                jobs.push(p.job);
-                ok_waits.push(p.wait);
-                rows.push((row0, p.n));
-            }
-        }
-        // Row offsets were fixed when the matrix was carved, so failed
-        // payloads still advance the cursor (their rows stay zeroed).
-        row0 += p.n;
-    }
-    inner.stats.note_decomp(dec_ns, bytes_in, bytes_out);
-    if jobs.is_empty() {
-        return None;
-    }
-    Some(PreparedBatch {
-        jobs,
-        waits: ok_waits,
-        rows,
-        inputs,
-        cached,
-        hit,
-        plan_ns,
-        plan_tol,
-        dec_ns,
-    })
-}
-
-/// The consumer half of a batch: one batched forward pass over the
-/// prepared input matrix (prepacked weight panels when the model provides
-/// them), then per-job response fan-out.
-fn finish_batch<M: Model + Clone + Send + Sync>(inner: &Inner<M>, p: PreparedBatch<M>) {
-    let batch_size = p.jobs.len();
-    let t_fwd = Instant::now();
-    let out = {
-        let _span = errflow_obs::trace::span("serve.forward");
-        let w = &p.cached.weights;
-        w.quantized
-            .forward_batch_matrix(&p.inputs, w.packed.as_ref())
-    };
-    let forward_ns = t_fwd.elapsed().as_nanos() as u64;
-    inner.stats.stages.forward.record_ns(forward_ns);
-
-    let t_respond = Instant::now();
-    let _respond_span = errflow_obs::trace::span("serve.respond");
-    for ((job, (row0, n)), wait) in p.jobs.into_iter().zip(p.rows).zip(p.waits) {
-        let outputs = extract_rows(&out, row0, n);
-        // Certification check: the cached plan's bound must not exceed
-        // the bucket-floor tolerance the request mapped to.
-        if p.cached.rel_bound <= job.plan_tol {
-            inner.stats.stages.bound_pass.inc();
-        } else {
-            inner.stats.stages.bound_fail.inc();
-        }
-        inner
-            .stats
-            .stages
-            .record_bound_margin(p.cached.rel_bound, job.plan_tol);
-        // respond_ns is measured *before* the end-to-end latency so the
-        // stage sum stays ≤ latency for this request.
-        let respond_ns = t_respond.elapsed().as_nanos() as u64;
-        inner.stats.stages.respond.record_ns(respond_ns);
-        let latency = job.t0.elapsed();
-        inner.stats.latency.record(latency);
-        inner.stats.completed.inc();
-        // egress_ns stays 0 here: the net frontend stamps it into the
-        // wire frame during encode (after this fulfill) and records it
-        // via `Server::note_egress_ns`.
-        job.responder.fulfill(Ok(Response {
-            outputs,
-            rel_bound: p.cached.rel_bound,
-            format: p.cached.plan.format,
-            plan_tolerance: p.plan_tol,
-            cache_hit: p.hit,
-            batch_size,
-            latency,
-            stages: RequestStages {
-                ingress_ns: job.ingress_ns,
-                batch_wait_ns: wait,
-                plan_ns: p.plan_ns,
-                decompress_ns: p.dec_ns,
-                forward_ns,
-                respond_ns,
-                egress_ns: 0,
-            },
-        }));
-    }
+    errors.iter().map(|m| lock_recover(m).take()).collect()
 }
 
 #[cfg(test)]
@@ -1204,5 +1116,66 @@ mod tests {
             .unwrap();
         server.shutdown();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::Shutdown);
+        // A closed server is not a full one: nothing to retry, no rejection.
+        let req = || Request::new(vec![vec![0.0; 4]], 1e-2);
+        assert_eq!(server.try_submit(req()).unwrap_err(), ServeError::Shutdown);
+        assert_eq!(
+            server.try_submit_with(req(), 0, |_| ()).unwrap_err(),
+            ServeError::Shutdown
+        );
+        assert_eq!(server.submit(req()).unwrap_err(), ServeError::Shutdown);
+        assert_eq!(server.stats().rejected, 0);
+    }
+
+    #[test]
+    fn shutdown_drains_the_backlog_through_the_workers() {
+        let mut server = Server::new(
+            tiny_model(),
+            calibration(8),
+            ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            },
+        );
+        // Park each worker in a completion hook, one at a time so the two
+        // holds cannot coalesce onto one worker.
+        let holds: Vec<_> = (0..2)
+            .map(|_| {
+                let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+                let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+                let hold = Request::new(vec![vec![0.0; 4]], 1e-1);
+                server
+                    .try_submit_with(hold, 0, move |_| {
+                        let _ = entered_tx.send(());
+                        let _ = release_rx.recv();
+                    })
+                    .unwrap();
+                entered_rx.recv().unwrap();
+                release_tx
+            })
+            .collect();
+        let tickets: Vec<_> = (0..12)
+            .map(|i| {
+                let tol = [1e-2, 1e-3, 1e-4][i % 3];
+                let req = Request::new(vec![vec![0.1 * i as f32; 4]], tol);
+                server.try_submit(req).unwrap()
+            })
+            .collect();
+        assert_eq!(server.stats().queue_depth, 12);
+        // The workers are released only once the queue is closed, so the
+        // whole backlog is still queued when shutdown starts.
+        let queue = Arc::clone(&server.queue);
+        let releaser = std::thread::spawn(move || {
+            while !queue.is_closed() {
+                std::thread::yield_now();
+            }
+            drop(holds);
+        });
+        server.shutdown();
+        releaser.join().unwrap();
+        for t in tickets {
+            assert!(t.wait().is_ok(), "an admitted request was not served");
+        }
+        assert_eq!(server.stats().completed, 14);
     }
 }

@@ -68,8 +68,10 @@ impl MirroredHistogram {
 /// every [`crate::Response`].
 ///
 /// The intervals are disjoint slices of the request's life, so their sum
-/// is ≤ the end-to-end latency (the remainder is bookkeeping between
-/// stages).  Batch-level stages (`plan_ns`, `forward_ns`) are shared by
+/// is ≤ the end-to-end latency.  A worker runs a request's stages back to
+/// back on one thread, so the unattributed remainder is the flatten +
+/// compress half of the payload roundtrip and holds no hand-off wait.
+/// Batch-level stages (`plan_ns`, `forward_ns`) are shared by
 /// every request in the batch and attributed in full to each.
 ///
 /// For in-process submissions `ingress_ns`/`egress_ns` are 0 and the sum

@@ -13,7 +13,7 @@ use errflow_scidata::{SyntheticTask, TaskKind};
 use errflow_serve::{BackendKind, Request, ServeConfig, ServeError, Server};
 use errflow_tensor::norms::Norm;
 use errflow_tensor::rng::StdRng;
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 
 fn model() -> Mlp {
     Mlp::new(
@@ -248,6 +248,52 @@ fn cold_format_hammered_from_many_threads_is_built_once() {
     assert_eq!(snap.completed, 80);
     assert!(snap.cache_misses >= 5, "five buckets, two slots");
     assert_eq!(snap.weight_builds, 1);
+}
+
+/// Parks one worker inside a request's completion hook (bucket -1, which
+/// no other request here uses) until the returned sender is dropped.
+fn hold_a_worker(server: &Server<Mlp>) -> mpsc::Sender<()> {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let req = l2_sample_major(vec![vec![0.0; 6]], tolerance_in_bucket(-1));
+    server
+        .try_submit_with(req, 0, move |_| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+        })
+        .unwrap();
+    entered_rx.recv().unwrap();
+    release_tx
+}
+
+/// Both workers are busy while eight same-plan requests queue up; whichever
+/// worker frees first takes all eight in one batched pass, because they sit
+/// in one queue and not in one deque per worker.
+#[test]
+fn requests_queued_behind_two_busy_workers_share_one_forward_pass() {
+    let server = Server::new(
+        model(),
+        calibration(7),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    // The second hold is only admitted once the first has a worker parked,
+    // so the two cannot coalesce onto one worker.
+    let holds = [hold_a_worker(&server), hold_a_worker(&server)];
+    let mut rng = StdRng::seed_from_u64(13);
+    let tickets: Vec<_> = (0..8)
+        .map(|_| {
+            let req = l2_sample_major(samples(&mut rng, 4, 6), tolerance_in_bucket(-6));
+            server.try_submit(req).unwrap()
+        })
+        .collect();
+    assert_eq!(server.stats().queue_depth, 8);
+    drop(holds);
+    for t in tickets {
+        assert_eq!(t.wait().unwrap().batch_size, 8);
+    }
 }
 
 /// With workers stalled (none running), the queue fills to capacity and
