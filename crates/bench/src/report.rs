@@ -1,5 +1,7 @@
 //! Text-table rendering for the figure binaries.
 
+use errflow_obs::json::JsonWriter;
+
 /// A printable, column-aligned table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -82,33 +84,23 @@ impl Table {
         }
     }
 
-    /// Machine-readable form: `{"title", "headers", "rows"}` (hand-rolled;
-    /// the workspace carries no serialization dependency).
+    /// Machine-readable form: `{"title", "headers", "rows"}`.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.field_str("title", &self.title);
-        w.field_str_array("headers", &self.headers);
-        w.raw_field(
-            "rows",
-            &format!(
-                "[{}]",
-                self.rows
-                    .iter()
-                    .map(|r| {
-                        let mut a = String::from("[");
-                        for (i, cell) in r.iter().enumerate() {
-                            if i > 0 {
-                                a.push(',');
-                            }
-                            a.push_str(&json_string(cell));
-                        }
-                        a.push(']');
-                        a
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
+        let mut w = JsonWriter::new();
+        w.begin_object().key("title").str(&self.title);
+        w.key("headers").begin_array();
+        for h in &self.headers {
+            w.str(h);
+        }
+        w.end_array().key("rows").begin_array();
+        for row in &self.rows {
+            w.begin_array();
+            for cell in row {
+                w.str(cell);
+            }
+            w.end_array();
+        }
+        w.end_array().end_object();
         w.finish()
     }
 
@@ -128,105 +120,6 @@ impl Table {
             .filter(|s| !s.is_empty())
             .collect::<Vec<_>>()
             .join("_")
-    }
-}
-
-/// Escapes and quotes a string per RFC 8259.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{}` prints the shortest round-tripping representation.
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal single-level JSON object writer.
-pub struct JsonWriter {
-    buf: String,
-    first: bool,
-}
-
-impl JsonWriter {
-    /// Starts an object.
-    pub fn object() -> Self {
-        JsonWriter {
-            buf: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn sep(&mut self) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-    }
-
-    /// Adds a string field.
-    pub fn field_str(&mut self, key: &str, value: &str) {
-        self.sep();
-        self.buf
-            .push_str(&format!("{}:{}", json_string(key), json_string(value)));
-    }
-
-    /// Adds a numeric field.
-    pub fn field_f64(&mut self, key: &str, value: f64) {
-        self.sep();
-        self.buf
-            .push_str(&format!("{}:{}", json_string(key), json_f64(value)));
-    }
-
-    /// Adds an integer field.
-    pub fn field_u64(&mut self, key: &str, value: u64) {
-        self.sep();
-        self.buf.push_str(&format!("{}:{value}", json_string(key)));
-    }
-
-    /// Adds an array-of-strings field.
-    pub fn field_str_array(&mut self, key: &str, values: &[String]) {
-        self.sep();
-        self.buf.push_str(&format!("{}:[", json_string(key)));
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            self.buf.push_str(&json_string(v));
-        }
-        self.buf.push(']');
-    }
-
-    /// Adds a field whose value is already-serialized JSON.
-    pub fn raw_field(&mut self, key: &str, raw_json: &str) {
-        self.sep();
-        self.buf
-            .push_str(&format!("{}:{raw_json}", json_string(key)));
-    }
-
-    /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
     }
 }
 
@@ -273,24 +166,13 @@ mod tests {
     fn json_shape() {
         let mut t = Table::new("Fig. 9 — demo (L∞)", &["a", "b"]);
         t.push(vec!["1".into(), "2".into()]);
-        let j = t.to_json();
-        assert!(j.contains("\"headers\":[\"a\",\"b\"]"), "{j}");
-        assert!(j.contains("\"rows\":[[\"1\",\"2\"]]"), "{j}");
+        t.push(vec!["x\"y".into(), "".into()]);
+        assert_eq!(
+            t.to_json(),
+            "{\"title\":\"Fig. 9 — demo (L∞)\",\"headers\":[\"a\",\"b\"],\
+             \"rows\":[[\"1\",\"2\"],[\"x\\\"y\",\"\"]]}"
+        );
         assert_eq!(t.slug(), "fig_9_demo_l");
-    }
-
-    #[test]
-    fn json_escaping_and_numbers() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("контроль"), "\"контроль\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        let mut w = JsonWriter::object();
-        w.field_str("k", "v");
-        w.field_f64("x", 0.25);
-        w.field_u64("n", 7);
-        assert_eq!(w.finish(), "{\"k\":\"v\",\"x\":0.25,\"n\":7}");
     }
 
     #[test]

@@ -496,7 +496,6 @@ impl SzCompressor {
         out: &mut [f32],
     ) -> Result<(), CompressError> {
         let _span = errflow_obs::trace::span("codec.sz.v2.reconstruct");
-        errflow_obs::counter("codec.decode.streams.sz").add(spans.len() as u64);
         let parts = format::split_even(out.len(), spans.len());
         // All-escape fast path: when every lane's outlier table holds one
         // value per element AND every symbol really is the escape, the

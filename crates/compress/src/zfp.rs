@@ -225,7 +225,6 @@ fn parse_header_v2(stream: &[u8]) -> Result<V2Header, CompressError> {
 fn decompress_v2_into(stream: &[u8], hdr: &V2Header, out: &mut [f32]) -> Result<(), CompressError> {
     let payload = &stream[hdr.payload_off..];
     let parts = format::split_even(out.len().div_ceil(4), hdr.payloads.len());
-    errflow_obs::counter("codec.decode.streams.zfp").add(hdr.payloads.len() as u64);
     #[cfg(target_arch = "x86_64")]
     if hdr.payloads.len() == 4
         && errflow_tensor::simd::has_avx2()

@@ -1,21 +1,31 @@
 //! Blocking wire-protocol client for the errflow-net frontend.
 //!
 //! One [`NetClient`] owns one TCP connection and issues requests
-//! synchronously: encode → write → read exactly one reply frame.  The
-//! load generator runs many clients on closed-loop threads; applications
-//! embedding the client get typed errors ([`NetError`]) including the
-//! server's own error frames, whose `retryable` flag distinguishes
-//! backpressure ([`crate::proto::ErrorCode::QueueFull`]) from hard
-//! failures.
+//! synchronously: encode → write → read exactly one reply frame.
+//! Applications embedding the client get typed errors ([`NetError`])
+//! including the server's own error frames, whose `retryable` flag
+//! distinguishes backpressure ([`crate::proto::ErrorCode::QueueFull`])
+//! from hard failures.
+//!
+//! It is also the socket transport of the workspace's one load driver:
+//! `impl` [`Client`] `for NetClient` maps a retryable error frame to
+//! [`CallError::Busy`] and everything else to [`CallError::Failed`], so
+//! [`errflow_serve::loadgen::run_loadgen`] drives real framing, syscalls
+//! and loopback queueing with the loop it drives a `&Server` with.
+//! [`load_client`] connects for such a run and [`settle_egress`] is its one
+//! socket-specific step.
 
 use crate::proto::{
     self, ErrorFrame, FrameHeader, FrameType, MetricsFormat, MetricsRequestFrame,
     MetricsResponseFrame, ProtoError, RequestFrame, ResponseFrame, HEADER_LEN,
 };
+use errflow_nn::Model;
 use errflow_obs::slo::SloStatus;
+use errflow_serve::loadgen::{CallError, Client, Reply};
+use errflow_serve::server::{Request, Server};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 /// Anything a request can fail with on the client side.
 #[derive(Debug)]
@@ -149,6 +159,55 @@ impl NetClient {
         let mut body = vec![0u8; header.body_len];
         read_full(&mut self.stream, &mut body)?;
         Ok((header, body))
+    }
+}
+
+impl Client for NetClient {
+    fn call(&mut self, req: Request) -> Result<Reply, CallError> {
+        let frame = RequestFrame {
+            model_id: 0, // 0 = "any model"
+            rel_tolerance: req.rel_tolerance,
+            norm: req.norm,
+            layout: req.layout,
+            samples: req.samples,
+        };
+        match self.request(&frame) {
+            Ok(r) if r.stages.ingress_ns == 0 && r.stages.egress_ns == 0 => Err(CallError::Failed(
+                "wire reply carries no frontend stage timings".into(),
+            )),
+            Ok(r) => Ok(Reply {
+                outputs: r.outputs.len(),
+                rel_bound: r.rel_bound,
+                latency_ns: r.latency_ns,
+            }),
+            Err(e) if e.retryable() => Err(CallError::Busy),
+            Err(e) => Err(CallError::Failed(e.to_string())),
+        }
+    }
+}
+
+/// The `connect` of a socket load run: a connection whose reads time out
+/// after 30 s, so a reply that never comes fails its request instead of
+/// hanging the run.
+pub fn load_client(addr: SocketAddr) -> Result<NetClient, String> {
+    let connect = || {
+        let client = NetClient::connect(addr)?;
+        client.set_read_timeout(Some(Duration::from_secs(30)))?;
+        Ok(client)
+    };
+    connect().map_err(|e: NetError| e.to_string())
+}
+
+/// Waits (at most 500 ms, normally not at all) until `server` has recorded
+/// an egress sample for each of `requests` replies.  The egress stage is
+/// stamped on the io thread *after* the response bytes hit the socket, so a
+/// client can hold its reply a moment before the final stamp lands; call
+/// this between a socket load run and [`Server::stats`] so the snapshot
+/// covers the whole run.
+pub fn settle_egress<M: Model + Clone + Send + Sync + 'static>(server: &Server<M>, requests: u64) {
+    let deadline = Instant::now() + Duration::from_millis(500);
+    while server.stats().stages.egress.count < requests && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

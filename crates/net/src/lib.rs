@@ -18,14 +18,15 @@
 //!   bounded admission queue of [`errflow_serve::Server`].  Backpressure
 //!   ([`errflow_serve::server::ServeError::QueueFull`]) becomes a
 //!   *retryable* error frame — never a dropped connection.
-//! * [`client`] — [`client::NetClient`], a small blocking client.
+//! * [`client`] — [`client::NetClient`], a small blocking client, and its
+//!   `impl` of [`errflow_serve::loadgen::Client`]: the socket transport of
+//!   the one load driver, which therefore reports client RTT and the
+//!   frontend's paired p50 overhead for this path as for the in-process
+//!   one.  [`client::settle_egress`] is the run's only socket-specific step.
 //! * Telemetry frames — [`proto::FrameType::MetricsRequest`] /
 //!   [`proto::FrameType::HealthRequest`] scrape the live time-series and
 //!   SLO plane of `errflow-obs`; they are answered entirely on io
 //!   threads, so observation never competes with the request path.
-//! * [`loadgen`] — the socket-path twin of the in-process load generator,
-//!   reporting client RTT and the frontend's p50 overhead over
-//!   in-process dispatch.
 //!
 //! Responses carry the PR-5 per-stage breakdown extended with `ingress`
 //! (first byte → frame decoded) and `egress` (worker fulfilment → frame
@@ -34,13 +35,11 @@
 
 pub mod client;
 pub mod conn;
-pub mod loadgen;
 pub mod poll;
 pub mod proto;
 pub mod server;
 
-pub use client::{NetClient, NetError};
-pub use loadgen::{run_net_loadgen, NetBenchSummary};
+pub use client::{load_client, settle_egress, NetClient, NetError};
 pub use proto::{
     ErrorCode, ErrorFrame, HistogramDump, MetricsFormat, MetricsRequestFrame, MetricsResponseFrame,
     RequestFrame, ResponseFrame, ScrapePayload, TIER_ALL,

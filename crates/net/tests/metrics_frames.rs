@@ -65,8 +65,10 @@ fn scrape_while_serving_returns_live_telemetry() {
         seed: 11,
         ..LoadgenConfig::default()
     };
-    let summary = errflow_net::run_net_loadgen(&server, net.local_addr(), &cfg);
-    assert_eq!(summary.base.requests, 30);
+    let addr = net.local_addr();
+    let load =
+        errflow_serve::run_loadgen(server.input_dim(), &cfg, || errflow_net::load_client(addr));
+    assert_eq!((load.requests, load.failed), (30, 0), "{load:?}");
     // Let the pump observe the completed load (needs ≥ 2 ticks: baseline
     // then delta).
     std::thread::sleep(Duration::from_millis(120));
@@ -140,8 +142,9 @@ fn scrape_while_serving_returns_live_telemetry() {
 
     // Health: the default objective set, every state decodable.
     let statuses = client.health().unwrap();
+    assert_eq!(statuses.len(), 4, "{statuses:?}");
     assert!(
-        statuses.iter().any(|s| s.name == "bound_certification"),
+        statuses.iter().any(|s| s.name == "rejection_budget"),
         "{statuses:?}"
     );
 }

@@ -6,10 +6,10 @@
 //! frame on a connection that stays open — never a dropped connection.
 
 use errflow_net::proto::{self, ErrorCode, FrameType, RequestFrame, HEADER_LEN};
-use errflow_net::{run_net_loadgen, NetConfig, NetServer};
+use errflow_net::{load_client, settle_egress, NetConfig, NetServer};
 use errflow_nn::{Activation, Mlp};
 use errflow_pipeline::planner::PayloadLayout;
-use errflow_serve::{LoadgenConfig, ServeConfig, Server};
+use errflow_serve::{report_json, run_loadgen, LoadgenConfig, ServeConfig, Server};
 use errflow_tensor::norms::Norm;
 use errflow_tensor::rng::StdRng;
 use std::io::{Read, Write};
@@ -75,32 +75,41 @@ fn loadgen_over_loopback_certifies_every_bound() {
         seed: 11,
         ..LoadgenConfig::default()
     };
-    let summary = run_net_loadgen(&server, net.local_addr(), &cfg);
+    let addr = net.local_addr();
+    let load = run_loadgen(server.input_dim(), &cfg, || load_client(addr));
+    settle_egress(&server, load.requests);
+    let snap = server.stats();
 
-    assert_eq!(summary.base.requests, 60);
-    assert!(summary.base.all_bounds_certified);
-    assert!(summary.base.max_rel_bound <= 1e-2);
-    assert_eq!(summary.base.bound_fail, 0);
+    assert_eq!(load.requests, 60);
+    assert_eq!(load.failed, 0, "{:?}", load.first_failure);
+    assert!(load.max_rel_bound <= 1e-2);
     // The wire path stamped frontend stages on every request.
-    assert!(
-        summary.base.stages.ingress.count >= 60,
-        "ingress count {}",
-        summary.base.stages.ingress.count
-    );
-    assert!(
-        summary.base.stages.egress.count >= 60,
-        "egress count {}",
-        summary.base.stages.egress.count
-    );
+    assert!(snap.stages.ingress.count >= 60, "{:?}", snap.stages.ingress);
+    assert!(snap.stages.egress.count >= 60, "{:?}", snap.stages.egress);
     // RTT was measured per request and must dominate server latency.
-    assert_eq!(summary.rtt.count, 60);
-    assert!(summary.rtt.p50_us >= summary.base.latency.p50_us);
-    assert!(summary.overhead_p50_us.is_finite());
-    // JSON surface carries the net block.
-    let j = summary.to_json();
-    assert!(j.contains("\"net\":{\"rtt_us\":{"), "{j}");
-    assert!(j.contains("\"overhead_p50_us\":"), "{j}");
+    assert_eq!(load.rtt.count, 60);
+    assert!(load.rtt.p50_us >= snap.latency.p50_us);
+    assert!(load.overhead_p50_us.is_finite());
+    // The JSON line carries the client view and both frontend stages.
+    let j = report_json(&load, &snap);
+    assert!(j.contains("\"failed\":0,"), "{j}");
+    assert!(
+        j.contains("\"rtt\":{") && j.contains("\"overhead_p50_us\":"),
+        "{j}"
+    );
+    assert!(
+        j.contains("\"ingress\":{") && j.contains("\"egress\":{"),
+        "{j}"
+    );
     assert_eq!(j.matches('{').count(), j.matches('}').count());
+
+    // A client that cannot connect fails its share; nothing panics.
+    drop(net);
+    let down = run_loadgen(server.input_dim(), &cfg, || load_client(addr));
+    assert_eq!((down.failed, down.rtt.count), (60, 0), "{down:?}");
+    assert!(down
+        .first_failure
+        .is_some_and(|m| m.starts_with("connect: ")));
 }
 
 #[test]

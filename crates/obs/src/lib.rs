@@ -10,7 +10,8 @@
 //!
 //! 1. **Metrics registry** ([`registry`]): named process-wide counters,
 //!    gauges, and log₂-bucket histograms with lock-free hot-path handles
-//!    (registration takes a lock once; increments are relaxed atomics).
+//!    (registration takes a lock once; increments are relaxed atomics —
+//!    hot paths hold a handle, they never look a name up per event).
 //!    Exposition as Prometheus text or JSON.
 //! 2. **Histograms** ([`hist`]): the fixed-size log₂-bucket
 //!    [`Log2Histogram`] (generalized from the serve layer's latency
@@ -32,12 +33,17 @@
 //!    ok/warn/breach states with hysteresis.
 //! 6. **Exposition conformance** ([`promcheck`]): a small validator for
 //!    the Prometheus text format CI runs against live scrapes.
+//! 7. **JSON emission** ([`json`]): the nestable, escaping
+//!    [`json::JsonWriter`] behind every JSON line the workspace prints —
+//!    the three `export_json`s here, `serve-bench`'s summary and the
+//!    figure tables in `errflow-bench`.
 //!
 //! This crate sits at the bottom of the workspace dependency graph —
 //! `tensor`, `compress`, `pipeline`, and `serve` all record into it — so
 //! it must not depend on any other errflow crate.
 
 pub mod hist;
+pub mod json;
 pub mod promcheck;
 pub mod registry;
 pub mod slo;

@@ -17,10 +17,11 @@
 //! - [`export_prometheus`]: Prometheus text format (`errflow_` prefix,
 //!   histograms as cumulative `_bucket{le=...}` series plus `_sum`/`_count`).
 //! - [`export_json`]: one JSON object with `counters`, `gauges`, and
-//!   `histograms` (count/sum/min/max/p50/p99) — hand-rolled, the workspace
-//!   carries no serialization dependency.
+//!   `histograms` (count/sum/min/max/p50/p99), written through
+//!   [`crate::json::JsonWriter`] so a name holding `"` or `\` is escaped.
 
 use crate::hist::{Log2Histogram, BUCKETS};
+use crate::json::JsonWriter;
 use crate::lock_recover;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -283,49 +284,42 @@ pub fn export_prometheus() -> String {
     out
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders every registered metric as one JSON object:
 /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,max,p50,p99}}}`.
 pub fn export_json() -> String {
     let reg = lock_recover(registry());
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut hists = Vec::new();
+    let mut w = JsonWriter::new();
+    w.begin_object().key("counters").begin_object();
     for (name, slot) in reg.iter() {
-        match slot {
-            Slot::Counter(c) => {
-                counters.push(format!("\"{name}\":{}", c.load(Ordering::Relaxed)));
-            }
-            Slot::Gauge(g) => gauges.push(format!("\"{name}\":{}", g.load(Ordering::Relaxed))),
-            Slot::Histogram(h) => {
-                let count = h.count();
-                let (min, max) = if count == 0 {
-                    (0, 0)
-                } else {
-                    (h.min(), h.max())
-                };
-                hists.push(format!(
-                    "\"{name}\":{{\"count\":{count},\"sum\":{},\"min\":{min},\"max\":{max},\"p50\":{},\"p99\":{}}}",
-                    h.sum(),
-                    json_num(h.quantile(0.50)),
-                    json_num(h.quantile(0.99)),
-                ));
-            }
+        if let Slot::Counter(c) = slot {
+            w.key(name).int(c.load(Ordering::Relaxed));
         }
     }
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
+    w.end_object().key("gauges").begin_object();
+    for (name, slot) in reg.iter() {
+        if let Slot::Gauge(g) = slot {
+            w.key(name).int(g.load(Ordering::Relaxed));
+        }
+    }
+    w.end_object().key("histograms").begin_object();
+    for (name, slot) in reg.iter() {
+        if let Slot::Histogram(h) = slot {
+            let count = h.count();
+            let (min, max) = if count == 0 {
+                (0, 0)
+            } else {
+                (h.min(), h.max())
+            };
+            w.key(name).begin_object();
+            w.key("count").int(count).key("sum").int(h.sum());
+            w.key("min").int(min).key("max").int(max);
+            w.key("p50").f64(h.quantile(0.50));
+            w.key("p99").f64(h.quantile(0.99));
+            w.end_object();
+        }
+    }
+    w.end_object().end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -450,5 +444,16 @@ mod tests {
         assert!(j.contains("\"test.json.c\":1"), "{j}");
         assert!(j.contains("\"test.json.h\":{\"count\":1"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn json_exposition_escapes_metric_names() {
+        counter("test.json.\"quoted\\name").add(5);
+        let j = export_json();
+        assert!(j.contains("\"test.json.\\\"quoted\\\\name\":5"), "{j}");
+        // Every quote that is not escaped opens or closes a string, so a
+        // valid document holds an even number of them.
+        let bare = j.replace("\\\\", "").replace("\\\"", "");
+        assert_eq!(bare.matches('"').count() % 2, 0, "{j}");
     }
 }

@@ -9,19 +9,17 @@
 //! and `Breach` sits `Warn`, entered when the signal crosses
 //! `warn_ratio` × threshold (on the breaching side).
 //!
-//! Objective kinds map onto the serve path's four canonical health
+//! Objective kinds map onto the serve path's three canonical health
 //! questions:
 //! - [`SloKind::P99Ceiling`] — "is stage latency under its ceiling?"
 //!   (reads the `<series>.p99` tier-0 window's max),
-//! - [`SloKind::RatioFloor`] — "are enough requests certified?"
-//!   (cumulative `num / (num + den)` from two registry counters, e.g.
-//!   `serve.bound_pass` vs `serve.bound_fail`),
 //! - [`SloKind::RatioBudget`] — "are rejections inside budget?"
-//!   (same ratio, breach when *above* the budget),
+//!   (cumulative `num / (num + den)` from two registry counters, e.g.
+//!   `serve.rejected` vs `serve.submitted`; breach when *above* budget),
 //! - [`SloKind::RateFloor`] — "is decode throughput above its floor?"
 //!   (reads a rate series' recent mean, e.g. decoded bytes/s).
 //!
-//! No data is vacuously `Ok`: a floor on a ratio whose denominator is
+//! No data is vacuously `Ok`: a budget on a ratio whose denominator is
 //! zero, or a ceiling on a series with no points, reports `Ok` rather
 //! than `Breach` — an idle server is healthy, not failing.
 //!
@@ -29,6 +27,7 @@
 //! ([`global`]); evaluation reads a [`Sampler`] the caller already
 //! locked, and cumulative counters via lock-free handles.
 
+use crate::json::JsonWriter;
 use crate::lock_recover;
 use crate::registry;
 use crate::timeseries::Sampler;
@@ -47,15 +46,6 @@ pub enum SloKind {
         ceiling: f64,
         /// How many recent base-tier points to consider.
         window: usize,
-    },
-    /// Cumulative `num / (num + den)` must stay `>= floor`.
-    RatioFloor {
-        /// Registry counter of successes.
-        num: String,
-        /// Registry counter of failures.
-        den: String,
-        /// Inclusive lower bound on the success ratio.
-        floor: f64,
     },
     /// Cumulative `num / (num + den)` must stay `<= budget`.
     RatioBudget {
@@ -244,39 +234,27 @@ impl SloEngine {
     /// Renders statuses as a JSON array:
     /// `[{"name":..,"state":"ok|warn|breach","value":..,"threshold":..}]`.
     pub fn export_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.statuses().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        for s in self.statuses() {
             let state = match s.state {
                 SloState::Ok => "ok",
                 SloState::Warn => "warn",
                 SloState::Breach => "breach",
             };
-            let num = |v: f64| {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_string()
-                }
-            };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"state\":\"{state}\",\"value\":{},\"threshold\":{}}}",
-                s.name,
-                num(s.value),
-                num(s.threshold)
-            ));
+            w.begin_object().key("name").str(&s.name);
+            w.key("state").str(state);
+            w.key("value").f64(s.value);
+            w.key("threshold").f64(s.threshold).end_object();
         }
-        out.push(']');
-        out
+        w.end_array();
+        w.finish()
     }
 }
 
 fn threshold_of(kind: &SloKind) -> f64 {
     match kind {
         SloKind::P99Ceiling { ceiling, .. } => *ceiling,
-        SloKind::RatioFloor { floor, .. } => *floor,
         SloKind::RatioBudget { budget, .. } => *budget,
         SloKind::RateFloor { floor, .. } => *floor,
     }
@@ -303,25 +281,6 @@ fn raw_verdict(obj: &Objective, sampler: &Sampler) -> (SloState, f64) {
                 (state, v)
             }
         },
-        SloKind::RatioFloor { num, den, floor } => {
-            let n = registry::counter(num).get() as f64;
-            let d = registry::counter(den).get() as f64;
-            if n + d == 0.0 {
-                return (SloState::Ok, 0.0);
-            }
-            let ratio = n / (n + d);
-            // Warn band sits between the floor and the floor plus a
-            // `1 - warn` fraction of the remaining headroom.
-            let warn_at = floor + (1.0 - floor) * (1.0 - warn);
-            let state = if ratio < *floor {
-                SloState::Breach
-            } else if ratio < warn_at {
-                SloState::Warn
-            } else {
-                SloState::Ok
-            };
-            (state, ratio)
-        }
         SloKind::RatioBudget { num, den, budget } => {
             let n = registry::counter(num).get() as f64;
             let d = registry::counter(den).get() as f64;
@@ -481,21 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn ratio_floor_and_budget_read_registry_counters() {
-        registry::counter("test.slo.pass").add(999);
-        registry::counter("test.slo.fail").add(1);
+    fn ratio_budget_reads_registry_counters() {
         registry::counter("test.slo.rej").add(10);
         registry::counter("test.slo.acc").add(90);
-        let s = Sampler::default();
-        let mut floor = Objective::new(
-            "cert",
-            SloKind::RatioFloor {
-                num: "test.slo.pass".into(),
-                den: "test.slo.fail".into(),
-                floor: 0.99,
-            },
-        );
-        floor.hysteresis = 1;
         let mut budget = Objective::new(
             "rej",
             SloKind::RatioBudget {
@@ -505,30 +452,19 @@ mod tests {
             },
         );
         budget.hysteresis = 1;
-        let mut e = SloEngine::new(vec![floor, budget]);
-        e.evaluate(&s);
+        // Both counters at zero: an idle server is healthy.
+        let mut idle = budget.clone();
+        idle.kind = SloKind::RatioBudget {
+            num: "test.slo.none.a".into(),
+            den: "test.slo.none.b".into(),
+            budget: 0.05,
+        };
+        let mut e = SloEngine::new(vec![budget, idle]);
+        e.evaluate(&Sampler::default());
         let st = e.statuses();
-        assert_eq!(st[0].state, SloState::Ok, "{st:?}");
-        assert!((st[0].value - 0.999).abs() < 1e-9);
-        assert_eq!(st[1].state, SloState::Breach, "10% rejections > 5%");
-        assert!((st[1].value - 0.10).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_denominator_ratios_are_ok() {
-        let s = Sampler::default();
-        let mut obj = Objective::new(
-            "cert",
-            SloKind::RatioFloor {
-                num: "test.slo.none.a".into(),
-                den: "test.slo.none.b".into(),
-                floor: 0.999,
-            },
-        );
-        obj.hysteresis = 1;
-        let mut e = SloEngine::new(vec![obj]);
-        e.evaluate(&s);
-        assert_eq!(e.statuses()[0].state, SloState::Ok, "idle is healthy");
+        assert_eq!(st[0].state, SloState::Breach, "10% rejections > 5%");
+        assert!((st[0].value - 0.10).abs() < 1e-9);
+        assert_eq!(st[1].state, SloState::Ok, "idle is healthy");
     }
 
     #[test]
@@ -564,7 +500,7 @@ mod tests {
     #[test]
     fn export_json_is_balanced() {
         let mut obj = Objective::new(
-            "lat",
+            "lat \"p99\"",
             SloKind::P99Ceiling {
                 series: "g".into(),
                 ceiling: 100.0,
@@ -575,7 +511,7 @@ mod tests {
         let mut e = SloEngine::new(vec![obj]);
         e.evaluate(&sampler_gauge("g", &[42]));
         let j = e.export_json();
-        assert!(j.contains("\"name\":\"lat\""), "{j}");
+        assert!(j.contains("\"name\":\"lat \\\"p99\\\"\""), "{j}");
         assert!(j.contains("\"state\":\"ok\""), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

@@ -32,6 +32,7 @@
 //! [`Sampler::dropped_series`].
 
 use crate::hist::{quantile_from_buckets, BUCKETS};
+use crate::json::JsonWriter;
 use crate::lock_recover;
 use crate::registry::{self, MetricSnapshot};
 use std::collections::BTreeMap;
@@ -504,38 +505,24 @@ impl Sampler {
     /// `{"now_ms":..,"tiers":[{"tier":0,"step_ms":1000,"series":{"name":[[t_ms,v],..]}}]}`.
     pub fn export_json(&self, tier_sel: Option<usize>, window: usize) -> String {
         let dump = self.dump(tier_sel, window);
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!("{{\"now_ms\":{},\"tiers\":[", dump.now_ms));
-        for (i, tier) in dump.tiers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tier\":{},\"step_ms\":{},\"series\":{{",
-                tier.tier, tier.step_ms
-            ));
-            for (j, s) in tier.series.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut w = JsonWriter::new();
+        w.begin_object().key("now_ms").int(dump.now_ms);
+        w.key("tiers").begin_array();
+        for tier in &dump.tiers {
+            w.begin_object().key("tier").int(tier.tier);
+            w.key("step_ms").int(tier.step_ms);
+            w.key("series").begin_object();
+            for s in &tier.series {
+                w.key(&s.name).begin_array();
+                for p in &s.points {
+                    w.begin_array().int(p.t_ms).f64(p.v).end_array();
                 }
-                out.push_str(&format!("\"{}\":[", s.name));
-                for (k, p) in s.points.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let v = if p.v.is_finite() {
-                        format!("{}", p.v)
-                    } else {
-                        "null".to_string()
-                    };
-                    out.push_str(&format!("[{},{v}]", p.t_ms));
-                }
-                out.push(']');
+                w.end_array();
             }
-            out.push_str("}}");
+            w.end_object().end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

@@ -38,8 +38,10 @@
 //! - [`stats`]: per-instance counters (mirrored into the process-wide
 //!   [`errflow_obs`] registry), the end-to-end latency histogram, and the
 //!   per-stage breakdown behind `Server::stats`.
-//! - [`loadgen`]: the closed-loop synthetic driver behind
-//!   `errflow-cli serve-bench`.
+//! - [`loadgen`]: the workspace's one closed-loop load driver, generic
+//!   over a [`loadgen::Client`] transport (in-process here, sockets in
+//!   `errflow-net`, fakes in tests); it counts bad replies instead of
+//!   panicking on them and prints the `errflow-cli serve-bench` line.
 //! - [`telemetry`]: the pump thread that feeds the live observability
 //!   plane — publishes snapshot gauges, advances the tiered time-series
 //!   sampler of [`errflow_obs::timeseries`], and evaluates SLOs.
@@ -53,7 +55,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use cache::{bucket_tolerance, PlanCache, PlanKey};
-pub use loadgen::{run_loadgen, BenchSummary, LoadgenConfig};
+pub use loadgen::{report_json, run_loadgen, CallError, Client, LoadSummary, LoadgenConfig, Reply};
 pub use queue::{BoundedQueue, QueueFull};
 pub use server::{BackendKind, Request, Response, ServeConfig, ServeError, Server, Ticket};
 pub use stats::{

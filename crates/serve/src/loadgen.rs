@@ -1,23 +1,33 @@
-//! Closed-loop synthetic load generation for `serve-bench`.
+//! The workspace's one closed-loop load driver, behind `serve-bench`.
 //!
-//! Each of `clients` threads submits `requests_per_client` requests
-//! back-to-back (closed loop: submit → wait → next), generating
-//! spatially-correlated payloads the compressors treat like real fields.
-//! Admission rejections ([`ServeError::QueueFull`]) are counted and
-//! retried after a short backoff, so every request eventually completes
-//! and rejection counts measure backpressure, not lost work.
+//! Each of `clients` threads opens one [`Client`] and sends
+//! `requests_per_client` requests back to back (closed loop: call → reply
+//! → next), generating spatially-correlated payloads the compressors treat
+//! like real fields.  The transport is the [`Client`]'s business: the
+//! in-process one (`&Server`) lives here, the socket one (`NetClient`) in
+//! `errflow-net`, and tests pass fakes.
 //!
-//! The run verifies the serving contract as it goes: **every** response's
-//! certified `rel_bound` must be ≤ the tolerance its request asked for.
+//! The driver never panics on what a transport hands back.  A refused call
+//! ([`CallError::Busy`]) is counted in `rejections` and retried after a
+//! short backoff, so every request is eventually answered and the count
+//! measures backpressure, not lost work.  Everything else that goes wrong
+//! — a failed connect or call, a reply with the wrong number of outputs, a
+//! `rel_bound` that is not ≤ the tolerance asked for — is counted in
+//! `failed`, with the first message kept; `serve-bench` exits 1 when that
+//! count is nonzero.
+//!
+//! [`LoadSummary`] holds only what the clients saw.  The server's side of
+//! the same run is [`StatsSnapshot`], and [`report_json`] prints the two as
+//! one object.
 
 use crate::server::{Request, ServeError, Server};
-use crate::stats::{LatencySummary, StageBreakdown};
+use crate::stats::{LatencyHistogram, LatencySummary, StatsSnapshot};
 use errflow_nn::Model;
+use errflow_obs::json::JsonWriter;
 use errflow_pipeline::planner::PayloadLayout;
 use errflow_tensor::norms::Norm;
 use errflow_tensor::rng::StdRng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Load-generator parameters.
 #[derive(Debug, Clone)]
@@ -54,427 +64,479 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// Aggregate results of one load-generation run.
+/// What the driver reads off one answered request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reply {
+    /// Predictions returned (must equal the samples sent).
+    pub outputs: usize,
+    /// Relative QoI error bound the reply carries.
+    pub rel_bound: f64,
+    /// Server-side end-to-end latency the reply reports, in nanoseconds.
+    pub latency_ns: u64,
+}
+
+/// Why a [`Client::call`] produced no reply.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CallError {
+    /// Backpressure: the request was refused and is worth re-sending.
+    Busy,
+    /// Anything else; the request is given up on and counted as failed.
+    Failed(String),
+}
+
+/// One connection to a server, over whatever transport.
+pub trait Client {
+    /// Sends `req` and blocks for its reply.  The payload is consumed
+    /// either way; the driver rebuilds it if it has to re-send.
+    fn call(&mut self, req: Request) -> Result<Reply, CallError>;
+}
+
+/// The in-process transport: submit without blocking, wait on the ticket.
+impl<M: Model + Clone + Send + Sync + 'static> Client for &Server<M> {
+    fn call(&mut self, req: Request) -> Result<Reply, CallError> {
+        let resp = match self.try_submit(req) {
+            Ok(ticket) => ticket.wait(),
+            Err(ServeError::QueueFull) => return Err(CallError::Busy),
+            Err(e) => Err(e),
+        }
+        .map_err(|e| CallError::Failed(e.to_string()))?;
+        Ok(Reply {
+            outputs: resp.outputs.len(),
+            rel_bound: resp.rel_bound,
+            latency_ns: resp.latency.as_nanos() as u64,
+        })
+    }
+}
+
+/// What the clients of one load run saw.
 #[derive(Debug, Clone)]
-pub struct BenchSummary {
+pub struct LoadSummary {
     /// Client threads.
     pub clients: usize,
-    /// Total requests completed (clients × requests_per_client).
+    /// Requests attempted (clients × requests_per_client).
     pub requests: u64,
-    /// `QueueFull` rejections observed (each was retried).
+    /// Requests that ended in anything but a healthy reply (see the module
+    /// docs); `requests - failed` were answered within tolerance.
+    pub failed: u64,
+    /// Message of the first failure (lowest client index first).
+    pub first_failure: Option<String>,
+    /// [`CallError::Busy`] refusals observed (each was retried).
     pub rejections: u64,
     /// Wall-clock duration of the run in seconds.
     pub wall_secs: f64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-    /// Server-side end-to-end latency distribution.
-    pub latency: LatencySummary,
-    /// Plan-cache hits over the run.
-    pub cache_hits: u64,
-    /// Plan-cache misses over the run.
-    pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`.
-    pub cache_hit_rate: f64,
-    /// Batched forward passes executed.
-    pub batches: u64,
-    /// Mean jobs per batch (coalescing factor).
-    pub mean_batch_size: f64,
-    /// Largest certified relative bound any response carried.
+    /// Client-observed round trip (call → reply) of the healthy replies.
+    pub rtt: LatencySummary,
+    /// Transport overhead: the exact median over healthy replies of the
+    /// round trip minus the server latency *that reply* reports, in
+    /// microseconds (NaN without a healthy reply).  Pairing per request
+    /// avoids the log₂-histogram bucket quantization a difference of two
+    /// p50s would carry.
+    pub overhead_p50_us: f64,
+    /// Largest `rel_bound` any healthy reply carried.
     pub max_rel_bound: f64,
-    /// `true` iff every response's bound was ≤ its requested tolerance.
-    pub all_bounds_certified: bool,
-    /// Compressed bytes fed into payload decompression over the run.
-    pub decomp_bytes_in: u64,
-    /// Decompressed bytes produced over the run.
-    pub decomp_bytes_out: u64,
-    /// Payload decompression throughput (GB/s of decompressed output).
-    pub decomp_gbps: f64,
-    /// Codec scratch-pool hit rate over the server's lifetime (per-server
-    /// delta; see [`crate::stats::StatsSnapshot::scratch_hits`]).
-    pub scratch_hit_rate: f64,
-    /// Codec decode sub-streams consumed over the run (per-server delta;
-    /// see [`crate::stats::StatsSnapshot::decode_streams`]) — nonzero iff
-    /// the traffic hit the v2 multi-stream decode paths.
-    pub decode_streams: u64,
-    /// Per-stage latency breakdown (ingress / batch wait / plan /
-    /// decompress / forward / respond / egress — the net-frontend stages
-    /// are empty for in-process runs).
-    pub stages: StageBreakdown,
-    /// Responses whose certified bound passed the plan-tolerance check.
-    pub bound_pass: u64,
-    /// Responses whose certified bound failed the check (must be 0).
-    pub bound_fail: u64,
-    /// Distribution of `rel_bound / plan_tol` per request — how much of
-    /// the requested tolerance the certificates actually consumed.
-    pub bound_margin: crate::stats::BoundMarginSummary,
 }
 
-impl BenchSummary {
-    /// Builds a summary from a server stats snapshot plus the run-level
-    /// aggregates only the driving loop knows (wall time, rejections, the
-    /// max observed bound).  Shared by the in-process loadgen here and the
-    /// socket-path loadgen in `errflow-net`.
-    pub fn from_stats(
-        snap: &crate::stats::StatsSnapshot,
-        clients: usize,
-        requests: u64,
-        rejections: u64,
-        wall_secs: f64,
-        max_rel_bound: f64,
-    ) -> Self {
-        BenchSummary {
-            clients,
-            requests,
-            rejections,
-            wall_secs,
-            throughput_rps: requests as f64 / wall_secs.max(1e-9),
-            latency: snap.latency,
-            cache_hits: snap.cache_hits,
-            cache_misses: snap.cache_misses,
-            cache_hit_rate: snap.cache_hit_rate(),
-            batches: snap.batches,
-            mean_batch_size: snap.mean_batch_size(),
-            max_rel_bound,
-            all_bounds_certified: true, // callers assert per response
-            decomp_bytes_in: snap.decomp_bytes_in,
-            decomp_bytes_out: snap.decomp_bytes_out,
-            decomp_gbps: snap.decomp_gbps(),
-            scratch_hit_rate: snap.scratch_hit_rate(),
-            decode_streams: snap.decode_streams,
-            stages: snap.stages,
-            bound_pass: snap.bound_pass,
-            bound_fail: snap.bound_fail,
-            bound_margin: snap.bound_margin,
-        }
+impl LoadSummary {
+    /// Healthy replies per second of wall time.
+    pub fn throughput_rps(&self) -> f64 {
+        (self.requests - self.failed) as f64 / self.wall_secs.max(1e-9)
     }
+}
 
-    /// Serializes the summary as a single JSON object (hand-rolled; the
-    /// workspace carries no serialization dependency).
-    pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let stage = |s: &LatencySummary| {
-            format!(
-                "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{}}}",
-                s.count,
-                num(s.mean_us),
-                num(s.p50_us),
-                num(s.p99_us),
-            )
-        };
-        // Stages that recorded nothing (ingress/egress for in-process
-        // runs) are omitted entirely — an all-zero summary reads like a
-        // measured 0 µs stage, which it is not.
-        let named: [(&str, &LatencySummary); 7] = [
-            ("ingress", &self.stages.ingress),
-            ("batch_wait", &self.stages.batch_wait),
-            ("plan", &self.stages.plan),
-            ("decompress", &self.stages.decompress),
-            ("forward", &self.stages.forward),
-            ("respond", &self.stages.respond),
-            ("egress", &self.stages.egress),
-        ];
-        let stages_json: Vec<String> = named
-            .iter()
-            .filter(|(_, s)| s.count > 0)
-            .map(|(n, s)| format!("\"{n}\":{}", stage(s)))
-            .collect();
-        format!(
-            concat!(
-                "{{\"clients\":{},\"requests\":{},\"rejections\":{},",
-                "\"wall_secs\":{},\"throughput_rps\":{},",
-                "\"latency_us\":{{\"min\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}},",
-                "\"stages\":{{{}}},",
-                "\"bounds\":{{\"pass\":{},\"fail\":{},",
-                "\"margin_p50\":{},\"margin_p99\":{},\"margin_max\":{}}},",
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{}}},",
-                "\"batches\":{},\"mean_batch_size\":{},",
-                "\"max_rel_bound\":{},\"all_bounds_certified\":{},",
-                "\"decomp\":{{\"bytes_in\":{},\"bytes_out\":{},\"gbps\":{},",
-                "\"scratch_hit_rate\":{},\"decode_streams\":{}}}}}"
-            ),
-            self.clients,
-            self.requests,
-            self.rejections,
-            num(self.wall_secs),
-            num(self.throughput_rps),
-            num(self.latency.min_us),
-            num(self.latency.mean_us),
-            num(self.latency.p50_us),
-            num(self.latency.p99_us),
-            num(self.latency.max_us),
-            stages_json.join(","),
-            self.bound_pass,
-            self.bound_fail,
-            num(self.bound_margin.p50),
-            num(self.bound_margin.p99),
-            num(self.bound_margin.max),
-            self.cache_hits,
-            self.cache_misses,
-            num(self.cache_hit_rate),
-            self.batches,
-            num(self.mean_batch_size),
-            num(self.max_rel_bound),
-            self.all_bounds_certified,
-            self.decomp_bytes_in,
-            self.decomp_bytes_out,
-            num(self.decomp_gbps),
-            num(self.scratch_hit_rate),
-            self.decode_streams,
-        )
+/// One client thread's share of a [`LoadSummary`].
+#[derive(Default)]
+struct Tally {
+    failed: u64,
+    first_failure: Option<String>,
+    rejections: u64,
+    max_rel_bound: f64,
+    overheads_ns: Vec<u64>,
+}
+
+impl Tally {
+    fn fail(&mut self, n: u64, msg: String) {
+        self.failed += n;
+        self.first_failure.get_or_insert(msg);
     }
 }
 
 /// Generates the next spatially-correlated payload: a smooth random walk
 /// through `[-1, 1]^d` feature space, so flattened payloads compress like
-/// the scientific fields the pipeline targets.  Public so the socket-path
-/// loadgen in `errflow-net` drives the exact same workload.
-pub fn next_payload(rng: &mut StdRng, state: &mut Vec<f32>, n: usize) -> Vec<Vec<f32>> {
+/// the scientific fields the pipeline targets.
+fn next_payload(rng: &mut StdRng, state: &mut [f32], n: usize) -> Vec<Vec<f32>> {
     (0..n)
         .map(|_| {
             for v in state.iter_mut() {
                 *v = (*v + rng.gen_range(-0.02f32..0.02)).clamp(-1.0, 1.0);
             }
-            state.clone()
+            state.to_vec()
         })
         .collect()
 }
 
-/// Drives the server with closed-loop load and returns the summary.
+/// Client `c`'s closed loop.  Healthy round trips go into `rtt`.
+fn drive<C: Client>(
+    c: usize,
+    input_dim: usize,
+    cfg: &LoadgenConfig,
+    connect: impl Fn() -> Result<C, String>,
+    rtt: &LatencyHistogram,
+) -> Tally {
+    let mut tally = Tally::default();
+    let mut client = match connect() {
+        Ok(client) => client,
+        Err(e) => {
+            tally.fail(cfg.requests_per_client as u64, format!("connect: {e}"));
+            return tally;
+        }
+    };
+    let n = cfg.samples_per_request;
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 7919));
+    let mut state: Vec<f32> = (0..input_dim)
+        .map(|_| rng.gen_range(-0.5f32..0.5))
+        .collect();
+    for r in 0..cfg.requests_per_client {
+        let tol = cfg.tolerances[r % cfg.tolerances.len()];
+        // Snapshot the walk instead of cloning the payload: a call consumes
+        // its samples, and the rare refused one regenerates the identical
+        // payload from the snapshot, so an accepted request is never copied.
+        let snapshot = (rng.clone(), state.clone());
+        let mut samples = next_payload(&mut rng, &mut state, n);
+        let outcome = loop {
+            let sent = Instant::now();
+            let req = Request {
+                samples,
+                rel_tolerance: tol,
+                norm: cfg.norm,
+                layout: cfg.layout,
+            };
+            match client.call(req) {
+                Ok(reply) => break Ok((reply, sent.elapsed())),
+                Err(CallError::Failed(msg)) => break Err(msg),
+                Err(CallError::Busy) => {
+                    tally.rejections += 1;
+                    std::thread::sleep(Duration::from_micros(200));
+                    let (mut rng, mut state) = snapshot.clone();
+                    samples = next_payload(&mut rng, &mut state, n);
+                }
+            }
+        };
+        match outcome {
+            Ok((reply, trip)) if reply.outputs == n && reply.rel_bound <= tol => {
+                rtt.record(trip);
+                let trip_ns = trip.as_nanos() as u64;
+                tally
+                    .overheads_ns
+                    .push(trip_ns.saturating_sub(reply.latency_ns));
+                tally.max_rel_bound = tally.max_rel_bound.max(reply.rel_bound);
+            }
+            Ok((reply, _)) if reply.outputs != n => tally.fail(
+                1,
+                format!("reply carries {} outputs for {n} samples", reply.outputs),
+            ),
+            // A bound above the tolerance, or a NaN one.
+            Ok((reply, _)) => tally.fail(
+                1,
+                format!("bound {} exceeds tolerance {tol}", reply.rel_bound),
+            ),
+            Err(msg) => tally.fail(1, msg),
+        }
+    }
+    tally
+}
+
+/// Drives closed-loop load through one `connect()`ed [`Client`] per client
+/// thread and returns what those clients saw.  `input_dim` is the served
+/// model's input dimension.  A client whose `connect` fails counts its
+/// whole share as failed; the other clients still run.
 ///
 /// # Panics
-/// If any response violates its request's tolerance — a broken certificate
-/// is a correctness bug, not a statistic.
-pub fn run_loadgen<M: Model + Clone + Send + Sync + 'static>(
-    server: &Server<M>,
+/// Only on an empty configuration (no clients, requests or tolerances) —
+/// never on a reply.
+pub fn run_loadgen<C: Client>(
+    input_dim: usize,
     cfg: &LoadgenConfig,
-) -> BenchSummary {
+    connect: impl Fn() -> Result<C, String> + Sync,
+) -> LoadSummary {
     assert!(cfg.clients > 0 && cfg.requests_per_client > 0, "empty load");
     assert!(!cfg.tolerances.is_empty(), "need at least one tolerance");
-    let d = server.input_dim();
-    let rejections = AtomicU64::new(0);
-    let max_bound_bits = AtomicU64::new(0f64.to_bits());
+    let rtt = LatencyHistogram::new();
+    let share = cfg.requests_per_client as u64;
 
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..cfg.clients {
-            let rejections = &rejections;
-            let max_bound_bits = &max_bound_bits;
-            let cfg = &*cfg;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64 * 7919));
-                let mut state: Vec<f32> = (0..d).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
-                for r in 0..cfg.requests_per_client {
-                    let tol = cfg.tolerances[r % cfg.tolerances.len()];
-                    // Snapshot the generator state instead of cloning the
-                    // payload: submission moves the samples into the
-                    // request, and the rare `QueueFull` retry regenerates
-                    // the identical payload from the snapshot.  The common
-                    // accepted-first-try path stays zero-copy.
-                    let rng_snap = rng.clone();
-                    let state_snap = state.clone();
-                    let mut samples =
-                        Some(next_payload(&mut rng, &mut state, cfg.samples_per_request));
-                    let ticket = loop {
-                        let payload = samples.take().unwrap_or_else(|| {
-                            let mut r = rng_snap.clone();
-                            let mut s = state_snap.clone();
-                            let p = next_payload(&mut r, &mut s, cfg.samples_per_request);
-                            rng = r;
-                            state = s;
-                            p
-                        });
-                        let req = Request {
-                            samples: payload,
-                            rel_tolerance: tol,
-                            norm: cfg.norm,
-                            layout: cfg.layout,
-                        };
-                        match server.try_submit(req) {
-                            Ok(t) => break t,
-                            Err(ServeError::QueueFull) => {
-                                rejections.fetch_add(1, Ordering::Relaxed);
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            }
-                            // audit:allow(panic-reach) the load generator is a
-                            // test harness: a failed submit is a correctness
-                            // bug it must surface loudly (see module docs).
-                            Err(e) => panic!("submit failed: {e}"),
-                        }
-                    };
-                    // audit:allow(panic-reach) same harness rule: a dropped
-                    // certificate is a bug, not an operational condition.
-                    let resp = ticket.wait().expect("request must complete");
-                    assert!(
-                        resp.rel_bound <= tol,
-                        "certificate violated: bound {} > tolerance {tol}",
-                        resp.rel_bound
-                    );
-                    assert_eq!(resp.outputs.len(), cfg.samples_per_request);
-                    // Atomic f64 max via compare-exchange on the bits
-                    // (non-negative floats order like their bit patterns).
-                    let mut cur = max_bound_bits.load(Ordering::Relaxed);
-                    while f64::from_bits(cur) < resp.rel_bound {
-                        match max_bound_bits.compare_exchange_weak(
-                            cur,
-                            resp.rel_bound.to_bits(),
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break,
-                            Err(seen) => cur = seen,
-                        }
-                    }
-                }
-            });
-        }
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.clients)
+            .map(|c| {
+                let (connect, rtt) = (&connect, &rtt);
+                scope.spawn(move || drive(c, input_dim, cfg, connect, rtt))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
     let wall_secs = t0.elapsed().as_secs_f64();
 
-    let snap = server.stats();
-    let requests = (cfg.clients * cfg.requests_per_client) as u64;
-    // all_bounds_certified is enforced inline by the per-response asserts.
-    BenchSummary::from_stats(
-        &snap,
-        cfg.clients,
-        requests,
-        rejections.load(Ordering::Relaxed),
+    let mut all = Tally::default();
+    for tally in joined {
+        match tally {
+            Ok(t) => {
+                all.failed += t.failed;
+                all.first_failure = all.first_failure.or(t.first_failure);
+                all.rejections += t.rejections;
+                all.max_rel_bound = all.max_rel_bound.max(t.max_rel_bound);
+                all.overheads_ns.extend(t.overheads_ns);
+            }
+            Err(_) => all.fail(share, "client thread panicked".into()),
+        }
+    }
+    all.overheads_ns.sort_unstable();
+    LoadSummary {
+        clients: cfg.clients,
+        requests: cfg.clients as u64 * share,
+        failed: all.failed,
+        first_failure: all.first_failure,
+        rejections: all.rejections,
         wall_secs,
-        f64::from_bits(max_bound_bits.load(Ordering::Relaxed)),
-    )
+        rtt: rtt.summary(),
+        overhead_p50_us: all
+            .overheads_ns
+            .get(all.overheads_ns.len() / 2)
+            .map_or(f64::NAN, |&ns| ns as f64 / 1e3),
+        max_rel_bound: all.max_rel_bound,
+    }
+}
+
+/// The `serve-bench` line: what the clients saw (`load`) beside what the
+/// server counted (`server`, under the `"server"` key), as one JSON object.
+/// Stages that recorded nothing (ingress/egress for in-process runs) are
+/// omitted — an all-zero summary reads like a measured 0 µs stage, which
+/// it is not — and so is `first_failure` when nothing failed.
+pub fn report_json(load: &LoadSummary, server: &StatsSnapshot) -> String {
+    fn latency(w: &mut JsonWriter, s: &LatencySummary) {
+        w.begin_object().key("count").int(s.count);
+        w.key("min_us").f64(s.min_us).key("mean_us").f64(s.mean_us);
+        w.key("p50_us").f64(s.p50_us).key("p99_us").f64(s.p99_us);
+        w.key("max_us").f64(s.max_us).end_object();
+    }
+    let mut w = JsonWriter::new();
+    w.begin_object().key("clients").int(load.clients as u64);
+    w.key("requests").int(load.requests);
+    w.key("failed").int(load.failed);
+    if let Some(msg) = &load.first_failure {
+        w.key("first_failure").str(msg);
+    }
+    w.key("rejections").int(load.rejections);
+    w.key("wall_secs").f64(load.wall_secs);
+    w.key("throughput_rps").f64(load.throughput_rps());
+    latency(w.key("rtt"), &load.rtt);
+    w.key("overhead_p50_us").f64(load.overhead_p50_us);
+    w.key("max_rel_bound").f64(load.max_rel_bound);
+
+    w.key("server").begin_object();
+    w.key("completed").int(server.completed);
+    w.key("failed").int(server.failed);
+    w.key("rejected").int(server.rejected);
+    w.key("batches").int(server.batches);
+    w.key("mean_batch_size").f64(server.mean_batch_size());
+    latency(w.key("latency"), &server.latency);
+    let st = &server.stages;
+    w.key("stages").begin_object();
+    for (name, s) in [
+        ("ingress", &st.ingress),
+        ("batch_wait", &st.batch_wait),
+        ("plan", &st.plan),
+        ("decompress", &st.decompress),
+        ("forward", &st.forward),
+        ("respond", &st.respond),
+        ("egress", &st.egress),
+    ] {
+        if s.count > 0 {
+            latency(w.key(name), s);
+        }
+    }
+    w.end_object();
+    let m = &server.bound_margin;
+    w.key("bound_margin").begin_object();
+    w.key("count").int(m.count).key("p50").f64(m.p50);
+    w.key("p99").f64(m.p99).key("max").f64(m.max).end_object();
+    w.key("cache").begin_object();
+    w.key("hits").int(server.cache_hits);
+    w.key("misses").int(server.cache_misses);
+    w.key("hit_rate").f64(server.cache_hit_rate()).end_object();
+    w.key("decomp").begin_object();
+    w.key("bytes_in").int(server.decomp_bytes_in);
+    w.key("bytes_out").int(server.decomp_bytes_out);
+    w.key("gbps").f64(server.decomp_gbps());
+    w.key("scratch_hit_rate").f64(server.scratch_hit_rate());
+    w.end_object().end_object().end_object();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    #[test]
-    fn summary_json_is_well_formed() {
-        let s = BenchSummary {
-            clients: 4,
-            requests: 800,
-            rejections: 3,
-            wall_secs: 1.25,
-            throughput_rps: 640.0,
-            latency: LatencySummary {
-                count: 800,
-                min_us: 90.0,
-                max_us: 4000.0,
-                mean_us: 250.0,
-                p50_us: 181.0,
-                p99_us: 2896.0,
-            },
-            cache_hits: 799,
-            cache_misses: 1,
-            cache_hit_rate: 0.99875,
-            batches: 500,
-            mean_batch_size: 1.6,
-            max_rel_bound: 0.0056,
-            all_bounds_certified: true,
-            decomp_bytes_in: 100_000,
-            decomp_bytes_out: 800_000,
-            decomp_gbps: 2.5,
-            scratch_hit_rate: 0.97,
-            decode_streams: 3200,
-            stages: StageBreakdown {
-                decompress: LatencySummary {
-                    count: 800,
-                    min_us: 10.0,
-                    max_us: 90.0,
-                    mean_us: 40.0,
-                    p50_us: 35.0,
-                    p99_us: 88.0,
-                },
-                ..StageBreakdown::default()
-            },
-            bound_pass: 800,
-            bound_fail: 0,
-            bound_margin: crate::stats::BoundMarginSummary {
-                count: 800,
-                p50: 0.4,
-                p99: 0.92,
-                max: 0.97,
-            },
-        };
-        let j = s.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"requests\":800"), "{j}");
-        assert!(j.contains("\"hit_rate\":0.99875"), "{j}");
-        assert!(j.contains("\"all_bounds_certified\":true"), "{j}");
-        assert!(j.contains("\"p99\":2896"), "{j}");
-        assert!(j.contains("\"gbps\":2.5"), "{j}");
-        assert!(j.contains("\"scratch_hit_rate\":0.97"), "{j}");
-        assert!(
-            j.contains("\"decompress\":{\"count\":800,\"mean_us\":40,"),
-            "{j}"
-        );
-        // Stages with zero observations (everything except decompress in
-        // this fixture) are omitted, not emitted as all-zero objects.
-        assert!(!j.contains("\"ingress\""), "{j}");
-        assert!(!j.contains("\"egress\""), "{j}");
-        assert!(!j.contains("\"forward\""), "{j}");
-        assert!(
-            j.contains("\"bounds\":{\"pass\":800,\"fail\":0,\"margin_p50\":0.4,"),
-            "{j}"
-        );
-        // Balanced braces (nested latency/stages/cache objects).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn cfg(clients: usize, requests_per_client: usize) -> LoadgenConfig {
+        LoadgenConfig {
+            clients,
+            requests_per_client,
+            samples_per_request: 4,
+            ..LoadgenConfig::default()
+        }
     }
 
-    #[test]
-    fn empty_stages_block_is_an_empty_object() {
-        let s = BenchSummary {
-            stages: StageBreakdown::default(),
-            ..zero_summary()
-        };
-        let j = s.to_json();
-        assert!(j.contains("\"stages\":{},"), "{j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    /// `reply(4, 5e-3, _)` is healthy under [`cfg`].
+    fn reply(outputs: usize, rel_bound: f64, latency_ns: u64) -> Result<Reply, CallError> {
+        Ok(Reply {
+            outputs,
+            rel_bound,
+            latency_ns,
+        })
     }
 
-    fn zero_summary() -> BenchSummary {
-        BenchSummary {
-            clients: 1,
-            requests: 0,
-            rejections: 0,
-            wall_secs: 0.0,
-            throughput_rps: 0.0,
-            latency: LatencySummary::default(),
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_hit_rate: 0.0,
-            batches: 0,
-            mean_batch_size: 0.0,
-            max_rel_bound: 0.0,
-            all_bounds_certified: true,
-            decomp_bytes_in: 0,
-            decomp_bytes_out: 0,
-            decomp_gbps: 0.0,
-            scratch_hit_rate: 0.0,
-            decode_streams: 0,
-            stages: StageBreakdown::default(),
-            bound_pass: 0,
-            bound_fail: 0,
-            bound_margin: crate::stats::BoundMarginSummary::default(),
+    /// Answers from a fixed script, then healthily.
+    struct Scripted(VecDeque<Result<Reply, CallError>>);
+
+    impl Client for Scripted {
+        fn call(&mut self, _req: Request) -> Result<Reply, CallError> {
+            self.0.pop_front().unwrap_or_else(|| reply(4, 5e-3, 0))
         }
     }
 
     #[test]
-    fn nonfinite_values_serialize_as_null() {
-        let s = BenchSummary {
-            throughput_rps: f64::INFINITY,
-            cache_hit_rate: f64::NAN,
-            decomp_gbps: f64::NAN,
-            ..zero_summary()
+    fn bad_replies_are_counted_not_panicked_on() {
+        let script = VecDeque::from([
+            Err(CallError::Busy),
+            reply(3, 5e-3, 0),
+            reply(4, 2e-2, 0),
+            reply(4, f64::NAN, 0),
+            reply(4, 5e-3, u64::MAX),
+        ]);
+        let s = run_loadgen(3, &cfg(1, 4), || Ok(Scripted(script.clone())));
+        assert_eq!((s.requests, s.failed, s.rejections), (4, 3, 1), "{s:?}");
+        let first = s.first_failure.as_deref().unwrap_or_default();
+        assert!(first.contains("3 outputs for 4 samples"), "{first}");
+        // Only the healthy reply has a round trip, an overhead (saturated
+        // at 0: its claimed latency exceeds the trip) and a bound.
+        assert_eq!(s.rtt.count, 1);
+        assert_eq!(s.overhead_p50_us, 0.0);
+        assert_eq!(s.max_rel_bound, 5e-3);
+
+        let failing = VecDeque::from([Err(CallError::Failed("boom".into()))]);
+        let s = run_loadgen(3, &cfg(1, 2), || Ok(Scripted(failing.clone())));
+        assert_eq!((s.failed, s.rtt.count), (1, 1), "{s:?}");
+        assert_eq!(s.first_failure.as_deref(), Some("boom"));
+    }
+
+    #[test]
+    fn failed_connect_fails_that_clients_share_only() {
+        let connects = AtomicUsize::new(0);
+        let s = run_loadgen(3, &cfg(2, 5), || {
+            if connects.fetch_add(1, Ordering::Relaxed) == 0 {
+                Err("refused".to_string())
+            } else {
+                Ok(Scripted(VecDeque::new()))
+            }
+        });
+        assert_eq!((s.requests, s.failed, s.rtt.count), (10, 5, 5), "{s:?}");
+        assert_eq!(s.first_failure.as_deref(), Some("connect: refused"));
+        assert!(s.overhead_p50_us.is_finite());
+    }
+
+    /// Records every payload it is sent; refuses each request's first
+    /// attempt when `refuse` is set.
+    struct Recorder<'a> {
+        seen: &'a Mutex<Vec<Vec<Vec<f32>>>>,
+        refuse: bool,
+    }
+
+    impl Client for Recorder<'_> {
+        fn call(&mut self, req: Request) -> Result<Reply, CallError> {
+            let mut seen = self.seen.lock().unwrap();
+            seen.push(req.samples);
+            if self.refuse && seen.len() % 2 == 1 {
+                return Err(CallError::Busy);
+            }
+            reply(4, 5e-3, 0)
+        }
+    }
+
+    #[test]
+    fn refused_request_is_resent_bit_identical_and_the_walk_advances() {
+        let record = |refuse| {
+            let seen = Mutex::new(Vec::new());
+            let s = run_loadgen(3, &cfg(1, 3), || {
+                Ok(Recorder {
+                    seen: &seen,
+                    refuse,
+                })
+            });
+            assert_eq!(s.failed, 0, "{s:?}");
+            (s.rejections, seen.into_inner().unwrap())
         };
-        let j = s.to_json();
-        assert!(j.contains("\"throughput_rps\":null"), "{j}");
-        assert!(j.contains("\"hit_rate\":null"), "{j}");
-        assert!(j.contains("\"gbps\":null"), "{j}");
+        let (rejections, refused) = record(true);
+        let (_, accepted) = record(false);
+        assert_eq!((rejections, refused.len(), accepted.len()), (3, 6, 3));
+        for (i, payload) in accepted.iter().enumerate() {
+            // Attempt and retry carry the payload an unrefused run sends …
+            assert_eq!(&refused[2 * i], payload);
+            assert_eq!(&refused[2 * i + 1], payload);
+        }
+        // … and that run's payloads differ from one request to the next.
+        assert_ne!(accepted[0], accepted[1]);
+        assert_ne!(accepted[1], accepted[2]);
+    }
+
+    #[test]
+    fn report_json_shape() {
+        let decompress = LatencySummary {
+            count: 800,
+            min_us: 10.0,
+            max_us: 90.0,
+            mean_us: 40.0,
+            p50_us: 35.0,
+            p99_us: 88.0,
+        };
+        let mut server = StatsSnapshot {
+            completed: 800,
+            cache_hits: 799,
+            cache_misses: 1,
+            ..StatsSnapshot::default()
+        };
+        server.stages.decompress = decompress;
+        let mut load = LoadSummary {
+            clients: 4,
+            requests: 800,
+            failed: 0,
+            first_failure: None,
+            rejections: 3,
+            wall_secs: 1.25,
+            rtt: decompress,
+            overhead_p50_us: f64::NAN,
+            max_rel_bound: 0.0056,
+        };
+        let j = report_json(&load, &server);
+        let head = "{\"clients\":4,\"requests\":800,\"failed\":0,\"rejections\":3,";
+        assert!(j.starts_with(head), "{j}");
+        assert!(
+            j.contains("\"throughput_rps\":640,\"rtt\":{\"count\":800,"),
+            "{j}"
+        );
+        assert!(j.contains("\"overhead_p50_us\":null,"), "{j}");
+        assert!(j.contains("\"server\":{\"completed\":800,"), "{j}");
+        assert!(j.contains("\"hit_rate\":0.99875"), "{j}");
+        // Only the stage that recorded anything is present.
+        let stages = "\"stages\":{\"decompress\":{\"count\":800,\"min_us\":10,\"mean_us\":40,\
+                      \"p50_us\":35,\"p99_us\":88,\"max_us\":90}},";
+        assert!(j.contains(stages), "{j}");
+        assert_eq!(j.matches('{').count(), j.matches('}').count());
+
+        load.failed = 2;
+        load.first_failure = Some("bound 1 exceeds \"tol\"".into());
+        let j = report_json(&load, &StatsSnapshot::default());
+        let failure = "\"failed\":2,\"first_failure\":\"bound 1 exceeds \\\"tol\\\"\",";
+        assert!(j.contains(failure) && j.contains("\"stages\":{},"), "{j}");
     }
 }

@@ -333,9 +333,6 @@ struct Inner<M> {
     /// `Server::stats` reports deltas against it so the snapshot describes
     /// *this* server's traffic, not every compressor in the process.
     scratch_base: (u64, u64),
-    /// Process-wide `codec.decode.streams.*` total at construction time
-    /// (same delta convention as `scratch_base`).
-    decode_streams_base: u64,
 }
 
 impl<M: Model + Clone> Inner<M> {
@@ -349,13 +346,6 @@ impl<M: Model + Clone> Inner<M> {
             Arc::new(FormatWeights { quantized, packed })
         }))
     }
-}
-
-/// Sum of the per-backend decode sub-stream counters the codecs bump on
-/// every v2 (multi-stream) decode.
-fn decode_streams_total() -> u64 {
-    errflow_obs::counter("codec.decode.streams.sz").get()
-        + errflow_obs::counter("codec.decode.streams.zfp").get()
 }
 
 /// The concurrent batched inference server.  See the module docs for the
@@ -413,7 +403,6 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             model_id: h.finish(),
             input_dim,
             scratch_base: errflow_compress::scratch::pool_stats(),
-            decode_streams_base: decode_streams_total(),
         });
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         // Workers are pool-accounted *dedicated* threads: they block on the
@@ -604,9 +593,6 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             decomp_bytes_out: s.decomp_bytes_out.get(),
             scratch_hits: hits.saturating_sub(base_hits),
             scratch_misses: misses.saturating_sub(base_misses),
-            decode_streams: decode_streams_total().saturating_sub(inner.decode_streams_base),
-            bound_pass: s.stages.bound_pass.get(),
-            bound_fail: s.stages.bound_fail.get(),
             bound_margin: s.stages.bound_margin_summary(),
             latency: s.latency.summary(),
             stages: s.stages.breakdown(),
@@ -781,13 +767,6 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
     for p in served {
         let job = p.job;
         let outputs = extract_rows(&out, p.row0, p.n);
-        // Certification check: the cached plan's bound must not exceed
-        // the bucket-floor tolerance the request mapped to.
-        if cached.rel_bound <= job.plan_tol {
-            inner.stats.stages.bound_pass.inc();
-        } else {
-            inner.stats.stages.bound_fail.inc();
-        }
         inner
             .stats
             .stages
@@ -1097,7 +1076,6 @@ mod tests {
         let snap = server.stats();
         assert_eq!(snap.completed, 6);
         assert_eq!(snap.failed, 0);
-        assert_eq!(snap.bound_fail, 0);
     }
 
     #[test]

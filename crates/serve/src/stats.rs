@@ -9,6 +9,13 @@
 //! *instance* value (tests construct several servers in one process and
 //! assert exact per-server counts), while every bump also lands in the
 //! named registry metric for Prometheus/JSON exposition.
+//!
+//! [`StatsSnapshot`] is the server's half of the `serve-bench` line
+//! ([`crate::loadgen::report_json`]).  It counts no pass/fail over the
+//! served `rel_bound`, which is ≤ the plan tolerance by construction;
+//! `bound_margin` says how much of the tolerance that *predicted* bound
+//! consumes, and realized error is checked where the originals are
+//! (`benchmark/`, `tests/bound_soundness.rs`).
 
 use errflow_obs::ScopedCounter;
 pub use errflow_obs::{LatencyHistogram, LatencySummary};
@@ -114,7 +121,7 @@ impl RequestStages {
     }
 }
 
-/// Per-stage latency histograms plus bound-certification counters.
+/// Per-stage latency histograms plus the bound-margin distribution.
 ///
 /// Per-job stages (`batch_wait`, `decompress`, `respond`) record one
 /// observation per job; batch-level stages (`plan`, `forward`) record one
@@ -137,16 +144,11 @@ pub struct StageStats {
     /// Response encode + write, per job (net frontend only — empty for
     /// in-process traffic).
     pub egress: MirroredHistogram,
-    /// Responses whose certified bound was ≤ the plan tolerance.
-    pub bound_pass: ScopedCounter,
-    /// Responses whose certified bound exceeded the plan tolerance (a
-    /// broken certificate — must stay 0).
-    pub bound_fail: ScopedCounter,
     /// Per-request bound margin `round((rel_bound / plan_tol) · 1e6)` in a
-    /// log₂ histogram: how much of the requested tolerance the certified
-    /// bound actually consumed.  1e6 ≙ the certificate exactly met the
-    /// tolerance; small values mean the planner over-delivered.  Summarised
-    /// by [`StageStats::bound_margin_summary`] as a 0‥1 ratio.
+    /// log₂ histogram: how much of the requested tolerance the *predicted*
+    /// bound consumed.  1e6 ≙ the prediction exactly met the tolerance (it
+    /// is clamped there); small values mean the planner over-delivered.
+    /// Summarised by [`StageStats::bound_margin_summary`] as a 0‥1 ratio.
     pub bound_margin: MirroredHistogram,
 }
 
@@ -160,8 +162,6 @@ impl Default for StageStats {
             forward: MirroredHistogram::new("serve.stage.forward_ns"),
             respond: MirroredHistogram::new("serve.stage.respond_ns"),
             egress: MirroredHistogram::new("serve.stage.egress_ns"),
-            bound_pass: ScopedCounter::new("serve.bound_pass"),
-            bound_fail: ScopedCounter::new("serve.bound_fail"),
             bound_margin: MirroredHistogram::new("serve.bound_margin"),
         }
     }
@@ -201,8 +201,7 @@ impl StageStats {
             return BoundMarginSummary::default();
         }
         // Within-bucket interpolation can overshoot the true maximum in
-        // the top bucket; clamp so a healthy run never reports p99 > max
-        // (a margin above 1.0 reads as a broken certificate).
+        // the top bucket; clamp so a run never reports p99 > max.
         let max = h.max() as f64 / 1e6;
         BoundMarginSummary {
             count,
@@ -214,7 +213,7 @@ impl StageStats {
 }
 
 /// Snapshot of the per-request bound-margin distribution
-/// (`rel_bound / plan_tol`, dimensionless, ≤ 1.0 while certificates hold).
+/// (`rel_bound / plan_tol`, dimensionless, ≤ 1.0 by construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BoundMarginSummary {
     /// Requests that recorded a margin.
@@ -223,7 +222,7 @@ pub struct BoundMarginSummary {
     pub p50: f64,
     /// 99th-percentile margin (histogram-approximate).
     pub p99: f64,
-    /// Largest recorded margin; > 1.0 would mean a broken certificate.
+    /// Largest recorded margin.
     pub max: f64,
 }
 
@@ -274,7 +273,7 @@ pub struct ServerStats {
     pub decomp_bytes_out: ScopedCounter,
     /// End-to-end request latency (enqueue → response).
     pub latency: MirroredHistogram,
-    /// Per-stage latency breakdown and bound-certification counters.
+    /// Per-stage latency breakdown and the bound-margin distribution.
     pub stages: StageStats,
 }
 
@@ -349,20 +348,8 @@ pub struct StatsSnapshot {
     /// Codec scratch-pool misses since this server was built (delta, as
     /// with `scratch_hits`).
     pub scratch_misses: u64,
-    /// Codec decode sub-streams consumed since this server was built
-    /// (delta, like `scratch_hits`): the sum of the per-backend
-    /// `codec.decode.streams.*` counters.  v2 payloads count their
-    /// interleaving factor (4 per decode) and v1 payloads count 0, so
-    /// `decode_streams / completed` reads as the SIMD-decode adoption rate
-    /// of this server's traffic.
-    pub decode_streams: u64,
-    /// Responses whose certified bound was ≤ the plan tolerance.
-    pub bound_pass: u64,
-    /// Responses whose certified bound exceeded the plan tolerance (must
-    /// stay 0; a nonzero value is a broken certificate).
-    pub bound_fail: u64,
     /// Distribution of `rel_bound / plan_tol` per request: how tight the
-    /// certified bounds ran against the requested tolerance.
+    /// predicted bounds ran against the requested tolerance.
     pub bound_margin: BoundMarginSummary,
     /// Latency distribution snapshot.
     pub latency: LatencySummary,
@@ -417,32 +404,6 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    fn zero_snapshot() -> StatsSnapshot {
-        StatsSnapshot {
-            submitted: 0,
-            rejected: 0,
-            completed: 0,
-            failed: 0,
-            batches: 0,
-            batched_jobs: 0,
-            queue_depth: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            weight_builds: 0,
-            decomp_ns: 0,
-            decomp_bytes_in: 0,
-            decomp_bytes_out: 0,
-            scratch_hits: 0,
-            scratch_misses: 0,
-            decode_streams: 0,
-            bound_pass: 0,
-            bound_fail: 0,
-            bound_margin: BoundMarginSummary::default(),
-            latency: LatencySummary::default(),
-            stages: StageBreakdown::default(),
-        }
-    }
 
     #[test]
     fn empty_histogram_summarises_to_zero() {
@@ -557,8 +518,7 @@ mod tests {
             decomp_bytes_out: 4_000_000,
             scratch_hits: 30,
             scratch_misses: 10,
-            bound_pass: 10,
-            ..zero_snapshot()
+            ..StatsSnapshot::default()
         };
         assert!((snap.cache_hit_rate() - 0.9).abs() < 1e-12);
         assert!((snap.mean_batch_size() - 2.5).abs() < 1e-12);
@@ -589,7 +549,7 @@ mod tests {
 
     #[test]
     fn zeroed_snapshot_rates_are_zero() {
-        let snap = zero_snapshot();
+        let snap = StatsSnapshot::default();
         assert_eq!(snap.decomp_gbps(), 0.0);
         assert_eq!(snap.scratch_hit_rate(), 0.0);
         assert_eq!(snap.cache_hit_rate(), 0.0);

@@ -1,9 +1,9 @@
-//! The synthetic load driver end-to-end: a miniature `serve-bench` run
-//! must certify every response and keep the plan cache hot under a
-//! single-tolerance workload.
+//! The load driver end-to-end over its in-process `Client`: a miniature
+//! `serve-bench` run must see no failed reply and keep the plan cache hot
+//! under a single-tolerance workload.
 
 use errflow_nn::{Activation, Mlp};
-use errflow_serve::{run_loadgen, LoadgenConfig, ServeConfig, Server};
+use errflow_serve::{report_json, run_loadgen, LoadgenConfig, ServeConfig, Server};
 use errflow_tensor::norms::Norm;
 use errflow_tensor::rng::StdRng;
 
@@ -32,29 +32,31 @@ fn single_tolerance_load_is_cache_hot_and_certified() {
         seed: 11,
         ..LoadgenConfig::default()
     };
-    let summary = run_loadgen(&server, &cfg);
-    assert_eq!(summary.requests, 75);
-    assert!(summary.all_bounds_certified);
-    assert!(summary.max_rel_bound <= 1e-2);
+    let load = run_loadgen(server.input_dim(), &cfg, || Ok(&server));
+    assert_eq!(load.requests, 75);
+    assert_eq!(load.failed, 0, "{:?}", load.first_failure);
+    assert!(load.max_rel_bound > 0.0 && load.max_rel_bound <= 1e-2);
+    assert!(load.throughput_rps() > 0.0);
+    // Every reply was timed at the client, and the ticket hand-off it
+    // measures on top of the server's own latency is a finite median.
+    assert_eq!(load.rtt.count, 75);
+    assert!(load.overhead_p50_us.is_finite());
+    let snap = server.stats();
+    assert_eq!(snap.completed, 75);
     // One tolerance → one planning miss; everything else hits.
-    assert_eq!(summary.cache_misses, 1);
-    assert!(
-        summary.cache_hit_rate > 0.9,
-        "hit rate {} too low",
-        summary.cache_hit_rate
-    );
-    assert!(summary.throughput_rps > 0.0);
-    assert!(summary.latency.count >= 75);
-    assert!(summary.latency.p50_us > 0.0);
+    assert_eq!(snap.cache_misses, 1);
+    assert!(snap.cache_hit_rate() > 0.9, "{}", snap.cache_hit_rate());
+    assert!(snap.latency.count >= 75);
+    assert!(snap.latency.p50_us > 0.0);
     // Every request's payload went through the compression roundtrip, so
     // decompression throughput must have been recorded.
-    assert!(summary.decomp_bytes_in > 0);
-    assert!(summary.decomp_bytes_out > 0);
-    assert!(summary.decomp_gbps > 0.0);
+    assert!(snap.decomp_bytes_in > 0);
+    assert!(snap.decomp_bytes_out > 0);
+    assert!(snap.decomp_gbps() > 0.0);
     // The JSON surface reflects the run.
-    let j = summary.to_json();
-    assert!(j.contains("\"requests\":75"), "{j}");
-    assert!(j.contains("\"all_bounds_certified\":true"), "{j}");
+    let j = report_json(&load, &snap);
+    assert!(j.contains("\"requests\":75,\"failed\":0,"), "{j}");
+    assert!(j.contains("\"server\":{\"completed\":75,"), "{j}");
     assert!(j.contains("\"decomp\":{"), "{j}");
 }
 
@@ -83,8 +85,9 @@ fn mixed_tolerances_churn_the_cache_but_stay_sound() {
         seed: 12,
         ..LoadgenConfig::default()
     };
-    let summary = run_loadgen(&server, &cfg);
-    assert!(summary.all_bounds_certified);
-    assert_eq!(summary.cache_misses, 3);
-    assert!(summary.cache_hits >= 1);
+    let load = run_loadgen(server.input_dim(), &cfg, || Ok(&server));
+    assert_eq!(load.failed, 0, "{:?}", load.first_failure);
+    let snap = server.stats();
+    assert_eq!(snap.cache_misses, 3);
+    assert!(snap.cache_hits >= 1);
 }

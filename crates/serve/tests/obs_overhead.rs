@@ -54,8 +54,13 @@ fn tracing_overhead_is_under_three_percent() {
         seed: 42,
         ..LoadgenConfig::default()
     };
+    let run = || {
+        let load = run_loadgen(server.input_dim(), &cfg, || Ok(&server));
+        assert_eq!(load.failed, 0, "{:?}", load.first_failure);
+        load.wall_secs
+    };
     // Warm up: plan cache, scratch pool, thread pool, allocator.
-    run_loadgen(&server, &cfg);
+    run();
 
     // min-of-9: on a single shared core a burst of steal time can cover
     // all of a shorter window's runs of one arm, and the budget being
@@ -65,9 +70,9 @@ fn tracing_overhead_is_under_three_percent() {
     let mut best_on = f64::INFINITY;
     for _ in 0..rounds {
         errflow_obs::trace::set_enabled(false);
-        best_off = best_off.min(run_loadgen(&server, &cfg).wall_secs);
+        best_off = best_off.min(run());
         errflow_obs::trace::set_enabled(true);
-        best_on = best_on.min(run_loadgen(&server, &cfg).wall_secs);
+        best_on = best_on.min(run());
         // Keep the ring buffers from growing run over run.
         errflow_obs::trace::clear();
     }
