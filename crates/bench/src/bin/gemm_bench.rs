@@ -11,9 +11,13 @@
 //! ```
 //!
 //! `--smoke` runs a reduced sweep and **fails** (exit 1) if the blocked
-//! kernel is slower than the naive loop at 512×512 — the regression gate
-//! wired into CI.
+//! kernel is slower than the naive loop at 512×512, or if the layer
+//! epilogue (bias + tanh, `Activation::bias_act`) is not at least 3× a
+//! plain `f32::tanh` loop over the same 128 × 512 buffer — the regression
+//! gates wired into CI.  The second is the tripwire for an edit that
+//! silently de-vectorises the tanh kernel's body.
 
+use errflow_nn::Activation;
 use errflow_tensor::rng::StdRng;
 use errflow_tensor::{gemm, pool, Matrix};
 use std::fmt::Write as _;
@@ -121,7 +125,54 @@ fn run_size(size: usize, threads: &[usize], smoke: bool) -> SizeResult {
     }
 }
 
-fn to_json(results: &[SizeResult], threads: &[usize]) -> String {
+/// The other half of a dense layer: `tanh(z + bias)` over a 128 × 512
+/// batch of pre-activations, by the crate's kernel and by a libm loop.
+struct EpilogueResult {
+    kernel_ns_per_value: f64,
+    libm_ns_per_value: f64,
+}
+
+impl EpilogueResult {
+    fn speedup_vs_libm(&self) -> f64 {
+        self.libm_ns_per_value / self.kernel_ns_per_value
+    }
+}
+
+fn run_epilogue() -> EpilogueResult {
+    const ROWS: usize = 128;
+    const COLS: usize = 512;
+    let mut rng = StdRng::seed_from_u64(0x7a6e);
+    // ±4 puts values on both branches of the kernel and short of saturation.
+    let pre: Vec<f32> = (0..ROWS * COLS)
+        .map(|_| rng.gen_range(-4.0f32..4.0))
+        .collect();
+    let bias: Vec<f32> = (0..COLS).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+    let mut buf = pre.clone();
+    // Both arms pay the same refill of `buf`.
+    let per_value = |secs: f64| secs * 1e9 / (ROWS * COLS) as f64;
+    let kernel = time_best(20, || {
+        buf.copy_from_slice(&pre);
+        for row in buf.chunks_exact_mut(COLS) {
+            Activation::Tanh.bias_act(row, &bias);
+        }
+        std::hint::black_box(&mut buf);
+    });
+    let libm = time_best(20, || {
+        buf.copy_from_slice(&pre);
+        for row in buf.chunks_exact_mut(COLS) {
+            for (v, &b) in row.iter_mut().zip(&bias) {
+                *v = (*v + b).tanh();
+            }
+        }
+        std::hint::black_box(&mut buf);
+    });
+    EpilogueResult {
+        kernel_ns_per_value: per_value(kernel),
+        libm_ns_per_value: per_value(libm),
+    }
+}
+
+fn to_json(results: &[SizeResult], epilogue: &EpilogueResult, threads: &[usize]) -> String {
     let kernel = match gemm::kernel_kind() {
         gemm::KernelKind::Avx2Fma => "avx2_fma",
         gemm::KernelKind::Generic => "generic",
@@ -155,6 +206,14 @@ fn to_json(results: &[SizeResult], threads: &[usize]) -> String {
             .map(usize::to_string)
             .collect::<Vec<_>>()
             .join(", ")
+    );
+    let _ = writeln!(
+        s,
+        "  \"epilogue_bias_tanh_128x512\": {{\"kernel_ns_per_value\": {:.2}, \
+         \"libm_ns_per_value\": {:.2}, \"speedup_vs_libm\": {:.2}}},",
+        epilogue.kernel_ns_per_value,
+        epilogue.libm_ns_per_value,
+        epilogue.speedup_vs_libm()
     );
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -249,7 +308,15 @@ fn main() {
         results.push(r);
     }
 
-    let json = to_json(&results, &threads);
+    let epilogue = run_epilogue();
+    eprintln!(
+        "[gemm-bench] epilogue bias+tanh 128x512: kernel {:.2} ns/value, libm loop {:.2} ns/value ({:.1}x)",
+        epilogue.kernel_ns_per_value,
+        epilogue.libm_ns_per_value,
+        epilogue.speedup_vs_libm()
+    );
+
+    let json = to_json(&results, &epilogue, &threads);
     if smoke {
         // CI gate: blocked must beat naive at the largest smoke size.
         let gate = results.last().expect("smoke sweep is nonempty");
@@ -275,6 +342,16 @@ fn main() {
                 "[gemm-bench] FAIL: prepacked GEMM slower than pack-per-call at {0}x{0} \
                  (prepacked {1:.3}s vs blocked {2:.3}s)",
                 gate.size, gate.prepacked_secs, single_thread
+            );
+            std::process::exit(1);
+        }
+        // CI gate: the tanh kernel must stay vectorised — an edit that makes
+        // LLVM fall back to a scalar body costs about 2× and trips this.
+        if epilogue.speedup_vs_libm() < 3.0 {
+            eprintln!(
+                "[gemm-bench] FAIL: bias+tanh epilogue is not 3x a libm tanh loop \
+                 (kernel {:.2} ns/value vs libm {:.2} ns/value)",
+                epilogue.kernel_ns_per_value, epilogue.libm_ns_per_value
             );
             std::process::exit(1);
         }

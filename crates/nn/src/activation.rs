@@ -6,6 +6,11 @@
 //! the paper notes `C = 1` and drops the constant; GeLU's derivative peaks
 //! slightly above 1, which [`Activation::lipschitz`] reports exactly so the
 //! bound stays sound for GeLU networks too.
+//!
+//! Every `tanh` here — Tanh itself, its derivative and GeLU's inner one —
+//! is the crate's own kernel (`tanh.rs`), never libm's.
+
+use crate::tanh::tanh;
 
 /// Supported nonlinearities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,22 +35,12 @@ impl Activation {
     /// Applies the activation.
     #[inline]
     pub fn apply(&self, z: f32) -> f32 {
-        match self {
+        match *self {
             Activation::Identity => z,
-            Activation::Tanh => z.tanh(),
-            Activation::Relu => z.max(0.0),
-            Activation::LeakyRelu(a) | Activation::PRelu(a) => {
-                if z >= 0.0 {
-                    z
-                } else {
-                    a * z
-                }
-            }
-            Activation::Gelu => {
-                // tanh approximation: 0.5 z (1 + tanh(√(2/π)(z + 0.044715 z³)))
-                let c = 0.797_884_6_f32; // √(2/π)
-                0.5 * z * (1.0 + (c * (z + 0.044715 * z * z * z)).tanh())
-            }
+            Activation::Tanh => tanh(z),
+            Activation::Relu => relu(z),
+            Activation::LeakyRelu(a) | Activation::PRelu(a) => leaky_relu(a, z),
+            Activation::Gelu => gelu(z),
         }
     }
 
@@ -55,7 +50,7 @@ impl Activation {
         match self {
             Activation::Identity => 1.0,
             Activation::Tanh => {
-                let t = z.tanh();
+                let t = tanh(z);
                 1.0 - t * t
             }
             Activation::Relu => {
@@ -73,11 +68,10 @@ impl Activation {
                 }
             }
             Activation::Gelu => {
-                let c = 0.797_884_6_f32;
-                let inner = c * (z + 0.044715 * z * z * z);
-                let t = inner.tanh();
+                let inner = GELU_C * (z + 0.044715 * z * z * z);
+                let t = tanh(inner);
                 let sech2 = 1.0 - t * t;
-                0.5 * (1.0 + t) + 0.5 * z * sech2 * c * (1.0 + 3.0 * 0.044715 * z * z)
+                0.5 * (1.0 + t) + 0.5 * z * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * z * z)
             }
         }
     }
@@ -95,8 +89,29 @@ impl Activation {
 
     /// Applies the activation to a whole slice, in place.
     pub fn apply_slice(&self, z: &mut [f32]) {
-        for v in z {
-            *v = self.apply(*v);
+        self.sweep(z, None);
+    }
+
+    /// The layer epilogue `z[i] ← φ(z[i] + bias[i])` in one pass over `z`.
+    ///
+    /// # Panics
+    /// If `z` and `bias` differ in length.
+    pub fn bias_act(&self, z: &mut [f32], bias: &[f32]) {
+        assert_eq!(z.len(), bias.len(), "one bias per pre-activation");
+        self.sweep(z, Some(bias));
+    }
+
+    /// Matches the variant once per slice, so each arm is a loop over one
+    /// fixed element function.
+    fn sweep(&self, z: &mut [f32], bias: Option<&[f32]>) {
+        match *self {
+            Activation::Identity => map_slice(z, bias, |v| v),
+            Activation::Tanh => crate::tanh::sweep(z, bias),
+            Activation::Relu => map_slice(z, bias, relu),
+            Activation::LeakyRelu(a) | Activation::PRelu(a) => {
+                map_slice(z, bias, |v| leaky_relu(a, v))
+            }
+            Activation::Gelu => map_slice(z, bias, gelu),
         }
     }
 
@@ -111,6 +126,46 @@ impl Activation {
             Activation::Gelu => "gelu",
         }
     }
+}
+
+/// `z[i] ← f(z[i] + bias[i])`, or `z[i] ← f(z[i])` without a bias.
+#[inline(always)]
+pub(crate) fn map_slice(z: &mut [f32], bias: Option<&[f32]>, f: impl Fn(f32) -> f32) {
+    match bias {
+        Some(bias) => {
+            for (v, &b) in z.iter_mut().zip(bias) {
+                *v = f(*v + b);
+            }
+        }
+        None => {
+            for v in z {
+                *v = f(*v);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn relu(z: f32) -> f32 {
+    z.max(0.0)
+}
+
+#[inline(always)]
+fn leaky_relu(a: f32, z: f32) -> f32 {
+    if z >= 0.0 {
+        z
+    } else {
+        a * z
+    }
+}
+
+/// √(2/π)
+const GELU_C: f32 = 0.797_884_6;
+
+/// tanh approximation: 0.5 z (1 + tanh(√(2/π)(z + 0.044715 z³)))
+#[inline(always)]
+fn gelu(z: f32) -> f32 {
+    0.5 * z * (1.0 + tanh(GELU_C * (z + 0.044715 * z * z * z)))
 }
 
 #[cfg(test)]
@@ -214,5 +269,30 @@ mod tests {
         let mut v = vec![-1.0f32, 0.0, 2.0];
         Activation::Relu.apply_slice(&mut v);
         assert_eq!(v, vec![0.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn slice_sweeps_match_apply_bitwise_for_every_variant() {
+        // 19 elements: two full AVX2 vectors and a tail.
+        let z: Vec<f32> = (0..19).map(|i| (i as f32 - 9.0) * 0.37).collect();
+        let bias: Vec<f32> = (0..19).map(|i| (i as f32 * 0.61).sin()).collect();
+        for act in [
+            Activation::Identity,
+            Activation::Tanh,
+            Activation::Relu,
+            Activation::LeakyRelu(0.3),
+            Activation::PRelu(0.5),
+            Activation::Gelu,
+        ] {
+            let mut plain = z.clone();
+            act.apply_slice(&mut plain);
+            let mut fused = z.clone();
+            act.bias_act(&mut fused, &bias);
+            for i in 0..z.len() {
+                assert_eq!(plain[i].to_bits(), act.apply(z[i]).to_bits(), "{act:?}");
+                let want = act.apply(z[i] + bias[i]);
+                assert_eq!(fused[i].to_bits(), want.to_bits(), "{act:?}");
+            }
+        }
     }
 }

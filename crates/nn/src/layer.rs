@@ -252,11 +252,8 @@ impl Layer {
             LayerKind::Dense => {
                 // audit:allow(panic-reach) input length is the layer's in_dim contract, checked by the model driver
                 let mut z = self.w_eff.matvec(x).expect("dense input length");
-                for (zi, &b) in z.iter_mut().zip(&self.bias) {
-                    *zi += b;
-                }
-                let preact = z.clone();
-                self.activation.apply_slice(&mut z);
+                let preact = z.iter().zip(&self.bias).map(|(zi, b)| zi + b).collect();
+                self.activation.bias_act(&mut z, &self.bias);
                 (
                     z,
                     LayerCache {

@@ -26,6 +26,7 @@ pub mod loss;
 pub mod model;
 pub mod optim;
 pub mod psn;
+mod tanh;
 pub mod train;
 
 pub use activation::Activation;

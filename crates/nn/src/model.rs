@@ -318,14 +318,8 @@ impl Model for Mlp {
                     // audit:allow(panic-reach) bias length equals the layer's output rows by construction
                     .expect("batch/weight dims agree"),
             };
-            let bias = layer.bias();
-            let act = layer.activation();
             for r in 0..z.rows() {
-                let row = z.row_mut(r);
-                for (zi, &b) in row.iter_mut().zip(bias) {
-                    *zi += b;
-                }
-                act.apply_slice(row);
+                layer.activation().bias_act(z.row_mut(r), layer.bias());
             }
             h = Some(z);
         }

@@ -10,6 +10,29 @@
 //! itself it took the Jacobi fallback and its σ sat 4.7e-9 (relative) higher,
 //! which moves these fields by about as much.  With the budget reverted the
 //! table reproduces 2a4b063's own rows bit for bit as well.
+//!
+//! Re-recorded when `errflow-nn` replaced libm's `tanhf` with its own
+//! ≤ 2-ulp kernel: the calibration forwards that set the QoI reference now
+//! round their 128 hidden activations differently in the last `f32` bit.
+//! Against the rows above, `abs_tolerance`/`predicted_total_bound` moved by
+//! ≤ 2.3e-12 relative (≤ 10 047 `f64` ulps) on the L2 rows — the reference
+//! is a norm over 8 × 16 outputs, where last-bit changes average out — and
+//! by 6.5e-9 relative on the L∞ rows, whose reference is a maximum and so
+//! follows single `f32` outputs; `compression_budget` and `input_budget_l2`
+//! moved by ≤ 1.2e-8 relative (largest on the Int8 rows, where the budget
+//! is a difference); `predicted_quant_bound` (weights only) and every chosen
+//! format did not move.  A codec's output changes with its budget only where
+//! a residual sits within that relative distance of a quantization-bin edge,
+//! so few symbols can step to a neighbouring bin.  Measured: 32 smooth
+//! 256 × 256 payloads compressed under six of the old and the new
+//! `input_budget_l2` values above (192 streams a backend) differ in total
+//! size by +1.0e-5 relative for SZ (68 streams changed length), −2.2e-7 for
+//! MGARD (40) and not at all for ZFP — an order short of moving
+//! `compression_ratio` by 1e-4.  (The benchmark's `compression_ratio` read
+//! within 0.025 % of the parent's on every seed and workload; that residue is
+//! the request mix — it is the median over 1 s rounds of decoded ÷ compressed
+//! bytes, and which of the 64 pool payloads land in a round depends on how
+//! many requests the server gets through.)
 
 use errflow_core::NetworkAnalysis;
 use errflow_nn::{Activation, Mlp};
@@ -103,32 +126,32 @@ fn bits(p: &PipelinePlan) -> [u64; 5] {
 /// input_budget_l2, predicted_total_bound` as `f64::to_bits`.
 #[rustfmt::skip]
 const GOLDEN: [(QuantFormat, [u64; 5]); 26] = [
-    (Fp16, [0x3fd175822416ffae, 0x3f7ed64ac773b2fa, 0x3fd0fa28f8f930e2, 0x3fb38097fe1eb80d, 0x3fd175822416ffae]),
-    (Fp16, [0x3fc3a2c74c8cc36d, 0x3f7ed64ac773b2fa, 0x3fc2ac14f65125d5, 0x3fa5730e40acc6a1, 0x3fc3a2c74c8cc36d]),
-    (Fp16, [0x3fb61587d40f7fc3, 0x3f7ed64ac773b2fa, 0x3fb4282327984493, 0x3f9727a3aa80e97e, 0x3fb61587d40f7fc3]),
-    (Fp16, [0x3fa8d66d816e32b7, 0x3f7ed64ac773b2fa, 0x3fa4fba4287fbc58, 0x3f881a9a0553fa86, 0x3fa8d66d816e32b7]),
-    (Fp16, [0x3fd0a0acb4a83076, 0x3f7ed64ac773b2fa, 0x3fd02553898a61aa, 0x3fb28c1a92480ab1, 0x3fd0a0acb4a83076]),
-    (Fp16, [0x3fc2b36879aaa1bd, 0x3f7ed64ac773b2fa, 0x3fc1bcb6236f0425, 0x3fa4601504371273, 0x3fc2b36879aaa1bd]),
-    (Fp16, [0x3fb508509933551b, 0x3f7ed64ac773b2fa, 0x3fb31aebecbc19eb, 0x3f95f2619d56ad80, 0x3fb508509933551b]),
-    (Fp16, [0x3fa7a7a53e5091d3, 0x3f7ed64ac773b2fa, 0x3fa3ccdbe5621b74, 0x3f86bec8d6694fe6, 0x3fa7a7a53e5091d3]),
-    (Fp32, [0x3ec5cb4efea637d1, 0x0000000000000000, 0x3ec5cb4efea637d1, 0x3ea909281fd03765, 0x3ec5cb4efea637d1]),
-    (Fp32, [0x3ec5cb4efea637d1, 0x0000000000000000, 0x3ec5cb4efea637d1, 0x3ea909281fd03765, 0x3ec5cb4efea637d1]),
-    (Fp32, [0x3ec5cb4efea637d1, 0x0000000000000000, 0x3ec5cb4efea637d1, 0x3ea909281fd03765, 0x3ec5cb4efea637d1]),
-    (Fp32, [0x3eb31f49cf56eac8, 0x0000000000000000, 0x3eb31f49cf56eac8, 0x3e95f765c5373a9a, 0x3eb31f49cf56eac8]),
-    (Fp32, [0x3eb31f49cf56eac8, 0x0000000000000000, 0x3eb31f49cf56eac8, 0x3e95f765c5373a9a, 0x3eb31f49cf56eac8]),
-    (Fp32, [0x3eb31f49cf56eac8, 0x0000000000000000, 0x3eb31f49cf56eac8, 0x3e95f765c5373a9a, 0x3eb31f49cf56eac8]),
-    (Fp32, [0x3f65488b24ae5282, 0x0000000000000000, 0x3f65488b24ae5282, 0x3f4872f12f115618, 0x3f65488b24ae5282]),
-    (Fp32, [0x3f65488b24ae5282, 0x0000000000000000, 0x3f65488b24ae5282, 0x3f4872f12f115618, 0x3f65488b24ae5282]),
-    (Fp32, [0x3f65488b24ae5282, 0x0000000000000000, 0x3f65488b24ae5282, 0x3f4872f12f115618, 0x3f65488b24ae5282]),
-    (Fp32, [0x3f52ac8e147ae148, 0x0000000000000000, 0x3f52ac8e147ae148, 0x3f3573996297ef3b, 0x3f52ac8e147ae148]),
-    (Fp32, [0x3f52ac8e147ae148, 0x0000000000000000, 0x3f52ac8e147ae148, 0x3f3573996297ef3b, 0x3f52ac8e147ae148]),
-    (Fp32, [0x3f52ac8e147ae148, 0x0000000000000000, 0x3f52ac8e147ae148, 0x3f3573996297ef3b, 0x3f52ac8e147ae148]),
-    (Fp16, [0x3fe8f1030efc48b0, 0x3f7ed64ac773b2fa, 0x3fe8b356796d614a, 0x3fcc5fd9b5e9909b, 0x3fe8f1030efc48b0]),
-    (Int8, [0x3fe8f1030efc48b0, 0x3fc39ea9be3f81e6, 0x3fe409589f6c6836, 0x3fc70444b646d9ef, 0x3fe8f1030efc48b0]),
-    (Int8, [0x3fe8f1030efc48b0, 0x3fc39ea9be3f81e6, 0x3fe409589f6c6836, 0x3fc70444b646d9ef, 0x3fe8f1030efc48b0]),
-    (Fp16, [0x3fd5e23680000000, 0x3f7ed64ac773b2fa, 0x3fd566dd54e23134, 0x3fb895c5e50c8bc7, 0x3fd5e23680000000]),
-    (Int8, [0x3fd5e23680000000, 0x3fc39ea9be3f81e6, 0x3fc825c341c07e1a, 0x3fabbd37cb8e3cde, 0x3fd5e23680000000]),
-    (Int8, [0x3fd5e23680000000, 0x3fc39ea9be3f81e6, 0x3fc825c341c07e1a, 0x3fabbd37cb8e3cde, 0x3fd5e23680000000]),
+    (Fp16, [0x3fd175822416d86f, 0x3f7ed64ac773b2fa, 0x3fd0fa28f8f909a3, 0x3fb38097fe1e8af7, 0x3fd175822416d86f]),
+    (Fp16, [0x3fc3a2c74c8c9749, 0x3f7ed64ac773b2fa, 0x3fc2ac14f650f9b1, 0x3fa5730e40ac93ec, 0x3fc3a2c74c8c9749]),
+    (Fp16, [0x3fb61587d40f4e1f, 0x3f7ed64ac773b2fa, 0x3fb42823279812ef, 0x3f9727a3aa80b078, 0x3fb61587d40f4e1f]),
+    (Fp16, [0x3fa8d66d816dfae2, 0x3f7ed64ac773b2fa, 0x3fa4fba4287f8483, 0x3f881a9a0553ba63, 0x3fa8d66d816dfae2]),
+    (Fp16, [0x3fd0a0acb4a80b15, 0x3f7ed64ac773b2fa, 0x3fd02553898a3c49, 0x3fb28c1a9247dfc1, 0x3fd0a0acb4a80b15]),
+    (Fp16, [0x3fc2b36879aa77b4, 0x3f7ed64ac773b2fa, 0x3fc1bcb6236eda1c, 0x3fa460150436e229, 0x3fc2b36879aa77b4]),
+    (Fp16, [0x3fb50850993325d4, 0x3f7ed64ac773b2fa, 0x3fb31aebecbbeaa4, 0x3f95f2619d567731, 0x3fb50850993325d4]),
+    (Fp16, [0x3fa7a7a53e505ca7, 0x3f7ed64ac773b2fa, 0x3fa3ccdbe561e648, 0x3f86bec8d66912d2, 0x3fa7a7a53e505ca7]),
+    (Fp32, [0x3ec5cb4efea606d3, 0x0000000000000000, 0x3ec5cb4efea606d3, 0x3ea909281fcfff1d, 0x3ec5cb4efea606d3]),
+    (Fp32, [0x3ec5cb4efea606d3, 0x0000000000000000, 0x3ec5cb4efea606d3, 0x3ea909281fcfff1d, 0x3ec5cb4efea606d3]),
+    (Fp32, [0x3ec5cb4efea606d3, 0x0000000000000000, 0x3ec5cb4efea606d3, 0x3ea909281fcfff1d, 0x3ec5cb4efea606d3]),
+    (Fp32, [0x3eb31f49d16fc9bc, 0x0000000000000000, 0x3eb31f49d16fc9bc, 0x3e95f765c79ff3c7, 0x3eb31f49d16fc9bc]),
+    (Fp32, [0x3eb31f49d16fc9bc, 0x0000000000000000, 0x3eb31f49d16fc9bc, 0x3e95f765c79ff3c7, 0x3eb31f49d16fc9bc]),
+    (Fp32, [0x3eb31f49d16fc9bc, 0x0000000000000000, 0x3eb31f49d16fc9bc, 0x3e95f765c79ff3c7, 0x3eb31f49d16fc9bc]),
+    (Fp32, [0x3f65488b24ae22aa, 0x0000000000000000, 0x3f65488b24ae22aa, 0x3f4872f12f111f23, 0x3f65488b24ae22aa]),
+    (Fp32, [0x3f65488b24ae22aa, 0x0000000000000000, 0x3f65488b24ae22aa, 0x3f4872f12f111f23, 0x3f65488b24ae22aa]),
+    (Fp32, [0x3f65488b24ae22aa, 0x0000000000000000, 0x3f65488b24ae22aa, 0x3f4872f12f111f23, 0x3f65488b24ae22aa]),
+    (Fp32, [0x3f52ac8e16872b02, 0x0000000000000000, 0x3f52ac8e16872b02, 0x3f35739964f23411, 0x3f52ac8e16872b02]),
+    (Fp32, [0x3f52ac8e16872b02, 0x0000000000000000, 0x3f52ac8e16872b02, 0x3f35739964f23411, 0x3f52ac8e16872b02]),
+    (Fp32, [0x3f52ac8e16872b02, 0x0000000000000000, 0x3f52ac8e16872b02, 0x3f35739964f23411, 0x3f52ac8e16872b02]),
+    (Fp16, [0x3fe8f1030efc109f, 0x3f7ed64ac773b2fa, 0x3fe8b356796d2939, 0x3fcc5fd9b5e95033, 0x3fe8f1030efc109f]),
+    (Int8, [0x3fe8f1030efc109f, 0x3fc39ea9be3f81e6, 0x3fe409589f6c3026, 0x3fc70444b6469988, 0x3fe8f1030efc10a0]),
+    (Int8, [0x3fe8f1030efc109f, 0x3fc39ea9be3f81e6, 0x3fe409589f6c3026, 0x3fc70444b6469988, 0x3fe8f1030efc10a0]),
+    (Fp16, [0x3fd5e23682666666, 0x3f7ed64ac773b2fa, 0x3fd566dd5748979a, 0x3fb895c5e7ce5471, 0x3fd5e23682666666]),
+    (Int8, [0x3fd5e23682666666, 0x3fc39ea9be3f81e6, 0x3fc825c3468d4ae6, 0x3fabbd37d111ce32, 0x3fd5e23682666666]),
+    (Int8, [0x3fd5e23682666666, 0x3fc39ea9be3f81e6, 0x3fc825c3468d4ae6, 0x3fabbd37d111ce32, 0x3fd5e23682666666]),
 ];
 
 #[test]
