@@ -1,7 +1,9 @@
 //! `compress-bench` — throughput sweep for the error-bounded codecs.
 //!
 //! Sweeps every backend (SZ, ZFP, MGARD) over payload sizes and relative
-//! tolerances, comparing each fast decoder against the slow oracle in
+//! tolerances on a smooth field, plus one chunk-sized row per backend on a
+//! noise-floor field (the run-free regime of the serving benchmark),
+//! comparing each fast decoder against the slow oracle in
 //! `errflow_compress::reference` **on the very stream being measured**,
 //! plus a chunked-decode thread sweep, and emits `BENCH_compress.json` so
 //! the codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
@@ -15,22 +17,24 @@
 //! oracle and verified against its error bound — the bench doubles as a
 //! format-stability test.  `--smoke` runs a reduced sweep and **fails**
 //! (exit 1) if any fast decoder is slower than the oracle on the same
-//! stream at the default chunk size (65 536 values), or below its absolute
-//! throughput floor.
+//! stream at the default chunk size (65 536 values), or a decoder or the SZ
+//! encoder is below its absolute throughput floor.
 
 use errflow_compress::chunked::{ChunkedCompressor, DEFAULT_CHUNK};
 use errflow_compress::{
     reference, scratch, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
 };
-use errflow_tensor::pool;
 use errflow_tensor::rng::StdRng;
+use errflow_tensor::{pool, simd};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 struct CodecResult {
     backend: &'static str,
+    /// `"smooth"` ([`field`]) or `"noise_floor"` ([`noise_floor_field`]).
+    field: &'static str,
     n: usize,
-    rel_tol: f64,
+    bound: ErrorBound,
     ratio: f64,
     compress_secs: f64,
     decompress_secs: f64,
@@ -49,6 +53,12 @@ struct ChunkedResult {
 /// Conservative absolute floors for single-thread decode throughput
 /// (`decompress_into`, GB/s) at the default chunk size — see CI gate 2.
 const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
+
+/// The same for single-thread SZ `compress`, on the noise-floor row (an
+/// absolute budget, so the encoder alone is timed).  Its two passes carry
+/// no dependence from one value to the next; a change that brings one back
+/// (0.24 GB/s with the feedback predictor) trips this on either SIMD arm.
+const SMOKE_SZ_ENCODE_FLOOR_GBPS: f64 = 0.3;
 
 fn gbps(n_values: usize, secs: f64) -> f64 {
     (n_values * 4) as f64 / secs / 1e9
@@ -77,10 +87,52 @@ fn field(n: usize) -> Vec<f32> {
         .collect()
 }
 
-fn run_codec(c: &dyn Compressor, data: &[f32], rel_tol: f64, reps: usize) -> CodecResult {
+/// The serving benchmark's regime (`benchmark/src/gen.rs`): a few smooth
+/// modes over 256-feature rows plus a 1e-4 uniform noise floor.  Under a
+/// bound a few times below the noise the SZ symbols spread over hundreds of
+/// values and never repeat for long — ratio ≈ 5, no runs — where [`field`]
+/// at 1e-2 is mostly runs.
+fn noise_floor_field(n: usize) -> Vec<f32> {
+    const MODES: [(f32, f32, f32); 4] = [
+        (0.43, 0.8, 0.5),
+        (0.22, 1.7, 0.9),
+        (0.14, 2.3, 1.4),
+        (0.11, 2.9, 1.9),
+    ];
+    let mut rng = StdRng::seed_from_u64(n as u64 ^ 0xA24B_AED4_963E_E407);
+    (0..n)
+        .map(|i| {
+            let (row, col) = ((i / 256) as f32 / 256.0, (i % 256) as f32 / 256.0);
+            let smooth: f32 = MODES
+                .iter()
+                .enumerate()
+                .map(|(k, &(a, fc, rc))| {
+                    a * (std::f32::consts::TAU * (fc * col + rc * row) + k as f32).sin()
+                })
+                .sum();
+            smooth + rng.gen_range(-1e-4f32..1e-4)
+        })
+        .collect()
+}
+
+/// `"rel_tol"` or `"abs_tol"`: which kind of pointwise bound a row ran under.
+fn tol_key(bound: &ErrorBound) -> &'static str {
+    if bound.mode.is_relative() {
+        "rel_tol"
+    } else {
+        "abs_tol"
+    }
+}
+
+fn run_codec(
+    c: &dyn Compressor,
+    field: &'static str,
+    data: &[f32],
+    bound: ErrorBound,
+    reps: usize,
+) -> CodecResult {
     let backend = c.name();
     let n = data.len();
-    let bound = ErrorBound::rel_linf(rel_tol);
     let stream = c.compress(data, &bound).expect("compress");
 
     // Correctness first: the fast decoder must agree bit-for-bit with the
@@ -117,8 +169,9 @@ fn run_codec(c: &dyn Compressor, data: &[f32], rel_tol: f64, reps: usize) -> Cod
 
     CodecResult {
         backend,
+        field,
         n,
-        rel_tol,
+        bound,
         ratio: (n * 4) as f64 / stream.len() as f64,
         compress_secs,
         decompress_secs,
@@ -172,6 +225,17 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
     let _ = writeln!(s, "  \"hardware_threads\": {},", pool::hardware_threads());
     let _ = writeln!(
         s,
+        "  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"simd\": \"{}\"}},",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
+        if simd::has_avx2() && !simd::force_scalar() {
+            "avx2"
+        } else {
+            "portable"
+        }
+    );
+    let _ = writeln!(
+        s,
         "  \"default_chunk_threads\": {},",
         pool::global()
             .max_concurrency()
@@ -187,14 +251,16 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
     for (i, r) in codec.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"backend\": \"{}\", \"n\": {}, \"rel_tol\": {:.0e}, \
+            "    {{\"backend\": \"{}\", \"field\": \"{}\", \"n\": {}, \"{}\": {:e}, \
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
              \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
              \"speedup_vs_reference\": {:.2}, \"bit_identical\": true}}",
             r.backend,
+            r.field,
             r.n,
-            r.rel_tol,
+            tol_key(&r.bound),
+            r.bound.tolerance,
             r.ratio,
             gbps(r.n, r.compress_secs),
             gbps(r.n, r.decompress_secs),
@@ -285,36 +351,50 @@ fn main() {
     eprintln!(
         "[compress-bench] sizes={sizes:?} tolerances={tolerances:?} chunk_threads={thread_counts:?}"
     );
+    let report = |r: &CodecResult| {
+        eprintln!(
+            "[compress-bench] {} {} n={} {}={:e}: ratio {:.1}x; \
+             comp {:.2} GB/s; decomp {:.2} GB/s (into {:.2}); \
+             reference {:.2} GB/s ({:.1}x speedup)",
+            r.backend,
+            r.field,
+            r.n,
+            tol_key(&r.bound),
+            r.bound.tolerance,
+            r.ratio,
+            gbps(r.n, r.compress_secs),
+            gbps(r.n, r.decompress_secs),
+            gbps(r.n, r.decompress_into_secs),
+            gbps(r.n, r.reference_secs),
+            r.reference_secs / r.decompress_secs,
+        );
+    };
+    // Best-of needs headroom against scheduler noise on shared hosts; the
+    // single-chunk sizes are cheap enough to repeat.
+    let chunk_reps = if smoke { 2 } else { 11 };
     let mut codec = Vec::new();
     for &n in &sizes {
         let data = field(n);
-        let reps = if smoke {
-            2
-        } else if n <= DEFAULT_CHUNK {
-            // Best-of needs headroom against scheduler noise on shared
-            // hosts; the single-chunk sizes are cheap enough to repeat.
-            11
-        } else {
-            3
-        };
+        let reps = if n <= DEFAULT_CHUNK { chunk_reps } else { 3 };
         for &tol in &tolerances {
             for c in errflow_compress::all_backends() {
-                let r = run_codec(c.as_ref(), &data, tol, reps);
-                eprintln!(
-                    "[compress-bench] {} n={n} tol={tol:.0e}: ratio {:.1}x; \
-                     comp {:.2} GB/s; decomp {:.2} GB/s (into {:.2}); \
-                     reference {:.2} GB/s ({:.1}x speedup)",
-                    r.backend,
-                    r.ratio,
-                    gbps(n, r.compress_secs),
-                    gbps(n, r.decompress_secs),
-                    gbps(n, r.decompress_into_secs),
-                    gbps(n, r.reference_secs),
-                    r.reference_secs / r.decompress_secs,
-                );
+                let bound = ErrorBound::rel_linf(tol);
+                let r = run_codec(c.as_ref(), "smooth", &data, bound, reps);
+                report(&r);
                 codec.push(r);
             }
         }
+    }
+    // The run-free side of the entropy stage, under an absolute budget as
+    // the planner hands the codec one (six times below the noise floor).
+    // The smooth rows' relative bound also times `pointwise_budget`'s range
+    // scan, 0.17 ms at this size, ahead of every backend's encoder.
+    let noisy = noise_floor_field(DEFAULT_CHUNK);
+    for c in errflow_compress::all_backends() {
+        let bound = ErrorBound::abs_linf(1.6e-5);
+        let r = run_codec(c.as_ref(), "noise_floor", &noisy, bound, chunk_reps);
+        report(&r);
+        codec.push(r);
     }
 
     let chunked_n = if smoke { DEFAULT_CHUNK * 4 } else { 1 << 20 };
@@ -392,6 +472,20 @@ fn main() {
                     );
                     failed = true;
                 }
+            }
+        }
+        // CI gate 3: the same kind of floor for the SZ encoder.
+        for r in codec
+            .iter()
+            .filter(|r| r.backend == "sz" && r.field == "noise_floor")
+        {
+            let got = gbps(r.n, r.compress_secs);
+            if got < SMOKE_SZ_ENCODE_FLOOR_GBPS {
+                eprintln!(
+                    "[compress-bench] FAIL: sz compress {got:.3} GB/s below the \
+                     {SMOKE_SZ_ENCODE_FLOOR_GBPS:.3} GB/s smoke floor on the noise-floor field"
+                );
+                failed = true;
             }
         }
         if failed {

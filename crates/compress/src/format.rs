@@ -11,15 +11,17 @@
 //! is the backend's business and is documented on its module.
 //!
 //! The headerless single-stream layout that predates the container ("v1")
-//! is no longer written by anything.  It stays **readable**: any stream
-//! that does not open with the magic is handed to the slow decoders in
-//! [`crate::reference`], which also decode the container and so serve as
-//! the differential oracle for the fast paths.  The magic's top byte is
-//! `0xBF`, so reinterpreted as the little-endian `u64` element count that
-//! opens every v1 header it exceeds `2^63` — no decodable v1 stream can
-//! collide (v1 counts are bounded by payload size long before that).  The
-//! tag byte makes a ZFP stream handed to the SZ decoder fail with a typed
-//! error instead of being misread.
+//! is no longer written by anything, and neither is the first SZ container
+//! layout ([`BackendTag::Sz`], superseded by [`BackendTag::SzLattice`]).
+//! Both stay **readable**: any stream that does not open with the magic,
+//! and any container with the retired tag, is handed to the slow decoders
+//! in [`crate::reference`], which also decode every layout still written
+//! and so serve as the differential oracle for the fast paths.  The
+//! magic's top byte is `0xBF`, so reinterpreted as the little-endian `u64`
+//! element count that opens every v1 header it exceeds `2^63` — no
+//! decodable v1 stream can collide (v1 counts are bounded by payload size
+//! long before that).  The tag byte makes a ZFP stream handed to the SZ
+//! decoder fail with a typed error instead of being misread.
 
 use crate::traits::CompressError;
 
@@ -37,20 +39,34 @@ pub const V2_STREAMS: usize = 4;
 /// Caps scratch fan-out on forged headers.
 pub const MAX_STREAMS: usize = 16;
 
-/// Backend tag byte following the magic.
+/// Backend tag byte following the magic.  Tags 2–4 are written by this
+/// tree; tag 1 is read-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendTag {
-    /// SZ-class predictor/quantizer stream.
+    /// Retired SZ layout whose symbols are residuals against a prediction
+    /// from *reconstructed* values.  Nothing writes it any more; like the
+    /// headerless layout it is decoded only by
+    /// [`crate::reference::sz_decompress`].
     Sz = 1,
     /// ZFP-class block stream.
     Zfp = 2,
     /// MGARD-class multilevel coefficient stream.
     Mgard = 3,
+    /// SZ-class stream over the error-bound lattice: same container fields
+    /// as [`BackendTag::Sz`], symbols are second differences of lattice
+    /// indices (see [`crate::sz`]).
+    SzLattice = 4,
 }
 
 /// `true` when `stream` opens with the container magic.
 pub fn is_v2(stream: &[u8]) -> bool {
     stream.len() >= 8 && stream[..8] == MAGIC_V2
+}
+
+/// `true` when `stream` is a container carrying `tag` — how a backend whose
+/// tag has changed tells the layout it decodes from the one it retired.
+pub fn is_tagged(stream: &[u8], tag: BackendTag) -> bool {
+    is_v2(stream) && stream.get(8) == Some(&(tag as u8))
 }
 
 /// Parses the fixed preamble (magic, backend tag, sub-stream count),
@@ -198,5 +214,8 @@ mod tests {
         }
         assert!(!is_v2(&[1, 2, 3]));
         assert!(!is_v2(b"EFv1\x9e\xad\xf5\xbf"));
+        assert!(is_tagged(&buf, BackendTag::Sz));
+        assert!(!is_tagged(&buf, BackendTag::SzLattice));
+        assert!(!is_tagged(&MAGIC_V2, BackendTag::Sz));
     }
 }

@@ -27,12 +27,21 @@
 //! Decoding is table-driven and **register-batched**: a lane loads a
 //! 57-bit window of its payload into a 64-bit register once, then decodes
 //! as many symbols as fit (typically 4–10 for skewed alphabets) with one
-//! table lookup + shift each before refilling.  A `2^13`-entry prefix table
-//! resolves every code of ≤ 13 bits in one lookup (the common case by
-//! construction of Huffman codes over skewed distributions); longer codes
-//! fall back to a bit-by-bit canonical walk.  This path dominates
-//! decompression throughput for the SZ/MGARD backends, which is what the
-//! paper's I/O figures measure.
+//! table lookup + shift each before refilling.  A prefix table of
+//! `2^min(PEEK, longest code)` entries resolves every code of ≤ [`PEEK`]
+//! bits in one lookup (the common case by construction of Huffman codes
+//! over skewed distributions; a small block's few short codes get a table
+//! of a few dozen entries, not `2^13`); longer codes fall back to a
+//! bit-by-bit canonical walk.  This path dominates decompression
+//! throughput for the SZ/MGARD backends, which is what the paper's I/O
+//! figures measure.
+//!
+//! Encoding reads the symbols where they are: a pre-scan finds the block's
+//! symbol range and the segments that can hold a run, only those are
+//! collapsed into scratch, the histogram counts into the dense
+//! `[min, max]` window, and the payload loop writes packed `(code, len)`
+//! words through a 64-bit accumulator straight into the output's tail
+//! ([`encode_multi_with`]).
 //!
 //! Both directions carry reusable scratch state ([`DecodeScratch`],
 //! [`EncodeScratch`]) so steady-state coding performs no per-call
@@ -43,11 +52,13 @@
 //! one to symbol for symbol.
 
 use crate::bitstream::{load_word, BitWriter};
+use crate::format::MAX_STREAMS;
 use crate::traits::{read_len_u32, read_len_u64, read_u8, CompressError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Width of the fast decode table (bits).
+/// Widest fast decode table (bits); a block whose longest code is shorter
+/// builds a table of that code's width.
 pub const PEEK: u32 = 13;
 
 /// Marker symbol standing for "a run follows" after RLE.
@@ -58,15 +69,17 @@ pub const RUN_MARKER: u32 = u32::MAX;
 /// overhead of a run token.
 pub const MIN_RUN: usize = 48;
 
-/// Alphabets whose non-marker symbols all fit below this bound use dense
-/// array frequency counting and code lookup instead of `HashMap`s.  The
-/// SZ/MGARD quantization codes (≤ 2·`MAX_CODE`+1 = 65 535) always qualify.
+/// Blocks whose symbols span fewer than this many values use a dense
+/// `[min, max]` window for frequency counting and code lookup instead of
+/// `HashMap`s.  The SZ/MGARD quantization codes (≤ 2·`MAX_CODE`+1 = 65 535)
+/// always qualify.
 const DENSE_SYMS: usize = 1 << 17;
 
-/// Payloads shorter than this skip building the `2^PEEK`-entry fast table
-/// (a ~512 KiB fill) and decode every symbol through the canonical walk —
-/// cheaper for the small per-request payloads the serve path sees.
-const TABLE_MIN_SYMBOLS: usize = 512;
+/// Longest code the packed payload writer takes: its 64-bit accumulator
+/// holds two codes behind at most seven pending bits.  A longer code needs
+/// a block of about a million symbols with Fibonacci-like frequencies;
+/// such blocks go through [`BitWriter`].
+const PACKED_MAX_LEN: u8 = 28;
 
 /// Reverses the low `len` bits of `v`.
 #[inline]
@@ -80,8 +93,8 @@ fn bitrev(v: u64, len: u8) -> u64 {
 /// [`decode_multi_into`]; buffers grow to the high-water mark and stay there.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// `2^PEEK` packed entries `len << 32 | sym` (one `u64` load per
-    /// lookup); length 0 = slow path.
+    /// `2^min(PEEK, max_len)` packed entries `len << 32 | sym` (one `u64`
+    /// load per lookup); length 0 = slow path.
     table64: Vec<u64>,
     /// Parsed `(symbol, length)` pairs in canonical order.
     lengths: Vec<(u32, u8)>,
@@ -99,22 +112,26 @@ pub struct DecodeScratch {
     runs: Vec<u32>,
 }
 
-/// Reusable encoder state: frequency table, code lookup, RLE buffers, and
-/// the payload bit writer.
+/// Reusable encoder state, grow-only: the block writer's frequency window,
+/// code lookup and RLE buffers, and the symbol-side buffers of the backend
+/// that feeds it (see [`with_encode_scratch`]).
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
-    /// Dense symbol frequency counts (dense alphabets only).
+    /// Dense frequency window; all-zero between calls.
     freq: Vec<u64>,
-    /// Dense symbol → (bit-reversed code, length) lookup.
-    lut: Vec<(u64, u8)>,
-    /// RLE-collapsed symbol stream.
+    /// Packed `code << 6 | len` per window slot, the run marker's entry
+    /// one past the window.
+    lut: Vec<u64>,
+    /// RLE-collapsed symbols of the segments that hold a run.
     transformed: Vec<u32>,
     /// Collected run lengths.
     runs: Vec<u32>,
-    /// Payload writer (buffer reused across calls).
-    writer: BitWriter,
-    /// Per-sub-stream payload staging for the multi-stream encoder.
-    payload_buf: Vec<u8>,
+    /// The calling backend's symbol stream.
+    pub(crate) symbols: Vec<u32>,
+    /// The calling backend's lattice indices (SZ).
+    pub(crate) lattice: Vec<i32>,
+    /// The calling backend's escaped values, segment by segment (SZ).
+    pub(crate) outliers: Vec<f32>,
 }
 
 thread_local! {
@@ -122,82 +139,11 @@ thread_local! {
     static DEC_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
 }
 
-/// Builds the symbol → (bit-reversed code, length) lookup the payload
-/// writer indexes.  The writer emits LSB-first, so
-/// storing the bit-reversed canonical code produces the MSB-first stream
-/// order decoding needs.  Dense array lookup for small alphabets (with the
-/// `RUN_MARKER` code held out-of-band), `HashMap` fallback otherwise.
-fn build_encode_lut(
-    lengths: &[(u32, u8)],
-    lut: &mut Vec<(u64, u8)>,
-) -> (bool, (u64, u8), HashMap<u32, (u64, u8)>) {
-    let max_sym = lengths
-        .iter()
-        .filter(|&&(sym, _)| sym != RUN_MARKER)
-        .map(|&(sym, _)| sym)
-        .max()
-        .unwrap_or(0) as usize;
-    let dense = max_sym < DENSE_SYMS;
-    let mut marker_code = (0u64, 0u8);
-    let mut map: HashMap<u32, (u64, u8)> = HashMap::new();
-    if dense {
-        // Grow-only: entries left over from a previous block are never
-        // read, because every symbol the payload loop looks up appears in
-        // this block's `lengths` and is overwritten below.
-        if lut.len() <= max_sym {
-            lut.resize(max_sym + 1, (0, 0));
-        }
-    } else {
-        map.reserve(lengths.len());
-    }
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for &(sym, len) in lengths {
-        code = code.wrapping_shl((len - prev_len) as u32);
-        let rev = (bitrev(code, len), len);
-        if dense {
-            if sym == RUN_MARKER {
-                marker_code = rev;
-            } else {
-                lut[sym as usize] = rev;
-            }
-        } else {
-            map.insert(sym, rev);
-        }
-        code += 1;
-        prev_len = len;
-    }
-    (dense, marker_code, map)
-}
-
-/// Writes one payload's worth of symbols through the lookup built by
-/// [`build_encode_lut`].
-fn write_payload_symbols(
-    w: &mut BitWriter,
-    symbols: &[u32],
-    dense: bool,
-    lut: &[(u64, u8)],
-    marker_code: (u64, u8),
-    map: &HashMap<u32, (u64, u8)>,
-) {
-    if dense {
-        for &sym in symbols {
-            let (rev, len) = if sym == RUN_MARKER {
-                marker_code
-            } else {
-                lut[sym as usize]
-            };
-            w.write_bits(rev, len as u32);
-        }
-    } else {
-        for sym in symbols {
-            // audit:allow(panic-reach) encode-side invariant: `map` was built
-            // from the histogram of this very slice, so every symbol has a
-            // code; a miss is a bug, not an input condition.
-            let &(rev, len) = map.get(sym).expect("symbol has a code");
-            w.write_bits(rev, len as u32);
-        }
-    }
+/// Runs `f` on this thread's [`EncodeScratch`].  A backend that keeps its
+/// symbols in the scratch moves the buffer out (`std::mem::take`) around
+/// its [`encode_multi_with`] call and puts it back afterwards.
+pub(crate) fn with_encode_scratch<R>(f: impl FnOnce(&mut EncodeScratch) -> R) -> R {
+    ENC_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Flag-byte value marking a raw fixed-width (16-bit) symbol payload in
@@ -259,7 +205,48 @@ pub fn encode_multi(segments: &[&[u32]]) -> Vec<u8> {
 /// [`encode_multi`] appending to an existing buffer via the thread-local
 /// [`EncodeScratch`].
 pub fn encode_multi_into(segments: &[&[u32]], out: &mut Vec<u8>) {
-    ENC_SCRATCH.with(|s| encode_multi_with(segments, out, &mut s.borrow_mut()));
+    with_encode_scratch(|s| encode_multi_with(segments, out, s));
+}
+
+/// What the one pre-scan of a segment learns before anything is copied or
+/// counted.
+#[derive(Clone, Copy)]
+struct Scan {
+    min: u32,
+    max: u32,
+    /// [`RUN_SAMPLES`] consecutive samples at [`RUN_STRIDE`] are equal —
+    /// necessary for a run of [`MIN_RUN`], which covers at least that many
+    /// sample points wherever it starts.
+    maybe_run: bool,
+}
+
+const RUN_STRIDE: usize = 8;
+const RUN_SAMPLES: usize = MIN_RUN / RUN_STRIDE;
+
+/// Range and run candidacy of `seg`: one vectorisable min/max pass and one
+/// pass over every [`RUN_STRIDE`]-th symbol.  [`RUN_MARKER`] is `u32::MAX`,
+/// so `max` also says whether the segment uses the marker as data.
+fn scan_segment(seg: &[u32]) -> Scan {
+    let (mut min, mut max) = (u32::MAX, 0u32);
+    for &v in seg {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    let mut maybe_run = false;
+    let mut streak = 1usize;
+    let mut samples = seg.iter().step_by(RUN_STRIDE);
+    if let Some(mut prev) = samples.next() {
+        for v in samples {
+            streak = if v == prev { streak + 1 } else { 1 };
+            maybe_run |= streak >= RUN_SAMPLES;
+            prev = v;
+        }
+    }
+    Scan {
+        min,
+        max,
+        maybe_run,
+    }
 }
 
 /// [`encode_multi_into`] with caller-owned scratch state.
@@ -291,57 +278,80 @@ pub fn encode_multi_into(segments: &[&[u32]], out: &mut Vec<u8>) {
 /// a run marker never leads a sub-stream and expansion needs no cross-lane
 /// state; RLE is skipped entirely if the input ever uses the marker value
 /// itself.
+///
+/// Before anything is copied, [`scan_segment`] finds the block's symbol
+/// range, whether the marker occurs as data, and which segments can hold a
+/// run at all.  Only those segments are copied
+/// (collapsed) into scratch; the rest are counted and coded straight from
+/// the caller's slices.
 pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeScratch) {
     let _span = errflow_obs::trace::span("codec.huffman.encode_multi");
-    debug_assert!(
-        !segments.is_empty() && segments.len() <= crate::format::MAX_STREAMS,
-        "segment count {} outside 1..={}",
-        segments.len(),
-        crate::format::MAX_STREAMS
+    let n_streams = segments.len();
+    assert!(
+        (1..=MAX_STREAMS).contains(&n_streams),
+        "segment count {n_streams} outside 1..={MAX_STREAMS}"
     );
     let n_original: usize = segments.iter().map(|seg| seg.len()).sum();
     out.extend_from_slice(&(n_original as u64).to_le_bytes());
-    out.push(segments.len() as u8);
+    out.push(n_streams as u8);
 
-    s.transformed.clear();
-    s.runs.clear();
-    let mut t_bounds = Vec::with_capacity(segments.len() + 1);
-    let mut r_bounds = Vec::with_capacity(segments.len() + 1);
-    t_bounds.push(0usize);
-    r_bounds.push(0usize);
-    // Single fused pass per segment: run detection doubles as the marker
-    // scan.  If any segment uses the marker symbol itself, the whole block
-    // falls back to raw storage (rare — quantizer symbols never reach
-    // `u32::MAX`), so the restart below re-reads the inputs only then.
-    let mut rle_ok = true;
-    for seg in segments {
-        if !rle_collapse_checked(seg, &mut s.transformed, &mut s.runs) {
-            rle_ok = false;
-            break;
-        }
-        t_bounds.push(s.transformed.len());
-        r_bounds.push(s.runs.len());
+    let EncodeScratch {
+        freq,
+        lut,
+        transformed,
+        runs,
+        ..
+    } = s;
+    let mut maybe_run = [false; MAX_STREAMS];
+    let (mut min, mut max) = (u32::MAX, 0u32);
+    for (flag, seg) in maybe_run.iter_mut().zip(segments) {
+        let scan = scan_segment(seg);
+        min = min.min(scan.min);
+        max = max.max(scan.max);
+        *flag = scan.maybe_run;
     }
-    if !rle_ok {
-        s.transformed.clear();
-        s.runs.clear();
-        t_bounds.truncate(1);
-        r_bounds.truncate(1);
-        for seg in segments {
-            s.transformed.extend_from_slice(seg);
-            t_bounds.push(s.transformed.len());
-            r_bounds.push(s.runs.len());
+    // A marker used as data anywhere stores the whole block without RLE
+    // (rare — quantizer symbols never reach `u32::MAX`).
+    let rle_ok = max != RUN_MARKER;
+
+    transformed.clear();
+    runs.clear();
+    // Each segment's `[start, end)` in `transformed` and `runs`; a segment
+    // coded from the caller's slice leaves both empty.
+    let mut t_bounds = [(0usize, 0usize); MAX_STREAMS];
+    let mut r_bounds = [(0usize, 0usize); MAX_STREAMS];
+    for (i, seg) in segments.iter().enumerate() {
+        let (t0, r0) = (transformed.len(), runs.len());
+        if rle_ok && maybe_run[i] {
+            rle_collapse(seg, transformed, runs);
         }
+        t_bounds[i] = (t0, transformed.len());
+        r_bounds[i] = (r0, runs.len());
     }
+    let (transformed, runs) = (&*transformed, &*runs);
+    let mut sources: [&[u32]; MAX_STREAMS] = [&[]; MAX_STREAMS];
+    for (i, seg) in segments.iter().enumerate() {
+        sources[i] = if rle_ok && maybe_run[i] {
+            &transformed[t_bounds[i].0..t_bounds[i].1]
+        } else {
+            seg
+        };
+    }
+    let sources = &sources[..n_streams];
+
     // Histogram once, then pick the payload mode: the same frequencies
     // feed either the raw16 decision (incompressible inputs skip the tree
     // build and bit-packing entirely) or the Huffman tree below.
-    let sorted = if s.transformed.is_empty() {
+    let dense = rle_ok && n_original > 0 && ((max - min) as usize) < DENSE_SYMS;
+    let window = if dense { (max - min) as usize + 1 } else { 0 };
+    let sorted = if n_original == 0 {
         Vec::new()
+    } else if dense {
+        window_frequencies(sources, min, window, runs.len(), freq)
     } else {
-        frequencies(&s.transformed, &mut s.freq)
+        hashed_frequencies(sources)
     };
-    if choose_raw16(rle_ok, &sorted, n_original, s.runs.len()) {
+    if choose_raw16(rle_ok, &sorted, n_original, runs.len()) {
         out.push(FLAG_RAW16);
         for seg in segments {
             out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
@@ -363,14 +373,14 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
     out.push(rle_ok as u8);
     for (i, seg) in segments.iter().enumerate() {
         out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
-        let seg_runs = &s.runs[r_bounds[i]..r_bounds[i + 1]];
+        let seg_runs = &runs[r_bounds[i].0..r_bounds[i].1];
         out.extend_from_slice(&(seg_runs.len() as u32).to_le_bytes());
         for &r in seg_runs {
             write_varint(out, r);
         }
-        out.extend_from_slice(&((t_bounds[i + 1] - t_bounds[i]) as u64).to_le_bytes());
+        out.extend_from_slice(&(sources[i].len() as u64).to_le_bytes());
     }
-    if s.transformed.is_empty() {
+    if n_original == 0 {
         out.extend_from_slice(&0u32.to_le_bytes());
         for _ in segments {
             out.extend_from_slice(&0u64.to_le_bytes());
@@ -378,76 +388,213 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
         return;
     }
 
-    let lengths = code_lengths_from_sorted(sorted);
+    let lengths = code_lengths_from_sorted(&sorted);
     out.extend_from_slice(&(lengths.len() as u32).to_le_bytes());
     for &(sym, len) in &lengths {
         out.extend_from_slice(&sym.to_le_bytes());
         out.push(len);
     }
 
-    let (dense, marker_code, map) = build_encode_lut(&lengths, &mut s.lut);
-    s.payload_buf.clear();
-    let mut payload_lens = Vec::with_capacity(segments.len());
-    for i in 0..segments.len() {
-        let w = &mut s.writer;
-        w.reset();
-        write_payload_symbols(
-            w,
-            &s.transformed[t_bounds[i]..t_bounds[i + 1]],
-            dense,
-            &s.lut,
-            marker_code,
-            &map,
-        );
-        let before = s.payload_buf.len();
-        w.append_bytes_to(&mut s.payload_buf);
-        payload_lens.push((s.payload_buf.len() - before) as u64);
+    // Payload lengths precede the payloads, so their slots are reserved
+    // here and filled in once each payload's end is known.
+    let lens_at = out.len();
+    out.resize(lens_at + 8 * n_streams, 0);
+    let mut payload_lens = [0u64; MAX_STREAMS];
+    let max_len = lengths.last().map_or(0, |&(_, len)| len);
+    if dense && max_len <= PACKED_MAX_LEN {
+        build_packed_lut(&lengths, min, window, lut);
+        let lut = &lut[..=window];
+        // Exact size of all payloads from the histogram; each sub-stream
+        // pads to a whole byte and the writer stores eight bytes at a time.
+        let bits: u64 = sorted
+            .iter()
+            .map(|&(sym, f)| f * (lut[lut_slot(sym, min, window)] & 63))
+            .sum();
+        let mut pos = out.len();
+        out.resize(pos + (bits / 8) as usize + n_streams + 8, 0);
+        for (len, symbols) in payload_lens.iter_mut().zip(sources) {
+            let end = write_packed(out, pos, symbols, min, lut);
+            *len = (end - pos) as u64;
+            pos = end;
+        }
+        out.truncate(pos);
+    } else {
+        let codes = canonical_code_map(&lengths);
+        let mut w = BitWriter::new();
+        for (len, symbols) in payload_lens.iter_mut().zip(sources) {
+            w.reset();
+            for sym in *symbols {
+                // audit:allow(panic-reach) encode-side invariant: `codes` was
+                // built from the histogram of these very slices, so every
+                // symbol has a code; a miss is a bug, not an input condition.
+                let &(rev, code_len) = codes.get(sym).expect("symbol has a code");
+                w.write_bits(rev, u32::from(code_len));
+            }
+            let before = out.len();
+            w.append_bytes_to(out);
+            *len = (out.len() - before) as u64;
+        }
     }
-    for &l in &payload_lens {
-        out.extend_from_slice(&l.to_le_bytes());
+    for (slot, len) in out[lens_at..lens_at + 8 * n_streams]
+        .chunks_exact_mut(8)
+        .zip(payload_lens)
+    {
+        slot.copy_from_slice(&len.to_le_bytes());
     }
-    out.extend_from_slice(&s.payload_buf);
 }
 
-/// Collapses runs of ≥ [`MIN_RUN`] identical symbols into `transformed` /
-/// `runs`.  A run of `s` with length `L` becomes `[s, RUN_MARKER]` plus an
-/// out-of-band count `L − 1`.
-///
-/// The same pass doubles as the marker scan: if the input itself contains
-/// [`RUN_MARKER`] the collapse is invalid, so everything this call appended
-/// is rolled back and `false` is returned — the caller stores the symbols
-/// raw.  Fusing the scan into run detection keeps encoding at one read of
-/// the input instead of two.
-fn rle_collapse_checked(symbols: &[u32], transformed: &mut Vec<u32>, runs: &mut Vec<u32>) -> bool {
-    let t_start = transformed.len();
-    let r_start = runs.len();
-    transformed.reserve(symbols.len());
+/// Collapses runs of ≥ [`MIN_RUN`] identical symbols of a marker-free
+/// segment into `transformed` / `runs`.  A run of `s` with length `L`
+/// becomes `[s, RUN_MARKER]` plus an out-of-band count `L − 1`; the literal
+/// stretches between runs are copied in bulk.
+fn rle_collapse(symbols: &[u32], transformed: &mut Vec<u32>, runs: &mut Vec<u32>) {
+    let mut literal_from = 0;
     let mut i = 0;
     while i < symbols.len() {
         let s = symbols[i];
-        if s == RUN_MARKER {
-            transformed.truncate(t_start);
-            runs.truncate(r_start);
-            return false;
-        }
         let mut j = i + 1;
         while j < symbols.len() && symbols[j] == s && j - i < u32::MAX as usize {
             j += 1;
         }
-        let len = j - i;
-        if len >= MIN_RUN {
+        if j - i >= MIN_RUN {
+            transformed.extend_from_slice(&symbols[literal_from..i]);
             transformed.push(s);
             transformed.push(RUN_MARKER);
-            runs.push((len - 1) as u32);
-        } else {
-            transformed.extend(std::iter::repeat(s).take(len));
+            runs.push((j - i - 1) as u32);
+            literal_from = j;
         }
         i = j;
     }
-    true
+    transformed.extend_from_slice(&symbols[literal_from..]);
 }
 
-/// Inverse of [`rle_collapse_checked`], scoped to one segment: appends
+/// Symbol frequencies in ascending symbol order, counted into the dense
+/// window `[min, min + window)`.  `sources` hold no symbol outside it but
+/// [`RUN_MARKER`], which the slice lookup skips and `n_runs` accounts for
+/// (one marker per run).
+///
+/// `freq` is grow-only, all-zero scratch: the collection pass below zeroes
+/// each slot it reads, so a call touches the window and nothing else.
+fn window_frequencies(
+    sources: &[&[u32]],
+    min: u32,
+    window: usize,
+    n_runs: usize,
+    freq: &mut Vec<u64>,
+) -> Vec<(u32, u64)> {
+    if freq.len() < window {
+        freq.resize(window, 0);
+    }
+    let counts = &mut freq[..window];
+    for symbols in sources {
+        for &sym in *symbols {
+            if let Some(slot) = counts.get_mut(sym.wrapping_sub(min) as usize) {
+                *slot += 1;
+            }
+        }
+    }
+    let mut sorted: Vec<(u32, u64)> = Vec::new();
+    for (i, slot) in counts.iter_mut().enumerate() {
+        if *slot != 0 {
+            sorted.push((min + i as u32, std::mem::take(slot)));
+        }
+    }
+    if n_runs > 0 {
+        // RUN_MARKER is u32::MAX: appending keeps ascending order.
+        sorted.push((RUN_MARKER, n_runs as u64));
+    }
+    sorted
+}
+
+/// [`window_frequencies`] for blocks too spread out for a dense window
+/// (or that use the marker as data): the identical list, through a map.
+fn hashed_frequencies(sources: &[&[u32]]) -> Vec<(u32, u64)> {
+    let mut map: HashMap<u32, u64> = HashMap::new();
+    for symbols in sources {
+        for &sym in *symbols {
+            *map.entry(sym).or_insert(0) += 1;
+        }
+    }
+    let mut sorted: Vec<(u32, u64)> = map.into_iter().collect();
+    sorted.sort_unstable();
+    sorted
+}
+
+/// The lookup slot of `sym` in a packed table over `[min, min + window)`:
+/// its offset in the window, or `window` itself for [`RUN_MARKER`] (the
+/// only symbol a dense block holds outside the window).
+#[inline(always)]
+fn lut_slot(sym: u32, min: u32, window: usize) -> usize {
+    (sym.wrapping_sub(min) as usize).min(window)
+}
+
+/// Fills `lut[..=window]` with one packed word per symbol of `lengths`:
+/// the bit-reversed canonical code above the 6-bit length.  The writer
+/// emits LSB-first, so the reversed code produces the MSB-first stream
+/// order decoding needs.  Grow-only: slots left over from an earlier block
+/// are never read, because every symbol the payload loop looks up appears
+/// in this block's `lengths` and is overwritten here.
+fn build_packed_lut(lengths: &[(u32, u8)], min: u32, window: usize, lut: &mut Vec<u64>) {
+    if lut.len() <= window {
+        lut.resize(window + 1, 0);
+    }
+    let mut code = 0u64;
+    let mut prev_len = 0u8;
+    for &(sym, len) in lengths {
+        code <<= len - prev_len;
+        lut[lut_slot(sym, min, window)] = (bitrev(code, len) << 6) | u64::from(len);
+        code += 1;
+        prev_len = len;
+    }
+}
+
+/// Codes one sub-stream through the packed lookup straight into
+/// `out[pos..]`, which the caller sized for it; returns the payload's end.
+/// Two codes at a time go into a 64-bit accumulator behind at most seven
+/// pending bits (hence [`PACKED_MAX_LEN`]); it is stored whole and keeps
+/// the bits of its last partial byte — the bytes [`BitWriter`] would
+/// produce, without the staging buffers.
+fn write_packed(out: &mut [u8], mut pos: usize, symbols: &[u32], min: u32, lut: &[u64]) -> usize {
+    let window = lut.len() - 1;
+    let mut acc = 0u64;
+    let mut nbits = 0u32;
+    let mut pairs = symbols.chunks_exact(2);
+    for pair in &mut pairs {
+        for &sym in pair {
+            let entry = lut[lut_slot(sym, min, window)];
+            acc |= (entry >> 6) << nbits;
+            nbits += (entry & 63) as u32;
+        }
+        out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+        pos += (nbits >> 3) as usize;
+        acc >>= nbits & !7;
+        nbits &= 7;
+    }
+    if let [sym] = *pairs.remainder() {
+        let entry = lut[lut_slot(sym, min, window)];
+        acc |= (entry >> 6) << nbits;
+        nbits += (entry & 63) as u32;
+    }
+    out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+    pos + nbits.div_ceil(8) as usize
+}
+
+/// Symbol → (bit-reversed canonical code, length), for the blocks the
+/// packed lookup cannot serve.
+fn canonical_code_map(lengths: &[(u32, u8)]) -> HashMap<u32, (u64, u8)> {
+    let mut map = HashMap::with_capacity(lengths.len());
+    let mut code = 0u64;
+    let mut prev_len = 0u8;
+    for &(sym, len) in lengths {
+        code = code.wrapping_shl((len - prev_len) as u32);
+        map.insert(sym, (bitrev(code, len), len));
+        code += 1;
+        prev_len = len;
+    }
+    map
+}
+
+/// Inverse of [`rle_collapse`], scoped to one segment: appends
 /// exactly `n_original` symbols onto `out` (which may already hold earlier
 /// segments); run expansion is a single `Vec::resize` fill per run (memset
 /// speed for the dominant-symbol stretches that make up smooth-field
@@ -555,15 +702,15 @@ fn parse_code_table(
     Ok(max_len)
 }
 
-/// Builds the canonical decode arrays — and, when `with_table`, the packed
-/// `2^PEEK` prefix table — in one pass over the canonical code assignment
-/// in `s.lengths`.  Small payloads skip the table (see
-/// [`TABLE_MIN_SYMBOLS`]) and take the canonical walk for every symbol.
-fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, with_table: bool) {
-    if with_table {
-        s.table64.clear();
-        s.table64.resize(1 << PEEK, 0);
-    }
+/// Builds the canonical decode arrays and the packed prefix table in one
+/// pass over the canonical code assignment in `s.lengths`.  The table is
+/// `2^min(PEEK, max_len)` entries wide: a block whose longest code is
+/// shorter than [`PEEK`] — every small payload, whose alphabet is a dozen
+/// symbols — fills a table of that width, not the full 64 KiB one.
+fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8) {
+    let table_bits = PEEK.min(max_len as u32);
+    s.table64.clear();
+    s.table64.resize(1 << table_bits, 0);
     s.first_code.clear();
     s.first_code.resize(max_len as usize + 1, 0);
     s.count.clear();
@@ -584,10 +731,10 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, with_table: bool) {
         }
         s.count[len as usize] += 1;
         s.syms.push(sym);
-        if with_table && (len as u32) <= PEEK {
+        if (len as u32) <= table_bits {
             let packed = ((len as u64) << 32) | sym as u64;
             let mut idx = bitrev(code, len) as usize;
-            while idx < (1 << PEEK) {
+            while idx < s.table64.len() {
                 s.table64[idx] = packed;
                 idx += 1usize << len;
             }
@@ -602,13 +749,14 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8, with_table: bool) {
 }
 
 /// One parsed sub-stream of a multi-stream block.
+#[derive(Clone, Copy, Default)]
 struct SubStream {
     /// Declared post-expansion symbol count.
     n_original: usize,
     /// Declared pre-expansion (payload) symbol count.
     n_symbols: usize,
-    /// This sub-stream's slice of the shared run-length buffer.
-    runs: std::ops::Range<usize>,
+    /// This sub-stream's `[start, end)` in the shared run-length buffer.
+    runs: (usize, usize),
     /// `(byte offset, byte length)` of this sub-stream's payload within
     /// the shared payload region.
     payload: (usize, usize),
@@ -643,10 +791,9 @@ pub fn decode_multi_into(
     let mut pos = 0usize;
     let n_original = read_len_u64(stream, &mut pos, "n_original")?;
     let n_streams = read_u8(stream, &mut pos, "stream count")? as usize;
-    if n_streams == 0 || n_streams > crate::format::MAX_STREAMS {
+    if n_streams == 0 || n_streams > MAX_STREAMS {
         return Err(CompressError::CorruptStream(format!(
-            "sub-stream count {n_streams} outside 1..={}",
-            crate::format::MAX_STREAMS
+            "sub-stream count {n_streams} outside 1..={MAX_STREAMS}"
         )));
     }
     let flag = read_u8(stream, &mut pos, "payload flag")?;
@@ -658,10 +805,11 @@ pub fn decode_multi_into(
     let raw16 = flag == FLAG_RAW16;
     let rle_used = flag == 1;
     s.runs.clear();
-    let mut subs: Vec<SubStream> = Vec::with_capacity(n_streams);
+    let mut subs = [SubStream::default(); MAX_STREAMS];
+    let subs = &mut subs[..n_streams];
     let mut sum_original = 0usize;
     let mut sum_symbols = 0usize;
-    for _ in 0..n_streams {
+    for sub in subs.iter_mut() {
         let n_orig_s = read_len_u64(stream, &mut pos, "sub-stream n_original")?;
         let n_runs = read_len_u32(stream, &mut pos, "sub-stream n_runs")?;
         // Every run costs at least one varint byte: reject forged counts
@@ -699,12 +847,12 @@ pub fn decode_multi_into(
         sum_symbols = sum_symbols.checked_add(n_sym).ok_or_else(|| {
             CompressError::CorruptStream("sub-stream symbol counts overflow".into())
         })?;
-        subs.push(SubStream {
+        *sub = SubStream {
             n_original: n_orig_s,
             n_symbols: n_sym,
-            runs: runs_start..s.runs.len(),
+            runs: (runs_start, s.runs.len()),
             payload: (0, 0),
-        });
+        };
     }
     if sum_original != n_original {
         return Err(CompressError::CorruptStream(
@@ -722,7 +870,7 @@ pub fn decode_multi_into(
             ));
         }
         let mut total_payload = 0usize;
-        for sub in &mut subs {
+        for sub in subs.iter_mut() {
             let l = read_len_u64(stream, &mut pos, "sub-stream payload length")?;
             if l != 2 * sub.n_symbols {
                 return Err(CompressError::CorruptStream(
@@ -743,7 +891,7 @@ pub fn decode_multi_into(
         out.resize(n_original, 0);
         let mut dst = out.as_mut_slice();
         let mut rest = payload;
-        for sub in &subs {
+        for sub in subs.iter() {
             let (bytes, tail) = rest.split_at(sub.payload.1);
             rest = tail;
             let (head, dst_tail) = dst.split_at_mut(sub.n_symbols);
@@ -781,12 +929,11 @@ pub fn decode_multi_into(
         ));
     }
     let max_len = parse_code_table(stream, &mut pos, s, n_distinct)?;
-    let with_table = sum_symbols >= TABLE_MIN_SYMBOLS;
-    build_canon_arrays(s, max_len, with_table);
+    build_canon_arrays(s, max_len);
 
     let mut total_payload = 0usize;
     let mut byte_cursor = 0usize;
-    for sub in &mut subs {
+    for sub in subs.iter_mut() {
         let l = read_len_u64(stream, &mut pos, "sub-stream payload length")?;
         sub.payload = (byte_cursor, l);
         total_payload = total_payload.checked_add(l).ok_or_else(|| {
@@ -801,7 +948,7 @@ pub fn decode_multi_into(
         .and_then(|rest| rest.get(..total_payload))
         .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
     // Every decoded symbol consumes at least one bit of its own payload.
-    for sub in &subs {
+    for sub in subs.iter() {
         if sub.n_symbols > sub.payload.1.saturating_mul(8) {
             return Err(CompressError::CorruptStream(
                 "declared symbol count exceeds payload bits".into(),
@@ -827,26 +974,26 @@ pub fn decode_multi_into(
         syms,
         max_len,
     };
-    let table64: &[u64] = if with_table { table64 } else { &[] };
+    let (subs, table64) = (&*subs, &**table64);
     if rle_used {
         transformed.clear();
         // Bounded: each sub-stream's symbol count is capped at 8× its
         // payload bytes above, so the sum is capped by the stream length.
         transformed.resize(sum_symbols, 0);
-        decode_lanes(payload, &subs, table64, &canon, transformed)?;
+        decode_lanes(payload, subs, table64, &canon, transformed)?;
         out.reserve(crate::traits::safe_capacity(
             n_original,
             transformed.len() * 4,
         ));
         let mut t_off = 0usize;
-        for sub in &subs {
+        for sub in subs {
             let seg = &transformed[t_off..t_off + sub.n_symbols];
             t_off += sub.n_symbols;
-            rle_expand_segment(seg, &runs[sub.runs.clone()], sub.n_original, out)?;
+            rle_expand_segment(seg, &runs[sub.runs.0..sub.runs.1], sub.n_original, out)?;
         }
     } else {
         out.resize(n_original, 0);
-        decode_lanes(payload, &subs, table64, &canon, out)?;
+        decode_lanes(payload, subs, table64, &canon, out)?;
     }
     Ok(consumed)
 }
@@ -854,6 +1001,7 @@ pub fn decode_multi_into(
 /// Per-lane decode cursor handed from the interleaved loop to the scalar
 /// lane decoder: an absolute bit position in the shared payload region, the
 /// lane's end bit, and how many symbols it has produced.
+#[derive(Clone, Copy, Default)]
 struct LaneCursor {
     bitpos: usize,
     end_bit: usize,
@@ -861,9 +1009,9 @@ struct LaneCursor {
 }
 
 /// Decodes every sub-stream into its contiguous region of `dst` (regions
-/// ordered by sub-stream, sized `n_symbols` each).  Four-stream blocks with
-/// a prefix table start in the interleaved loop; the resumable scalar lane
-/// decoder runs the lane tails, and the whole decode for any other shape.
+/// ordered by sub-stream, sized `n_symbols` each).  Four-stream blocks
+/// start in the interleaved loop; the resumable scalar lane decoder runs
+/// the lane tails, and the whole decode for any other shape.
 fn decode_lanes(
     payload: &[u8],
     subs: &[SubStream],
@@ -872,23 +1020,22 @@ fn decode_lanes(
     dst: &mut [u32],
 ) -> Result<(), CompressError> {
     debug_assert_eq!(dst.len(), subs.iter().map(|s| s.n_symbols).sum::<usize>());
-    let mut regions: Vec<&mut [u32]> = Vec::with_capacity(subs.len());
+    let mut regions: [&mut [u32]; MAX_STREAMS] = std::array::from_fn(|_| Default::default());
+    let mut cursors = [LaneCursor::default(); MAX_STREAMS];
     let mut rest: &mut [u32] = dst;
-    for sub in subs {
+    for ((region, cur), sub) in regions.iter_mut().zip(&mut cursors).zip(subs) {
         let (head, tail) = std::mem::take(&mut rest).split_at_mut(sub.n_symbols);
-        regions.push(head);
+        *region = head;
         rest = tail;
-    }
-    let mut cursors: Vec<LaneCursor> = subs
-        .iter()
-        .map(|sub| LaneCursor {
+        *cur = LaneCursor {
             bitpos: sub.payload.0 * 8,
             end_bit: (sub.payload.0 + sub.payload.1) * 8,
             written: 0,
-        })
-        .collect();
-    if cursors.len() == 4 && !table64.is_empty() {
-        decode_lanes_ilp4(payload, table64, canon, &mut cursors, &mut regions)?;
+        };
+    }
+    let (regions, cursors) = (&mut regions[..subs.len()], &mut cursors[..subs.len()]);
+    if cursors.len() == 4 {
+        decode_lanes_ilp4(payload, table64, canon, cursors, regions)?;
     }
     for (cur, region) in cursors.iter_mut().zip(regions.iter_mut()) {
         decode_lane_scalar(
@@ -921,7 +1068,8 @@ fn decode_lanes(
 ///
 /// Round structure: enter only while every lane has ≥ 57 trustworthy bits
 /// (`end_bit - bitpos`) and ≥ 4 symbols of space, load one 57-bit window
-/// per lane, then commit 4 symbols per lane lockstep.  4 × `PEEK` ≤ 52
+/// per lane, then commit 4 symbols per lane lockstep.  The table is at most
+/// [`PEEK`] bits wide and 4 × `PEEK` ≤ 52
 /// bits, so a window of table hits never runs dry mid-round and — by the
 /// prefix property — a hit never consumes another lane's bits even when
 /// the window loaded past this lane's end.  A table miss (long code,
@@ -940,7 +1088,9 @@ fn decode_lanes_ilp4(
 ) -> Result<(), CompressError> {
     debug_assert_eq!(cursors.len(), 4);
     debug_assert_eq!(regions.len(), 4);
-    let mask = (1u64 << PEEK) - 1;
+    debug_assert!(table64.len().is_power_of_two());
+    let mask = table64.len() as u64 - 1;
+    let table_bits = table64.len().trailing_zeros() as usize;
     let mut pos: [usize; 4] = std::array::from_fn(|i| cursors[i].bitpos);
     let mut wr: [usize; 4] = std::array::from_fn(|i| cursors[i].written);
     let end: [usize; 4] = std::array::from_fn(|i| cursors[i].end_bit);
@@ -980,9 +1130,9 @@ fn decode_lanes_ilp4(
         // Long-code recovery, off the hot path: walk one canonical symbol
         // for each lane whose next code misses the table (≤ 3 commits since
         // the round-entry check, so every lane still has ≥ 1 slot and ≥
-        // PEEK trustworthy bits), then resume fast rounds.
+        // `table_bits` trustworthy bits), then resume fast rounds.
         for i in 0..4 {
-            if end[i].saturating_sub(pos[i]) < PEEK as usize {
+            if end[i].saturating_sub(pos[i]) < table_bits {
                 continue;
             }
             let entry = table64[(load_word(payload, pos[i]) & mask) as usize];
@@ -1017,8 +1167,9 @@ fn decode_lanes_ilp4(
 ///
 /// Hot loop: refill a 64-bit register with ≥ 57 payload bits, then decode
 /// table hits back-to-back with one lookup + shift each until fewer than
-/// `PEEK` trustworthy bits remain in the register.  Long codes (table miss)
-/// and the last < `PEEK` bits of the lane take the canonical walk.  Bounds
+/// a table index of trustworthy bits remain in the register.  Long codes
+/// (table miss) and the last bits of the lane, fewer than a table index,
+/// take the canonical walk.  Bounds
 /// are lane-relative — bits past `end_bit` belong to the *next* lane and
 /// are never consumed, though the 57-bit window may harmlessly observe them
 /// (a table entry only ever commits bits of the code itself).
@@ -1031,15 +1182,9 @@ fn decode_lane_scalar(
     dst: &mut [u32],
     written: &mut usize,
 ) -> Result<(), CompressError> {
-    if table64.is_empty() {
-        while *written < dst.len() {
-            dst[*written] = decode_one_slow(payload, bitpos, end_bit, canon)?;
-            *written += 1;
-        }
-        return Ok(());
-    }
-    let mask = (1u64 << PEEK) - 1;
-    let peek = PEEK as usize;
+    debug_assert!(table64.len().is_power_of_two());
+    let mask = table64.len() as u64 - 1;
+    let peek = table64.len().trailing_zeros() as usize;
     while *written < dst.len() {
         let rem = end_bit.saturating_sub(*bitpos);
         if rem >= peek {
@@ -1065,8 +1210,8 @@ fn decode_lane_scalar(
             }
             continue;
         }
-        // Lane tail: fewer than PEEK trustworthy bits remain, so only
-        // accept a table hit whose code fits inside the lane.
+        // Lane tail: fewer than a table index of trustworthy bits remain,
+        // so only accept a table hit whose code fits inside the lane.
         let entry = table64[(load_word(payload, *bitpos) & mask) as usize];
         let len = (entry >> 32) as usize;
         if len > 0 && len <= rem {
@@ -1138,7 +1283,7 @@ fn decode_one_slow(
 /// over a merged node, equal-frequency leaves keep ascending-symbol
 /// order (the sort is stable), merged nodes are FIFO — so the emitted
 /// code lengths (and therefore the stream bytes) are unchanged.
-fn code_lengths_from_sorted(sorted: Vec<(u32, u64)>) -> Vec<(u32, u8)> {
+fn code_lengths_from_sorted(sorted: &[(u32, u64)]) -> Vec<(u32, u8)> {
     if sorted.is_empty() {
         return Vec::new();
     }
@@ -1198,66 +1343,6 @@ fn code_lengths_from_sorted(sorted: Vec<(u32, u64)>) -> Vec<(u32, u8)> {
     }
     lengths.sort_unstable_by_key(|&(sym, len)| (len, sym));
     lengths
-}
-
-/// Symbol frequencies in ascending symbol order.  Dense counting (array
-/// indexed by symbol, `RUN_MARKER` tracked separately) when every
-/// non-marker symbol is below [`DENSE_SYMS`]; `HashMap` fallback otherwise.
-/// Both paths produce the identical list a sort of hash entries would.
-///
-/// `freq` is grow-only, all-zero scratch: the function records which
-/// entries it increments and zeroes exactly those before returning, so
-/// repeated calls touch O(distinct) memory instead of re-clearing and
-/// re-scanning the whole alphabet-sized array every time.
-fn frequencies(symbols: &[u32], freq: &mut Vec<u64>) -> Vec<(u32, u64)> {
-    // Optimistic single pass: count densely while recording touched
-    // entries, bailing to the HashMap path on the first symbol outside the
-    // dense range (after restoring the zeros).  The common quantizer
-    // alphabets never bail, so the input is read once, not twice.
-    if freq.len() < DENSE_SYMS {
-        freq.resize(DENSE_SYMS, 0);
-    }
-    let mut touched: Vec<u32> = Vec::new();
-    let mut marker = 0u64;
-    let mut dense = true;
-    for &s in symbols {
-        if s == RUN_MARKER {
-            marker += 1;
-        } else if (s as usize) < DENSE_SYMS {
-            let slot = &mut freq[s as usize];
-            if *slot == 0 {
-                touched.push(s);
-            }
-            *slot += 1;
-        } else {
-            dense = false;
-            break;
-        }
-    }
-    if dense {
-        touched.sort_unstable();
-        let mut sorted: Vec<(u32, u64)> = Vec::with_capacity(touched.len() + 1);
-        for &s in &touched {
-            sorted.push((s, freq[s as usize]));
-            freq[s as usize] = 0;
-        }
-        if marker > 0 {
-            // RUN_MARKER is u32::MAX: appending keeps ascending order.
-            sorted.push((RUN_MARKER, marker));
-        }
-        sorted
-    } else {
-        for &s in &touched {
-            freq[s as usize] = 0;
-        }
-        let mut map: HashMap<u32, u64> = HashMap::new();
-        for &s in symbols {
-            *map.entry(s).or_insert(0) += 1;
-        }
-        let mut sorted: Vec<(u32, u64)> = map.into_iter().collect();
-        sorted.sort_unstable();
-        sorted
-    }
 }
 
 /// LEB128 varint encoding for run lengths.
@@ -1427,12 +1512,35 @@ mod tests {
         symbols.extend([4, 4, 4]); // below MIN_RUN: kept verbatim
         let mut t = Vec::new();
         let mut runs = Vec::new();
-        assert!(rle_collapse_checked(&symbols, &mut t, &mut runs));
-        assert!(t.len() < symbols.len());
-        assert_eq!(runs.len(), 2);
+        rle_collapse(&symbols, &mut t, &mut runs);
+        assert_eq!(t, [5, RUN_MARKER, 1, 2, 3, 9, RUN_MARKER, 4, 4, 4]);
+        assert_eq!(runs, [99, 49]);
         let mut back = Vec::new();
         rle_expand_segment(&t, &runs, symbols.len(), &mut back).unwrap();
         assert_eq!(back, symbols);
+    }
+
+    #[test]
+    fn scan_finds_range_marker_and_every_run_candidate() {
+        let mut rng = StdRng::seed_from_u64(0x5CA9);
+        for _ in 0..200 {
+            let n = rng.gen_range(0usize..300);
+            let mut seg: Vec<u32> = (0..n).map(|_| rng.gen_range(10u32..5000)).collect();
+            // A run of exactly MIN_RUN at a random offset must be flagged
+            // wherever it falls against the block grid.
+            let with_run = n >= MIN_RUN && rng.gen_bool(0.5);
+            if with_run {
+                let at = rng.gen_range(0..=n - MIN_RUN);
+                seg[at..at + MIN_RUN].fill(77);
+            }
+            if n > 0 && rng.gen_bool(0.1) {
+                seg[rng.gen_range(0..n)] = RUN_MARKER;
+            }
+            let scan = scan_segment(&seg);
+            assert_eq!(scan.min, seg.iter().copied().min().unwrap_or(u32::MAX));
+            assert_eq!(scan.max, seg.iter().copied().max().unwrap_or(0));
+            assert!(scan.maybe_run || !with_run, "missed a run of MIN_RUN");
+        }
     }
 
     #[test]
@@ -1506,17 +1614,27 @@ mod tests {
     }
 
     #[test]
-    fn table_threshold_paths_agree() {
-        // Payloads just below/above TABLE_MIN_SYMBOLS take different decode
-        // paths; both must roundtrip the same streams.
+    fn table_is_as_wide_as_the_longest_code_up_to_peek() {
+        let mut scratch = DecodeScratch::default();
+        let mut out = Vec::new();
+        // 3 symbols → codes of ≤ 2 bits → a 4-entry table, however many
+        // symbols the block holds.
+        let few: Vec<u32> = (0..2000).map(|i| [7, 7, 8, 9][i % 4]).collect();
+        decode_multi_into(&encode_split(&few, 4), &mut out, &mut scratch).unwrap();
+        assert_eq!(out, few);
+        assert_eq!(scratch.table64.len(), 4);
+        // Codes past PEEK bits cap the table at 2^PEEK.
+        let skewed = geometric_symbols(1 << 17);
+        decode_multi_into(&encode_split(&skewed, 4), &mut out, &mut scratch).unwrap();
+        assert_eq!(out, skewed);
+        assert_eq!(scratch.table64.len(), 1 << PEEK);
+        // Tiny blocks on both sides of every table width round-trip.
         let mut rng = StdRng::seed_from_u64(0xCD);
-        for n in [
-            TABLE_MIN_SYMBOLS - 1,
-            TABLE_MIN_SYMBOLS,
-            TABLE_MIN_SYMBOLS + 1,
-        ] {
-            let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..33)).collect();
-            roundtrip(&symbols);
+        for n in [1usize, 2, 3, 5, 63, 64, 255, 256, 511, 512, 513, 1024] {
+            for alphabet in [1u32, 2, 3, 17, 33, 300] {
+                let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+                roundtrip(&symbols);
+            }
         }
     }
 
@@ -1528,6 +1646,313 @@ mod tests {
             let n = rng.gen_range(0usize..2000);
             let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet as u32)).collect();
             roundtrip(&symbols);
+        }
+    }
+
+    /// The block writer as it was before the single-read rewrite: a fused
+    /// collapse-and-marker-scan that copies every symbol, a histogram with
+    /// a touched list, an unpacked lookup and `BitWriter` staging.  Kept
+    /// only to hold [`encode_multi_with`] to the same bytes.
+    mod reference_encoder {
+        use super::super::*;
+
+        fn rle_collapse_checked(
+            symbols: &[u32],
+            transformed: &mut Vec<u32>,
+            runs: &mut Vec<u32>,
+        ) -> bool {
+            let t_start = transformed.len();
+            let r_start = runs.len();
+            let mut i = 0;
+            while i < symbols.len() {
+                let s = symbols[i];
+                if s == RUN_MARKER {
+                    transformed.truncate(t_start);
+                    runs.truncate(r_start);
+                    return false;
+                }
+                let mut j = i + 1;
+                while j < symbols.len() && symbols[j] == s && j - i < u32::MAX as usize {
+                    j += 1;
+                }
+                let len = j - i;
+                if len >= MIN_RUN {
+                    transformed.push(s);
+                    transformed.push(RUN_MARKER);
+                    runs.push((len - 1) as u32);
+                } else {
+                    transformed.extend(std::iter::repeat(s).take(len));
+                }
+                i = j;
+            }
+            true
+        }
+
+        fn frequencies(symbols: &[u32]) -> Vec<(u32, u64)> {
+            let mut freq = vec![0u64; DENSE_SYMS];
+            let mut touched: Vec<u32> = Vec::new();
+            let mut marker = 0u64;
+            let mut dense = true;
+            for &s in symbols {
+                if s == RUN_MARKER {
+                    marker += 1;
+                } else if (s as usize) < DENSE_SYMS {
+                    let slot = &mut freq[s as usize];
+                    if *slot == 0 {
+                        touched.push(s);
+                    }
+                    *slot += 1;
+                } else {
+                    dense = false;
+                    break;
+                }
+            }
+            if dense {
+                touched.sort_unstable();
+                let mut sorted: Vec<(u32, u64)> =
+                    touched.iter().map(|&s| (s, freq[s as usize])).collect();
+                if marker > 0 {
+                    sorted.push((RUN_MARKER, marker));
+                }
+                sorted
+            } else {
+                let mut map: HashMap<u32, u64> = HashMap::new();
+                for &s in symbols {
+                    *map.entry(s).or_insert(0) += 1;
+                }
+                let mut sorted: Vec<(u32, u64)> = map.into_iter().collect();
+                sorted.sort_unstable();
+                sorted
+            }
+        }
+
+        pub fn encode_multi(segments: &[&[u32]]) -> Vec<u8> {
+            let mut out = Vec::new();
+            let n_original: usize = segments.iter().map(|seg| seg.len()).sum();
+            out.extend_from_slice(&(n_original as u64).to_le_bytes());
+            out.push(segments.len() as u8);
+            let mut transformed = Vec::new();
+            let mut runs = Vec::new();
+            let mut t_bounds = vec![0usize];
+            let mut r_bounds = vec![0usize];
+            let mut rle_ok = true;
+            for seg in segments {
+                if !rle_collapse_checked(seg, &mut transformed, &mut runs) {
+                    rle_ok = false;
+                    break;
+                }
+                t_bounds.push(transformed.len());
+                r_bounds.push(runs.len());
+            }
+            if !rle_ok {
+                transformed.clear();
+                runs.clear();
+                t_bounds.truncate(1);
+                r_bounds.truncate(1);
+                for seg in segments {
+                    transformed.extend_from_slice(seg);
+                    t_bounds.push(transformed.len());
+                    r_bounds.push(runs.len());
+                }
+            }
+            let sorted = if transformed.is_empty() {
+                Vec::new()
+            } else {
+                frequencies(&transformed)
+            };
+            if choose_raw16(rle_ok, &sorted, n_original, runs.len()) {
+                out.push(FLAG_RAW16);
+                for seg in segments {
+                    out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+                    out.extend_from_slice(&0u32.to_le_bytes());
+                    out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+                }
+                for seg in segments {
+                    out.extend_from_slice(&((seg.len() * 2) as u64).to_le_bytes());
+                }
+                for seg in segments {
+                    for &sym in *seg {
+                        out.extend_from_slice(&(sym as u16).to_le_bytes());
+                    }
+                }
+                return out;
+            }
+            out.push(rle_ok as u8);
+            for (i, seg) in segments.iter().enumerate() {
+                out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+                let seg_runs = &runs[r_bounds[i]..r_bounds[i + 1]];
+                out.extend_from_slice(&(seg_runs.len() as u32).to_le_bytes());
+                for &r in seg_runs {
+                    write_varint(&mut out, r);
+                }
+                out.extend_from_slice(&((t_bounds[i + 1] - t_bounds[i]) as u64).to_le_bytes());
+            }
+            if transformed.is_empty() {
+                out.extend_from_slice(&0u32.to_le_bytes());
+                for _ in segments {
+                    out.extend_from_slice(&0u64.to_le_bytes());
+                }
+                return out;
+            }
+            let lengths = code_lengths_from_sorted(&sorted);
+            out.extend_from_slice(&(lengths.len() as u32).to_le_bytes());
+            for &(sym, len) in &lengths {
+                out.extend_from_slice(&sym.to_le_bytes());
+                out.push(len);
+            }
+            let codes = canonical_code_map(&lengths);
+            let mut payloads: Vec<Vec<u8>> = Vec::new();
+            for i in 0..segments.len() {
+                let mut w = BitWriter::new();
+                for sym in &transformed[t_bounds[i]..t_bounds[i + 1]] {
+                    let (rev, len) = codes[sym];
+                    w.write_bits(rev, len as u32);
+                }
+                payloads.push(w.into_bytes());
+            }
+            for p in &payloads {
+                out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+            }
+            for p in &payloads {
+                out.extend_from_slice(p);
+            }
+            out
+        }
+    }
+
+    /// Run-free symbols whose frequencies halve from one to the next, so
+    /// the rarest of `n` get codes well past [`PEEK`] bits.
+    fn geometric_symbols(n: usize) -> Vec<u32> {
+        let mut rng = StdRng::seed_from_u64(0x6E0);
+        let symbols: Vec<u32> = (0..n)
+            .map(|_| 100 + rng.gen::<u32>().trailing_zeros())
+            .collect();
+        let lengths = code_lengths_from_sorted(&hashed_frequencies(&[&symbols]));
+        assert!(lengths.last().unwrap().1 as u32 > PEEK);
+        symbols
+    }
+
+    /// Bytes of the fast writer against the reference, at 1, 4 and 16
+    /// segments, then a round trip.
+    fn assert_same_bytes(symbols: &[u32], what: &str) {
+        for n_streams in [1, 4, 16] {
+            let segs = split_slices(symbols, n_streams);
+            assert!(
+                encode_multi(&segs) == reference_encoder::encode_multi(&segs),
+                "{what}: {n_streams}-segment block differs from the reference writer"
+            );
+        }
+        roundtrip(symbols);
+    }
+
+    #[test]
+    fn block_bytes_match_the_reference_writer() {
+        let mut rng = StdRng::seed_from_u64(0xB17E5);
+        for round in 0..48 {
+            let alphabet = rng.gen_range(1u32..500);
+            let base = rng.gen_range(0u32..70_000);
+            let n = rng.gen_range(0usize..3000);
+            let symbols: Vec<u32> = (0..n).map(|_| base + rng.gen_range(0..alphabet)).collect();
+            assert_same_bytes(&symbols, &format!("random alphabet, round {round}"));
+        }
+        // Run-free, skewed: the straight-from-the-caller's-slice path.
+        let skewed: Vec<u32> = (0..20_000)
+            .map(|_| 32_768 + (rng.gen_range(-1.0f32..1.0) * rng.gen_range(0.0f32..40.0)) as u32)
+            .collect();
+        assert_same_bytes(&skewed, "run-free");
+        // Run-heavy: runs at, below and above MIN_RUN between literals,
+        // at segment starts and ends, and back to back.
+        let mut runs = Vec::new();
+        for k in 0..120u32 {
+            let len = [MIN_RUN - 1, MIN_RUN, MIN_RUN + 1, 31, 32, 200][k as usize % 6];
+            runs.extend(std::iter::repeat(k % 5).take(len));
+            if k % 3 == 0 {
+                runs.extend((0..rng.gen_range(0u32..40)).map(|i| 100 + i % 7));
+            }
+        }
+        assert_same_bytes(&runs, "run-heavy");
+        assert_same_bytes(&vec![9u32; 5000], "one run");
+        // The marker as data, early and late, with would-be runs around it.
+        let mut marked = vec![7u32; 400];
+        marked.extend((0..600).map(|i| i % 11));
+        marked[900] = RUN_MARKER;
+        assert_same_bytes(&marked, "marker as data (late)");
+        marked[3] = RUN_MARKER;
+        assert_same_bytes(&marked, "marker as data (early)");
+        // Raw16-eligible: a flat 16-bit alphabet Huffman cannot shrink.
+        let flat: Vec<u32> = (0..8000).map(|_| rng.gen_range(0..65_536)).collect();
+        assert_eq!(encode_split(&flat, 4)[9], FLAG_RAW16);
+        assert_same_bytes(&flat, "raw16");
+        // Codes longer than PEEK bits.
+        assert_same_bytes(&geometric_symbols(1 << 17), "long codes");
+        // Symbols too spread out for the dense window.
+        assert_same_bytes(
+            &[5, 1 << 20, 5, 5, 1 << 30, 12_345_678, 5, 1 << 20],
+            "sparse symbols",
+        );
+    }
+
+    /// Codes past [`PACKED_MAX_LEN`] bits need more symbols than fit in
+    /// memory to arise from a histogram, so the writer's fallback for them
+    /// is driven from a hand-built code table: lengths 1, 2, …, 59, 60, 60.
+    #[test]
+    fn codes_too_long_to_pack_take_the_bit_writer() {
+        let lengths: Vec<(u32, u8)> = (0..61u32).map(|i| (i, (i + 1).min(60) as u8)).collect();
+        let symbols: Vec<u32> = (0..61).chain((0..61).rev()).collect();
+        let codes = canonical_code_map(&lengths);
+        let mut w = BitWriter::new();
+        for sym in &symbols {
+            let (rev, len) = codes[sym];
+            w.write_bits(rev, len as u32);
+        }
+        let payload = w.into_bytes();
+        // Decode it with the canonical walk the decoder uses for misses.
+        let mut s = DecodeScratch {
+            lengths,
+            ..DecodeScratch::default()
+        };
+        build_canon_arrays(&mut s, 60);
+        let canon = CanonicalArrays {
+            first_code: &s.first_code,
+            count: &s.count,
+            offset: &s.offset,
+            syms: &s.syms,
+            max_len: 60,
+        };
+        let mut dst = vec![0u32; symbols.len()];
+        let (mut bitpos, mut written) = (0, 0);
+        decode_lane_scalar(
+            &payload,
+            &mut bitpos,
+            payload.len() * 8,
+            &s.table64,
+            &canon,
+            &mut dst,
+            &mut written,
+        )
+        .unwrap();
+        assert_eq!(dst, symbols);
+        // And the packed writer agrees with the bit writer up to its limit,
+        // on an even and an odd number of symbols.
+        let longest = u32::from(PACKED_MAX_LEN);
+        let packable: Vec<(u32, u8)> = (0..=longest)
+            .map(|i| (i, (i + 1).min(longest) as u8))
+            .collect();
+        for extra in [0, 1] {
+            let symbols: Vec<u32> = (0..=longest).chain((extra..=longest).rev()).collect();
+            let codes = canonical_code_map(&packable);
+            let mut w = BitWriter::new();
+            for sym in &symbols {
+                let (rev, len) = codes[sym];
+                w.write_bits(rev, len as u32);
+            }
+            let want = w.into_bytes();
+            let window = longest as usize + 1;
+            let mut lut = Vec::new();
+            build_packed_lut(&packable, 0, window, &mut lut);
+            let mut out = vec![0u8; want.len() + 8];
+            let end = write_packed(&mut out, 0, &symbols, 0, &lut[..=window]);
+            assert_eq!(&out[..end], &want[..]);
         }
     }
 }

@@ -3,10 +3,11 @@
 //! Error-bounded lossy compressors built from scratch, one per algorithm
 //! class the paper evaluates (§IV-A):
 //!
-//! * [`SzCompressor`] — SZ-class: value prediction (Lorenzo / linear
-//!   extrapolation) + error-bounded linear quantization + Huffman coding.
-//!   High ratios on smooth HPC fields; decompression pays the entropy-decode
-//!   cost (the Fig. 7 dip at tight tolerances).
+//! * [`SzCompressor`] — SZ-class: error-bounded quantization onto the
+//!   lattice `2·eb·ℤ`, linear-extrapolation prediction on the lattice
+//!   indices + Huffman coding.  High ratios on smooth HPC fields;
+//!   decompression pays the entropy-decode cost (the Fig. 7 dip at tight
+//!   tolerances).
 //! * [`ZfpCompressor`] — ZFP-class: fixed 4-sample blocks, a reversible
 //!   decorrelating lifting transform, and embedded bit-plane coding with a
 //!   fixed-accuracy cutoff.  Fast and flat across tolerances; **does not
@@ -25,8 +26,9 @@
 //! entropy-code through the one Huffman block in [`huffman`]), and each
 //! backend has one fast decoder for it.  [`reference`] holds the slow
 //! decoders for the same bytes — the oracle the tests and `compress-bench`
-//! compare against — and is also where streams in the retired
-//! pre-container layout are still read.
+//! compare against — and is also where streams nothing writes any more
+//! (the pre-container layout, and the first SZ container layout) are
+//! still read.
 
 pub mod bitstream;
 pub mod chunked;

@@ -10,9 +10,13 @@
 //! 1. **Differential oracle**: tests assert the fast decoders produce
 //!    bit-identical outputs on the streams the tree writes today.
 //! 2. **Back-compat**: a stream without the container magic (the retired
-//!    "v1" layout, which nothing writes any more) is decoded here; the
+//!    "v1" layout) and an SZ container under the retired tag 1 (symbols
+//!    quantized against a prediction from reconstructed values) have no
+//!    writer and no fast decoder any more; they are decoded here, and the
 //!    backends' `decompress`/`decompress_into` dispatch such bytes to this
-//!    module.
+//!    module.  The SZ layout written today (tag 4, second differences of
+//!    lattice indices) has its own slow decoder below,
+//!    [`sz_lattice_reconstruct`].
 //! 3. **Benchmark baseline**: `compress-bench` reports fast-path throughput
 //!    as a speedup over these functions on the same stream, the same way
 //!    `gemm-bench` gates the blocked kernel against `matmul_naive`.
@@ -36,6 +40,7 @@ const FLAG_RAW16: u8 = 2;
 const TAG_SZ: u8 = 1;
 const TAG_ZFP: u8 = 2;
 const TAG_MGARD: u8 = 3;
+const TAG_SZ_LATTICE: u8 = 4;
 
 /// Seed bit reader: byte-copy `peek_word`, per-call bounds checks.
 struct RefBitReader<'a> {
@@ -529,23 +534,24 @@ fn split_even(n: usize, s: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Looks for the container preamble (magic, `tag`, sub-stream count).
-/// Returns the sub-stream count — the body starts at byte 10 — or `None`
-/// for a stream without the magic, i.e. in the retired layout: the same
-/// body with a single sub-stream whose length is not declared.
-fn read_preamble(stream: &[u8], tag: u8) -> Result<Option<usize>, CompressError> {
+/// Looks for the container preamble (magic, one of `tags`, sub-stream
+/// count).  Returns the tag found and the sub-stream count — the body
+/// starts at byte 10 — or `None` for a stream without the magic, i.e. in
+/// the retired headerless layout: the same body with a single sub-stream
+/// whose length is not declared.
+fn read_preamble(stream: &[u8], tags: &[u8]) -> Result<Option<(u8, usize)>, CompressError> {
     if stream.len() < 8 || stream[..8] != MAGIC_V2 {
         return Ok(None);
     }
     let head = slice_at(stream, 8, 2, "container preamble")?;
     let n_streams = head[1] as usize;
-    if head[0] != tag || n_streams == 0 || n_streams > MAX_STREAMS {
+    if !tags.contains(&head[0]) || n_streams == 0 || n_streams > MAX_STREAMS {
         return Err(CompressError::CorruptStream(format!(
-            "bad container preamble: tag {} (expected {tag}), {n_streams} sub-streams",
+            "bad container preamble: tag {} (expected one of {tags:?}), {n_streams} sub-streams",
             head[0]
         )));
     }
-    Ok(Some(n_streams))
+    Ok(Some((head[0], n_streams)))
 }
 
 /// Seed-path SZ reconstruction of one predictor chain: appends one value
@@ -579,17 +585,76 @@ fn sz_reconstruct(
     Ok(pos)
 }
 
-/// SZ decompression: Huffman-decode every symbol, then run the seed-path
-/// predictor loop once per segment.  The container declares each segment's
-/// outlier table, which the segment must consume exactly; the retired
-/// layout is one segment whose table is whatever follows the Huffman block.
+/// The lattice index of `x` under bound `eb`, the slow way: scale by the
+/// reciprocal of the bin width, round to nearest (ties to even), and give
+/// anything at or past `2^30` bins — or not a number — the index 0.
+fn lattice_index(x: f32, eb: f64) -> i32 {
+    let scaled = x as f64 * (1.0 / (2.0 * eb));
+    if scaled.abs() < 1_073_741_824.0 {
+        scaled.round_ties_even() as i32
+    } else {
+        0
+    }
+}
+
+/// Reconstruction of one segment of the lattice layout
+/// ([`crate::sz`] documents it): a symbol is the second difference of the
+/// value's lattice index against the two before it (the first value of a
+/// segment is coded as itself, the second as a first difference), all sums
+/// wrapping in `i32`; an escaped value is read verbatim
+/// and contributes the index recomputed from it.  Appends one value per
+/// symbol to `recon` and returns the table bytes consumed.
+fn sz_lattice_reconstruct(
+    symbols: &[u32],
+    eb: f64,
+    table: &[u8],
+    recon: &mut Vec<f32>,
+) -> Result<usize, CompressError> {
+    let mut pos = 0usize;
+    let mut indices: Vec<i32> = Vec::with_capacity(symbols.len());
+    for (i, &sym) in symbols.iter().enumerate() {
+        // Prediction from nothing, then from the last index, then along
+        // the line through the last two.
+        let (prev, prev2) = match i {
+            0 => (0, 0),
+            1 => (indices[0], indices[0]),
+            _ => (indices[i - 1], indices[i - 2]),
+        };
+        if sym == ESCAPE {
+            let bytes = table
+                .get(pos..pos + 4)
+                .ok_or_else(|| CompressError::CorruptStream("truncated outlier table".into()))?;
+            pos += 4;
+            let x = f32::from_le_bytes(fixed(bytes, "outlier")?);
+            indices.push(lattice_index(x, eb));
+            recon.push(x);
+        } else {
+            let difference = (sym as i32).wrapping_sub(MAX_CODE as i32 + 1);
+            let index = difference
+                .wrapping_add(prev.wrapping_mul(2))
+                .wrapping_sub(prev2);
+            indices.push(index);
+            recon.push((index as f64 * (2.0 * eb)) as f32);
+        }
+    }
+    Ok(pos)
+}
+
+/// SZ decompression: Huffman-decode every symbol, then run the segment
+/// loop of the layout the tag names — the lattice one
+/// ([`sz_lattice_reconstruct`]) or the retired feedback predictor
+/// ([`sz_reconstruct`]) — once per segment.  The container declares each
+/// segment's outlier table, which the segment must consume exactly; the
+/// retired headerless layout is one feedback segment whose table is
+/// whatever follows the Huffman block.
 pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let container = read_preamble(stream, TAG_SZ)?;
+    let container = read_preamble(stream, &[TAG_SZ, TAG_SZ_LATTICE])?;
+    let lattice = matches!(container, Some((TAG_SZ_LATTICE, _)));
     let mut pos = if container.is_some() { 10 } else { 0 };
     let n = read_u64(stream, &mut pos)? as usize;
     let eb = f64::from_bits(read_u64(stream, &mut pos)?);
     let mut table_lens = Vec::new();
-    for _ in 0..container.unwrap_or(0) {
+    for _ in 0..container.map_or(0, |(_, n_streams)| n_streams) {
         table_lens.push(read_u32(stream, &mut pos)? as usize * 4);
     }
     let (symbols, consumed) = match container {
@@ -611,7 +676,12 @@ pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
     for ((off, len), table_len) in segments.into_iter().zip(table_lens) {
         let table = slice_at(stream, pos, table_len, "outlier table")?;
         pos += table_len;
-        let used = sz_reconstruct(&symbols[off..off + len], eb, table, &mut recon)?;
+        let segment = &symbols[off..off + len];
+        let used = if lattice {
+            sz_lattice_reconstruct(segment, eb, table, &mut recon)?
+        } else {
+            sz_reconstruct(segment, eb, table, &mut recon)?
+        };
         if container.is_some() && used != table_len {
             return Err(CompressError::CorruptStream(
                 "segment outlier table has unread bytes".into(),
@@ -694,11 +764,11 @@ fn decode_block(r: &mut RefBitReader<'_>) -> Result<[f32; 4], CompressError> {
 /// blocks contiguously and evenly to its sub-streams and declares their
 /// lengths; the retired layout is one bit stream to the end of the bytes.
 pub fn zfp_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let container = read_preamble(stream, TAG_ZFP)?;
+    let container = read_preamble(stream, &[TAG_ZFP])?;
     let mut pos = if container.is_some() { 10 } else { 0 };
     let n = read_u64(stream, &mut pos)? as usize;
     let mut payload_lens = Vec::new();
-    for _ in 0..container.unwrap_or(0) {
+    for _ in 0..container.map_or(0, |(_, n_streams)| n_streams) {
         payload_lens.push(read_u64(stream, &mut pos)? as usize);
     }
     if container.is_none() {
@@ -752,7 +822,7 @@ fn interpolate(recon: &[f32], i: usize, len: usize) -> f32 {
 /// The container only puts its preamble in front of the retired layout's
 /// header fields and swaps the Huffman block for the multi-stream one.
 pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let v2 = read_preamble(stream, TAG_MGARD)?.is_some();
+    let v2 = read_preamble(stream, &[TAG_MGARD])?.is_some();
     let stream = if v2 { &stream[10..] } else { stream };
     if stream.len() < 20 {
         return Err(CompressError::CorruptStream("header too short".into()));

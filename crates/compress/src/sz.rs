@@ -1,56 +1,322 @@
 //! SZ-class error-bounded compressor.
 //!
 //! The SZ family (the paper's references \[6\], \[25\]) compresses scientific
-//! floating-point data by (1) *predicting* each value from its already-
-//! reconstructed neighbours, (2) quantizing the prediction residual into
-//! bins of width `2·eb` so every reconstructed value lands within `eb` of
-//! the original, and (3) entropy-coding the bin indices, which cluster
-//! tightly around zero for smooth fields.  Values the predictor misses
-//! (outliers) are stored verbatim.
+//! floating-point data by (1) *predicting* each value from its neighbours,
+//! (2) quantizing onto bins of width `2·eb` so every reconstructed value
+//! lands within `eb` of the original, and (3) entropy-coding the bin
+//! indices, which cluster tightly around zero for smooth fields.  Values
+//! the scheme cannot hold within the budget (outliers) are stored verbatim.
 //!
-//! This implementation follows the classic SZ 1-D pipeline with a
-//! best-of-two predictor (Lorenzo / linear extrapolation, chosen per value
-//! from reconstructed history so the decoder can repeat the choice) and the
-//! crate's canonical Huffman coder.  The error-bound contract is *strict*:
-//! the quantizer verifies each reconstruction in `f32` and escapes to a
-//! verbatim outlier whenever rounding would violate the budget.
+//! ## Quantize first, predict on integers
 //!
-//! Both directions run as a single fused pass: the predictor only ever
-//! looks two elements back, so compression keeps the reconstructed history
-//! in two registers (predict + quantize + verify per element, no
-//! reconstruction buffer), and [`Compressor::decompress_into`] streams the
-//! inverse straight into the caller's slice through pooled
-//! [`CodecScratch`](crate::CodecScratch) state.
+//! Classic SZ predicts from *reconstructed* values, so predict → scale →
+//! round → reconstruct → verify feeds the next prediction and the encoder
+//! is one latency-bound chain.  This implementation pre-quantizes instead
+//! ("dual quantization", cuSZ, Tian et al., PACT 2020): pass 1 rounds every
+//! value to the lattice `2·eb·ℤ` on its own — index `q = lattice_index(x)`,
+//! reconstruction `r = (q·2eb) as f32` — and pass 2 predicts on the
+//! integers, emitting the second difference `q_i − 2·q_{i−1} + q_{i−2}`
+//! (linear extrapolation, exact on the lattice) as the symbol.  Neither
+//! pass carries a floating-point dependence from one value to the next, so
+//! both vectorise; one `#[inline(always)]` body is instantiated for
+//! baseline SSE2 and for AVX2 (no FMA: every operation is a plain IEEE
+//! multiply, add, convert or compare, so the arms produce identical bytes).
+//!
+//! The error-bound contract is *strict* and unchanged: pass 1 verifies each
+//! reconstruction in `f32` against the same `eb` — `|x − r| ≤ eb` and `r`
+//! finite — and a value that fails (a rounding half-ulp over the budget, a
+//! NaN or infinity, or an index past the guard below) escapes to a verbatim
+//! outlier.  Only how the accepted reconstruction is chosen differs from
+//! the feedback predictor; what is certified about it does not.
+//!
+//! ## Index arithmetic (one rule for encoder, decoder and oracle)
+//!
+//! * `lattice_index(x, 1/(2eb))` is `x as f64 · 1/(2eb)` rounded to
+//!   nearest, ties to even, when the product's magnitude is below `2^30`
+//!   ([`INDEX_GUARD`]); otherwise — larger, infinite or NaN — the index is
+//!   `0`.  A value past the guard has `|x| ≥ 2^30·2eb`, so it fails the
+//!   verify against `r = 0` and escapes; it still has the index `0` for the
+//!   history.
+//! * Indices are `i32`, and every sum and difference of indices **wraps**
+//!   in `i32`.  Honest streams never wrap (`|q| ≤ 2^30`, and a difference
+//!   outside `±MAX_CODE` escapes); forged symbols may, and then all three
+//!   implementations wrap alike.
+//! * A symbol `s ≠ 0` stands for the difference `(s as i32) − 32768`,
+//!   wrapping, whatever `s` is.  Symbol `0` is the escape: the value is the
+//!   next entry of the segment's outlier table, and its index for the
+//!   history is recomputed from that `f32` with `lattice_index`.
+//! * History restarts at each segment the way the predictor it replaces
+//!   did — nothing, then the last value, then the line through the last
+//!   two: `d_0 = q_0`, `d_1 = q_1 − q_0`, and the second difference from
+//!   `d_2` on.  (A plain second difference at `i = 1` would be `≈ −q_0`,
+//!   an escape per segment, which is 1–2 % of a 1 Ki-value stream.)
 //!
 //! ## Stream layout
 //!
-//! The serial predictor chain is the decode bottleneck: each value's
-//! prediction needs the previous two *reconstructed* values, so one chain
-//! of convert→multiply→add latency gates every element.  The stream
-//! container ([`crate::format`]) breaks the chain: values are split into
-//! [`crate::format::V2_STREAMS`] contiguous segments, the predictor
-//! restarts at each segment boundary (costing at most a few poorly
-//! predicted values per segment), outlier tables are per-segment, and the
-//! quantization symbols are entropy-coded with the multi-stream Huffman
-//! block ([`crate::huffman::encode_multi`]).  Decode then runs four
-//! independent predictor chains interleaved — roughly a 4× cut in chain
-//! latency — on top of the lane-parallel entropy decode.  Streams without
-//! the container magic (the retired single-stream layout) are decoded by
-//! [`crate::reference::sz_decompress`].
+//! The container ([`crate::format`], tag [`BackendTag::SzLattice`]) splits
+//! the values into [`crate::format::V2_STREAMS`] contiguous segments with
+//! per-segment outlier tables, and entropy-codes the symbols with the
+//! multi-stream Huffman block ([`crate::huffman::encode_multi`]):
+//!
+//! ```text
+//! [magic u64][tag=SzLattice u8][n_streams u8]
+//! [n u64][eb f64][n_outliers_s u32 × n_streams]
+//! [multi-stream Huffman block over the per-segment symbols]
+//! [outlier f32 tables, one per segment, concatenated]
+//! ```
+//!
+//! Decode is one pass per segment: an integer second-order prefix sum
+//! carried as two running sums (`dq += d; q += dq`, a one-add chain per
+//! value, so the segments gain nothing from being interleaved), each index
+//! converted `q·2eb → f32` as it is produced and each escape replaced by
+//! its verbatim value; [`Compressor::decompress_into`] does it in the
+//! caller's slice through pooled [`CodecScratch`](crate::CodecScratch)
+//! state.  (A separate index buffer with a vectorised conversion sweep and
+//! an escape-patching pass measured slower than the fused loop — 151 µs
+//! against 89 µs for 64 Ki values, DESIGN.md §8 — and needed a second AVX2
+//! instantiation.)  Streams this module does not write — the same
+//! container under the retired [`BackendTag::Sz`], whose symbols are
+//! residuals against reconstructed values, and the headerless layout
+//! before it — are decoded by [`crate::reference::sz_decompress`].
 
 use crate::error_bound::ErrorBound;
-use crate::format::{self, BackendTag, V2_STREAMS};
+use crate::format::{self, BackendTag, MAX_STREAMS, V2_STREAMS};
 use crate::huffman;
 use crate::reference;
 use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
+use errflow_tensor::simd;
 
-/// Quantization codes live in `[-MAX_CODE, MAX_CODE]`; residuals outside
-/// become outliers.  65k bins matches SZ's default `quantization_intervals`.
-const MAX_CODE: i64 = 32_767;
+/// Second differences live in `[-MAX_CODE, MAX_CODE]`; anything outside
+/// becomes an outlier.  65k bins matches SZ's default
+/// `quantization_intervals`.
+const MAX_CODE: i32 = 32_767;
 
-/// Symbol 0 is the outlier escape; code `c` maps to `c + MAX_CODE + 1`.
+/// Symbol 0 is the outlier escape; difference `d` maps to `d + MAX_CODE + 1`.
 const ESCAPE: u32 = 0;
+
+/// `|x / 2eb|` at or past this has no lattice index (see the module docs).
+const INDEX_GUARD: f64 = (1u64 << 30) as f64;
+
+/// `1.5 · 2^52`: adding it to `|v| < 2^51` rounds `v` to nearest-even and
+/// leaves the integer, two's complement, in the sum's low mantissa bits.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The lattice index of `x` (module docs, "Index arithmetic").  Branch-free
+/// — an add, a bit move and a select — so the quantization pass vectorises.
+#[inline(always)]
+fn lattice_index(x: f32, inv2eb: f64) -> i32 {
+    let v = x as f64 * inv2eb;
+    let q = (v + ROUND_MAGIC).to_bits() as u32 as i32;
+    if v.abs() < INDEX_GUARD {
+        q
+    } else {
+        0
+    }
+}
+
+/// The value lattice index `q` stands for.
+#[inline(always)]
+fn lattice_value(q: i32, step: f64) -> f32 {
+    (q as f64 * step) as f32
+}
+
+/// Pass 1: every value's lattice index, and whether its reconstruction is
+/// within budget (`1`) or it must escape (`0`).  No loop-carried state.
+#[inline(always)]
+fn quantize(data: &[f32], eb: f64, lattice: &mut [i32], accepted: &mut [u32]) {
+    let step = 2.0 * eb;
+    let inv2eb = 1.0 / step;
+    for ((&x, q), ok) in data.iter().zip(lattice).zip(accepted) {
+        *q = lattice_index(x, inv2eb);
+        let r = lattice_value(*q, step);
+        // Strict check in f32: the cast may add half an ulp, so verify
+        // rather than trust the algebra.
+        *ok = u32::from(((x - r).abs() as f64) <= eb && r.is_finite());
+    }
+}
+
+/// Pass 2 over one segment: turns `symbols` from pass 1's accept flags into
+/// the segment's symbols — the second difference of the indices where the
+/// value was accepted and the difference fits, [`ESCAPE`] otherwise — and
+/// returns the number of escapes.  An escaped value's own index stays in
+/// the history, which is what the decoder recomputes from the verbatim
+/// value.
+#[inline(always)]
+fn difference(lattice: &[i32], symbols: &mut [u32]) -> usize {
+    debug_assert_eq!(lattice.len(), symbols.len());
+    #[inline(always)]
+    fn symbol(q: i32, prev: i32, prev2: i32, accepted: u32) -> u32 {
+        let d = q.wrapping_sub(prev).wrapping_sub(prev).wrapping_add(prev2);
+        // |d| ≤ MAX_CODE ⇔ d + MAX_CODE ∈ [0, 2·MAX_CODE], one unsigned compare.
+        let biased = d.wrapping_add(MAX_CODE) as u32;
+        if accepted != 0 && biased <= 2 * MAX_CODE as u32 {
+            biased + 1
+        } else {
+            ESCAPE
+        }
+    }
+    let mut escapes = 0usize;
+    // The first two values of a segment see the restarted history: no
+    // predecessor, then one (`prev2 = prev` makes the second difference a
+    // first difference).
+    for i in 0..lattice.len().min(2) {
+        let prev = if i == 1 { lattice[0] } else { 0 };
+        symbols[i] = symbol(lattice[i], prev, prev, symbols[i]);
+        escapes += usize::from(symbols[i] == ESCAPE);
+    }
+    if let (Some(rest), Some(q), Some(prev)) =
+        (symbols.get_mut(2..), lattice.get(2..), lattice.get(1..))
+    {
+        // Three views of the indices one apart, so the loop vectorises.
+        for (((s, &q), &prev), &prev2) in rest.iter_mut().zip(q).zip(prev).zip(lattice) {
+            *s = symbol(q, prev, prev2, *s);
+            escapes += usize::from(*s == ESCAPE);
+        }
+    }
+    escapes
+}
+
+/// Both encoder passes: `lattice` and `symbols` filled for all of `data`,
+/// escapes counted per segment of `parts`.
+#[inline(always)]
+fn encode_passes(
+    data: &[f32],
+    parts: &[(usize, usize)],
+    eb: f64,
+    lattice: &mut [i32],
+    symbols: &mut [u32],
+) -> [usize; V2_STREAMS] {
+    quantize(data, eb, lattice, symbols);
+    let mut escapes = [0usize; V2_STREAMS];
+    for (n, &(off, len)) in escapes.iter_mut().zip(parts) {
+        *n = difference(&lattice[off..off + len], &mut symbols[off..off + len]);
+    }
+    escapes
+}
+
+/// AVX2 instantiation of [`encode_passes`].
+///
+/// # Safety
+/// Callers must have verified `avx2` CPU support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn encode_passes_avx2(
+    data: &[f32],
+    parts: &[(usize, usize)],
+    eb: f64,
+    lattice: &mut [i32],
+    symbols: &mut [u32],
+) -> [usize; V2_STREAMS] {
+    encode_passes(data, parts, eb, lattice, symbols)
+}
+
+/// [`encode_passes`] on the widest instantiation the host supports, or on
+/// the portable one when `portable` says so.
+fn encode_passes_dispatch(
+    portable: bool,
+    data: &[f32],
+    parts: &[(usize, usize)],
+    eb: f64,
+    lattice: &mut [i32],
+    symbols: &mut [u32],
+) -> [usize; V2_STREAMS] {
+    #[cfg(target_arch = "x86_64")]
+    if simd::has_avx2() && !portable {
+        // SAFETY: `has_avx2()` just confirmed the CPU feature the
+        // instantiation was compiled for.
+        return unsafe { encode_passes_avx2(data, parts, eb, lattice, symbols) };
+    }
+    let _ = portable;
+    encode_passes(data, parts, eb, lattice, symbols)
+}
+
+/// One segment's outlier table, read front to back as its escapes come up.
+struct Table<'a> {
+    entries: std::slice::ChunksExact<'a, u8>,
+    /// An escape found the table already empty.
+    short: bool,
+}
+
+impl<'a> Table<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Table {
+            entries: bytes.chunks_exact(4),
+            short: false,
+        }
+    }
+
+    /// The next verbatim value.
+    fn next(&mut self) -> f32 {
+        match self.entries.next() {
+            Some(b) => f32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            None => {
+                self.short = true;
+                0.0
+            }
+        }
+    }
+
+    /// A segment must consume its table exactly.
+    fn finish(&self) -> Result<(), CompressError> {
+        if self.short {
+            return Err(CompressError::CorruptStream(
+                "segment outlier table exhausted".into(),
+            ));
+        }
+        if self.entries.len() != 0 {
+            return Err(CompressError::CorruptStream(format!(
+                "segment outlier table has {} unread values",
+                self.entries.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A segment's integer history: the last index and the last first
+/// difference (the second-order prefix sum, carried as two running sums).
+#[derive(Clone, Copy, Default)]
+struct History {
+    q: i32,
+    dq: i32,
+}
+
+/// The value symbol `sym` stands for after `history`: the next verbatim
+/// value on an escape (its index recomputed for the history), else the
+/// lattice point at `q_i = q_{i−1} + (q_{i−1} − q_{i−2}) + d_i`.
+#[inline(always)]
+fn next_value(
+    sym: u32,
+    history: &mut History,
+    table: &mut Table<'_>,
+    step: f64,
+    inv2eb: f64,
+) -> f32 {
+    if sym == ESCAPE {
+        let x = table.next();
+        let q = lattice_index(x, inv2eb);
+        *history = History {
+            q,
+            dq: q.wrapping_sub(history.q),
+        };
+        x
+    } else {
+        let d = (sym as i32).wrapping_sub(MAX_CODE + 1);
+        history.dq = history.dq.wrapping_add(d);
+        history.q = history.q.wrapping_add(history.dq);
+        lattice_value(history.q, step)
+    }
+}
+
+/// The fields of a parsed stream header the reconstruction needs.
+struct Header {
+    n: usize,
+    eb: f64,
+    n_streams: usize,
+    /// Per-segment outlier tables' absolute `(start, end)` byte ranges.
+    spans: [(usize, usize); MAX_STREAMS],
+}
 
 /// SZ-class compressor (see module docs).
 #[derive(Debug, Clone, Default)]
@@ -62,230 +328,77 @@ impl SzCompressor {
         SzCompressor
     }
 
-    /// Predicts element `i` from the last two reconstructed values: linear
-    /// extrapolation `2·x̃_{i−1} − x̃_{i−2}` when two predecessors exist,
-    /// Lorenzo (`x̃_{i−1}`) with one, zero otherwise.
-    #[inline]
-    fn predict(i: usize, prev: f32, prev2: f32) -> f64 {
-        match i {
-            0 => 0.0,
-            1 => prev as f64,
-            _ => 2.0 * prev as f64 - prev2 as f64,
-        }
-    }
-
-    /// Fused predict + quantize + verify over one predictor segment: the
-    /// reconstruction history the predictor needs is just the last two
-    /// values, carried in registers, and it restarts at the segment start.
-    /// Appends one symbol per value to `symbols` and escaped values to
-    /// `outliers`; returns the number of outliers appended.
-    fn quantize_segment(
-        data: &[f32],
-        eb: f64,
-        symbols: &mut Vec<u32>,
-        outliers: &mut Vec<f32>,
-    ) -> usize {
-        let outliers_before = outliers.len();
-        let mut prev = 0.0f32;
-        let mut prev2 = 0.0f32;
-        for (i, &x) in data.iter().enumerate() {
-            let pred = Self::predict(i, prev, prev2);
-            let residual = x as f64 - pred;
-            let code = (residual / (2.0 * eb)).round() as i64;
-            let mut accepted = false;
-            // unsigned_abs: the float→int cast saturates to i64::MIN for
-            // huge negative residuals, where .abs() would overflow.
-            if code.unsigned_abs() <= MAX_CODE as u64 {
-                let r = (pred + 2.0 * eb * code as f64) as f32;
-                // Strict check in f32: the cast may add half an ulp, so we
-                // verify rather than trust the algebra.
-                if ((x - r).abs() as f64) <= eb && r.is_finite() {
-                    symbols.push((code + MAX_CODE + 1) as u32);
-                    prev2 = prev;
-                    prev = r;
-                    accepted = true;
+    /// Encodes the container described in the module docs.  `portable`
+    /// keeps the two passes off the AVX2 instantiation; the bytes do not
+    /// depend on it.
+    fn compress_lattice(data: &[f32], eb: f64, portable: bool) -> Vec<u8> {
+        let parts = format::split_even(data.len(), V2_STREAMS);
+        huffman::with_encode_scratch(|scratch| {
+            // The symbols leave the scratch while the block writer borrows
+            // it, and go back (with their capacity) afterwards.
+            let mut symbols = std::mem::take(&mut scratch.symbols);
+            if symbols.len() < data.len() {
+                symbols.resize(data.len(), ESCAPE);
+            }
+            if scratch.lattice.len() < data.len() {
+                scratch.lattice.resize(data.len(), 0);
+            }
+            let symbols_now = &mut symbols[..data.len()];
+            let lattice = &mut scratch.lattice[..data.len()];
+            let escapes = encode_passes_dispatch(portable, data, &parts, eb, lattice, symbols_now);
+            // Escaped values, segment by segment — the order their tables
+            // are written in.  Near-lossless budgets escape every value, so
+            // that case is a bulk copy.
+            scratch.outliers.clear();
+            for (&n, &(off, len)) in escapes.iter().zip(&parts) {
+                let (values, syms) = (&data[off..off + len], &symbols_now[off..off + len]);
+                if n == len {
+                    scratch.outliers.extend_from_slice(values);
+                } else if n > 0 {
+                    // Escapes are sparse (typically a segment's first value
+                    // or two): one vectorisable test per block of symbols,
+                    // then a look inside the few blocks that hold one.
+                    for (xs, ss) in values.chunks(32).zip(syms.chunks(32)) {
+                        if ss.iter().fold(false, |any, &s| any | (s == ESCAPE)) {
+                            let escaped = xs.iter().zip(ss).filter(|&(_, &s)| s == ESCAPE);
+                            scratch.outliers.extend(escaped.map(|(&x, _)| x));
+                        }
+                    }
                 }
             }
-            if !accepted {
-                symbols.push(ESCAPE);
-                outliers.push(x);
-                prev2 = prev;
-                prev = x;
+
+            // Reserve for the worst case (outlier-storm inputs where every
+            // value escapes): header + symbol block + verbatim outliers.
+            let mut out = Vec::with_capacity(128 + data.len() + 4 * scratch.outliers.len());
+            format::write_preamble(&mut out, BackendTag::SzLattice, V2_STREAMS);
+            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            out.extend_from_slice(&eb.to_le_bytes());
+            for &n in &escapes {
+                out.extend_from_slice(&(n as u32).to_le_bytes());
             }
-        }
-        outliers.len() - outliers_before
+            let mut segs: [&[u32]; V2_STREAMS] = [&[]; V2_STREAMS];
+            for (seg, &(off, len)) in segs.iter_mut().zip(&parts) {
+                *seg = &symbols_now[off..off + len];
+            }
+            huffman::encode_multi_with(&segs, &mut out, scratch);
+            format::write_f32_table(&mut out, &scratch.outliers);
+            scratch.symbols = symbols;
+            out
+        })
     }
 
-    /// One quantization step of one predictor chain (the encode fast
-    /// path).  Same accept/reject semantics as [`Self::quantize_segment`],
-    /// restructured for chain latency: the bin width divide becomes a
-    /// multiply by the precomputed reciprocal, and the half-away-from-zero
-    /// round is done branchlessly on the magnitude (baseline x86-64 lowers
-    /// `f64::round` to a libm call, which would sit on the serial
-    /// predict→quantize→verify chain).  The magnitude guard runs *before*
-    /// rounding: anything at or past `MAX_CODE + 0.5` bins (including
-    /// NaN/inf, which fail the compare) escapes to an outlier exactly as
-    /// the reference round-then-range-check would.
-    #[inline(always)]
-    fn quant_step(
-        i: usize,
-        x: f32,
-        eb: f64,
-        inv2eb: f64,
-        prev: &mut f32,
-        prev2: &mut f32,
-        outliers: &mut Vec<f32>,
-    ) -> u32 {
-        let pred = Self::predict(i, *prev, *prev2);
-        let scaled = (x as f64 - pred) * inv2eb;
-        let a = scaled.abs();
-        if a < MAX_CODE as f64 + 0.5 {
-            // a < 32767.5 bounds the truncation and keeps code_abs ≤
-            // MAX_CODE after the half-up adjust, so the cast cannot
-            // saturate and the symbol stays in range.
-            let t = a as i64;
-            let code_abs = t + i64::from(a - t as f64 >= 0.5);
-            let code = if scaled < 0.0 { -code_abs } else { code_abs };
-            let r = (pred + 2.0 * eb * code as f64) as f32;
-            // Strict check in f32, exactly as the segment quantizer: the
-            // cast may add half an ulp, so verify rather than trust algebra.
-            if ((x - r).abs() as f64) <= eb && r.is_finite() {
-                *prev2 = *prev;
-                *prev = r;
-                return (code + MAX_CODE + 1) as u32;
-            }
-        }
-        outliers.push(x);
-        *prev2 = *prev;
-        *prev = x;
-        ESCAPE
-    }
-
-    /// Four-lane interleaved quantization: the encode-side twin of
-    /// [`Self::reconstruct_interleaved4`].  Each v2 segment is an
-    /// independent predictor chain (the predictor restarts per segment), so
-    /// one iteration advances four chains and their predict→scale→verify
-    /// latency chains overlap instead of serializing.  Fills `symbols`
-    /// (pre-sized to `data.len()`) in segment order, one outlier table per
-    /// lane.
-    fn quantize_interleaved4(
-        data: &[f32],
-        parts: &[(usize, usize)],
-        eb: f64,
-        symbols: &mut [u32],
-        outliers: &mut [Vec<f32>; 4],
-    ) {
-        debug_assert_eq!(parts.len(), 4);
-        debug_assert_eq!(symbols.len(), data.len());
-        let inv2eb = 1.0 / (2.0 * eb);
-        // `split_even` partitions the symbol buffer exactly, so the chained
-        // splits cannot go out of bounds.
-        let (s0, rest) = symbols.split_at_mut(parts[0].1);
-        let (s1, rest) = rest.split_at_mut(parts[1].1);
-        let (s2, s3) = rest.split_at_mut(parts[2].1);
-        let mut segs: [&mut [u32]; 4] = [s0, s1, s2, s3];
-        let mut prev = [0.0f32; 4];
-        let mut prev2 = [0.0f32; 4];
-        let min_len = parts.iter().map(|&(_, len)| len).min().unwrap_or(0);
-        // Full rounds: all four lanes active, equal-length slices so the
-        // bounds checks hoist out of the loop.
-        {
-            let d: [&[f32]; 4] = std::array::from_fn(|l| &data[parts[l].0..parts[l].0 + min_len]);
-            let [s0, s1, s2, s3] = &mut segs;
-            let [o0, o1, o2, o3] = outliers;
-            for i in 0..min_len {
-                s0[i] = Self::quant_step(i, d[0][i], eb, inv2eb, &mut prev[0], &mut prev2[0], o0);
-                s1[i] = Self::quant_step(i, d[1][i], eb, inv2eb, &mut prev[1], &mut prev2[1], o1);
-                s2[i] = Self::quant_step(i, d[2][i], eb, inv2eb, &mut prev[2], &mut prev2[2], o2);
-                s3[i] = Self::quant_step(i, d[3][i], eb, inv2eb, &mut prev[3], &mut prev2[3], o3);
-            }
-        }
-        // Ragged round: lanes one element longer than the shortest.
-        for l in 0..4 {
-            let (off, len) = parts[l];
-            if len > min_len {
-                segs[l][min_len] = Self::quant_step(
-                    min_len,
-                    data[off + min_len],
-                    eb,
-                    inv2eb,
-                    &mut prev[l],
-                    &mut prev2[l],
-                    &mut outliers[l],
-                );
-            }
-        }
-    }
-
-    /// Encodes the v2 multi-stream container:
-    ///
-    /// ```text
-    /// [magic u64][tag=Sz u8][n_streams u8]
-    /// [n u64][eb f64][n_outliers_s u32 × n_streams]
-    /// [multi-stream Huffman block over the per-segment symbols]
-    /// [outlier f32 tables, one per segment, concatenated]
-    /// ```
-    fn compress_v2(data: &[f32], eb: f64) -> Vec<u8> {
-        let parts = format::split_even(data.len(), V2_STREAMS);
-        let mut symbols: Vec<u32> = Vec::new();
-        let mut lanes: [Vec<f32>; V2_STREAMS] = Default::default();
-        // Size lanes for the outlier-storm case up front: near-lossless
-        // budgets escape almost every value, and doubling-growth reallocs
-        // on four megabyte-scale tables are pure memory traffic.
-        for (lane, &(_, len)) in lanes.iter_mut().zip(&parts) {
-            lane.reserve(len);
-        }
-        if V2_STREAMS == 4 {
-            // Interleaved fast path (mirrors the decode side): four lanes
-            // in flight hide the per-value chain latency.
-            symbols.resize(data.len(), ESCAPE);
-            Self::quantize_interleaved4(data, &parts, eb, &mut symbols, &mut lanes);
-        } else {
-            symbols.reserve(data.len());
-            for (s, &(off, len)) in parts.iter().enumerate() {
-                Self::quantize_segment(&data[off..off + len], eb, &mut symbols, &mut lanes[s]);
-            }
-        }
-
-        // Reserve for the worst case (outlier-storm inputs where every value
-        // escapes): header + collapsed symbol block + verbatim outliers.
-        let n_outliers: usize = lanes.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(128 + symbols.len() + 4 * n_outliers);
-        format::write_preamble(&mut out, BackendTag::Sz, V2_STREAMS);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        out.extend_from_slice(&eb.to_le_bytes());
-        for lane in &lanes {
-            out.extend_from_slice(&(lane.len() as u32).to_le_bytes());
-        }
-        let segs: Vec<&[u32]> = parts
-            .iter()
-            .map(|&(off, len)| &symbols[off..off + len])
-            .collect();
-        huffman::encode_multi_into(&segs, &mut out);
-        // Emit each lane's outlier table in place — the tables are already
-        // segment-ordered, so no concatenation pass is needed.
-        for lane in &lanes {
-            format::write_f32_table(&mut out, lane);
-        }
-        out
-    }
-
-    /// Parses a v2 header and entropy-decodes the symbols into
-    /// `scratch.symbols`.  Returns `(n, eb, spans)` where `spans` are the
-    /// per-segment outlier tables' absolute `(start, end)` byte ranges.
-    /// The declared outlier tables must exactly fill the remaining payload;
-    /// a mismatch is a typed [`CompressError::CorruptStream`].
-    fn decode_core_v2(
-        stream: &[u8],
-        scratch: &mut CodecScratch,
-    ) -> Result<(usize, f64, Vec<(usize, usize)>), CompressError> {
+    /// Parses the header and entropy-decodes the symbols into
+    /// `scratch.symbols`.  The declared outlier tables must exactly fill
+    /// the remaining payload; a mismatch is a typed
+    /// [`CompressError::CorruptStream`].
+    fn decode_core(stream: &[u8], scratch: &mut CodecScratch) -> Result<Header, CompressError> {
         let mut pos = 0usize;
-        let n_streams = format::read_preamble(stream, &mut pos, BackendTag::Sz)?;
+        let n_streams = format::read_preamble(stream, &mut pos, BackendTag::SzLattice)?;
         let n = crate::traits::read_len_u64(stream, &mut pos, "element count")?;
         let eb = crate::traits::read_f64(stream, &mut pos, "error bound")?;
-        let mut counts: Vec<usize> = Vec::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            counts.push(crate::traits::read_len_u32(stream, &mut pos, "outlier count")? as usize);
+        let mut counts = [0usize; MAX_STREAMS];
+        for count in &mut counts[..n_streams] {
+            *count = crate::traits::read_len_u32(stream, &mut pos, "outlier count")?;
         }
         let consumed =
             huffman::decode_multi_into(&stream[pos..], &mut scratch.symbols, &mut scratch.huff)?;
@@ -297,7 +410,7 @@ impl SzCompressor {
         }
         let table_off = pos + consumed;
         let mut total = 0usize;
-        for &c in &counts {
+        for &c in &counts[..n_streams] {
             total = c
                 .checked_mul(4)
                 .and_then(|b| total.checked_add(b))
@@ -313,218 +426,68 @@ impl SzCompressor {
                 stream.len() - table_off
             )));
         }
-        let mut spans = Vec::with_capacity(n_streams);
+        let mut spans = [(0usize, 0usize); MAX_STREAMS];
         let mut start = table_off;
-        for &c in &counts {
-            spans.push((start, start + c * 4));
+        for (span, &c) in spans.iter_mut().zip(&counts[..n_streams]) {
+            *span = (start, start + c * 4);
             start += c * 4;
         }
-        Ok((n, eb, spans))
+        Ok(Header {
+            n,
+            eb,
+            n_streams,
+            spans,
+        })
     }
 
-    /// Fused inverse pass over one predictor segment, reading outliers from
-    /// the segment's own table span.  The span must be consumed exactly.
-    fn reconstruct_segment(
+    /// Rebuilds `out` from the decoded `symbols` and the outlier tables.
+    fn reconstruct(
         stream: &[u8],
-        span: (usize, usize),
-        eb: f64,
-        symbols: &[u32],
-        out: &mut [f32],
-    ) -> Result<(), CompressError> {
-        debug_assert_eq!(symbols.len(), out.len());
-        let (mut cur, end) = span;
-        let mut prev = 0.0f32;
-        let mut prev2 = 0.0f32;
-        for (i, (&sym, slot)) in symbols.iter().zip(out.iter_mut()).enumerate() {
-            let v = Self::lane_step(stream, i, sym, eb, &mut prev, &mut prev2, &mut cur, end)?;
-            *slot = v;
-        }
-        if cur != end {
-            return Err(CompressError::CorruptStream(format!(
-                "segment outlier table has {} unread bytes",
-                end - cur
-            )));
-        }
-        Ok(())
-    }
-
-    /// One reconstruction step of one predictor chain: dequantize or read
-    /// an outlier from the lane's own table span, then shift the history.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn lane_step(
-        stream: &[u8],
-        i: usize,
-        sym: u32,
-        eb: f64,
-        prev: &mut f32,
-        prev2: &mut f32,
-        cur: &mut usize,
-        end: usize,
-    ) -> Result<f32, CompressError> {
-        let v = if sym == ESCAPE {
-            if end - *cur < 4 {
-                return Err(CompressError::CorruptStream(
-                    "segment outlier table exhausted".into(),
-                ));
-            }
-            crate::traits::read_f32(stream, cur, "outlier table")?
-        } else {
-            let code = sym as i64 - MAX_CODE - 1;
-            let pred = Self::predict(i, *prev, *prev2);
-            (pred + 2.0 * eb * code as f64) as f32
-        };
-        *prev2 = *prev;
-        *prev = v;
-        Ok(v)
-    }
-
-    /// Four-lane interleaved reconstruction: one iteration advances four
-    /// independent predictor chains, so the convert→multiply→add latency
-    /// chains overlap instead of serializing.  `split_even` guarantees the
-    /// segment lengths differ by at most one, so all the branchy tail work
-    /// is a single ragged round.
-    fn reconstruct_interleaved4(
-        stream: &[u8],
-        spans: &[(usize, usize)],
-        eb: f64,
-        symbols: &[u32],
-        parts: &[(usize, usize)],
-        out: &mut [f32],
-    ) -> Result<(), CompressError> {
-        debug_assert_eq!(spans.len(), 4);
-        debug_assert_eq!(parts.len(), 4);
-        // `split_even` partitions `out` exactly, so the chained splits
-        // cannot go out of bounds.
-        let (r0, rest) = out.split_at_mut(parts[0].1);
-        let (r1, rest) = rest.split_at_mut(parts[1].1);
-        let (r2, r3) = rest.split_at_mut(parts[2].1);
-        let mut regions: [&mut [f32]; 4] = [r0, r1, r2, r3];
-        let mut cur = [0usize; 4];
-        let mut end = [0usize; 4];
-        let mut prev = [0.0f32; 4];
-        let mut prev2 = [0.0f32; 4];
-        for l in 0..4 {
-            cur[l] = spans[l].0;
-            end[l] = spans[l].1;
-        }
-        let min_len = parts.iter().map(|&(_, len)| len).min().unwrap_or(0);
-        // Full rounds: all four lanes active, equal-length slices so the
-        // bounds checks hoist out of the loop.
-        {
-            let s: [&[u32]; 4] =
-                std::array::from_fn(|l| &symbols[parts[l].0..parts[l].0 + min_len]);
-            let [r0, r1, r2, r3] = &mut regions;
-            for i in 0..min_len {
-                r0[i] = Self::lane_step(
-                    stream,
-                    i,
-                    s[0][i],
-                    eb,
-                    &mut prev[0],
-                    &mut prev2[0],
-                    &mut cur[0],
-                    end[0],
-                )?;
-                r1[i] = Self::lane_step(
-                    stream,
-                    i,
-                    s[1][i],
-                    eb,
-                    &mut prev[1],
-                    &mut prev2[1],
-                    &mut cur[1],
-                    end[1],
-                )?;
-                r2[i] = Self::lane_step(
-                    stream,
-                    i,
-                    s[2][i],
-                    eb,
-                    &mut prev[2],
-                    &mut prev2[2],
-                    &mut cur[2],
-                    end[2],
-                )?;
-                r3[i] = Self::lane_step(
-                    stream,
-                    i,
-                    s[3][i],
-                    eb,
-                    &mut prev[3],
-                    &mut prev2[3],
-                    &mut cur[3],
-                    end[3],
-                )?;
-            }
-        }
-        // Ragged round: lanes one element longer than the shortest.
-        for l in 0..4 {
-            let (off, len) = parts[l];
-            if len > min_len {
-                let sym = symbols[off + min_len];
-                regions[l][min_len] = Self::lane_step(
-                    stream,
-                    min_len,
-                    sym,
-                    eb,
-                    &mut prev[l],
-                    &mut prev2[l],
-                    &mut cur[l],
-                    end[l],
-                )?;
-            }
-        }
-        for l in 0..4 {
-            if cur[l] != end[l] {
-                return Err(CompressError::CorruptStream(format!(
-                    "segment outlier table has {} unread bytes",
-                    end[l] - cur[l]
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconstructs a v2 stream: interleaved four-lane fast path, generic
-    /// per-segment loop otherwise.
-    fn reconstruct_v2(
-        stream: &[u8],
-        spans: &[(usize, usize)],
-        eb: f64,
+        header: &Header,
         symbols: &[u32],
         out: &mut [f32],
     ) -> Result<(), CompressError> {
         let _span = errflow_obs::trace::span("codec.sz.v2.reconstruct");
-        let parts = format::split_even(out.len(), spans.len());
-        // All-escape fast path: when every lane's outlier table holds one
-        // value per element AND every symbol really is the escape, the
-        // predictor history is never consulted and each lane is its table
-        // verbatim.  Near-lossless tolerances (the serve hot path) put
-        // almost every value over budget, so this turns the whole inverse
-        // pass into a bulk copy.  The symbol scan keeps corrupt-stream
-        // behaviour identical to the slow path, which only reads one table
-        // entry per escape symbol.
-        let all_escape = spans.iter().zip(&parts).all(|(&(s0, s1), &(off, len))| {
-            s1 - s0 == 4 * len && symbols[off..off + len].iter().all(|&s| s == ESCAPE)
-        });
+        let parts = format::split_even(out.len(), header.n_streams);
+        let spans = &header.spans[..header.n_streams];
+        // All-escape fast path: when every segment's outlier table holds
+        // one value per element AND every symbol really is the escape, no
+        // index is ever consulted and each segment is its table verbatim.
+        // Near-lossless tolerances (the serve hot path) put almost every
+        // value over budget, so this turns the whole inverse pass into a
+        // bulk copy.  The symbol scan keeps corrupt-stream behaviour
+        // identical to the loop below, which reads one table entry per
+        // escape symbol.
+        let all_escape = spans
+            .iter()
+            .zip(&parts)
+            .all(|(&(s0, s1), &(_, len))| s1 - s0 == 4 * len)
+            && symbols.iter().all(|&s| s == ESCAPE);
         if all_escape {
-            for (&(s0, _), &(off, len)) in spans.iter().zip(&parts) {
-                format::read_f32_table(&stream[s0..s0 + 4 * len], &mut out[off..off + len]);
+            for (&(s0, s1), &(off, len)) in spans.iter().zip(&parts) {
+                format::read_f32_table(&stream[s0..s1], &mut out[off..off + len]);
             }
             return Ok(());
         }
-        if spans.len() == 4 {
-            return Self::reconstruct_interleaved4(stream, spans, eb, symbols, &parts, out);
-        }
-        for (s, &(off, len)) in parts.iter().enumerate() {
-            Self::reconstruct_segment(
-                stream,
-                spans[s],
-                eb,
-                &symbols[off..off + len],
-                &mut out[off..off + len],
-            )?;
+
+        let step = 2.0 * header.eb;
+        let inv2eb = 1.0 / step;
+        // One segment after another: the running sums are a one-add chain
+        // per value, so there is no latency for interleaved segments to
+        // hide, and a single chain keeps its state in registers.
+        for (&(s0, s1), &(off, len)) in spans.iter().zip(&parts) {
+            let mut table = Table::new(&stream[s0..s1]);
+            let mut history = History::default();
+            let mut values = out[off..off + len].iter_mut().zip(&symbols[off..off + len]);
+            if let Some((slot, &sym)) = values.next() {
+                *slot = next_value(sym, &mut history, &mut table, step, inv2eb);
+                // The first value sets the index, not a slope.
+                history.dq = 0;
+            }
+            for (slot, &sym) in values {
+                *slot = next_value(sym, &mut history, &mut table, step, inv2eb);
+            }
+            table.finish()?;
         }
         Ok(())
     }
@@ -544,20 +507,20 @@ impl Compressor for SzCompressor {
         let _span = errflow_obs::trace::span("codec.sz.compress");
         check_tolerance(bound.tolerance)?;
         let eb = bound.pointwise_budget(data);
-        Ok(Self::compress_v2(data, eb))
+        Ok(Self::compress_lattice(data, eb, simd::force_scalar()))
     }
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.sz.decompress");
-        if !format::is_v2(stream) {
+        if !format::is_tagged(stream, BackendTag::SzLattice) {
             return reference::sz_decompress(stream);
         }
         let mut scratch = scratch::acquire();
-        let (n, eb, spans) = Self::decode_core_v2(stream, &mut scratch)?;
+        let header = Self::decode_core(stream, &mut scratch)?;
         // n == symbols.len() here, which the entropy decoder already
         // bounded by the actual payload size — safe to allocate.
-        let mut recon = vec![0.0f32; n];
-        Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, &mut recon)?;
+        let mut recon = vec![0.0f32; header.n];
+        Self::reconstruct(stream, &header, &scratch.symbols, &mut recon)?;
         Ok(recon)
     }
 
@@ -567,17 +530,18 @@ impl Compressor for SzCompressor {
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        if !format::is_v2(stream) {
+        if !format::is_tagged(stream, BackendTag::SzLattice) {
             return reference::decompress_into(self.name(), stream, out);
         }
-        let (n, eb, spans) = Self::decode_core_v2(stream, scratch)?;
-        if n != out.len() {
+        let header = Self::decode_core(stream, scratch)?;
+        if header.n != out.len() {
             return Err(CompressError::CorruptStream(format!(
-                "stream declares {n} values, expected {}",
+                "stream declares {} values, expected {}",
+                header.n,
                 out.len()
             )));
         }
-        Self::reconstruct_v2(stream, &spans, eb, &scratch.symbols, out)
+        Self::reconstruct(stream, &header, &scratch.symbols, out)
     }
 }
 
@@ -742,45 +706,141 @@ mod tests {
     }
 
     #[test]
-    fn v2_interleaved_quantizer_matches_segment_quantizer() {
-        // With a power-of-two bin width the reciprocal multiply is exact,
-        // so the interleaved encoder's accept/reject and code decisions
-        // must match the per-segment reference bit for bit — including
-        // rounding ties (residuals at exact half-bin multiples), values at
-        // the MAX_CODE escape boundary, and verbatim extremes.
-        let eb = 0.25f64;
+    fn lattice_index_rounds_ties_to_even_and_guards_its_range() {
+        // 2eb = 0.5: exact half-lattice ties go to the even index.
+        let inv = 2.0;
+        for (x, want) in [
+            (0.25f32, 0),
+            (0.75, 2),
+            (1.25, 2),
+            (-0.25, 0),
+            (-0.75, -2),
+            (0.3, 1),
+            (-0.3, -1),
+            (0.0, 0),
+            (-0.0, 0),
+        ] {
+            assert_eq!(lattice_index(x, inv), want, "x = {x}");
+        }
+        // The guard: indices up to 2^30 exist, the product 2^30 itself
+        // and everything past it, infinite or NaN, has index 0.
+        let at_guard = (1u64 << 29) as f32; // · 2 = 2^30
+        assert_eq!(lattice_index(at_guard, inv), 0);
+        assert_eq!(lattice_index(-at_guard, inv), 0);
+        let below = f32::from_bits(at_guard.to_bits() - 1);
+        assert_eq!(lattice_index(below, inv), (1 << 30) - 64);
+        assert_eq!(lattice_index(-below, inv), -(1 << 30) + 64);
+        for x in [1e30f32, -1e30, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert_eq!(lattice_index(x, inv), 0, "x = {x}");
+        }
+        // Degenerate bin widths (a zero or infinite budget) index nothing.
+        assert_eq!(lattice_index(1.0, f64::INFINITY), 0);
+        assert_eq!(lattice_index(0.0, f64::INFINITY), 0);
+        assert_eq!(lattice_index(1.0, 0.0), 0);
+        assert_eq!(lattice_index(1.0, f64::NAN), 0);
+    }
+
+    /// Runs both encoder passes on `data` as one segment.
+    fn passes(data: &[f32], eb: f64, portable: bool) -> (Vec<i32>, Vec<u32>, usize) {
+        let mut lattice = vec![0i32; data.len()];
+        let mut symbols = vec![7u32; data.len()];
+        let parts = [
+            (0, data.len()),
+            (data.len(), 0),
+            (data.len(), 0),
+            (data.len(), 0),
+        ];
+        let escapes =
+            encode_passes_dispatch(portable, data, &parts, eb, &mut lattice, &mut symbols);
+        (lattice, symbols, escapes[0])
+    }
+
+    #[test]
+    fn an_escaped_value_keeps_its_index_in_the_history() {
+        // 2eb = 2^-9.  A step from 0 to 100 moves the index by 51 200,
+        // past MAX_CODE, so the step and the value after it escape (second
+        // differences +51 200 and −51 200) — and the third value after the
+        // step is predicted exactly, which only works if both escapes left
+        // their own indices behind.  Zeroed history would make it escape
+        // too (encoder) or reconstruct it 100 off (decoder).
+        let eb = 1.0 / 1024.0;
+        let mut data = vec![0.0f32; 8];
+        data.extend([100.0; 8]);
+        let (lattice, symbols, escapes) = passes(&data, eb, true);
+        assert_eq!(lattice[7..10], [0, 51_200, 51_200]);
+        let zero = MAX_CODE as u32 + 1;
+        assert_eq!(symbols[6..12], [zero, zero, ESCAPE, ESCAPE, zero, zero]);
+        assert_eq!(escapes, 2);
+
+        let sz = SzCompressor::new();
+        let bound = ErrorBound::abs_linf(eb);
+        let stream = sz.compress(&data, &bound).unwrap();
+        let recon = sz.decompress(&stream).unwrap();
+        assert_eq!(recon, data);
+        let oracle = reference::sz_decompress(&stream).unwrap();
+        assert_eq!(oracle, data);
+    }
+
+    #[test]
+    fn a_segment_restarts_on_the_value_then_the_first_difference() {
+        // Index 51 200 throughout: the first value is too far from nothing
+        // to code, the second is a zero *first* difference from it (a
+        // second difference against an absent predecessor would be
+        // −51 200, one more escape per segment), the rest zero second
+        // differences.
+        let eb = 1.0 / 1024.0;
+        let data = vec![100.0f32; 6];
+        let (_, symbols, escapes) = passes(&data, eb, true);
+        let zero = MAX_CODE as u32 + 1;
+        assert_eq!(symbols, [ESCAPE, zero, zero, zero, zero, zero]);
+        assert_eq!(escapes, 1);
+        // A slope shows as a first difference once, then not at all.
+        let ramp: Vec<f32> = (0..6).map(|i| i as f32 / 64.0).collect();
+        let (_, symbols, _) = passes(&ramp, eb, true);
+        assert_eq!(symbols, [zero, zero + 8, zero, zero, zero, zero]);
+        let sz = SzCompressor::new();
+        for data in [data, ramp] {
+            let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
+            assert_eq!(sz.decompress(&stream).unwrap(), data);
+            assert_eq!(reference::sz_decompress(&stream).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn avx2_and_portable_arms_write_identical_streams() {
         let mut rng = StdRng::seed_from_u64(0xE2);
-        let mut data: Vec<f32> = Vec::new();
-        for i in 0..4096 {
-            data.push((i % 13) as f32 * 0.25 - 1.5); // exact tie candidates
+        let mut data: Vec<f32> = (0..4099)
+            .map(|i| ((i as f32) * 0.01).sin() * 3.0 + rng.gen_range(-1e-3f32..1e-3))
+            .collect();
+        // Ties, the guard, verbatim extremes and non-finite values, spread
+        // over all four segments.
+        for (k, x) in [
+            0.25f32,
+            -0.75,
+            1e30,
+            -1e30,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            (1u64 << 29) as f32,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            data[k * 450 + 3] = x;
         }
-        for _ in 0..2048 {
-            data.push(rng.gen_range(-50.0f32..50.0));
+        for eb in [0.25, 1e-2, 1e-4, 1e-7] {
+            let portable = SzCompressor::compress_lattice(&data, eb, true);
+            let narrow_passes = passes(&data, eb, true);
+            assert!(narrow_passes.2 >= 5, "extremes escape");
+            if !simd::has_avx2() {
+                eprintln!("no AVX2 on this host: portable arm only");
+                continue;
+            }
+            assert!(portable == SzCompressor::compress_lattice(&data, eb, false));
+            assert_eq!(passes(&data, eb, false), narrow_passes);
         }
-        // Residuals near the code-range edge (MAX_CODE bins ≈ 16383.75
-        // from a zero history) and verbatim outliers.
-        data.extend_from_slice(&[16383.5, -16383.75, 16384.0, 1e30, -1e30, 0.0]);
-
-        let parts = format::split_even(data.len(), 4);
-        let mut want_symbols: Vec<u32> = Vec::new();
-        let mut want_outliers: Vec<f32> = Vec::new();
-        for &(off, len) in &parts {
-            SzCompressor::quantize_segment(
-                &data[off..off + len],
-                eb,
-                &mut want_symbols,
-                &mut want_outliers,
-            );
-        }
-
-        let mut got_symbols = vec![ESCAPE; data.len()];
-        let mut lanes: [Vec<f32>; 4] = Default::default();
-        SzCompressor::quantize_interleaved4(&data, &parts, eb, &mut got_symbols, &mut lanes);
-        let got_outliers: Vec<f32> = lanes.iter().flatten().copied().collect();
-
-        assert_eq!(got_symbols, want_symbols);
-        assert_eq!(got_outliers, want_outliers);
-        assert!(want_outliers.iter().any(|&v| v == 1e30), "extremes escape");
     }
 
     #[test]

@@ -71,6 +71,34 @@ fn random_bytes_never_panic() {
     }
 }
 
+/// Random bytes carry no container magic and so only ever reach the slow
+/// decoders; behind a valid lattice preamble they reach the fast SZ
+/// decoder too, which must take them as the oracle does.
+#[test]
+fn random_bodies_behind_the_lattice_preamble_never_panic() {
+    use errflow_compress::format::{write_preamble, BackendTag};
+    let sz = SzCompressor::default();
+    let mut rng = StdRng::seed_from_u64(0xf23);
+    for len in [0usize, 1, 8, 16, 28, 32, 64, 256, 4096] {
+        for n_streams in [1, 4, 16] {
+            for _ in 0..20 {
+                let mut buf = Vec::new();
+                write_preamble(&mut buf, BackendTag::SzLattice, n_streams);
+                buf.extend((0..len).map(|_| rng.gen::<u8>()));
+                let fast = sz.decompress(&buf);
+                let oracle = reference::decompress("sz", &buf);
+                assert_eq!(fast.is_ok(), oracle.is_ok(), "accept/reject differs");
+                if let (Ok(fast), Ok(oracle)) = (fast, oracle) {
+                    assert!(fast
+                        .iter()
+                        .zip(&oracle)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn huge_declared_counts_do_not_allocate() {
     // A header declaring 2^60 values with a 16-byte body must error fast.

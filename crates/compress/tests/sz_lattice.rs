@@ -1,0 +1,332 @@
+//! The SZ lattice layout (container tag 4): a property sweep over bounds,
+//! lengths and awkward values, and hand-forged hostile streams.
+//!
+//! Every stream, honest or forged, goes to the fast decoder through
+//! `decompress`, `decompress_into` and `ChunkedCompressor::decode_unit_into`
+//! and to the oracle in `errflow_compress::reference`; they must agree on
+//! accept/reject and, when they accept, bit for bit.
+
+use errflow_compress::format::{self, BackendTag};
+use errflow_compress::{
+    huffman, reference, scratch, ChunkedCompressor, Compressor, ErrorBound, SzCompressor,
+};
+use errflow_tensor::rng::StdRng;
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Decodes `stream` every way there is and checks the ways agree.  Returns
+/// the decoded values when the stream is accepted.
+fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
+    let sz = SzCompressor::new();
+    let oracle = reference::sz_decompress(stream);
+    let fast = sz.decompress(stream);
+    let (fast, oracle) = match (fast, oracle) {
+        (Ok(fast), Ok(oracle)) => (fast, oracle),
+        (Err(_), Err(_)) => return None,
+        (fast, oracle) => panic!(
+            "{what}: fast decoder {} but the oracle {}",
+            fast.map_or_else(|e| format!("rejects ({e})"), |_| "accepts".into()),
+            oracle.map_or_else(|e| format!("rejects ({e})"), |_| "accepts".into()),
+        ),
+    };
+    assert_eq!(bits(&fast), bits(&oracle), "{what}: decompress vs oracle");
+    let mut sc = scratch::acquire();
+    let mut into = vec![f32::NAN; fast.len()];
+    sz.decompress_into(stream, &mut into, &mut sc)
+        .unwrap_or_else(|e| panic!("{what}: decompress_into: {e}"));
+    assert_eq!(bits(&into), bits(&oracle), "{what}: decompress_into");
+    // A destination of the wrong size is a typed error, not a partial write.
+    let mut wrong = vec![0.0f32; fast.len() + 1];
+    assert!(sz.decompress_into(stream, &mut wrong, &mut sc).is_err());
+    Some(fast)
+}
+
+/// Round-trips `data` through the plain and the chunked compressor and
+/// holds every decode path to the oracle.
+fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
+    let sz = SzCompressor::new();
+    let stream = sz.compress(data, bound).unwrap();
+    assert!(format::is_tagged(&stream, BackendTag::SzLattice));
+    let recon =
+        decode_everywhere(&stream, what).unwrap_or_else(|| panic!("{what}: own stream rejected"));
+    assert_eq!(recon.len(), data.len());
+
+    // Chunks of 1000 leave a ragged last chunk and ragged segments in it.
+    let chunked = ChunkedCompressor::new(SzCompressor::new()).with_chunk_values(1000);
+    let container = chunked.compress(data, bound).unwrap();
+    let units = chunked.decode_units(&container, data.len()).unwrap();
+    let mut sc = scratch::acquire();
+    let mut by_unit = vec![f32::NAN; data.len()];
+    for unit in &units {
+        let dst = &mut by_unit[unit.offset..unit.offset + unit.len];
+        chunked.decode_unit_into(unit, dst, &mut sc).unwrap();
+        if unit.tag != 0 {
+            let oracle = reference::sz_decompress(unit.stream).unwrap();
+            assert_eq!(bits(dst), bits(&oracle), "{what}: unit at {}", unit.offset);
+        }
+    }
+    assert_eq!(
+        bits(&by_unit),
+        bits(&chunked.decompress(&container).unwrap()),
+        "{what}: decode_unit_into vs chunked decompress"
+    );
+    if data.iter().all(|v| v.is_finite()) {
+        assert!(bound.verify(data, &by_unit), "{what}: chunked bound");
+    }
+    recon
+}
+
+fn fields(rng: &mut StdRng, n: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let mut walk = 0.0f32;
+    vec![
+        (
+            "smooth",
+            (0..n)
+                .map(|i| (i as f32 * 0.01).sin() * 2.0 + 0.3 * (i as f32 * 0.07).cos())
+                .collect(),
+        ),
+        (
+            "noise-floor",
+            (0..n)
+                .map(|i| (i as f32 * 0.02).sin() + rng.gen_range(-1e-4f32..1e-4))
+                .collect(),
+        ),
+        (
+            "white-noise",
+            (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+        ),
+        ("constant", vec![1.5; n]),
+        (
+            "spiky",
+            (0..n)
+                .map(|i| {
+                    walk += rng.gen_range(-0.005f32..0.005);
+                    if i % 97 == 5 {
+                        walk + rng.gen_range(-100.0f32..100.0)
+                    } else {
+                        walk
+                    }
+                })
+                .collect(),
+        ),
+        (
+            "subnormal",
+            (0..n)
+                .map(|i| {
+                    f32::from_bits(1 + (i as u32 * 7919) % 0x007f_ffff)
+                        * if i % 2 == 0 { 1.0 } else { -1.0 }
+                })
+                .collect(),
+        ),
+    ]
+}
+
+#[test]
+fn every_bound_mode_tolerance_and_length_round_trips() {
+    let mut rng = StdRng::seed_from_u64(0x1A77);
+    for n in [0usize, 1, 2, 3, 5, 7, 1027, 4099] {
+        for (label, data) in fields(&mut rng, n) {
+            for tol in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6] {
+                for bound in [
+                    ErrorBound::abs_linf(tol),
+                    ErrorBound::rel_linf(tol),
+                    ErrorBound::abs_l2(tol),
+                    ErrorBound::rel_l2(tol),
+                ] {
+                    let what = format!("{label} n={n} {bound:?}");
+                    let recon = roundtrip(&data, &bound, &what);
+                    assert!(bound.verify(&data, &recon), "{what}: bound violated");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
+    // 2eb = 2^-9, so products with 1/(2eb) are exact: (k + ½)·2eb sits on a
+    // half-lattice tie, and 2^21 on the index guard (2^30 bins).
+    let eb = 1.0 / 1024.0;
+    let bound = ErrorBound::abs_linf(eb);
+    let guard = (1u32 << 21) as f32;
+    let mut data: Vec<f32> = (-40..40).map(|k| (k as f32 + 0.5) / 512.0).collect();
+    data.extend([
+        guard,
+        -guard,
+        f32::from_bits(guard.to_bits() - 1),
+        -f32::from_bits(guard.to_bits() - 1),
+        f32::from_bits(guard.to_bits() + 1),
+        1e30,
+        -1e30,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        -0.0,
+        0.0,
+    ]);
+    // The same values again after a smooth stretch, so they meet a
+    // non-trivial history, and in every segment of the split.
+    let smooth: Vec<f32> = (0..500).map(|i| (i as f32 * 0.01).sin()).collect();
+    let awkward = data.clone();
+    for _ in 0..4 {
+        data.extend(&smooth);
+        data.extend(&awkward);
+    }
+    let recon = roundtrip(&data, &bound, "finite awkward values");
+    assert!(bound.verify(&data, &recon));
+    for (i, (&x, &r)) in data.iter().zip(&recon).enumerate() {
+        if x.abs() >= guard {
+            assert_eq!(
+                x.to_bits(),
+                r.to_bits(),
+                "value {i} at the guard is verbatim"
+            );
+        }
+    }
+
+    // NaN and the infinities come back bit for bit; everything finite
+    // around them stays within the bound.
+    let quiet = f32::from_bits(0x7fc1_2345);
+    for (k, x) in [f32::NAN, quiet, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        data[3 + 211 * k] = x;
+        data[600 + 197 * k] = x;
+    }
+    let recon = roundtrip(&data, &bound, "non-finite values");
+    for (i, (&x, &r)) in data.iter().zip(&recon).enumerate() {
+        if x.is_finite() {
+            assert!(((x - r).abs() as f64) <= eb, "value {i}: {x} → {r}");
+        } else {
+            assert_eq!(x.to_bits(), r.to_bits(), "value {i} is verbatim");
+        }
+    }
+    // Relative bounds resolve to an infinite budget on such data (which the
+    // chunked wrapper refuses as a tolerance); whatever the plain stream
+    // holds then, the decoders agree on it.
+    for bound in [ErrorBound::rel_linf(1e-3), ErrorBound::rel_l2(1e-3)] {
+        let stream = SzCompressor::new().compress(&data, &bound).unwrap();
+        let recon = decode_everywhere(&stream, "non-finite values, relative bound").unwrap();
+        assert_eq!(recon.len(), data.len());
+    }
+}
+
+/// A lattice container built by hand: `symbols` cut into `tables.len()`
+/// even segments, one outlier table per segment.
+fn forge(tag: BackendTag, eb: f64, symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    format::write_preamble(&mut out, tag, tables.len());
+    out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
+    out.extend_from_slice(&eb.to_le_bytes());
+    for table in tables {
+        out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    }
+    huffman::encode_multi_into(&format::split_slices(symbols, tables.len()), &mut out);
+    for table in tables {
+        format::write_f32_table(&mut out, table);
+    }
+    out
+}
+
+#[test]
+fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
+    let none = vec![Vec::new(); 4];
+    // The largest honest difference, forever: the index passes 2^31 after
+    // ~360 values and keeps wrapping.
+    let up = vec![65_535u32; 8000];
+    let values = decode_everywhere(
+        &forge(BackendTag::SzLattice, 1e-3, &up, &none),
+        "all +MAX_CODE",
+    )
+    .expect("a well-framed stream");
+    assert!(values.iter().any(|&v| v < 0.0), "the sum wrapped");
+    // Symbols no encoder emits, the marker among them.
+    let mut rng = StdRng::seed_from_u64(0xF0F);
+    let wild: Vec<u32> = (0..4001)
+        .map(|i| match i % 5 {
+            0 => rng.gen_range(1u32..65_536),
+            1 => 65_536 + rng.gen_range(0u32..1000),
+            2 => 0x8000_0000 + rng.gen_range(0u32..3),
+            3 => u32::MAX - rng.gen_range(0u32..2),
+            _ => 32_768,
+        })
+        .collect();
+    for n_streams in [1, 3, 4, 16] {
+        let tables = vec![Vec::new(); n_streams];
+        decode_everywhere(
+            &forge(BackendTag::SzLattice, 0.5, &wild, &tables),
+            "wild symbols",
+        )
+        .expect("a well-framed stream");
+    }
+    // Header bounds no encoder writes.
+    for eb in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
+        let mut symbols = up[..400].to_vec();
+        symbols[7] = 0;
+        symbols[205] = 0;
+        let tables = vec![vec![3.5f32], Vec::new(), vec![f32::NAN], Vec::new()];
+        decode_everywhere(
+            &forge(BackendTag::SzLattice, eb, &symbols, &tables),
+            "hostile error bound",
+        )
+        .expect("a well-framed stream");
+    }
+}
+
+#[test]
+fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
+    // Segment 1 of 4 holds two escapes.
+    let mut symbols = vec![32_768u32; 400];
+    symbols[110] = 0;
+    symbols[150] = 0;
+    let table = |n: usize| vec![Vec::new(), vec![1.25f32; n], Vec::new(), Vec::new()];
+    let sz = SzCompressor::new();
+    for (entries, accepted) in [(2, true), (1, false), (3, false), (0, false)] {
+        let stream = forge(BackendTag::SzLattice, 1e-3, &symbols, &table(entries));
+        let decoded = decode_everywhere(&stream, "table length");
+        assert_eq!(
+            decoded.is_some(),
+            accepted,
+            "{entries} entries for 2 escapes"
+        );
+        if !accepted {
+            let err = sz.decompress(&stream).unwrap_err();
+            assert!(err.to_string().contains("outlier table"), "{err}");
+        }
+    }
+    // The right number of entries, one segment over.
+    let moved = vec![vec![1.25f32; 2], Vec::new(), Vec::new(), Vec::new()];
+    let stream = forge(BackendTag::SzLattice, 1e-3, &symbols, &moved);
+    assert!(decode_everywhere(&stream, "table in the wrong segment").is_none());
+}
+
+#[test]
+fn each_layouts_body_under_the_other_tag_decodes_alike_or_not_at_all() {
+    let data: Vec<f32> = include_bytes!("fixtures/field.f32")
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    let sz = SzCompressor::new();
+    // Today's body, retired tag: only the oracle's feedback loop reads it.
+    let mut lattice = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
+    lattice[8] = BackendTag::Sz as u8;
+    decode_everywhere(&lattice, "lattice body under the retired tag");
+    // The retired body (golden fixture), today's tag: the fast decoder
+    // reads residual codes as second differences, and so does the oracle.
+    let mut retired = include_bytes!("fixtures/sz_v2.bin").to_vec();
+    assert!(format::is_tagged(&retired, BackendTag::Sz));
+    retired[8] = BackendTag::SzLattice as u8;
+    let as_lattice = decode_everywhere(&retired, "retired body under the lattice tag")
+        .expect("same framing, so both accept");
+    let as_retired = sz.decompress(include_bytes!("fixtures/sz_v2.bin")).unwrap();
+    assert_ne!(bits(&as_lattice), bits(&as_retired));
+    // Any other tag is no SZ stream at all.
+    for tag in [0u8, 2, 3, 5, 255] {
+        retired[8] = tag;
+        assert!(decode_everywhere(&retired, "foreign tag").is_none());
+    }
+}

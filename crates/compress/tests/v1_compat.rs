@@ -1,17 +1,20 @@
-//! Golden streams from the last commit that could still *write* the
-//! retired single-stream ("v1") layout.
+//! Golden streams: the layouts nothing writes any more, and the bytes
+//! today's writers must keep producing.
 //!
 //! `fixtures/` holds one seeded 1027-value field (`field.f32`, little-endian
 //! `f32` bits; offset so that roughly a third of the SZ values escape to
-//! the outlier table, with a 120-value constant stretch for the RLE path),
-//! that commit's v1 SZ/ZFP/MGARD streams for it under `rel_linf(1e-4)` with
-//! the bit patterns they decoded to, and its SZ/ZFP container streams.
+//! the outlier table, with a 120-value constant stretch for the RLE path)
+//! and, all under `rel_linf(1e-4)`:
 //!
-//! * v1 bytes have no encoder left in the tree; they must keep decoding to
-//!   exactly the recorded values, through the oracle and through every
-//!   backend's public entry points.
-//! * The container bytes pin the writers: today's SZ and ZFP encoders must
-//!   reproduce them byte for byte.
+//! * the headerless ("v1") SZ/ZFP/MGARD streams of the last commit that
+//!   could write them, and that commit's SZ container stream under the
+//!   retired tag 1 (`sz_v2.bin`, residuals against reconstructed values),
+//!   each with the bit patterns it decoded to.  No encoder for them is left
+//!   in the tree; they must keep decoding to exactly the recorded values,
+//!   through the oracle and through every backend's public entry points.
+//! * the SZ lattice stream (`sz_lattice.bin`, tag 4) with its decoded bits,
+//!   and the ZFP container stream.  These pin the writers: today's SZ and
+//!   ZFP encoders must reproduce them byte for byte.
 
 use errflow_compress::{
     reference, scratch, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
@@ -36,20 +39,35 @@ fn field() -> Vec<f32> {
 }
 
 #[test]
-fn v1_fixtures_decode_to_the_recorded_values_everywhere() {
-    let cases: [(&dyn Compressor, &[u8], &[u8]); 3] = [
+fn golden_streams_decode_to_the_recorded_values_everywhere() {
+    let cases: [(&dyn Compressor, &str, &[u8], &[u8]); 5] = [
         (
             &SzCompressor::new(),
+            "headerless",
             include_bytes!("fixtures/sz_v1.bin"),
             include_bytes!("fixtures/sz_v1.f32"),
         ),
         (
+            &SzCompressor::new(),
+            "retired tag",
+            include_bytes!("fixtures/sz_v2.bin"),
+            include_bytes!("fixtures/sz_v2.f32"),
+        ),
+        (
+            &SzCompressor::new(),
+            "lattice",
+            include_bytes!("fixtures/sz_lattice.bin"),
+            include_bytes!("fixtures/sz_lattice.f32"),
+        ),
+        (
             &ZfpCompressor::new(),
+            "headerless",
             include_bytes!("fixtures/zfp_v1.bin"),
             include_bytes!("fixtures/zfp_v1.f32"),
         ),
         (
             &MgardCompressor::new(),
+            "headerless",
             include_bytes!("fixtures/mgard_v1.bin"),
             include_bytes!("fixtures/mgard_v1.f32"),
         ),
@@ -57,11 +75,11 @@ fn v1_fixtures_decode_to_the_recorded_values_everywhere() {
     let data = field();
     let bound = ErrorBound::rel_linf(1e-4);
     let mut sc = scratch::acquire();
-    for (c, stream, decoded) in cases {
-        let name = c.name();
+    for (c, layout, stream, decoded) in cases {
+        let name = format!("{} ({layout})", c.name());
         let want = f32_bits(decoded);
         assert_eq!(want.len(), data.len());
-        let oracle = reference::decompress(name, stream).unwrap();
+        let oracle = reference::decompress(c.name(), stream).unwrap();
         assert_eq!(bits(&oracle), want, "{name}: oracle");
         assert!(bound.verify(&data, &oracle), "{name}: bound");
         assert_eq!(
@@ -82,7 +100,10 @@ fn sz_and_zfp_still_write_the_recorded_container_bytes() {
     let data = field();
     let bound = ErrorBound::rel_linf(1e-4);
     let cases: [(&dyn Compressor, &[u8]); 2] = [
-        (&SzCompressor::new(), include_bytes!("fixtures/sz_v2.bin")),
+        (
+            &SzCompressor::new(),
+            include_bytes!("fixtures/sz_lattice.bin"),
+        ),
         (&ZfpCompressor::new(), include_bytes!("fixtures/zfp_v2.bin")),
     ];
     for (c, want) in cases {
