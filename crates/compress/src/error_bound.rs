@@ -148,14 +148,31 @@ impl ErrorBound {
     }
 }
 
+/// Smallest and largest value of `data`, ignoring NaN (`f32::min`/`max`
+/// return the other operand): `(+inf, −inf)` when nothing else is there.
+///
+/// Eight independent accumulators, so the scan is a vector min/max per
+/// eight values and not one latency-bound chain through all of them; with
+/// NaN never entering an accumulator, min and max are associative and the
+/// grouping does not change the result.
 fn min_max(data: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &v in data {
-        min = min.min(v);
-        max = max.max(v);
+    let mut min = [f32::INFINITY; 8];
+    let mut max = [f32::NEG_INFINITY; 8];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        for ((lo, hi), &v) in min.iter_mut().zip(&mut max).zip(chunk) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
     }
-    (min, max)
+    for ((lo, hi), &v) in min.iter_mut().zip(&mut max).zip(chunks.remainder()) {
+        *lo = lo.min(v);
+        *hi = hi.max(v);
+    }
+    (
+        min.iter().fold(f32::INFINITY, |m, &v| m.min(v)),
+        max.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v)),
+    )
 }
 
 #[cfg(test)]
@@ -225,6 +242,45 @@ mod tests {
         assert!(!BoundMode::AbsLInf.is_l2());
         assert!(BoundMode::RelL2.is_relative());
         assert!(!BoundMode::AbsL2.is_relative());
+    }
+
+    /// The one-chain scan `min_max` replaced.
+    fn min_max_serial(data: &[f32]) -> (f32, f32) {
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for &v in data {
+            min = min.min(v);
+            max = max.max(v);
+        }
+        (min, max)
+    }
+
+    #[test]
+    fn min_max_equals_the_serial_scan() {
+        let mut rng = errflow_tensor::rng::StdRng::seed_from_u64(0xEB);
+        let mut cases: Vec<Vec<f32>> = vec![Vec::new(), vec![f32::NAN; 13], vec![f32::NAN]];
+        for len in (1..=17).chain([64, 1000, 4099]) {
+            let clean: Vec<f32> = (0..len).map(|_| rng.gen_range(-1e3f32..1e3)).collect();
+            // NaN in every lane position, and at both ends.
+            let mut salted = clean.clone();
+            for v in salted.iter_mut().step_by(3) {
+                *v = f32::NAN;
+            }
+            let mut ends = clean.clone();
+            ends[0] = f32::NAN;
+            ends[len - 1] = f32::NAN;
+            let mut infs = clean.clone();
+            infs[len / 2] = f32::INFINITY;
+            infs[len / 3] = f32::NEG_INFINITY;
+            cases.extend([clean, salted, ends, infs]);
+        }
+        for data in &cases {
+            // `==`, not bits: which of ±0.0 a min returns is unspecified,
+            // and the range `max − min` does not depend on it.
+            assert_eq!(min_max(data), min_max_serial(data), "{data:?}");
+        }
+        assert_eq!(min_max(&[]), (f32::INFINITY, f32::NEG_INFINITY));
+        assert_eq!(min_max(&[f32::NAN; 9]), (f32::INFINITY, f32::NEG_INFINITY));
     }
 
     #[test]

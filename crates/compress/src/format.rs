@@ -128,34 +128,69 @@ pub fn read_f32_table(bytes: &[u8], out: &mut [f32]) {
     }
 }
 
-/// Splits `n` items into `s` contiguous segments whose lengths differ by at
-/// most one (the first `n % s` segments get the extra item).  Returns
-/// `(offset, len)` per segment; segments may be empty when `n < s`.
+/// The `(offset, len)` segments of one [`split_even`] call: at most
+/// [`MAX_STREAMS`] of them, held inline so that neither side of a codec
+/// allocates to learn its own segmentation.  Dereferences to the slice of
+/// segments.
+#[derive(Debug, Clone, Copy)]
+pub struct Parts {
+    segs: [(usize, usize); MAX_STREAMS],
+    len: usize,
+}
+
+impl std::ops::Deref for Parts {
+    type Target = [(usize, usize)];
+
+    fn deref(&self) -> &[(usize, usize)] {
+        &self.segs[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Parts {
+    type Item = &'a (usize, usize);
+    type IntoIter = std::slice::Iter<'a, (usize, usize)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Splits `n` items into `s ≤ MAX_STREAMS` contiguous segments whose
+/// lengths differ by at most one (the first `n % s` segments get the extra
+/// item).  Returns `(offset, len)` per segment; segments may be empty when
+/// `n < s`.
 ///
 /// Both encoder and decoder derive the segmentation from `(n, s)` alone, so
 /// the split never needs to be serialized — headers still declare the
 /// per-segment counts and the decoder cross-checks them against this
 /// function, making a forged header a typed error rather than a skew.
-pub fn split_even(n: usize, s: usize) -> Vec<(usize, usize)> {
-    debug_assert!(s >= 1);
+///
+/// # Panics
+/// If `s` is 0 or exceeds [`MAX_STREAMS`] ([`read_preamble`] bounds every
+/// count that comes off a stream).
+pub fn split_even(n: usize, s: usize) -> Parts {
+    assert!(
+        (1..=MAX_STREAMS).contains(&s),
+        "segment count {s} outside 1..={MAX_STREAMS}"
+    );
     let base = n / s;
     let extra = n % s;
-    let mut out = Vec::with_capacity(s);
+    let mut segs = [(0usize, 0usize); MAX_STREAMS];
     let mut off = 0usize;
-    for i in 0..s {
+    for (i, seg) in segs[..s].iter_mut().enumerate() {
         let len = base + usize::from(i < extra);
-        out.push((off, len));
+        *seg = (off, len);
         off += len;
     }
-    out
+    Parts { segs, len: s }
 }
 
 /// `items` cut into the `s` contiguous sub-slices of [`split_even`] — the
 /// segments a symbol stream is handed to the Huffman block writer in.
 pub fn split_slices<T>(items: &[T], s: usize) -> Vec<&[T]> {
     split_even(items.len(), s)
-        .into_iter()
-        .map(|(off, len)| &items[off..off + len])
+        .iter()
+        .map(|&(off, len)| &items[off..off + len])
         .collect()
 }
 

@@ -28,10 +28,47 @@
 //! AVX2 lane (see `zfp_simd`).  Streams without the container magic (the
 //! retired single-stream layout, the same blocks in one bit stream) are
 //! decoded by [`crate::reference::zfp_decompress`].
+//!
+//! A block is `flag(1) = 0, emax + 256 (10), cut (6), width (6)` and four
+//! `sign (1), magnitude (width)` fields, LSB first; `flag = 1` opens the
+//! two escapes, `1 0` for a block of zeros and `1 1` followed by the four
+//! values' IEEE bits for a block that holds a NaN or an infinity — every
+//! non-finite value comes back with the bits it went in with.
+//!
+//! ## The encoder
+//!
+//! Between loading a block's bits and storing the stream's, the encoder
+//! stays in the integers, and each step is the exact image of the float
+//! expression that defines the format:
+//!
+//! * **Exponent.** `emax = ⌊log2 max|v|⌋` is read off the largest
+//!   sign-cleared bit pattern (patterns of non-negative floats order like
+//!   the floats): its exponent field less the bias, or, for a block of
+//!   subnormals, the position of its top set bit.  The same compare
+//!   (`≥ 0x7F80_0000`) finds a NaN or an infinity.
+//! * **Quantize.** `round(v / 2^(emax − 36))` divides by a power of two,
+//!   so it is a shift of `v`'s significand, and rounding half away from
+//!   zero is "add half, floor" on the magnitude (`quantize`).
+//! * **Cut.** How many low bits a block drops depends on the stream's
+//!   budget and on `emax` only, so the one expression that needs libm is
+//!   evaluated once per exponent the stream holds, not once per block
+//!   (`CutTable`).
+//! * **Width** is the bit length of the OR of the four kept magnitudes.
+//! * **Store.** Header and fields go through a 64-bit accumulator that is
+//!   stored whole at a byte cursor (`BitSink`), straight into the buffer
+//!   [`Compressor::compress`] returns: sized for the worst case up front,
+//!   sub-stream after sub-stream behind the 50-byte container header,
+//!   whose length fields are filled in as each sub-stream ends.
+//!
+//! The float pipeline this replaced survives as the test-only
+//! `reference_encoder`, and the two are held to the same bytes on a corpus
+//! that reaches every branch; the exponent and the quantizer are also
+//! checked against their float expressions on every input they can tell
+//! apart (an `#[ignore]`d sweep CI runs once, strided in the default run).
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitReader;
 use crate::error_bound::ErrorBound;
-use crate::format::{self, BackendTag, V2_STREAMS};
+use crate::format::{self, BackendTag, MAX_STREAMS, V2_STREAMS};
 use crate::reference;
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
@@ -139,44 +176,270 @@ impl Compressor for ZfpCompressor {
     }
 }
 
+/// Offset of the sub-stream length table in the container header, behind
+/// the preamble and the element count.
+const LENGTHS_OFF: usize = 10 + 8;
+
+/// Bytes of the container header in front of the block payload.
+const HEADER_LEN: usize = LENGTHS_OFF + 8 * V2_STREAMS;
+
+/// Most bytes one encoded block can add to its sub-stream: the 23-bit
+/// header and four `sign + 38-bit magnitude` fields, 179 bits.  (A
+/// quantized value is below `2^37` and a Haar difference of two such
+/// values below `2^38`; a verbatim block is 130 bits.)
+const MAX_ENCODED_BLOCK_BYTES: usize = (23usize + 4 * (1 + 38)).div_ceil(8);
+
 /// Encodes `data` into the v2 interleaved container: blocks are split
 /// evenly into [`V2_STREAMS`] contiguous runs, each encoded into its own
 /// bit stream so decode lanes carry independent dependency chains.
+///
+/// The stream is written once, into the buffer that is returned: its
+/// capacity is the worst case up front, every sub-stream's bits go through
+/// a [`BitSink`] straight to their final position behind the header, and
+/// the header's sub-stream lengths are filled in as each sub-stream ends.
 fn compress_v2(data: &[f32], budget: f64) -> Vec<u8> {
     let n_blocks = data.len().div_ceil(4);
-    let parts = format::split_even(n_blocks, V2_STREAMS);
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(parts.len());
-    for &(block_off, block_len) in &parts {
-        let mut w = BitWriter::new();
-        let v0 = (block_off * 4).min(data.len());
-        let v1 = ((block_off + block_len) * 4).min(data.len());
-        for chunk in data[v0..v1].chunks(4) {
-            encode_block(chunk, budget, &mut w);
-        }
-        payloads.push(w.into_bytes());
-    }
-    let total: usize = payloads.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(18 + 8 * payloads.len() + total);
+    // The sink stores eight bytes at a time, hence the slack.
+    let worst_case = |blocks: usize| blocks * MAX_ENCODED_BLOCK_BYTES + 8;
+    let mut out = Vec::with_capacity(HEADER_LEN + worst_case(n_blocks));
+    let reserved = out.capacity();
     format::write_preamble(&mut out, BackendTag::Zfp, V2_STREAMS);
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for p in &payloads {
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+
+    let mut cuts = CutTable::new(budget);
+    let mut pos = HEADER_LEN;
+    for (i, &(block_off, block_len)) in format::split_even(n_blocks, V2_STREAMS).iter().enumerate()
+    {
+        // Zero-extend to this sub-stream's worst case — inside the reserve,
+        // so nothing moves, and only about what is written gets touched.
+        out.resize(pos + worst_case(block_len), 0);
+        let v0 = (block_off * 4).min(data.len());
+        let v1 = ((block_off + block_len) * 4).min(data.len());
+        let mut sink = BitSink::new(&mut out, pos);
+        encode_blocks(&data[v0..v1], &mut cuts, &mut sink);
+        let end = sink.finish();
+        let len_at = LENGTHS_OFF + 8 * i;
+        out[len_at..len_at + 8].copy_from_slice(&((end - pos) as u64).to_le_bytes());
+        pos = end;
     }
-    for p in &payloads {
-        out.extend_from_slice(p);
-    }
+    debug_assert_eq!(out.capacity(), reserved, "the reserve covers every stream");
+    out.truncate(pos);
     out
 }
 
-/// Parsed v2 container header.
+/// LSB-first bit sink over a byte buffer sized by the caller: the byte
+/// layout of [`crate::bitstream`]'s writer, written where the bytes will
+/// stay.  At most seven bits are pending between calls; each [`put`] adds
+/// its field to a 64-bit accumulator, stores the accumulator whole at the
+/// byte cursor and advances the cursor past the bytes that are complete.
+///
+/// [`put`]: BitSink::put
+struct BitSink<'a> {
+    out: &'a mut [u8],
+    pos: usize,
+    acc: u64,
+    nbits: u32,
+}
+
+impl<'a> BitSink<'a> {
+    /// A sink whose first bit is bit 0 of `out[pos]`.
+    fn new(out: &'a mut [u8], pos: usize) -> Self {
+        BitSink {
+            out,
+            pos,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Appends the low `n ≤ 57` bits of `value`, whose higher bits are zero.
+    #[inline]
+    fn put(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 57 && value >> n == 0);
+        self.acc |= value << self.nbits;
+        self.nbits += n;
+        self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        self.pos += (self.nbits >> 3) as usize;
+        self.acc >>= self.nbits & !7;
+        self.nbits &= 7;
+    }
+
+    /// Byte position one past the last bit written (the pending bits are
+    /// already in place, zero-padded: every store covers them).
+    fn finish(self) -> usize {
+        self.pos + usize::from(self.nbits > 0)
+    }
+}
+
+/// `cut` — how many low bits of every coefficient a block drops — depends
+/// only on the stream's budget and the block's exponent, so it is computed
+/// once per exponent the stream actually holds (the one place the encoder
+/// calls libm) and looked up per block.
+struct CutTable {
+    budget: f64,
+    /// Indexed by `emax − EMIN`; [`CutTable::UNSET`] until first asked for.
+    cuts: [u8; N_EXPONENTS],
+}
+
+/// Block exponents of finite, non-zero `f32` blocks: `⌊log2⌋` of the
+/// smallest subnormal and of `f32::MAX`.
+const EMIN: i32 = -149;
+const EMAX: i32 = 127;
+const N_EXPONENTS: usize = (EMAX - EMIN + 1) as usize;
+
+impl CutTable {
+    const UNSET: u8 = u8::MAX;
+
+    fn new(budget: f64) -> Self {
+        CutTable {
+            budget,
+            cuts: [Self::UNSET; N_EXPONENTS],
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, emax: i32) -> u32 {
+        let slot = &mut self.cuts[(emax - EMIN) as usize];
+        if *slot == Self::UNSET {
+            *slot = cut_for(self.budget, emax) as u8;
+        }
+        u32::from(*slot)
+    }
+}
+
+/// The largest truncation that keeps a block's worst-case reconstruction
+/// error within `budget`: int error ≤ 2^(cut+1) + 3 (transform gain 4 on a
+/// half-step coefficient error, plus lifting-rounding slack).
+fn cut_for(budget: f64, emax: i32) -> u32 {
+    let steps = budget / pow2(emax - (PRECISION - 2));
+    if steps > 5.0 {
+        (((steps - 3.0) / 2.0).log2().floor() as i64).clamp(0, 62) as u32
+    } else {
+        0
+    }
+}
+
+/// Biased exponent of a block whose largest magnitude has the bits
+/// `max_bits` (sign cleared, finite, non-zero): `⌊log2 max⌋ + 127`.  For a
+/// normal value that is its exponent field; a subnormal `m · 2^-149` has
+/// `⌊log2⌋ = bit_length(m) − 150`, the field it would carry if exponents
+/// went below 1.
+#[inline]
+fn biased_exponent(max_bits: u32) -> i32 {
+    if max_bits >= 1 << 23 {
+        (max_bits >> 23) as i32
+    } else {
+        9 - max_bits.leading_zeros() as i32
+    }
+}
+
+/// `round(v / 2^(emax − 36))`, half away from zero, for the finite value
+/// with the bits `bits` in a block of biased exponent `biased = emax + 127`,
+/// in integers.
+///
+/// `|v| = m · 2^(e − 150)` with `m` the 24-bit significand and `e` the
+/// exponent field (`m` without the implicit bit and `e = 1` for a
+/// subnormal), so the quotient is `m · 2^(36 − r)` with
+/// `r = biased − e + 23 ≥ 0`: exact, because the scale is a power of two.
+/// Half away from zero is, on the magnitude, "add half, floor":
+/// `⌊(⌊m·2^37 / 2^r⌋ + 1) / 2⌋`, one variable shift.  From `r = 61` on the
+/// result is 0 whatever `m` is, so `r` is clamped to keep the shift defined.
+#[inline]
+fn quantize(bits: u32, biased: i32) -> i64 {
+    let field = (bits >> 23) & 0xFF;
+    let m = u64::from(bits & 0x7F_FFFF) | (u64::from(field != 0) << 23);
+    let r = (biased - field.max(1) as i32 + 23).min(63) as u32;
+    let mag = ((((m << 37) >> r) + 1) >> 1) as i64;
+    if bits >> 31 == 0 {
+        mag
+    } else {
+        -mag
+    }
+}
+
+/// Encodes `values` (one sub-stream's share) block by block into `sink`.
+/// A short last block is padded by repeating the last value (cheap to code).
+fn encode_blocks(values: &[f32], cuts: &mut CutTable, sink: &mut BitSink<'_>) {
+    let mut blocks = values.chunks_exact(4);
+    for b in &mut blocks {
+        encode_block([b[0], b[1], b[2], b[3]].map(f32::to_bits), cuts, sink);
+    }
+    let tail = blocks.remainder();
+    if let Some(&pad) = tail.last() {
+        let block = std::array::from_fn(|i| tail.get(i).copied().unwrap_or(pad).to_bits());
+        encode_block(block, cuts, sink);
+    }
+}
+
+/// One block, from IEEE bits to stream bits, without leaving the integers.
+/// (`inline(always)`: as a call, the sink's cursor and accumulator go
+/// through memory between blocks, which costs 10 % of the encode.)
+#[inline(always)]
+fn encode_block(bits: [u32; 4], cuts: &mut CutTable, sink: &mut BitSink<'_>) {
+    const ABS: u32 = 0x7FFF_FFFF;
+    const INF: u32 = 0x7F80_0000;
+    // Bit patterns of non-negative floats order like the floats, NaN on top.
+    let max_bits = bits.iter().fold(0, |m, &b| m.max(b & ABS));
+    if max_bits == 0 {
+        sink.put(0b01, 2); // zero-block flag, no escape
+        return;
+    }
+    if max_bits >= INF {
+        // A NaN or an infinity: the whole block verbatim.
+        sink.put(0b11 | u64::from(bits[0]) << 2, 34);
+        for &b in &bits[1..] {
+            sink.put(u64::from(b), 32);
+        }
+        return;
+    }
+    let biased = biased_exponent(max_bits);
+    let emax = biased - 127;
+    let mut ints = bits.map(|b| quantize(b, biased));
+    fwd_transform(&mut ints);
+
+    // Truncate toward zero on the magnitude (an arithmetic shift would
+    // floor negatives); a coefficient truncated to zero loses its sign.
+    let cut = cuts.get(emax);
+    let mags = ints.map(|v| v.unsigned_abs() >> cut);
+    let width = 64 - (mags[0] | mags[1] | mags[2] | mags[3]).leading_zeros();
+    // flag(1) = 0, emax(10), cut(6), width(6)
+    sink.put(
+        ((emax + 256) as u64) << 1 | u64::from(cut) << 11 | u64::from(width) << 17,
+        23,
+    );
+    let fields: [u64; 4] =
+        std::array::from_fn(|i| mags[i] << 1 | u64::from(ints[i] < 0 && mags[i] != 0));
+    let step = 1 + width;
+    if step <= 28 {
+        // Two fields per store, as the decoder reads them.
+        sink.put(fields[0] | fields[1] << step, 2 * step);
+        sink.put(fields[2] | fields[3] << step, 2 * step);
+    } else {
+        for f in fields {
+            sink.put(f, step);
+        }
+    }
+}
+
+/// Parsed v2 container header: everything the decoders need to find each
+/// sub-stream's bytes and blocks, computed once and held inline.
 struct V2Header {
     /// Declared element count.
     n: usize,
     /// `(byte offset, byte length)` of each sub-stream within the payload
-    /// region.
-    payloads: Vec<(usize, usize)>,
+    /// region; the first `parts.len()` entries are meaningful.
+    payloads: [(usize, usize); MAX_STREAMS],
+    /// `(block offset, block count)` of each sub-stream.
+    parts: format::Parts,
     /// Byte offset of the payload region within the stream.
     payload_off: usize,
+}
+
+impl V2Header {
+    /// The sub-streams' byte ranges, one per entry of `parts`.
+    fn payloads(&self) -> &[(usize, usize)] {
+        &self.payloads[..self.parts.len()]
+    }
 }
 
 /// Parses and validates the v2 header.  The declared sub-stream lengths
@@ -188,11 +451,11 @@ fn parse_header_v2(stream: &[u8]) -> Result<V2Header, CompressError> {
     let mut pos = 0usize;
     let n_streams = format::read_preamble(stream, &mut pos, BackendTag::Zfp)?;
     let n = crate::traits::read_len_u64(stream, &mut pos, "element count")?;
-    let mut payloads = Vec::with_capacity(n_streams);
+    let mut payloads = [(0usize, 0usize); MAX_STREAMS];
     let mut total = 0usize;
-    for _ in 0..n_streams {
+    for p in &mut payloads[..n_streams] {
         let l = crate::traits::read_len_u64(stream, &mut pos, "sub-stream payload length")?;
-        payloads.push((total, l));
+        *p = (total, l);
         total = total.checked_add(l).ok_or_else(|| {
             CompressError::CorruptStream("sub-stream payload lengths overflow".into())
         })?;
@@ -204,17 +467,18 @@ fn parse_header_v2(stream: &[u8]) -> Result<V2Header, CompressError> {
         )));
     }
     let parts = format::split_even(n.div_ceil(4), n_streams);
-    for (i, &(_, blocks)) in parts.iter().enumerate() {
-        if blocks.saturating_mul(2) > payloads[i].1.saturating_mul(8) {
+    for (i, (&(_, blocks), &(_, bytes))) in parts.iter().zip(&payloads).enumerate() {
+        if blocks.saturating_mul(2) > bytes.saturating_mul(8) {
             return Err(CompressError::CorruptStream(format!(
                 "sub-stream {i} declares {blocks} blocks but holds only {} bits",
-                payloads[i].1.saturating_mul(8)
+                bytes.saturating_mul(8)
             )));
         }
     }
     Ok(V2Header {
         n,
         payloads,
+        parts,
         payload_off: pos,
     })
 }
@@ -224,15 +488,14 @@ fn parse_header_v2(stream: &[u8]) -> Result<V2Header, CompressError> {
 /// supports it.
 fn decompress_v2_into(stream: &[u8], hdr: &V2Header, out: &mut [f32]) -> Result<(), CompressError> {
     let payload = &stream[hdr.payload_off..];
-    let parts = format::split_even(out.len().div_ceil(4), hdr.payloads.len());
     #[cfg(target_arch = "x86_64")]
-    if hdr.payloads.len() == 4
+    if hdr.parts.len() == 4
         && errflow_tensor::simd::has_avx2()
         && !errflow_tensor::simd::force_scalar()
     {
-        return crate::zfp_simd::decode_v2_avx2(payload, &hdr.payloads, &parts, out);
+        return crate::zfp_simd::decode_v2_avx2(payload, hdr.payloads(), &hdr.parts, out);
     }
-    decompress_v2_scalar(payload, &hdr.payloads, &parts, out)
+    decompress_v2_scalar(payload, hdr.payloads(), &hdr.parts, out)
 }
 
 /// Portable v2 decode: each sub-stream through the serial block decoder.
@@ -286,74 +549,6 @@ pub(crate) fn decode_blocks_scalar(
         }
     }
     Ok(())
-}
-
-fn encode_block(values: &[f32], budget: f64, w: &mut BitWriter) {
-    debug_assert!(!values.is_empty() && values.len() <= 4);
-    // Pad short tail blocks by repeating the last value (cheap to code).
-    let mut block = [0.0f32; 4];
-    let pad = values.last().copied().unwrap_or(0.0);
-    #[allow(clippy::needless_range_loop)] // pads the tail from `values`
-    for i in 0..4 {
-        block[i] = *values.get(i).unwrap_or(&pad);
-    }
-    let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    if max_abs == 0.0 || !max_abs.is_finite() {
-        // Zero / non-finite blocks: flag + verbatim fallback for non-finite.
-        if max_abs == 0.0 {
-            w.write_bit(true); // zero-block flag
-            w.write_bit(false);
-            return;
-        }
-        w.write_bit(true);
-        w.write_bit(true); // verbatim escape
-        for v in block {
-            w.write_bits(v.to_bits() as u64, 32);
-        }
-        return;
-    }
-    w.write_bit(false);
-
-    let emax = (max_abs as f64).log2().floor() as i32;
-    let scale = 2f64.powi(emax - (PRECISION - 2));
-    let mut ints = [0i64; 4];
-    for (i, &v) in block.iter().enumerate() {
-        ints[i] = (v as f64 / scale).round() as i64;
-    }
-    fwd_transform(&mut ints);
-
-    // Pick the largest truncation that keeps the worst-case reconstruction
-    // error within budget: int error ≤ 2^(cut+1) + 3 (transform gain 4 on a
-    // half-step coefficient error, plus lifting-rounding slack).
-    let max_cut = 62;
-    let mut cut: u32 = 0;
-    if budget / scale > 5.0 {
-        cut = (((budget / scale - 3.0) / 2.0).log2().floor() as i64).clamp(0, max_cut) as u32;
-    }
-    // Truncate toward zero on magnitude (arithmetic shift floors negatives,
-    // so work in sign-magnitude).
-    let kept: [i64; 4] = std::array::from_fn(|i| {
-        let v = ints[i];
-        let mag = v.unsigned_abs() >> cut;
-        if v < 0 {
-            -(mag as i64)
-        } else {
-            mag as i64
-        }
-    });
-
-    let width = kept
-        .iter()
-        .map(|&k| 64 - k.unsigned_abs().leading_zeros())
-        .max()
-        .unwrap_or(0);
-    w.write_bits((emax + 256) as u64, 10);
-    w.write_bits(cut as u64, 6);
-    w.write_bits(width as u64, 6);
-    for &k in &kept {
-        w.write_bit(k < 0);
-        w.write_bits(k.unsigned_abs(), width);
-    }
 }
 
 fn decode_block(r: &mut BitReader<'_>) -> Result<[f32; 4], CompressError> {
@@ -531,6 +726,120 @@ fn decode_block_unchecked(r: &mut BitReader<'_>, out: &mut [f32]) {
     finish_block_scalar(&raw, out);
 }
 
+/// The float encoder this module's integer one replaced — libm `log2` and
+/// `powi`, `f64` division and rounding per value, a flushing
+/// [`BitWriter`](crate::bitstream::BitWriter) per sub-stream — kept as the
+/// byte-for-byte oracle for it.
+#[cfg(test)]
+mod reference_encoder {
+    use super::{format, fwd_transform, BackendTag, PRECISION, V2_STREAMS};
+    use crate::bitstream::BitWriter;
+
+    pub(super) fn compress_v2(data: &[f32], budget: f64) -> Vec<u8> {
+        let n_blocks = data.len().div_ceil(4);
+        let parts = format::split_even(n_blocks, V2_STREAMS);
+        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(parts.len());
+        for &(block_off, block_len) in &parts {
+            let mut w = BitWriter::new();
+            let v0 = (block_off * 4).min(data.len());
+            let v1 = ((block_off + block_len) * 4).min(data.len());
+            for chunk in data[v0..v1].chunks(4) {
+                encode_block(chunk, budget, &mut w);
+            }
+            payloads.push(w.into_bytes());
+        }
+        let total: usize = payloads.iter().map(|p| p.len()).sum();
+        let mut out = Vec::with_capacity(18 + 8 * payloads.len() + total);
+        format::write_preamble(&mut out, BackendTag::Zfp, V2_STREAMS);
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        for p in &payloads {
+            out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        }
+        for p in &payloads {
+            out.extend_from_slice(p);
+        }
+        out
+    }
+
+    /// The per-block truncation choice, as the float encoder wrote it.
+    pub(super) fn cut_for(budget: f64, emax: i32) -> u32 {
+        let scale = 2f64.powi(emax - (PRECISION - 2));
+        let max_cut = 62;
+        let mut cut: u32 = 0;
+        if budget / scale > 5.0 {
+            cut = (((budget / scale - 3.0) / 2.0).log2().floor() as i64).clamp(0, max_cut) as u32;
+        }
+        cut
+    }
+
+    fn encode_block(values: &[f32], budget: f64, w: &mut BitWriter) {
+        debug_assert!(!values.is_empty() && values.len() <= 4);
+        // Pad short tail blocks by repeating the last value (cheap to code).
+        let mut block = [0.0f32; 4];
+        let pad = values.last().copied().unwrap_or(0.0);
+        #[allow(clippy::needless_range_loop)] // pads the tail from `values`
+        for i in 0..4 {
+            block[i] = *values.get(i).unwrap_or(&pad);
+        }
+        // The one departure from the parent's encoder: `f32::max` drops NaN,
+        // which sent NaN-holding blocks down the normal path as 0.0.
+        let max_abs = if block.iter().any(|v| v.is_nan()) {
+            f32::NAN
+        } else {
+            block.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
+        };
+        if max_abs == 0.0 || !max_abs.is_finite() {
+            // Zero / non-finite blocks: flag + verbatim fallback for non-finite.
+            if max_abs == 0.0 {
+                w.write_bit(true); // zero-block flag
+                w.write_bit(false);
+                return;
+            }
+            w.write_bit(true);
+            w.write_bit(true); // verbatim escape
+            for v in block {
+                w.write_bits(v.to_bits() as u64, 32);
+            }
+            return;
+        }
+        w.write_bit(false);
+
+        let emax = (max_abs as f64).log2().floor() as i32;
+        let scale = 2f64.powi(emax - (PRECISION - 2));
+        let mut ints = [0i64; 4];
+        for (i, &v) in block.iter().enumerate() {
+            ints[i] = (v as f64 / scale).round() as i64;
+        }
+        fwd_transform(&mut ints);
+
+        let cut = cut_for(budget, emax);
+        // Truncate toward zero on magnitude (arithmetic shift floors negatives,
+        // so work in sign-magnitude).
+        let kept: [i64; 4] = std::array::from_fn(|i| {
+            let v = ints[i];
+            let mag = v.unsigned_abs() >> cut;
+            if v < 0 {
+                -(mag as i64)
+            } else {
+                mag as i64
+            }
+        });
+
+        let width = kept
+            .iter()
+            .map(|&k| 64 - k.unsigned_abs().leading_zeros())
+            .max()
+            .unwrap_or(0);
+        w.write_bits((emax + 256) as u64, 10);
+        w.write_bits(cut as u64, 6);
+        w.write_bits(width as u64, 6);
+        for &k in &kept {
+            w.write_bit(k < 0);
+            w.write_bits(k.unsigned_abs(), width);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +1004,263 @@ mod tests {
         }
     }
 
+    /// One parsed block header, for the coverage checks below.
+    enum Head {
+        Zero,
+        Verbatim,
+        Normal { emax: i32, cut: u32, width: u32 },
+    }
+
+    /// Walks every block header of a v2 stream.
+    fn block_heads(stream: &[u8]) -> Vec<Head> {
+        let hdr = parse_header_v2(stream).unwrap();
+        let mut heads = Vec::new();
+        for (&(_, blocks), &(off, len)) in hdr.parts.iter().zip(hdr.payloads()) {
+            let mut r = BitReader::new(&stream[hdr.payload_off + off..][..len]);
+            for _ in 0..blocks {
+                if r.read_bit().unwrap() {
+                    if r.read_bit().unwrap() {
+                        for _ in 0..4 {
+                            r.read_bits(32).unwrap();
+                        }
+                        heads.push(Head::Verbatim);
+                    } else {
+                        heads.push(Head::Zero);
+                    }
+                    continue;
+                }
+                let emax = r.read_bits(10).unwrap() as i32 - 256;
+                let cut = r.read_bits(6).unwrap() as u32;
+                let width = r.read_bits(6).unwrap() as u32;
+                for _ in 0..4 {
+                    r.read_bits(1 + width).unwrap();
+                }
+                heads.push(Head::Normal { emax, cut, width });
+            }
+            assert!(r.remaining_bits() < 8, "sub-stream longer than its blocks");
+        }
+        heads
+    }
+
+    /// `±(1.f) · 2^k` with a random fraction.
+    fn at_exponent(rng: &mut StdRng, k: i32) -> f32 {
+        let x = rng.gen_range(1.0f64..2.0) * 2f64.powi(k);
+        if rng.gen_bool(0.5) {
+            x as f32
+        } else {
+            -x as f32
+        }
+    }
+
+    /// The `round`-th stream of the encoder corpus: seven kinds of field
+    /// over lengths 0…5 000 (every `n mod 4` up front).
+    fn corpus_stream(rng: &mut StdRng, round: usize) -> (&'static str, Vec<f32>) {
+        let n = if round < 16 {
+            round
+        } else {
+            rng.gen_range(0usize..=5000)
+        };
+        let raw_bits = |rng: &mut StdRng| f32::from_bits(rng.next_u64() as u32);
+        match round % 7 {
+            0 => {
+                let k = rng.gen_range(-126i32..=126);
+                (
+                    "one exponent",
+                    (0..n).map(|_| at_exponent(rng, k)).collect(),
+                )
+            }
+            1 => (
+                "whole exponent range",
+                (0..n)
+                    .map(|_| {
+                        let k = rng.gen_range(-149i32..=127);
+                        at_exponent(rng, k)
+                    })
+                    .collect(),
+            ),
+            2 => (
+                "subnormals only",
+                (0..n)
+                    .map(|_| {
+                        // Up to 23 significant bits, so small ones occur.
+                        let top = rng.gen_range(0u32..=23);
+                        f32::from_bits(raw_bits(rng).to_bits() & (1u32 << 31 | ((1u32 << top) - 1)))
+                    })
+                    .collect(),
+            ),
+            3 => (
+                "subnormals beside small normals",
+                (0..n)
+                    .map(|_| {
+                        let field = rng.gen_range(0u32..=3);
+                        f32::from_bits(raw_bits(rng).to_bits() & 0x807F_FFFF | field << 23)
+                    })
+                    .collect(),
+            ),
+            4 => {
+                let mut data = smooth_field(n);
+                let runs = rng.gen_range(1usize..6);
+                for _ in 0..runs {
+                    let at = rng.gen_range(0..=n);
+                    let len = rng.gen_range(0usize..200).min(n - at);
+                    data[at..at + len].fill(if rng.gen_bool(0.5) { 0.0 } else { -0.0 });
+                }
+                ("smooth with zero runs", data)
+            }
+            5 => ("raw bit patterns", (0..n).map(|_| raw_bits(rng)).collect()),
+            _ => {
+                let mut data: Vec<f32> = (0..n)
+                    .map(|_| rng.gen_range(-1.0f32..1.0) * f32::MAX)
+                    .collect();
+                for v in data.iter_mut().step_by(97) {
+                    *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]
+                        [rng.gen_range(0usize..4)];
+                }
+                ("f32::MAX-amplitude noise with inf and NaN", data)
+            }
+        }
+    }
+
+    #[test]
+    fn zfp_encoder_bytes_match_the_reference_encoder() {
+        let mut rng = StdRng::seed_from_u64(0x2F3);
+        let (mut cut_zero, mut cut_mid, mut width_zero, mut wide) = (0, 0, 0, 0);
+        let (mut zero, mut verbatim, mut subnormal) = (0, 0, 0);
+        for round in 0..448 {
+            let (kind, data) = corpus_stream(&mut rng, round);
+            let tol = 10f64.powf(rng.gen_range(-12.0f64..1.0));
+            // A budget the data's own scale makes meaningful, every other
+            // round: the absolute one rarely lands near tiny or huge fields.
+            let peak = data
+                .iter()
+                .filter(|v| v.is_finite())
+                .fold(0.0f32, |m, v| m.max(v.abs()));
+            let budget = if round % 2 == 0 || peak == 0.0 {
+                tol
+            } else {
+                tol * peak as f64
+            };
+            let got = compress_v2(&data, budget);
+            let want = reference_encoder::compress_v2(&data, budget);
+            assert!(
+                got == want,
+                "round {round} ({kind}, n={}, budget={budget:e}): bytes differ from the \
+                 reference encoder at {:?}",
+                data.len(),
+                got.iter().zip(&want).position(|(a, b)| a != b)
+            );
+            for head in block_heads(&got) {
+                match head {
+                    Head::Zero => zero += 1,
+                    Head::Verbatim => verbatim += 1,
+                    Head::Normal { emax, cut, width } => {
+                        cut_zero += usize::from(cut == 0);
+                        cut_mid += usize::from(cut > 0 && cut < 62);
+                        width_zero += usize::from(width == 0);
+                        wide += usize::from(width > 27);
+                        subnormal += usize::from(emax < -126);
+                    }
+                }
+            }
+        }
+        // Every branch of the encoder was exercised, many times over.
+        for (what, count) in [
+            ("cut = 0", cut_zero),
+            ("mid-range cut", cut_mid),
+            ("width = 0", width_zero),
+            ("width > 27", wide),
+            ("zero block", zero),
+            ("verbatim block", verbatim),
+            ("all-subnormal block", subnormal),
+        ] {
+            assert!(count >= 100, "corpus reached `{what}` only {count} times");
+        }
+    }
+
+    /// `biased_exponent` against the float expression it replaced, on every
+    /// `stride`-th finite positive bit pattern.
+    fn check_exponents(stride: usize) {
+        for bits in (1..0x7F80_0000u32).step_by(stride) {
+            let x = f32::from_bits(bits);
+            let emax = (x as f64).log2().floor() as i32;
+            assert_eq!(biased_exponent(bits) - 127, emax, "bits {bits:#010x}");
+        }
+    }
+
+    /// `quantize` against the float expression it replaced.  The quantizer
+    /// sees the 24-bit significand, whether the value is subnormal, the
+    /// sign, and the gap between the block's exponent and the value's — so
+    /// every `stride`-th significand × every gap × both signs, at one
+    /// arbitrary block exponent, is every input it can tell apart.
+    fn check_quantizer(stride: usize) {
+        let check = |bits: u32, biased: i32| {
+            for bits in [bits, bits | 1 << 31] {
+                let x = f32::from_bits(bits);
+                let want = (x as f64 / 2f64.powi(biased - 127 - (PRECISION - 2))).round() as i64;
+                assert_eq!(
+                    quantize(bits, biased),
+                    want,
+                    "bits {bits:#010x} in a block of biased exponent {biased}"
+                );
+            }
+        };
+        const BLOCK: i32 = 200;
+        for sig in (0..1u32 << 24).step_by(stride) {
+            let frac = sig & 0x7F_FFFF;
+            if sig >> 23 == 1 {
+                for gap in 0..=40 {
+                    check(((BLOCK - gap) as u32) << 23 | frac, BLOCK);
+                }
+            } else {
+                // A subnormal's exponent is that of field 1.
+                for gap in 0..=40 {
+                    check(frac, 1 + gap);
+                }
+                // All-subnormal blocks: the block's exponent is below that.
+                if frac != 0 {
+                    for biased in biased_exponent(frac)..=0 {
+                        check(frac, biased);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_exponent_and_quantizer_match_the_float_expressions() {
+        check_exponents(61);
+        check_quantizer(61);
+    }
+
+    /// Every finite positive bit pattern and every quantizer input (≈ 3.7 G
+    /// evaluations): minutes unoptimized, so CI runs it once with
+    /// `--release -- --ignored`; the strided version above is in every run.
+    #[test]
+    #[ignore]
+    fn exhaustive_sweep_of_integer_exponent_and_quantizer() {
+        check_exponents(1);
+        check_quantizer(1);
+    }
+
+    #[test]
+    fn cut_table_matches_the_float_expression() {
+        let mut budgets: Vec<f64> = (0..64)
+            .map(|i| 10f64.powf(-45.0 + 83.0 * i as f64 / 63.0))
+            .collect();
+        budgets.extend([f64::MIN_POSITIVE, 5.0, f64::MAX, f64::INFINITY]);
+        for budget in budgets {
+            let mut table = CutTable::new(budget);
+            // Descending, then again: first use and cached use.
+            for emax in (EMIN..=EMAX).rev().chain(EMIN..=EMAX) {
+                assert_eq!(
+                    table.get(emax),
+                    reference_encoder::cut_for(budget, emax),
+                    "budget {budget:e}, emax {emax}"
+                );
+            }
+        }
+    }
+
     /// The AVX2 kernel must reconstruct bit-identically to the portable
     /// scalar lane decode, across tolerances wide enough to exercise every
     /// coefficient-width path (one-window, two-window, and the general
@@ -727,11 +1293,11 @@ mod tests {
             let stream = compress_v2(&data, tol);
             let hdr = parse_header_v2(&stream).unwrap();
             let payload = &stream[hdr.payload_off..];
-            let parts = format::split_even(n.div_ceil(4), hdr.payloads.len());
             let mut scalar = vec![0.0f32; n];
-            decompress_v2_scalar(payload, &hdr.payloads, &parts, &mut scalar).unwrap();
+            decompress_v2_scalar(payload, hdr.payloads(), &hdr.parts, &mut scalar).unwrap();
             let mut simd = vec![0.0f32; n];
-            crate::zfp_simd::decode_v2_avx2(payload, &hdr.payloads, &parts, &mut simd).unwrap();
+            crate::zfp_simd::decode_v2_avx2(payload, hdr.payloads(), &hdr.parts, &mut simd)
+                .unwrap();
             for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
                 assert_eq!(
                     a.to_bits(),

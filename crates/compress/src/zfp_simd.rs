@@ -54,22 +54,22 @@ pub(crate) fn decode_v2_avx2(
     let _span = errflow_obs::trace::span("codec.zfp.decode.avx2");
     let n = out.len();
     // Carve `out` into the four lanes' contiguous value ranges.
-    let mut regions: Vec<&mut [f32]> = Vec::with_capacity(4);
     let mut rest: &mut [f32] = out;
     let mut consumed_vals = 0usize;
-    for &(block_off, block_len) in parts {
+    let mut regions: [&mut [f32]; 4] = std::array::from_fn(|i| {
+        let (block_off, block_len) = parts[i];
         let v0 = (block_off * 4).min(n);
         let v1 = ((block_off + block_len) * 4).min(n);
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(v1 - v0);
         debug_assert_eq!(v0, consumed_vals);
         consumed_vals = v1;
-        regions.push(head);
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(v1 - v0);
         rest = tail;
-    }
-    let mut readers: Vec<BitReader<'_>> = subs
-        .iter()
-        .map(|&(off, len)| BitReader::new(&payload[off..off + len]))
-        .collect();
+        head
+    });
+    let mut readers: [BitReader<'_>; 4] = std::array::from_fn(|i| {
+        let (off, len) = subs[i];
+        BitReader::new(&payload[off..off + len])
+    });
     let mut done = [0usize; 4];
     // SAFETY: dispatched only behind a runtime `simd::has_avx2()` check in
     // `zfp::decompress_v2_into`, matching the kernel's target feature.

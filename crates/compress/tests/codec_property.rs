@@ -10,7 +10,8 @@
 //! paths see every symbol class the coders emit.
 
 use errflow_compress::{
-    reference, Compressor, ErrorBound, MgardCompressor, Sz2dCompressor, SzCompressor, ZfpCompressor,
+    reference, ChunkedCompressor, Compressor, ErrorBound, MgardCompressor, Sz2dCompressor,
+    SzCompressor, ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
@@ -160,4 +161,85 @@ fn decompress_into_agrees_with_decompress_all_backends() {
             assert_eq!(via_vec, via_into, "{} differs on {label}", be.name());
         }
     }
+}
+
+/// Decodes `data`'s stream through `decompress`, `decompress_into`,
+/// `ChunkedCompressor::decode_unit_into` and the oracle, and checks each
+/// result: non-finite values come back with their exact bits at their own
+/// indices, finite values within `tol`.
+fn check_non_finite_roundtrip<C: Compressor + Clone>(be: &C, data: &[f32], bound: &ErrorBound) {
+    let tol = bound.absolute_target(data);
+    let check = |recon: &[f32], path: &str| {
+        assert_eq!(recon.len(), data.len(), "{} {path}: length", be.name());
+        for (i, (&a, &b)) in data.iter().zip(recon).enumerate() {
+            if a.is_finite() {
+                let err = (a as f64 - b as f64).abs();
+                assert!(
+                    err <= tol * (1.0 + 1e-9),
+                    "{} {path}: |{a} - {b}| = {err:e} > {tol:e} at {i}",
+                    be.name()
+                );
+            } else {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} {path}: {a} came back as {b} at {i}",
+                    be.name()
+                );
+            }
+        }
+    };
+    let stream = be.compress(data, bound).unwrap();
+    check(&be.decompress(&stream).unwrap(), "decompress");
+    let mut scratch = errflow_compress::CodecScratch::new();
+    let mut into = vec![0.0f32; data.len()];
+    be.decompress_into(&stream, &mut into, &mut scratch)
+        .unwrap();
+    check(&into, "decompress_into");
+    check(
+        &reference::decompress(be.name(), &stream).unwrap(),
+        "reference",
+    );
+    // Chunks of 1000 put non-finite values in ragged last blocks too.
+    let chunked = ChunkedCompressor::new(be.clone()).with_chunk_values(1000);
+    let container = chunked.compress(data, bound).unwrap();
+    let mut by_unit = vec![0.0f32; data.len()];
+    for unit in &chunked.decode_units(&container, data.len()).unwrap() {
+        let dst = &mut by_unit[unit.offset..unit.offset + unit.len];
+        chunked.decode_unit_into(unit, dst, &mut scratch).unwrap();
+    }
+    check(&by_unit, "decode_unit_into");
+}
+
+#[test]
+fn non_finite_values_survive_every_decode_path_sz_and_zfp() {
+    const QUIET_NAN_WITH_PAYLOAD: u32 = 0x7FC1_2345;
+    const NEGATIVE_NAN: u32 = 0xFFC0_0001;
+    let n = 2051; // ragged: the last block holds three values
+    let smooth: Vec<f32> = (0..n)
+        .map(|i| (i as f32 * 0.01).sin() * 2.0 + 0.3 * (i as f32 * 0.07).cos())
+        .collect();
+    let nan = f32::from_bits(QUIET_NAN_WITH_PAYLOAD);
+    let mut with_nan = smooth.clone();
+    // One NaN at each position of a 4-value block, beside finite values.
+    for (block, lane) in [(10, 0), (20, 1), (30, 2), (40, 3)] {
+        with_nan[4 * block + lane] = nan;
+    }
+    with_nan[997] = f32::from_bits(NEGATIVE_NAN);
+    // A block of nothing but NaN, and NaN as the value the tail is padded with.
+    with_nan[400..404].fill(nan);
+    with_nan[n - 1] = f32::from_bits(NEGATIVE_NAN);
+    let mut with_inf = with_nan.clone();
+    with_inf[5] = f32::INFINITY;
+    with_inf[1203] = f32::NEG_INFINITY;
+    with_inf[1600..1604].copy_from_slice(&[f32::INFINITY, nan, f32::NEG_INFINITY, 1.0]);
+
+    for bound in [ErrorBound::abs_linf(1e-3), ErrorBound::rel_linf(1e-4)] {
+        check_non_finite_roundtrip(&SzCompressor::default(), &with_nan, &bound);
+        check_non_finite_roundtrip(&ZfpCompressor::default(), &with_nan, &bound);
+    }
+    // An infinity makes the value range, and so a relative budget, infinite.
+    let bound = ErrorBound::abs_linf(1e-3);
+    check_non_finite_roundtrip(&SzCompressor::default(), &with_inf, &bound);
+    check_non_finite_roundtrip(&ZfpCompressor::default(), &with_inf, &bound);
 }

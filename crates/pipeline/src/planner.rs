@@ -24,6 +24,7 @@ use errflow_quant::throughput::ExecutionModel;
 use errflow_quant::QuantFormat;
 use errflow_tensor::norms::{diff_norm, Norm};
 use errflow_tensor::stats::Summary;
+use errflow_tensor::transpose::{transpose_into, transpose_rows_into};
 
 /// How per-sample feature vectors are laid out in the flat compression
 /// payload.
@@ -47,13 +48,8 @@ pub fn flatten(samples: &[Vec<f32>], layout: PayloadLayout) -> Vec<f32> {
     match layout {
         PayloadLayout::SampleMajor => samples.iter().flatten().copied().collect(),
         PayloadLayout::FeatureMajor => {
-            let n = samples.len();
-            let mut out = vec![0.0f32; n * d];
-            for (s, sample) in samples.iter().enumerate() {
-                for (f, &v) in sample.iter().enumerate() {
-                    out[f * n + s] = v;
-                }
-            }
+            let mut out = vec![0.0f32; samples.len() * d];
+            transpose_rows_into(samples.len(), d, |s| &samples[s], &mut out);
             out
         }
     }
@@ -62,12 +58,20 @@ pub fn flatten(samples: &[Vec<f32>], layout: PayloadLayout) -> Vec<f32> {
 /// Inverse of [`flatten`].
 pub fn unflatten(flat: &[f32], n: usize, d: usize, layout: PayloadLayout) -> Vec<Vec<f32>> {
     assert_eq!(flat.len(), n * d, "payload size mismatch");
-    match layout {
-        PayloadLayout::SampleMajor => flat.chunks(d).map(<[f32]>::to_vec).collect(),
-        PayloadLayout::FeatureMajor => (0..n)
-            .map(|s| (0..d).map(|f| flat[f * n + s]).collect())
-            .collect(),
+    if d == 0 {
+        return vec![Vec::new(); n];
     }
+    let transposed;
+    let sample_major = match layout {
+        PayloadLayout::SampleMajor => flat,
+        PayloadLayout::FeatureMajor => {
+            let mut rows = vec![0.0f32; n * d];
+            transpose_into(flat, d, n, &mut rows);
+            transposed = rows;
+            &transposed[..]
+        }
+    };
+    sample_major.chunks(d).map(<[f32]>::to_vec).collect()
 }
 
 /// Planner inputs: the user's QoI tolerance and the allocation policy.
@@ -509,6 +513,30 @@ mod tests {
             assert_eq!(flat.len(), 21);
             let back = unflatten(&flat, 7, 3, layout);
             assert_eq!(back, s);
+        }
+    }
+
+    /// Tile-edge shapes: `flatten` → `unflatten` is the identity for both
+    /// layouts, and feature-major puts sample `s`, feature `f` at `f·n + s`.
+    #[test]
+    fn flatten_unflatten_identity_at_tile_edges() {
+        for n in [0usize, 1, 3, 15, 16, 17, 255, 256, 257] {
+            for d in [0usize, 1, 3, 15, 16, 17, 255, 256, 257] {
+                let s: Vec<Vec<f32>> = (0..n)
+                    .map(|i| (0..d).map(|f| (i * d + f) as f32).collect())
+                    .collect();
+                for layout in [PayloadLayout::FeatureMajor, PayloadLayout::SampleMajor] {
+                    let flat = flatten(&s, layout);
+                    assert_eq!(flat.len(), n * d);
+                    assert_eq!(unflatten(&flat, n, d, layout), s, "{n}x{d} {layout:?}");
+                }
+                let fm = flatten(&s, PayloadLayout::FeatureMajor);
+                for (i, sample) in s.iter().enumerate().step_by(7) {
+                    for (f, &v) in sample.iter().enumerate().step_by(5) {
+                        assert_eq!(fm[f * n + i], v);
+                    }
+                }
+            }
         }
     }
 

@@ -13,8 +13,9 @@
 
 use errflow_tensor::Matrix;
 
-/// Transposes a feature-major flat payload (`flat[f * n + s]` = sample
-/// `s`, feature `f`) into a sample-major row slab (`out[s * d + f]`).
+/// Transposes a feature-major flat payload (`d` feature rows of `n`
+/// samples each) into a sample-major row slab (`out[s * d + f]`), through
+/// the tiled kernel in [`errflow_tensor::transpose`].
 ///
 /// Returns `false` (leaving `out` untouched) when either slice does not
 /// hold exactly `n * d` values — the caller treats that as a corrupt
@@ -26,11 +27,7 @@ pub fn transpose_into(flat: &[f32], n: usize, d: usize, out: &mut [f32]) -> bool
     if flat.len() != total || out.len() != total {
         return false;
     }
-    for (s, row) in out.chunks_exact_mut(d.max(1)).enumerate() {
-        for (f, slot) in row.iter_mut().enumerate() {
-            *slot = flat[f * n + s];
-        }
-    }
+    errflow_tensor::transpose::transpose_into(flat, d, n, out);
     true
 }
 

@@ -24,6 +24,8 @@
 //! * [`init`] — deterministic Xavier/He/uniform weight initialisation.
 //! * [`rng`] — the seeded, dependency-free PRNG (xoshiro256++) all
 //!   randomness in the workspace flows through.
+//! * [`transpose`] — the tiled out-of-place transpose behind
+//!   [`Matrix::transpose`] and the feature-major payload layout.
 //! * [`stats`] — small statistics helpers (mean, variance, geometric mean)
 //!   used by the benchmark harness when aggregating achieved errors.
 
@@ -39,6 +41,7 @@ pub mod simd;
 pub mod spectral;
 pub mod stats;
 pub mod sync;
+pub mod transpose;
 
 pub use error::TensorError;
 pub use matrix::Matrix;

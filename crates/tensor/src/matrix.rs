@@ -196,11 +196,7 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        crate::transpose::transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
