@@ -1,18 +1,15 @@
 //! # errflow-bench
 //!
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index).
-//!
-//! * [`report`] — aligned text tables and scientific-notation formatting;
-//!   each `fig*` binary prints the series the corresponding figure plots.
-//! * [`tasks`] — the trained-model registry: each of the three workloads
-//!   trained in each regularisation mode, cached per process.
-//! * [`experiments`] — the experiment implementations shared by the
-//!   figure binaries (L∞ and L2 variants of a figure share one function).
-//!
-//! Set `ERRFLOW_FAST=1` to run every figure on reduced workloads (smaller
-//! grids, fewer epochs) — used by CI and the smoke tests.
+//! The paper's evaluation, regenerated and checked by one binary:
+//! `repro [--json <path>] [<id>…]` runs the [`experiments`] registry (Table I,
+//! Figs. 2–15, the six [`ablations`]) over shared trained models ([`tasks`])
+//! and holds the resulting tables ([`report`]) to the paper's headline
+//! claims ([`checks`]).  DESIGN.md §4 has the experiment index,
+//! EXPERIMENTS.md the reading of the results.  `gemm-bench` and
+//! `compress-bench` are separate binaries that own `BENCH_*.json`.
 
+pub mod ablations;
+pub mod checks;
 pub mod experiments;
 pub mod report;
 pub mod tasks;

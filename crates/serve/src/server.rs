@@ -53,7 +53,7 @@ use errflow_tensor::norms::Norm;
 use errflow_tensor::sync::lock_recover;
 use errflow_tensor::Matrix;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which error-bounded compression backend ingests request payloads.
@@ -619,6 +619,32 @@ impl<M: Model + Clone + Send + Sync + 'static> Drop for Server<M> {
     }
 }
 
+/// Payload size from which a worker calls [`settle_malloc_thresholds`]:
+/// glibc's initial `M_MMAP_THRESHOLD`, i.e. the payload's own flat copy is
+/// large enough to be mmapped and so to start moving the thresholds.
+const LARGE_PAYLOAD_BYTES: usize = 128 << 10;
+
+/// Allocates and frees one untouched 16 MiB block, once per process.
+///
+/// A worker's per-batch transients (flat payload, stream, batch matrix,
+/// feature-major scratch, activations) come to 1–2 MiB at 256 KiB payloads
+/// and are all free again when the batch ends.  glibc sets its mmap and
+/// trim thresholds from the largest mmapped block freed *so far* (trim =
+/// 2 × that, capped at 32/64 MiB), so whether the worker's arena keeps
+/// those pages or `madvise`s them away after every batch — ≈ 190 minor
+/// faults per request against ≈ 20, 700 against 830 requests/s on
+/// `codec_zfp_fm` — used to depend on which batch sizes the first few
+/// requests happened to form.  Freeing a block larger than any batch's
+/// transients first settles the thresholds at 16/32 MiB for every run.
+/// The block is never written, so it costs one `mmap`/`munmap` pair and no
+/// resident memory; on allocators without the heuristic it does nothing.
+/// Called on the first payload of [`LARGE_PAYLOAD_BYTES`] or more, so a
+/// process that only serves small ones keeps the allocator's defaults.
+fn settle_malloc_thresholds() {
+    static SETTLED: Once = Once::new();
+    SETTLED.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(16 << 20))));
+}
+
 /// One worker thread: pop a same-plan batch, serve it start to finish,
 /// repeat until the queue is closed and drained.
 fn worker_loop<M: Model + Clone + Send + Sync>(inner: &Inner<M>, queue: &BoundedQueue<Job>) {
@@ -707,6 +733,9 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
         // interval rather than a scoped guard.
         errflow_obs::trace::record_span("serve.batch_wait", job.t0_trace_ns, dequeued_trace_ns);
         let n = job.samples.len();
+        if n * d * 4 >= LARGE_PAYLOAD_BYTES {
+            settle_malloc_thresholds();
+        }
         let payload = flatten(&job.samples, job.layout);
         let bound = input_bound(&cached.plan, compressor, payload.len());
         match compressor.compress(&payload, &bound) {
