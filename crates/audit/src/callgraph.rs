@@ -4,7 +4,8 @@
 //! Per file we record every function definition (including the enclosing
 //! `impl` type), and per function: the calls it makes, its panic-capable
 //! sites, its lexical lock-acquisition sequence with the set of locks held
-//! at each point, and its blocking operations.  Closures passed to
+//! at each point, its blocking operations, and its machine probes (env
+//! and filesystem reads outside a once-initialiser).  Closures passed to
 //! `parallel_for` are carved out as synthetic "job" functions so the
 //! pool-blocking rule can treat them as analysis roots.
 //!
@@ -124,6 +125,9 @@ pub struct CallRef {
     pub line: u32,
     /// Lock identities held lexically at the call site.
     pub held: Vec<String>,
+    /// Made inside a `get_or_init` / `call_once` argument list: it runs
+    /// once per process, whatever calls the enclosing function.
+    pub once_init: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -154,6 +158,23 @@ pub struct BlockOp {
     pub lock_only: bool,
 }
 
+/// A question put to the OS that a cached value could answer: an
+/// environment lookup, `available_parallelism` (affinity mask plus cgroup
+/// files) or anything under `std::fs`.  Sites inside a `get_or_init` /
+/// `call_once` argument list are not recorded.
+///
+/// Both sides are lexical, and their limits are known:
+/// - the exemption reads the method name only, so `.get_or_init(…)` on a
+///   per-request `OnceCell` local is exempt although it runs per request;
+/// - the `fs` sink is any `fs::` path segment in a body (not after a `.`),
+///   so a `use std::fs::File` inside a fn, or a user module named `fs`,
+///   is recorded as a probe.  Waive those with `audit:allow`.
+#[derive(Debug, Clone)]
+pub struct ProbeSite {
+    pub what: String,
+    pub line: u32,
+}
+
 #[derive(Debug)]
 pub struct FnInfo {
     pub name: String,
@@ -168,6 +189,7 @@ pub struct FnInfo {
     pub panics: Vec<PanicSite>,
     pub acquires: Vec<Acquire>,
     pub blocks: Vec<BlockOp>,
+    pub probes: Vec<ProbeSite>,
 }
 
 #[derive(Debug)]
@@ -637,6 +659,7 @@ fn extract_file(
             panics: Vec::new(),
             acquires: Vec::new(),
             blocks: Vec::new(),
+            probes: Vec::new(),
         };
         walk_body(lx, span, &children, crate_name, &mut info);
         // A named fn that owns a job closure still "calls" it (the serve
@@ -651,6 +674,7 @@ fn extract_file(
                         kind: CallKind::Free,
                         line: lx.tokens[s.body.0].line,
                         held: Vec::new(),
+                        once_init: false,
                     });
                 }
             }
@@ -676,6 +700,9 @@ fn walk_body(
 ) {
     let (open, close) = span.body;
     let mut guards: Vec<Guard> = Vec::new();
+    // Token closing the outermost `get_or_init(…)` / `call_once(…)`
+    // argument list entered so far; tokens before it run once per process.
+    let mut once_init_end = 0usize;
     let mut stmt_start = open + 1;
     let mut i = open + 1;
     while i < close {
@@ -732,6 +759,38 @@ fn walk_body(
                 line,
                 indexing: false,
             });
+        }
+
+        // --- once-initialisers and machine probes ------------------------
+        if matches!(text, "get_or_init" | "call_once")
+            && i > 0
+            && lx.is_punct(i - 1, b'.')
+            && lx.is_punct(i + 1, b'(')
+        {
+            once_init_end = once_init_end.max(matching_paren(lx, i + 1, close));
+        }
+        let once_init = i < once_init_end;
+        let probe = match text {
+            "available_parallelism" if lx.is_punct(i + 1, b'(') => Some(text.to_string()),
+            "var" | "var_os"
+                if lx.is_punct(i + 1, b'(')
+                    && i > 2
+                    && lx.is_punct(i - 1, b':')
+                    && lx.is_punct(i - 2, b':')
+                    && lx.is_ident(i - 3, "env") =>
+            {
+                Some(format!("env::{text}"))
+            }
+            "fs" if lx.is_punct(i + 1, b':')
+                && lx.is_punct(i + 2, b':')
+                && !(i > 0 && lx.is_punct(i - 1, b'.')) =>
+            {
+                Some(format!("fs::{}", lx.text(i + 3)))
+            }
+            _ => None,
+        };
+        if let Some(what) = probe.filter(|_| !once_init) {
+            out.probes.push(ProbeSite { what, line });
         }
 
         // --- drop(guard) --------------------------------------------------
@@ -845,6 +904,7 @@ fn walk_body(
                 kind,
                 line,
                 held,
+                once_init,
             });
         }
         i += 1;

@@ -19,6 +19,9 @@
 //!    blocking operations while a lock is held (ratcheted).
 //! 7. `pool-blocking` — functions reachable from `parallel_for` job bodies
 //!    must not block a pool worker (ratcheted).
+//! 8. `hot-path-probe` — nothing reachable from the serve worker's batch
+//!    chain or the net io loop reads the environment, the core count or
+//!    the filesystem outside a once-initialiser (ratcheted).
 //!
 //! The analysis runs in two phases — a hand-rolled lexer
 //! (comment/string/char-literal aware) feeding per-file token rules, then a

@@ -35,7 +35,9 @@ fn hop(cg: &CallGraph, f: u32, line: u32) -> Hop {
     }
 }
 
-fn fn_chain(cg: &CallGraph, parents: &[Option<u32>], f: u32) -> Vec<Hop> {
+/// The root→`f` call chain of a [`Digraph::bfs_parents`] map, one hop per
+/// function at its definition line.
+pub(crate) fn fn_chain(cg: &CallGraph, parents: &[Option<u32>], f: u32) -> Vec<Hop> {
     Digraph::path_to(parents, f)
         .into_iter()
         .map(|v| hop(cg, v, cg.fns[v as usize].line))

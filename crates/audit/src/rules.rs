@@ -17,8 +17,9 @@ pub const RULE_HEADER_CAST: &str = "unchecked-header-cast";
 pub const RULE_THREADS: &str = "thread-discipline";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_POOL_BLOCK: &str = "pool-blocking";
+pub const RULE_HOT_PROBE: &str = "hot-path-probe";
 
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 8] = [
     RULE_SAFETY,
     RULE_UNCHECKED,
     RULE_PANIC_REACH,
@@ -26,11 +27,17 @@ pub const ALL_RULES: [&str; 7] = [
     RULE_THREADS,
     RULE_LOCK_ORDER,
     RULE_POOL_BLOCK,
+    RULE_HOT_PROBE,
 ];
 
 /// Graph-analysis rules: waivable with `audit:allow`, ratcheted in
 /// `AUDIT_RATCHET.json` (the unwaived count may only decrease).
-pub const SOFT_RULES: [&str; 3] = [RULE_PANIC_REACH, RULE_LOCK_ORDER, RULE_POOL_BLOCK];
+pub const SOFT_RULES: [&str; 4] = [
+    RULE_PANIC_REACH,
+    RULE_LOCK_ORDER,
+    RULE_POOL_BLOCK,
+    RULE_HOT_PROBE,
+];
 
 /// Rules where a finding — waived or not — fails `--check`. Only the soft
 /// (graph) rules accept `audit:allow` annotations; the unsafe/untrusted-input
@@ -333,6 +340,7 @@ pub fn audit_files_opts(files: &[(String, String)], strict_panics: bool) -> Vec<
     let cg = callgraph::build(files);
     rule_panic_reach(&cg, strict_panics, &mut out);
     locks::analyze(&cg, &mut out);
+    rule_hot_path_probe(&cg, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
@@ -506,6 +514,69 @@ fn rule_panic_reach(cg: &CallGraph, strict_panics: bool, out: &mut Vec<Finding>)
                 ),
                 waived: cg.waived(i, RULE_PANIC_REACH, site.line),
                 chain,
+            });
+        }
+    }
+}
+
+/// The per-request loops: `(file suffix, function)` of the serve worker's
+/// batch chain and the net frontend's io thread.
+const HOT_ROOTS: [(&str, &str); 2] = [
+    ("crates/serve/src/server.rs", "serve_batch"),
+    ("crates/net/src/server.rs", "io_loop"),
+];
+
+/// Rule 8 (ratcheted): nothing reachable from a [`HOT_ROOTS`] function asks
+/// the OS what a process constant could answer — an environment lookup,
+/// `available_parallelism` (a `sched_getaffinity` plus the cgroup files,
+/// ≈ 14 µs) or a `std::fs` call.  One such call per batch was three
+/// quarters of a small payload's decompress stage.  A site inside a
+/// `get_or_init` / `call_once` argument list runs once and is not a
+/// finding; neither is anything only called from one.
+fn rule_hot_path_probe(cg: &CallGraph, out: &mut Vec<Finding>) {
+    let roots: Vec<u32> = (0..cg.fns.len())
+        .filter(|&i| {
+            let f = &cg.fns[i];
+            !f.is_test
+                && HOT_ROOTS
+                    .iter()
+                    .any(|&(file, name)| f.name == name && cg.file_of(i).rel.ends_with(file))
+        })
+        .map(|i| i as u32)
+        .collect();
+    let mut g = Digraph::new(cg.fns.len());
+    for (i, f) in cg.fns.iter().enumerate() {
+        for &(t, line) in &cg.callees[i] {
+            // An edge carries (line, callee), not the call itself: it goes
+            // only when every call of that name on that line is inside an
+            // initialiser, so `f() + *C.get_or_init(f)` keeps its edge.
+            let callee = &cg.fns[t as usize].name;
+            let mut same = f
+                .calls
+                .iter()
+                .filter(|c| c.line == line && &c.name == callee)
+                .peekable();
+            if same.peek().is_none() || !same.all(|c| c.once_init) {
+                g.add_edge(i as u32, t);
+            }
+        }
+    }
+    let parents = g.bfs_parents(&roots);
+    for (i, f) in cg.fns.iter().enumerate() {
+        if parents[i].is_none() || f.is_test || cg.file_of(i).class != FileClass::Lib {
+            continue;
+        }
+        for site in &f.probes {
+            out.push(Finding {
+                rule: RULE_HOT_PROBE,
+                file: cg.file_of(i).rel.clone(),
+                line: site.line,
+                message: format!(
+                    "`{}` on a per-request path — resolve it once (OnceLock::get_or_init) and read the cached value",
+                    site.what
+                ),
+                waived: cg.waived(i, RULE_HOT_PROBE, site.line),
+                chain: locks::fn_chain(cg, &parents, i as u32),
             });
         }
     }

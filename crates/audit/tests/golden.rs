@@ -46,7 +46,7 @@ fn json_report_matches_golden_schema() {
 fn json_report_is_structurally_sound() {
     // Cheap structural checks that hold for ANY input, not just the golden:
     // version tag first, every finding carries a chain array, counts cover
-    // all seven rules, ratchet covers exactly the soft rules.
+    // all eight rules, ratchet covers exactly the soft rules.
     let rendered = render_json(&audit_files(&golden_input()), &Ratchet::default());
     assert!(rendered.starts_with("{\n  \"version\": 2,\n"));
     assert_eq!(rendered.matches("\"chain\": [").count(), 2);

@@ -46,7 +46,15 @@ pub fn flatten(samples: &[Vec<f32>], layout: PayloadLayout) -> Vec<f32> {
     }
     let d = samples[0].len();
     match layout {
-        PayloadLayout::SampleMajor => samples.iter().flatten().copied().collect(),
+        // One `memcpy` per row into a buffer sized up front; ragged rows
+        // concatenate as they are.
+        PayloadLayout::SampleMajor => {
+            let mut out = Vec::with_capacity(samples.iter().map(Vec::len).sum());
+            for row in samples {
+                out.extend_from_slice(row);
+            }
+            out
+        }
         PayloadLayout::FeatureMajor => {
             let mut out = vec![0.0f32; samples.len() * d];
             transpose_rows_into(samples.len(), d, |s| &samples[s], &mut out);
@@ -538,6 +546,14 @@ mod tests {
                 }
             }
         }
+        // Sample-major is plain concatenation, whatever the row lengths.
+        let empty_rows = vec![Vec::new(); 3];
+        assert!(flatten(&empty_rows, PayloadLayout::SampleMajor).is_empty());
+        let ragged = vec![vec![1.0, 2.0, 3.0], vec![], vec![4.0], vec![5.0, 6.0]];
+        assert_eq!(
+            flatten(&ragged, PayloadLayout::SampleMajor),
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        );
     }
 
     #[test]

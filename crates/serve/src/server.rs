@@ -89,14 +89,9 @@ impl BackendKind {
         }
     }
 
-    fn build(&self, decode_threads: usize) -> Box<dyn Compressor> {
-        // Clamp to the physical core count: the shared pool floors its
-        // size at 4 to keep concurrency paths exercised, but fanning the
-        // codec out wider than the hardware only adds dispatch overhead
-        // (see `pool::hardware_threads`).
-        let threads = decode_threads
-            .max(1)
-            .min(errflow_tensor::pool::hardware_threads());
+    /// The backend with a chunk fan-out of `threads` (the server passes its
+    /// resolved [`Inner::decode_threads`]).
+    fn build(&self, threads: usize) -> Box<dyn Compressor> {
         match self {
             BackendKind::Sz => {
                 Box::new(ChunkedCompressor::new(SzCompressor::default()).with_threads(threads))
@@ -128,7 +123,9 @@ pub struct ServeConfig {
     pub quant_share: f64,
     /// Compression backend for payload ingest.
     pub backend: BackendKind,
-    /// Chunk-decode threads per worker's [`ChunkedCompressor`].
+    /// Chunk-decode threads per worker, for its [`ChunkedCompressor`] and
+    /// the batch-wide decode fan-out alike; [`Server::new`] clamps it to
+    /// the hardware once.
     pub decode_threads: usize,
 }
 
@@ -327,6 +324,12 @@ struct Inner<M> {
     weights: [OnceLock<Arc<FormatWeights<M>>>; 5],
     stats: ServerStats,
     cfg: ServeConfig,
+    /// Chunk-decode fan-out per worker: `cfg.decode_threads` clamped to
+    /// the hardware once, here.  The shared pool floors its size at 4 to
+    /// keep concurrency paths exercised, but fanning the codec out wider
+    /// than the cores only adds dispatch overhead (see
+    /// [`errflow_tensor::pool::hardware_threads`]).
+    decode_threads: usize,
     model_id: u64,
     input_dim: usize,
     /// Process-wide scratch-pool `(hits, misses)` at construction time;
@@ -400,6 +403,9 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             weights: Default::default(),
             stats: ServerStats::default(),
             cfg,
+            decode_threads: cfg
+                .decode_threads
+                .clamp(1, errflow_tensor::pool::hardware_threads()),
             model_id: h.finish(),
             input_dim,
             scratch_base: errflow_compress::scratch::pool_stats(),
@@ -648,7 +654,7 @@ fn settle_malloc_thresholds() {
 /// One worker thread: pop a same-plan batch, serve it start to finish,
 /// repeat until the queue is closed and drained.
 fn worker_loop<M: Model + Clone + Send + Sync>(inner: &Inner<M>, queue: &BoundedQueue<Job>) {
-    let compressor = inner.cfg.backend.build(inner.cfg.decode_threads);
+    let compressor = inner.cfg.backend.build(inner.decode_threads);
     while let Some(batch) = queue.pop_batch(inner.cfg.max_batch.max(1), |j: &Job| j.key) {
         serve_batch(inner, compressor.as_ref(), batch);
     }
@@ -916,18 +922,8 @@ fn decode_into_rows<M>(
                 }
             }
         };
-        let threads = inner
-            .cfg
-            .decode_threads
-            .max(1)
-            .min(errflow_tensor::pool::hardware_threads());
-        if threads <= 1 || cells.len() <= 1 {
-            for idx in 0..cells.len() {
-                decode_one(idx);
-            }
-        } else {
-            errflow_tensor::pool::global().parallel_for(cells.len(), threads, &decode_one);
-        }
+        // Runs inline when the fan-out is 1 or there is one unit.
+        errflow_tensor::pool::global().parallel_for(cells.len(), inner.decode_threads, &decode_one);
     }
     // Transpose feature-major scratch decodes into their row slabs.
     for (i, off, slab) in fm_transposes {

@@ -4,11 +4,17 @@
 //! every completed response.
 //!
 //! The scratch-pool counters are process-wide, so tests that assert on
-//! their deltas serialise on a file-local mutex.
+//! their deltas serialise on a file-local mutex; so do the ones that time
+//! a stage or park a worker.
 
+use errflow_compress::{scratch, ChunkedCompressor, Compressor, SzCompressor};
 use errflow_nn::{Activation, Mlp};
-use errflow_serve::{Request, ServeConfig, Server};
+use errflow_pipeline::planner::{flatten, input_bound, PayloadLayout};
+use errflow_pipeline::{Planner, PlannerConfig};
+use errflow_serve::{bucket_tolerance, Request, Response, ServeConfig, Server};
+use errflow_tensor::norms::Norm;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -135,4 +141,173 @@ fn scratch_pool_counters_are_per_server_deltas() {
         (0, 0),
         "fresh server must start from a zero scratch delta: {snap_b:?}"
     );
+}
+
+/// A model wide enough that a few samples make a 4 KiB payload.
+fn wide_model() -> Mlp {
+    Mlp::new(
+        &[256, 32, 4],
+        Activation::Tanh,
+        Activation::Identity,
+        5,
+        None,
+    )
+}
+
+fn wide_payload(seed: u64, n: usize) -> Vec<Vec<f32>> {
+    let mut rng = errflow_tensor::rng::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| (0..256).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .collect()
+}
+
+fn median(ns: &mut [u64]) -> u64 {
+    ns.sort_unstable();
+    ns[ns.len() / 2]
+}
+
+// An optimized build only: unoptimized, the codec is slow enough that the
+// stage read under 2x with the probe in it, so the ratio would gate
+// nothing (CI runs it in its own release step).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a timing ratio; only meaningful with --release"
+)]
+fn small_payload_decode_reconciles_with_standalone() {
+    // The decompress stage of a one-unit batch is the codec's decode and
+    // nothing else worth naming: when the fan-out was re-derived per batch
+    // (an env lookup and a cgroup file read, ≈ 14 µs) a 4 KiB payload's
+    // stage read 13x the same decode standing alone.
+    let _g = serial();
+    const ROUNDS: usize = 300;
+    let tolerance = 1e-2;
+    let model = wide_model();
+    let calibration = wide_payload(17, 8);
+    let samples = wide_payload(400, 4);
+
+    let server = Server::new(
+        model.clone(),
+        calibration.clone(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut served: Vec<u64> = (0..ROUNDS)
+        .map(|_| {
+            let req = Request {
+                samples: samples.clone(),
+                rel_tolerance: tolerance,
+                norm: Norm::L2,
+                layout: PayloadLayout::SampleMajor,
+            };
+            let resp = server.process(req).expect("request must complete");
+            resp.stages.decompress_ns
+        })
+        .collect();
+
+    // The same stream the worker decodes: its compressor, its plan's bound.
+    let compressor = ChunkedCompressor::new(SzCompressor::default());
+    let plan = Planner::new(&model, &calibration).plan(&PlannerConfig {
+        rel_tolerance: bucket_tolerance(tolerance).1,
+        norm: Norm::L2,
+        quant_share: ServeConfig::default().quant_share,
+    });
+    let flat = flatten(&samples, PayloadLayout::SampleMajor);
+    let stream = compressor
+        .compress(&flat, &input_bound(&plan, &compressor, flat.len()))
+        .expect("compress");
+    let mut out = vec![0.0f32; flat.len()];
+    let mut alone: Vec<u64> = (0..ROUNDS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let units = compressor.decode_units(&stream, out.len()).expect("units");
+            let mut scratch = scratch::acquire();
+            for u in &units {
+                compressor
+                    .decode_unit_into(u, &mut out[u.offset..u.offset + u.len], &mut scratch)
+                    .expect("decode");
+            }
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    std::hint::black_box(&out);
+
+    let (served, alone) = (median(&mut served), median(&mut alone));
+    assert!(
+        served <= 3 * alone,
+        "decompress stage median {served} ns is over 3x the standalone decode's {alone} ns"
+    );
+}
+
+/// Serves `requests` as one batch per plan key on the server's single
+/// worker: the worker is parked in a completion hook while they queue up.
+fn serve_as_one_batch(server: &Server<Mlp>, requests: Vec<Request>) -> Vec<Response> {
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    server
+        .try_submit_with(Request::new(wide_payload(1, 1), 1e-1), 0, move |_| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+        })
+        .expect("park the worker");
+    entered_rx.recv().expect("worker parked");
+    let tickets: Vec<_> = requests
+        .into_iter()
+        .map(|r| server.try_submit(r).expect("queue has room"))
+        .collect();
+    drop(release_tx);
+    tickets
+        .into_iter()
+        .map(|t| t.wait().expect("request must complete"))
+        .collect()
+}
+
+#[test]
+fn decode_fanout_1_and_2_serve_identical_outputs() {
+    // A fan-out of 1 decodes the batch's units inline on the worker; a
+    // fan-out of 2 shares them with a pool thread.  Same bytes either way.
+    // (On a one-core host both servers clamp to 1 and this compares the
+    // inline loop with itself.)
+    let _g = serial();
+    let serve = |decode_threads: usize| {
+        let server = Server::new(
+            wide_model(),
+            wide_payload(17, 8),
+            ServeConfig {
+                workers: 1,
+                decode_threads,
+                ..ServeConfig::default()
+            },
+        );
+        // 300 samples are 76 800 values: two chunk units in one payload.
+        let requests = [PayloadLayout::SampleMajor, PayloadLayout::FeatureMajor]
+            .into_iter()
+            .flat_map(|layout| {
+                [1usize, 3, 300, 7]
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(i, n)| Request {
+                        samples: wide_payload(500 + i as u64, n),
+                        rel_tolerance: 1e-2,
+                        norm: Norm::L2,
+                        layout,
+                    })
+            })
+            .collect();
+        serve_as_one_batch(&server, requests)
+    };
+    let (one, two) = (serve(1), serve(2));
+    assert_eq!(one.len(), 8);
+    for (a, b) in one.iter().zip(&two) {
+        assert_eq!(a.batch_size, 4, "the four same-key requests share a batch");
+        assert_eq!(a.batch_size, b.batch_size);
+        assert_eq!(a.rel_bound.to_bits(), b.rel_bound.to_bits());
+        assert_eq!(a.outputs.len(), b.outputs.len());
+        for (ra, rb) in a.outputs.iter().zip(&b.outputs) {
+            let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ra), bits(rb));
+        }
+    }
 }

@@ -625,14 +625,16 @@ fn gemm_dispatch(
 /// hardware just pays dispatch and preemption stalls for no extra FLOPs
 /// (results are bitwise identical at any thread count, so this is purely
 /// a scheduling choice).
+///
+/// Pure arithmetic on a process constant, so every layer of every forward
+/// pass can ask: [`pool::hardware_threads`] is resolved once, and the
+/// global pool is sized from the same value floored at 4, so it is never
+/// the smaller of the two.
 pub fn auto_threads(flops: usize) -> usize {
     if flops < 1 << 18 {
         1
     } else {
-        pool::global()
-            .max_concurrency()
-            .min(pool::hardware_threads())
-            .max(1)
+        pool::hardware_threads()
     }
 }
 

@@ -283,32 +283,53 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The `ERRFLOW_THREADS` override when set to a positive integer.
-fn env_threads() -> Option<usize> {
-    std::env::var("ERRFLOW_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+/// What the process learned about its machine, resolved once.
+#[derive(Clone, Copy)]
+struct Machine {
+    /// The `ERRFLOW_THREADS` override when set to a positive integer.
+    env_threads: Option<usize>,
+    /// `available_parallelism`, 1 when the platform cannot say.
+    cores: usize,
+}
+
+/// Reads `ERRFLOW_THREADS` and `available_parallelism` on the first call
+/// and never again: the second is a `sched_getaffinity` plus an
+/// `open`/`read`/`close` of the cgroup files (≈ 14 µs), which is more than
+/// a small batch's whole decode.
+fn machine() -> Machine {
+    static MACHINE: OnceLock<Machine> = OnceLock::new();
+    *MACHINE.get_or_init(|| Machine {
+        env_threads: std::env::var("ERRFLOW_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n > 0),
+        cores: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    })
 }
 
 /// Concurrency that actually speeds up compute-bound fan-out: the
 /// `ERRFLOW_THREADS` override when set, otherwise `available_parallelism`
 /// **without** the exercise floor [`global`] applies.
 ///
-/// The distinction matters on small machines: the global pool floors its
-/// size at 4 total threads so concurrency paths stay exercised even on a
-/// 1-core CI box, but a data-parallel hot path that sizes its fan-out
-/// from the pool then runs 4 software threads on 1 core and measures
-/// pure oversubscription (this was the flat chunked-decode scaling —
-/// 1.09× at 4 threads — in `BENCH_compress.json`).  Throughput-sized
-/// defaults should use this; the floored pool remains the right cap for
-/// correctness-exercising paths.
+/// A process constant, resolved **at first use** (this call, [`global`] or
+/// anything that sizes a fan-out, whichever comes first): set
+/// `ERRFLOW_THREADS`, CPU affinity and cgroup limits before that, because
+/// a later change is not seen.  Every call after the first is one atomic
+/// load, so hot paths may call it per batch or per GEMM.
+///
+/// The distinction from the pool's size matters on small machines: the
+/// global pool floors its size at 4 total threads so concurrency paths
+/// stay exercised even on a 1-core CI box, but a data-parallel hot path
+/// that sizes its fan-out from the pool then runs 4 software threads on 1
+/// core and measures pure oversubscription (this was the flat
+/// chunked-decode scaling — 1.09× at 4 threads — in
+/// `BENCH_compress.json`).  Throughput-sized defaults should use this; the
+/// floored pool remains the right cap for correctness-exercising paths.
 pub fn hardware_threads() -> usize {
-    env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    let m = machine();
+    m.env_threads.unwrap_or(m.cores)
 }
 
 /// The process-wide shared pool.
@@ -323,12 +344,8 @@ pub fn hardware_threads() -> usize {
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let total = env_threads().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(4)
-        });
+        let m = machine();
+        let total = m.env_threads.unwrap_or(m.cores.max(4));
         ThreadPool::new(total - 1)
     })
 }
@@ -455,6 +472,29 @@ mod tests {
         tx.send(()).unwrap();
         h.join().unwrap();
         assert_eq!(pool.dedicated_threads(), 0);
+    }
+
+    #[test]
+    fn hardware_threads_is_a_process_constant() {
+        // Uncached, each call is an env lookup plus a cgroup file read
+        // (≈ 14 µs: 200 000 of them take seconds); cached they take under
+        // a millisecond, so 50 ms is far from both.
+        let hw = hardware_threads();
+        let auto = crate::gemm::auto_threads(1 << 20);
+        assert!(hw >= 1 && auto >= 1);
+        let t0 = std::time::Instant::now();
+        for _ in 0..100_000 {
+            assert_eq!(std::hint::black_box(hardware_threads()), hw);
+            assert_eq!(
+                std::hint::black_box(crate::gemm::auto_threads(1 << 20)),
+                auto
+            );
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "200 000 thread-budget reads took {took:?}: is the machine probed per call again?"
+        );
     }
 
     #[test]
