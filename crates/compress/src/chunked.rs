@@ -53,21 +53,17 @@ pub struct ChunkedCompressor<C> {
 
 impl<C: Compressor> ChunkedCompressor<C> {
     /// Wraps `inner` with the default chunk size and a thread count sized
-    /// for throughput: the shared pool's concurrency (which honours the
-    /// `ERRFLOW_THREADS` override, so one env knob governs every parallel
-    /// path) clamped to the machine's real parallelism.  The clamp matters
-    /// on small hosts — the pool floors itself at 4 threads to keep
-    /// concurrency paths exercised, but fanning a decode out 4-wide on a
-    /// 1-core box measures pure oversubscription (the flat 1.09× chunked
-    /// scaling recorded in `BENCH_compress.json`).
+    /// for throughput: [`errflow_tensor::pool::hardware_threads`], which
+    /// honours the `ERRFLOW_THREADS` override (one env knob governs every
+    /// parallel path) and, unlike the shared pool, has no 4-thread floor —
+    /// fanning a decode out 4-wide on a 1-core box measures pure
+    /// oversubscription (the flat 1.09× chunked scaling recorded in
+    /// `BENCH_compress.json`).
     pub fn new(inner: C) -> Self {
         ChunkedCompressor {
             inner,
             chunk_values: DEFAULT_CHUNK,
-            threads: errflow_tensor::pool::global()
-                .max_concurrency()
-                .min(errflow_tensor::pool::hardware_threads())
-                .max(1),
+            threads: errflow_tensor::pool::hardware_threads(),
         }
     }
 

@@ -47,7 +47,8 @@ pub struct BlockSpec {
     pub output_scale: f64,
 }
 
-/// Stable index of a format into [`LayerSpec::q_steps`].
+/// Stable index of a format into [`LayerSpec::q_steps`]: its position in
+/// [`QuantFormat::ALL`], the order [`QuantFormat::step_sizes`] fills.
 pub fn format_index(format: QuantFormat) -> usize {
     match format {
         QuantFormat::Fp32 => 0,
@@ -87,8 +88,8 @@ pub struct NetworkAnalysis {
 }
 
 impl NetworkAnalysis {
-    /// Extracts the analysis from a model: spectral norms via power
-    /// iteration, Table-I step sizes per format, per-row norms.
+    /// Extracts the analysis from a model: spectral norms via
+    /// Golub–Kahan–Lanczos, Table-I step sizes per format, per-row norms.
     pub fn of(model: &impl Model) -> Self {
         let blocks = model
             .blocks()
@@ -100,10 +101,6 @@ impl NetworkAnalysis {
                     .map(|lv| {
                         let w = lv.weights;
                         let row_norms = (0..w.rows()).map(|r| l2(w.row(r))).collect();
-                        let mut q_steps = [0.0f64; 5];
-                        for f in QuantFormat::ALL {
-                            q_steps[format_index(f)] = f.step_size(w);
-                        }
                         LayerSpec {
                             sigma: spectral_norm(w),
                             lipschitz: lv.activation.lipschitz(),
@@ -113,7 +110,7 @@ impl NetworkAnalysis {
                             in_elems: lv.in_elems,
                             out_elems: lv.out_elems,
                             row_norms,
-                            q_steps,
+                            q_steps: QuantFormat::step_sizes(w),
                             calibrated_input_magnitude: None,
                         }
                     })
@@ -404,6 +401,13 @@ mod tests {
     use errflow_tensor::conv::MapShape;
     use errflow_tensor::norms::{diff_norm, Norm};
     use errflow_tensor::rng::StdRng;
+
+    #[test]
+    fn format_index_is_the_position_in_all() {
+        for (i, f) in QuantFormat::ALL.into_iter().enumerate() {
+            assert_eq!(format_index(f), i, "{f}");
+        }
+    }
 
     fn mlp() -> Mlp {
         Mlp::new(

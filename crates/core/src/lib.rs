@@ -5,8 +5,8 @@
 //! post-training quantized.
 //!
 //! Given a trained model, [`NetworkAnalysis`] extracts the per-layer
-//! spectral norms σ_W (Eq. 2, via power iteration) and Table-I quantization
-//! step sizes, and evaluates:
+//! spectral norms σ_W (Eq. 2, via Golub–Kahan–Lanczos) and Table-I
+//! quantization step sizes, and evaluates:
 //!
 //! * the **compression error bound** of Ineq. (5):
 //!   `‖Δy‖₂ ≤ (σ_s + Π_l σ_W^(l)) · ‖Δx‖₂`,

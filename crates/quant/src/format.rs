@@ -106,32 +106,39 @@ impl QuantFormat {
                 range * 2f64.powi(-8)
             }
             QuantFormat::Tf32 | QuantFormat::Fp16 | QuantFormat::Bf16 => {
-                // audit:allow(panic-reach) the float-format match arms all define mantissa_bits
-                let m = self.mantissa_bits().expect("float format") as i32;
-                let floor_at = if *self == QuantFormat::Fp16 {
-                    Some(-14)
-                } else {
-                    None
-                };
-                let mean_sq: f64 = w
-                    .as_slice()
-                    .iter()
-                    .map(|&v| {
-                        let a = (v as f64).abs();
-                        if a == 0.0 {
-                            return 0.0;
-                        }
-                        let mut e = a.log2().floor();
-                        if let Some(fl) = floor_at {
-                            e = e.max(fl as f64);
-                        }
-                        2f64.powf(2.0 * e)
-                    })
-                    .sum::<f64>()
-                    / w.len() as f64;
-                2f64.powi(-m) * mean_sq.sqrt()
+                self.float_step(binade_sums(w.as_slice()), w.len())
             }
         }
+    }
+
+    /// [`QuantFormat::step_size`] of every format, in [`QuantFormat::ALL`]
+    /// order, with one pass over the weights for the three float formats:
+    /// TF32 and BF16 differ only in mantissa bits, so they share one sum,
+    /// and FP16 needs the same sum with its exponent floor.
+    pub fn step_sizes(w: &Matrix) -> [f64; 5] {
+        if w.is_empty() {
+            return [0.0; 5];
+        }
+        let sums = binade_sums(w.as_slice());
+        Self::ALL.map(|f| match f {
+            QuantFormat::Tf32 | QuantFormat::Fp16 | QuantFormat::Bf16 => {
+                f.float_step(sums, w.len())
+            }
+            QuantFormat::Fp32 | QuantFormat::Int8 => f.step_size(w),
+        })
+    }
+
+    /// `2⁻ᵐ · √(sum / len)` for a float format, from the [`binade_sums`]
+    /// of its weights.
+    fn float_step(&self, sums: BinadeSums, len: usize) -> f64 {
+        // audit:allow(panic-reach) only the float formats reach here, and they all define mantissa_bits
+        let m = self.mantissa_bits().expect("float format") as i32;
+        let sum = if *self == QuantFormat::Fp16 {
+            sums.fp16_floored
+        } else {
+            sums.unfloored
+        };
+        2f64.powi(-m) * (sum / len as f64).sqrt()
     }
 
     /// Rounds a single weight value to this format (bit-accurate for float
@@ -160,6 +167,46 @@ impl QuantFormat {
             _ => w.map(|v| self.round_scalar(v)),
         }
     }
+}
+
+/// `Σ 2^(2e)` over a weight slice, `e = ⌊log₂|v|⌋` and zeros adding 0.
+#[derive(Debug, Clone, Copy)]
+struct BinadeSums {
+    unfloored: f64,
+    /// With `e` floored at FP16's −14.
+    fp16_floored: f64,
+}
+
+/// Both [`BinadeSums`] in one pass, element order, from the exponent bits.
+///
+/// Every `f32` is a normal `f64` (its subnormals included), so the biased
+/// `f64` exponent field minus 1023 is `⌊log₂|v|⌋` exactly, and `2^(2e)`
+/// (`2e ∈ [−298, 254]`) is built from its bits.  The summands and their
+/// order are those of `log2().floor()` and `powf`, so the sums are
+/// bit-identical to that formula's, at a fraction of libm's cost.
+fn binade_sums(w: &[f32]) -> BinadeSums {
+    const FP16_MIN_EXP: i64 = -14;
+    let pow2 = |k: i64| f64::from_bits(((k + 1023) as u64) << 52);
+    let mut sums = BinadeSums {
+        unfloored: 0.0,
+        fp16_floored: 0.0,
+    };
+    for &v in w {
+        let a = (v as f64).abs();
+        let biased = (a.to_bits() >> 52) as i64;
+        let (plain, floored) = match biased {
+            0 => (0.0, 0.0),
+            // ±inf or NaN: what `powf(2, 2·log₂|v|)` gives.
+            0x7ff => (a, a),
+            _ => {
+                let e = biased - 1023;
+                (pow2(2 * e), pow2(2 * e.max(FP16_MIN_EXP)))
+            }
+        };
+        sums.unfloored += plain;
+        sums.fp16_floored += floored;
+    }
+    sums
 }
 
 impl std::fmt::Display for QuantFormat {
@@ -227,6 +274,80 @@ mod tests {
         let q32 = QuantFormat::Tf32.step_size(&tiny);
         assert!((q16 - 2f64.powi(-10) * 2f64.powi(-14)).abs() < 1e-22);
         assert!(q32 < q16);
+    }
+
+    /// The formula `step_size` had before it read exponent bits: libm
+    /// `log2().floor()` and `powf` per element.
+    fn libm_step_size(f: QuantFormat, w: &Matrix) -> f64 {
+        let m = match f.mantissa_bits() {
+            Some(m) if f != QuantFormat::Fp32 && !w.is_empty() => m as i32,
+            _ => return f.step_size(w),
+        };
+        let floor_at = (f == QuantFormat::Fp16).then_some(-14.0);
+        let mean_sq: f64 = w
+            .as_slice()
+            .iter()
+            .map(|&v| {
+                let a = (v as f64).abs();
+                if a == 0.0 {
+                    return 0.0;
+                }
+                let mut e = a.log2().floor();
+                if let Some(fl) = floor_at {
+                    e = f64::max(e, fl);
+                }
+                2f64.powf(2.0 * e)
+            })
+            .sum::<f64>()
+            / w.len() as f64;
+        2f64.powi(-m) * mean_sq.sqrt()
+    }
+
+    /// `2^e` as an `f32`, subnormals included.
+    fn pow2_f32(e: i32) -> f32 {
+        if e >= -126 {
+            f32::from_bits(((e + 127) as u32) << 23)
+        } else {
+            f32::from_bits(1 << (e + 149))
+        }
+    }
+
+    #[test]
+    fn step_size_bit_identical_to_libm_formula() {
+        let mut rng = errflow_tensor::rng::StdRng::seed_from_u64(5);
+        let random = Matrix::from_fn(256, 128, |_, _| rng.gen_range(-0.15..0.15));
+        let mut hostile = vec![
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            65504.0,
+            -65504.0,
+            f32::MAX,
+        ];
+        for e in -149..=127 {
+            let p = pow2_f32(e);
+            hostile.extend([p, -p, p.next_down(), -p.next_down()]);
+        }
+        // Below FP16's 2⁻¹⁴ floor, where its sum and TF32's part ways.
+        let tiny: Vec<f32> = (0..64)
+            .map(|i| pow2_f32(-15 - i / 4) * (1.0 + i as f32 / 64.0))
+            .collect();
+        let matrices = [
+            random,
+            Matrix::from_vec(1, hostile.len(), hostile).unwrap(),
+            Matrix::from_vec(8, 8, tiny).unwrap(),
+            Matrix::zeros(3, 3),
+            Matrix::from_vec(1, 2, vec![-0.0, 0.0]).unwrap(),
+        ];
+        for w in &matrices {
+            let oracle = QuantFormat::ALL.map(|f| libm_step_size(f, w).to_bits());
+            let each = QuantFormat::ALL.map(|f| f.step_size(w).to_bits());
+            assert_eq!(each, oracle, "{}x{}", w.rows(), w.cols());
+            assert_eq!(QuantFormat::step_sizes(w).map(f64::to_bits), oracle);
+        }
     }
 
     #[test]

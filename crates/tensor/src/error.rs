@@ -21,13 +21,6 @@ pub enum TensorError {
         /// Explanation of which dimension was invalid and why.
         detail: String,
     },
-    /// An iterative algorithm failed to converge.
-    NoConvergence {
-        /// Human-readable name of the algorithm.
-        op: &'static str,
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -40,9 +33,6 @@ impl fmt::Display for TensorError {
             ),
             TensorError::InvalidDimension { op, detail } => {
                 write!(f, "{op}: invalid dimension: {detail}")
-            }
-            TensorError::NoConvergence { op, iterations } => {
-                write!(f, "{op}: failed to converge after {iterations} iterations")
             }
         }
     }
@@ -71,15 +61,6 @@ mod tests {
             detail: "rows must be nonzero".into(),
         };
         assert!(e.to_string().contains("rows must be nonzero"));
-    }
-
-    #[test]
-    fn display_no_convergence() {
-        let e = TensorError::NoConvergence {
-            op: "power_iteration",
-            iterations: 100,
-        };
-        assert!(e.to_string().contains("100 iterations"));
     }
 
     #[test]

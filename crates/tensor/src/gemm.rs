@@ -1,8 +1,8 @@
 //! Cache-blocked, panel-packed, multi-threaded GEMM kernel.
 //!
-//! Every hot path in the workspace — power iteration for Ineq. 3 spectral
-//! analysis, PSN training, im2col convolution, and the serving layer's
-//! batched forward pass — bottoms out in dense matrix products.  This
+//! Every hot path in the workspace — PSN training, im2col convolution,
+//! and the serving layer's batched forward pass — bottoms out in dense
+//! matrix products.  This
 //! module replaces the textbook `i-k-j` loop (kept as
 //! [`crate::Matrix::matmul_naive`] for reference and testing) with the
 //! standard high-performance decomposition:

@@ -17,9 +17,10 @@
 //!   chunked compression and the serving layer all run on it.
 //! * [`norms`] — L1/L2/L∞ vector norms and the L2↔L∞ conversion inequality
 //!   used throughout the paper (`(1/√n)‖·‖₂ ≤ ‖·‖∞ ≤ ‖·‖₂`).
-//! * [`spectral`] — power iteration (von Mises & Pollaczek-Geiringer, the
-//!   paper's reference \[17\]) for σ_W, plus a one-sided Jacobi SVD used as an
-//!   exact cross-check in tests.
+//! * [`spectral`] — σ_W by Golub–Kahan–Lanczos bidiagonalization in `f64`
+//!   (the quantity the paper estimates by power iteration, its reference
+//!   \[17\]), plus a one-sided Jacobi SVD used as an exact cross-check in
+//!   tests.
 //! * [`conv`] — im2col-based 2-D convolution used by the ResNet models.
 //! * [`init`] — deterministic Xavier/He/uniform weight initialisation.
 //! * [`rng`] — the seeded, dependency-free PRNG (xoshiro256++) all

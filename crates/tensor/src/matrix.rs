@@ -307,7 +307,7 @@ impl Matrix {
     ///
     /// Routed through [`crate::gemm::gemv`]: lane-split dot products that
     /// autovectorize, with row bands fanned out over the shared pool for
-    /// large matrices (this is the power-iteration hot path).
+    /// large matrices.
     pub fn matvec(&self, x: &[f32]) -> Result<Vec<f32>> {
         if x.len() != self.cols {
             return Err(TensorError::ShapeMismatch {
