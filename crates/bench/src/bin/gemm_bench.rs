@@ -174,6 +174,7 @@ fn run_epilogue() -> EpilogueResult {
 
 fn to_json(results: &[SizeResult], epilogue: &EpilogueResult, threads: &[usize]) -> String {
     let kernel = match gemm::kernel_kind() {
+        gemm::KernelKind::Avx512 => "avx512_fma",
         gemm::KernelKind::Avx2Fma => "avx2_fma",
         gemm::KernelKind::Generic => "generic",
     };

@@ -15,12 +15,14 @@
 //!   operands contiguously regardless of the caller's leading dimensions
 //!   (this is also what makes `C += A·Bᵀ` free: only the pack changes).
 //! * **Microkernel** — a fixed `MR×NR` register tile accumulated over the
-//!   packed `KC` dimension with no bounds checks in the hot loop.  The
-//!   body is plain scalar Rust written to autovectorize; on x86-64 the
-//!   same body is additionally compiled under
-//!   `#[target_feature(enable = "avx2,fma")]` and selected at runtime, so
-//!   generic builds still get 256-bit FMA arithmetic without giving up
-//!   portability.
+//!   packed `KC` dimension with no bounds checks in the hot loop, selected
+//!   at runtime ([`kernel_kind`]).  The portable `4×8` body is plain scalar
+//!   Rust written to autovectorize; on x86-64 the same body is also
+//!   compiled under `#[target_feature(enable = "avx2,fma")]` as a `4×16`
+//!   tile, and AVX-512 hosts run `8×32` and `4×32` tiles written with
+//!   intrinsics (the shared body spills a 512-bit tile).  Every tile gives
+//!   each element of `C` the same FMA chain in the same order, so the FMA
+//!   arms are bitwise identical to each other.
 //! * **Row-band parallelism** — bands of `MC` rows of `C` are distributed
 //!   over the shared workspace [`crate::pool`].  Bands write disjoint rows,
 //!   so results are bitwise identical for every thread count.
@@ -55,6 +57,18 @@ const NR_GEN: usize = 8;
 const MR_AVX: usize = 4;
 #[cfg(target_arch = "x86_64")]
 const NR_AVX: usize = 16;
+
+/// Microkernel tiles for the AVX-512 path, both `NR_512 = 32` wide so one
+/// [`PackedB`] layout serves both.  `8×32` is sixteen zmm accumulators;
+/// products of at most `MR_512_SHORT` rows (small serve batches) take the
+/// `4×32` tile instead, which would otherwise spend half its FMAs on
+/// zero-padded rows.
+#[cfg(target_arch = "x86_64")]
+const MR_512: usize = 8;
+#[cfg(target_arch = "x86_64")]
+const MR_512_SHORT: usize = 4;
+#[cfg(target_arch = "x86_64")]
+const NR_512: usize = 32;
 
 /// Products with `m·n·k` at or below this run the simple unblocked kernel:
 /// packing overhead is quadratic and dominates tiny products.
@@ -112,6 +126,68 @@ unsafe fn microkernel_avx2(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR_AVX]; MR_
     microkernel_body::<MR_AVX, NR_AVX, true>(ap, bp, acc);
 }
 
+/// AVX-512 microkernel: an `MR×32` tile held in `2·MR` zmm accumulators,
+/// seeded from `acc` and stored back to it.  Each depth step loads the `B`
+/// row once (two 16-lane halves) and broadcasts each `A` value into two
+/// FMAs.  Written with intrinsics because [`microkernel_body`] instantiated
+/// at `8×32` spills its tile to the stack; each lane still runs the body's
+/// chain, one `fma(a[i], b[j], acc[i][j])` per depth step in depth order.
+///
+/// # Safety
+/// Callers must have verified `avx512f` and `fma` CPU support
+/// ([`crate::simd::Level::Avx512`], see [`kernel_kind`]), and `ap`/`bp`
+/// must be whole packed panels of one depth `kc`: exactly `kc·MR` and
+/// `kc·32` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn microkernel_avx512<const MR: usize>(
+    ap: &[f32],
+    bp: &[f32],
+    acc: &mut [[f32; NR_512]; MR],
+) {
+    use std::arch::x86_64::{
+        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let kc = bp.len() / NR_512;
+    debug_assert!(
+        ap.len() == kc * MR && bp.len() == kc * NR_512,
+        "panels are not kc*{MR} / kc*{NR_512}"
+    );
+    let mut tile = [[_mm512_setzero_ps(); 2]; MR];
+    for (t, row) in tile.iter_mut().zip(acc.iter()) {
+        // SAFETY: `row` holds 32 floats; the loads read [0, 16) and [16, 32).
+        *t = unsafe {
+            [
+                _mm512_loadu_ps(row.as_ptr()),
+                _mm512_loadu_ps(row.as_ptr().add(16)),
+            ]
+        };
+    }
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR_512)) {
+        // SAFETY: `chunks_exact` makes `b` one 32-float row of the `B`
+        // panel; the loads read [0, 16) and [16, 32).
+        let (b0, b1): (__m512, __m512) = unsafe {
+            (
+                _mm512_loadu_ps(b.as_ptr()),
+                _mm512_loadu_ps(b.as_ptr().add(16)),
+            )
+        };
+        for i in 0..MR {
+            let ai = _mm512_set1_ps(a[i]);
+            tile[i][0] = _mm512_fmadd_ps(ai, b0, tile[i][0]);
+            tile[i][1] = _mm512_fmadd_ps(ai, b1, tile[i][1]);
+        }
+    }
+    for (t, row) in tile.iter().zip(acc.iter_mut()) {
+        // SAFETY: `row` holds 32 floats; the stores write [0, 16) and [16, 32).
+        unsafe {
+            _mm512_storeu_ps(row.as_mut_ptr(), t[0]);
+            _mm512_storeu_ps(row.as_mut_ptr().add(16), t[1]);
+        }
+    }
+}
+
 /// Which instantiation of the kernel this CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
@@ -119,11 +195,16 @@ pub enum KernelKind {
     Generic,
     /// Runtime-detected AVX2+FMA microkernel (x86-64 only).
     Avx2Fma,
+    /// Runtime-detected AVX-512 microkernels, `8×32` and `4×32` (x86-64
+    /// only).
+    Avx512,
 }
 
 /// Runtime CPU dispatch via the shared [`crate::simd`] feature cache.
 pub fn kernel_kind() -> KernelKind {
-    if crate::simd::has_avx2_fma() {
+    if crate::simd::has_avx512() {
+        KernelKind::Avx512
+    } else if crate::simd::has_avx2_fma() {
         KernelKind::Avx2Fma
     } else {
         KernelKind::Generic
@@ -152,6 +233,60 @@ struct BRef<'a> {
     layout: BLayout,
     k: usize,
     n: usize,
+}
+
+/// Where [`gemm_blocked`] takes each packed `(jc, pc)` block of `B` from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// Packed on the fly from the caller's operand ([`gemm`], [`gemm_transb`]).
+    Pack(BRef<'a>),
+    /// Sliced out of a [`PackedB`]'s panel buffer, stored in traversal order.
+    Packed(&'a [f32]),
+}
+
+/// A zeroed `f32` buffer whose usable part starts on a 64-byte boundary.
+/// Packed `B` panels live in one: their rows are whole multiples of 64
+/// bytes from `NR = 16` up, so every AVX-512 row load stays inside one
+/// cache line.  Unaligned, they split a line on every load wherever the
+/// allocator put the buffer at 16 mod 64 — as glibc does every large one —
+/// which costs the 8×32 tile close to half its speed (DESIGN.md §7).
+struct PanelBuf {
+    buf: Vec<f32>,
+    start: usize,
+    len: usize,
+}
+
+impl PanelBuf {
+    /// `f32`s per 64-byte cache line.
+    const LINE: usize = 16;
+
+    fn zeroed(len: usize) -> Self {
+        // An empty buffer (the pre-packed path's unused pack buffer, on
+        // every served batch) must not allocate.
+        if len == 0 {
+            return PanelBuf {
+                buf: Vec::new(),
+                start: 0,
+                len: 0,
+            };
+        }
+        let buf = vec![0.0f32; len + Self::LINE - 1];
+        // `align_offset` may decline (`usize::MAX`); the panels are then
+        // merely unaligned, which costs speed, not correctness.
+        let start = match buf.as_ptr().align_offset(64) {
+            s if s < Self::LINE => s,
+            _ => 0,
+        };
+        PanelBuf { buf, start, len }
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
 }
 
 /// Packs the `kc×nc` block of `B` at `(pc, jc)` into `NR`-column panels:
@@ -275,11 +410,8 @@ impl BandPtr {
     }
 }
 
-/// One `(jc, pc)` step of the blocked driver: row bands of `C` accumulate
+/// One `(jc, pc)` step of [`gemm_blocked`]: row bands of `C` accumulate
 /// `A`'s `kc` columns against an already-packed `B` block, in parallel.
-/// Shared verbatim by [`gemm_blocked`] (which packs `B` on the fly) and
-/// [`gemm_blocked_prepacked`] (which slices a [`PackedB`]), so the two are
-/// bitwise identical by construction.
 #[allow(clippy::too_many_arguments)]
 fn run_bands<const MR: usize, const NR: usize>(
     m: usize,
@@ -315,8 +447,8 @@ fn run_bands<const MR: usize, const NR: usize>(
                 let mut acc = [[0.0f32; NR]; MR];
                 debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
                 // SAFETY: `mk` is either the safe generic kernel or
-                // the AVX2 one, selected only after runtime feature
-                // detection; both require fully packed `ap`/`bp`
+                // an AVX2/AVX-512 one, selected only after runtime
+                // feature detection; all require fully packed `ap`/`bp`
                 // panels, asserted above.
                 unsafe { mk(ap, bp, &mut acc) };
                 store_tile::<MR, NR>(&acc, c_band, n, ip * MR, jc + jp * NR, mr_eff, nr_eff);
@@ -326,51 +458,24 @@ fn run_bands<const MR: usize, const NR: usize>(
 }
 
 /// The blocked, packed, row-band-parallel driver, monomorphised per
-/// microkernel tile.
+/// microkernel tile.  Both `B` sources walk the same traversal through
+/// [`run_bands`], so [`gemm_prepacked`] is bitwise identical to [`gemm`] /
+/// [`gemm_transb`] by construction.
+#[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: BRef<'_>,
+    b: BSource<'_>,
     c: &mut [f32],
     threads: usize,
     mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
 ) {
-    let nc_cap = NC.min(n.div_ceil(NR) * NR);
-    let kc_cap = KC.min(k);
-    let mut bbuf = vec![0.0f32; kc_cap * nc_cap];
-    let c_ptr = BandPtr(c.as_mut_ptr());
-
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let b_panels = nc.div_ceil(NR);
-            let bpacked = &mut bbuf[..kc * b_panels * NR];
-            pack_b::<NR>(b, pc, jc, kc, nc, bpacked);
-            run_bands::<MR, NR>(m, n, a, k, bpacked, (jc, pc, kc, nc), c_ptr, threads, mk);
-            pc += kc;
-        }
-        jc += nc;
-    }
-}
-
-/// [`gemm_blocked`] against pre-packed `B` panels: identical traversal, but
-/// each `(jc, pc)` block is sliced out of `panels` (stored in traversal
-/// order by [`PackedB`]) instead of being packed on the fly.
-fn gemm_blocked_prepacked<const MR: usize, const NR: usize>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    panels: &[f32],
-    c: &mut [f32],
-    threads: usize,
-    mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
-) {
+    let mut bbuf = PanelBuf::zeroed(match b {
+        BSource::Pack(_) => KC.min(k) * NC.min(n.div_ceil(NR) * NR),
+        BSource::Packed(_) => 0,
+    });
     let c_ptr = BandPtr(c.as_mut_ptr());
     let mut off = 0usize;
     let mut jc = 0;
@@ -380,14 +485,70 @@ fn gemm_blocked_prepacked<const MR: usize, const NR: usize>(
         while pc < k {
             let kc = KC.min(k - pc);
             let block = kc * nc.div_ceil(NR) * NR;
-            let bpacked = &panels[off..off + block];
+            let bpacked: &[f32] = match b {
+                BSource::Pack(bref) => {
+                    pack_b::<NR>(bref, pc, jc, kc, nc, &mut bbuf.as_mut_slice()[..block]);
+                    &bbuf.as_slice()[..block]
+                }
+                BSource::Packed(panels) => &panels[off..off + block],
+            };
             off += block;
             run_bands::<MR, NR>(m, n, a, k, bpacked, (jc, pc, kc, nc), c_ptr, threads, mk);
             pc += kc;
         }
         jc += nc;
     }
-    debug_assert_eq!(off, panels.len(), "packed panel walk out of sync");
+    if let BSource::Packed(panels) = b {
+        debug_assert_eq!(off, panels.len(), "packed panel walk out of sync");
+    }
+}
+
+/// The one place a product picks its microkernel tile, from the host's
+/// [`KernelKind`] and, on AVX-512, from `m`.  [`gemm_prepacked`] and the
+/// pack-on-the-fly entry points both come through here, so they always
+/// take the same tile for the same shape.
+#[allow(clippy::too_many_arguments)]
+fn gemm_tiled(
+    kind: KernelKind,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: BSource<'_>,
+    c: &mut [f32],
+    threads: usize,
+) {
+    match kind {
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512 if m <= MR_512_SHORT => gemm_blocked::<MR_512_SHORT, NR_512>(
+            m,
+            n,
+            k,
+            a,
+            b,
+            c,
+            threads,
+            microkernel_avx512::<MR_512_SHORT>,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512 => {
+            gemm_blocked::<MR_512, NR_512>(m, n, k, a, b, c, threads, microkernel_avx512::<MR_512>)
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => {
+            gemm_blocked::<MR_AVX, NR_AVX>(m, n, k, a, b, c, threads, microkernel_avx2)
+        }
+        _ => gemm_blocked::<MR_GEN, NR_GEN>(
+            m,
+            n,
+            k,
+            a,
+            b,
+            c,
+            threads,
+            microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]),
+        ),
+    }
 }
 
 /// Total length of the panel buffer [`PackedB`] stores for a `k×n` operand
@@ -422,7 +583,7 @@ pub struct PackedB {
     k: usize,
     n: usize,
     kind: KernelKind,
-    panels: Vec<f32>,
+    panels: PanelBuf,
     raw: Vec<f32>,
     layout: BLayout,
 }
@@ -432,6 +593,8 @@ impl PackedB {
         let kind = kernel_kind();
         let (k, n) = (b.k, b.n);
         let panels = match kind {
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => Self::pack_panels::<NR_512>(b),
             #[cfg(target_arch = "x86_64")]
             KernelKind::Avx2Fma => Self::pack_panels::<NR_AVX>(b),
             _ => Self::pack_panels::<NR_GEN>(b),
@@ -446,9 +609,10 @@ impl PackedB {
         }
     }
 
-    fn pack_panels<const NR: usize>(b: BRef<'_>) -> Vec<f32> {
+    fn pack_panels<const NR: usize>(b: BRef<'_>) -> PanelBuf {
         let (k, n) = (b.k, b.n);
-        let mut panels = vec![0.0f32; packed_len::<NR>(k, n)];
+        let mut buf = PanelBuf::zeroed(packed_len::<NR>(k, n));
+        let panels = buf.as_mut_slice();
         let mut off = 0usize;
         let mut jc = 0;
         while jc < n {
@@ -463,7 +627,7 @@ impl PackedB {
             }
             jc += nc;
         }
-        panels
+        buf
     }
 
     /// Packs `B` (`k×n` row-major) for [`gemm_prepacked`].
@@ -496,7 +660,7 @@ impl PackedB {
 
     /// Bytes held beyond the raw operand (panel buffer), for accounting.
     pub fn packed_bytes(&self) -> usize {
-        self.panels.len() * std::mem::size_of::<f32>()
+        self.panels.buf.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -522,29 +686,16 @@ pub fn gemm_prepacked(m: usize, a: &[f32], packed: &PackedB, c: &mut [f32], thre
         return;
     }
     let _span = errflow_obs::trace::span("tensor.gemm");
-    match packed.kind {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => gemm_blocked_prepacked::<MR_AVX, NR_AVX>(
-            m,
-            n,
-            k,
-            a,
-            &packed.panels,
-            c,
-            threads,
-            microkernel_avx2,
-        ),
-        _ => gemm_blocked_prepacked::<MR_GEN, NR_GEN>(
-            m,
-            n,
-            k,
-            a,
-            &packed.panels,
-            c,
-            threads,
-            microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]),
-        ),
-    }
+    gemm_tiled(
+        packed.kind,
+        m,
+        n,
+        k,
+        a,
+        BSource::Packed(packed.panels.as_slice()),
+        c,
+        threads,
+    );
 }
 
 /// Unblocked fallback for tiny products, where packing overhead dominates.
@@ -599,22 +750,7 @@ fn gemm_dispatch(
     // touching the tracer, so per-sample matvec chains stay unobserved
     // rather than flooding the ring buffers.
     let _span = errflow_obs::trace::span("tensor.gemm");
-    match kernel_kind() {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => {
-            gemm_blocked::<MR_AVX, NR_AVX>(m, n, k, a, b, c, threads, microkernel_avx2)
-        }
-        _ => gemm_blocked::<MR_GEN, NR_GEN>(
-            m,
-            n,
-            k,
-            a,
-            b,
-            c,
-            threads,
-            microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]),
-        ),
-    }
+    gemm_tiled(kernel_kind(), m, n, k, a, BSource::Pack(b), c, threads);
 }
 
 /// A sensible thread budget for a product of `flops = m·n·k` multiply-adds:
@@ -940,6 +1076,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for &(m, n, k) in &[
             (2usize, 3usize, 4usize), // small-product fallback
+            (1, 128, 300),            // m <= 4: the short AVX-512 tile
+            (4, 128, 300),
+            (5, 128, 300),
             (33, 65, 129),
             (130, 70, 300),
             (64, 2100, 300), // n spans two NC blocks
@@ -961,7 +1100,13 @@ mod tests {
     #[test]
     fn prepacked_transb_bitwise_matches_gemm_transb() {
         let mut rng = StdRng::seed_from_u64(19);
-        for &(m, n, k) in &[(2usize, 3usize, 4usize), (40, 60, 130), (129, 31, 257)] {
+        for &(m, n, k) in &[
+            (2usize, 3usize, 4usize),
+            (4, 128, 300),
+            (5, 128, 300),
+            (40, 60, 130),
+            (129, 31, 257),
+        ] {
             let a = random(m * k, &mut rng);
             let bt = random(n * k, &mut rng);
             let mut want = vec![0.0f32; m * n];
@@ -992,11 +1137,123 @@ mod tests {
         };
         let mk = microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]);
         let mut want = vec![0.0f32; m * n];
-        gemm_blocked::<MR_GEN, NR_GEN>(m, n, k, &a, bref, &mut want, 4, mk);
+        gemm_blocked::<MR_GEN, NR_GEN>(m, n, k, &a, BSource::Pack(bref), &mut want, 4, mk);
         let panels = PackedB::pack_panels::<NR_GEN>(bref);
-        assert_eq!(panels.len(), packed_len::<NR_GEN>(k, n));
+        assert_eq!(panels.as_slice().len(), packed_len::<NR_GEN>(k, n));
+        assert_eq!(panels.as_slice().as_ptr().align_offset(64), 0);
         let mut got = vec![0.0f32; m * n];
-        gemm_blocked_prepacked::<MR_GEN, NR_GEN>(m, n, k, &a, &panels, &mut got, 4, mk);
+        gemm_blocked::<MR_GEN, NR_GEN>(
+            m,
+            n,
+            k,
+            &a,
+            BSource::Packed(panels.as_slice()),
+            &mut got,
+            4,
+            mk,
+        );
         assert_eq!(got, want);
+    }
+
+    /// `C` from one blocked driver run, both `B` sources: on-the-fly pack
+    /// and the [`PackedB`] panels for the same tile width.
+    #[cfg(target_arch = "x86_64")]
+    fn blocked_both_sources<const MR: usize, const NR: usize>(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        b: BRef<'_>,
+        threads: usize,
+        mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+    ) -> [Vec<u32>; 2] {
+        let bits = |c: Vec<f32>| c.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+        let mut packed_on_the_fly = vec![0.0f32; m * n];
+        gemm_blocked::<MR, NR>(
+            m,
+            n,
+            k,
+            a,
+            BSource::Pack(b),
+            &mut packed_on_the_fly,
+            threads,
+            mk,
+        );
+        let panels = PackedB::pack_panels::<NR>(b);
+        let mut prepacked = vec![0.0f32; m * n];
+        gemm_blocked::<MR, NR>(
+            m,
+            n,
+            k,
+            a,
+            BSource::Packed(panels.as_slice()),
+            &mut prepacked,
+            threads,
+            mk,
+        );
+        [bits(packed_on_the_fly), bits(prepacked)]
+    }
+
+    /// The AVX-512 tiles change no rounding: through both `B` sources, both
+    /// layouts and 1 or 4 threads, the 8×32 and 4×32 tiles must reproduce
+    /// the AVX2 4×16 tile bit for bit, on row counts around both tile
+    /// heights and `MC`, widths across one and two `NC` blocks and depths
+    /// across one to three `KC` blocks.  `A` carries a `-0.0`.
+    #[test]
+    fn avx512_tiles_bitwise_match_avx2_tile() {
+        if cfg!(miri) || !crate::simd::has_avx512() {
+            eprintln!("avx512_tiles_bitwise_match_avx2_tile: skipped, no AVX-512 (or miri)");
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut rng = StdRng::seed_from_u64(29);
+            for m in [1usize, 3, 4, 5, 8, 9, 128, 257] {
+                for n in [16usize, 70, 128, 512, 2100] {
+                    for k in [1usize, 256, 300, 600] {
+                        let mut a = random(m * k, &mut rng);
+                        a[0] = -0.0;
+                        let b = random(k * n, &mut rng);
+                        for layout in [BLayout::Normal, BLayout::Transposed] {
+                            let bref = BRef {
+                                data: &b,
+                                layout,
+                                k,
+                                n,
+                            };
+                            for threads in [1usize, 4] {
+                                let shape = (m, n, k);
+                                let want = blocked_both_sources::<MR_AVX, NR_AVX>(
+                                    shape,
+                                    &a,
+                                    bref,
+                                    threads,
+                                    microkernel_avx2,
+                                );
+                                assert_eq!(want[0], want[1], "{shape:?} avx2 {layout:?}");
+                                let tall = blocked_both_sources::<MR_512, NR_512>(
+                                    shape,
+                                    &a,
+                                    bref,
+                                    threads,
+                                    microkernel_avx512::<MR_512>,
+                                );
+                                let short = blocked_both_sources::<MR_512_SHORT, NR_512>(
+                                    shape,
+                                    &a,
+                                    bref,
+                                    threads,
+                                    microkernel_avx512::<MR_512_SHORT>,
+                                );
+                                for got in tall.iter().chain(&short) {
+                                    assert!(
+                                        got == &want[0],
+                                        "{shape:?} {layout:?} threads={threads}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! Runtime CPU-feature dispatch shared by every SIMD kernel in the
 //! workspace.
 //!
-//! The GEMM microkernel ([`crate::gemm`]) and the codec decode kernels
-//! (`errflow_compress::zfp_simd`) all follow the same
-//! pattern: a portable scalar body that autovectorizes, plus an
-//! AVX2-instantiated body selected at runtime.  This module centralises the
-//! detection so every kernel asks one cached question instead of repeating
-//! `is_x86_feature_detected!` probes, and so tests can reason about which
-//! arm a host will take.
+//! Every SIMD kernel has a portable scalar body that autovectorizes, plus
+//! arms selected at runtime: AVX2-instantiated copies of that body (the
+//! codec kernels, `tanh`, the 4×16 GEMM tile, the Lanczos steps) and, for
+//! the GEMM microkernel ([`crate::gemm`]), AVX-512 tiles written with
+//! intrinsics.  This module centralises the detection so every kernel asks
+//! one cached question instead of repeating `is_x86_feature_detected!`
+//! probes, and so tests can reason about which arm a host will take.
 
 /// Instruction-set tier a kernel body can target, from weakest to
 /// strongest.  Detection is monotone: a host reporting [`Level::Avx2`]
@@ -18,8 +18,11 @@ pub enum Level {
     Scalar,
     /// 256-bit integer + FP SIMD with gathers (x86-64 `avx2`).
     Avx2,
-    /// AVX2 plus fused multiply-add (x86-64 `avx2,fma`) — the GEMM tier.
+    /// AVX2 plus fused multiply-add (x86-64 `avx2,fma`).
     Avx2Fma,
+    /// [`Level::Avx2Fma`] plus 512-bit registers (x86-64 `avx512f`) — the
+    /// GEMM tier.
+    Avx512,
 }
 
 /// The strongest [`Level`] this host supports, detected once per process.
@@ -31,7 +34,11 @@ pub fn level() -> Level {
         *LEVEL.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx2") {
                 if std::arch::is_x86_feature_detected!("fma") {
-                    Level::Avx2Fma
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        Level::Avx512
+                    } else {
+                        Level::Avx2Fma
+                    }
                 } else {
                     Level::Avx2
                 }
@@ -52,9 +59,15 @@ pub fn has_avx2() -> bool {
     level() >= Level::Avx2
 }
 
-/// `true` when the AVX2+FMA GEMM microkernel may be selected.
+/// `true` when 256-bit FMA kernels (the AVX2 GEMM tile, the Lanczos
+/// steps) may be selected.
 pub fn has_avx2_fma() -> bool {
     level() >= Level::Avx2Fma
+}
+
+/// `true` when the AVX-512 GEMM microkernels may be selected.
+pub fn has_avx512() -> bool {
+    level() >= Level::Avx512
 }
 
 /// Environment override for kernel-parity testing: setting
@@ -79,6 +92,10 @@ mod tests {
     fn level_is_stable_and_monotone() {
         let l = level();
         assert_eq!(l, level(), "detection must be cached");
+        if has_avx512() {
+            assert_eq!(l, Level::Avx512);
+            assert!(has_avx2_fma());
+        }
         if has_avx2_fma() {
             assert!(has_avx2());
         }
@@ -91,5 +108,6 @@ mod tests {
     fn ordering_matches_capability() {
         assert!(Level::Scalar < Level::Avx2);
         assert!(Level::Avx2 < Level::Avx2Fma);
+        assert!(Level::Avx2Fma < Level::Avx512);
     }
 }
