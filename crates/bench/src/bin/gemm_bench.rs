@@ -16,8 +16,13 @@
 //! plain `f32::tanh` loop over the same 128 × 512 buffer — the regression
 //! gates wired into CI.  The second is the tripwire for an edit that
 //! silently de-vectorises the tanh kernel's body.
+//!
+//! Beside the square sweep it times the layer products the benchmark
+//! workloads run (`"serving_layers"`), each with the forward pass of the
+//! model it belongs to at the same batch: the standalone numbers that
+//! `tensor.gemm_prepacked_gflops` and `nn.forward_batch_us` reconcile with.
 
-use errflow_nn::Activation;
+use errflow_nn::{tanh_arm, Activation, Mlp, Model};
 use errflow_tensor::rng::StdRng;
 use errflow_tensor::{gemm, pool, Matrix};
 use std::fmt::Write as _;
@@ -125,6 +130,76 @@ fn run_size(size: usize, threads: &[usize], smoke: bool) -> SizeResult {
     }
 }
 
+/// `forward_wide`'s model and the one the codec and small-payload
+/// workloads share (tanh hidden layers, identity output).
+const WIDE: &[usize] = &[256, 512, 512, 16];
+const SMALL: &[usize] = &[256, 128, 16];
+
+/// `(m, k, n, model)`: a `m×k · (n×k)ᵀ` layer product and the model whose
+/// forward pass runs it at batch `m` — `forward_wide`'s 128-row batch, the
+/// codec workloads' 512 rows and a 4-row small-payload batch.
+const SERVING_LAYERS: [(usize, usize, usize, &[usize]); 5] = [
+    (128, 256, 512, WIDE),
+    (128, 512, 512, WIDE),
+    (128, 512, 16, WIDE),
+    (512, 256, 128, SMALL),
+    (4, 256, 128, SMALL),
+];
+
+struct LayerResult {
+    shape: (usize, usize, usize),
+    dims: &'static [usize],
+    /// Single-thread `gemm_prepacked` against the packed weights.
+    prepacked_secs: f64,
+    /// `Mlp::forward_batch_matrix` over the whole model with packed
+    /// weights, at the library's own thread budget (`gemm::auto_threads`).
+    forward_secs: f64,
+    /// The same forward pass packing each layer's weights per batch, as it
+    /// would without the serve layer's `PackedWeights`.
+    forward_pack_per_batch_secs: f64,
+}
+
+impl LayerResult {
+    fn prepacked_gflops(&self) -> f64 {
+        let (m, k, n) = self.shape;
+        2.0 * (m * k * n) as f64 / self.prepacked_secs / 1e9
+    }
+}
+
+fn run_layer((m, k, n, dims): (usize, usize, usize, &'static [usize]), smoke: bool) -> LayerResult {
+    let mut rng = StdRng::seed_from_u64((m * k * n) as u64);
+    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let w: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let packed = gemm::PackedB::pack_transb(&w, k, n);
+    let mut c = vec![0.0f32; m * n];
+    let reps = if smoke { 5 } else { 200 };
+    let prepacked_secs = time_best(reps, || {
+        c.fill(0.0);
+        gemm::gemm_prepacked(m, &a, &packed, &mut c, 1);
+    });
+    let model = Mlp::new(dims, Activation::Tanh, Activation::Identity, 7, None);
+    let weights = model.pack_weights();
+    let x = Matrix::from_fn(m, dims[0], |_, _| rng.gen_range(-1.0f32..1.0));
+    // Interleaved, so that both sides of the packing comparison see the
+    // same host speed.
+    let (mut forward_secs, mut forward_pack_per_batch_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        forward_secs = forward_secs.min(time_best(1, || {
+            std::hint::black_box(model.forward_batch_matrix(&x, weights.as_ref()));
+        }));
+        forward_pack_per_batch_secs = forward_pack_per_batch_secs.min(time_best(1, || {
+            std::hint::black_box(model.forward_batch_matrix(&x, None));
+        }));
+    }
+    LayerResult {
+        shape: (m, k, n),
+        dims,
+        prepacked_secs,
+        forward_secs,
+        forward_pack_per_batch_secs,
+    }
+}
+
 /// The other half of a dense layer: `tanh(z + bias)` over a 128 × 512
 /// batch of pre-activations, by the crate's kernel and by a libm loop.
 struct EpilogueResult {
@@ -172,7 +247,12 @@ fn run_epilogue() -> EpilogueResult {
     }
 }
 
-fn to_json(results: &[SizeResult], epilogue: &EpilogueResult, threads: &[usize]) -> String {
+fn to_json(
+    results: &[SizeResult],
+    layers: &[LayerResult],
+    epilogue: &EpilogueResult,
+    threads: &[usize],
+) -> String {
     let kernel = match gemm::kernel_kind() {
         gemm::KernelKind::Avx512 => "avx512_fma",
         gemm::KernelKind::Avx2Fma => "avx2_fma",
@@ -210,12 +290,29 @@ fn to_json(results: &[SizeResult], epilogue: &EpilogueResult, threads: &[usize])
     );
     let _ = writeln!(
         s,
-        "  \"epilogue_bias_tanh_128x512\": {{\"kernel_ns_per_value\": {:.2}, \
+        "  \"epilogue_bias_tanh_128x512\": {{\"tanh_arm\": \"{}\", \"kernel_ns_per_value\": {:.2}, \
          \"libm_ns_per_value\": {:.2}, \"speedup_vs_libm\": {:.2}}},",
+        tanh_arm(),
         epilogue.kernel_ns_per_value,
         epilogue.libm_ns_per_value,
         epilogue.speedup_vs_libm()
     );
+    s.push_str("  \"serving_layers\": [\n");
+    for (i, l) in layers.iter().enumerate() {
+        let (m, k, n) = l.shape;
+        let dims = l.dims.iter().map(usize::to_string).collect::<Vec<_>>();
+        let _ = write!(
+            s,
+            "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"prepacked_gflops\": {:.3}, \
+             \"model\": \"{}\", \"forward_us\": {:.1}, \"forward_pack_per_batch_us\": {:.1}}}",
+            l.prepacked_gflops(),
+            dims.join("-"),
+            l.forward_secs * 1e6,
+            l.forward_pack_per_batch_secs * 1e6
+        );
+        s.push_str(if i + 1 < layers.len() { ",\n" } else { "\n" });
+    }
+    s.push_str("  ],\n");
     s.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
@@ -309,15 +406,33 @@ fn main() {
         results.push(r);
     }
 
+    let layers: Vec<LayerResult> = SERVING_LAYERS
+        .iter()
+        .map(|&layer| {
+            let l = run_layer(layer, smoke);
+            let (m, k, n) = l.shape;
+            eprintln!(
+                "[gemm-bench] layer {m}x{k}->{n}: prepacked 1T {:.2} GFLOP/s; forward {:?} x {m} rows \
+                 {:.1} us ({:.1} us packing B per batch)",
+                l.prepacked_gflops(),
+                l.dims,
+                l.forward_secs * 1e6,
+                l.forward_pack_per_batch_secs * 1e6
+            );
+            l
+        })
+        .collect();
+
     let epilogue = run_epilogue();
     eprintln!(
-        "[gemm-bench] epilogue bias+tanh 128x512: kernel {:.2} ns/value, libm loop {:.2} ns/value ({:.1}x)",
+        "[gemm-bench] epilogue bias+tanh 128x512 ({} arm): kernel {:.2} ns/value, libm loop {:.2} ns/value ({:.1}x)",
+        tanh_arm(),
         epilogue.kernel_ns_per_value,
         epilogue.libm_ns_per_value,
         epilogue.speedup_vs_libm()
     );
 
-    let json = to_json(&results, &epilogue, &threads);
+    let json = to_json(&results, &layers, &epilogue, &threads);
     if smoke {
         // CI gate: blocked must beat naive at the largest smoke size.
         let gate = results.last().expect("smoke sweep is nonempty");

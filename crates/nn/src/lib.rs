@@ -33,4 +33,5 @@ pub use activation::Activation;
 pub use layer::{Layer, LayerKind};
 pub use model::{BlockView, ConvNet, LayerView, Mlp, Model, PackedWeights, ShortcutView};
 pub use optim::{Adam, Optimizer, Sgd};
+pub use tanh::tanh_arm;
 pub use train::{Dataset, Regularizer, TrainConfig, TrainReport};

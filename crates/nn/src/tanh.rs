@@ -20,8 +20,8 @@
 //!
 //! Every operation is a plain IEEE `f32` add, multiply, divide, compare or
 //! bit move — no `mul_add`, and Rust never contracts `a * b + c` — so the
-//! scalar call, the baseline-SSE2 autovectorised slice loop and the
-//! AVX2 instantiation of the same body are bit-identical.
+//! scalar call, the baseline-SSE2 autovectorised slice loop and its AVX2
+//! and AVX-512 instantiations are one body and bit-identical.
 //!
 //! Contract, checked against `f64::tanh` by the tests below (the exhaustive
 //! sweep is `#[ignore]`d; CI runs it once in release): ≤ 2 ulp over every
@@ -87,17 +87,41 @@ unsafe fn sweep_avx2(z: &mut [f32], bias: Option<&[f32]>) {
     map_slice(z, bias, tanh);
 }
 
+/// AVX-512 instantiation of the same loop and body: 16 lanes a vector.
+///
+/// # Safety
+/// Callers must have verified `avx512f` CPU support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_avx512(z: &mut [f32], bias: Option<&[f32]>) {
+    map_slice(z, bias, tanh);
+}
+
+/// Which instantiation [`sweep`] runs on this host: `"avx512"`, `"avx2"`
+/// or `"portable"` (always, under `ERRFLOW_NO_SIMD=1`).
+pub fn tanh_arm() -> &'static str {
+    match simd::level() {
+        _ if simd::force_scalar() => "portable",
+        simd::Level::Avx512 => "avx512",
+        simd::Level::Avx2 | simd::Level::Avx2Fma => "avx2",
+        simd::Level::Scalar => "portable",
+    }
+}
+
 /// `z[i] ← tanh(z[i] + bias[i])` (bias optional), on the widest
 /// instantiation the host supports.
 pub(crate) fn sweep(z: &mut [f32], bias: Option<&[f32]>) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::has_avx2() && !simd::force_scalar() {
-        // SAFETY: `has_avx2()` just confirmed the CPU feature the
-        // instantiation was compiled for.
-        unsafe { sweep_avx2(z, bias) };
-        return;
+    match tanh_arm() {
+        // SAFETY: `tanh_arm()` names this arm only on `Level::Avx512`,
+        // which `simd` reports after detecting `avx512f`.
+        #[cfg(target_arch = "x86_64")]
+        "avx512" => unsafe { sweep_avx512(z, bias) },
+        // SAFETY: `tanh_arm()` names this arm only on a level that
+        // `simd` reports after detecting `avx2`.
+        #[cfg(target_arch = "x86_64")]
+        "avx2" => unsafe { sweep_avx2(z, bias) },
+        _ => sweep_portable(z, bias),
     }
-    sweep_portable(z, bias);
 }
 
 #[cfg(test)]
@@ -276,28 +300,41 @@ mod tests {
             .collect()
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// The scalar call and every instantiation of the slice loop — portable,
+    /// AVX2, AVX-512 — agree bit for bit.  The lengths straddle one and two
+    /// vectors of 8 and of 16 lanes; 1 031 ends in a 7-lane tail.
     #[test]
-    fn portable_and_avx2_instantiations_agree_bitwise() {
-        if !simd::has_avx2() {
-            return;
+    fn every_instantiation_agrees_bitwise() {
+        if cfg!(miri) || !simd::has_avx512() {
+            eprintln!(
+                "every_instantiation_agrees_bitwise: 512-bit arm skipped, no AVX-512 (or miri)"
+            );
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // 7/8/9 straddle one AVX2 vector, 1 031 ends in a 7-lane tail.
-        for n in [0, 1, 7, 8, 9, 1031] {
+        for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 1031] {
             let x = mixed_inputs(n);
             let bias: Vec<f32> = mixed_inputs(n).iter().rev().map(|b| b * 0.5).collect();
             for bias in [None, Some(bias.as_slice())] {
                 let mut portable = x.clone();
                 sweep_portable(&mut portable, bias);
-                let mut avx2 = x.clone();
-                // SAFETY: `has_avx2()` was checked at the top of the test.
-                unsafe { sweep_avx2(&mut avx2, bias) };
-                assert_eq!(bits(&portable), bits(&avx2), "n={n}");
                 let scalar: Vec<f32> = (0..n)
                     .map(|i| tanh(bias.map_or(x[i], |b| x[i] + b[i])))
                     .collect();
-                assert_eq!(bits(&portable), bits(&scalar), "n={n}");
+                assert_eq!(bits(&portable), bits(&scalar), "portable n={n}");
+                #[cfg(target_arch = "x86_64")]
+                if !cfg!(miri) && simd::has_avx2() {
+                    let mut avx2 = x.clone();
+                    // SAFETY: `has_avx2()` was just checked.
+                    unsafe { sweep_avx2(&mut avx2, bias) };
+                    assert_eq!(bits(&avx2), bits(&scalar), "avx2 n={n}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if !cfg!(miri) && simd::has_avx512() {
+                    let mut avx512 = x.clone();
+                    // SAFETY: `has_avx512()` was just checked.
+                    unsafe { sweep_avx512(&mut avx512, bias) };
+                    assert_eq!(bits(&avx512), bits(&scalar), "avx512 n={n}");
+                }
             }
         }
     }

@@ -10,12 +10,14 @@
 //! * **Blocking** — the iteration space is tiled `NC × KC × MC` so the
 //!   packed `KC×NC` panel of `B` stays in L2/L3 and each `MC×KC` block of
 //!   `A` stays in L2 while it is reused across the whole `B` panel.
-//! * **Packing** — `A` blocks are repacked into `MR`-row panels and `B`
-//!   blocks into `NR`-column panels, so the microkernel streams both
-//!   operands contiguously regardless of the caller's leading dimensions
-//!   (this is also what makes `C += A·Bᵀ` free: only the pack changes).
+//! * **B is packed once, A is read in place** — `B` blocks are repacked
+//!   into `NR`-column panels, so the microkernel streams them contiguously
+//!   whatever the caller's layout (this is also what makes `C += A·Bᵀ`
+//!   free: only the pack changes).  `A` is never copied: each tile reads
+//!   its `MR` rows where they lie, `kc` values each, and at the bottom edge
+//!   repeats the last valid row, whose extra products are never stored.
 //! * **Microkernel** — a fixed `MR×NR` register tile accumulated over the
-//!   packed `KC` dimension with no bounds checks in the hot loop, selected
+//!   `KC` dimension with no bounds checks in the hot loop, selected
 //!   at runtime ([`kernel_kind`]).  The portable `4×8` body is plain scalar
 //!   Rust written to autovectorize; on x86-64 the same body is also
 //!   compiled under `#[target_feature(enable = "avx2,fma")]` as a `4×16`
@@ -35,11 +37,12 @@ use crate::pool;
 // Blocking parameters
 // ---------------------------------------------------------------------------
 
-/// Rows of `C` per parallel band and per packed `A` block (L2-sized:
-/// `MC·KC·4 B = 128 KiB`).
+/// Rows of `C` per parallel band; the band's `MC×KC` block of `A` is read
+/// in place and stays L2-resident (`MC·KC·4 B = 128 KiB`).
 pub const MC: usize = 128;
-/// Depth of the packed `A`/`B` blocks (the microkernel's accumulation
-/// length; `KC·NR·4 B` panels stay L1-resident).
+/// Depth of the packed `B` blocks and of the `A` rows a tile reads (the
+/// microkernel's accumulation length; `KC·NR·4 B` panels stay
+/// L1-resident).
 pub const KC: usize = 256;
 /// Columns of the packed `B` panel (`KC·NC·4 B = 2 MiB`, L3-sized).
 pub const NC: usize = 2048;
@@ -62,7 +65,7 @@ const NR_AVX: usize = 16;
 /// [`PackedB`] layout serves both.  `8×32` is sixteen zmm accumulators;
 /// products of at most `MR_512_SHORT` rows (small serve batches) take the
 /// `4×32` tile instead, which would otherwise spend half its FMAs on
-/// zero-padded rows.
+/// repeated edge rows.
 #[cfg(target_arch = "x86_64")]
 const MR_512: usize = 8;
 #[cfg(target_arch = "x86_64")]
@@ -71,7 +74,7 @@ const MR_512_SHORT: usize = 4;
 const NR_512: usize = 32;
 
 /// Products with `m·n·k` at or below this run the simple unblocked kernel:
-/// packing overhead is quadratic and dominates tiny products.
+/// packing `B` costs `k·n` and dominates tiny products.
 const SMALL_GEMM: usize = 32 * 32 * 32;
 
 /// `rows·cols` below which GEMV stays on the calling thread.
@@ -81,23 +84,39 @@ const SMALL_GEMV: usize = 64 * 1024;
 // Microkernel
 // ---------------------------------------------------------------------------
 
-/// The shared microkernel body: `acc[MR][NR] += Ap · Bp` over the packed
-/// depth.  `ap` is `kc` columns of `MR` values, `bp` is `kc` rows of `NR`
-/// values; both are exact-size panels so the loop carries no bounds checks
-/// after the `chunks_exact` split.  `FMA` selects fused `mul_add` (only
+/// `MR` rows of `A`, `kc` values each, read in place by one tile.
+type ARows<'a, const MR: usize> = [&'a [f32]; MR];
+
+/// A microkernel: `acc += A rows · B panel` over one depth-`kc` block.
+type Microkernel<const MR: usize, const NR: usize> =
+    unsafe fn(&ARows<'_, MR>, &[f32], &mut [[f32; NR]; MR]);
+
+/// Re-slices each row to exactly `kc` values, so that indexing a row by a
+/// depth `p < kc` carries no bounds check in the hot loop.
+#[inline(always)]
+fn rows_to_depth<'a, const MR: usize>(a: &ARows<'a, MR>, kc: usize) -> ARows<'a, MR> {
+    debug_assert!(a.iter().all(|r| r.len() == kc), "A rows are not kc long");
+    std::array::from_fn(|i| &a[i][..kc])
+}
+
+/// The shared microkernel body: `acc[MR][NR] += A · Bp` over one depth
+/// block.  `a` is `MR` rows of `kc` values, `bp` is `kc` rows of `NR`
+/// values, an exact-size panel, so the loop carries no bounds checks after
+/// the `chunks_exact` split.  `FMA` selects fused `mul_add` (only
 /// profitable when the target actually has the instruction — on soft-fma
 /// targets it would fall back to a library call).
 #[inline(always)]
 fn microkernel_body<const MR: usize, const NR: usize, const FMA: bool>(
-    ap: &[f32],
+    a: &ARows<'_, MR>,
     bp: &[f32],
     acc: &mut [[f32; NR]; MR],
 ) {
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        let a: &[f32; MR] = a.try_into().expect("packed A panel column");
+    let kc = bp.len() / NR;
+    let a = rows_to_depth(a, kc);
+    for (p, b) in (0..kc).zip(bp.chunks_exact(NR)) {
         let b: &[f32; NR] = b.try_into().expect("packed B panel row");
         for i in 0..MR {
-            let ai = a[i];
+            let ai = a[i][p];
             for j in 0..NR {
                 acc[i][j] = if FMA {
                     ai.mul_add(b[j], acc[i][j])
@@ -111,8 +130,8 @@ fn microkernel_body<const MR: usize, const NR: usize, const FMA: bool>(
 
 /// Portable microkernel: relies on LLVM autovectorizing the fully unrolled
 /// `MR×NR` tile (SSE2 on baseline x86-64, NEON on aarch64).
-fn microkernel_generic(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR_GEN]; MR_GEN]) {
-    microkernel_body::<MR_GEN, NR_GEN, false>(ap, bp, acc);
+fn microkernel_generic(a: &ARows<'_, MR_GEN>, bp: &[f32], acc: &mut [[f32; NR_GEN]; MR_GEN]) {
+    microkernel_body::<MR_GEN, NR_GEN, false>(a, bp, acc);
 }
 
 /// AVX2+FMA instantiation of the same body.
@@ -122,8 +141,8 @@ fn microkernel_generic(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR_GEN]; MR_GEN]
 /// [`kernel_kind`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR_AVX]; MR_AVX]) {
-    microkernel_body::<MR_AVX, NR_AVX, true>(ap, bp, acc);
+unsafe fn microkernel_avx2(a: &ARows<'_, MR_AVX>, bp: &[f32], acc: &mut [[f32; NR_AVX]; MR_AVX]) {
+    microkernel_body::<MR_AVX, NR_AVX, true>(a, bp, acc);
 }
 
 /// AVX-512 microkernel: an `MR×32` tile held in `2·MR` zmm accumulators,
@@ -135,13 +154,12 @@ unsafe fn microkernel_avx2(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR_AVX]; MR_
 ///
 /// # Safety
 /// Callers must have verified `avx512f` and `fma` CPU support
-/// ([`crate::simd::Level::Avx512`], see [`kernel_kind`]), and `ap`/`bp`
-/// must be whole packed panels of one depth `kc`: exactly `kc·MR` and
-/// `kc·32` values.
+/// ([`crate::simd::Level::Avx512`], see [`kernel_kind`]), and `bp` must
+/// be a whole packed panel of exactly `kc·32` values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 unsafe fn microkernel_avx512<const MR: usize>(
-    ap: &[f32],
+    a: &ARows<'_, MR>,
     bp: &[f32],
     acc: &mut [[f32; NR_512]; MR],
 ) {
@@ -150,10 +168,8 @@ unsafe fn microkernel_avx512<const MR: usize>(
         _mm512_storeu_ps,
     };
     let kc = bp.len() / NR_512;
-    debug_assert!(
-        ap.len() == kc * MR && bp.len() == kc * NR_512,
-        "panels are not kc*{MR} / kc*{NR_512}"
-    );
+    debug_assert!(bp.len() == kc * NR_512, "panel is not kc*{NR_512}");
+    let a = rows_to_depth(a, kc);
     let mut tile = [[_mm512_setzero_ps(); 2]; MR];
     for (t, row) in tile.iter_mut().zip(acc.iter()) {
         // SAFETY: `row` holds 32 floats; the loads read [0, 16) and [16, 32).
@@ -164,7 +180,7 @@ unsafe fn microkernel_avx512<const MR: usize>(
             ]
         };
     }
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR_512)) {
+    for (p, b) in (0..kc).zip(bp.chunks_exact(NR_512)) {
         // SAFETY: `chunks_exact` makes `b` one 32-float row of the `B`
         // panel; the loads read [0, 16) and [16, 32).
         let (b0, b1): (__m512, __m512) = unsafe {
@@ -174,7 +190,7 @@ unsafe fn microkernel_avx512<const MR: usize>(
             )
         };
         for i in 0..MR {
-            let ai = _mm512_set1_ps(a[i]);
+            let ai = _mm512_set1_ps(a[i][p]);
             tile[i][0] = _mm512_fmadd_ps(ai, b0, tile[i][0]);
             tile[i][1] = _mm512_fmadd_ps(ai, b1, tile[i][1]);
         }
@@ -329,33 +345,6 @@ fn pack_b<const NR: usize>(
     }
 }
 
-/// Packs the `mc×kc` block of `A` at `(ic, pc)` into `MR`-row panels:
-/// panel-major, depth-major inside a panel, `MR` contiguous values per
-/// depth step, zero-padded to full `MR` at the bottom edge.
-fn pack_a<const MR: usize>(
-    a: &[f32],
-    lda: usize,
-    ic: usize,
-    pc: usize,
-    mc: usize,
-    kc: usize,
-    buf: &mut [f32],
-) {
-    let panels = mc.div_ceil(MR);
-    for ip in 0..panels {
-        let i0 = ic + ip * MR;
-        let height = MR.min(ic + mc - i0);
-        let dst = &mut buf[ip * kc * MR..][..kc * MR];
-        for p in 0..kc {
-            let col = &mut dst[p * MR..][..MR];
-            for (r, slot) in col[..height].iter_mut().enumerate() {
-                *slot = a[(i0 + r) * lda + pc + p];
-            }
-            col[height..].fill(0.0);
-        }
-    }
-}
-
 /// Accumulates a microkernel tile into `C` (`ldc`-strided), clipping to the
 /// `mr_eff×nr_eff` valid region at the matrix edges.
 #[inline(always)]
@@ -411,7 +400,8 @@ impl BandPtr {
 }
 
 /// One `(jc, pc)` step of [`gemm_blocked`]: row bands of `C` accumulate
-/// `A`'s `kc` columns against an already-packed `B` block, in parallel.
+/// `A`'s `kc` columns, read in place, against an already-packed `B` block,
+/// in parallel.  Allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_bands<const MR: usize, const NR: usize>(
     m: usize,
@@ -422,16 +412,13 @@ fn run_bands<const MR: usize, const NR: usize>(
     (jc, pc, kc, nc): (usize, usize, usize, usize),
     c_ptr: BandPtr,
     threads: usize,
-    mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+    mk: Microkernel<MR, NR>,
 ) {
     let bands = m.div_ceil(MC);
     let b_panels = nc.div_ceil(NR);
     pool::global().parallel_for(bands, threads, move |band| {
         let ic = band * MC;
         let mc = MC.min(m - ic);
-        let a_panels = mc.div_ceil(MR);
-        let mut abuf = vec![0.0f32; a_panels * MR * kc];
-        pack_a::<MR>(a, k, ic, pc, mc, kc, &mut abuf);
         debug_assert!(ic + mc <= m, "band exceeds C's row range");
         // SAFETY: bands index disjoint row ranges of `C` (band i
         // covers rows [i*MC, i*MC+mc)), and the pool blocks the
@@ -441,17 +428,18 @@ fn run_bands<const MR: usize, const NR: usize>(
         for jp in 0..b_panels {
             let nr_eff = NR.min(nc - jp * NR);
             let bp = &bpacked[jp * kc * NR..][..kc * NR];
-            for ip in 0..a_panels {
-                let mr_eff = MR.min(mc - ip * MR);
-                let ap = &abuf[ip * kc * MR..][..kc * MR];
+            for i0 in (0..mc).step_by(MR) {
+                // Rows past the bottom edge repeat the band's last row:
+                // their products are computed, and `store_tile` drops them.
+                let rows: ARows<'_, MR> =
+                    std::array::from_fn(|r| &a[(ic + (i0 + r).min(mc - 1)) * k + pc..][..kc]);
                 let mut acc = [[0.0f32; NR]; MR];
-                debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
                 // SAFETY: `mk` is either the safe generic kernel or
                 // an AVX2/AVX-512 one, selected only after runtime
-                // feature detection; all require fully packed `ap`/`bp`
-                // panels, asserted above.
-                unsafe { mk(ap, bp, &mut acc) };
-                store_tile::<MR, NR>(&acc, c_band, n, ip * MR, jc + jp * NR, mr_eff, nr_eff);
+                // feature detection; all require `kc`-long rows and a
+                // whole `kc·NR` panel, which the slicing above gives.
+                unsafe { mk(&rows, bp, &mut acc) };
+                store_tile::<MR, NR>(&acc, c_band, n, i0, jc + jp * NR, MR.min(mc - i0), nr_eff);
             }
         }
     });
@@ -470,7 +458,7 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     b: BSource<'_>,
     c: &mut [f32],
     threads: usize,
-    mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+    mk: Microkernel<MR, NR>,
 ) {
     let mut bbuf = PanelBuf::zeroed(match b {
         BSource::Pack(_) => KC.min(k) * NC.min(n.div_ceil(NR) * NR),
@@ -546,7 +534,7 @@ fn gemm_tiled(
             b,
             c,
             threads,
-            microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]),
+            microkernel_generic as Microkernel<MR_GEN, NR_GEN>,
         ),
     }
 }
@@ -1135,7 +1123,7 @@ mod tests {
             k,
             n,
         };
-        let mk = microkernel_generic as unsafe fn(&[f32], &[f32], &mut [[f32; NR_GEN]; MR_GEN]);
+        let mk = microkernel_generic as Microkernel<MR_GEN, NR_GEN>;
         let mut want = vec![0.0f32; m * n];
         gemm_blocked::<MR_GEN, NR_GEN>(m, n, k, &a, BSource::Pack(bref), &mut want, 4, mk);
         let panels = PackedB::pack_panels::<NR_GEN>(bref);
@@ -1157,13 +1145,12 @@ mod tests {
 
     /// `C` from one blocked driver run, both `B` sources: on-the-fly pack
     /// and the [`PackedB`] panels for the same tile width.
-    #[cfg(target_arch = "x86_64")]
     fn blocked_both_sources<const MR: usize, const NR: usize>(
         (m, n, k): (usize, usize, usize),
         a: &[f32],
         b: BRef<'_>,
         threads: usize,
-        mk: unsafe fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+        mk: Microkernel<MR, NR>,
     ) -> [Vec<u32>; 2] {
         let bits = |c: Vec<f32>| c.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
         let mut packed_on_the_fly = vec![0.0f32; m * n];
@@ -1190,6 +1177,126 @@ mod tests {
             mk,
         );
         [bits(packed_on_the_fly), bits(prepacked)]
+    }
+
+    /// The summation order every arm promises (DESIGN.md §7), spelled out
+    /// in scalar code: for each `KC` block, `acc` starts at 0 and takes one
+    /// step per depth in order — `fma(a, b, acc)`, or `acc + a·b` for the
+    /// portable arm (`fused = false`) — and then `C += acc`.  `b` is `k×n`
+    /// row-major.
+    fn blocked_fma_order_oracle(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+        fused: bool,
+    ) -> Vec<u32> {
+        let mut c = vec![0.0f32; m * n];
+        let mut acc = vec![0.0f32; n];
+        for pc in (0..k).step_by(KC) {
+            for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+                acc.fill(0.0);
+                // Depth-outer so `b` is read row by row; each element of
+                // `acc` still takes its steps in depth order.
+                for (&x, brow) in arow[pc..k.min(pc + KC)]
+                    .iter()
+                    .zip(b[pc * n..].chunks_exact(n))
+                {
+                    for (s, &y) in acc.iter_mut().zip(brow) {
+                        *s = if fused { x.mul_add(y, *s) } else { *s + x * y };
+                    }
+                }
+                for (cv, &s) in crow.iter_mut().zip(&acc) {
+                    *cv += s;
+                }
+            }
+        }
+        c.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// Every tile against the oracle above, bit for bit: the portable 4×8
+    /// (mul-then-add) everywhere, the AVX2 4×16 and the AVX-512 8×32 and
+    /// 4×32 (fused) where the host has them.  Row counts straddle each tile
+    /// height and `MC`, widths `NR` and the `NC` block, depths `KC`; both
+    /// `B` layouts, both `B` sources, 1 and 4 threads.  `A` carries a
+    /// `-0.0`, and its last row — the one an edge tile repeats into its
+    /// missing rows — a `NaN` and an `inf`, which must reach that row of
+    /// `C` and no other.
+    #[test]
+    fn every_tile_matches_the_summation_order_oracle() {
+        let (ms, ns, ks): (&[usize], &[usize], &[usize]) = if cfg!(miri) {
+            (&[1, 5], &[16, 33], &[1, 257])
+        } else {
+            (
+                &[1, 3, 4, 5, 7, 8, 9, 127, 128, 129, 257],
+                &[16, 31, 32, 33, 70, 512, 2100],
+                &[1, 255, 256, 257, 600],
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(31);
+        for &m in ms {
+            for &n in ns {
+                for &k in ks {
+                    let shape = (m, n, k);
+                    let mut a = random(m * k, &mut rng);
+                    a[0] = -0.0;
+                    let last = &mut a[(m - 1) * k..];
+                    last[k / 2] = f32::NAN;
+                    last[k - 1] = f32::INFINITY;
+                    let b = random(k * n, &mut rng);
+                    let mut bt = vec![0.0f32; n * k];
+                    for p in 0..k {
+                        for j in 0..n {
+                            bt[j * k + p] = b[p * n + j];
+                        }
+                    }
+                    let fused = blocked_fma_order_oracle(shape, &a, &b, true);
+                    let unfused = blocked_fma_order_oracle(shape, &a, &b, false);
+                    for (layout, data) in [(BLayout::Normal, &b), (BLayout::Transposed, &bt)] {
+                        let bref = BRef { data, layout, k, n };
+                        for threads in [1usize, 4] {
+                            let check = |arm: &str, got: [Vec<u32>; 2], want: &[u32]| {
+                                for c in &got {
+                                    assert!(
+                                        c == want,
+                                        "{arm} {shape:?} {layout:?} threads={threads}"
+                                    );
+                                }
+                            };
+                            let mk = microkernel_generic as Microkernel<MR_GEN, NR_GEN>;
+                            check(
+                                "4x8",
+                                blocked_both_sources(shape, &a, bref, threads, mk),
+                                &unfused,
+                            );
+                            #[cfg(target_arch = "x86_64")]
+                            if !cfg!(miri) && crate::simd::has_avx2_fma() {
+                                let mk = microkernel_avx2;
+                                check(
+                                    "4x16",
+                                    blocked_both_sources(shape, &a, bref, threads, mk),
+                                    &fused,
+                                );
+                            }
+                            #[cfg(target_arch = "x86_64")]
+                            if !cfg!(miri) && crate::simd::has_avx512() {
+                                let mk = microkernel_avx512::<MR_512>;
+                                check(
+                                    "8x32",
+                                    blocked_both_sources(shape, &a, bref, threads, mk),
+                                    &fused,
+                                );
+                                let mk = microkernel_avx512::<MR_512_SHORT>;
+                                check(
+                                    "4x32",
+                                    blocked_both_sources(shape, &a, bref, threads, mk),
+                                    &fused,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The AVX-512 tiles change no rounding: through both `B` sources, both
