@@ -7,6 +7,9 @@
 //! `errflow_compress::reference` **on the very stream being measured**,
 //! plus a chunked-decode thread sweep, and emits `BENCH_compress.json` so
 //! the codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
+//! Every ZFP row names the encoder arm `compress` took and times each arm
+//! this host can run on the same input (the arms must write the same bytes);
+//! one ZFP row has the serving benchmark's `codec_zfp_fm` shape.
 //!
 //! ```sh
 //! cargo run --release -p errflow-bench --bin compress-bench            # full sweep
@@ -21,6 +24,7 @@
 //! or ZFP encoder is below its absolute throughput floor.
 
 use errflow_compress::chunked::{ChunkedCompressor, DEFAULT_CHUNK};
+use errflow_compress::zfp::{self, EncodeArm};
 use errflow_compress::{
     reference, scratch, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
 };
@@ -31,7 +35,8 @@ use std::time::Instant;
 
 struct CodecResult {
     backend: &'static str,
-    /// `"smooth"` ([`field`]) or `"noise_floor"` ([`noise_floor_field`]).
+    /// `"smooth"` ([`field`]), `"noise_floor"` ([`noise_floor_field`]) or
+    /// `"zfp_fm"` ([`feature_major`] of the latter).
     field: &'static str,
     n: usize,
     bound: ErrorBound,
@@ -41,6 +46,8 @@ struct CodecResult {
     decompress_into_secs: f64,
     /// The oracle decoding the same stream.
     reference_secs: f64,
+    /// ZFP only: `compress` on each encoder arm this host runs, by name.
+    arm_compress_secs: Vec<(&'static str, f64)>,
 }
 
 struct ChunkedResult {
@@ -59,9 +66,15 @@ const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
 /// SZ's two passes carry no dependence from one value to the next; a change
 /// that brings one back (0.24 GB/s with the feedback predictor) trips its
 /// floor on either SIMD arm.  ZFP's encoder stays in the integers and
-/// writes its bits in place (≈ 0.72 GB/s); libm or a staged bit writer
-/// back on the per-block path (0.17 GB/s with both) trips its floor.
+/// writes its bits in place (≈ 0.72 GB/s portable, ≈ 2 GB/s on the AVX-512
+/// arm); libm or a staged bit writer back on the per-block path (0.17 GB/s
+/// with both) trips its floor, which every ZFP encoder arm must clear.
 const SMOKE_ENCODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.3), ("zfp", 0.5)];
+
+/// The absolute budget of the `zfp_fm` row: ratio 1.38 on its field, where
+/// `codec_zfp_fm` serves 1.39 (a cut moves in powers of two, so every budget
+/// from 8e-6 to 1.4e-5 writes the same stream).
+const ZFP_FM_BUDGET: f64 = 1e-5;
 
 fn gbps(n_values: usize, secs: f64) -> f64 {
     (n_values * 4) as f64 / secs / 1e9
@@ -118,6 +131,14 @@ fn noise_floor_field(n: usize) -> Vec<f32> {
         .collect()
 }
 
+/// `codec_zfp_fm`'s payload layout: [`noise_floor_field`]'s 256-feature rows
+/// stored feature after feature, so a ZFP block runs along four samples.
+fn feature_major(row_major: &[f32]) -> Vec<f32> {
+    const D: usize = 256;
+    let n = row_major.len() / D;
+    (0..D * n).map(|i| row_major[(i % n) * D + i / n]).collect()
+}
+
 /// `"rel_tol"` or `"abs_tol"`: which kind of pointwise bound a row ran under.
 fn tol_key(bound: &ErrorBound) -> &'static str {
     if bound.mode.is_relative() {
@@ -169,6 +190,24 @@ fn run_codec(
     let reference_secs = time_best(reps, || {
         std::hint::black_box(reference::decompress(backend, &stream).expect("reference"));
     });
+    let mut arm_compress_secs = Vec::new();
+    if backend == "zfp" {
+        for arm in [EncodeArm::Portable, EncodeArm::Avx512] {
+            if !arm.available() {
+                continue;
+            }
+            let on_arm = zfp::compress_on(arm, data, &bound).expect("compress");
+            assert!(
+                on_arm == stream,
+                "zfp: the {} encoder arm wrote other bytes",
+                arm.name()
+            );
+            let secs = time_best(reps, || {
+                std::hint::black_box(zfp::compress_on(arm, data, &bound).expect("compress"));
+            });
+            arm_compress_secs.push((arm.name(), secs));
+        }
+    }
 
     CodecResult {
         backend,
@@ -180,6 +219,7 @@ fn run_codec(
         decompress_secs,
         decompress_into_secs,
         reference_secs,
+        arm_compress_secs,
     }
 }
 
@@ -215,6 +255,24 @@ fn run_chunked<C: Compressor>(
     }
 }
 
+/// A ZFP row's `"encode_arm"` (the one `compress` took) and
+/// `"compress_gbps_by_arm"`; nothing for the other backends.
+fn zfp_arms_json(r: &CodecResult) -> String {
+    if r.arm_compress_secs.is_empty() {
+        return String::new();
+    }
+    let arms: Vec<String> = r
+        .arm_compress_secs
+        .iter()
+        .map(|&(arm, secs)| format!("\"{arm}\": {:.3}", gbps(r.n, secs)))
+        .collect();
+    format!(
+        ", \"encode_arm\": \"{}\", \"compress_gbps_by_arm\": {{{}}}",
+        EncodeArm::dispatched().name(),
+        arms.join(", ")
+    )
+}
+
 fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
     let (hits, misses) = scratch::pool_stats();
     let mut s = String::new();
@@ -231,10 +289,10 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
         "  \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"simd\": \"{}\"}},",
         std::env::consts::ARCH,
         std::env::consts::OS,
-        if simd::has_avx2() && !simd::force_scalar() {
-            "avx2"
+        if simd::force_scalar() {
+            "portable (ERRFLOW_NO_SIMD=1)".to_string()
         } else {
-            "portable"
+            format!("{:?}", simd::level())
         }
     );
     let _ = writeln!(
@@ -258,7 +316,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
              \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
-             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true}}",
+             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true{}}}",
             r.backend,
             r.field,
             r.n,
@@ -270,6 +328,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             gbps(r.n, r.decompress_into_secs),
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
+            zfp_arms_json(r),
         );
         s.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
     }
@@ -371,6 +430,12 @@ fn main() {
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
         );
+        for &(arm, secs) in &r.arm_compress_secs {
+            eprintln!(
+                "[compress-bench]   {arm} encoder: comp {:.2} GB/s",
+                gbps(r.n, secs)
+            );
+        }
     };
     // Best-of needs headroom against scheduler noise on shared hosts; the
     // single-chunk sizes are cheap enough to repeat.
@@ -399,6 +464,17 @@ fn main() {
         report(&r);
         codec.push(r);
     }
+    // `codec_zfp_fm`'s payload: the same field, feature-major, under the
+    // absolute L∞ budget that lands its ratio (≈ 1.39).
+    let r = run_codec(
+        &ZfpCompressor,
+        "zfp_fm",
+        &feature_major(&noisy),
+        ErrorBound::abs_linf(ZFP_FM_BUDGET),
+        chunk_reps,
+    );
+    report(&r);
+    codec.push(r);
 
     let chunked_n = if smoke { DEFAULT_CHUNK * 4 } else { 1 << 20 };
     let chunked_reps = if smoke { 2 } else { 3 };
@@ -484,13 +560,16 @@ fn main() {
                 .iter()
                 .filter(|r| r.backend == backend && r.field == "noise_floor")
             {
-                let got = gbps(r.n, r.compress_secs);
-                if got < floor {
-                    eprintln!(
-                        "[compress-bench] FAIL: {backend} compress {got:.3} GB/s below the \
-                         {floor:.3} GB/s smoke floor on the noise-floor field"
-                    );
-                    failed = true;
+                let dispatched = ("dispatched", r.compress_secs);
+                for &(arm, secs) in std::iter::once(&dispatched).chain(&r.arm_compress_secs) {
+                    let got = gbps(r.n, secs);
+                    if got < floor {
+                        eprintln!(
+                            "[compress-bench] FAIL: {backend} compress ({arm} arm) {got:.3} GB/s \
+                             below the {floor:.3} GB/s smoke floor on the noise-floor field"
+                        );
+                        failed = true;
+                    }
                 }
             }
         }

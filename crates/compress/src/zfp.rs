@@ -60,9 +60,20 @@
 //!   sub-stream after sub-stream behind the 50-byte container header,
 //!   whose length fields are filled in as each sub-stream ends.
 //!
+//! Every step before the store is independent from block to block, so on an
+//! x86-64-v4 host ([`EncodeArm::Avx512`]) it runs eight blocks at a time:
+//! a *stage* pass (`zfp_simd::stage_groups_avx512`) takes each 32-value
+//! group through exponent, quantizer, transform, cut and width in 64-bit
+//! lanes and leaves a 64-block tile of headers, steps and fields in L1; the
+//! *emit* pass then puts the tile into the sink in block order with the
+//! same calls as the portable arm, which handles zero and verbatim blocks
+//! and the last `< 8` blocks of each sub-stream.  The portable `encode_block`
+//! stays the arm everywhere else.
+//!
 //! The float pipeline this replaced survives as the test-only
-//! `reference_encoder`, and the two are held to the same bytes on a corpus
-//! that reaches every branch; the exponent and the quantizer are also
+//! `reference_encoder`, and every arm is held to its bytes on a corpus that
+//! reaches every branch, and on lengths around the group, tile and
+//! sub-stream edges; the exponent and the quantizer are also
 //! checked against their float expressions on every input they can tell
 //! apart (an `#[ignore]`d sweep CI runs once, strided in the default run).
 
@@ -131,15 +142,7 @@ impl Compressor for ZfpCompressor {
 
     fn compress(&self, data: &[f32], bound: &ErrorBound) -> Result<Vec<u8>, CompressError> {
         let _span = errflow_obs::trace::span("codec.zfp.compress");
-        check_tolerance(bound.tolerance)?;
-        if bound.mode.is_l2() {
-            return Err(CompressError::UnsupportedBound {
-                backend: "zfp",
-                reason: "ZFP supports pointwise (L-infinity) tolerances only".into(),
-            });
-        }
-        let budget = bound.pointwise_budget(data);
-        Ok(compress_v2(data, budget))
+        compress_on(EncodeArm::dispatched(), data, bound)
     }
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
@@ -176,6 +179,67 @@ impl Compressor for ZfpCompressor {
     }
 }
 
+/// An instantiation of the block encoder.  Every arm writes the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EncodeArm {
+    /// `encode_block` for every block: any host.
+    Portable,
+    /// Eight blocks per vector step through the AVX-512 stage pass, then the
+    /// portable emit (x86-64 hosts at [`simd::Level::Avx512`]).
+    ///
+    /// [`simd::Level::Avx512`]: errflow_tensor::simd::Level::Avx512
+    Avx512,
+}
+
+impl EncodeArm {
+    /// The arm [`ZfpCompressor::compress`] takes on this host: the widest
+    /// one it can run, or [`EncodeArm::Portable`] under `ERRFLOW_NO_SIMD=1`.
+    pub fn dispatched() -> Self {
+        if EncodeArm::Avx512.available() && !errflow_tensor::simd::force_scalar() {
+            EncodeArm::Avx512
+        } else {
+            EncodeArm::Portable
+        }
+    }
+
+    /// Whether this host can run the arm.
+    pub fn available(self) -> bool {
+        match self {
+            EncodeArm::Portable => true,
+            EncodeArm::Avx512 => errflow_tensor::simd::has_avx512(),
+        }
+    }
+
+    /// `"portable"` or `"avx512"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            EncodeArm::Portable => "portable",
+            EncodeArm::Avx512 => "avx512",
+        }
+    }
+}
+
+/// [`ZfpCompressor::compress`] on a named encoder arm rather than the
+/// dispatched one, so one process can hold the arms against each other
+/// (`compress-bench` times both).
+///
+/// # Panics
+/// If the host cannot run `arm` ([`EncodeArm::available`]).
+pub fn compress_on(
+    arm: EncodeArm,
+    data: &[f32],
+    bound: &ErrorBound,
+) -> Result<Vec<u8>, CompressError> {
+    check_tolerance(bound.tolerance)?;
+    if bound.mode.is_l2() {
+        return Err(CompressError::UnsupportedBound {
+            backend: "zfp",
+            reason: "ZFP supports pointwise (L-infinity) tolerances only".into(),
+        });
+    }
+    Ok(compress_v2(data, bound.pointwise_budget(data), arm))
+}
+
 /// Offset of the sub-stream length table in the container header, behind
 /// the preamble and the element count.
 const LENGTHS_OFF: usize = 10 + 8;
@@ -197,7 +261,12 @@ const MAX_ENCODED_BLOCK_BYTES: usize = (23usize + 4 * (1 + 38)).div_ceil(8);
 /// capacity is the worst case up front, every sub-stream's bits go through
 /// a [`BitSink`] straight to their final position behind the header, and
 /// the header's sub-stream lengths are filled in as each sub-stream ends.
-fn compress_v2(data: &[f32], budget: f64) -> Vec<u8> {
+fn compress_v2(data: &[f32], budget: f64, arm: EncodeArm) -> Vec<u8> {
+    assert!(
+        arm.available(),
+        "the {} ZFP encoder needs a host that has it",
+        arm.name()
+    );
     let n_blocks = data.len().div_ceil(4);
     // The sink stores eight bytes at a time, hence the slack.
     let worst_case = |blocks: usize| blocks * MAX_ENCODED_BLOCK_BYTES + 8;
@@ -216,7 +285,7 @@ fn compress_v2(data: &[f32], budget: f64) -> Vec<u8> {
         let v0 = (block_off * 4).min(data.len());
         let v1 = ((block_off + block_len) * 4).min(data.len());
         let mut sink = BitSink::new(&mut out, pos);
-        encode_blocks(&data[v0..v1], &mut cuts, &mut sink);
+        encode_blocks(&data[v0..v1], &mut cuts, &mut sink, arm);
         let end = sink.finish();
         let len_at = LENGTHS_OFF + 8 * i;
         out[len_at..len_at + 8].copy_from_slice(&((end - pos) as u64).to_le_bytes());
@@ -234,7 +303,7 @@ fn compress_v2(data: &[f32], budget: f64) -> Vec<u8> {
 /// byte cursor and advances the cursor past the bytes that are complete.
 ///
 /// [`put`]: BitSink::put
-struct BitSink<'a> {
+pub(crate) struct BitSink<'a> {
     out: &'a mut [u8],
     pos: usize,
     acc: u64,
@@ -252,10 +321,11 @@ impl<'a> BitSink<'a> {
         }
     }
 
-    /// Appends the low `n ≤ 57` bits of `value`, whose higher bits are zero.
+    /// Appends the low `n ≤ 56` bits of `value`, whose higher bits are zero
+    /// (with seven bits pending, 57 would shift the accumulator by 64).
     #[inline]
-    fn put(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 57 && value >> n == 0);
+    pub(crate) fn put(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 56 && value >> n == 0);
         self.acc |= value << self.nbits;
         self.nbits += n;
         self.out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
@@ -274,21 +344,22 @@ impl<'a> BitSink<'a> {
 /// `cut` — how many low bits of every coefficient a block drops — depends
 /// only on the stream's budget and the block's exponent, so it is computed
 /// once per exponent the stream actually holds (the one place the encoder
-/// calls libm) and looked up per block.
-struct CutTable {
+/// calls libm) and looked up per block.  The entries are `u32` so the
+/// AVX-512 stage pass can gather eight of them at once.
+pub(crate) struct CutTable {
     budget: f64,
     /// Indexed by `emax − EMIN`; [`CutTable::UNSET`] until first asked for.
-    cuts: [u8; N_EXPONENTS],
+    cuts: [u32; N_EXPONENTS],
 }
 
 /// Block exponents of finite, non-zero `f32` blocks: `⌊log2⌋` of the
 /// smallest subnormal and of `f32::MAX`.
-const EMIN: i32 = -149;
+pub(crate) const EMIN: i32 = -149;
 const EMAX: i32 = 127;
 const N_EXPONENTS: usize = (EMAX - EMIN + 1) as usize;
 
 impl CutTable {
-    const UNSET: u8 = u8::MAX;
+    pub(crate) const UNSET: u32 = u32::MAX;
 
     fn new(budget: f64) -> Self {
         CutTable {
@@ -298,12 +369,17 @@ impl CutTable {
     }
 
     #[inline]
-    fn get(&mut self, emax: i32) -> u32 {
+    pub(crate) fn get(&mut self, emax: i32) -> u32 {
         let slot = &mut self.cuts[(emax - EMIN) as usize];
         if *slot == Self::UNSET {
-            *slot = cut_for(self.budget, emax) as u8;
+            *slot = cut_for(self.budget, emax);
         }
-        u32::from(*slot)
+        *slot
+    }
+
+    /// The entries, [`CutTable::UNSET`] where no block has asked yet.
+    pub(crate) fn entries(&self) -> &[u32; N_EXPONENTS] {
+        &self.cuts
     }
 }
 
@@ -357,9 +433,17 @@ fn quantize(bits: u32, biased: i32) -> i64 {
     }
 }
 
-/// Encodes `values` (one sub-stream's share) block by block into `sink`.
-/// A short last block is padded by repeating the last value (cheap to code).
-fn encode_blocks(values: &[f32], cuts: &mut CutTable, sink: &mut BitSink<'_>) {
+/// Encodes `values` (one sub-stream's share) block by block into `sink`:
+/// on the AVX-512 arm whole eight-block groups through the vector stage
+/// pass, and every block that leaves (all of them on the portable arm)
+/// through [`encode_block`].  A short last block is padded by repeating the
+/// last value (cheap to code).
+fn encode_blocks(values: &[f32], cuts: &mut CutTable, sink: &mut BitSink<'_>, arm: EncodeArm) {
+    let values = match arm {
+        #[cfg(target_arch = "x86_64")]
+        EncodeArm::Avx512 => encode_groups_avx512(values, cuts, sink),
+        _ => values,
+    };
     let mut blocks = values.chunks_exact(4);
     for b in &mut blocks {
         encode_block([b[0], b[1], b[2], b[3]].map(f32::to_bits), cuts, sink);
@@ -369,6 +453,44 @@ fn encode_blocks(values: &[f32], cuts: &mut CutTable, sink: &mut BitSink<'_>) {
         let block = std::array::from_fn(|i| tail.get(i).copied().unwrap_or(pad).to_bits());
         encode_block(block, cuts, sink);
     }
+}
+
+/// The AVX-512 arm's share of [`encode_blocks`]: the whole eight-block
+/// groups of `values`, a tile of up to 64 blocks at a time — the stage pass
+/// fills the tile, the emit pass puts it into `sink` in block order, zero
+/// and verbatim blocks through [`encode_block`].  Returns the values left
+/// over (fewer than 32).
+#[cfg(target_arch = "x86_64")]
+fn encode_groups_avx512<'v>(
+    values: &'v [f32],
+    cuts: &mut CutTable,
+    sink: &mut BitSink<'_>,
+) -> &'v [f32] {
+    use crate::zfp_simd::{stage_groups_avx512, Group, GROUP_VALUES, TILE_GROUPS};
+    let (grouped, rest) = values.split_at(values.len() - values.len() % GROUP_VALUES);
+    let mut tile = [Group::default(); TILE_GROUPS];
+    for chunk in grouped.chunks(TILE_GROUPS * GROUP_VALUES) {
+        let tile = &mut tile[..chunk.len() / GROUP_VALUES];
+        // SAFETY: `compress_v2` asserted `EncodeArm::Avx512.available()`,
+        // i.e. `simd::Level::Avx512`, the kernel's target features; `chunk`
+        // is a whole number of groups, one per entry of `tile`.
+        unsafe { stage_groups_avx512(chunk, cuts, tile) };
+        for (group, values) in tile.iter().zip(chunk.chunks_exact(GROUP_VALUES)) {
+            for (b, block) in values.chunks_exact(4).enumerate() {
+                if group.scalar >> b & 1 == 1 {
+                    encode_block(
+                        [block[0], block[1], block[2], block[3]].map(f32::to_bits),
+                        cuts,
+                        sink,
+                    );
+                } else {
+                    let fields = std::array::from_fn(|i| group.fields[i][b]);
+                    put_normal(sink, u64::from(group.head[b]), fields, group.step[b]);
+                }
+            }
+        }
+    }
+    rest
 }
 
 /// One block, from IEEE bits to stream bits, without leaving the integers.
@@ -403,13 +525,17 @@ fn encode_block(bits: [u32; 4], cuts: &mut CutTable, sink: &mut BitSink<'_>) {
     let mags = ints.map(|v| v.unsigned_abs() >> cut);
     let width = 64 - (mags[0] | mags[1] | mags[2] | mags[3]).leading_zeros();
     // flag(1) = 0, emax(10), cut(6), width(6)
-    sink.put(
-        ((emax + 256) as u64) << 1 | u64::from(cut) << 11 | u64::from(width) << 17,
-        23,
-    );
+    let head = ((emax + 256) as u64) << 1 | u64::from(cut) << 11 | u64::from(width) << 17;
     let fields: [u64; 4] =
         std::array::from_fn(|i| mags[i] << 1 | u64::from(ints[i] < 0 && mags[i] != 0));
-    let step = 1 + width;
+    put_normal(sink, head, fields, 1 + width);
+}
+
+/// A normal block's bits: the 23-bit `head`, then four `magnitude << 1 |
+/// sign` fields of `step` bits each.
+#[inline(always)]
+fn put_normal(sink: &mut BitSink<'_>, head: u64, fields: [u64; 4], step: u32) {
+    sink.put(head, 23);
     if step <= 28 {
         // Two fields per store, as the decoder reads them.
         sink.put(fields[0] | fields[1] << step, 2 * step);
@@ -1121,6 +1247,37 @@ mod tests {
         }
     }
 
+    /// The encoder arms this host can run; the others are reported skipped.
+    fn encode_arms() -> Vec<EncodeArm> {
+        let mut arms = vec![EncodeArm::Portable];
+        if cfg!(miri) {
+            eprintln!("skipping the avx512 ZFP encoder arm: Miri runs no AVX-512");
+        } else if EncodeArm::Avx512.available() {
+            arms.push(EncodeArm::Avx512);
+        } else {
+            eprintln!("skipping the avx512 ZFP encoder arm: host below simd::Level::Avx512");
+        }
+        arms
+    }
+
+    /// Encodes `data` on every arm this host can run, each called directly,
+    /// holds every stream to the reference encoder's bytes, and returns them.
+    fn arms_match_the_reference(data: &[f32], budget: f64, what: &str) -> Vec<u8> {
+        let want = reference_encoder::compress_v2(data, budget);
+        for arm in encode_arms() {
+            let got = compress_v2(data, budget, arm);
+            assert!(
+                got == want,
+                "{what}, n={}, budget={budget:e}: the {} arm's bytes differ from the \
+                 reference encoder at {:?}",
+                data.len(),
+                arm.name(),
+                got.iter().zip(&want).position(|(a, b)| a != b)
+            );
+        }
+        want
+    }
+
     #[test]
     fn zfp_encoder_bytes_match_the_reference_encoder() {
         let mut rng = StdRng::seed_from_u64(0x2F3);
@@ -1140,15 +1297,7 @@ mod tests {
             } else {
                 tol * peak as f64
             };
-            let got = compress_v2(&data, budget);
-            let want = reference_encoder::compress_v2(&data, budget);
-            assert!(
-                got == want,
-                "round {round} ({kind}, n={}, budget={budget:e}): bytes differ from the \
-                 reference encoder at {:?}",
-                data.len(),
-                got.iter().zip(&want).position(|(a, b)| a != b)
-            );
+            let got = arms_match_the_reference(&data, budget, &format!("round {round} ({kind})"));
             for head in block_heads(&got) {
                 match head {
                     Head::Zero => zero += 1,
@@ -1174,6 +1323,69 @@ mod tests {
             ("all-subnormal block", subnormal),
         ] {
             assert!(count >= 100, "corpus reached `{what}` only {count} times");
+        }
+    }
+
+    /// Lengths around the AVX-512 arm's edges — the 8-block group (32
+    /// values), the 64-block tile and the four-way sub-stream split, which
+    /// puts a group edge at 128 values and a tile edge at 1 024 — on fields
+    /// with zero and verbatim blocks inside the groups.
+    #[test]
+    fn encoder_arms_match_across_group_tile_and_sub_stream_edges() {
+        let mut lengths: Vec<usize> = (0..=40).chain(124..=132).collect();
+        for k in 1..=16 {
+            lengths.extend((1..=5).flat_map(|d| [256 * k - d, 256 * k + d]));
+        }
+        let mut rng = StdRng::seed_from_u64(0x2F4);
+        for n in lengths {
+            let smooth = smooth_field(n);
+            let mut holes = smooth.clone();
+            for (b, block) in holes.chunks_mut(4).enumerate() {
+                match b % 11 {
+                    3 => block.fill(0.0),
+                    6 => block.fill(-0.0),
+                    9 => block[b % block.len()] = [f32::NAN, f32::INFINITY, -f32::NAN][b % 3],
+                    _ => {}
+                }
+            }
+            let raw: Vec<f32> = (0..n)
+                .map(|_| f32::from_bits(rng.next_u64() as u32))
+                .collect();
+            for (kind, data) in [
+                ("smooth", &smooth),
+                ("zero and verbatim blocks", &holes),
+                ("raw bits", &raw),
+            ] {
+                for budget in [1e-9, 1e-4, 0.3] {
+                    arms_match_the_reference(data, budget, &format!("{kind} field"));
+                }
+            }
+        }
+    }
+
+    /// A stream whose exponents each first appear in the middle of an
+    /// eight-block group, sometimes two in one group: the stage pass's cut
+    /// gather reads `UNSET` there and fills the table on its cold path.
+    #[test]
+    fn encoder_arms_match_when_new_exponents_start_mid_group() {
+        let mut rng = StdRng::seed_from_u64(0x2F5);
+        let mut data: Vec<f32> = (0..8192).map(|_| at_exponent(&mut rng, 0)).collect();
+        let mut exponent = -140;
+        for b in (5..data.len() / 4).step_by(13) {
+            for v in &mut data[4 * b..4 * b + 4] {
+                *v = at_exponent(&mut rng, exponent);
+            }
+            exponent = if exponent >= 120 { -140 } else { exponent + 7 };
+        }
+        for budget in [1e-30, 1e-6, 1e3] {
+            let stream = arms_match_the_reference(&data, budget, "new exponents mid-group");
+            let mut seen = std::collections::BTreeSet::new();
+            for head in block_heads(&stream) {
+                if let Head::Normal { emax, .. } = head {
+                    seen.insert(emax);
+                }
+            }
+            assert!(seen.len() > 30, "only {} block exponents", seen.len());
         }
     }
 
@@ -1290,7 +1502,7 @@ mod tests {
                 let at = rng.gen_range(0..n);
                 data[at] = f32::NAN;
             }
-            let stream = compress_v2(&data, tol);
+            let stream = compress_v2(&data, tol, EncodeArm::dispatched());
             let hdr = parse_header_v2(&stream).unwrap();
             let payload = &stream[hdr.payload_off..];
             let mut scalar = vec![0.0f32; n];

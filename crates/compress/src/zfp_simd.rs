@@ -1,4 +1,7 @@
-//! AVX2 4-lane ZFP block-decode kernel.
+//! ZFP's vector kernels: the AVX2 4-lane block decoder, and the AVX-512
+//! stage pass of the block encoder ([`stage_groups_avx512`], below).
+//!
+//! ## Decode
 //!
 //! A v2 ZFP container (see [`crate::zfp`]) carries four independent block
 //! sub-streams.  Bit-stream reads are inherently serial *within* a
@@ -29,6 +32,16 @@
 //! the scalar path's wrapping arithmetic — yields garbage-but-defined
 //! values; both paths reject or bound-check everything that matters
 //! before this point.)
+//!
+//! ## Encode
+//!
+//! The encoder's per-block arithmetic has no dependence from one block to
+//! the next, so the stage pass runs it across eight blocks, one per 64-bit
+//! lane, and leaves a tile of [`Group`]s for `zfp::encode_blocks`'s
+//! scalar emit pass.  Vectorizing *within* a block (four values) was
+//! measured and bought nothing; across blocks every lane does useful work
+//! and the `i64` steps (`vpsraq`, `vpabsq`, `vpsrlvq`, `vplzcntq`) exist
+//! only from AVX-512 on, which is why there is no AVX2 arm.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -36,7 +49,7 @@ use crate::bitstream::BitReader;
 use crate::traits::CompressError;
 use crate::zfp::{
     decode_blocks_scalar, finish_block_scalar, pow2, read_block_raw_unchecked, reconstruct_coeff,
-    MAX_BLOCK_BITS, PRECISION,
+    CutTable, EMIN, MAX_BLOCK_BITS, PRECISION,
 };
 
 /// Decodes a v2 ZFP payload with four sub-streams into `out`.
@@ -230,6 +243,248 @@ unsafe fn kernel(readers: &mut [BitReader<'_>], regions: &mut [&mut [f32]], done
             // in lane b's region at offset `done[b]`.
             _mm_storeu_ps(regions[b][done[b]..].as_mut_ptr(), *blk);
             done[b] += 4;
+        }
+    }
+}
+
+/// Values in one eight-block group of the encoder's stage pass.
+pub(crate) const GROUP_VALUES: usize = 32;
+
+/// Groups in one tile: 64 blocks, staged, then emitted, while the tile is
+/// in L1.
+pub(crate) const TILE_GROUPS: usize = 8;
+
+/// Eight blocks after the encoder's stage pass, in the order `put_normal`
+/// takes them: block `b`'s header word, field step and four fields are
+/// `head[b]`, `step[b]`, `fields[0..4][b]`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Group {
+    /// `flag(1) = 0, emax + 256 (10), cut (6), width (6)`.
+    pub(crate) head: [u32; 8],
+    /// `1 + width`: the bits of one `magnitude << 1 | sign` field.
+    pub(crate) step: [u32; 8],
+    /// `magnitude << 1 | sign` of each Haar coefficient.
+    pub(crate) fields: [[u64; 8]; 4],
+    /// Bit `b` set: block `b` is a zero or a verbatim block, whose head
+    /// and fields are meaningless — the scalar `encode_block` writes it.
+    pub(crate) scalar: u8,
+}
+
+/// The ZFP encoder's AVX-512 stage pass: one [`Group`] per 32 values of
+/// `values`, each step of `zfp::encode_block` up to the bit store done for
+/// eight blocks at once, one block per 64-bit lane.
+///
+/// * Two 512-bit loads and two `vpermt2d` put value `j` of the eight blocks
+///   in lanes `8·(j mod 2) …` of one register per value pair.
+/// * The block max of the sign-cleared bits gives the kind (0: zero block,
+///   `≥ 0x7F80_0000`: verbatim) and the biased exponent: the field, or
+///   `9 − lzcnt` for a subnormal max.
+/// * `quantize` in `u64` lanes: `(((m << 37) >> r) + 1) >> 1`, a variable
+///   shift, then a masked negate for the sign.
+/// * The two Haar levels with arithmetic shifts (`vpsraq`).
+/// * `cut` gathered from the [`CutTable`]; a lane that reads
+///   [`CutTable::UNSET`] fills its entry through the scalar `cut_for` on a
+///   cold path and the gather runs again, so a stream pays for the
+///   exponents it holds.
+/// * `|c| >> cut` (`vpabsq`, `vpsrlvq`) and the width off `vplzcntq` of the
+///   OR of the four.
+///
+/// The lanes of zero and verbatim blocks compute garbage (every operation
+/// is defined for any input) and are flagged in [`Group::scalar`]; their
+/// cut gather is masked off.
+///
+/// # Safety
+/// Callers must have verified [`errflow_tensor::simd::Level::Avx512`]
+/// (the x86-64-v4 set this function enables).  `values` must hold one
+/// group per entry of `groups` (asserted).
+#[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512bw,avx512dq")]
+pub(crate) unsafe fn stage_groups_avx512(
+    values: &[f32],
+    cuts: &mut CutTable,
+    groups: &mut [Group],
+) {
+    use std::arch::x86_64::*;
+    assert_eq!(
+        values.len(),
+        GROUP_VALUES * groups.len(),
+        "one group per 32 values"
+    );
+    // Value j of block b sits at 4b + j of the two loads taken as one
+    // 32-entry table: these indices gather j = 0, 1 and j = 2, 3.
+    let idx01 = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5, 9, 13, 17, 21, 25, 29);
+    let idx23 = _mm512_setr_epi32(2, 6, 10, 14, 18, 22, 26, 30, 3, 7, 11, 15, 19, 23, 27, 31);
+    let abs = _mm512_set1_epi32(0x7FFF_FFFF);
+    let frac = _mm512_set1_epi32(0x7F_FFFF);
+    let implicit = _mm512_set1_epi32(1 << 23);
+    let zero = _mm512_setzero_si512();
+    let one = _mm512_set1_epi64(1);
+
+    for (group, g) in values.chunks_exact(GROUP_VALUES).zip(groups.iter_mut()) {
+        // SAFETY: `chunks_exact` makes `group` 32 floats; the loads read
+        // [0, 16) and [16, 32).
+        let (lo, hi) = unsafe {
+            (
+                _mm512_loadu_si512(group.as_ptr().cast()),
+                _mm512_loadu_si512(group.as_ptr().add(16).cast()),
+            )
+        };
+        let x01 = _mm512_permutex2var_epi32(lo, idx01, hi);
+        let x23 = _mm512_permutex2var_epi32(lo, idx23, hi);
+
+        // Block max, kind and biased exponent (8 × u32).
+        let max16 = _mm512_max_epu32(_mm512_and_si512(x01, abs), _mm512_and_si512(x23, abs));
+        let max = _mm256_max_epu32(
+            _mm512_castsi512_si256(max16),
+            _mm512_extracti64x4_epi64::<1>(max16),
+        );
+        let zero_blk = _mm256_cmpeq_epu32_mask(max, _mm256_setzero_si256());
+        let verbatim = _mm256_cmpge_epu32_mask(max, _mm256_set1_epi32(0x7F80_0000));
+        let normal: __mmask8 = !(zero_blk | verbatim);
+        let biased = _mm256_mask_blend_epi32(
+            _mm256_cmplt_epu32_mask(max, _mm256_set1_epi32(1 << 23)),
+            _mm256_srli_epi32::<23>(max),
+            _mm256_sub_epi32(_mm256_set1_epi32(9), _mm256_lzcnt_epi32(max)),
+        );
+
+        // Quantize: significand m, shift r = min(biased − max(e, 1) + 23, 63).
+        let biased16 = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(biased), biased);
+        let quantize = |x: __m512i| -> [__m512i; 2] {
+            let field = _mm512_srli_epi32::<23>(_mm512_and_si512(x, abs));
+            let f = _mm512_and_si512(x, frac);
+            let m = _mm512_mask_or_epi32(f, _mm512_cmpneq_epi32_mask(field, zero), f, implicit);
+            let r = _mm512_min_epi32(
+                _mm512_add_epi32(
+                    _mm512_sub_epi32(biased16, _mm512_max_epi32(field, _mm512_set1_epi32(1))),
+                    _mm512_set1_epi32(23),
+                ),
+                _mm512_set1_epi32(63),
+            );
+            let neg = _mm512_movepi32_mask(x);
+            let half = |m: __m256i, r: __m256i, neg: __mmask8| {
+                let shifted = _mm512_srlv_epi64(
+                    _mm512_slli_epi64::<37>(_mm512_cvtepu32_epi64(m)),
+                    _mm512_cvtepu32_epi64(r),
+                );
+                let mag = _mm512_srli_epi64::<1>(_mm512_add_epi64(shifted, one));
+                _mm512_mask_sub_epi64(mag, neg, zero, mag)
+            };
+            [
+                half(
+                    _mm512_castsi512_si256(m),
+                    _mm512_castsi512_si256(r),
+                    neg as __mmask8,
+                ),
+                half(
+                    _mm512_extracti64x4_epi64::<1>(m),
+                    _mm512_extracti64x4_epi64::<1>(r),
+                    (neg >> 8) as __mmask8,
+                ),
+            ]
+        };
+        let [q0, q1] = quantize(x01);
+        let [q2, q3] = quantize(x23);
+
+        // Two Haar levels: (ll, lh, h0, h1).
+        let l0 = _mm512_srai_epi64::<1>(_mm512_add_epi64(q0, q1));
+        let l1 = _mm512_srai_epi64::<1>(_mm512_add_epi64(q2, q3));
+        let coeffs = [
+            _mm512_srai_epi64::<1>(_mm512_add_epi64(l0, l1)),
+            _mm512_sub_epi64(l0, l1),
+            _mm512_sub_epi64(q0, q1),
+            _mm512_sub_epi64(q2, q3),
+        ];
+
+        // cut = table[emax − EMIN] = table[biased − 127 + 149].
+        // A normal block's max is finite and non-zero, so its biased
+        // exponent is in -22..=254 and its slot in 0..N_EXPONENTS.
+        let slot = _mm256_add_epi32(biased, _mm256_set1_epi32(-127 - EMIN));
+        // SAFETY: the gather reads the lanes of `normal` only, whose slots
+        // are in the table (above).
+        let mut cut = unsafe { gather_cuts(cuts, slot, normal) };
+        let unset =
+            _mm256_mask_cmpeq_epi32_mask(normal, cut, _mm256_set1_epi32(CutTable::UNSET as i32));
+        if unset != 0 {
+            let mut lanes = [0i32; 8];
+            // SAFETY: `lanes` is 8 × i32, one 32-byte store.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), biased) };
+            fill_cuts(cuts, &lanes, unset);
+            // SAFETY: as the first gather.
+            cut = unsafe { gather_cuts(cuts, slot, normal) };
+        }
+        let cut64 = _mm512_cvtepu32_epi64(cut);
+
+        // Kept magnitudes, width, fields.
+        let mut or = zero;
+        let mut fields = [zero; 4];
+        for (f, &c) in fields.iter_mut().zip(&coeffs) {
+            let mag = _mm512_srlv_epi64(_mm512_abs_epi64(c), cut64);
+            or = _mm512_or_si512(or, mag);
+            let sign = _mm512_mask_cmpneq_epi64_mask(_mm512_cmplt_epi64_mask(c, zero), mag, zero);
+            let shifted = _mm512_slli_epi64::<1>(mag);
+            *f = _mm512_mask_or_epi64(shifted, sign, shifted, one);
+        }
+        let width = _mm256_sub_epi32(
+            _mm256_set1_epi32(64),
+            _mm512_cvtepi64_epi32(_mm512_lzcnt_epi64(or)),
+        );
+        let head = _mm256_or_si256(
+            _mm256_or_si256(
+                _mm256_slli_epi32::<1>(_mm256_add_epi32(biased, _mm256_set1_epi32(129))),
+                _mm256_slli_epi32::<11>(cut),
+            ),
+            _mm256_slli_epi32::<17>(width),
+        );
+        // SAFETY: `head` and `step` are 8 × u32 (one 32-byte store each),
+        // every `fields[j]` 8 × u64 (one 64-byte store).
+        unsafe {
+            _mm256_storeu_si256(g.head.as_mut_ptr().cast(), head);
+            _mm256_storeu_si256(
+                g.step.as_mut_ptr().cast(),
+                _mm256_add_epi32(width, _mm256_set1_epi32(1)),
+            );
+            for (dst, f) in g.fields.iter_mut().zip(fields) {
+                _mm512_storeu_si512(dst.as_mut_ptr().cast(), f);
+            }
+        }
+        g.scalar = !normal;
+    }
+}
+
+/// `cuts.entries()[slot]` in the lanes of `normal`, 0 elsewhere.
+///
+/// # Safety
+/// As [`stage_groups_avx512`]; every lane of `normal` must hold a slot
+/// below `N_EXPONENTS`, as a finite non-zero block's `emax − EMIN` does.
+#[inline]
+#[target_feature(enable = "avx512f,avx512cd,avx512vl,avx512bw,avx512dq")]
+unsafe fn gather_cuts(
+    cuts: &CutTable,
+    slot: std::arch::x86_64::__m256i,
+    normal: u8,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let table = cuts.entries();
+    // SAFETY: the gather reads only the lanes of `normal`, whose slots are
+    // the `emax − EMIN` of finite non-zero blocks, in `0..N_EXPONENTS` —
+    // inside `table`.
+    unsafe {
+        _mm256_mmask_i32gather_epi32::<4>(
+            _mm256_setzero_si256(),
+            normal,
+            slot,
+            table.as_ptr().cast(),
+        )
+    }
+}
+
+/// The cold side of the cut gather: the scalar `cut_for` fills the entry of
+/// each lane of `unset`, from its biased exponent.
+#[cold]
+#[inline(never)]
+fn fill_cuts(cuts: &mut CutTable, biased: &[i32; 8], unset: u8) {
+    for (lane, &b) in biased.iter().enumerate() {
+        if unset >> lane & 1 == 1 {
+            cuts.get(b - 127);
         }
     }
 }

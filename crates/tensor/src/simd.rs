@@ -3,11 +3,12 @@
 //!
 //! Every SIMD kernel has a portable scalar body that autovectorizes, plus
 //! arms selected at runtime: AVX2-instantiated copies of that body (the
-//! codec kernels, `tanh`, the 4×16 GEMM tile, the Lanczos steps) and, for
-//! the GEMM microkernel ([`crate::gemm`]), AVX-512 tiles written with
-//! intrinsics.  This module centralises the detection so every kernel asks
-//! one cached question instead of repeating `is_x86_feature_detected!`
-//! probes, and so tests can reason about which arm a host will take.
+//! codec kernels, `tanh`, the 4×16 GEMM tile, the Lanczos steps) and
+//! AVX-512 arms (the GEMM tiles of [`crate::gemm`], `tanh`, the ZFP block
+//! encoder), all behind the one [`Level::Avx512`] predicate.  This module
+//! centralises the detection so every kernel asks one cached question
+//! instead of repeating `is_x86_feature_detected!` probes, and so tests can
+//! reason about which arm a host will take.
 
 /// Instruction-set tier a kernel body can target, from weakest to
 /// strongest.  Detection is monotone: a host reporting [`Level::Avx2`]
@@ -20,8 +21,10 @@ pub enum Level {
     Avx2,
     /// AVX2 plus fused multiply-add (x86-64 `avx2,fma`).
     Avx2Fma,
-    /// [`Level::Avx2Fma`] plus 512-bit registers (x86-64 `avx512f`) — the
-    /// GEMM tier.
+    /// [`Level::Avx2Fma`] plus the x86-64-v4 AVX-512 set: `avx512f`,
+    /// `avx512cd` (`vplzcnt`), `avx512vl` (masked 128/256-bit forms),
+    /// `avx512bw` and `avx512dq`.  A host with `avx512f` alone (Knights
+    /// Landing) reports [`Level::Avx2Fma`].
     Avx512,
 }
 
@@ -34,7 +37,7 @@ pub fn level() -> Level {
         *LEVEL.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx2") {
                 if std::arch::is_x86_feature_detected!("fma") {
-                    if std::arch::is_x86_feature_detected!("avx512f") {
+                    if avx512_v4() {
                         Level::Avx512
                     } else {
                         Level::Avx2Fma
@@ -53,6 +56,16 @@ pub fn level() -> Level {
     }
 }
 
+/// The x86-64-v4 AVX-512 subset every [`Level::Avx512`] kernel may use.
+#[cfg(target_arch = "x86_64")]
+fn avx512_v4() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512cd")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+}
+
 /// `true` when 256-bit AVX2 integer/FP kernels (gathers, variable shifts)
 /// may be selected.  Used by the codec decode kernels, which carry no FMA.
 pub fn has_avx2() -> bool {
@@ -65,7 +78,8 @@ pub fn has_avx2_fma() -> bool {
     level() >= Level::Avx2Fma
 }
 
-/// `true` when the AVX-512 GEMM microkernels may be selected.
+/// `true` when the AVX-512 kernels (GEMM tiles, `tanh`, ZFP block encode)
+/// may be selected.
 pub fn has_avx512() -> bool {
     level() >= Level::Avx512
 }
@@ -95,6 +109,14 @@ mod tests {
         if has_avx512() {
             assert_eq!(l, Level::Avx512);
             assert!(has_avx2_fma());
+            #[cfg(target_arch = "x86_64")]
+            {
+                assert!(std::arch::is_x86_feature_detected!("avx512f"));
+                assert!(std::arch::is_x86_feature_detected!("avx512cd"));
+                assert!(std::arch::is_x86_feature_detected!("avx512vl"));
+                assert!(std::arch::is_x86_feature_detected!("avx512bw"));
+                assert!(std::arch::is_x86_feature_detected!("avx512dq"));
+            }
         }
         if has_avx2_fma() {
             assert!(has_avx2());
