@@ -10,23 +10,16 @@
 //! where available (see `zfp_simd`).  Which part of the payload is split
 //! is the backend's business and is documented on its module.
 //!
-//! The headerless single-stream layout that predates the container ("v1")
-//! is no longer written by anything, and neither is the first SZ container
-//! layout ([`BackendTag::Sz`], superseded by [`BackendTag::SzLattice`]).
-//! Both stay **readable**: any stream that does not open with the magic,
-//! and any container with the retired tag, is handed to the slow decoders
-//! in [`crate::reference`], which also decode every layout still written
-//! and so serve as the differential oracle for the fast paths.  The
-//! magic's top byte is `0xBF`, so reinterpreted as the little-endian `u64`
-//! element count that opens every v1 header it exceeds `2^63` — no
-//! decodable v1 stream can collide (v1 counts are bounded by payload size
-//! long before that).  The tag byte makes a ZFP stream handed to the SZ
-//! decoder fail with a typed error instead of being misread.
+//! The container is the only layout any decoder reads: [`read_preamble`]
+//! checks the magic and the tag byte, so bytes without the magic, or a
+//! stream tagged for another backend (a ZFP stream handed to the SZ
+//! decoder, say), are a typed [`CompressError::CorruptStream`] rather
+//! than a misread.  [`crate::reference`] holds slow decoders for the same
+//! bytes, the differential oracle for the fast paths.
 
 use crate::traits::CompressError;
 
-/// Container magic: `b"EFv2"` plus three discriminator bytes and a high
-/// byte ≥ `0x80` (see module docs for why the high byte matters).
+/// Container magic: `b"EFv2"` plus four discriminator bytes.
 pub const MAGIC_V2: [u8; 8] = *b"EFv2\x9e\xad\xf5\xbf";
 
 /// Sub-streams per payload.  Four matches both the AVX2 ZFP kernel's lane
@@ -39,45 +32,34 @@ pub const V2_STREAMS: usize = 4;
 /// Caps scratch fan-out on forged headers.
 pub const MAX_STREAMS: usize = 16;
 
-/// Backend tag byte following the magic.  Tags 2–4 are written by this
-/// tree; tag 1 is read-only.
+/// Backend tag byte following the magic.  Tag 1 belonged to a retired SZ
+/// layout and is not reused: a stream carrying it is refused everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendTag {
-    /// Retired SZ layout whose symbols are residuals against a prediction
-    /// from *reconstructed* values.  Nothing writes it any more; like the
-    /// headerless layout it is decoded only by
-    /// [`crate::reference::sz_decompress`].
-    Sz = 1,
     /// ZFP-class block stream.
     Zfp = 2,
     /// MGARD-class multilevel coefficient stream.
     Mgard = 3,
-    /// SZ-class stream over the error-bound lattice: same container fields
-    /// as [`BackendTag::Sz`], symbols are second differences of lattice
-    /// indices (see [`crate::sz`]).
+    /// SZ-class stream over the error-bound lattice: symbols are second
+    /// differences of lattice indices (see [`crate::sz`]).
     SzLattice = 4,
 }
 
-/// `true` when `stream` opens with the container magic.
-pub fn is_v2(stream: &[u8]) -> bool {
-    stream.len() >= 8 && stream[..8] == MAGIC_V2
-}
-
-/// `true` when `stream` is a container carrying `tag` — how a backend whose
-/// tag has changed tells the layout it decodes from the one it retired.
-pub fn is_tagged(stream: &[u8], tag: BackendTag) -> bool {
-    is_v2(stream) && stream.get(8) == Some(&(tag as u8))
-}
-
 /// Parses the fixed preamble (magic, backend tag, sub-stream count),
-/// advancing `pos` past it.  The caller has already checked [`is_v2`];
-/// this validates the tag and bounds the stream count.
+/// advancing `pos` past it.  A stream without the magic, tagged for another
+/// backend, or declaring a sub-stream count outside `1..=MAX_STREAMS` is a
+/// [`CompressError::CorruptStream`].
 pub fn read_preamble(
     stream: &[u8],
     pos: &mut usize,
     expect: BackendTag,
 ) -> Result<usize, CompressError> {
-    *pos += 8; // magic, checked by `is_v2`
+    if stream.get(*pos..).and_then(|rest| rest.get(..8)) != Some(&MAGIC_V2[..]) {
+        return Err(CompressError::CorruptStream(
+            "stream does not open with the container magic".into(),
+        ));
+    }
+    *pos += 8;
     let tag = crate::traits::read_u8(stream, pos, "v2 backend tag")?;
     if tag != expect as u8 {
         return Err(CompressError::CorruptStream(format!(
@@ -199,12 +181,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn magic_exceeds_any_plausible_v1_count() {
-        let as_count = u64::from_le_bytes(MAGIC_V2);
-        assert!(as_count > 1 << 63);
-    }
-
-    #[test]
     fn split_even_covers_exactly() {
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 100, 65_536, 1_000_003] {
             for s in [1usize, 2, 3, 4, 8] {
@@ -227,30 +203,51 @@ mod tests {
     #[test]
     fn preamble_roundtrip_and_rejections() {
         let mut buf = Vec::new();
-        write_preamble(&mut buf, BackendTag::Sz, V2_STREAMS);
-        assert!(is_v2(&buf));
+        write_preamble(&mut buf, BackendTag::SzLattice, V2_STREAMS);
         let mut pos = 0;
         assert_eq!(
-            read_preamble(&buf, &mut pos, BackendTag::Sz).unwrap(),
+            read_preamble(&buf, &mut pos, BackendTag::SzLattice).unwrap(),
             V2_STREAMS
         );
         assert_eq!(pos, 10);
-        // Wrong backend tag.
+        // Wrong backend tag, and the retired SZ tag.
         let mut pos = 0;
         assert!(read_preamble(&buf, &mut pos, BackendTag::Zfp).is_err());
+        let mut retired = buf.clone();
+        retired[8] = 1;
+        let mut pos = 0;
+        assert!(read_preamble(&retired, &mut pos, BackendTag::SzLattice).is_err());
         // Zero / oversized stream counts.
         for bad in [0usize, MAX_STREAMS + 1] {
             let mut buf = Vec::new();
             buf.extend_from_slice(&MAGIC_V2);
-            buf.push(BackendTag::Sz as u8);
+            buf.push(BackendTag::SzLattice as u8);
             buf.push(bad as u8);
             let mut pos = 0;
-            assert!(read_preamble(&buf, &mut pos, BackendTag::Sz).is_err());
+            assert!(read_preamble(&buf, &mut pos, BackendTag::SzLattice).is_err());
         }
-        assert!(!is_v2(&[1, 2, 3]));
-        assert!(!is_v2(b"EFv1\x9e\xad\xf5\xbf"));
-        assert!(is_tagged(&buf, BackendTag::Sz));
-        assert!(!is_tagged(&buf, BackendTag::SzLattice));
-        assert!(!is_tagged(&MAGIC_V2, BackendTag::Sz));
+    }
+
+    #[test]
+    fn streams_without_the_magic_are_refused() {
+        let mut valid = Vec::new();
+        write_preamble(&mut valid, BackendTag::SzLattice, V2_STREAMS);
+        // Every prefix short of the count, a headerless stream (it opened
+        // with its element count), and every one-bit miss of the magic.
+        let mut refused: Vec<Vec<u8>> = (0..10).map(|len| valid[..len].to_vec()).collect();
+        refused.push([&1027u64.to_le_bytes()[..], &[4, 4]].concat());
+        for bit in 0..64 {
+            let mut near = valid.clone();
+            near[bit / 8] ^= 1 << (bit % 8);
+            refused.push(near);
+        }
+        for stream in refused {
+            let mut pos = 0;
+            let got = read_preamble(&stream, &mut pos, BackendTag::SzLattice);
+            assert!(
+                matches!(got, Err(CompressError::CorruptStream(_))),
+                "{stream:?}"
+            );
+        }
     }
 }

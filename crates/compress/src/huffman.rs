@@ -20,9 +20,8 @@
 //! symbols are collapsed per segment (so a run never straddles a
 //! sub-stream boundary), and blocks Huffman cannot shrink are stored as raw
 //! 16-bit symbols ([`FLAG_RAW16`]).  Every entropy-coded backend
-//! ([`crate::SzCompressor`], [`crate::MgardCompressor`],
-//! [`crate::Sz2dCompressor`]) writes this block over a
-//! [`crate::format::split_slices`] of its symbol stream.
+//! ([`crate::SzCompressor`], [`crate::MgardCompressor`]) writes this
+//! block over a [`crate::format::split_slices`] of its symbol stream.
 //!
 //! Decoding is table-driven and **register-batched**: a lane loads a
 //! 57-bit window of its payload into a 64-bit register once, then decodes

@@ -22,13 +22,12 @@
 //! workspace-level integration suite).
 //!
 //! There is one stream format: every backend writes the multi-stream
-//! container described in [`format`] (SZ, MGARD and [`Sz2dCompressor`]
-//! entropy-code through the one Huffman block in [`huffman`]), and each
-//! backend has one fast decoder for it.  [`reference`] holds the slow
+//! container described in [`format`] (SZ and MGARD entropy-code through
+//! the one Huffman block in [`huffman`]), and each backend has one fast
+//! decoder for it, which refuses any other bytes with a typed
+//! [`CompressError::CorruptStream`].  [`reference`] holds the slow
 //! decoders for the same bytes — the oracle the tests and `compress-bench`
-//! compare against — and is also where streams nothing writes any more
-//! (the pre-container layout, and the first SZ container layout) are
-//! still read.
+//! compare against.
 
 pub mod bitstream;
 pub mod chunked;
@@ -40,7 +39,6 @@ pub mod mgard;
 pub mod reference;
 pub mod scratch;
 pub mod sz;
-pub mod sz2d;
 pub mod traits;
 pub mod zfp;
 mod zfp_simd;
@@ -51,7 +49,6 @@ pub use metrics::CompressionStats;
 pub use mgard::MgardCompressor;
 pub use scratch::CodecScratch;
 pub use sz::SzCompressor;
-pub use sz2d::Sz2dCompressor;
 pub use traits::{CompressError, Compressor, DecodeUnit};
 pub use zfp::ZfpCompressor;
 

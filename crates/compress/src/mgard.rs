@@ -32,15 +32,13 @@
 //! The level recursion itself stays serial (each level interpolates the
 //! one below), so only the entropy stage is split: the coefficient symbols,
 //! coarsest level first, are cut by [`format::split_slices`] into
-//! [`V2_STREAMS`] segments for [`huffman::encode_multi_into`].  Streams
-//! without the container magic (the retired layout, a single-stream
-//! Huffman block after the same header fields) are decoded by
-//! [`crate::reference::mgard_decompress`].
+//! [`V2_STREAMS`] segments for [`huffman::encode_multi_into`].  Any other
+//! bytes — no magic, or a tag other than [`BackendTag::Mgard`] — are a
+//! typed [`CompressError::CorruptStream`].
 
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, V2_STREAMS};
 use crate::huffman;
-use crate::reference;
 use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
@@ -297,9 +295,6 @@ impl Compressor for MgardCompressor {
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.mgard.decompress");
-        if !format::is_v2(stream) {
-            return reference::mgard_decompress(stream);
-        }
         let mut pooled = scratch::acquire();
         let (n, eb, lens, pos) = Self::decode_core(stream, &mut pooled)?;
         // n equals decoded-symbol count + coarse count at this point, both
@@ -315,9 +310,6 @@ impl Compressor for MgardCompressor {
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        if !format::is_v2(stream) {
-            return reference::decompress_into(self.name(), stream, out);
-        }
         let (n, eb, lens, pos) = Self::decode_core(stream, scratch)?;
         if n != out.len() {
             return Err(CompressError::CorruptStream(format!(

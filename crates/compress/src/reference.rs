@@ -1,25 +1,22 @@
-//! Slow, obvious decoders for every stream this crate has ever written.
+//! Slow, obvious decoders for the streams this crate writes.
 //!
 //! The codec hot-path work rewrote the Huffman/SZ/ZFP/MGARD decode loops
 //! for throughput and then moved every backend onto the multi-stream
 //! container ([`crate::format`]).  This module keeps the original seed
 //! decode paths — per-symbol table-probe Huffman decode, per-block
 //! `BitReader` ZFP decode, per-level `Vec` MGARD reconstruction — and
-//! wraps them in a plain container parse, for three purposes:
+//! wraps them in a plain container parse, for two purposes:
 //!
 //! 1. **Differential oracle**: tests assert the fast decoders produce
-//!    bit-identical outputs on the streams the tree writes today.
-//! 2. **Back-compat**: a stream without the container magic (the retired
-//!    "v1" layout) and an SZ container under the retired tag 1 (symbols
-//!    quantized against a prediction from reconstructed values) have no
-//!    writer and no fast decoder any more; they are decoded here, and the
-//!    backends' `decompress`/`decompress_into` dispatch such bytes to this
-//!    module.  The SZ layout written today (tag 4, second differences of
-//!    lattice indices) has its own slow decoder below,
-//!    [`sz_lattice_reconstruct`].
-//! 3. **Benchmark baseline**: `compress-bench` reports fast-path throughput
+//!    bit-identical outputs on the streams the tree writes today, and
+//!    accept and reject the same bytes.
+//! 2. **Benchmark baseline**: `compress-bench` reports fast-path throughput
 //!    as a speedup over these functions on the same stream, the same way
 //!    `gemm-bench` gates the blocked kernel against `matmul_naive`.
+//!
+//! Like the fast decoders, these read the container only: bytes without
+//! the magic, or tagged for another backend, are a
+//! [`CompressError::CorruptStream`].
 //!
 //! Nothing here shares code with the fast paths (the magic, the segment
 //! split and the varint reader are restated on purpose), and nothing here
@@ -37,7 +34,6 @@ const PRECISION: i32 = 38;
 const MAGIC_V2: [u8; 8] = *b"EFv2\x9e\xad\xf5\xbf";
 const MAX_STREAMS: usize = 16;
 const FLAG_RAW16: u8 = 2;
-const TAG_SZ: u8 = 1;
 const TAG_ZFP: u8 = 2;
 const TAG_MGARD: u8 = 3;
 const TAG_SZ_LATTICE: u8 = 4;
@@ -377,46 +373,6 @@ fn slice_at<'a>(
         .ok_or_else(|| CompressError::CorruptStream(format!("truncated {what}")))
 }
 
-/// Seed-path decode of the retired single-stream Huffman block: fresh
-/// table/`HashMap` per call, one table probe per symbol.
-pub fn huffman_decode(stream: &[u8]) -> Result<(Vec<u32>, usize), CompressError> {
-    let mut pos = 0usize;
-    let n_original = read_u64(stream, &mut pos)? as usize;
-    let rle_used = *stream
-        .get(pos)
-        .ok_or_else(|| CompressError::CorruptStream("truncated rle flag".into()))?
-        != 0;
-    pos += 1;
-    let n_runs = read_u32(stream, &mut pos)? as usize;
-    let mut runs = Vec::with_capacity(safe_capacity(n_runs, stream.len()));
-    for _ in 0..n_runs {
-        runs.push(read_varint(stream, &mut pos)?);
-    }
-    let n_symbols = read_u64(stream, &mut pos)? as usize;
-    let n_distinct = read_u32(stream, &mut pos)? as usize;
-    if n_symbols == 0 {
-        if n_original != 0 {
-            return Err(CompressError::CorruptStream(
-                "empty payload for nonempty stream".into(),
-            ));
-        }
-        return Ok((Vec::new(), pos));
-    }
-    if n_distinct == 0 {
-        return Err(CompressError::CorruptStream(
-            "nonempty payload with empty alphabet".into(),
-        ));
-    }
-    let codes = read_code_table(stream, &mut pos, n_distinct)?;
-
-    let payload_len = read_u64(stream, &mut pos)? as usize;
-    let payload = slice_at(stream, pos, payload_len, "payload")?;
-    let consumed = pos + payload_len;
-
-    let out = codes.decode(payload, n_symbols)?;
-    Ok((finish_symbols(out, rle_used, &runs, n_original)?, consumed))
-}
-
 /// Undoes the run-length collapse of one decoded payload if it was applied,
 /// and checks the result against the declared length either way.
 fn finish_symbols(
@@ -534,55 +490,21 @@ fn split_even(n: usize, s: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Looks for the container preamble (magic, one of `tags`, sub-stream
-/// count).  Returns the tag found and the sub-stream count — the body
-/// starts at byte 10 — or `None` for a stream without the magic, i.e. in
-/// the retired headerless layout: the same body with a single sub-stream
-/// whose length is not declared.
-fn read_preamble(stream: &[u8], tags: &[u8]) -> Result<Option<(u8, usize)>, CompressError> {
+/// Reads the container preamble (magic, `tag`, sub-stream count) and
+/// returns the sub-stream count; the body starts at byte 10.
+fn read_preamble(stream: &[u8], tag: u8) -> Result<usize, CompressError> {
     if stream.len() < 8 || stream[..8] != MAGIC_V2 {
-        return Ok(None);
+        return Err(CompressError::CorruptStream("no container magic".into()));
     }
     let head = slice_at(stream, 8, 2, "container preamble")?;
     let n_streams = head[1] as usize;
-    if !tags.contains(&head[0]) || n_streams == 0 || n_streams > MAX_STREAMS {
+    if head[0] != tag || n_streams == 0 || n_streams > MAX_STREAMS {
         return Err(CompressError::CorruptStream(format!(
-            "bad container preamble: tag {} (expected one of {tags:?}), {n_streams} sub-streams",
+            "bad container preamble: tag {} (expected {tag}), {n_streams} sub-streams",
             head[0]
         )));
     }
-    Ok(Some((head[0], n_streams)))
-}
-
-/// Seed-path SZ reconstruction of one predictor chain: appends one value
-/// per symbol to `recon` (the chain's history starts empty), taking escaped
-/// values from `table`.  Returns the table bytes consumed.
-fn sz_reconstruct(
-    symbols: &[u32],
-    eb: f64,
-    table: &[u8],
-    recon: &mut Vec<f32>,
-) -> Result<usize, CompressError> {
-    let start = recon.len();
-    let mut pos = 0usize;
-    for (i, &sym) in symbols.iter().enumerate() {
-        if sym == ESCAPE {
-            let bytes = table
-                .get(pos..pos + 4)
-                .ok_or_else(|| CompressError::CorruptStream("truncated outlier table".into()))?;
-            pos += 4;
-            recon.push(f32::from_le_bytes(fixed(bytes, "outlier")?));
-        } else {
-            let code = sym as i64 - MAX_CODE - 1;
-            let pred = match i {
-                0 => 0.0,
-                1 => recon[start] as f64,
-                _ => 2.0 * recon[start + i - 1] as f64 - recon[start + i - 2] as f64,
-            };
-            recon.push((pred + 2.0 * eb * code as f64) as f32);
-        }
-    }
-    Ok(pos)
+    Ok(n_streams)
 }
 
 /// The lattice index of `x` under bound `eb`, the slow way: scale by the
@@ -640,31 +562,20 @@ fn sz_lattice_reconstruct(
     Ok(pos)
 }
 
-/// SZ decompression: Huffman-decode every symbol, then run the segment
-/// loop of the layout the tag names — the lattice one
-/// ([`sz_lattice_reconstruct`]) or the retired feedback predictor
-/// ([`sz_reconstruct`]) — once per segment.  The container declares each
-/// segment's outlier table, which the segment must consume exactly; the
-/// retired headerless layout is one feedback segment whose table is
-/// whatever follows the Huffman block.
+/// SZ decompression: Huffman-decode every symbol, then run
+/// [`sz_lattice_reconstruct`] once per segment.  The container declares
+/// each segment's outlier table, which the segment must consume exactly.
 pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let container = read_preamble(stream, &[TAG_SZ, TAG_SZ_LATTICE])?;
-    let lattice = matches!(container, Some((TAG_SZ_LATTICE, _)));
-    let mut pos = if container.is_some() { 10 } else { 0 };
+    let n_streams = read_preamble(stream, TAG_SZ_LATTICE)?;
+    let mut pos = 10;
     let n = read_u64(stream, &mut pos)? as usize;
     let eb = f64::from_bits(read_u64(stream, &mut pos)?);
     let mut table_lens = Vec::new();
-    for _ in 0..container.map_or(0, |(_, n_streams)| n_streams) {
+    for _ in 0..n_streams {
         table_lens.push(read_u32(stream, &mut pos)? as usize * 4);
     }
-    let (symbols, consumed) = match container {
-        Some(_) => huffman_decode_multi(&stream[pos..])?,
-        None => huffman_decode(&stream[pos..])?,
-    };
+    let (symbols, consumed) = huffman_decode_multi(&stream[pos..])?;
     pos += consumed;
-    if container.is_none() {
-        table_lens.push(stream.len() - pos);
-    }
     if symbols.len() != n {
         return Err(CompressError::CorruptStream(format!(
             "expected {n} symbols, decoded {}",
@@ -672,17 +583,12 @@ pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         )));
     }
     let mut recon: Vec<f32> = Vec::with_capacity(safe_capacity(n, stream.len()));
-    let segments = split_even(n, table_lens.len());
+    let segments = split_even(n, n_streams);
     for ((off, len), table_len) in segments.into_iter().zip(table_lens) {
         let table = slice_at(stream, pos, table_len, "outlier table")?;
         pos += table_len;
-        let segment = &symbols[off..off + len];
-        let used = if lattice {
-            sz_lattice_reconstruct(segment, eb, table, &mut recon)?
-        } else {
-            sz_reconstruct(segment, eb, table, &mut recon)?
-        };
-        if container.is_some() && used != table_len {
+        let used = sz_lattice_reconstruct(&symbols[off..off + len], eb, table, &mut recon)?;
+        if used != table_len {
             return Err(CompressError::CorruptStream(
                 "segment outlier table has unread bytes".into(),
             ));
@@ -762,17 +668,14 @@ fn decode_block(r: &mut RefBitReader<'_>) -> Result<[f32; 4], CompressError> {
 /// ZFP decompression: per-block checked reads through the byte-copy
 /// reader, `extend_from_slice` into the output.  The container deals the
 /// blocks contiguously and evenly to its sub-streams and declares their
-/// lengths; the retired layout is one bit stream to the end of the bytes.
+/// lengths.
 pub fn zfp_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let container = read_preamble(stream, &[TAG_ZFP])?;
-    let mut pos = if container.is_some() { 10 } else { 0 };
+    let n_streams = read_preamble(stream, TAG_ZFP)?;
+    let mut pos = 10;
     let n = read_u64(stream, &mut pos)? as usize;
     let mut payload_lens = Vec::new();
-    for _ in 0..container.map_or(0, |(_, n_streams)| n_streams) {
+    for _ in 0..n_streams {
         payload_lens.push(read_u64(stream, &mut pos)? as usize);
-    }
-    if container.is_none() {
-        payload_lens.push(stream.len() - pos);
     }
     let mut out = Vec::with_capacity(safe_capacity(n, stream.len()));
     let parts = split_even(n.div_ceil(4), payload_lens.len());
@@ -819,11 +722,9 @@ fn interpolate(recon: &[f32], i: usize, len: usize) -> f32 {
 }
 
 /// Seed-path MGARD decompression: fresh per-level reconstruction `Vec`s.
-/// The container only puts its preamble in front of the retired layout's
-/// header fields and swaps the Huffman block for the multi-stream one.
 pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let v2 = read_preamble(stream, &[TAG_MGARD])?.is_some();
-    let stream = if v2 { &stream[10..] } else { stream };
+    read_preamble(stream, TAG_MGARD)?;
+    let stream = &stream[10..];
     if stream.len() < 20 {
         return Err(CompressError::CorruptStream("header too short".into()));
     }
@@ -847,11 +748,7 @@ pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         pos += 4;
         coarse.push(f32::from_le_bytes(fixed(bytes, "coarse level")?));
     }
-    let (symbols, consumed) = if v2 {
-        huffman_decode_multi(&stream[pos..])?
-    } else {
-        huffman_decode(&stream[pos..])?
-    };
+    let (symbols, consumed) = huffman_decode_multi(&stream[pos..])?;
     pos += consumed;
 
     let expected_symbols: usize = lens
@@ -908,25 +805,6 @@ pub fn decompress(backend: &str, stream: &[u8]) -> Result<Vec<f32>, CompressErro
             "no reference decoder for backend {other:?}"
         ))),
     }
-}
-
-/// [`decompress`] into a caller-sized slice — the backends'
-/// `decompress_into` for streams that predate the container.
-pub(crate) fn decompress_into(
-    backend: &str,
-    stream: &[u8],
-    out: &mut [f32],
-) -> Result<(), CompressError> {
-    let values = decompress(backend, stream)?;
-    if values.len() != out.len() {
-        return Err(CompressError::CorruptStream(format!(
-            "stream declares {} values, expected {}",
-            values.len(),
-            out.len()
-        )));
-    }
-    out.copy_from_slice(&values);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -74,15 +74,13 @@
 //! state.  (A separate index buffer with a vectorised conversion sweep and
 //! an escape-patching pass measured slower than the fused loop — 151 µs
 //! against 89 µs for 64 Ki values, DESIGN.md §8 — and needed a second AVX2
-//! instantiation.)  Streams this module does not write — the same
-//! container under the retired [`BackendTag::Sz`], whose symbols are
-//! residuals against reconstructed values, and the headerless layout
-//! before it — are decoded by [`crate::reference::sz_decompress`].
+//! instantiation.)  Any other bytes — no magic, or a tag other than
+//! [`BackendTag::SzLattice`] — are a typed
+//! [`CompressError::CorruptStream`].
 
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, MAX_STREAMS, V2_STREAMS};
 use crate::huffman;
-use crate::reference;
 use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
 use errflow_tensor::simd;
@@ -512,9 +510,6 @@ impl Compressor for SzCompressor {
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.sz.decompress");
-        if !format::is_tagged(stream, BackendTag::SzLattice) {
-            return reference::sz_decompress(stream);
-        }
         let mut scratch = scratch::acquire();
         let header = Self::decode_core(stream, &mut scratch)?;
         // n == symbols.len() here, which the entropy decoder already
@@ -530,9 +525,6 @@ impl Compressor for SzCompressor {
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        if !format::is_tagged(stream, BackendTag::SzLattice) {
-            return reference::decompress_into(self.name(), stream, out);
-        }
         let header = Self::decode_core(stream, scratch)?;
         if header.n != out.len() {
             return Err(CompressError::CorruptStream(format!(
@@ -549,6 +541,7 @@ impl Compressor for SzCompressor {
 mod tests {
     use super::*;
     use crate::error_bound::BoundMode;
+    use crate::reference;
     use errflow_tensor::rng::StdRng;
 
     fn smooth_field(n: usize) -> Vec<f32> {

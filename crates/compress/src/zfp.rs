@@ -25,9 +25,9 @@
 //! has a carried dependency per block read; four sub-streams let the
 //! decoder run four block pipelines at once — interleaved scalar reads
 //! portably, with the transform/scale stage vectorized over one block per
-//! AVX2 lane (see `zfp_simd`).  Streams without the container magic (the
-//! retired single-stream layout, the same blocks in one bit stream) are
-//! decoded by [`crate::reference::zfp_decompress`].
+//! AVX2 lane (see `zfp_simd`).  Any other bytes — no magic, or a tag
+//! other than [`BackendTag::Zfp`] — are a typed
+//! [`CompressError::CorruptStream`].
 //!
 //! A block is `flag(1) = 0, emax + 256 (10), cut (6), width (6)` and four
 //! `sign (1), magnitude (width)` fields, LSB first; `flag = 1` opens the
@@ -80,7 +80,6 @@
 use crate::bitstream::BitReader;
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, MAX_STREAMS, V2_STREAMS};
-use crate::reference;
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
 /// Working integer precision (bits of the normalised significand).
@@ -147,9 +146,6 @@ impl Compressor for ZfpCompressor {
 
     fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
         let _span = errflow_obs::trace::span("codec.zfp.decompress");
-        if !format::is_v2(stream) {
-            return reference::zfp_decompress(stream);
-        }
         let hdr = parse_header_v2(stream)?;
         // Allocation is safe: `parse_header_v2` bounded `n` by the
         // per-stream 2-bits-per-block minimum.
@@ -164,9 +160,6 @@ impl Compressor for ZfpCompressor {
         out: &mut [f32],
         _scratch: &mut crate::scratch::CodecScratch,
     ) -> Result<(), CompressError> {
-        if !format::is_v2(stream) {
-            return reference::decompress_into(self.name(), stream, out);
-        }
         let hdr = parse_header_v2(stream)?;
         if hdr.n != out.len() {
             return Err(CompressError::CorruptStream(format!(

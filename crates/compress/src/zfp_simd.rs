@@ -24,14 +24,13 @@
 //! round to the scalar finish.  Lanes near their payload end finish on the
 //! checked scalar path, exactly like the portable decoder's last blocks.
 //!
-//! On valid streams the kernel is bit-exact with the scalar path: the
-//! integer lifting wraps identically, the `i64 → f64` conversion is exact
-//! in the valid coefficient range, and multiply + narrow use the same
-//! round-to-nearest semantics as the scalar expressions.  (Corrupt streams
-//! can produce coefficients beyond 2^51 where the conversion trick — like
-//! the scalar path's wrapping arithmetic — yields garbage-but-defined
-//! values; both paths reject or bound-check everything that matters
-//! before this point.)
+//! The kernel is bit-exact with the scalar path on every stream: the
+//! integer lifting wraps identically, multiply + narrow use the same
+//! round-to-nearest semantics as the scalar expressions, and the `i64 →
+//! f64` conversion trick, exact below 2^51, only sees rounds whose
+//! coefficients stay under 2^48 (`width + cut ≤ 48`), which the inverse
+//! lifting grows by at most 4×.  A forged header past that sends its
+//! round to the scalar path.
 //!
 //! ## Encode
 //!
@@ -160,9 +159,13 @@ unsafe fn kernel(readers: &mut [BitReader<'_>], regions: &mut [&mut [f32]], done
         let mut fast = true;
         for i in 0..4 {
             widths[i] = ((w[i] >> 17) & 0x3F) as u32;
+            let cut = ((w[i] >> 11) & 0x3F) as u32;
             // Zero/verbatim blocks or >27-bit coefficients (both rare on
-            // real data) drop the round to the general path.
-            if w[i] & 1 == 1 || widths[i] > 27 {
+            // real data) drop the round to the general path, and so do
+            // coefficients that may reach 2^48 (only forged headers: honest
+            // ones stay within PRECISION + 2 bits), whose inverse lifting
+            // could leave the conversion's exact range.
+            if w[i] & 1 == 1 || widths[i] > 27 || widths[i] + cut > 48 {
                 fast = false;
             }
         }

@@ -10,8 +10,8 @@
 //! paths see every symbol class the coders emit.
 
 use errflow_compress::{
-    reference, ChunkedCompressor, Compressor, ErrorBound, MgardCompressor, Sz2dCompressor,
-    SzCompressor, ZfpCompressor,
+    reference, ChunkedCompressor, Compressor, ErrorBound, MgardCompressor, SzCompressor,
+    ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
@@ -116,27 +116,6 @@ fn random_fields_roundtrip_within_bound_all_backends() {
                     be.name()
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn random_grids_roundtrip_within_bound_sz2d() {
-    let sz2d = Sz2dCompressor::new();
-    let (nx, ny) = (80, 125);
-    for (label, data) in fields(43, nx * ny) {
-        for bound in bounds() {
-            let stream = sz2d
-                .compress(&data, nx, ny, &bound)
-                .unwrap_or_else(|e| panic!("sz2d compress {label}: {e}"));
-            let (recon, rx, ry) = sz2d
-                .decompress(&stream)
-                .unwrap_or_else(|e| panic!("sz2d decompress {label}: {e}"));
-            assert_eq!((rx, ry), (nx, ny));
-            assert!(
-                bound.verify(&data, &recon),
-                "sz2d violated {bound:?} on {label}"
-            );
         }
     }
 }

@@ -1,98 +1,98 @@
 //! Robustness: decompressing arbitrary bytes must return an error (or a
 //! harmless value) — never panic, never allocate unboundedly.  These are
 //! deterministic pseudo-fuzz sweeps over random buffers and mutated valid
-//! streams.  Bytes that do not open with the container magic reach the
-//! slow decoders in `errflow_compress::reference`, so the same sweeps cover
-//! those too.
+//! streams.  Every decoder checks the container magic first, so random
+//! bytes alone stop there; the sweeps that put random bodies behind a
+//! valid preamble, and the ones that mutate valid streams, reach the
+//! parsers behind it.  Wherever a stream reaches a backend's fast decoder,
+//! the oracle in `errflow_compress::reference` must accept and reject it
+//! alike and, when both accept, decode it to the same bits.
 
+use errflow_compress::bitstream::BitWriter;
 use errflow_compress::chunked::ChunkedCompressor;
+use errflow_compress::format::{write_preamble, BackendTag, V2_STREAMS};
 use errflow_compress::{
-    reference, CompressError, Compressor, ErrorBound, MgardCompressor, Sz2dCompressor,
-    SzCompressor, ZfpCompressor,
+    all_backends, reference, Compressor, ErrorBound, SzCompressor, ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
-/// One decoder under test.  `Sz2dCompressor` carries a grid shape and so is
-/// not a [`Compressor`]; the sweeps only need these two operations.
-struct Codec {
-    name: &'static str,
-    /// Backend name `reference::decompress` decodes this codec's streams
-    /// under, if it has an oracle.
-    oracle: Option<&'static str>,
-    compress: Box<dyn Fn(&[f32], &ErrorBound) -> Vec<u8>>,
-    decompress: Box<dyn Fn(&[u8]) -> Result<Vec<f32>, CompressError>>,
+/// Every decoder under test, with the backend name `reference::decompress`
+/// reads its streams under — `None` for SZ inside the chunked container,
+/// which has no oracle.
+fn codecs() -> Vec<(Box<dyn Compressor>, Option<&'static str>)> {
+    let mut all: Vec<(Box<dyn Compressor>, Option<&'static str>)> = all_backends()
+        .into_iter()
+        .map(|c| {
+            let name = c.name();
+            (c, Some(name))
+        })
+        .collect();
+    all.push((Box::new(ChunkedCompressor::new(SzCompressor::new())), None));
+    all
 }
 
-fn codecs() -> Vec<Codec> {
-    fn of<C: Compressor + 'static>(name: &'static str, c: C, has_oracle: bool) -> Codec {
-        let c = std::rc::Rc::new(c);
-        let d = c.clone();
-        Codec {
-            name,
-            oracle: has_oracle.then(|| c.name()),
-            compress: Box::new(move |data, bound| c.compress(data, bound).unwrap()),
-            decompress: Box::new(move |stream| d.decompress(stream)),
-        }
+/// The container tag each backend writes, by [`Compressor::name`].
+fn tag_of(backend: &str) -> BackendTag {
+    match backend {
+        "sz" => BackendTag::SzLattice,
+        "zfp" => BackendTag::Zfp,
+        "mgard" => BackendTag::Mgard,
+        other => panic!("no container tag for {other}"),
     }
-    vec![
-        of("sz", SzCompressor::default(), true),
-        of("zfp", ZfpCompressor::default(), true),
-        of("mgard", MgardCompressor::default(), true),
-        of(
-            "chunked-sz",
-            ChunkedCompressor::new(SzCompressor::default()),
-            false,
+}
+
+/// Decodes `stream` with `c` and with the oracle for `backend`, and checks
+/// that they accept and reject alike and agree on every value.
+fn assert_oracle_parity(c: &dyn Compressor, backend: &str, stream: &[u8], what: &str) {
+    let fast = c.decompress(stream);
+    let oracle = reference::decompress(backend, stream);
+    match (fast, oracle) {
+        (Ok(fast), Ok(oracle)) => assert!(
+            fast.len() == oracle.len()
+                && fast
+                    .iter()
+                    .zip(&oracle)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{backend}: decoders disagree on {what}"
         ),
-        Codec {
-            name: "sz2d",
-            oracle: None,
-            // Every sweep below compresses a multiple of 32 values.
-            compress: Box::new(|data, bound| {
-                Sz2dCompressor::new()
-                    .compress(data, 32, data.len() / 32, bound)
-                    .unwrap()
-            }),
-            decompress: Box::new(|stream| Sz2dCompressor::new().decompress(stream).map(|r| r.0)),
-        },
-    ]
+        (Err(_), Err(_)) => {}
+        (fast, oracle) => panic!(
+            "{backend}: fast decoder {} but the oracle {} on {what}",
+            fast.map_or_else(|e| format!("rejects ({e})"), |_| "accepts".into()),
+            oracle.map_or_else(|e| format!("rejects ({e})"), |_| "accepts".into()),
+        ),
+    }
 }
 
 #[test]
 fn random_bytes_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xf22);
-    for codec in codecs() {
+    for (c, _) in codecs() {
         for len in [0usize, 1, 7, 8, 16, 24, 64, 256, 4096] {
             for _ in 0..20 {
                 let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
                 // Any Result is fine; panics/OOM are the failure mode.
-                let _ = (codec.decompress)(&buf);
+                let _ = c.decompress(&buf);
             }
         }
     }
 }
 
-/// Random bytes carry no container magic and so only ever reach the slow
-/// decoders; behind a valid lattice preamble they reach the fast SZ
-/// decoder too, which must take them as the oracle does.
+/// Random bodies behind each backend's valid preamble reach the fast
+/// decoder's header and body parsers, which must take them as the oracle
+/// does.
 #[test]
-fn random_bodies_behind_the_lattice_preamble_never_panic() {
-    use errflow_compress::format::{write_preamble, BackendTag};
-    let sz = SzCompressor::default();
+fn random_bodies_behind_each_preamble_agree_with_the_oracle() {
     let mut rng = StdRng::seed_from_u64(0xf23);
-    for len in [0usize, 1, 8, 16, 28, 32, 64, 256, 4096] {
-        for n_streams in [1, 4, 16] {
-            for _ in 0..20 {
-                let mut buf = Vec::new();
-                write_preamble(&mut buf, BackendTag::SzLattice, n_streams);
-                buf.extend((0..len).map(|_| rng.gen::<u8>()));
-                let fast = sz.decompress(&buf);
-                let oracle = reference::decompress("sz", &buf);
-                assert_eq!(fast.is_ok(), oracle.is_ok(), "accept/reject differs");
-                if let (Ok(fast), Ok(oracle)) = (fast, oracle) {
-                    assert!(fast
-                        .iter()
-                        .zip(&oracle)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    for c in all_backends() {
+        for len in [0usize, 1, 8, 16, 28, 32, 64, 256, 4096] {
+            for n_streams in [1, 4, 16] {
+                for _ in 0..20 {
+                    let mut buf = Vec::new();
+                    write_preamble(&mut buf, tag_of(c.name()), n_streams);
+                    buf.extend((0..len).map(|_| rng.gen::<u8>()));
+                    let what = format!("a {len}-byte body behind {n_streams} sub-streams");
+                    assert_oracle_parity(c.as_ref(), c.name(), &buf, &what);
                 }
             }
         }
@@ -101,46 +101,88 @@ fn random_bodies_behind_the_lattice_preamble_never_panic() {
 
 #[test]
 fn huge_declared_counts_do_not_allocate() {
-    // A header declaring 2^60 values with a 16-byte body must error fast.
-    for codec in codecs() {
+    // A header declaring 2^60 values with a 16-byte body must error fast,
+    // behind a valid preamble where the codec has one.
+    for (c, backend) in codecs() {
         let mut buf = Vec::new();
+        if let Some(backend) = backend {
+            write_preamble(&mut buf, tag_of(backend), V2_STREAMS);
+        }
         buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
         buf.extend_from_slice(&[0u8; 16]);
-        assert!((codec.decompress)(&buf).is_err(), "{}", codec.name);
+        assert!(c.decompress(&buf).is_err(), "{}", c.name());
+        if let Some(backend) = backend {
+            assert!(reference::decompress(backend, &buf).is_err(), "{backend}");
+        }
     }
 }
 
 #[test]
-fn bit_flips_in_valid_streams_never_panic() {
+fn bit_flips_in_valid_streams_agree_with_the_oracle() {
     let data: Vec<f32> = (0..2048).map(|i| ((i as f32) * 0.01).sin() * 2.0).collect();
-    let bound = ErrorBound::abs_linf(1e-3);
     let mut rng = StdRng::seed_from_u64(99);
-    for codec in codecs() {
-        let stream = (codec.compress)(&data, &bound);
-        for _ in 0..200 {
-            let mut mutated = stream.clone();
-            let idx = rng.gen_range(0..mutated.len());
-            mutated[idx] ^= 1 << rng.gen_range(0..8u8);
-            // Either an error or a (wrong) reconstruction — never a panic.
-            let fast = (codec.decompress)(&mutated);
-            // The oracle must not panic either, and whenever both decoders
-            // accept a mutant they must agree on every value.
-            let Some(backend) = codec.oracle else {
-                continue;
-            };
-            let oracle = reference::decompress(backend, &mutated);
-            if let (Ok(fast), Ok(oracle)) = (fast, oracle) {
-                assert!(
-                    fast.len() == oracle.len()
-                        && fast
-                            .iter()
-                            .zip(&oracle)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{}: decoders disagree on a mutant (byte {idx})",
-                    codec.name
-                );
+    for bound in [1e-1, 1e-3, 1e-6].map(ErrorBound::abs_linf) {
+        for (c, backend) in codecs() {
+            let stream = c.compress(&data, &bound).unwrap();
+            for _ in 0..200 {
+                let mut mutated = stream.clone();
+                let idx = rng.gen_range(0..mutated.len());
+                mutated[idx] ^= 1 << rng.gen_range(0..8u8);
+                // Either an error or a (wrong) reconstruction — never a
+                // panic, and the same verdict and values as the oracle.
+                match backend {
+                    Some(backend) => {
+                        let what = format!("a flip in byte {idx} under {bound:?}");
+                        assert_oracle_parity(c.as_ref(), backend, &mutated, &what);
+                    }
+                    None => {
+                        let _ = c.decompress(&mutated);
+                    }
+                }
             }
         }
+    }
+}
+
+/// Forged ZFP headers can declare coefficients far past anything the
+/// encoder writes (`width + cut` up to 90).  Lifted, those leave the exact
+/// range of the AVX2 decode round's `i64 → f64` conversion, so such rounds
+/// must go to the scalar path: the fast decoder matches the oracle bit for
+/// bit at the `width + cut = 48` edge of its vector path and beyond it.
+#[test]
+fn forged_zfp_coefficient_ranges_decode_like_the_oracle() {
+    let zfp = ZfpCompressor::new();
+    let mut rng = StdRng::seed_from_u64(0x2F3);
+    let blocks = 64;
+    for (cut, width) in [(21u32, 27u32), (22, 27), (30, 20), (40, 8), (63, 27)] {
+        let payloads: Vec<Vec<u8>> = (0..V2_STREAMS)
+            .map(|_| {
+                let mut w = BitWriter::new();
+                for _ in 0..blocks {
+                    // A normal block: flag, biased exponent, cut, width,
+                    // then four sign + magnitude fields.
+                    w.write_bit(false);
+                    w.write_bits(rng.gen_range(0u64..1024), 10);
+                    w.write_bits(u64::from(cut), 6);
+                    w.write_bits(u64::from(width), 6);
+                    for _ in 0..4 {
+                        w.write_bit(rng.gen());
+                        w.write_bits(rng.gen_range(0..1u64 << width), width);
+                    }
+                }
+                w.into_bytes()
+            })
+            .collect();
+        let mut stream = Vec::new();
+        write_preamble(&mut stream, BackendTag::Zfp, V2_STREAMS);
+        stream.extend_from_slice(&((V2_STREAMS * blocks * 4) as u64).to_le_bytes());
+        for p in &payloads {
+            stream.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        }
+        stream.extend(payloads.concat());
+        let what = format!("blocks with cut {cut} and width {width}");
+        assert!(zfp.decompress(&stream).is_ok(), "{what}: well framed");
+        assert_oracle_parity(&zfp, "zfp", &stream, &what);
     }
 }
 
@@ -148,53 +190,15 @@ fn bit_flips_in_valid_streams_never_panic() {
 fn truncations_of_valid_streams_never_panic() {
     let data: Vec<f32> = (0..1024).map(|i| (i as f32).cos()).collect();
     let bound = ErrorBound::abs_linf(1e-4);
-    for codec in codecs() {
-        let stream = (codec.compress)(&data, &bound);
+    for (c, _) in codecs() {
+        let stream = c.compress(&data, &bound).unwrap();
         for cut in 0..stream.len().min(200) {
-            let _ = (codec.decompress)(&stream[..cut]);
+            let _ = c.decompress(&stream[..cut]);
         }
         // Also a coarse sweep across the whole stream.
         let step = (stream.len() / 50).max(1);
         for cut in (0..stream.len()).step_by(step) {
-            let _ = (codec.decompress)(&stream[..cut]);
+            let _ = c.decompress(&stream[..cut]);
         }
     }
-}
-
-#[test]
-fn sz2d_random_bytes_never_panic() {
-    let sz2d = Sz2dCompressor::new();
-    let mut rng = StdRng::seed_from_u64(7);
-    for len in [0usize, 10, 24, 100, 1000] {
-        for _ in 0..20 {
-            let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            let _ = sz2d.decompress(&buf);
-        }
-    }
-    // Overflow-bait dimensions, and grids with exactly one zero dimension:
-    // no values to decode, but up to 2^64 empty rows for a row loop to walk
-    // (the valid empty block makes the symbol count match).
-    let empty_block = sz2d
-        .compress(&[], 0, 0, &ErrorBound::abs_linf(1e-3))
-        .unwrap()[24..]
-        .to_vec();
-    for (nx, ny) in [
-        (u64::MAX, u64::MAX),
-        (0, 1 << 31),
-        (1 << 31, 0),
-        (0, u64::MAX),
-    ] {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&nx.to_le_bytes());
-        buf.extend_from_slice(&ny.to_le_bytes());
-        buf.extend_from_slice(&1e-3f64.to_le_bytes());
-        buf.extend_from_slice(&empty_block);
-        assert!(
-            matches!(sz2d.decompress(&buf), Err(CompressError::CorruptStream(_))),
-            "{nx}x{ny} grid must be rejected"
-        );
-    }
-    let bound = ErrorBound::abs_linf(1e-3);
-    assert!(sz2d.compress(&[], 0, 7, &bound).is_err());
-    assert!(sz2d.compress(&[], 7, 0, &bound).is_err());
 }

@@ -48,7 +48,7 @@ fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
 fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     let sz = SzCompressor::new();
     let stream = sz.compress(data, bound).unwrap();
-    assert!(format::is_tagged(&stream, BackendTag::SzLattice));
+    assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::SzLattice as u8);
     let recon =
         decode_everywhere(&stream, what).unwrap_or_else(|| panic!("{what}: own stream rejected"));
     assert_eq!(recon.len(), data.len());
@@ -217,9 +217,9 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
 
 /// A lattice container built by hand: `symbols` cut into `tables.len()`
 /// even segments, one outlier table per segment.
-fn forge(tag: BackendTag, eb: f64, symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
+fn forge(eb: f64, symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
     let mut out = Vec::new();
-    format::write_preamble(&mut out, tag, tables.len());
+    format::write_preamble(&mut out, BackendTag::SzLattice, tables.len());
     out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
     out.extend_from_slice(&eb.to_le_bytes());
     for table in tables {
@@ -238,11 +238,8 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
     // The largest honest difference, forever: the index passes 2^31 after
     // ~360 values and keeps wrapping.
     let up = vec![65_535u32; 8000];
-    let values = decode_everywhere(
-        &forge(BackendTag::SzLattice, 1e-3, &up, &none),
-        "all +MAX_CODE",
-    )
-    .expect("a well-framed stream");
+    let values =
+        decode_everywhere(&forge(1e-3, &up, &none), "all +MAX_CODE").expect("a well-framed stream");
     assert!(values.iter().any(|&v| v < 0.0), "the sum wrapped");
     // Symbols no encoder emits, the marker among them.
     let mut rng = StdRng::seed_from_u64(0xF0F);
@@ -257,11 +254,8 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
         .collect();
     for n_streams in [1, 3, 4, 16] {
         let tables = vec![Vec::new(); n_streams];
-        decode_everywhere(
-            &forge(BackendTag::SzLattice, 0.5, &wild, &tables),
-            "wild symbols",
-        )
-        .expect("a well-framed stream");
+        decode_everywhere(&forge(0.5, &wild, &tables), "wild symbols")
+            .expect("a well-framed stream");
     }
     // Header bounds no encoder writes.
     for eb in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
@@ -269,11 +263,8 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
         symbols[7] = 0;
         symbols[205] = 0;
         let tables = vec![vec![3.5f32], Vec::new(), vec![f32::NAN], Vec::new()];
-        decode_everywhere(
-            &forge(BackendTag::SzLattice, eb, &symbols, &tables),
-            "hostile error bound",
-        )
-        .expect("a well-framed stream");
+        decode_everywhere(&forge(eb, &symbols, &tables), "hostile error bound")
+            .expect("a well-framed stream");
     }
 }
 
@@ -286,7 +277,7 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     let table = |n: usize| vec![Vec::new(), vec![1.25f32; n], Vec::new(), Vec::new()];
     let sz = SzCompressor::new();
     for (entries, accepted) in [(2, true), (1, false), (3, false), (0, false)] {
-        let stream = forge(BackendTag::SzLattice, 1e-3, &symbols, &table(entries));
+        let stream = forge(1e-3, &symbols, &table(entries));
         let decoded = decode_everywhere(&stream, "table length");
         assert_eq!(
             decoded.is_some(),
@@ -300,33 +291,31 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     }
     // The right number of entries, one segment over.
     let moved = vec![vec![1.25f32; 2], Vec::new(), Vec::new(), Vec::new()];
-    let stream = forge(BackendTag::SzLattice, 1e-3, &symbols, &moved);
+    let stream = forge(1e-3, &symbols, &moved);
     assert!(decode_everywhere(&stream, "table in the wrong segment").is_none());
 }
 
 #[test]
-fn each_layouts_body_under_the_other_tag_decodes_alike_or_not_at_all() {
+fn any_tag_but_the_lattice_one_is_no_sz_stream() {
     let data: Vec<f32> = include_bytes!("fixtures/field.f32")
         .chunks_exact(4)
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         .collect();
     let sz = SzCompressor::new();
-    // Today's body, retired tag: only the oracle's feedback loop reads it.
-    let mut lattice = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
-    lattice[8] = BackendTag::Sz as u8;
-    decode_everywhere(&lattice, "lattice body under the retired tag");
-    // The retired body (golden fixture), today's tag: the fast decoder
-    // reads residual codes as second differences, and so does the oracle.
-    let mut retired = include_bytes!("fixtures/sz_v2.bin").to_vec();
-    assert!(format::is_tagged(&retired, BackendTag::Sz));
-    retired[8] = BackendTag::SzLattice as u8;
-    let as_lattice = decode_everywhere(&retired, "retired body under the lattice tag")
-        .expect("same framing, so both accept");
-    let as_retired = sz.decompress(include_bytes!("fixtures/sz_v2.bin")).unwrap();
-    assert_ne!(bits(&as_lattice), bits(&as_retired));
-    // Any other tag is no SZ stream at all.
-    for tag in [0u8, 2, 3, 5, 255] {
-        retired[8] = tag;
-        assert!(decode_everywhere(&retired, "foreign tag").is_none());
+    let mut stream = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
+    let mut sc = scratch::acquire();
+    let mut out = vec![0.0f32; data.len()];
+    // Tag 1 is the retired SZ layout's; the others are other backends' or
+    // nobody's.
+    for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::SzLattice as u8) {
+        stream[8] = tag;
+        assert!(
+            decode_everywhere(&stream, "foreign tag").is_none(),
+            "tag {tag}"
+        );
+        assert!(
+            sz.decompress_into(&stream, &mut out, &mut sc).is_err(),
+            "tag {tag}: decompress_into"
+        );
     }
 }

@@ -1,19 +1,54 @@
-//! Stream-format matrix: the container every backend writes, and the
-//! retired single-stream ("v1") layout that is still read.
+//! Stream-format matrix: the container every backend writes, the bytes
+//! it must keep holding, and the layouts no decoder reads any more.
 //!
-//! * v1 streams (golden fixtures — no encoder for them is left) must decode
-//!   **bit-identically** through the backends' public decoders and the
-//!   [`errflow_compress::reference`] oracle.
-//! * Container streams must round-trip within the requested bound under
-//!   every bound mode the backend supports.
-//! * A container header whose declared sub-stream / table lengths don't sum
-//!   to the actual payload must be rejected with a typed
-//!   [`CompressError::CorruptStream`], never silently truncated.
+//! `fixtures/` holds one seeded 1027-value field (`field.f32`, little-endian
+//! `f32` bits; offset so that roughly a third of the SZ values escape to
+//! the outlier table, with a 120-value constant stretch for the RLE path)
+//! and, all under `rel_linf(1e-4)`:
+//!
+//! * the SZ lattice stream (`sz_lattice.bin`, tag 4) with its decoded bits
+//!   (`sz_lattice.f32`), and the ZFP container stream (`zfp_v2.bin`).
+//!   These pin the writers: today's SZ and ZFP encoders must reproduce
+//!   them byte for byte, and the lattice stream must keep decoding to the
+//!   recorded bits through every path.
+//! * retired layouts with no writer in the tree: the headerless ("v1")
+//!   SZ/ZFP/MGARD streams (`*_v1.bin`) and an SZ container under the
+//!   retired tag 1 (`sz_v2.bin`).  Every decoder — `decompress`,
+//!   `decompress_into`, the [`errflow_compress::reference`] oracle and the
+//!   codec inside [`ChunkedCompressor`] — must refuse them with a typed
+//!   [`CompressError::CorruptStream`].
+//!
+//! Beyond the fixtures: container streams round-trip within the requested
+//! bound under every bound mode the backend supports, and a header whose
+//! declared sub-stream / table lengths don't sum to the actual payload is
+//! a typed [`CompressError::CorruptStream`], never silently truncated.
 
 use errflow_compress::{
-    reference, scratch, CompressError, Compressor, ErrorBound, SzCompressor, ZfpCompressor,
+    reference, scratch, ChunkedCompressor, CompressError, Compressor, ErrorBound, MgardCompressor,
+    SzCompressor, ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
+
+/// Values in the golden field and in every fixture stream.
+const FIELD_LEN: usize = 1027;
+
+fn f32_bits(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn golden_field() -> Vec<f32> {
+    f32_bits(include_bytes!("fixtures/field.f32"))
+        .into_iter()
+        .map(f32::from_bits)
+        .collect()
+}
 
 /// Smooth field with mild noise — representative of the HPC data the
 /// paper's codecs target, with enough variation to exercise outliers.
@@ -28,31 +63,108 @@ fn field(n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn v1_streams_decode_bit_identically_to_the_oracle() {
+fn the_lattice_golden_decodes_to_the_recorded_values_everywhere() {
+    let sz = SzCompressor::new();
+    let stream = include_bytes!("fixtures/sz_lattice.bin");
+    let want = f32_bits(include_bytes!("fixtures/sz_lattice.f32"));
+    let data = golden_field();
+    assert_eq!(want.len(), data.len());
+    let oracle = reference::decompress(sz.name(), stream).unwrap();
+    assert_eq!(bits(&oracle), want, "oracle");
+    assert!(ErrorBound::rel_linf(1e-4).verify(&data, &oracle), "bound");
+    assert_eq!(bits(&sz.decompress(stream).unwrap()), want, "decompress");
     let mut sc = scratch::acquire();
-    let v1_streams: [(&dyn Compressor, &[u8]); 2] = [
-        (&SzCompressor::new(), include_bytes!("fixtures/sz_v1.bin")),
-        (&ZfpCompressor::new(), include_bytes!("fixtures/zfp_v1.bin")),
+    let mut into = vec![0.0f32; want.len()];
+    sz.decompress_into(stream, &mut into, &mut sc).unwrap();
+    assert_eq!(bits(&into), want, "decompress_into");
+    // A wrong-sized destination is a typed error, not a partial write.
+    assert!(sz.decompress_into(stream, &mut into[1..], &mut sc).is_err());
+}
+
+#[test]
+fn sz_and_zfp_still_write_the_recorded_container_bytes() {
+    let data = golden_field();
+    let bound = ErrorBound::rel_linf(1e-4);
+    let cases: [(&dyn Compressor, &[u8]); 2] = [
+        (
+            &SzCompressor::new(),
+            include_bytes!("fixtures/sz_lattice.bin"),
+        ),
+        (&ZfpCompressor::new(), include_bytes!("fixtures/zfp_v2.bin")),
     ];
-    for (c, stream) in v1_streams {
-        let name = c.name();
-        let oracle = reference::decompress(name, stream).unwrap();
-        let fast = c.decompress(stream).unwrap();
-        assert_eq!(oracle.len(), fast.len(), "{name}: length mismatch");
-        for (i, (a, b)) in oracle.iter().zip(&fast).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name}: v1 decode diverges from the oracle at index {i}"
-            );
-        }
-        let mut into = vec![0.0f32; oracle.len()];
-        c.decompress_into(stream, &mut into, &mut sc).unwrap();
-        assert!(oracle
-            .iter()
-            .zip(&into)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    for (c, want) in cases {
+        let got = c.compress(&data, &bound).unwrap();
+        assert!(got == want, "{}: stream bytes changed", c.name());
     }
+}
+
+fn is_corrupt<T>(result: Result<T, CompressError>) -> bool {
+    matches!(result, Err(CompressError::CorruptStream(_)))
+}
+
+/// Holds every decoder of `c` to refusing `stream`, a would-be stream of
+/// [`FIELD_LEN`] values, with a typed [`CompressError::CorruptStream`]:
+/// `decompress`, `decompress_into`, the oracle, and a [`ChunkedCompressor`]
+/// over `c` whose one chunk is `stream`.
+fn refused_everywhere<C: Compressor + Clone>(c: &C, stream: &[u8], what: &str) {
+    let mut sc = scratch::acquire();
+    let mut out = vec![0.0f32; FIELD_LEN];
+    assert!(is_corrupt(c.decompress(stream)), "{what}: decompress");
+    assert!(
+        is_corrupt(c.decompress_into(stream, &mut out, &mut sc)),
+        "{what}: decompress_into"
+    );
+    assert!(
+        is_corrupt(reference::decompress(c.name(), stream)),
+        "{what}: oracle"
+    );
+    // The canonical one-chunk container: element count, chunk size, chunk
+    // count, chunk length, chunk.
+    let mut container = Vec::new();
+    container.extend_from_slice(&(FIELD_LEN as u64).to_le_bytes());
+    container.extend_from_slice(&(FIELD_LEN as u64).to_le_bytes());
+    container.extend_from_slice(&1u32.to_le_bytes());
+    container.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+    container.extend_from_slice(stream);
+    let chunked = ChunkedCompressor::new(c.clone());
+    assert!(
+        is_corrupt(chunked.decompress(&container)),
+        "{what}: chunked decompress"
+    );
+    assert!(
+        is_corrupt(chunked.decompress_into(&container, &mut out, &mut sc)),
+        "{what}: chunked decompress_into"
+    );
+    let units = chunked.decode_units(&container, FIELD_LEN).unwrap();
+    assert_eq!(units.len(), 1, "{what}: one chunk");
+    assert!(
+        is_corrupt(chunked.decode_unit_into(&units[0], &mut out, &mut sc)),
+        "{what}: chunked decode_unit_into"
+    );
+}
+
+#[test]
+fn retired_layouts_are_refused_by_every_decoder() {
+    let sz = SzCompressor::new();
+    refused_everywhere(&sz, include_bytes!("fixtures/sz_v1.bin"), "sz headerless");
+    refused_everywhere(&sz, include_bytes!("fixtures/sz_v2.bin"), "sz tag 1");
+    refused_everywhere(
+        &ZfpCompressor::new(),
+        include_bytes!("fixtures/zfp_v1.bin"),
+        "zfp headerless",
+    );
+    refused_everywhere(
+        &MgardCompressor::new(),
+        include_bytes!("fixtures/mgard_v1.bin"),
+        "mgard headerless",
+    );
+    // Today's SZ body under the retired tag is no SZ stream either.
+    let mut retagged = sz
+        .compress(&golden_field(), &ErrorBound::rel_linf(1e-4))
+        .unwrap();
+    assert!(sz.decompress(&retagged).is_ok());
+    retagged[8] = 1;
+    refused_everywhere(&sz, &retagged, "lattice body under tag 1");
 }
 
 #[test]
@@ -86,27 +198,6 @@ fn v2_round_trips_under_every_supported_bound_mode() {
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
-}
-
-/// ZFP's container re-encodes the *same* per-block stream the v1 layout
-/// held, merely split at block boundaries — so the v1 fixture and today's
-/// encoding of the fixture's field must reconstruct bit-identical values,
-/// not merely bound-respecting ones.
-#[test]
-fn zfp_v2_reconstruction_matches_v1_exactly() {
-    let data: Vec<f32> = include_bytes!("fixtures/field.f32")
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    let zfp = ZfpCompressor::new();
-    let v1 = zfp
-        .decompress(include_bytes!("fixtures/zfp_v1.bin"))
-        .unwrap();
-    let v2 = zfp
-        .decompress(&zfp.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap())
-        .unwrap();
-    assert_eq!(v1.len(), v2.len());
-    assert!(v1.iter().zip(&v2).all(|(a, b)| a.to_bits() == b.to_bits()));
 }
 
 /// Flip the first declared sub-stream length in a v2 ZFP header so the

@@ -1,14 +1,13 @@
 //! Tour of the error-bounded compression substrate on a real scientific
-//! field: the three paper backends (SZ / ZFP / MGARD), the 2-D Lorenzo SZ
-//! variant, and the chunked-parallel wrapper — with ratios, speeds, and
-//! verified error bounds.
+//! field: the three paper backends (SZ / ZFP / MGARD) and the
+//! chunked-parallel wrapper — with ratios, speeds, and verified error
+//! bounds.
 //!
 //! ```sh
 //! cargo run --release --example compression_tour
 //! ```
 
 use errflow::compress::chunked::ChunkedCompressor;
-use errflow::compress::sz2d::Sz2dCompressor;
 use errflow::prelude::*;
 use errflow::scidata::h2;
 
@@ -42,21 +41,6 @@ fn main() {
                 stats.decompress_gbps() * 1000.0,
             );
         }
-        // 2-D Lorenzo SZ sees the grid structure the 1-D backends flatten.
-        let sz2d = Sz2dCompressor::new();
-        let stream = sz2d
-            .compress(&field.data, field.nx, field.ny, &bound)
-            .unwrap();
-        let (recon, _, _) = sz2d.decompress(&stream).unwrap();
-        assert!(bound.verify(&field.data, &recon));
-        println!(
-            "{:>12} {:>10.0e} {:>8.1}x {:>12} {:>12}",
-            "sz2d",
-            tol,
-            (field.data.len() * 4) as f64 / stream.len() as f64,
-            "-",
-            "-",
-        );
         println!();
     }
 

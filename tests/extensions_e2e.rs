@@ -1,10 +1,9 @@
 //! Integration tests of the future-work extensions working together on the
 //! real workloads: chunked-parallel compression inside the planner, the
-//! ratio-model optimizer, 2-D SZ on task fields, model save/load, and
-//! row-wise quantization against the refined bound.
+//! ratio-model optimizer, model save/load, and row-wise quantization
+//! against the refined bound.
 
 use errflow::compress::chunked::ChunkedCompressor;
-use errflow::compress::sz2d::Sz2dCompressor;
 use errflow::core::NetworkAnalysis;
 use errflow::nn::io::{load_mlp, save_mlp};
 use errflow::nn::Model;
@@ -62,23 +61,6 @@ fn ratio_model_predicts_task_payload_ratios() {
         "predicted {predicted:.1}x vs actual {:.1}x",
         stats.ratio()
     );
-}
-
-#[test]
-fn sz2d_honours_bounds_on_task_fields() {
-    // The H2 species fields are genuine 2-D grids; compress one as such.
-    let w = errflow::scidata::h2::generate(32, 50, 19);
-    let field = &w.species_fields[0];
-    let sz2d = Sz2dCompressor::new();
-    for tol in [1e-3, 1e-5] {
-        let bound = ErrorBound::abs_linf(tol);
-        let stream = sz2d
-            .compress(&field.data, field.nx, field.ny, &bound)
-            .unwrap();
-        let (recon, nx, ny) = sz2d.decompress(&stream).unwrap();
-        assert_eq!((nx, ny), (field.nx, field.ny));
-        assert!(bound.verify(&field.data, &recon), "tol={tol}");
-    }
 }
 
 #[test]
