@@ -9,7 +9,9 @@
 //! the codec perf trajectory is tracked in-repo (mirroring `gemm-bench`).
 //! Every ZFP row names the encoder arm `compress` took and times each arm
 //! this host can run on the same input (the arms must write the same bytes);
-//! one ZFP row has the serving benchmark's `codec_zfp_fm` shape.
+//! one ZFP row has the serving benchmark's `codec_zfp_fm` shape.  The SZ
+//! noise-floor row also splits one compress and one decode into phases,
+//! read from the codec's own `codec.*` trace spans ([`SZ_PHASES`]).
 //!
 //! ```sh
 //! cargo run --release -p errflow-bench --bin compress-bench            # full sweep
@@ -28,6 +30,7 @@ use errflow_compress::zfp::{self, EncodeArm};
 use errflow_compress::{
     reference, scratch, Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
 };
+use errflow_obs::trace;
 use errflow_tensor::rng::StdRng;
 use errflow_tensor::{pool, simd};
 use std::fmt::Write as _;
@@ -48,6 +51,9 @@ struct CodecResult {
     reference_secs: f64,
     /// ZFP only: `compress` on each encoder arm this host runs, by name.
     arm_compress_secs: Vec<(&'static str, f64)>,
+    /// The SZ noise-floor row only: median µs per call of each
+    /// [`SZ_PHASES`] span.
+    phases_us: Vec<(&'static str, f64)>,
 }
 
 struct ChunkedResult {
@@ -71,10 +77,64 @@ const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
 /// with both) trips its floor, which every ZFP encoder arm must clear.
 const SMOKE_ENCODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.3), ("zfp", 0.5)];
 
+/// The phases of one SZ compress and one decode, as `(key, span)`: the
+/// span each phase's time is read from.  `decompress` decodes the symbols
+/// whole and then rebuilds the values (`entropy`, `reconstruct`);
+/// `decompress_into` — what the server calls — does both one L1-sized chunk
+/// at a time (`fused`), so only its total is a phase.
+const SZ_PHASES: &[(&str, &str)] = &[
+    ("passes", "codec.sz.passes"),
+    ("scan", "codec.huffman.scan"),
+    ("histogram", "codec.huffman.histogram"),
+    ("code", "codec.huffman.code"),
+    ("payload", "codec.huffman.payload"),
+    ("table", "codec.huffman.table"),
+    ("entropy", "codec.huffman.entropy"),
+    ("reconstruct", "codec.sz.v2.reconstruct"),
+    ("fused", "codec.sz.v2.decode_fused"),
+];
+
 /// The absolute budget of the `zfp_fm` row: ratio 1.38 on its field, where
 /// `codec_zfp_fm` serves 1.39 (a cut moves in powers of two, so every budget
 /// from 8e-6 to 1.4e-5 writes the same stream).
 const ZFP_FM_BUDGET: f64 = 1e-5;
+
+/// Median µs per call of each [`SZ_PHASES`] span over `reps` calls of
+/// `compress`, `decompress` and `decompress_into` on `stream`.
+fn sz_phases(
+    data: &[f32],
+    bound: &ErrorBound,
+    stream: &[u8],
+    reps: usize,
+) -> Vec<(&'static str, f64)> {
+    let sz = SzCompressor;
+    let mut out = vec![0.0f32; data.len()];
+    let mut sc = scratch::acquire();
+    trace::set_enabled(true);
+    trace::clear();
+    for _ in 0..reps {
+        std::hint::black_box(sz.compress(data, bound).expect("compress"));
+        std::hint::black_box(sz.decompress(stream).expect("decompress"));
+        sz.decompress_into(stream, &mut out, &mut sc)
+            .expect("decompress_into");
+    }
+    let events = trace::snapshot();
+    SZ_PHASES
+        .iter()
+        .map(|&(key, span)| {
+            let mut ns: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name == span)
+                .map(|e| e.dur_ns)
+                .collect();
+            ns.sort_unstable();
+            (
+                key,
+                ns.get(ns.len() / 2).map_or(f64::NAN, |&v| v as f64 / 1e3),
+            )
+        })
+        .collect()
+}
 
 fn gbps(n_values: usize, secs: f64) -> f64 {
     (n_values * 4) as f64 / secs / 1e9
@@ -208,6 +268,11 @@ fn run_codec(
             arm_compress_secs.push((arm.name(), secs));
         }
     }
+    let phases_us = if backend == "sz" && field == "noise_floor" {
+        sz_phases(data, &bound, &stream, 20 * reps)
+    } else {
+        Vec::new()
+    };
 
     CodecResult {
         backend,
@@ -220,6 +285,7 @@ fn run_codec(
         decompress_into_secs,
         reference_secs,
         arm_compress_secs,
+        phases_us,
     }
 }
 
@@ -273,6 +339,19 @@ fn zfp_arms_json(r: &CodecResult) -> String {
     )
 }
 
+/// The SZ noise-floor row's `"phases_us"`; nothing for the other rows.
+fn phases_json(r: &CodecResult) -> String {
+    if r.phases_us.is_empty() {
+        return String::new();
+    }
+    let phases: Vec<String> = r
+        .phases_us
+        .iter()
+        .map(|&(key, us)| format!("\"{key}\": {us:.1}"))
+        .collect();
+    format!(", \"phases_us\": {{{}}}", phases.join(", "))
+}
+
 fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
     let (hits, misses) = scratch::pool_stats();
     let mut s = String::new();
@@ -316,7 +395,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
              \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
-             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true{}}}",
+             \"speedup_vs_reference\": {:.2}, \"bit_identical\": true{}{}}}",
             r.backend,
             r.field,
             r.n,
@@ -329,6 +408,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
             zfp_arms_json(r),
+            phases_json(r),
         );
         s.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
     }
@@ -435,6 +515,14 @@ fn main() {
                 "[compress-bench]   {arm} encoder: comp {:.2} GB/s",
                 gbps(r.n, secs)
             );
+        }
+        if !r.phases_us.is_empty() {
+            let phases: Vec<String> = r
+                .phases_us
+                .iter()
+                .map(|&(key, us)| format!("{key} {us:.1}"))
+                .collect();
+            eprintln!("[compress-bench]   phases (us): {}", phases.join(", "));
         }
     };
     // Best-of needs headroom against scheduler noise on shared hosts; the

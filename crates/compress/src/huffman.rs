@@ -25,22 +25,28 @@
 //!
 //! Decoding is table-driven and **register-batched**: a lane loads a
 //! 57-bit window of its payload into a 64-bit register once, then decodes
-//! as many symbols as fit (typically 4–10 for skewed alphabets) with one
-//! table lookup + shift each before refilling.  A prefix table of
-//! `2^min(PEEK, longest code)` entries resolves every code of ≤ [`PEEK`]
-//! bits in one lookup (the common case by construction of Huffman codes
-//! over skewed distributions; a small block's few short codes get a table
-//! of a few dozen entries, not `2^13`); longer codes fall back to a
-//! bit-by-bit canonical walk.  This path dominates decompression
-//! throughput for the SZ/MGARD backends, which is what the paper's I/O
-//! figures measure.
+//! as many symbols as fit with one table lookup + shift each before
+//! refilling.  The first-level table has `2^min(PEEK, longest code)`
+//! entries: at most `2^11` of 8 bytes, 16 KiB, so it stays in L1 beside
+//! the payload and the output even for a served SZ payload, whose 600-odd
+//! symbols have codes of up to 16 bits (a small block's few short codes
+//! get a table of a few dozen entries).  It resolves every code of ≤ [`PEEK`]
+//! bits in one lookup; a longer one — under 1 % of a served payload's
+//! symbols — takes a second lookup in a table per shared prefix, and only
+//! codes past that (or past its budget) walk the canonical arrays bit by
+//! bit.  A run-free block decodes straight into the output, and
+//! [`Block::decode_each`] hands it to the caller one L1-sized chunk per
+//! lane at a time, so SZ rebuilds its values from symbols that never left
+//! L1.  This path dominates decompression throughput for the SZ/MGARD
+//! backends, which is what the paper's I/O figures measure.
 //!
 //! Encoding reads the symbols where they are: a pre-scan finds the block's
-//! symbol range and the segments that can hold a run, only those are
-//! collapsed into scratch, the histogram counts into the dense
-//! `[min, max]` window, and the payload loop writes packed `(code, len)`
-//! words through a 64-bit accumulator straight into the output's tail
-//! ([`encode_multi_with`]).
+//! symbol range (a caller that knows it, as SZ does, skips that pass) and
+//! the segments that can hold a run, only those are collapsed into
+//! scratch, the histogram counts into the dense `[min, max]` window and
+//! collects only the slots it touched, and the payload loop writes two to
+//! four packed `(code, len)` words per 64-bit store straight into the
+//! output's tail ([`encode_multi_with`]).
 //!
 //! Both directions carry reusable scratch state ([`DecodeScratch`],
 //! [`EncodeScratch`]) so steady-state coding performs no per-call
@@ -56,9 +62,35 @@ use crate::traits::{read_len_u32, read_len_u64, read_u8, CompressError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Widest fast decode table (bits); a block whose longest code is shorter
-/// builds a table of that code's width.
-pub const PEEK: u32 = 13;
+/// Widest first-level decode table (bits); a block whose longest code is
+/// shorter builds a table of that code's width.  `2^11` entries of 8 bytes
+/// are 16 KiB, so the table stays in L1 beside the payload and the output.
+pub const PEEK: u32 = 11;
+
+/// Symbols a lane commits per 57-bit window in the interleaved decode loop:
+/// that many codes of at most [`PEEK`] bits always fit the window.
+const ROUND: usize = 57 / PEEK as usize;
+
+/// Widest second-level table (bits past [`PEEK`]): codes of up to
+/// `PEEK + SUB_BITS` bits resolve in two lookups.
+const SUB_BITS: u32 = 12;
+
+/// Most second-level entries one block builds (64 KiB); prefixes past the
+/// budget, and codes longer than `PEEK + SUB_BITS`, take the canonical walk.
+const SUB_BUDGET: usize = 1 << 13;
+
+/// A first-level entry that commits no symbol: [`MISS`] alone sends the
+/// code to the canonical walk, and `MISS | width << SUB_SHIFT | offset`
+/// points into the second level.  A fast loop tests four lanes' entries
+/// for a miss with one OR.
+const MISS: u64 = 1 << 63;
+
+/// See [`MISS`].
+const SUB_SHIFT: u32 = 26;
+
+/// Symbols per lane the fused decode ([`Block::decode_each`]) holds at a
+/// time: four lanes of 1 Ki `u32` are 16 KiB, beside the 16 KiB table.
+const CHUNK: usize = 1 << 10;
 
 /// Marker symbol standing for "a run follows" after RLE.
 pub const RUN_MARKER: u32 = u32::MAX;
@@ -86,15 +118,19 @@ fn bitrev(v: u64, len: u8) -> u64 {
     v.reverse_bits() >> (64 - len as u32)
 }
 
-/// Reusable decoder state: the prefix table, canonical decode arrays, and
-/// the intermediate symbol buffer for RLE expansion.  Obtain one via
-/// `Default` (or as part of [`crate::CodecScratch`]) and pass it to
-/// [`decode_multi_into`]; buffers grow to the high-water mark and stay there.
+/// Reusable decoder state: the prefix tables, canonical decode arrays, and
+/// the intermediate symbol buffers for RLE expansion and the fused decode.
+/// Obtain one via `Default` (or as part of [`crate::CodecScratch`]) and pass
+/// it to [`decode_multi_into`]; buffers grow to the high-water mark and
+/// stay there.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// `2^min(PEEK, max_len)` packed entries `len << 32 | sym` (one `u64`
-    /// load per lookup); length 0 = slow path.
-    table64: Vec<u64>,
+    /// First level: `2^min(PEEK, max_len)` entries, each `len << 32 | sym`
+    /// (one `u64` load per lookup) or a [`MISS`].
+    table: Vec<u64>,
+    /// Second level: `len << 32 | sym` (full code length) by the bits
+    /// after the first [`PEEK`]; 0 = slow path.
+    sub: Vec<u64>,
     /// Parsed `(symbol, length)` pairs in canonical order.
     lengths: Vec<(u32, u8)>,
     /// Per-length first canonical code.
@@ -109,6 +145,8 @@ pub struct DecodeScratch {
     transformed: Vec<u32>,
     /// Parsed run lengths.
     runs: Vec<u32>,
+    /// The fused decode's per-lane symbol chunks, [`CHUNK`] apart.
+    chunks: Vec<u32>,
 }
 
 /// Reusable encoder state, grow-only: the block writer's frequency window,
@@ -116,8 +154,8 @@ pub struct DecodeScratch {
 /// that feeds it (see [`with_encode_scratch`]).
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
-    /// Dense frequency window; all-zero between calls.
-    freq: Vec<u64>,
+    /// The block's histogram.
+    hist: Histogram,
     /// Packed `code << 6 | len` per window slot, the run marker's entry
     /// one past the window.
     lut: Vec<u64>,
@@ -131,6 +169,19 @@ pub struct EncodeScratch {
     pub(crate) lattice: Vec<i32>,
     /// The calling backend's escaped values, segment by segment (SZ).
     pub(crate) outliers: Vec<f32>,
+}
+
+/// A block's histogram and the grow-only tables that collect it.
+#[derive(Debug, Default)]
+struct Histogram {
+    /// Dense frequency window; all-zero between calls.
+    counts: Vec<u32>,
+    /// Window slots in the order their counts left zero.
+    touched: Vec<u32>,
+    /// One bit per window slot of `touched`; all-zero between calls.
+    seen: Vec<u64>,
+    /// `(symbol, frequency)` in ascending symbol order.
+    sorted: Vec<(u32, u64)>,
 }
 
 thread_local! {
@@ -147,7 +198,9 @@ pub(crate) fn with_encode_scratch<R>(f: impl FnOnce(&mut EncodeScratch) -> R) ->
 
 /// Flag-byte value marking a raw fixed-width (16-bit) symbol payload in
 /// the multi-stream block: no code table, no RLE, symbols stored as `u16`
-/// little-endian.  Values `0`/`1` remain the Huffman payload's RLE flag.
+/// little-endian.  Values `0`/`1` are the Huffman payload's: `1` says the
+/// input is free of the run marker, so runs may be collapsed (a run-free
+/// block says 1 too), and `0` that it uses the marker as data.
 pub const FLAG_RAW16: u8 = 2;
 
 /// Estimated size in bytes of the Huffman-coded block for a collapsed
@@ -222,15 +275,15 @@ struct Scan {
 const RUN_STRIDE: usize = 8;
 const RUN_SAMPLES: usize = MIN_RUN / RUN_STRIDE;
 
-/// Range and run candidacy of `seg`: one vectorisable min/max pass and one
-/// pass over every [`RUN_STRIDE`]-th symbol.  [`RUN_MARKER`] is `u32::MAX`,
-/// so `max` also says whether the segment uses the marker as data.
-fn scan_segment(seg: &[u32]) -> Scan {
-    let (mut min, mut max) = (u32::MAX, 0u32);
-    for &v in seg {
-        min = min.min(v);
-        max = max.max(v);
-    }
+/// Range and run candidacy of `seg`: one vectorisable min/max pass —
+/// skipped when the caller vouches for a `range` — and one pass over every
+/// [`RUN_STRIDE`]-th symbol.  [`RUN_MARKER`] is `u32::MAX`, so `max` also
+/// says whether the segment uses the marker as data.
+fn scan_segment(seg: &[u32], range: Option<(u32, u32)>) -> Scan {
+    let (min, max) = range.unwrap_or_else(|| {
+        seg.iter()
+            .fold((u32::MAX, 0), |(min, max), &v| (min.min(v), max.max(v)))
+    });
     let mut maybe_run = false;
     let mut streak = 1usize;
     let mut samples = seg.iter().step_by(RUN_STRIDE);
@@ -260,9 +313,12 @@ fn scan_segment(seg: &[u32]) -> Scan {
 /// concatenated payloads
 /// ```
 ///
-/// `flag` is `0`/`1` (Huffman payload, RLE off/on) or [`FLAG_RAW16`]:
-/// raw payloads store the original symbols as fixed-width `u16`
-/// little-endian with no runs and **no code-table section** (the
+/// `flag` is `1` (Huffman payload, runs allowed: the input is free of the
+/// run marker, so every segment may collapse its runs — a run-free block
+/// still says 1 and declares 0 runs per segment), `0` (Huffman payload of
+/// an input that uses [`RUN_MARKER`] as data, so nothing is collapsed) or
+/// [`FLAG_RAW16`]: raw payloads store the original symbols as fixed-width
+/// `u16` little-endian with no runs and **no code-table section** (the
 /// `n_distinct` field and table are absent; payload lengths follow the
 /// per-stream headers directly).  The encoder picks raw16 when the
 /// histogram says Huffman cannot beat 16 bits/symbol — the incompressible
@@ -275,15 +331,40 @@ fn scan_segment(seg: &[u32]) -> Scan {
 /// (This is the behaviour that makes real SZ's decompression fast at loose
 /// tolerances, the Fig. 7 regime.)  Runs are collapsed **per segment**, so
 /// a run marker never leads a sub-stream and expansion needs no cross-lane
-/// state; RLE is skipped entirely if the input ever uses the marker value
-/// itself.
+/// state.
 ///
 /// Before anything is copied, [`scan_segment`] finds the block's symbol
 /// range, whether the marker occurs as data, and which segments can hold a
-/// run at all.  Only those segments are copied
-/// (collapsed) into scratch; the rest are counted and coded straight from
-/// the caller's slices.
+/// run at all.  Only those segments are copied (collapsed) into scratch;
+/// the rest are counted and coded straight from the caller's slices.
 pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeScratch) {
+    encode_in_range(segments, None, out, s);
+}
+
+/// [`encode_multi_with`] for symbols the caller knows are all below
+/// `bound` (SZ's are below `2^16` by construction): the window is
+/// `[0, bound)` and the pre-scan only samples for runs.  The bytes do not
+/// depend on the window, so they are [`encode_multi_with`]'s.
+pub(crate) fn encode_multi_below(
+    segments: &[&[u32]],
+    bound: u32,
+    out: &mut Vec<u8>,
+    s: &mut EncodeScratch,
+) {
+    debug_assert!(segments
+        .iter()
+        .all(|seg| seg.iter().all(|&sym| sym < bound)));
+    encode_in_range(segments, Some((0, bound - 1)), out, s);
+}
+
+/// The block writer over symbols in `range`, or in the range the pre-scan
+/// finds.
+fn encode_in_range(
+    segments: &[&[u32]],
+    range: Option<(u32, u32)>,
+    out: &mut Vec<u8>,
+    s: &mut EncodeScratch,
+) {
     let _span = errflow_obs::trace::span("codec.huffman.encode_multi");
     let n_streams = segments.len();
     assert!(
@@ -295,16 +376,17 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
     out.push(n_streams as u8);
 
     let EncodeScratch {
-        freq,
+        hist,
         lut,
         transformed,
         runs,
         ..
     } = s;
+    let scan_span = errflow_obs::trace::span("codec.huffman.scan");
     let mut maybe_run = [false; MAX_STREAMS];
     let (mut min, mut max) = (u32::MAX, 0u32);
     for (flag, seg) in maybe_run.iter_mut().zip(segments) {
-        let scan = scan_segment(seg);
+        let scan = scan_segment(seg, range);
         min = min.min(scan.min);
         max = max.max(scan.max);
         *flag = scan.maybe_run;
@@ -337,20 +419,29 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
         };
     }
     let sources = &sources[..n_streams];
+    drop(scan_span);
 
     // Histogram once, then pick the payload mode: the same frequencies
     // feed either the raw16 decision (incompressible inputs skip the tree
-    // build and bit-packing entirely) or the Huffman tree below.
-    let dense = rle_ok && n_original > 0 && ((max - min) as usize) < DENSE_SYMS;
+    // build and bit-packing entirely) or the Huffman tree below.  The
+    // window counts are `u32`, so a dense block holds fewer than 2^32
+    // symbols.
+    let hist_span = errflow_obs::trace::span("codec.huffman.histogram");
+    let dense = rle_ok
+        && n_original > 0
+        && n_original <= u32::MAX as usize
+        && ((max - min) as usize) < DENSE_SYMS;
     let window = if dense { (max - min) as usize + 1 } else { 0 };
-    let sorted = if n_original == 0 {
-        Vec::new()
+    if n_original == 0 {
+        hist.sorted.clear();
     } else if dense {
-        window_frequencies(sources, min, window, runs.len(), freq)
+        window_frequencies(sources, min, window, runs.len(), hist);
     } else {
-        hashed_frequencies(sources)
-    };
-    if choose_raw16(rle_ok, &sorted, n_original, runs.len()) {
+        hist.sorted = hashed_frequencies(sources);
+    }
+    let sorted = &hist.sorted;
+    drop(hist_span);
+    if choose_raw16(rle_ok, sorted, n_original, runs.len()) {
         out.push(FLAG_RAW16);
         for seg in segments {
             out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
@@ -387,21 +478,26 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
         return;
     }
 
-    let lengths = code_lengths_from_sorted(&sorted);
+    let code_span = errflow_obs::trace::span("codec.huffman.code");
+    let lengths = code_lengths_from_sorted(sorted);
     out.extend_from_slice(&(lengths.len() as u32).to_le_bytes());
     for &(sym, len) in &lengths {
         out.extend_from_slice(&sym.to_le_bytes());
         out.push(len);
     }
+    let max_len = lengths.last().map_or(0, |&(_, len)| len);
+    if dense && max_len <= PACKED_MAX_LEN {
+        build_packed_lut(&lengths, min, window, lut);
+    }
+    drop(code_span);
 
+    let _payload_span = errflow_obs::trace::span("codec.huffman.payload");
     // Payload lengths precede the payloads, so their slots are reserved
     // here and filled in once each payload's end is known.
     let lens_at = out.len();
     out.resize(lens_at + 8 * n_streams, 0);
     let mut payload_lens = [0u64; MAX_STREAMS];
-    let max_len = lengths.last().map_or(0, |&(_, len)| len);
     if dense && max_len <= PACKED_MAX_LEN {
-        build_packed_lut(&lengths, min, window, lut);
         let lut = &lut[..=window];
         // Exact size of all payloads from the histogram; each sub-stream
         // pads to a whole byte and the writer stores eight bytes at a time.
@@ -411,8 +507,9 @@ pub fn encode_multi_with(segments: &[&[u32]], out: &mut Vec<u8>, s: &mut EncodeS
             .sum();
         let mut pos = out.len();
         out.resize(pos + (bits / 8) as usize + n_streams + 8, 0);
+        let markers = !runs.is_empty();
         for (len, symbols) in payload_lens.iter_mut().zip(sources) {
-            let end = write_packed(out, pos, symbols, min, lut);
+            let end = write_payload(out, pos, symbols, min, lut, max_len, markers);
             *len = (end - pos) as u64;
             pos = end;
         }
@@ -467,42 +564,77 @@ fn rle_collapse(symbols: &[u32], transformed: &mut Vec<u32>, runs: &mut Vec<u32>
     transformed.extend_from_slice(&symbols[literal_from..]);
 }
 
-/// Symbol frequencies in ascending symbol order, counted into the dense
-/// window `[min, min + window)`.  `sources` hold no symbol outside it but
-/// [`RUN_MARKER`], which the slice lookup skips and `n_runs` accounts for
-/// (one marker per run).
+/// Symbol frequencies in ascending symbol order into `h.sorted`, counted
+/// into the dense window `[min, min + window)`.  `sources` hold no symbol
+/// outside it but [`RUN_MARKER`], which the slice lookup skips and `n_runs`
+/// accounts for (one marker per run).
 ///
-/// `freq` is grow-only, all-zero scratch: the collection pass below zeroes
-/// each slot it reads, so a call touches the window and nothing else.
+/// The cost is the symbols plus the distinct symbols, not the window (SZ's
+/// is the whole 16-bit range: a handful of segment-start symbols stretch
+/// any block's that far).  A count leaving zero lists its slot; the list
+/// sets one bit per slot in a bitmap, and the collection reads the bitmap
+/// between the first and last word it set, in ascending order, taking
+/// and zeroing each listed count, so the grow-only tables are all-zero
+/// again between calls.  (Reading the whole window for nonzero counts
+/// instead, 64 slots per vectorised test, measured as fast only while the
+/// 256 KiB table sat in cache; between served requests it does not.)
 fn window_frequencies(
     sources: &[&[u32]],
     min: u32,
     window: usize,
     n_runs: usize,
-    freq: &mut Vec<u64>,
-) -> Vec<(u32, u64)> {
-    if freq.len() < window {
-        freq.resize(window, 0);
+    h: &mut Histogram,
+) {
+    // Growing allocates afresh: zeroed memory from the allocator is only
+    // touched where a symbol lands, where a resize would write the whole
+    // window on a thread's first block.
+    if h.counts.len() < window {
+        h.counts = vec![0; window];
     }
-    let counts = &mut freq[..window];
+    let counts = &mut h.counts[..window];
+    let touched = &mut h.touched;
+    touched.clear();
     for symbols in sources {
         for &sym in *symbols {
-            if let Some(slot) = counts.get_mut(sym.wrapping_sub(min) as usize) {
-                *slot += 1;
+            let slot = sym.wrapping_sub(min);
+            if let Some(count) = counts.get_mut(slot as usize) {
+                if *count == 0 {
+                    touched.push(slot);
+                }
+                *count += 1;
             }
         }
     }
-    let mut sorted: Vec<(u32, u64)> = Vec::new();
-    for (i, slot) in counts.iter_mut().enumerate() {
-        if *slot != 0 {
-            sorted.push((min + i as u32, std::mem::take(slot)));
+    let words = window.div_ceil(64);
+    if h.seen.len() < words {
+        h.seen = vec![0; words];
+    }
+    let seen = &mut h.seen[..words];
+    let (mut lo, mut hi) = (words, 0);
+    for &slot in touched.iter() {
+        let w = slot as usize / 64;
+        seen[w] |= 1 << (slot % 64);
+        (lo, hi) = (lo.min(w), hi.max(w));
+    }
+    h.sorted.clear();
+    // Only the words between the first and the last touched one: a block
+    // of a few symbols in a window its caller sized for 2^16 reads a few
+    // words, not a thousand.
+    for (w, word) in seen.iter_mut().enumerate().take(hi + 1).skip(lo) {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let slot = 64 * w + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            h.sorted.push((
+                min + slot as u32,
+                u64::from(std::mem::take(&mut counts[slot])),
+            ));
         }
     }
     if n_runs > 0 {
         // RUN_MARKER is u32::MAX: appending keeps ascending order.
-        sorted.push((RUN_MARKER, n_runs as u64));
+        h.sorted.push((RUN_MARKER, n_runs as u64));
     }
-    sorted
 }
 
 /// [`window_frequencies`] for blocks too spread out for a dense window
@@ -535,7 +667,8 @@ fn lut_slot(sym: u32, min: u32, window: usize) -> usize {
 /// in this block's `lengths` and is overwritten here.
 fn build_packed_lut(lengths: &[(u32, u8)], min: u32, window: usize, lut: &mut Vec<u64>) {
     if lut.len() <= window {
-        lut.resize(window + 1, 0);
+        // Afresh, not resized: see `window_frequencies`.
+        *lut = vec![0; window + 1];
     }
     let mut code = 0u64;
     let mut prev_len = 0u8;
@@ -547,20 +680,65 @@ fn build_packed_lut(lengths: &[(u32, u8)], min: u32, window: usize, lut: &mut Ve
     }
 }
 
+/// Codes per payload store for a block whose longest code is `max_len`
+/// bits: as many as fit a 64-bit accumulator behind seven pending bits
+/// with one bit to spare — so the accumulator never holds all 64 and the
+/// shift that drops the stored bytes stays below 64 — from two (codes of
+/// up to [`PACKED_MAX_LEN`] bits) to four.
+fn codes_per_store(max_len: u8) -> u32 {
+    (56 / u32::from(max_len.max(1))).clamp(2, 4)
+}
+
+/// [`write_packed`] at [`codes_per_store`] for a block whose longest code
+/// is `max_len` bits, looking the run marker up only if the block has
+/// `markers`.
+fn write_payload(
+    out: &mut [u8],
+    pos: usize,
+    symbols: &[u32],
+    min: u32,
+    lut: &[u64],
+    max_len: u8,
+    markers: bool,
+) -> usize {
+    match (codes_per_store(max_len), markers) {
+        (4, false) => write_packed::<4, false>(out, pos, symbols, min, lut),
+        (3, false) => write_packed::<3, false>(out, pos, symbols, min, lut),
+        (_, false) => write_packed::<2, false>(out, pos, symbols, min, lut),
+        (4, true) => write_packed::<4, true>(out, pos, symbols, min, lut),
+        (3, true) => write_packed::<3, true>(out, pos, symbols, min, lut),
+        (_, true) => write_packed::<2, true>(out, pos, symbols, min, lut),
+    }
+}
+
 /// Codes one sub-stream through the packed lookup straight into
 /// `out[pos..]`, which the caller sized for it; returns the payload's end.
-/// Two codes at a time go into a 64-bit accumulator behind at most seven
-/// pending bits (hence [`PACKED_MAX_LEN`]); it is stored whole and keeps
-/// the bits of its last partial byte — the bytes [`BitWriter`] would
-/// produce, without the staging buffers.
-fn write_packed(out: &mut [u8], mut pos: usize, symbols: &[u32], min: u32, lut: &[u64]) -> usize {
+/// `K` codes at a time go into a 64-bit accumulator behind at most seven
+/// pending bits ([`codes_per_store`]); it is stored whole and keeps the
+/// bits of its last partial byte — the bytes [`BitWriter`] would produce,
+/// without the staging buffers.  Without `MARKERS` every symbol is inside
+/// the window and its offset is its slot.
+fn write_packed<const K: usize, const MARKERS: bool>(
+    out: &mut [u8],
+    mut pos: usize,
+    symbols: &[u32],
+    min: u32,
+    lut: &[u64],
+) -> usize {
     let window = lut.len() - 1;
+    let slot = |sym: u32| {
+        if MARKERS {
+            lut_slot(sym, min, window)
+        } else {
+            sym.wrapping_sub(min) as usize
+        }
+    };
     let mut acc = 0u64;
     let mut nbits = 0u32;
-    let mut pairs = symbols.chunks_exact(2);
-    for pair in &mut pairs {
-        for &sym in pair {
-            let entry = lut[lut_slot(sym, min, window)];
+    let mut groups = symbols.chunks_exact(K);
+    for group in &mut groups {
+        for &sym in group {
+            let entry = lut[slot(sym)];
             acc |= (entry >> 6) << nbits;
             nbits += (entry & 63) as u32;
         }
@@ -569,8 +747,8 @@ fn write_packed(out: &mut [u8], mut pos: usize, symbols: &[u32], min: u32, lut: 
         acc >>= nbits & !7;
         nbits &= 7;
     }
-    if let [sym] = *pairs.remainder() {
-        let entry = lut[lut_slot(sym, min, window)];
+    for &sym in groups.remainder() {
+        let entry = lut[slot(sym)];
         acc |= (entry >> 6) << nbits;
         nbits += (entry & 63) as u32;
     }
@@ -701,15 +879,15 @@ fn parse_code_table(
     Ok(max_len)
 }
 
-/// Builds the canonical decode arrays and the packed prefix table in one
-/// pass over the canonical code assignment in `s.lengths`.  The table is
-/// `2^min(PEEK, max_len)` entries wide: a block whose longest code is
-/// shorter than [`PEEK`] — every small payload, whose alphabet is a dozen
-/// symbols — fills a table of that width, not the full 64 KiB one.
+/// Builds the canonical decode arrays and both prefix-table levels in one
+/// pass over the canonical code assignment in `s.lengths`.  The first level
+/// is `2^min(PEEK, max_len)` entries wide: a block whose longest code is
+/// shorter than [`PEEK`] — every small payload — fills a table of that
+/// width.  Longer codes go to the second level ([`build_second_level`]).
 fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8) {
     let table_bits = PEEK.min(max_len as u32);
-    s.table64.clear();
-    s.table64.resize(1 << table_bits, 0);
+    s.table.clear();
+    s.table.resize(1 << table_bits, MISS);
     s.first_code.clear();
     s.first_code.resize(max_len as usize + 1, 0);
     s.count.clear();
@@ -719,6 +897,7 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8) {
     s.syms.clear();
     let mut code = 0u64;
     let mut prev_len = 0u8;
+    let mut first_long = s.lengths.len();
     for (i, &(sym, len)) in s.lengths.iter().enumerate() {
         // wrapping_shl: a Kraft-valid but corrupt table can open with a
         // 64-bit code; decode then yields garbage (rejected downstream)
@@ -733,10 +912,12 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8) {
         if (len as u32) <= table_bits {
             let packed = ((len as u64) << 32) | sym as u64;
             let mut idx = bitrev(code, len) as usize;
-            while idx < s.table64.len() {
-                s.table64[idx] = packed;
+            while idx < s.table.len() {
+                s.table[idx] = packed;
                 idx += 1usize << len;
             }
+        } else if first_long == s.lengths.len() {
+            first_long = i;
         }
         // wrapping_add: a Kraft-*complete* table whose last code is the
         // all-ones 64-bit code makes this final increment wrap; the
@@ -744,6 +925,57 @@ fn build_canon_arrays(s: &mut DecodeScratch, max_len: u8) {
         // that would assign a code past it).
         code = code.wrapping_add(1);
         prev_len = len;
+    }
+    build_second_level(s, first_long);
+}
+
+/// Second-level tables for the codes longer than [`PEEK`] bits, which
+/// start at canonical position `first_long`.  Codes that share their first
+/// [`PEEK`] bits are consecutive in canonical order and the last is the
+/// longest, so each such prefix gets one table as wide as that code's
+/// remaining bits, and its first-level entry points there.  A prefix wider
+/// than [`SUB_BITS`] or past [`SUB_BUDGET`] keeps the bare [`MISS`]: its
+/// codes take the canonical walk.
+fn build_second_level(s: &mut DecodeScratch, first_long: usize) {
+    s.sub.clear();
+    let code_at = |s: &DecodeScratch, i: usize| {
+        let len = s.lengths[i].1;
+        let code =
+            s.first_code[len as usize].wrapping_add(u64::from(i as u32 - s.offset[len as usize]));
+        (code, len as u32)
+    };
+    let mut i = first_long;
+    while i < s.lengths.len() {
+        let (code, len) = code_at(s, i);
+        let prefix = code >> (len - PEEK);
+        let mut end = i + 1;
+        let mut longest = len;
+        while end < s.lengths.len() {
+            let (c, l) = code_at(s, end);
+            if c >> (l - PEEK) != prefix {
+                break;
+            }
+            longest = l;
+            end += 1;
+        }
+        let width = longest - PEEK;
+        let at = s.sub.len();
+        if width <= SUB_BITS && at + (1 << width) <= SUB_BUDGET {
+            s.sub.resize(at + (1 << width), 0);
+            for k in i..end {
+                let (c, l) = code_at(s, k);
+                let rest = (l - PEEK) as u8;
+                let packed = (u64::from(l) << 32) | u64::from(s.lengths[k].0);
+                let mut idx = bitrev(c, rest) as usize;
+                while idx < 1 << width {
+                    s.sub[at + idx] = packed;
+                    idx += 1usize << rest;
+                }
+            }
+            s.table[bitrev(prefix, PEEK as u8) as usize] =
+                MISS | (u64::from(width) << SUB_SHIFT) | at as u64;
+        }
+        i = end;
     }
 }
 
@@ -759,6 +991,38 @@ struct SubStream {
     /// `(byte offset, byte length)` of this sub-stream's payload within
     /// the shared payload region.
     payload: (usize, usize),
+}
+
+/// How a parsed block's payloads decode.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// No symbols at all.
+    Empty,
+    /// Raw 16-bit symbols ([`FLAG_RAW16`]).
+    Raw16,
+    /// Huffman codes that decode straight into the output: a flag-0 block,
+    /// or a flag-1 block that declares no runs, whose every sub-stream's
+    /// symbol count is its output count, and whose code table lacks the
+    /// run marker — so expansion would copy every symbol as it is.
+    Direct,
+    /// Huffman codes with runs to expand, through
+    /// `DecodeScratch::transformed`.
+    Staged,
+}
+
+/// A multi-stream block parsed up to its payloads: every declared count
+/// checked against the bytes present, the code table read and the decode
+/// tables built.
+pub(crate) struct Block<'a> {
+    /// The concatenated payloads.
+    payload: &'a [u8],
+    subs: [SubStream; MAX_STREAMS],
+    n_streams: usize,
+    n_original: usize,
+    /// Bytes of the stream the block occupies.
+    consumed: usize,
+    mode: Mode,
+    max_len: u8,
 }
 
 /// Decodes a multi-stream block produced by [`encode_multi`].  Returns the
@@ -787,214 +1051,364 @@ pub fn decode_multi_into(
 ) -> Result<usize, CompressError> {
     let _span = errflow_obs::trace::span("codec.huffman.decode_multi");
     out.clear();
-    let mut pos = 0usize;
-    let n_original = read_len_u64(stream, &mut pos, "n_original")?;
-    let n_streams = read_u8(stream, &mut pos, "stream count")? as usize;
-    if n_streams == 0 || n_streams > MAX_STREAMS {
-        return Err(CompressError::CorruptStream(format!(
-            "sub-stream count {n_streams} outside 1..={MAX_STREAMS}"
-        )));
-    }
-    let flag = read_u8(stream, &mut pos, "payload flag")?;
-    if flag > FLAG_RAW16 {
-        return Err(CompressError::CorruptStream(format!(
-            "unknown payload flag {flag}"
-        )));
-    }
-    let raw16 = flag == FLAG_RAW16;
-    let rle_used = flag == 1;
-    s.runs.clear();
-    let mut subs = [SubStream::default(); MAX_STREAMS];
-    let subs = &mut subs[..n_streams];
-    let mut sum_original = 0usize;
-    let mut sum_symbols = 0usize;
-    for sub in subs.iter_mut() {
-        let n_orig_s = read_len_u64(stream, &mut pos, "sub-stream n_original")?;
-        let n_runs = read_len_u32(stream, &mut pos, "sub-stream n_runs")?;
-        // Every run costs at least one varint byte: reject forged counts
-        // before reserving anything.
-        if n_runs > stream.len() - pos {
+    let block = Block::parse(stream, s)?;
+    block.decode_into(s, out)?;
+    Ok(block.consumed)
+}
+
+impl<'a> Block<'a> {
+    /// Parses `stream`'s block header, code table and payload bounds into
+    /// `s`'s decode tables.
+    pub(crate) fn parse(stream: &'a [u8], s: &mut DecodeScratch) -> Result<Self, CompressError> {
+        let _span = errflow_obs::trace::span("codec.huffman.table");
+        let mut pos = 0usize;
+        let n_original = read_len_u64(stream, &mut pos, "n_original")?;
+        let n_streams = read_u8(stream, &mut pos, "stream count")? as usize;
+        if n_streams == 0 || n_streams > MAX_STREAMS {
+            return Err(CompressError::CorruptStream(format!(
+                "sub-stream count {n_streams} outside 1..={MAX_STREAMS}"
+            )));
+        }
+        let flag = read_u8(stream, &mut pos, "payload flag")?;
+        if flag > FLAG_RAW16 {
+            return Err(CompressError::CorruptStream(format!(
+                "unknown payload flag {flag}"
+            )));
+        }
+        let raw16 = flag == FLAG_RAW16;
+        let runs_allowed = flag == 1;
+        s.runs.clear();
+        let mut subs = [SubStream::default(); MAX_STREAMS];
+        let mut sum_original = 0usize;
+        let mut sum_symbols = 0usize;
+        for sub in subs[..n_streams].iter_mut() {
+            let n_orig_s = read_len_u64(stream, &mut pos, "sub-stream n_original")?;
+            let n_runs = read_len_u32(stream, &mut pos, "sub-stream n_runs")?;
+            // Every run costs at least one varint byte: reject forged counts
+            // before reserving anything.
+            if n_runs > stream.len() - pos {
+                return Err(CompressError::CorruptStream(
+                    "declared run count exceeds stream length".into(),
+                ));
+            }
+            let runs_start = s.runs.len();
+            s.runs
+                .reserve(crate::traits::safe_capacity(n_runs, stream.len()));
+            for _ in 0..n_runs {
+                s.runs.push(read_varint(stream, &mut pos)?);
+            }
+            let n_sym = read_len_u64(stream, &mut pos, "sub-stream n_symbols")?;
+            // Transformed-length accounting: without runs, the payload
+            // decodes to exactly `n_original` symbols; with them, every
+            // transformed symbol except run markers (at most one per run)
+            // emits at least one output symbol.  Reject inconsistent
+            // headers before any table allocation.
+            if !runs_allowed && n_sym != n_orig_s {
+                return Err(CompressError::CorruptStream(
+                    "symbol count disagrees with declared output length".into(),
+                ));
+            }
+            if runs_allowed && n_sym > n_orig_s.saturating_add(n_runs) {
+                return Err(CompressError::CorruptStream(
+                    "symbol count exceeds declared output length plus runs".into(),
+                ));
+            }
+            sum_original = sum_original.checked_add(n_orig_s).ok_or_else(|| {
+                CompressError::CorruptStream("sub-stream output lengths overflow".into())
+            })?;
+            sum_symbols = sum_symbols.checked_add(n_sym).ok_or_else(|| {
+                CompressError::CorruptStream("sub-stream symbol counts overflow".into())
+            })?;
+            *sub = SubStream {
+                n_original: n_orig_s,
+                n_symbols: n_sym,
+                runs: (runs_start, s.runs.len()),
+                payload: (0, 0),
+            };
+        }
+        if sum_original != n_original {
             return Err(CompressError::CorruptStream(
-                "declared run count exceeds stream length".into(),
+                "sub-stream output lengths don't sum to the declared total".into(),
             ));
         }
-        let runs_start = s.runs.len();
-        s.runs
-            .reserve(crate::traits::safe_capacity(n_runs, stream.len()));
-        for _ in 0..n_runs {
-            s.runs.push(read_varint(stream, &mut pos)?);
-        }
-        let n_sym = read_len_u64(stream, &mut pos, "sub-stream n_symbols")?;
-        // Transformed-length accounting: without RLE, the payload decodes
-        // to exactly `n_original` symbols; with RLE, every transformed
-        // symbol except run markers (at most one per run) emits at least
-        // one output symbol.  Reject inconsistent headers before any table
-        // allocation.
-        if !rle_used && n_sym != n_orig_s {
-            return Err(CompressError::CorruptStream(
-                "symbol count disagrees with declared output length".into(),
-            ));
-        }
-        if rle_used && n_sym > n_orig_s.saturating_add(n_runs) {
-            return Err(CompressError::CorruptStream(
-                "symbol count exceeds declared output length plus runs".into(),
-            ));
-        }
-        sum_original = sum_original.checked_add(n_orig_s).ok_or_else(|| {
-            CompressError::CorruptStream("sub-stream output lengths overflow".into())
-        })?;
-        sum_symbols = sum_symbols.checked_add(n_sym).ok_or_else(|| {
-            CompressError::CorruptStream("sub-stream symbol counts overflow".into())
-        })?;
-        *sub = SubStream {
-            n_original: n_orig_s,
-            n_symbols: n_sym,
-            runs: (runs_start, s.runs.len()),
-            payload: (0, 0),
+        let mut block = Block {
+            payload: &[],
+            subs,
+            n_streams,
+            n_original,
+            consumed: 0,
+            mode: Mode::Empty,
+            max_len: 0,
         };
-    }
-    if sum_original != n_original {
-        return Err(CompressError::CorruptStream(
-            "sub-stream output lengths don't sum to the declared total".into(),
-        ));
-    }
-    if raw16 {
-        // Raw fixed-width payload: no code-table section.  The shared
-        // header loop already enforced `n_symbols_s == n_original_s` per
-        // stream (the flag is not the RLE flag), so only the run tables
-        // and payload byte lengths need checking here.
-        if !s.runs.is_empty() {
+        let subs = &mut block.subs[..n_streams];
+        if raw16 {
+            // Raw fixed-width payload: no code-table section.  The shared
+            // header loop already enforced `n_symbols_s == n_original_s` per
+            // stream (the flag is not 1), so only the run tables and payload
+            // byte lengths need checking here.
+            if !s.runs.is_empty() {
+                return Err(CompressError::CorruptStream(
+                    "raw16 payload with run tables".into(),
+                ));
+            }
+            let mut total_payload = 0usize;
+            for sub in subs.iter_mut() {
+                let l = read_len_u64(stream, &mut pos, "sub-stream payload length")?;
+                if l != 2 * sub.n_symbols {
+                    return Err(CompressError::CorruptStream(
+                        "raw16 payload length disagrees with symbol count".into(),
+                    ));
+                }
+                sub.payload = (total_payload, l);
+                total_payload = total_payload.checked_add(l).ok_or_else(|| {
+                    CompressError::CorruptStream("sub-stream payload lengths overflow".into())
+                })?;
+            }
+            block.payload = stream
+                .get(pos..)
+                .and_then(|rest| rest.get(..total_payload))
+                .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
+            block.consumed = pos + total_payload;
+            block.mode = Mode::Raw16;
+            return Ok(block);
+        }
+        let n_distinct = read_len_u32(stream, &mut pos, "n_distinct")?;
+        if sum_symbols == 0 {
+            if n_original != 0 {
+                return Err(CompressError::CorruptStream(
+                    "empty payload for nonempty stream".into(),
+                ));
+            }
+            if n_distinct != 0 {
+                return Err(CompressError::CorruptStream(
+                    "code table without symbols".into(),
+                ));
+            }
+            for _ in 0..n_streams {
+                if read_len_u64(stream, &mut pos, "sub-stream payload length")? != 0 {
+                    return Err(CompressError::CorruptStream(
+                        "payload bytes without symbols".into(),
+                    ));
+                }
+            }
+            block.consumed = pos;
+            return Ok(block);
+        }
+        if n_distinct == 0 {
             return Err(CompressError::CorruptStream(
-                "raw16 payload with run tables".into(),
+                "nonempty payload with empty alphabet".into(),
             ));
         }
+        block.max_len = parse_code_table(stream, &mut pos, s, n_distinct)?;
+        build_canon_arrays(s, block.max_len);
+
         let mut total_payload = 0usize;
         for sub in subs.iter_mut() {
             let l = read_len_u64(stream, &mut pos, "sub-stream payload length")?;
-            if l != 2 * sub.n_symbols {
-                return Err(CompressError::CorruptStream(
-                    "raw16 payload length disagrees with symbol count".into(),
-                ));
-            }
             sub.payload = (total_payload, l);
             total_payload = total_payload.checked_add(l).ok_or_else(|| {
                 CompressError::CorruptStream("sub-stream payload lengths overflow".into())
             })?;
         }
-        let payload = stream
+        // Overflow-proof bounds check: slice from `pos` first, then take
+        // `total_payload` — `pos + total_payload` is never materialised.
+        block.payload = stream
             .get(pos..)
             .and_then(|rest| rest.get(..total_payload))
             .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
-        // total_payload == 2·n_original was just verified against the
-        // stream, so this resize is bounded by the input's actual size.
-        out.resize(n_original, 0);
-        let mut dst = out.as_mut_slice();
-        let mut rest = payload;
-        for sub in subs.iter() {
-            let (bytes, tail) = rest.split_at(sub.payload.1);
-            rest = tail;
-            let (head, dst_tail) = dst.split_at_mut(sub.n_symbols);
-            dst = dst_tail;
-            for (slot, pair) in head.iter_mut().zip(bytes.chunks_exact(2)) {
-                *slot = u32::from(u16::from_le_bytes([pair[0], pair[1]]));
-            }
-        }
-        return Ok(pos + total_payload);
-    }
-    let n_distinct = read_len_u32(stream, &mut pos, "n_distinct")?;
-    if sum_symbols == 0 {
-        if n_original != 0 {
-            return Err(CompressError::CorruptStream(
-                "empty payload for nonempty stream".into(),
-            ));
-        }
-        if n_distinct != 0 {
-            return Err(CompressError::CorruptStream(
-                "code table without symbols".into(),
-            ));
-        }
-        for _ in 0..n_streams {
-            if read_len_u64(stream, &mut pos, "sub-stream payload length")? != 0 {
-                return Err(CompressError::CorruptStream(
-                    "payload bytes without symbols".into(),
-                ));
-            }
-        }
-        return Ok(pos);
-    }
-    if n_distinct == 0 {
-        return Err(CompressError::CorruptStream(
-            "nonempty payload with empty alphabet".into(),
-        ));
-    }
-    let max_len = parse_code_table(stream, &mut pos, s, n_distinct)?;
-    build_canon_arrays(s, max_len);
-
-    let mut total_payload = 0usize;
-    let mut byte_cursor = 0usize;
-    for sub in subs.iter_mut() {
-        let l = read_len_u64(stream, &mut pos, "sub-stream payload length")?;
-        sub.payload = (byte_cursor, l);
-        total_payload = total_payload.checked_add(l).ok_or_else(|| {
-            CompressError::CorruptStream("sub-stream payload lengths overflow".into())
-        })?;
-        byte_cursor = total_payload;
-    }
-    // Overflow-proof bounds check: slice from `pos` first, then take
-    // `total_payload` — `pos + total_payload` is never materialised.
-    let payload = stream
-        .get(pos..)
-        .and_then(|rest| rest.get(..total_payload))
-        .ok_or_else(|| CompressError::CorruptStream("truncated payload".into()))?;
-    // Every decoded symbol consumes at least one bit of its own payload.
-    for sub in subs.iter() {
-        if sub.n_symbols > sub.payload.1.saturating_mul(8) {
+        // Every decoded symbol consumes at least one bit of its own payload.
+        if subs
+            .iter()
+            .any(|sub| sub.n_symbols > sub.payload.1.saturating_mul(8))
+        {
             return Err(CompressError::CorruptStream(
                 "declared symbol count exceeds payload bits".into(),
             ));
         }
+        block.consumed = pos + total_payload;
+        // A flag-0 block expands nothing (its header checks made every
+        // symbol count the output count); a flag-1 block whose expansion
+        // would copy every symbol as it is decodes the same way.
+        let direct = !runs_allowed
+            || (s.runs.is_empty()
+                && subs.iter().all(|sub| sub.n_symbols == sub.n_original)
+                && s.lengths.iter().all(|&(sym, _)| sym != RUN_MARKER));
+        block.mode = if direct { Mode::Direct } else { Mode::Staged };
+        Ok(block)
     }
-    let consumed = pos + total_payload;
 
-    let DecodeScratch {
-        table64,
-        first_code,
-        count,
-        offset,
-        syms,
-        transformed,
-        runs,
-        ..
-    } = s;
-    let canon = CanonicalArrays {
-        first_code,
-        count,
-        offset,
-        syms,
-        max_len,
-    };
-    let (subs, table64) = (&*subs, &**table64);
-    if rle_used {
-        transformed.clear();
-        // Bounded: each sub-stream's symbol count is capped at 8× its
-        // payload bytes above, so the sum is capped by the stream length.
-        transformed.resize(sum_symbols, 0);
-        decode_lanes(payload, subs, table64, &canon, transformed)?;
-        out.reserve(crate::traits::safe_capacity(
-            n_original,
-            transformed.len() * 4,
-        ));
-        let mut t_off = 0usize;
-        for sub in subs {
-            let seg = &transformed[t_off..t_off + sub.n_symbols];
-            t_off += sub.n_symbols;
-            rle_expand_segment(seg, &runs[sub.runs.0..sub.runs.1], sub.n_original, out)?;
-        }
-    } else {
-        out.resize(n_original, 0);
-        decode_lanes(payload, subs, table64, &canon, out)?;
+    /// Bytes of the stream the block occupies.
+    pub(crate) fn consumed(&self) -> usize {
+        self.consumed
     }
-    Ok(consumed)
+
+    /// The declared symbol count, checked against the sub-streams'.
+    pub(crate) fn n_original(&self) -> usize {
+        self.n_original
+    }
+
+    fn subs(&self) -> &[SubStream] {
+        &self.subs[..self.n_streams]
+    }
+
+    /// Decodes every symbol into `out` (cleared first).
+    pub(crate) fn decode_into(
+        &self,
+        s: &mut DecodeScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<(), CompressError> {
+        let _span = errflow_obs::trace::span("codec.huffman.entropy");
+        out.clear();
+        match self.mode {
+            Mode::Empty => Ok(()),
+            Mode::Raw16 => {
+                // The payload length, 2·n_original, was checked against the
+                // stream, so this resize is bounded by the input's size.
+                out.resize(self.n_original, 0);
+                let mut dst = out.as_mut_slice();
+                let mut rest = self.payload;
+                for sub in self.subs() {
+                    let (bytes, tail) = rest.split_at(sub.payload.1);
+                    rest = tail;
+                    let (head, dst_tail) = dst.split_at_mut(sub.n_symbols);
+                    dst = dst_tail;
+                    for (slot, pair) in head.iter_mut().zip(bytes.chunks_exact(2)) {
+                        *slot = u32::from(u16::from_le_bytes([pair[0], pair[1]]));
+                    }
+                }
+                Ok(())
+            }
+            Mode::Direct => {
+                let (dec, _, _, _) = s.split(self.max_len);
+                // Bounded: each sub-stream's symbol count is capped at 8× its
+                // payload bytes, so the total is capped by the stream length.
+                out.resize(self.n_original, 0);
+                decode_whole(self.payload, self.subs(), &dec, out)
+            }
+            Mode::Staged => {
+                let (dec, transformed, runs, _) = s.split(self.max_len);
+                let n_symbols: usize = self.subs().iter().map(|sub| sub.n_symbols).sum();
+                transformed.clear();
+                transformed.resize(n_symbols, 0);
+                decode_whole(self.payload, self.subs(), &dec, transformed)?;
+                out.reserve(crate::traits::safe_capacity(
+                    self.n_original,
+                    transformed.len() * 4,
+                ));
+                let mut t_off = 0usize;
+                for sub in self.subs() {
+                    let seg = &transformed[t_off..t_off + sub.n_symbols];
+                    t_off += sub.n_symbols;
+                    rle_expand_segment(seg, &runs[sub.runs.0..sub.runs.1], sub.n_original, out)?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Hands the symbols of each `parts` segment to `sink(k, chunk)`, the
+    /// chunks of one segment in order.  `parts` must cover exactly the
+    /// block's [`Block::n_original`] symbols.
+    ///
+    /// When the block decodes [`Mode::Direct`] and its sub-streams are the
+    /// segments of `parts`, the lanes decode [`CHUNK`] symbols at a time
+    /// into `DecodeScratch::chunks`, and `sink` takes each chunk from
+    /// there while it is in L1 — the lanes' chunks in turn, so `sink` sees
+    /// the segments interleaved.  Any other block is decoded into
+    /// `staging` whole first, and `sink` takes each segment in one piece.
+    /// The verdict on corrupt bytes is the same either way; a rejected
+    /// stream may have reached `sink` in part.
+    pub(crate) fn decode_each(
+        &self,
+        s: &mut DecodeScratch,
+        staging: &mut Vec<u32>,
+        parts: &[(usize, usize)],
+        mut sink: impl FnMut(usize, &[u32]) -> Result<(), CompressError>,
+    ) -> Result<(), CompressError> {
+        let fused = self.mode == Mode::Direct
+            && parts.len() == self.n_streams
+            && parts
+                .iter()
+                .zip(self.subs())
+                .all(|(&(_, len), sub)| len == sub.n_original);
+        if !fused {
+            self.decode_into(s, staging)?;
+            for (k, &(off, len)) in parts.iter().enumerate() {
+                let seg = staging.get(off..off + len).ok_or_else(|| {
+                    CompressError::CorruptStream("segments disagree with the block".into())
+                })?;
+                sink(k, seg)?;
+            }
+            return Ok(());
+        }
+        let (dec, _, _, chunks) = s.split(self.max_len);
+        let n = self.n_streams;
+        if chunks.len() < n * CHUNK {
+            chunks.resize(n * CHUNK, 0);
+        }
+        let mut cursors = [LaneCursor::default(); MAX_STREAMS];
+        for (cur, sub) in cursors.iter_mut().zip(self.subs()) {
+            *cur = LaneCursor::over(sub);
+        }
+        let longest = self
+            .subs()
+            .iter()
+            .map(|sub| sub.n_symbols)
+            .max()
+            .unwrap_or(0);
+        let mut done = 0usize;
+        while done < longest {
+            let mut regions: [&mut [u32]; MAX_STREAMS] =
+                std::array::from_fn(|_| Default::default());
+            let mut rest = &mut chunks[..n * CHUNK];
+            for ((region, cur), sub) in regions.iter_mut().zip(&mut cursors).zip(self.subs()) {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(CHUNK);
+                rest = tail;
+                *region = &mut head[..sub.n_symbols.saturating_sub(done).min(CHUNK)];
+                cur.written = 0;
+            }
+            decode_lanes(self.payload, &dec, &mut cursors[..n], &mut regions[..n])?;
+            for (k, region) in regions[..n].iter().enumerate() {
+                if !region.is_empty() {
+                    sink(k, &region[..])?;
+                }
+            }
+            done += CHUNK;
+        }
+        Ok(())
+    }
+}
+
+impl DecodeScratch {
+    /// The decode tables of the block just parsed, beside the buffers a
+    /// decode writes.
+    fn split(&mut self, max_len: u8) -> (Decoder<'_>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<u32>) {
+        let DecodeScratch {
+            table,
+            sub,
+            first_code,
+            count,
+            offset,
+            syms,
+            transformed,
+            runs,
+            chunks,
+            ..
+        } = self;
+        debug_assert!(table.len().is_power_of_two());
+        let dec = Decoder {
+            table,
+            sub,
+            first_code,
+            count,
+            offset,
+            syms,
+            max_len,
+            bits: table.len().trailing_zeros() as usize,
+            mask: table.len() as u64 - 1,
+        };
+        (dec, transformed, runs, chunks)
+    }
 }
 
 /// Per-lane decode cursor handed from the interleaved loop to the scalar
@@ -1007,15 +1421,23 @@ struct LaneCursor {
     written: usize,
 }
 
+impl LaneCursor {
+    /// A cursor at the start of `sub`'s payload.
+    fn over(sub: &SubStream) -> Self {
+        LaneCursor {
+            bitpos: sub.payload.0 * 8,
+            end_bit: (sub.payload.0 + sub.payload.1) * 8,
+            written: 0,
+        }
+    }
+}
+
 /// Decodes every sub-stream into its contiguous region of `dst` (regions
-/// ordered by sub-stream, sized `n_symbols` each).  Four-stream blocks
-/// start in the interleaved loop; the resumable scalar lane decoder runs
-/// the lane tails, and the whole decode for any other shape.
-fn decode_lanes(
+/// ordered by sub-stream, sized `n_symbols` each).
+fn decode_whole(
     payload: &[u8],
     subs: &[SubStream],
-    table64: &[u64],
-    canon: &CanonicalArrays<'_>,
+    dec: &Decoder<'_>,
     dst: &mut [u32],
 ) -> Result<(), CompressError> {
     debug_assert_eq!(dst.len(), subs.iter().map(|s| s.n_symbols).sum::<usize>());
@@ -1026,26 +1448,29 @@ fn decode_lanes(
         let (head, tail) = std::mem::take(&mut rest).split_at_mut(sub.n_symbols);
         *region = head;
         rest = tail;
-        *cur = LaneCursor {
-            bitpos: sub.payload.0 * 8,
-            end_bit: (sub.payload.0 + sub.payload.1) * 8,
-            written: 0,
-        };
+        *cur = LaneCursor::over(sub);
     }
-    let (regions, cursors) = (&mut regions[..subs.len()], &mut cursors[..subs.len()]);
-    if cursors.len() == 4 {
-        decode_lanes_ilp4(payload, table64, canon, cursors, regions)?;
+    let n = subs.len();
+    decode_lanes(payload, dec, &mut cursors[..n], &mut regions[..n])
+}
+
+/// Fills each lane's region from its cursor on.  Four-lane blocks start in
+/// the interleaved loop; the resumable scalar lane decoder runs the lane
+/// tails, and the whole decode for any other shape.
+fn decode_lanes(
+    payload: &[u8],
+    dec: &Decoder<'_>,
+    cursors: &mut [LaneCursor],
+    regions: &mut [&mut [u32]],
+) -> Result<(), CompressError> {
+    if let (Ok(four_cursors), Ok(four_regions)) = (
+        <&mut [LaneCursor; 4]>::try_from(&mut *cursors),
+        <&mut [&mut [u32]; 4]>::try_from(&mut *regions),
+    ) {
+        decode_lanes_ilp4(payload, dec, four_cursors, four_regions)?;
     }
     for (cur, region) in cursors.iter_mut().zip(regions.iter_mut()) {
-        decode_lane_scalar(
-            payload,
-            &mut cur.bitpos,
-            cur.end_bit,
-            table64,
-            canon,
-            region,
-            &mut cur.written,
-        )?;
+        decode_lane_scalar(payload, cur, dec, region)?;
         // A lane that ran past its own payload (only possible on a corrupt
         // stream) is rejected here.
         if cur.bitpos > cur.end_bit {
@@ -1066,51 +1491,52 @@ fn decode_lanes(
 /// latency behind the others'.
 ///
 /// Round structure: enter only while every lane has ≥ 57 trustworthy bits
-/// (`end_bit - bitpos`) and ≥ 4 symbols of space, load one 57-bit window
-/// per lane, then commit 4 symbols per lane lockstep.  The table is at most
-/// [`PEEK`] bits wide and 4 × `PEEK` ≤ 52
-/// bits, so a window of table hits never runs dry mid-round and — by the
-/// prefix property — a hit never consumes another lane's bits even when
-/// the window loaded past this lane's end.  A table miss (long code,
-/// `len` 0) takes the canonical walk inline for just that lane and reloads
-/// its window, so one skewed lane doesn't kick the other three off the
-/// fast path; only a lane left with < 57 bits by a long code ends the loop
-/// (it is near its tail anyway).  Exit always lands every cursor on a
-/// committed-symbol boundary, and the resumable scalar decoder finishes
-/// the lane tails.
+/// (`end_bit - bitpos`) and ≥ [`ROUND`] symbols of space, load one 57-bit
+/// window per lane, then commit [`ROUND`] symbols per lane lockstep.  The
+/// table is at most [`PEEK`] bits wide and `ROUND × PEEK ≤ 57`, so a window
+/// of table hits never runs dry mid-round and — by the prefix property — a
+/// hit never consumes another lane's bits even when the window loaded past
+/// this lane's end.  A first-level miss (a long code) takes [`decode_long`]
+/// inline for just that lane and reloads its window, so one skewed lane
+/// doesn't kick the other three off the fast path; only a lane left with
+/// < 57 bits by a long code ends the loop (it is near its tail anyway).
+/// Exit always lands every cursor on a committed-symbol boundary, and the
+/// resumable scalar decoder finishes the lane tails.
 fn decode_lanes_ilp4(
     payload: &[u8],
-    table64: &[u64],
-    canon: &CanonicalArrays<'_>,
-    cursors: &mut [LaneCursor],
-    regions: &mut [&mut [u32]],
+    dec: &Decoder<'_>,
+    cursors: &mut [LaneCursor; 4],
+    regions: &mut [&mut [u32]; 4],
 ) -> Result<(), CompressError> {
-    debug_assert_eq!(cursors.len(), 4);
-    debug_assert_eq!(regions.len(), 4);
-    debug_assert!(table64.len().is_power_of_two());
-    let mask = table64.len() as u64 - 1;
-    let table_bits = table64.len().trailing_zeros() as usize;
+    let (table, mask) = (dec.table, dec.mask);
     let mut pos: [usize; 4] = std::array::from_fn(|i| cursors[i].bitpos);
     let mut wr: [usize; 4] = std::array::from_fn(|i| cursors[i].written);
     let end: [usize; 4] = std::array::from_fn(|i| cursors[i].end_bit);
     let cap: [usize; 4] = std::array::from_fn(|i| regions[i].len());
-    loop {
+    let result = loop {
         // Fast rounds: pure table hits, no calls, no per-symbol branches
         // beyond the lockstep miss test — this is the loop that has to
         // schedule well.
         let mut miss = false;
         'fast: loop {
             for i in 0..4 {
-                if cap[i] - wr[i] < 4 || end[i].saturating_sub(pos[i]) < 57 {
+                if cap[i] - wr[i] < ROUND || end[i].saturating_sub(pos[i]) < 57 {
                     break 'fast;
                 }
             }
             let mut w: [u64; 4] = std::array::from_fn(|i| load_word(payload, pos[i]));
-            for _step in 0..4 {
-                let e: [u64; 4] = std::array::from_fn(|i| table64[(w[i] & mask) as usize]);
+            let [r0, r1, r2, r3] = regions;
+            let dst = [
+                &mut r0[wr[0]..wr[0] + ROUND],
+                &mut r1[wr[1]..wr[1] + ROUND],
+                &mut r2[wr[2]..wr[2] + ROUND],
+                &mut r3[wr[3]..wr[3] + ROUND],
+            ];
+            for step in 0..ROUND {
+                let e: [u64; 4] = std::array::from_fn(|i| table[(w[i] & mask) as usize]);
                 // Test all four lanes *before* committing any, so a miss
                 // exits with the lanes in lockstep.
-                if e.iter().any(|&entry| entry >> 32 == 0) {
+                if (e[0] | e[1] | e[2] | e[3]) & MISS != 0 {
                     miss = true;
                     break 'fast;
                 }
@@ -1118,120 +1544,150 @@ fn decode_lanes_ilp4(
                     let len = (e[i] >> 32) as usize;
                     w[i] >>= len;
                     pos[i] += len;
-                    regions[i][wr[i]] = e[i] as u32;
+                    dst[i][step] = e[i] as u32;
                     wr[i] += 1;
                 }
             }
         }
         if !miss {
-            break;
+            break Ok(());
         }
-        // Long-code recovery, off the hot path: walk one canonical symbol
-        // for each lane whose next code misses the table (≤ 3 commits since
-        // the round-entry check, so every lane still has ≥ 1 slot and ≥
-        // `table_bits` trustworthy bits), then resume fast rounds.
+        // Long-code recovery, off the hot path: decode one symbol for each
+        // lane whose next code misses the first level (≤ ROUND − 1 commits
+        // since the round-entry check, so every lane still has ≥ 1 slot and
+        // ≥ `PEEK` trustworthy bits), then resume fast rounds.
+        let mut failed = None;
         for i in 0..4 {
-            if end[i].saturating_sub(pos[i]) < table_bits {
+            if end[i].saturating_sub(pos[i]) < dec.bits {
                 continue;
             }
-            let entry = table64[(load_word(payload, pos[i]) & mask) as usize];
-            if entry >> 32 != 0 {
+            if table[(load_word(payload, pos[i]) & mask) as usize] & MISS == 0 {
                 continue;
             }
-            let sym = match decode_one_slow(payload, &mut pos[i], end[i], canon) {
-                Ok(sym) => sym,
-                Err(err) => {
-                    // Keep cursors resumable even on a corrupt stream so
-                    // callers observe consistent state.
-                    for l in 0..4 {
-                        cursors[l].bitpos = pos[l];
-                        cursors[l].written = wr[l];
-                    }
-                    return Err(err);
+            match decode_long(payload, &mut pos[i], end[i], dec) {
+                Ok(sym) => {
+                    regions[i][wr[i]] = sym;
+                    wr[i] += 1;
                 }
-            };
-            regions[i][wr[i]] = sym;
-            wr[i] += 1;
+                Err(err) => {
+                    failed = Some(err);
+                    break;
+                }
+            }
         }
-    }
+        if let Some(err) = failed {
+            break Err(err);
+        }
+    };
+    // Cursors stay resumable even on a corrupt stream, so callers observe
+    // consistent state.
     for i in 0..4 {
         cursors[i].bitpos = pos[i];
         cursors[i].written = wr[i];
     }
-    Ok(())
+    result
 }
 
-/// Resumable register-batched decode of one lane: fills `dst[*written..]`
-/// reading from `payload` between `*bitpos` and `end_bit`.
+/// Resumable register-batched decode of one lane: fills
+/// `dst[cur.written..]` reading from `payload` between `cur.bitpos` and
+/// `cur.end_bit`.
 ///
 /// Hot loop: refill a 64-bit register with ≥ 57 payload bits, then decode
 /// table hits back-to-back with one lookup + shift each until fewer than
 /// a table index of trustworthy bits remain in the register.  Long codes
-/// (table miss) and the last bits of the lane, fewer than a table index,
-/// take the canonical walk.  Bounds
-/// are lane-relative — bits past `end_bit` belong to the *next* lane and
-/// are never consumed, though the 57-bit window may harmlessly observe them
-/// (a table entry only ever commits bits of the code itself).
+/// (a first-level miss) take [`decode_long`], and so do the last bits of
+/// the lane, fewer than a table index.  Bounds are lane-relative — bits
+/// past `end_bit` belong to the *next* lane and are never consumed, though
+/// the 57-bit window may harmlessly observe them (a table entry only ever
+/// commits bits of the code itself).
 fn decode_lane_scalar(
     payload: &[u8],
-    bitpos: &mut usize,
-    end_bit: usize,
-    table64: &[u64],
-    canon: &CanonicalArrays<'_>,
+    cur: &mut LaneCursor,
+    dec: &Decoder<'_>,
     dst: &mut [u32],
-    written: &mut usize,
 ) -> Result<(), CompressError> {
-    debug_assert!(table64.len().is_power_of_two());
-    let mask = table64.len() as u64 - 1;
-    let peek = table64.len().trailing_zeros() as usize;
-    while *written < dst.len() {
-        let rem = end_bit.saturating_sub(*bitpos);
+    let (table, mask, peek) = (dec.table, dec.mask, dec.bits);
+    while cur.written < dst.len() {
+        let rem = cur.end_bit.saturating_sub(cur.bitpos);
         if rem >= peek {
-            let mut word = load_word(payload, *bitpos);
+            let mut word = load_word(payload, cur.bitpos);
             let mut left = rem.min(57);
             let mut long_code = false;
-            while left >= peek && *written < dst.len() {
-                let entry = table64[(word & mask) as usize];
-                let len = (entry >> 32) as usize;
-                if len == 0 {
+            while left >= peek && cur.written < dst.len() {
+                let entry = table[(word & mask) as usize];
+                if entry & MISS != 0 {
                     long_code = true;
                     break;
                 }
+                let len = (entry >> 32) as usize;
                 word >>= len;
-                *bitpos += len;
+                cur.bitpos += len;
                 left -= len;
-                dst[*written] = entry as u32;
-                *written += 1;
+                dst[cur.written] = entry as u32;
+                cur.written += 1;
             }
             if long_code {
-                dst[*written] = decode_one_slow(payload, bitpos, end_bit, canon)?;
-                *written += 1;
+                dst[cur.written] = decode_long(payload, &mut cur.bitpos, cur.end_bit, dec)?;
+                cur.written += 1;
             }
             continue;
         }
         // Lane tail: fewer than a table index of trustworthy bits remain,
-        // so only accept a table hit whose code fits inside the lane.
-        let entry = table64[(load_word(payload, *bitpos) & mask) as usize];
+        // so only accept a table hit whose code fits inside the lane (a
+        // miss reads as a length past any lane).
+        let entry = table[(load_word(payload, cur.bitpos) & mask) as usize];
         let len = (entry >> 32) as usize;
-        if len > 0 && len <= rem {
-            *bitpos += len;
-            dst[*written] = entry as u32;
-            *written += 1;
+        if len <= rem {
+            cur.bitpos += len;
+            dst[cur.written] = entry as u32;
         } else {
-            dst[*written] = decode_one_slow(payload, bitpos, end_bit, canon)?;
-            *written += 1;
+            dst[cur.written] = decode_long(payload, &mut cur.bitpos, cur.end_bit, dec)?;
         }
+        cur.written += 1;
     }
     Ok(())
 }
 
-/// Borrowed canonical decode arrays for the slow (long-code) path.
-struct CanonicalArrays<'a> {
+/// Borrowed decode tables of one block: both prefix-table levels and the
+/// canonical arrays for the slow (long-code) path.
+struct Decoder<'a> {
+    table: &'a [u64],
+    sub: &'a [u64],
     first_code: &'a [u64],
     count: &'a [u32],
     offset: &'a [u32],
     syms: &'a [u32],
     max_len: u8,
+    /// The first level's width (bits) and index mask.
+    bits: usize,
+    mask: u64,
+}
+
+/// Decodes the symbol at `*bitpos` that the first level cannot commit: a
+/// code past its width through the second level, or — a prefix without
+/// one, a code longer than the lane has bits left, or a corrupt stream —
+/// the canonical walk.  A second-level hit commits only a code that fits
+/// inside the lane, which is the symbol the walk would find.
+#[inline(never)]
+fn decode_long(
+    payload: &[u8],
+    bitpos: &mut usize,
+    end_bit: usize,
+    dec: &Decoder<'_>,
+) -> Result<u32, CompressError> {
+    let word = load_word(payload, *bitpos);
+    let entry = dec.table[(word & dec.mask) as usize];
+    if entry & MISS != 0 && entry != MISS {
+        let width = ((entry & !MISS) >> SUB_SHIFT) as u32;
+        let at = (entry & ((1 << SUB_SHIFT) - 1)) as usize;
+        let hit = dec.sub[at + ((word >> dec.bits) & ((1 << width) - 1)) as usize];
+        let len = (hit >> 32) as usize;
+        if len != 0 && len <= end_bit.saturating_sub(*bitpos) {
+            *bitpos += len;
+            return Ok(hit as u32);
+        }
+    }
+    decode_one_slow(payload, bitpos, end_bit, dec)
 }
 
 /// Canonical decode of one symbol, bit by bit: O(1) array arithmetic per
@@ -1241,7 +1697,7 @@ fn decode_one_slow(
     payload: &[u8],
     bitpos: &mut usize,
     total_bits: usize,
-    canon: &CanonicalArrays<'_>,
+    canon: &Decoder<'_>,
 ) -> Result<u32, CompressError> {
     let mut code = 0u64;
     let mut clen = 0usize;
@@ -1277,11 +1733,14 @@ fn decode_one_slow(
 /// Uses the two-queue construction: leaves sorted by frequency in one
 /// queue, merged nodes (whose frequencies come out non-decreasing) in a
 /// second, so each merge pops the global minimum from a queue front in
-/// O(1) instead of through a binary heap.  Tie-breaking matches the
-/// previous heap formulation exactly — on equal frequency a leaf wins
-/// over a merged node, equal-frequency leaves keep ascending-symbol
-/// order (the sort is stable), merged nodes are FIFO — so the emitted
-/// code lengths (and therefore the stream bytes) are unchanged.
+/// O(1).  On equal frequency a leaf wins over a merged node, equal-frequency
+/// leaves keep ascending-symbol order, merged nodes are FIFO — the
+/// tie-breaking the stream bytes depend on.  Every step is linear in the
+/// distinct symbols: the leaves are ordered by a stable radix sort on the
+/// frequency ([`frequency_order`]), depths are assigned from the root down
+/// (a node is made after both its children, so reverse creation order
+/// visits parents first), and the canonical order is a counting sort by
+/// length over the leaves, which are already in symbol order.
 fn code_lengths_from_sorted(sorted: &[(u32, u64)]) -> Vec<(u32, u8)> {
     if sorted.is_empty() {
         return Vec::new();
@@ -1291,57 +1750,81 @@ fn code_lengths_from_sorted(sorted: &[(u32, u64)]) -> Vec<(u32, u8)> {
     }
 
     let n = sorted.len();
+    let leaves = frequency_order(sorted);
     // Node ids: 0..n are leaves (positions in `sorted`), n.. are merged
-    // nodes in production order.
-    let mut leaves: Vec<(u64, u32)> = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, f))| (f, i as u32))
-        .collect();
-    // The index is unique, so sorting the (freq, index) pair unstably is
-    // exactly the stable-by-frequency order without the temp allocation.
-    leaves.sort_unstable();
-    let mut merged: Vec<(u64, u32)> = Vec::with_capacity(n - 1);
-    let mut children: Vec<(u32, u32)> = Vec::with_capacity(n - 1);
+    // nodes in production order.  `up[id]` is first the node's parent,
+    // then its depth.
+    let mut up = vec![0u32; 2 * n - 1];
+    let mut merged: Vec<u64> = Vec::with_capacity(n - 1);
     let (mut i1, mut i2) = (0usize, 0usize);
     // Each of the n-1 merges pops twice; n leaves + n-2 intermediate
     // merged nodes cover all 2(n-1) pops, so the fronts below are always
     // in bounds on whichever side is picked.
-    for _ in 0..n - 1 {
-        let pop_min = |i1: &mut usize, i2: &mut usize, merged: &[(u64, u32)]| {
-            let leaf_front = leaves.get(*i1).map_or(u64::MAX, |&(f, _)| f);
-            let merged_front = merged.get(*i2).map_or(u64::MAX, |&(f, _)| f);
-            if leaf_front <= merged_front {
-                let v = leaves[*i1];
-                *i1 += 1;
-                v
-            } else {
-                let v = merged[*i2];
-                *i2 += 1;
-                v
-            }
-        };
-        let (fa, a) = pop_min(&mut i1, &mut i2, &merged);
-        let (fb, b) = pop_min(&mut i1, &mut i2, &merged);
-        let id = (n + children.len()) as u32;
-        children.push((a, b));
-        merged.push((fa + fb, id));
-    }
-
-    // Walk depths iteratively from the last merged node (the root).
-    let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(n);
-    let mut stack = vec![((n + children.len() - 1) as u32, 0u8)];
-    while let Some((id, depth)) = stack.pop() {
-        if (id as usize) < n {
-            lengths.push((sorted[id as usize].0, depth.max(1)));
+    let mut pop = |merged: &[u64]| {
+        let leaf_front = leaves.get(i1).map_or(u64::MAX, |&i| sorted[i as usize].1);
+        let merged_front = merged.get(i2).copied().unwrap_or(u64::MAX);
+        if leaf_front <= merged_front {
+            i1 += 1;
+            (leaves[i1 - 1] as usize, leaf_front)
         } else {
-            let (l, r) = children[id as usize - n];
-            stack.push((l, depth + 1));
-            stack.push((r, depth + 1));
+            i2 += 1;
+            (n + i2 - 1, merged_front)
         }
+    };
+    for k in 0..n - 1 {
+        let (a, fa) = pop(&merged);
+        let (b, fb) = pop(&merged);
+        up[a] = (n + k) as u32;
+        up[b] = (n + k) as u32;
+        merged.push(fa + fb);
     }
-    lengths.sort_unstable_by_key(|&(sym, len)| (len, sym));
+    // The root (the last merged node) keeps depth 0.
+    for id in (0..2 * n - 2).rev() {
+        up[id] = up[up[id] as usize] + 1;
+    }
+    let depth = &up[..n];
+    let mut first = [0usize; 256];
+    for &d in depth {
+        first[d as usize] += 1;
+    }
+    let mut at = 0;
+    for slot in first.iter_mut() {
+        at += std::mem::replace(slot, at);
+    }
+    let mut lengths = vec![(0u32, 0u8); n];
+    for (&(sym, _), &d) in sorted.iter().zip(depth) {
+        lengths[first[d as usize]] = (sym, d as u8);
+        first[d as usize] += 1;
+    }
     lengths
+}
+
+/// Positions of `sorted` in ascending frequency order, equal frequencies
+/// in position order: a least-significant-byte-first radix sort, one
+/// stable pass per byte the largest frequency has.
+fn frequency_order(sorted: &[(u32, u64)]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..sorted.len() as u32).collect();
+    let mut next = vec![0u32; sorted.len()];
+    let top = sorted.iter().map(|&(_, f)| f).max().unwrap_or(0);
+    let mut shift = 0;
+    while shift < 64 && top >> shift != 0 {
+        let byte = |i: u32| (sorted[i as usize].1 >> shift) as usize & 255;
+        let mut first = [0usize; 256];
+        for &i in &order {
+            first[byte(i)] += 1;
+        }
+        let mut at = 0;
+        for slot in first.iter_mut() {
+            at += std::mem::replace(slot, at);
+        }
+        for &i in &order {
+            next[first[byte(i)]] = i;
+            first[byte(i)] += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+        shift += 8;
+    }
+    order
 }
 
 /// LEB128 varint encoding for run lengths.
@@ -1535,7 +2018,7 @@ mod tests {
             if n > 0 && rng.gen_bool(0.1) {
                 seg[rng.gen_range(0..n)] = RUN_MARKER;
             }
-            let scan = scan_segment(&seg);
+            let scan = scan_segment(&seg, None);
             assert_eq!(scan.min, seg.iter().copied().min().unwrap_or(u32::MAX));
             assert_eq!(scan.max, seg.iter().copied().max().unwrap_or(0));
             assert!(scan.maybe_run || !with_run, "missed a run of MIN_RUN");
@@ -1621,18 +2104,43 @@ mod tests {
         let few: Vec<u32> = (0..2000).map(|i| [7, 7, 8, 9][i % 4]).collect();
         decode_multi_into(&encode_split(&few, 4), &mut out, &mut scratch).unwrap();
         assert_eq!(out, few);
-        assert_eq!(scratch.table64.len(), 4);
+        assert_eq!(scratch.table.len(), 4);
         // Codes past PEEK bits cap the table at 2^PEEK.
         let skewed = geometric_symbols(1 << 17);
         decode_multi_into(&encode_split(&skewed, 4), &mut out, &mut scratch).unwrap();
         assert_eq!(out, skewed);
-        assert_eq!(scratch.table64.len(), 1 << PEEK);
+        assert_eq!(scratch.table.len(), 1 << PEEK);
         // Tiny blocks on both sides of every table width round-trip.
         let mut rng = StdRng::seed_from_u64(0xCD);
         for n in [1usize, 2, 3, 5, 63, 64, 255, 256, 511, 512, 513, 1024] {
             for alphabet in [1u32, 2, 3, 17, 33, 300] {
                 let symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
                 roundtrip(&symbols);
+            }
+        }
+    }
+
+    #[test]
+    fn window_histogram_equals_the_hashed_one() {
+        // The escape, a cluster near 32 768 and an outlier near 65 535 in a
+        // window as wide as the dense path takes, over four segments, with
+        // and without run markers.
+        let mut rng = StdRng::seed_from_u64(0x415);
+        let mut symbols: Vec<u32> = (0..6000)
+            .map(|_| 32_760 + rng.gen_range(0u32..16))
+            .collect();
+        symbols[0] = 0;
+        symbols[3001] = 65_534;
+        symbols[5999] = (1 << 17) - 1;
+        let mut h = Histogram::default();
+        for markers in [0usize, 3] {
+            symbols.truncate(6000);
+            symbols.extend(std::iter::repeat(RUN_MARKER).take(markers));
+            let segs = split_slices(&symbols, 4);
+            for _ in 0..2 {
+                // Twice: the tables must be all-zero again after a call.
+                window_frequencies(&segs, 0, 1 << 17, markers, &mut h);
+                assert_eq!(h.sorted, hashed_frequencies(&segs));
             }
         }
     }
@@ -1911,47 +2419,43 @@ mod tests {
             ..DecodeScratch::default()
         };
         build_canon_arrays(&mut s, 60);
-        let canon = CanonicalArrays {
-            first_code: &s.first_code,
-            count: &s.count,
-            offset: &s.offset,
-            syms: &s.syms,
-            max_len: 60,
-        };
+        let (dec, _, _, _) = s.split(60);
         let mut dst = vec![0u32; symbols.len()];
-        let (mut bitpos, mut written) = (0, 0);
-        decode_lane_scalar(
-            &payload,
-            &mut bitpos,
-            payload.len() * 8,
-            &s.table64,
-            &canon,
-            &mut dst,
-            &mut written,
-        )
-        .unwrap();
+        let mut cur = LaneCursor {
+            bitpos: 0,
+            end_bit: payload.len() * 8,
+            written: 0,
+        };
+        decode_lane_scalar(&payload, &mut cur, &dec, &mut dst).unwrap();
         assert_eq!(dst, symbols);
         // And the packed writer agrees with the bit writer up to its limit,
-        // on an even and an odd number of symbols.
-        let longest = u32::from(PACKED_MAX_LEN);
-        let packable: Vec<(u32, u8)> = (0..=longest)
-            .map(|i| (i, (i + 1).min(longest) as u8))
-            .collect();
-        for extra in [0, 1] {
-            let symbols: Vec<u32> = (0..=longest).chain((extra..=longest).rev()).collect();
+        // at every longest code where the codes per store change, on a
+        // symbol count that fills the last store and on each shorter one.
+        for longest in [14u32, 15, 18, 19, u32::from(PACKED_MAX_LEN)] {
+            let packable: Vec<(u32, u8)> = (0..=longest)
+                .map(|i| (i, (i + 1).min(longest) as u8))
+                .collect();
             let codes = canonical_code_map(&packable);
-            let mut w = BitWriter::new();
-            for sym in &symbols {
-                let (rev, len) = codes[sym];
-                w.write_bits(rev, len as u32);
-            }
-            let want = w.into_bytes();
             let window = longest as usize + 1;
             let mut lut = Vec::new();
             build_packed_lut(&packable, 0, window, &mut lut);
-            let mut out = vec![0u8; want.len() + 8];
-            let end = write_packed(&mut out, 0, &symbols, 0, &lut[..=window]);
-            assert_eq!(&out[..end], &want[..]);
+            for extra in 0..4 {
+                let symbols: Vec<u32> = (0..=longest).chain((extra..=longest).rev()).collect();
+                let mut w = BitWriter::new();
+                for sym in &symbols {
+                    let (rev, len) = codes[sym];
+                    w.write_bits(rev, len as u32);
+                }
+                let want = w.into_bytes();
+                let mut out = vec![0u8; want.len() + 8];
+                let lut = &lut[..=window];
+                let end = write_payload(&mut out, 0, &symbols, 0, lut, longest as u8, false);
+                assert_eq!(
+                    &out[..end],
+                    &want[..],
+                    "longest code {longest}, {extra} dropped"
+                );
+            }
         }
     }
 }

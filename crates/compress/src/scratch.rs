@@ -36,10 +36,11 @@ impl CodecScratch {
     }
 }
 
-/// Upper bound on pooled entries.  A warm entry holds a ~512 KiB Huffman
-/// table plus data-sized float buffers, so the pool is capped rather than
-/// unbounded; concurrent demand beyond the cap falls back to fresh
-/// allocations that are dropped on release.
+/// Upper bound on pooled entries.  A warm entry holds the Huffman decode
+/// tables (at most 16 KiB + 64 KiB) plus data-sized symbol and float
+/// buffers, so the pool is capped rather than unbounded; concurrent demand
+/// beyond the cap falls back to fresh allocations that are dropped on
+/// release.
 const POOL_CAP: usize = 32;
 
 static POOL: Mutex<Vec<CodecScratch>> = Mutex::new(Vec::new());

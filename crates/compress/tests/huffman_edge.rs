@@ -1,7 +1,10 @@
 //! Edge cases of the Huffman/RLE entropy stage that the fast decode paths
 //! must get exactly right: run lengths straddling the RLE threshold,
 //! payloads that *contain* the run-marker sentinel as data, codes longer
-//! than the prefix-table width, and degenerate single-symbol streams.
+//! than the prefix-table width, degenerate single-symbol streams, forged
+//! run-free blocks, the payload writer at every codes-per-store boundary,
+//! symbol windows as wide as the dense histogram takes, and SZ segments at
+//! the edges of the fused decode's chunks.
 //!
 //! Every case runs as a 1-segment and a 4-segment block and is decoded by
 //! both the fast decoder and the slow oracle in
@@ -9,7 +12,8 @@
 
 use errflow_compress::format::split_slices;
 use errflow_compress::huffman::{decode_multi, encode_multi, MIN_RUN, PEEK, RUN_MARKER};
-use errflow_compress::reference::huffman_decode_multi;
+use errflow_compress::reference::{huffman_decode_multi, sz_decompress};
+use errflow_compress::{scratch, Compressor, ErrorBound, SzCompressor};
 use errflow_tensor::rng::StdRng;
 
 /// Encodes `symbols` as an `n_streams`-segment block.
@@ -86,11 +90,38 @@ fn inputs_containing_run_marker_disable_rle() {
     roundtrip_both(&marker_run);
 }
 
+/// The longest code length in a 1-segment block's code table.
+fn longest_code(stream: &[u8]) -> u8 {
+    // n:u64, n_streams:u8, flag:u8, then n:u64, runs:u32 (+varints),
+    // transformed:u64, then n_codes:u32 and 5-byte entries.
+    let n_runs = u32::from_le_bytes(stream[18..22].try_into().unwrap());
+    assert_eq!(n_runs, 0, "expected a run-free block");
+    let n_codes = u32::from_le_bytes(stream[30..34].try_into().unwrap()) as usize;
+    (0..n_codes).map(|i| stream[34 + 5 * i + 4]).max().unwrap()
+}
+
+/// `copies[i]` copies of symbol `100 + i`, shuffled so that no run forms.
+fn shuffled(copies: &[usize], seed: u64) -> Vec<u32> {
+    let mut symbols: Vec<u32> = copies
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &c)| std::iter::repeat(100 + i as u32).take(c))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..symbols.len()).rev() {
+        let j = rng.gen_range(0..(i + 1) as u64) as usize;
+        symbols.swap(i, j);
+    }
+    symbols
+}
+
 #[test]
 fn codes_longer_than_peek_table_width() {
     // A steeply skewed distribution over many symbols forces code lengths
-    // past the PEEK-bit prefix table, exercising the slow canonical path
-    // inside the fast word-batched decoder.
+    // past the PEEK-bit first-level table, so long codes decode through
+    // the second level inside the fast word-batched decoder; a block
+    // whose longest code is past the second level too (28 bits, the
+    // Fibonacci case below) takes the canonical walk.
     let mut symbols = Vec::new();
     for s in 0..200u32 {
         // Geometric-ish frequencies: symbol s appears ~2^(s/8)-fold less.
@@ -125,6 +156,128 @@ fn codes_longer_than_peek_table_width() {
         "distribution failed to force a code past {PEEK} bits (max {max_len})"
     );
     roundtrip_both(&symbols);
+}
+
+#[test]
+fn payload_writer_at_every_codes_per_store_boundary() {
+    // Fibonacci frequencies over `L + 1` symbols give a longest code of
+    // exactly `L` bits.  The writer packs ⌊56 / L⌋ codes (two to four) per
+    // 64-bit store, so these lengths sit on both sides of each change
+    // (4 → 3 past 14 bits, 3 → 2 past 18) and at the packed writer's limit.
+    for longest in [14usize, 15, 18, 19, 20, 28] {
+        let mut copies = vec![1usize, 1];
+        while copies.len() < longest + 1 {
+            let next = copies[copies.len() - 1] + copies[copies.len() - 2];
+            copies.push(next);
+        }
+        let symbols = shuffled(&copies, longest as u64);
+        assert_eq!(
+            usize::from(longest_code(&encode(&symbols, 1))),
+            longest,
+            "Fibonacci frequencies must give a {longest}-bit code"
+        );
+        roundtrip_both(&symbols);
+    }
+}
+
+#[test]
+fn symbol_windows_as_wide_as_the_dense_histogram_takes() {
+    // SZ's shape: the escape 0, a cluster near 32 768 and an outlier near
+    // 65 535, with and without runs (whose marker counts past the window).
+    let mut rng = StdRng::seed_from_u64(0x5A);
+    let mut sparse: Vec<u32> = (0..5000)
+        .map(|_| 32_768 + rng.gen_range(0u32..40) - 20)
+        .collect();
+    sparse[0] = 0;
+    sparse[2500] = 65_530;
+    sparse[4999] = 0;
+    roundtrip_both(&sparse);
+    let mut with_runs = sparse.clone();
+    with_runs.splice(1000..1000, std::iter::repeat(32_768).take(3 * MIN_RUN));
+    roundtrip_both(&with_runs);
+    // The widest dense window, 2^17 symbols from 7 to 7 + 2^17 − 1, and one
+    // symbol wider, which counts through the map instead.
+    for span in [(1u32 << 17) - 1, 1 << 17] {
+        let mut wide = sparse.clone();
+        wide[1] = 7;
+        wide[3] = 7 + span;
+        roundtrip_both(&wide);
+    }
+}
+
+#[test]
+fn forged_run_free_blocks_are_rejected_by_both_decoders() {
+    // A run-free block the writer flags 1 ("runs allowed") decodes straight
+    // into the output only while expansion could not change it; these
+    // forgeries break that and both decoders must say so.
+    let symbols = [1u32, 2, 3, 2, 1, 2, 3].repeat(10);
+    let valid = encode(&symbols, 1);
+    assert_eq!(valid[9], 1, "expected a Huffman block that allows runs");
+    assert_eq!(valid[18..22], [0; 4], "expected no runs");
+    roundtrip_both(&symbols);
+
+    // The run marker in the code table, standing for a symbol the payload
+    // uses: it would expand without a run length.
+    let mut forged = valid.clone();
+    forged[34..38].copy_from_slice(&RUN_MARKER.to_le_bytes());
+    assert_both_reject(&forged, "marker in a run-free code table");
+
+    // Fewer payload symbols than output symbols, with no run to make up
+    // the difference.
+    let mut forged = valid.clone();
+    let n_symbols = u64::from_le_bytes(forged[22..30].try_into().unwrap());
+    forged[22..30].copy_from_slice(&(n_symbols - 1).to_le_bytes());
+    assert_both_reject(&forged, "n_symbols below n_original without runs");
+
+    // Every truncation of a 4-segment run-free block.
+    let valid = encode(&symbols, 4);
+    for cut in 0..valid.len() {
+        assert_both_reject(&valid[..cut], "truncated run-free block");
+    }
+}
+
+#[test]
+fn sz_segments_at_the_fused_decode_chunk_edges() {
+    // The fused decode hands SZ's reconstruction 1 Ki symbols per segment
+    // at a time.  Segments of 1, 1 Ki − 1, 1 Ki and 1 Ki + 1 values (and
+    // 2 Ki + 1: two whole chunks and one symbol), with an escape as the
+    // first and the last symbol of a chunk, must decode through it exactly
+    // as the staged path and the oracle do.
+    const CHUNK: usize = 1024;
+    let sz = SzCompressor::new();
+    let bound = ErrorBound::abs_linf(1e-4);
+    let mut rng = StdRng::seed_from_u64(0xD3);
+    for seg in [1usize, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
+        for extra in [0usize, 3] {
+            let n = 4 * seg + extra;
+            // Noise ten times the bound keeps the symbols from repeating,
+            // so the block is run-free and takes the fused decode.
+            let mut data: Vec<f32> = (0..n)
+                .map(|i| (i as f32 * 0.01).sin() + rng.gen_range(-1e-3f32..1e-3))
+                .collect();
+            for at in [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, n - 1] {
+                if at < n {
+                    data[at] = 1e30;
+                }
+            }
+            let stream = sz.compress(&data, &bound).unwrap();
+            // The symbol block follows the 42-byte container header; each
+            // of its four sub-stream headers declares a run count.
+            for k in 0..4 {
+                let at = 42 + 10 + 20 * k + 8;
+                assert_eq!(stream[at..at + 4], [0; 4], "runs in segment {k}, n = {n}");
+            }
+            let oracle = sz_decompress(&stream).unwrap();
+            let staged = sz.decompress(&stream).unwrap();
+            let mut fused = vec![0.0f32; n];
+            sz.decompress_into(&stream, &mut fused, &mut scratch::acquire())
+                .unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&staged), bits(&oracle), "staged, n = {n}");
+            assert_eq!(bits(&fused), bits(&oracle), "fused, n = {n}");
+            assert!(bound.verify(&data, &fused), "bound, n = {n}");
+        }
+    }
 }
 
 #[test]

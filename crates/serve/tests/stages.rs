@@ -166,6 +166,85 @@ fn median(ns: &mut [u64]) -> u64 {
     ns[ns.len() / 2]
 }
 
+/// A smooth 256-feature field, `n` samples of a few low-frequency modes
+/// plus a 1e-4 noise floor: the serving benchmark's `codec_sz` regime.
+fn smooth_payload(seed: u64, n: usize) -> Vec<Vec<f32>> {
+    let mut rng = errflow_tensor::rng::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|s| {
+            (0..256)
+                .map(|f| {
+                    let (row, col) = (s as f32 / n as f32, f as f32 / 256.0);
+                    let tau = std::f32::consts::TAU;
+                    0.43 * (tau * (0.8 * col + 0.5 * row)).sin()
+                        + 0.22 * (tau * (1.7 * col + 0.9 * row) + 1.0).sin()
+                        + rng.gen_range(-1e-4f32..1e-4)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Median decompress-stage time of `rounds` one-request batches of
+/// `samples` on a one-worker server, and median time of the same stream
+/// decoded alone through the same compressor and the plan's bound.
+fn decode_stage_and_standalone(
+    model: &Mlp,
+    calibration: &[Vec<f32>],
+    samples: &[Vec<f32>],
+    tolerance: f64,
+    rounds: usize,
+) -> (u64, u64) {
+    let server = Server::new(
+        model.clone(),
+        calibration.to_vec(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut served: Vec<u64> = (0..rounds)
+        .map(|_| {
+            let req = Request {
+                samples: samples.to_vec(),
+                rel_tolerance: tolerance,
+                norm: Norm::L2,
+                layout: PayloadLayout::SampleMajor,
+            };
+            let resp = server.process(req).expect("request must complete");
+            resp.stages.decompress_ns
+        })
+        .collect();
+
+    // The same stream the worker decodes: its compressor, its plan's bound.
+    let compressor = ChunkedCompressor::new(SzCompressor::default());
+    let plan = Planner::new(model, calibration).plan(&PlannerConfig {
+        rel_tolerance: bucket_tolerance(tolerance).1,
+        norm: Norm::L2,
+        quant_share: ServeConfig::default().quant_share,
+    });
+    let flat = flatten(samples, PayloadLayout::SampleMajor);
+    let stream = compressor
+        .compress(&flat, &input_bound(&plan, &compressor, flat.len()))
+        .expect("compress");
+    let mut out = vec![0.0f32; flat.len()];
+    let mut alone: Vec<u64> = (0..rounds)
+        .map(|_| {
+            let t0 = Instant::now();
+            let units = compressor.decode_units(&stream, out.len()).expect("units");
+            let mut scratch = scratch::acquire();
+            for u in &units {
+                compressor
+                    .decode_unit_into(u, &mut out[u.offset..u.offset + u.len], &mut scratch)
+                    .expect("decode");
+            }
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    std::hint::black_box(&out);
+    (median(&mut served), median(&mut alone))
+}
+
 // An optimized build only: unoptimized, the codec is slow enough that the
 // stage read under 2x with the probe in it, so the ratio would gate
 // nothing (CI runs it in its own release step).
@@ -180,64 +259,46 @@ fn small_payload_decode_reconciles_with_standalone() {
     // (an env lookup and a cgroup file read, ≈ 14 µs) a 4 KiB payload's
     // stage read 13x the same decode standing alone.
     let _g = serial();
-    const ROUNDS: usize = 300;
-    let tolerance = 1e-2;
-    let model = wide_model();
-    let calibration = wide_payload(17, 8);
-    let samples = wide_payload(400, 4);
-
-    let server = Server::new(
-        model.clone(),
-        calibration.clone(),
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
+    let (served, alone) = decode_stage_and_standalone(
+        &wide_model(),
+        &wide_payload(17, 8),
+        &wide_payload(400, 4),
+        1e-2,
+        300,
     );
-    let mut served: Vec<u64> = (0..ROUNDS)
-        .map(|_| {
-            let req = Request {
-                samples: samples.clone(),
-                rel_tolerance: tolerance,
-                norm: Norm::L2,
-                layout: PayloadLayout::SampleMajor,
-            };
-            let resp = server.process(req).expect("request must complete");
-            resp.stages.decompress_ns
-        })
-        .collect();
-
-    // The same stream the worker decodes: its compressor, its plan's bound.
-    let compressor = ChunkedCompressor::new(SzCompressor::default());
-    let plan = Planner::new(&model, &calibration).plan(&PlannerConfig {
-        rel_tolerance: bucket_tolerance(tolerance).1,
-        norm: Norm::L2,
-        quant_share: ServeConfig::default().quant_share,
-    });
-    let flat = flatten(&samples, PayloadLayout::SampleMajor);
-    let stream = compressor
-        .compress(&flat, &input_bound(&plan, &compressor, flat.len()))
-        .expect("compress");
-    let mut out = vec![0.0f32; flat.len()];
-    let mut alone: Vec<u64> = (0..ROUNDS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let units = compressor.decode_units(&stream, out.len()).expect("units");
-            let mut scratch = scratch::acquire();
-            for u in &units {
-                compressor
-                    .decode_unit_into(u, &mut out[u.offset..u.offset + u.len], &mut scratch)
-                    .expect("decode");
-            }
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
-    std::hint::black_box(&out);
-
-    let (served, alone) = (median(&mut served), median(&mut alone));
     assert!(
         served <= 3 * alone,
         "decompress stage median {served} ns is over 3x the standalone decode's {alone} ns"
+    );
+}
+
+// Release only, like its 4 KiB sibling above.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a timing ratio; only meaningful with --release"
+)]
+fn large_payload_decode_reconciles_with_standalone() {
+    // A 256 x 256 payload (`codec_sz`'s shape, one 64 Ki-value decode
+    // unit): the stage is the fused SZ decode into the batch's rows, so it
+    // must read within 2x of the same stream decoded alone.  Traced
+    // `codec_sz` runs had put `serve.decode_gbps` at 0.81 against
+    // `compress.decode_gbps` at 1.03.
+    let _g = serial();
+    let (served, alone) = decode_stage_and_standalone(
+        &wide_model(),
+        &smooth_payload(17, 8),
+        &smooth_payload(400, 256),
+        1e-3,
+        100,
+    );
+    eprintln!(
+        "large payload: stage {served} ns, standalone {alone} ns, ratio {:.2}",
+        served as f64 / alone as f64
+    );
+    assert!(
+        served <= 2 * alone,
+        "decompress stage median {served} ns is over 2x the standalone decode's {alone} ns"
     );
 }
 
