@@ -32,17 +32,20 @@ pub const V2_STREAMS: usize = 4;
 /// Caps scratch fan-out on forged headers.
 pub const MAX_STREAMS: usize = 16;
 
-/// Backend tag byte following the magic.  Tag 1 belonged to a retired SZ
-/// layout and is not reused: a stream carrying it is refused everywhere.
+/// Backend tag byte following the magic.  Tags 1 and 4 belonged to
+/// retired SZ layouts (4 coded the second difference of the lattice indices
+/// in every segment) and are not reused: a stream carrying either is
+/// refused everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendTag {
     /// ZFP-class block stream.
     Zfp = 2,
     /// MGARD-class multilevel coefficient stream.
     Mgard = 3,
-    /// SZ-class stream over the error-bound lattice: symbols are second
-    /// differences of lattice indices (see [`crate::sz`]).
-    SzLattice = 4,
+    /// SZ-class stream over the error-bound lattice: each segment's symbols
+    /// are the order-k differences of its lattice indices, k ∈ {1, 2, 3}
+    /// chosen per segment and recorded in the header (see [`crate::sz`]).
+    SzOrder = 5,
 }
 
 /// Parses the fixed preamble (magic, backend tag, sub-stream count),
@@ -203,35 +206,37 @@ mod tests {
     #[test]
     fn preamble_roundtrip_and_rejections() {
         let mut buf = Vec::new();
-        write_preamble(&mut buf, BackendTag::SzLattice, V2_STREAMS);
+        write_preamble(&mut buf, BackendTag::SzOrder, V2_STREAMS);
         let mut pos = 0;
         assert_eq!(
-            read_preamble(&buf, &mut pos, BackendTag::SzLattice).unwrap(),
+            read_preamble(&buf, &mut pos, BackendTag::SzOrder).unwrap(),
             V2_STREAMS
         );
         assert_eq!(pos, 10);
-        // Wrong backend tag, and the retired SZ tag.
+        // Wrong backend tag, and the retired SZ tags.
         let mut pos = 0;
         assert!(read_preamble(&buf, &mut pos, BackendTag::Zfp).is_err());
-        let mut retired = buf.clone();
-        retired[8] = 1;
-        let mut pos = 0;
-        assert!(read_preamble(&retired, &mut pos, BackendTag::SzLattice).is_err());
+        for tag in [1, 4] {
+            let mut retired = buf.clone();
+            retired[8] = tag;
+            let mut pos = 0;
+            assert!(read_preamble(&retired, &mut pos, BackendTag::SzOrder).is_err());
+        }
         // Zero / oversized stream counts.
         for bad in [0usize, MAX_STREAMS + 1] {
             let mut buf = Vec::new();
             buf.extend_from_slice(&MAGIC_V2);
-            buf.push(BackendTag::SzLattice as u8);
+            buf.push(BackendTag::SzOrder as u8);
             buf.push(bad as u8);
             let mut pos = 0;
-            assert!(read_preamble(&buf, &mut pos, BackendTag::SzLattice).is_err());
+            assert!(read_preamble(&buf, &mut pos, BackendTag::SzOrder).is_err());
         }
     }
 
     #[test]
     fn streams_without_the_magic_are_refused() {
         let mut valid = Vec::new();
-        write_preamble(&mut valid, BackendTag::SzLattice, V2_STREAMS);
+        write_preamble(&mut valid, BackendTag::SzOrder, V2_STREAMS);
         // Every prefix short of the count, a headerless stream (it opened
         // with its element count), and every one-bit miss of the magic.
         let mut refused: Vec<Vec<u8>> = (0..10).map(|len| valid[..len].to_vec()).collect();
@@ -243,7 +248,7 @@ mod tests {
         }
         for stream in refused {
             let mut pos = 0;
-            let got = read_preamble(&stream, &mut pos, BackendTag::SzLattice);
+            let got = read_preamble(&stream, &mut pos, BackendTag::SzOrder);
             assert!(
                 matches!(got, Err(CompressError::CorruptStream(_))),
                 "{stream:?}"

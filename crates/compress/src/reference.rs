@@ -36,7 +36,7 @@ const MAX_STREAMS: usize = 16;
 const FLAG_RAW16: u8 = 2;
 const TAG_ZFP: u8 = 2;
 const TAG_MGARD: u8 = 3;
-const TAG_SZ_LATTICE: u8 = 4;
+const TAG_SZ_ORDER: u8 = 5;
 
 /// Seed bit reader: byte-copy `peek_word`, per-call bounds checks.
 struct RefBitReader<'a> {
@@ -520,14 +520,16 @@ fn lattice_index(x: f32, eb: f64) -> i32 {
 }
 
 /// Reconstruction of one segment of the lattice layout
-/// ([`crate::sz`] documents it): a symbol is the second difference of the
-/// value's lattice index against the two before it (the first value of a
-/// segment is coded as itself, the second as a first difference), all sums
-/// wrapping in `i32`; an escaped value is read verbatim
+/// ([`crate::sz`] documents it) at predictor order `order` (1, 2 or 3): a
+/// symbol is the difference of the value's lattice index from its
+/// prediction off the `j = min(i, order)` indices before it — `0`, the last
+/// index, the line through the last two, or the parabola through the last
+/// three — all sums wrapping in `i32`; an escaped value is read verbatim
 /// and contributes the index recomputed from it.  Appends one value per
 /// symbol to `recon` and returns the table bytes consumed.
 fn sz_lattice_reconstruct(
     symbols: &[u32],
+    order: usize,
     eb: f64,
     table: &[u8],
     recon: &mut Vec<f32>,
@@ -535,12 +537,15 @@ fn sz_lattice_reconstruct(
     let mut pos = 0usize;
     let mut indices: Vec<i32> = Vec::with_capacity(symbols.len());
     for (i, &sym) in symbols.iter().enumerate() {
-        // Prediction from nothing, then from the last index, then along
-        // the line through the last two.
-        let (prev, prev2) = match i {
-            0 => (0, 0),
-            1 => (indices[0], indices[0]),
-            _ => (indices[i - 1], indices[i - 2]),
+        let back = |m: usize| indices[i - m];
+        let prediction = match i.min(order) {
+            0 => 0,
+            1 => back(1),
+            2 => back(1).wrapping_mul(2).wrapping_sub(back(2)),
+            _ => back(1)
+                .wrapping_mul(3)
+                .wrapping_sub(back(2).wrapping_mul(3))
+                .wrapping_add(back(3)),
         };
         if sym == ESCAPE {
             let bytes = table
@@ -552,9 +557,7 @@ fn sz_lattice_reconstruct(
             recon.push(x);
         } else {
             let difference = (sym as i32).wrapping_sub(MAX_CODE as i32 + 1);
-            let index = difference
-                .wrapping_add(prev.wrapping_mul(2))
-                .wrapping_sub(prev2);
+            let index = prediction.wrapping_add(difference);
             indices.push(index);
             recon.push((index as f64 * (2.0 * eb)) as f32);
         }
@@ -562,14 +565,30 @@ fn sz_lattice_reconstruct(
     Ok(pos)
 }
 
-/// SZ decompression: Huffman-decode every symbol, then run
-/// [`sz_lattice_reconstruct`] once per segment.  The container declares
-/// each segment's outlier table, which the segment must consume exactly.
+/// SZ decompression: read each segment's predictor order, Huffman-decode
+/// every symbol, then run [`sz_lattice_reconstruct`] once per segment.  The
+/// container declares each segment's outlier table, which the segment must
+/// consume exactly.
 pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-    let n_streams = read_preamble(stream, TAG_SZ_LATTICE)?;
+    let n_streams = read_preamble(stream, TAG_SZ_ORDER)?;
     let mut pos = 10;
     let n = read_u64(stream, &mut pos)? as usize;
     let eb = f64::from_bits(read_u64(stream, &mut pos)?);
+    // Two bits per segment, four segments a byte; a segment's field names
+    // its order, and a field past the last segment is zero.
+    let order_bytes = slice_at(stream, pos, n_streams.div_ceil(4), "predictor orders")?;
+    pos += order_bytes.len();
+    let mut orders = Vec::new();
+    for field in 0..4 * order_bytes.len() {
+        let order = (order_bytes[field / 4] >> (2 * (field % 4))) & 3;
+        if field < n_streams && order != 0 {
+            orders.push(order as usize);
+        } else if field < n_streams || order != 0 {
+            return Err(CompressError::CorruptStream(format!(
+                "segment {field} has predictor order field {order}"
+            )));
+        }
+    }
     let mut table_lens = Vec::new();
     for _ in 0..n_streams {
         table_lens.push(read_u32(stream, &mut pos)? as usize * 4);
@@ -584,10 +603,11 @@ pub fn sz_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
     }
     let mut recon: Vec<f32> = Vec::with_capacity(safe_capacity(n, stream.len()));
     let segments = split_even(n, n_streams);
-    for ((off, len), table_len) in segments.into_iter().zip(table_lens) {
+    for (((off, len), table_len), order) in segments.into_iter().zip(table_lens).zip(orders) {
         let table = slice_at(stream, pos, table_len, "outlier table")?;
         pos += table_len;
-        let used = sz_lattice_reconstruct(&symbols[off..off + len], eb, table, &mut recon)?;
+        let segment = &symbols[off..off + len];
+        let used = sz_lattice_reconstruct(segment, order, eb, table, &mut recon)?;
         if used != table_len {
             return Err(CompressError::CorruptStream(
                 "segment outlier table has unread bytes".into(),

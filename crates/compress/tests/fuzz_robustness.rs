@@ -34,7 +34,7 @@ fn codecs() -> Vec<(Box<dyn Compressor>, Option<&'static str>)> {
 /// The container tag each backend writes, by [`Compressor::name`].
 fn tag_of(backend: &str) -> BackendTag {
     match backend {
-        "sz" => BackendTag::SzLattice,
+        "sz" => BackendTag::SzOrder,
         "zfp" => BackendTag::Zfp,
         "mgard" => BackendTag::Mgard,
         other => panic!("no container tag for {other}"),
@@ -141,6 +141,69 @@ fn bit_flips_in_valid_streams_agree_with_the_oracle() {
                 }
             }
         }
+    }
+}
+
+/// The SZ header's predictor-order byte (two bits per segment, at byte 26)
+/// under every one of its 256 values, on streams whose segments chose each
+/// order: the fast decoders and the oracle must accept and reject alike and
+/// agree on every value.  Only fields of 1–3 for all four segments are
+/// well-formed, and the honest byte must round-trip.
+#[test]
+fn every_predictor_order_byte_agrees_with_the_oracle() {
+    const ORDERS_AT: usize = 26;
+    let sz = SzCompressor::new();
+    let chunked = ChunkedCompressor::new(SzCompressor::new());
+    let mut rng = StdRng::seed_from_u64(0x0B7E);
+    let n = 4 * 700;
+    // A segment per order — a random walk, a line, a parabola (indices 5t
+    // and t² at this bound) — and a constant one, which takes order 1.
+    let mut walk = 0.0f32;
+    let data: Vec<f32> = (0..n)
+        .map(|i| {
+            let t = (i % 700) as f32;
+            match i / 700 {
+                0 => {
+                    walk += rng.gen_range(-0.05f32..0.05);
+                    walk
+                }
+                1 => t * 0.01,
+                2 => t * t * 2e-3,
+                _ => 0.25,
+            }
+        })
+        .collect();
+    let bound = ErrorBound::abs_linf(1e-3);
+    let stream = sz.compress(&data, &bound).unwrap();
+    let honest = stream[ORDERS_AT];
+    assert_eq!(honest, 1 | 2 << 2 | 3 << 4 | 1 << 6);
+    for byte in 0..=u8::MAX {
+        let mut mutated = stream.clone();
+        mutated[ORDERS_AT] = byte;
+        let what = format!("order byte {byte:#04x}");
+        assert_oracle_parity(&sz, "sz", &mutated, &what);
+        let well_formed = (0..4).all(|s| (byte >> (2 * s)) & 3 != 0);
+        assert_eq!(sz.decompress(&mutated).is_ok(), well_formed, "{what}");
+        let _ = chunked.decompress(&mutated);
+        if byte == honest {
+            assert!(bound.verify(&data, &sz.decompress(&mutated).unwrap()));
+        }
+    }
+    // A field past the last segment must be clear: a one-segment stream
+    // reads its order from the low two bits alone.
+    let mut one = Vec::new();
+    write_preamble(&mut one, BackendTag::SzOrder, 1);
+    one.extend_from_slice(&0u64.to_le_bytes());
+    one.extend_from_slice(&1e-3f64.to_le_bytes());
+    let at = one.len();
+    one.push(0);
+    one.extend_from_slice(&0u32.to_le_bytes());
+    one.extend(errflow_compress::huffman::encode_multi(&[&[]]));
+    for byte in 0..=u8::MAX {
+        one[at] = byte;
+        let what = format!("one-segment order byte {byte:#04x}");
+        assert_oracle_parity(&sz, "sz", &one, &what);
+        assert_eq!(sz.decompress(&one).is_ok(), matches!(byte, 1..=3), "{what}");
     }
 }
 

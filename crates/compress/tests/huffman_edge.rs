@@ -261,10 +261,10 @@ fn sz_segments_at_the_fused_decode_chunk_edges() {
                 }
             }
             let stream = sz.compress(&data, &bound).unwrap();
-            // The symbol block follows the 42-byte container header; each
+            // The symbol block follows the 43-byte container header; each
             // of its four sub-stream headers declares a run count.
             for k in 0..4 {
-                let at = 42 + 10 + 20 * k + 8;
+                let at = 43 + 10 + 20 * k + 8;
                 assert_eq!(stream[at..at + 4], [0; 4], "runs in segment {k}, n = {n}");
             }
             let oracle = sz_decompress(&stream).unwrap();

@@ -1,5 +1,7 @@
-//! The SZ lattice layout (container tag 4): a property sweep over bounds,
-//! lengths and awkward values, and hand-forged hostile streams.
+//! The SZ lattice layout (container tag 5, a predictor order per segment):
+//! a property sweep over bounds, lengths and awkward values, streams coded
+//! at each predictor order with escapes where the history restarts, and
+//! hand-forged hostile streams.
 //!
 //! Every stream, honest or forged, goes to the fast decoder through
 //! `decompress`, `decompress_into` and `ChunkedCompressor::decode_unit_into`
@@ -48,7 +50,7 @@ fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
 fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     let sz = SzCompressor::new();
     let stream = sz.compress(data, bound).unwrap();
-    assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::SzLattice as u8);
+    assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::SzOrder as u8);
     let recon =
         decode_everywhere(&stream, what).unwrap_or_else(|| panic!("{what}: own stream rejected"));
     assert_eq!(recon.len(), data.len());
@@ -216,12 +218,17 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
 }
 
 /// A lattice container built by hand: `symbols` cut into `tables.len()`
-/// even segments, one outlier table per segment.
-fn forge(eb: f64, symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
+/// even segments, one predictor order and one outlier table per segment.
+fn forge(eb: f64, orders: &[u8], symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
+    assert_eq!(orders.len(), tables.len());
     let mut out = Vec::new();
-    format::write_preamble(&mut out, BackendTag::SzLattice, tables.len());
+    format::write_preamble(&mut out, BackendTag::SzOrder, tables.len());
     out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
     out.extend_from_slice(&eb.to_le_bytes());
+    for group in orders.chunks(4) {
+        let fields = group.iter().enumerate();
+        out.push(fields.fold(0, |byte, (s, &k)| byte | k << (2 * s)));
+    }
     for table in tables {
         out.extend_from_slice(&(table.len() as u32).to_le_bytes());
     }
@@ -232,15 +239,119 @@ fn forge(eb: f64, symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
     out
 }
 
+/// The lattice index of `x` under budget `eb`, restated from the module
+/// docs of `errflow_compress::sz`.
+fn lattice_index(x: f32, eb: f64) -> i32 {
+    let scaled = x as f64 * (1.0 / (2.0 * eb));
+    if scaled.abs() < (1u64 << 30) as f64 {
+        scaled.round_ties_even() as i32
+    } else {
+        0
+    }
+}
+
+/// An honest stream of `data` in four segments coded at `orders`, written
+/// the slow way, with the values every decoder must return for it.
+fn encode_at(data: &[f32], eb: f64, orders: [u8; 4]) -> (Vec<u8>, Vec<f32>) {
+    let mut symbols = Vec::with_capacity(data.len());
+    let mut tables = vec![Vec::new(); 4];
+    let mut want = Vec::with_capacity(data.len());
+    for ((off, len), (table, &k)) in format::split_even(data.len(), 4)
+        .iter()
+        .zip(tables.iter_mut().zip(&orders))
+    {
+        let xs = &data[*off..off + len];
+        let q: Vec<i32> = xs.iter().map(|&x| lattice_index(x, eb)).collect();
+        for (i, &x) in xs.iter().enumerate() {
+            // The difference of order min(i, k): binomial weights on the
+            // index and the ones before it.
+            let weights: &[i32] = match i.min(usize::from(k)) {
+                0 => &[1],
+                1 => &[1, -1],
+                2 => &[1, -2, 1],
+                _ => &[1, -3, 3, -1],
+            };
+            let d = weights
+                .iter()
+                .enumerate()
+                .fold(0i32, |d, (m, &w)| d.wrapping_add(w.wrapping_mul(q[i - m])));
+            let r = (q[i] as f64 * (2.0 * eb)) as f32;
+            if f64::from((x - r).abs()) <= eb && r.is_finite() && d.abs() <= 32_767 {
+                symbols.push((d + 32_768) as u32);
+                want.push(r);
+            } else {
+                symbols.push(0);
+                table.push(x);
+                want.push(x);
+            }
+        }
+    }
+    (forge(eb, &orders, &symbols, &tables), want)
+}
+
+#[test]
+fn every_order_restarts_and_escapes_alike_in_every_decoder() {
+    // Four segments of 2 Ki + 1 values: the fused decode hands each one
+    // chunk of 1 Ki symbols, another, then one.  Escapes go where the
+    // history restarts (positions 0, 1, 2 of every segment) and on the
+    // chunk edges (1 Ki ± 1, 2 Ki), alone and together.
+    const CHUNK: usize = 1024;
+    let seg = 2 * CHUNK + 1;
+    let eb = 1e-4;
+    let mut rng = StdRng::seed_from_u64(0x0DE5);
+    // Noise ten times the bound keeps the block run-free.
+    let base: Vec<f32> = (0..4 * seg)
+        .map(|i| (i as f32 * 0.002).sin() + rng.gen_range(-1e-3f32..1e-3))
+        .collect();
+    let patterns: [&[usize]; 7] = [
+        &[],
+        &[0],
+        &[1],
+        &[2],
+        &[0, 1, 2],
+        &[CHUNK - 1, CHUNK, CHUNK + 1],
+        &[1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK],
+    ];
+    let sz = SzCompressor::new();
+    for pattern in patterns {
+        let mut data = base.clone();
+        for s in 0..4 {
+            for &p in pattern {
+                data[s * seg + p] = if p % 2 == 0 { 1e30 } else { -7.5 };
+            }
+        }
+        for orders in [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3], [3, 1, 2, 3]] {
+            let what = format!("escapes at {pattern:?}, orders {orders:?}");
+            let (stream, want) = encode_at(&data, eb, orders);
+            let got = decode_everywhere(&stream, &what)
+                .unwrap_or_else(|| panic!("{what}: honest stream rejected"));
+            assert_eq!(bits(&got), bits(&want), "{what}");
+            assert!(ErrorBound::abs_linf(eb).verify(&data, &got), "{what}");
+        }
+        // The encoder writes what the slow coder writes at its own orders.
+        let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
+        let orders = [0, 2, 4, 6].map(|shift| (stream[26] >> shift) & 3);
+        let (slow, _) = encode_at(&data, eb, orders);
+        assert!(stream == slow, "escapes at {pattern:?}: orders {orders:?}");
+    }
+}
+
 #[test]
 fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
     let none = vec![Vec::new(); 4];
-    // The largest honest difference, forever: the index passes 2^31 after
-    // ~360 values and keeps wrapping.
+    // The largest honest difference, forever: at order 2 the index passes
+    // 2^31 after ~360 values and keeps wrapping, at order 3 sooner, and at
+    // order 1 after 65 538.
     let up = vec![65_535u32; 8000];
-    let values =
-        decode_everywhere(&forge(1e-3, &up, &none), "all +MAX_CODE").expect("a well-framed stream");
-    assert!(values.iter().any(|&v| v < 0.0), "the sum wrapped");
+    for (k, n) in [(1u8, 4 * 70_000), (2, 8000), (3, 8000)] {
+        let up = vec![65_535u32; n];
+        let values = decode_everywhere(&forge(1e-3, &[k; 4], &up, &none), "all +MAX_CODE")
+            .expect("a well-framed stream");
+        assert!(
+            values.iter().any(|&v| v < 0.0),
+            "order {k}: the sum wrapped"
+        );
+    }
     // Symbols no encoder emits, the marker among them.
     let mut rng = StdRng::seed_from_u64(0xF0F);
     let wild: Vec<u32> = (0..4001)
@@ -254,7 +365,8 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
         .collect();
     for n_streams in [1, 3, 4, 16] {
         let tables = vec![Vec::new(); n_streams];
-        decode_everywhere(&forge(0.5, &wild, &tables), "wild symbols")
+        let orders: Vec<u8> = (0..n_streams).map(|s| 1 + (s % 3) as u8).collect();
+        decode_everywhere(&forge(0.5, &orders, &wild, &tables), "wild symbols")
             .expect("a well-framed stream");
     }
     // Header bounds no encoder writes.
@@ -263,8 +375,11 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
         symbols[7] = 0;
         symbols[205] = 0;
         let tables = vec![vec![3.5f32], Vec::new(), vec![f32::NAN], Vec::new()];
-        decode_everywhere(&forge(eb, &symbols, &tables), "hostile error bound")
-            .expect("a well-framed stream");
+        decode_everywhere(
+            &forge(eb, &[3, 2, 1, 3], &symbols, &tables),
+            "hostile error bound",
+        )
+        .expect("a well-framed stream");
     }
 }
 
@@ -277,7 +392,7 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     let table = |n: usize| vec![Vec::new(), vec![1.25f32; n], Vec::new(), Vec::new()];
     let sz = SzCompressor::new();
     for (entries, accepted) in [(2, true), (1, false), (3, false), (0, false)] {
-        let stream = forge(1e-3, &symbols, &table(entries));
+        let stream = forge(1e-3, &[2; 4], &symbols, &table(entries));
         let decoded = decode_everywhere(&stream, "table length");
         assert_eq!(
             decoded.is_some(),
@@ -291,12 +406,12 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     }
     // The right number of entries, one segment over.
     let moved = vec![vec![1.25f32; 2], Vec::new(), Vec::new(), Vec::new()];
-    let stream = forge(1e-3, &symbols, &moved);
+    let stream = forge(1e-3, &[2; 4], &symbols, &moved);
     assert!(decode_everywhere(&stream, "table in the wrong segment").is_none());
 }
 
 #[test]
-fn any_tag_but_the_lattice_one_is_no_sz_stream() {
+fn any_tag_but_the_order_one_is_no_sz_stream() {
     let data: Vec<f32> = include_bytes!("fixtures/field.f32")
         .chunks_exact(4)
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -305,9 +420,10 @@ fn any_tag_but_the_lattice_one_is_no_sz_stream() {
     let mut stream = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
     let mut sc = scratch::acquire();
     let mut out = vec![0.0f32; data.len()];
-    // Tag 1 is the retired SZ layout's; the others are other backends' or
-    // nobody's.
-    for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::SzLattice as u8) {
+    // Tags 1 and 4 are retired SZ layouts' (4 the order-2-only lattice
+    // layout, whose body differs from this one by the order byte alone);
+    // the others are other backends' or nobody's.
+    for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::SzOrder as u8) {
         stream[8] = tag;
         assert!(
             decode_everywhere(&stream, "foreign tag").is_none(),

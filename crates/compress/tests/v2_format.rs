@@ -6,16 +6,19 @@
 //! the outlier table, with a 120-value constant stretch for the RLE path)
 //! and, all under `rel_linf(1e-4)`:
 //!
-//! * the SZ lattice stream (`sz_lattice.bin`, tag 4) with its decoded bits
-//!   (`sz_lattice.f32`), and the ZFP container stream (`zfp_v2.bin`).
-//!   These pin the writers: today's SZ and ZFP encoders must reproduce
-//!   them byte for byte, and the lattice stream must keep decoding to the
-//!   recorded bits through every path.
+//! * the SZ stream (`sz_order.bin`, tag 5, a predictor order per segment)
+//!   with its decoded bits (`sz_order.f32`), and the ZFP container stream
+//!   (`zfp_v2.bin`).  These pin the writers: today's SZ and ZFP encoders
+//!   must reproduce them byte for byte, and the SZ stream must keep
+//!   decoding to the recorded bits through every path.  (Those bits are
+//!   the ones the retired order-2 layout decoded to: the orders code the
+//!   same lattice.)
 //! * retired layouts with no writer in the tree: the headerless ("v1")
-//!   SZ/ZFP/MGARD streams (`*_v1.bin`) and an SZ container under the
-//!   retired tag 1 (`sz_v2.bin`).  Every decoder — `decompress`,
-//!   `decompress_into`, the [`errflow_compress::reference`] oracle and the
-//!   codec inside [`ChunkedCompressor`] — must refuse them with a typed
+//!   SZ/ZFP/MGARD streams (`*_v1.bin`), an SZ container under the retired
+//!   tag 1 (`sz_v2.bin`) and one under the retired order-2 lattice tag 4
+//!   (`sz_lattice.bin`).  Every decoder — `decompress`, `decompress_into`,
+//!   the [`errflow_compress::reference`] oracle and the codec inside
+//!   [`ChunkedCompressor`] — must refuse them with a typed
 //!   [`CompressError::CorruptStream`].
 //!
 //! Beyond the fixtures: container streams round-trip within the requested
@@ -63,10 +66,10 @@ fn field(n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn the_lattice_golden_decodes_to_the_recorded_values_everywhere() {
+fn the_sz_golden_decodes_to_the_recorded_values_everywhere() {
     let sz = SzCompressor::new();
-    let stream = include_bytes!("fixtures/sz_lattice.bin");
-    let want = f32_bits(include_bytes!("fixtures/sz_lattice.f32"));
+    let stream = include_bytes!("fixtures/sz_order.bin");
+    let want = f32_bits(include_bytes!("fixtures/sz_order.f32"));
     let data = golden_field();
     assert_eq!(want.len(), data.len());
     let oracle = reference::decompress(sz.name(), stream).unwrap();
@@ -88,7 +91,7 @@ fn sz_and_zfp_still_write_the_recorded_container_bytes() {
     let cases: [(&dyn Compressor, &[u8]); 2] = [
         (
             &SzCompressor::new(),
-            include_bytes!("fixtures/sz_lattice.bin"),
+            include_bytes!("fixtures/sz_order.bin"),
         ),
         (&ZfpCompressor::new(), include_bytes!("fixtures/zfp_v2.bin")),
     ];
@@ -149,6 +152,11 @@ fn retired_layouts_are_refused_by_every_decoder() {
     refused_everywhere(&sz, include_bytes!("fixtures/sz_v1.bin"), "sz headerless");
     refused_everywhere(&sz, include_bytes!("fixtures/sz_v2.bin"), "sz tag 1");
     refused_everywhere(
+        &sz,
+        include_bytes!("fixtures/sz_lattice.bin"),
+        "sz order-2 lattice, tag 4",
+    );
+    refused_everywhere(
         &ZfpCompressor::new(),
         include_bytes!("fixtures/zfp_v1.bin"),
         "zfp headerless",
@@ -158,13 +166,16 @@ fn retired_layouts_are_refused_by_every_decoder() {
         include_bytes!("fixtures/mgard_v1.bin"),
         "mgard headerless",
     );
-    // Today's SZ body under the retired tag is no SZ stream either.
-    let mut retagged = sz
+    // Today's SZ body under a retired tag is no SZ stream either.
+    let today = sz
         .compress(&golden_field(), &ErrorBound::rel_linf(1e-4))
         .unwrap();
-    assert!(sz.decompress(&retagged).is_ok());
-    retagged[8] = 1;
-    refused_everywhere(&sz, &retagged, "lattice body under tag 1");
+    assert!(sz.decompress(&today).is_ok());
+    for tag in [1, 4] {
+        let mut retagged = today.clone();
+        retagged[8] = tag;
+        refused_everywhere(&sz, &retagged, &format!("today's body under tag {tag}"));
+    }
 }
 
 #[test]
@@ -232,9 +243,10 @@ fn sz_forged_outlier_counts_are_a_typed_corrupt_stream() {
     let data = field(2048);
     let sz = SzCompressor::new();
     let mut stream = sz.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
-    // Layout: preamble (10) + n (8) + eb (8) + per-stream u32 counts.
-    let c0 = u32::from_le_bytes(stream[26..30].try_into().unwrap());
-    stream[26..30].copy_from_slice(&(c0 + 1).to_le_bytes());
+    // Layout: preamble (10) + n (8) + eb (8) + orders (1) + per-stream
+    // u32 counts.
+    let c0 = u32::from_le_bytes(stream[27..31].try_into().unwrap());
+    stream[27..31].copy_from_slice(&(c0 + 1).to_le_bytes());
     let mut out = vec![0.0f32; data.len()];
     let mut sc = scratch::acquire();
     let err = sz.decompress_into(&stream, &mut out, &mut sc).unwrap_err();

@@ -7,7 +7,7 @@
 //! accounted outside the compute-worker set).  Thread 0 owns the listener
 //! and routes accepted connections round-robin across all io threads; each
 //! thread runs a readiness poll loop ([`crate::poll`]) over its own
-//! connections plus a wake socket.  Serve workers never touch sockets:
+//! connections plus a wake pipe.  Serve workers never touch sockets:
 //! completions are handed back through a per-thread completion queue (the
 //! submit hook pushes and wakes), and the io thread encodes + writes.
 //!
@@ -23,7 +23,7 @@ use errflow_nn::Model;
 use errflow_obs::Counter;
 use errflow_serve::server::{Request, Response, ServeError, Server};
 use errflow_tensor::sync::lock_recover;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,33 +75,56 @@ struct Completion {
 }
 
 /// One io thread's mailbox: freshly accepted connections and completed
-/// jobs land here; a byte on the wake socket interrupts its poll.
+/// jobs land here; a byte in the wake pipe interrupts its poll.
 struct IoShared {
     inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion>>,
-    wake_tx: TcpStream,
+    wake_tx: PipeWriter,
+    /// A doorbell byte is in the pipe or on its way: later wakes write
+    /// nothing, so at most one byte is ever pending and a write never
+    /// blocks.  The io thread clears it after taking the byte and before
+    /// it drains the mailboxes, so a push that found it set is drained.
+    rung: AtomicBool,
 }
 
 impl IoShared {
-    fn wake(&self) {
-        // A failed wake is harmless: the loop re-checks mailboxes on its
-        // poll tick anyway.
-        let _ = (&self.wake_tx).write(&[1u8]);
+    fn new(wake_tx: PipeWriter) -> Self {
+        IoShared {
+            inbox: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            wake_tx,
+            rung: AtomicBool::new(false),
+        }
     }
-}
 
-/// Loopback socket pair for waking a poll loop (`tx` write → `rx` ready).
-/// Built from a throwaway listener so it stays std-only and portable.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    rx.set_nonblocking(true)?;
-    // Nonblocking on the write side too: a serve worker must never stall
-    // on a full loopback buffer (a failed wake is harmless, see wake()).
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    Ok((tx, rx))
+    fn wake(&self) {
+        if self.rung.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // A 1-byte write to a pipe costs about a tenth of one to a loopback
+        // socket.  A failed one is harmless — the loop re-checks mailboxes
+        // on its poll tick anyway — but must not leave the bell marked
+        // rung with no byte to take.
+        if (&self.wake_tx).write(&[1u8]).is_err() {
+            self.rung.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Takes the doorbell byte when there is one; `readable` is what the
+    /// poll said about the pipe.
+    fn answer(&self, wake_rx: &PipeReader, readable: bool) {
+        // The flag guards the read too: the non-Unix poller reports every
+        // descriptor ready, and a read from an empty pipe would block.
+        if readable && self.rung.load(Ordering::SeqCst) {
+            let mut rx = wake_rx;
+            while let Err(e) = rx.read(&mut [0u8; 1]) {
+                if e.kind() != ErrorKind::Interrupted {
+                    break;
+                }
+            }
+            self.rung.store(false, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Process-total net frontend metrics (registered in [`errflow_obs`]).
@@ -163,12 +186,8 @@ impl NetServer {
         let mut shards = Vec::with_capacity(io_threads);
         let mut wake_rxs = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
-            let (tx, rx) = wake_pair()?;
-            shards.push(Arc::new(IoShared {
-                inbox: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
-                wake_tx: tx,
-            }));
+            let (rx, tx) = std::io::pipe()?;
+            shards.push(Arc::new(IoShared::new(tx)));
             wake_rxs.push(rx);
         }
 
@@ -240,7 +259,7 @@ struct IoLoop<M: Model + Clone + Send + Sync + 'static> {
     idx: usize,
     server: Arc<Server<M>>,
     listener: Option<TcpListener>,
-    wake_rx: TcpStream,
+    wake_rx: PipeReader,
     shards: Vec<Arc<IoShared>>,
     shutdown: Arc<AtomicBool>,
     conn_count: Arc<AtomicUsize>,
@@ -282,16 +301,8 @@ fn io_loop<M: Model + Clone + Send + Sync + 'static>(io: IoLoop<M>) {
             break;
         }
 
-        // Drain the wake socket (bytes are just doorbells).
-        let mut sink = [0u8; 64];
-        loop {
-            match (&io.wake_rx).read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock or a broken waker: move on
-            }
-        }
+        // Take the doorbell, then drain the mailboxes it rang for.
+        shared.answer(&io.wake_rx, fds[0].readable());
 
         // Adopt connections routed to this thread.
         for stream in std::mem::take(&mut *lock_recover(&shared.inbox)) {
