@@ -24,17 +24,20 @@
 //!
 //! ```text
 //! [magic u64][tag=Mgard u8][n_streams u8]
-//! [n u64][eb f64][coarse_len u32][coarse f32 × coarse_len]
+//! [n varint][eb f64][coarse f32 × coarse_len]
 //! [multi-stream Huffman block over the coefficient symbols]
 //! [outlier f32 table]
 //! ```
 //!
-//! The level recursion itself stays serial (each level interpolates the
-//! one below), so only the entropy stage is split: the coefficient symbols,
-//! coarsest level first, are cut by [`format::split_slices`] into
-//! [`V2_STREAMS`] segments for [`huffman::encode_multi_into`].  Any other
-//! bytes — no magic, or a tag other than [`BackendTag::Mgard`] — are a
-//! typed [`CompressError::CorruptStream`].
+//! `coarse_len` and the coefficient count follow from `n` (the level
+//! lengths halve, rounding up, down to at most three values), so the
+//! header holds neither.  The level recursion itself stays serial (each
+//! level interpolates the one below), so only the entropy stage is split:
+//! the coefficient symbols, coarsest level first, are cut into
+//! [`V2_STREAMS`] segments by [`huffman::encode_multi_into`].  Any other
+//! bytes — no magic, or a tag other than [`BackendTag::Mgard`], the
+//! retired fixed-width tag 3 among them — are a typed
+//! [`CompressError::CorruptStream`].
 
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, V2_STREAMS};
@@ -69,42 +72,32 @@ impl MgardCompressor {
     ) -> Result<(usize, f64, Vec<usize>, usize), CompressError> {
         let mut pos = 0usize;
         // The coefficient symbols are one flat sequence to the level
-        // recursion; the sub-stream count only shapes the Huffman block,
-        // which re-declares and validates it.
-        format::read_preamble(stream, &mut pos, BackendTag::Mgard)?;
-        let n = crate::traits::read_len_u64(stream, &mut pos, "element count")?;
+        // recursion; the sub-stream count only shapes the Huffman block.
+        let n_streams = format::read_preamble(stream, &mut pos, BackendTag::Mgard)?;
+        let n = crate::traits::read_varint_len(stream, &mut pos, "element count")?;
         let eb = crate::traits::read_f64(stream, &mut pos, "error bound")?;
-        let coarse_len = crate::traits::read_len_u32(stream, &mut pos, "coarse length")?;
+        // The coarse level's length and the coefficient count follow from
+        // `n`: the stream declares neither.
         let lens = level_lengths(n);
-        let expected_coarse = lens.last().copied().ok_or_else(|| {
-            CompressError::CorruptStream("no levels for declared element count".into())
-        })?;
-        if coarse_len != expected_coarse {
+        let coarse_len = lens.last().copied().unwrap_or(n);
+        if coarse_len > (stream.len() - pos) / 4 {
             return Err(CompressError::CorruptStream(format!(
-                "coarse length {coarse_len} inconsistent with n={n}"
+                "coarse level of {coarse_len} values past the stream's end"
             )));
         }
         let coarse = &mut scratch.fa;
         coarse.clear();
-        coarse.reserve(crate::traits::safe_capacity(coarse_len, stream.len()));
-        for _ in 0..coarse_len {
-            coarse.push(crate::traits::read_f32(stream, &mut pos, "coarse level")?);
-        }
-        let consumed =
-            huffman::decode_multi_into(&stream[pos..], &mut scratch.symbols, &mut scratch.huff)?;
-        pos += consumed;
-
-        let expected_symbols: usize = lens
-            .iter()
-            .take(lens.len().saturating_sub(1))
-            .map(|&len| len / 2)
-            .sum();
-        if scratch.symbols.len() != expected_symbols {
-            return Err(CompressError::CorruptStream(format!(
-                "expected {expected_symbols} coefficients, decoded {}",
-                scratch.symbols.len()
-            )));
-        }
+        coarse.resize(coarse_len, 0.0);
+        format::read_f32_table(&stream[pos..pos + 4 * coarse_len], coarse);
+        pos += 4 * coarse_len;
+        let n_symbols: usize = lens[..lens.len() - 1].iter().map(|&len| len / 2).sum();
+        pos += huffman::decode_multi_into(
+            &stream[pos..],
+            n_symbols,
+            n_streams,
+            &mut scratch.symbols,
+            &mut scratch.huff,
+        )?;
         Ok((n, eb, lens, pos))
     }
 
@@ -284,11 +277,10 @@ impl Compressor for MgardCompressor {
 
         let mut out = Vec::new();
         format::write_preamble(&mut out, BackendTag::Mgard, V2_STREAMS);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        crate::traits::write_varint(&mut out, data.len() as u64);
         out.extend_from_slice(&eb.to_le_bytes());
-        out.extend_from_slice(&(coarse_len as u32).to_le_bytes());
         format::write_f32_table(&mut out, &fa[coarse_start..coarse_start + coarse_len]);
-        huffman::encode_multi_into(&format::split_slices(symbols, V2_STREAMS), &mut out);
+        huffman::encode_multi_into(symbols, V2_STREAMS, &mut out);
         format::write_f32_table(&mut out, &outliers);
         Ok(out)
     }

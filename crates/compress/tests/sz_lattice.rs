@@ -1,4 +1,4 @@
-//! The SZ lattice layout (container tag 5, a predictor order per segment):
+//! The SZ lattice layout (container tag 6, a predictor order per segment):
 //! a property sweep over bounds, lengths and awkward values, streams coded
 //! at each predictor order with escapes where the history restarts, and
 //! hand-forged hostile streams.
@@ -9,6 +9,7 @@
 //! accept/reject and, when they accept, bit for bit.
 
 use errflow_compress::format::{self, BackendTag};
+use errflow_compress::traits::{read_varint, write_varint};
 use errflow_compress::{
     huffman, reference, scratch, ChunkedCompressor, Compressor, ErrorBound, SzCompressor,
 };
@@ -50,7 +51,7 @@ fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
 fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     let sz = SzCompressor::new();
     let stream = sz.compress(data, bound).unwrap();
-    assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::SzOrder as u8);
+    assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::Sz as u8);
     let recon =
         decode_everywhere(&stream, what).unwrap_or_else(|| panic!("{what}: own stream rejected"));
     assert_eq!(recon.len(), data.len());
@@ -222,17 +223,17 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
 fn forge(eb: f64, orders: &[u8], symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
     assert_eq!(orders.len(), tables.len());
     let mut out = Vec::new();
-    format::write_preamble(&mut out, BackendTag::SzOrder, tables.len());
-    out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
+    format::write_preamble(&mut out, BackendTag::Sz, tables.len());
+    write_varint(&mut out, symbols.len() as u64);
     out.extend_from_slice(&eb.to_le_bytes());
     for group in orders.chunks(4) {
         let fields = group.iter().enumerate();
         out.push(fields.fold(0, |byte, (s, &k)| byte | k << (2 * s)));
     }
     for table in tables {
-        out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+        write_varint(&mut out, table.len() as u64);
     }
-    huffman::encode_multi_into(&format::split_slices(symbols, tables.len()), &mut out);
+    huffman::encode_multi_into(symbols, tables.len(), &mut out);
     for table in tables {
         format::write_f32_table(&mut out, table);
     }
@@ -330,7 +331,10 @@ fn every_order_restarts_and_escapes_alike_in_every_decoder() {
         }
         // The encoder writes what the slow coder writes at its own orders.
         let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
-        let orders = [0, 2, 4, 6].map(|shift| (stream[26] >> shift) & 3);
+        // The order byte follows the preamble, n (a varint) and eb.
+        let mut at = 10;
+        read_varint(&stream, &mut at, u64::MAX, "n").unwrap();
+        let orders = [0, 2, 4, 6].map(|shift| (stream[at + 8] >> shift) & 3);
         let (slow, _) = encode_at(&data, eb, orders);
         assert!(stream == slow, "escapes at {pattern:?}: orders {orders:?}");
     }
@@ -420,10 +424,10 @@ fn any_tag_but_the_order_one_is_no_sz_stream() {
     let mut stream = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
     let mut sc = scratch::acquire();
     let mut out = vec![0.0f32; data.len()];
-    // Tags 1 and 4 are retired SZ layouts' (4 the order-2-only lattice
-    // layout, whose body differs from this one by the order byte alone);
-    // the others are other backends' or nobody's.
-    for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::SzOrder as u8) {
+    // Tags 1, 4 and 5 are retired SZ layouts' (5 this one's orders behind
+    // fixed-width counts, 4 the order-2-only lattice layout); the others
+    // are other backends' or nobody's.
+    for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::Sz as u8) {
         stream[8] = tag;
         assert!(
             decode_everywhere(&stream, "foreign tag").is_none(),
