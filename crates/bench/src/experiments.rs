@@ -532,6 +532,31 @@ fn per_feature_quantization_table(tt: &TrainedTask) -> Table {
     table
 }
 
+/// Timed repetitions per `decomp_gbps` cell of Figs. 7 and 8.
+const DECODE_REPS: usize = 5;
+
+/// Least wall-clock time of one repetition: it decodes the stream as many
+/// times as fit.
+const DECODE_REP_SECS: f64 = 0.02;
+
+/// Seconds per `decompress` of `stream`: the median over [`DECODE_REPS`]
+/// repetitions, each decoding it until [`DECODE_REP_SECS`] have passed.
+fn median_decode_secs(backend: &dyn Compressor, stream: &[u8]) -> f64 {
+    let mut secs: Vec<f64> = (0..DECODE_REPS)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut decodes = 0u32;
+            while decodes == 0 || t0.elapsed().as_secs_f64() < DECODE_REP_SECS {
+                std::hint::black_box(backend.decompress(stream).expect("own stream"));
+                decodes += 1;
+            }
+            t0.elapsed().as_secs_f64() / f64::from(decodes)
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[DECODE_REPS / 2]
+}
+
 /// Figs. 7 and 8: effective I/O throughput vs. QoI tolerance per backend
 /// (compression-only pipelines; the tolerance buys input error budget).
 pub fn io_throughput_table(tasks: &[&TrainedTask], norm: Norm, tolerances: &[f64]) -> Table {
@@ -573,15 +598,8 @@ pub fn io_throughput_table(tasks: &[&TrainedTask], norm: Norm, tolerances: &[f64
                     continue;
                 }
                 let (_, mut stats) = backend.roundtrip(&payload, &bound).expect("supported");
-                if stats.decompress_secs < 0.01 {
-                    let stream = backend.compress(&payload, &bound).expect("supported");
-                    let reps = ((0.02 / stats.decompress_secs.max(1e-7)) as usize).clamp(3, 100);
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..reps {
-                        backend.decompress(&stream).expect("own stream");
-                    }
-                    stats.decompress_secs = t0.elapsed().as_secs_f64() / reps as f64;
-                }
+                let stream = backend.compress(&payload, &bound).expect("supported");
+                stats.decompress_secs = median_decode_secs(backend.as_ref(), &stream);
                 table.push(vec![
                     tt.name().into(),
                     backend.name().into(),
