@@ -56,8 +56,9 @@ struct CodecResult {
     bound: ErrorBound,
     ratio: f64,
     compress_secs: f64,
+    /// `decompress_into` (every backend's one decoder) into a buffer of
+    /// the row's size, with pooled scratch, as the server calls it.
     decompress_secs: f64,
-    decompress_into_secs: f64,
     /// The oracle decoding the same stream.
     reference_secs: f64,
     /// ZFP only: `compress` on each encoder arm this host runs, by name.
@@ -104,7 +105,7 @@ struct ChunkedResult {
 }
 
 /// Conservative absolute floors for single-thread decode throughput
-/// (`decompress_into`, GB/s) at the default chunk size — see CI gate 2.
+/// (GB/s) at the default chunk size — see CI gate 2.
 const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
 
 /// The same for single-thread `compress`, on the noise-floor row (an
@@ -118,10 +119,10 @@ const SMOKE_DECODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.35), ("zfp", 0.5)];
 const SMOKE_ENCODE_FLOORS_GBPS: &[(&str, f64)] = &[("sz", 0.3), ("zfp", 0.5)];
 
 /// The phases of one SZ compress and one decode, as `(key, span)`: the
-/// span each phase's time is read from.  `decompress` decodes the symbols
-/// whole and then rebuilds the values (`entropy`, `reconstruct`);
-/// `decompress_into` — what the server calls — does both one L1-sized chunk
-/// at a time (`fused`), so only its total is a phase.
+/// span each phase's time is read from.  The decoder parses the block's
+/// code table (`table`), then entropy-decodes and rebuilds the values one
+/// L1-sized chunk at a time (`fused`), so only the total of those two is a
+/// phase.
 const SZ_PHASES: &[(&str, &str)] = &[
     ("passes", "codec.sz.passes"),
     ("scan", "codec.huffman.scan"),
@@ -129,8 +130,6 @@ const SZ_PHASES: &[(&str, &str)] = &[
     ("code", "codec.huffman.code"),
     ("payload", "codec.huffman.payload"),
     ("table", "codec.huffman.table"),
-    ("entropy", "codec.huffman.entropy"),
-    ("reconstruct", "codec.sz.v2.reconstruct"),
     ("fused", "codec.sz.v2.decode_fused"),
 ];
 
@@ -154,7 +153,7 @@ const SMOKE_RATIO_SLACK: f64 = 0.02;
 const ZFP_FM_BUDGET: f64 = 1e-5;
 
 /// Median µs per call of each [`SZ_PHASES`] span over `reps` calls of
-/// `compress`, `decompress` and `decompress_into` on `stream`.
+/// `compress` and `decompress_into` on `stream`.
 fn sz_phases(
     data: &[f32],
     bound: &ErrorBound,
@@ -168,7 +167,6 @@ fn sz_phases(
     trace::clear();
     for _ in 0..reps {
         std::hint::black_box(sz.compress(data, bound).expect("compress"));
-        std::hint::black_box(sz.decompress(stream).expect("decompress"));
         sz.decompress_into(stream, &mut out, &mut sc)
             .expect("decompress_into");
     }
@@ -439,7 +437,7 @@ fn run_codec(
 
     // Correctness first: the fast decoder must agree bit-for-bit with the
     // oracle on this stream, and honour the error-bound contract.
-    let fast = c.decompress(&stream).expect("decompress");
+    let fast = c.decompress(&stream, n).expect("decompress");
     let slow = reference::decompress(backend, &stream).expect("reference decompress");
     assert_eq!(fast.len(), slow.len(), "{backend}: length mismatch");
     for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
@@ -454,12 +452,9 @@ fn run_codec(
     let compress_secs = time_best(reps, || {
         std::hint::black_box(c.compress(data, &bound).expect("compress"));
     });
-    let decompress_secs = time_best(reps, || {
-        std::hint::black_box(c.decompress(&stream).expect("decompress"));
-    });
     let mut out = vec![0.0f32; n];
     let mut sc = scratch::acquire();
-    let decompress_into_secs = time_best(reps, || {
+    let decompress_secs = time_best(reps, || {
         c.decompress_into(&stream, &mut out, &mut sc)
             .expect("decompress_into");
         std::hint::black_box(&out);
@@ -502,7 +497,6 @@ fn run_codec(
         ratio: (n * 4) as f64 / stream.len() as f64,
         compress_secs,
         decompress_secs,
-        decompress_into_secs,
         reference_secs,
         arm_compress_secs,
         phases_us,
@@ -523,15 +517,19 @@ fn run_chunked<C: Compressor>(
         .compress(&data, &bound)
         .expect("chunked compress");
     let mut threads = Vec::new();
+    let mut out = vec![0.0f32; n];
+    let mut sc = scratch::acquire();
     for &t in thread_counts {
         let c = ChunkedCompressor::new(make()).with_threads(t);
-        let recon = c.decompress(&stream).expect("chunked decompress");
+        let recon = c.decompress(&stream, n).expect("chunked decompress");
         assert!(
             bound.verify(&data, &recon),
             "{backend} bound violated at {t}T"
         );
         let secs = time_best(reps, || {
-            std::hint::black_box(c.decompress(&stream).expect("chunked decompress"));
+            c.decompress_into(&stream, &mut out, &mut sc)
+                .expect("chunked decompress");
+            std::hint::black_box(&out);
         });
         threads.push((t, secs));
     }
@@ -648,7 +646,7 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             "    {{\"backend\": \"{}\", \"field\": \"{}\", \"n\": {}, \"{}\": {:e}, \
              \"ratio\": {:.2}, \
              \"compress_gbps\": {:.3}, \"decompress_gbps\": {:.3}, \
-             \"decompress_into_gbps\": {:.3}, \"reference_gbps\": {:.3}, \
+             \"reference_gbps\": {:.3}, \
              \"speedup_vs_reference\": {:.2}, \"bit_identical\": true{}{}{}}}",
             r.backend,
             r.field,
@@ -658,7 +656,6 @@ fn to_json(codec: &[CodecResult], chunked: &[ChunkedResult]) -> String {
             r.ratio,
             gbps(r.n, r.compress_secs),
             gbps(r.n, r.decompress_secs),
-            gbps(r.n, r.decompress_into_secs),
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
             zfp_arms_json(r),
@@ -751,7 +748,7 @@ fn main() {
     let report = |r: &CodecResult| {
         eprintln!(
             "[compress-bench] {} {} n={} {}={:e}: ratio {:.1}x; \
-             comp {:.2} GB/s; decomp {:.2} GB/s (into {:.2}); \
+             comp {:.2} GB/s; decomp {:.2} GB/s; \
              reference {:.2} GB/s ({:.1}x speedup)",
             r.backend,
             r.field,
@@ -761,7 +758,6 @@ fn main() {
             r.ratio,
             gbps(r.n, r.compress_secs),
             gbps(r.n, r.decompress_secs),
-            gbps(r.n, r.decompress_into_secs),
             gbps(r.n, r.reference_secs),
             r.reference_secs / r.decompress_secs,
         );
@@ -911,10 +907,10 @@ fn main() {
                 .iter()
                 .filter(|r| r.backend == backend && r.n == DEFAULT_CHUNK)
             {
-                let got = gbps(r.n, r.decompress_into_secs);
+                let got = gbps(r.n, r.decompress_secs);
                 if got < floor {
                     eprintln!(
-                        "[compress-bench] FAIL: {backend} decompress_into {got:.3} GB/s \
+                        "[compress-bench] FAIL: {backend} decompress {got:.3} GB/s \
                          below the {floor:.3} GB/s smoke floor at n={}",
                         r.n
                     );

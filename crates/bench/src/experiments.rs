@@ -539,15 +539,16 @@ const DECODE_REPS: usize = 5;
 /// times as fit.
 const DECODE_REP_SECS: f64 = 0.02;
 
-/// Seconds per `decompress` of `stream`: the median over [`DECODE_REPS`]
-/// repetitions, each decoding it until [`DECODE_REP_SECS`] have passed.
-fn median_decode_secs(backend: &dyn Compressor, stream: &[u8]) -> f64 {
+/// Seconds per `decompress` of `stream` to its `n` values: the median over
+/// [`DECODE_REPS`] repetitions, each decoding it until [`DECODE_REP_SECS`]
+/// have passed.
+fn median_decode_secs(backend: &dyn Compressor, stream: &[u8], n: usize) -> f64 {
     let mut secs: Vec<f64> = (0..DECODE_REPS)
         .map(|_| {
             let t0 = std::time::Instant::now();
             let mut decodes = 0u32;
             while decodes == 0 || t0.elapsed().as_secs_f64() < DECODE_REP_SECS {
-                std::hint::black_box(backend.decompress(stream).expect("own stream"));
+                std::hint::black_box(backend.decompress(stream, n).expect("own stream"));
                 decodes += 1;
             }
             t0.elapsed().as_secs_f64() / f64::from(decodes)
@@ -599,7 +600,8 @@ pub fn io_throughput_table(tasks: &[&TrainedTask], norm: Norm, tolerances: &[f64
                 }
                 let (_, mut stats) = backend.roundtrip(&payload, &bound).expect("supported");
                 let stream = backend.compress(&payload, &bound).expect("supported");
-                stats.decompress_secs = median_decode_secs(backend.as_ref(), &stream);
+                stats.decompress_secs =
+                    median_decode_secs(backend.as_ref(), &stream, payload.len());
                 table.push(vec![
                     tt.name().into(),
                     backend.name().into(),

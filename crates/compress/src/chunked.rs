@@ -14,8 +14,8 @@
 //! starving other pool users.
 
 //! Decompression is allocation-free per chunk in the steady state: the
-//! output buffer is pre-sized once, split into disjoint per-chunk slices,
-//! and each worker decodes straight into its slice through a pooled
+//! caller's output buffer is split into disjoint per-chunk slices, and
+//! each worker decodes straight into its slice through a pooled
 //! [`CodecScratch`](crate::CodecScratch) — no per-chunk `Vec`s and no
 //! reassembly copies.
 //!
@@ -38,29 +38,16 @@
 
 use crate::error_bound::{BoundMode, ErrorBound};
 use crate::scratch::{self, CodecScratch};
-use crate::traits::{read_varint_len, write_varint, CompressError, Compressor, DecodeUnit};
+use crate::traits::{
+    check_count, read_varint_len, write_varint, CompressError, Compressor, DecodeUnit,
+};
 use std::sync::Mutex;
-
-/// [`DecodeUnit::tag`] marking a unit as one inner chunk stream (decoded
-/// through the wrapped backend); tag `0` keeps the trait default meaning of
-/// "the whole container".
-const UNIT_CHUNK: u8 = 1;
 
 /// First byte of every chunked container.
 pub const CONTAINER_TAG: u8 = 0xC5;
 
 /// Default chunk size in values (256 KiB of f32).
 pub const DEFAULT_CHUNK: usize = 65_536;
-
-/// The pre-sized decode path only trusts a header-declared element count
-/// up to this many values (bounds the up-front allocation at 256 MiB).
-const PRESIZE_MAX_VALUES: usize = 1 << 26;
-
-/// ... and only when the declared count stays within this expansion factor
-/// of the stream itself.  Fully run-length-collapsed chunks reach ≈ 1000
-/// values per stream byte, so 4096× leaves real streams comfortable margin
-/// while keeping corrupt-header allocations proportional to input size.
-const PRESIZE_MAX_RATIO: usize = 4096;
 
 /// A parallel, chunked wrapper around any compression backend.
 pub struct ChunkedCompressor<C> {
@@ -108,50 +95,37 @@ impl<C: Compressor> ChunkedCompressor<C> {
         }
     }
 
-    /// Decodes every chunk into its disjoint slice of `out` (already split
-    /// to the canonical layout), fanning out on the shared pool with pooled
-    /// scratch per task.  Any chunk error aborts with the first error.
-    fn decompress_presized(
+    /// Decodes every chunk into its disjoint slice of `out`: in turn
+    /// through `scratch`, or fanned out on the shared pool with pooled
+    /// scratch per task.  The first failing chunk's error is returned.
+    fn decode_chunks(
         &self,
-        slices: &[&[u8]],
-        expected: &[usize],
+        chunks: &Chunks<'_>,
         out: &mut [f32],
+        scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        debug_assert_eq!(slices.len(), expected.len());
-        debug_assert_eq!(expected.iter().sum::<usize>(), out.len());
-        let mut parts: Vec<(&[u8], &mut [f32])> = Vec::with_capacity(slices.len());
+        let mut parts = Vec::with_capacity(chunks.slices.len());
         let mut rest = out;
-        for (&s, &len) in slices.iter().zip(expected) {
+        for (&s, &len) in chunks.slices.iter().zip(&chunks.lens) {
             let (head, tail) = rest.split_at_mut(len);
             rest = tail;
             parts.push((s, head));
         }
         if self.threads <= 1 || parts.len() <= 1 {
-            for (s, dst) in parts {
-                let mut scratch = scratch::acquire();
-                self.inner.decompress_into(s, dst, &mut scratch)?;
-            }
-            return Ok(());
+            return parts
+                .into_iter()
+                .try_for_each(|(s, dst)| self.inner.decompress_into(s, dst, scratch));
         }
         let cells: Vec<Mutex<Option<(&[u8], &mut [f32])>>> =
             parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        let first_err: Mutex<Option<CompressError>> = Mutex::new(None);
-        errflow_tensor::pool::global().parallel_for(cells.len(), self.threads, |i| {
-            let taken = errflow_tensor::sync::lock_recover(&cells[i]).take();
-            if let Some((s, dst)) = taken {
-                let mut scratch = scratch::acquire();
-                if let Err(e) = self.inner.decompress_into(s, dst, &mut scratch) {
-                    errflow_tensor::sync::lock_recover(&first_err).get_or_insert(e);
-                }
+        run_parallel(self.threads, &cells, |cell| {
+            let taken = errflow_tensor::sync::lock_recover(cell).take();
+            match taken {
+                Some((s, dst)) => self.inner.decompress_into(s, dst, &mut scratch::acquire()),
+                None => Ok(()),
             }
-        });
-        match first_err
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        })?;
+        Ok(())
     }
 }
 
@@ -192,48 +166,15 @@ impl<C: Compressor> Compressor for ChunkedCompressor<C> {
         Ok(out)
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-        let _span = errflow_obs::trace::span("codec.chunked.decompress");
-        let chunks = Chunks::parse(stream)?;
-        // A declared count plausible for the stream size pre-sizes the
-        // output once, and every chunk decodes straight into its slice with
-        // pooled scratch — no per-chunk Vecs, no reassembly copy.  A larger
-        // one is only trusted chunk by chunk, as each decodes.
-        let n = chunks.n;
-        if n <= PRESIZE_MAX_VALUES && n <= stream.len().saturating_mul(PRESIZE_MAX_RATIO) {
-            let mut out = vec![0.0f32; n];
-            self.decompress_presized(&chunks.slices, &chunks.lens, &mut out)?;
-            return Ok(out);
-        }
-        let parts = run_parallel(self.threads, &chunks.slices, |s| self.inner.decompress(s))?;
-        let mut out = Vec::with_capacity(crate::traits::safe_capacity(n, stream.len()));
-        for (p, &len) in parts.iter().zip(&chunks.lens) {
-            if p.len() != len {
-                return Err(CompressError::CorruptStream(format!(
-                    "chunk decoded to {} values, expected {len}",
-                    p.len()
-                )));
-            }
-            out.extend_from_slice(p);
-        }
-        Ok(out)
-    }
-
     fn decompress_into(
         &self,
         stream: &[u8],
         out: &mut [f32],
-        _scratch: &mut CodecScratch,
+        scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        let chunks = Chunks::parse(stream)?;
-        if chunks.n != out.len() {
-            return Err(CompressError::CorruptStream(format!(
-                "stream declares {} values, expected {}",
-                chunks.n,
-                out.len()
-            )));
-        }
-        self.decompress_presized(&chunks.slices, &chunks.lens, out)
+        let _span = errflow_obs::trace::span("codec.chunked.decompress");
+        let chunks = Chunks::parse(stream, out.len())?;
+        self.decode_chunks(&chunks, out, scratch)
     }
 
     /// Exposes the container's chunks as units so callers can fan a batch
@@ -243,13 +184,7 @@ impl<C: Compressor> Compressor for ChunkedCompressor<C> {
         stream: &'a [u8],
         expected_len: usize,
     ) -> Result<Vec<DecodeUnit<'a>>, CompressError> {
-        let chunks = Chunks::parse(stream)?;
-        if chunks.n != expected_len {
-            return Err(CompressError::CorruptStream(format!(
-                "stream declares {} values, expected {expected_len}",
-                chunks.n
-            )));
-        }
+        let chunks = Chunks::parse(stream, expected_len)?;
         let mut offset = 0usize;
         Ok(chunks
             .slices
@@ -260,7 +195,6 @@ impl<C: Compressor> Compressor for ChunkedCompressor<C> {
                     stream: s,
                     offset,
                     len,
-                    tag: UNIT_CHUNK,
                 };
                 offset += len;
                 unit
@@ -275,25 +209,20 @@ impl<C: Compressor> Compressor for ChunkedCompressor<C> {
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
         debug_assert_eq!(unit.len, out.len(), "unit/output length mismatch");
-        if unit.tag == UNIT_CHUNK {
-            self.inner.decompress_into(unit.stream, out, scratch)
-        } else {
-            self.decompress_into(unit.stream, out, scratch)
-        }
+        self.inner.decompress_into(unit.stream, out, scratch)
     }
 }
 
-/// A parsed container: the declared value count, and each chunk's bytes
-/// and value count.
+/// A parsed container: each chunk's bytes and value count.
 struct Chunks<'a> {
-    n: usize,
     slices: Vec<&'a [u8]>,
     lens: Vec<usize>,
 }
 
 impl<'a> Chunks<'a> {
-    /// Parses the container of the module docs.
-    fn parse(stream: &'a [u8]) -> Result<Self, CompressError> {
+    /// Parses the container of the module docs, which must declare the
+    /// caller's `expected` values.
+    fn parse(stream: &'a [u8], expected: usize) -> Result<Self, CompressError> {
         if stream.first() != Some(&CONTAINER_TAG) {
             return Err(CompressError::CorruptStream(
                 "stream does not open with the chunked container tag".into(),
@@ -301,6 +230,7 @@ impl<'a> Chunks<'a> {
         }
         let mut pos = 1usize;
         let n = read_varint_len(stream, &mut pos, "element count")?;
+        check_count(n, expected)?;
         let chunk_values = read_varint_len(stream, &mut pos, "chunk size")?;
         if chunk_values == 0 {
             return Err(CompressError::CorruptStream("chunk size 0".into()));
@@ -336,7 +266,7 @@ impl<'a> Chunks<'a> {
                 "bytes after an empty container".into(),
             ));
         }
-        Ok(Chunks { n, slices, lens })
+        Ok(Chunks { slices, lens })
     }
 }
 
@@ -398,7 +328,9 @@ mod tests {
             Box::new(ChunkedCompressor::new(MgardCompressor::default())),
         ];
         for be in &backends {
-            let recon = be.decompress(&be.compress(&data, &bound).unwrap()).unwrap();
+            let recon = be
+                .decompress(&be.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon), "{}", be.name());
         }
     }
@@ -408,7 +340,9 @@ mod tests {
         let data = smooth(100_000);
         let c = ChunkedCompressor::new(SzCompressor::default());
         for bound in [ErrorBound::rel_linf(1e-4), ErrorBound::abs_l2(1e-2)] {
-            let recon = c.decompress(&c.compress(&data, &bound).unwrap()).unwrap();
+            let recon = c
+                .decompress(&c.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon), "{bound:?}");
         }
     }
@@ -423,8 +357,8 @@ mod tests {
         let s2 = parallel.compress(&data, &bound).unwrap();
         assert_eq!(s1, s2, "chunked streams must be deterministic");
         assert_eq!(
-            serial.decompress(&s1).unwrap(),
-            parallel.decompress(&s2).unwrap()
+            serial.decompress(&s1, data.len()).unwrap(),
+            parallel.decompress(&s2, data.len()).unwrap()
         );
     }
 
@@ -434,7 +368,9 @@ mod tests {
         let bound = ErrorBound::abs_linf(1e-3);
         for n in [0usize, 1, 6, 7, 8, 20] {
             let data = smooth(n);
-            let recon = c.decompress(&c.compress(&data, &bound).unwrap()).unwrap();
+            let recon = c
+                .decompress(&c.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert_eq!(recon.len(), n);
             assert!(bound.verify(&data, &recon), "n={n}");
         }
@@ -443,10 +379,13 @@ mod tests {
     #[test]
     fn corrupt_stream_rejected() {
         let c = ChunkedCompressor::new(SzCompressor::default());
-        assert!(c.decompress(&[0; 5]).is_err());
+        assert!(c.decompress(&[0; 5], 1).is_err());
         let data = smooth(10_000);
         let stream = c.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
-        assert!(c.decompress(&stream[..stream.len() - 4]).is_err());
+        assert!(c
+            .decompress(&stream[..stream.len() - 4], data.len())
+            .is_err());
+        assert!(c.decompress(&stream, data.len() + 1).is_err());
     }
 
     #[test]
@@ -511,9 +450,14 @@ mod tests {
             r
         }
 
-        fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
+        fn decompress_into(
+            &self,
+            stream: &[u8],
+            out: &mut [f32],
+            scratch: &mut CodecScratch,
+        ) -> Result<(), CompressError> {
             self.enter();
-            let r = self.inner.decompress(stream);
+            let r = self.inner.decompress_into(stream, out, scratch);
             self.exit();
             r
         }
@@ -528,7 +472,7 @@ mod tests {
         let data = smooth(120_000); // ~30 chunks
         let bound = ErrorBound::abs_linf(1e-4);
         let stream = c.compress(&data, &bound).unwrap();
-        let recon = c.decompress(&stream).unwrap();
+        let recon = c.decompress(&stream, data.len()).unwrap();
         assert!(bound.verify(&data, &recon));
         let peak = probe.peak.load(std::sync::atomic::Ordering::SeqCst);
         assert!(peak >= 1, "probe never ran");
@@ -553,17 +497,17 @@ mod tests {
     }
 
     #[test]
-    fn decompress_into_matches_decompress() {
+    fn decompress_into_matches_the_oracle() {
         let data = smooth(150_000);
         let bound = ErrorBound::abs_linf(1e-4);
         let c = ChunkedCompressor::new(MgardCompressor::default());
         let stream = c.compress(&data, &bound).unwrap();
-        let via_vec = c.decompress(&stream).unwrap();
+        let oracle = crate::reference::chunked_decompress("mgard", &stream).unwrap();
         let mut via_into = vec![0.0f32; data.len()];
         let mut scratch = CodecScratch::new();
         c.decompress_into(&stream, &mut via_into, &mut scratch)
             .unwrap();
-        assert_eq!(via_vec, via_into);
+        assert_eq!(oracle, via_into);
         // Wrong-length output buffers are rejected.
         let mut short = vec![0.0f32; data.len() - 1];
         assert!(c
@@ -572,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_units_tile_payload_and_match_decompress() {
+    fn decode_units_tile_payload_and_match_the_oracle() {
         let data = smooth(150_000); // 3 chunks: 64Ki + 64Ki + tail
         let bound = ErrorBound::abs_linf(1e-4);
         let c = ChunkedCompressor::new(SzCompressor::default());
@@ -590,7 +534,10 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(expected_off, data.len(), "units must tile the payload");
-        assert_eq!(out, c.decompress(&stream).unwrap());
+        assert_eq!(
+            out,
+            crate::reference::chunked_decompress("sz", &stream).unwrap()
+        );
         // Length mismatch is rejected up front.
         assert!(c.decode_units(&stream, data.len() + 1).is_err());
     }
@@ -619,7 +566,7 @@ mod tests {
         };
         let c = ChunkedCompressor::new(SzCompressor::default());
         let honest = container(10_000, 7_000, &[a.len()], &[&a, &b]);
-        assert!(bound.verify(&data, &c.decompress(&honest).unwrap()));
+        assert!(bound.verify(&data, &c.decompress(&honest, data.len()).unwrap()));
         let mut retired = Vec::new();
         retired.extend_from_slice(&10_000u64.to_le_bytes());
         retired.extend_from_slice(&7_000u64.to_le_bytes());
@@ -648,7 +595,10 @@ mod tests {
         ] {
             let corrupt =
                 |r: Result<(), CompressError>| matches!(r, Err(CompressError::CorruptStream(_)));
-            assert!(corrupt(c.decompress(&stream).map(drop)), "{what}");
+            assert!(
+                corrupt(c.decompress(&stream, data.len()).map(drop)),
+                "{what}"
+            );
             assert!(
                 corrupt(c.decompress_into(&stream, &mut out, &mut sc)),
                 "{what}: decompress_into"
@@ -675,11 +625,11 @@ mod tests {
         let t0 = std::time::Instant::now();
         let serial = ChunkedCompressor::new(SzCompressor::default())
             .with_threads(1)
-            .decompress(&stream)
+            .decompress(&stream, data.len())
             .unwrap();
         let t_serial = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let parallel = c.decompress(&stream).unwrap();
+        let parallel = c.decompress(&stream, data.len()).unwrap();
         let t_parallel = t1.elapsed();
         assert_eq!(serial, parallel);
         assert!(

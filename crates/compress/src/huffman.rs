@@ -1360,10 +1360,8 @@ impl<'a> Block<'a> {
                 transformed.clear();
                 transformed.resize(n_symbols, 0);
                 decode_whole(self.payload, self.subs(), &dec, transformed)?;
-                out.reserve(crate::traits::safe_capacity(
-                    self.n_original,
-                    transformed.len() * 4,
-                ));
+                // The segment lengths are the caller's: reserve them.
+                out.reserve(self.n_original);
                 let mut t_off = 0usize;
                 for sub in self.subs() {
                     let seg = &transformed[t_off..t_off + sub.n_symbols];

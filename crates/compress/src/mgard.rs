@@ -64,17 +64,20 @@ impl MgardCompressor {
 
     /// Parses the header, reads the coarse level into `scratch.fa`, and
     /// entropy-decodes the coefficient symbols into `scratch.symbols`.
-    /// Returns `(n, eb, level_lengths, outlier_table_offset)`.  All count
-    /// validation happens here, before any data-sized allocation.
+    /// Returns `(eb, level_lengths, outlier_table_offset)`.  The declared
+    /// element count must be the caller's `expected`, checked before the
+    /// coarse level or the symbols, whose sizes follow from it, are read.
     fn decode_core(
         stream: &[u8],
+        expected: usize,
         scratch: &mut CodecScratch,
-    ) -> Result<(usize, f64, Vec<usize>, usize), CompressError> {
+    ) -> Result<(f64, Vec<usize>, usize), CompressError> {
         let mut pos = 0usize;
         // The coefficient symbols are one flat sequence to the level
         // recursion; the sub-stream count only shapes the Huffman block.
         let n_streams = format::read_preamble(stream, &mut pos, BackendTag::Mgard)?;
         let n = crate::traits::read_varint_len(stream, &mut pos, "element count")?;
+        crate::traits::check_count(n, expected)?;
         let eb = crate::traits::read_f64(stream, &mut pos, "error bound")?;
         // The coarse level's length and the coefficient count follow from
         // `n`: the stream declares neither.
@@ -98,7 +101,7 @@ impl MgardCompressor {
             &mut scratch.symbols,
             &mut scratch.huff,
         )?;
-        Ok((n, eb, lens, pos))
+        Ok((eb, lens, pos))
     }
 
     /// Closed-loop reconstruction coarsest → finest, ping-ponging between
@@ -285,30 +288,14 @@ impl Compressor for MgardCompressor {
         Ok(out)
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-        let _span = errflow_obs::trace::span("codec.mgard.decompress");
-        let mut pooled = scratch::acquire();
-        let (n, eb, lens, pos) = Self::decode_core(stream, &mut pooled)?;
-        // n equals decoded-symbol count + coarse count at this point, both
-        // already bounded by actual stream contents — safe to allocate.
-        let mut out = vec![0.0f32; n];
-        Self::reconstruct(stream, pos, eb, &lens, &mut pooled, &mut out)?;
-        Ok(out)
-    }
-
     fn decompress_into(
         &self,
         stream: &[u8],
         out: &mut [f32],
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
-        let (n, eb, lens, pos) = Self::decode_core(stream, scratch)?;
-        if n != out.len() {
-            return Err(CompressError::CorruptStream(format!(
-                "stream declares {n} values, expected {}",
-                out.len()
-            )));
-        }
+        let _span = errflow_obs::trace::span("codec.mgard.decompress");
+        let (eb, lens, pos) = Self::decode_core(stream, out.len(), scratch)?;
         Self::reconstruct(stream, pos, eb, &lens, scratch, out)
     }
 }
@@ -354,7 +341,9 @@ mod tests {
         let m = MgardCompressor::new();
         for tol in [1e-2, 1e-4, 1e-6] {
             let bound = ErrorBound::abs_linf(tol);
-            let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+            let recon = m
+                .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon), "tol={tol}");
         }
     }
@@ -364,7 +353,9 @@ mod tests {
         let data = smooth_field(2048);
         let m = MgardCompressor::new();
         for bound in [ErrorBound::abs_l2(1e-2), ErrorBound::rel_l2(1e-4)] {
-            let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+            let recon = m
+                .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon), "{bound:?}");
         }
     }
@@ -392,7 +383,9 @@ mod tests {
         data[100] = 1e28;
         let m = MgardCompressor::new();
         let bound = ErrorBound::abs_linf(1e-5);
-        let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+        let recon = m
+            .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+            .unwrap();
         assert!(bound.verify(&data, &recon));
     }
 
@@ -402,7 +395,9 @@ mod tests {
         let bound = ErrorBound::abs_linf(1e-3);
         for n in [0usize, 1, 2, 3, 4, 5] {
             let data = smooth_field(n);
-            let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+            let recon = m
+                .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert_eq!(recon.len(), n, "n={n}");
             assert!(bound.verify(&data, &recon), "n={n}");
         }
@@ -414,7 +409,10 @@ mod tests {
         let data = smooth_field(33);
         let m = MgardCompressor::new();
         let recon = m
-            .decompress(&m.compress(&data, &ErrorBound::abs_linf(1e-1)).unwrap())
+            .decompress(
+                &m.compress(&data, &ErrorBound::abs_linf(1e-1)).unwrap(),
+                data.len(),
+            )
             .unwrap();
         // Index 0 survives to every coarser level.
         assert_eq!(recon[0], data[0]);
@@ -423,11 +421,12 @@ mod tests {
     #[test]
     fn corrupt_stream_rejected() {
         let m = MgardCompressor::new();
-        assert!(m.decompress(&[0; 10]).is_err());
+        assert!(m.decompress(&[0; 10], 1).is_err());
         let stream = m
             .compress(&smooth_field(200), &ErrorBound::abs_linf(1e-3))
             .unwrap();
-        assert!(m.decompress(&stream[..stream.len() - 3]).is_err());
+        assert!(m.decompress(&stream[..stream.len() - 3], 200).is_err());
+        assert!(m.decompress(&stream, 201).is_err());
     }
 
     #[test]
@@ -442,7 +441,9 @@ mod tests {
                 .collect();
             let m = MgardCompressor::new();
             let bound = ErrorBound::abs_linf(tol);
-            let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+            let recon = m
+                .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon));
         }
     }
@@ -455,7 +456,9 @@ mod tests {
             let data: Vec<f32> = (0..311).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let m = MgardCompressor::new();
             let bound = ErrorBound::abs_l2(tol);
-            let recon = m.decompress(&m.compress(&data, &bound).unwrap()).unwrap();
+            let recon = m
+                .decompress(&m.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon));
         }
     }

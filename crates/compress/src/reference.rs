@@ -940,7 +940,7 @@ mod tests {
         ] {
             let stream = c.compress(&data, &bound).expect("compress");
             let seed = decompress(c.name(), &stream).expect("seed decode");
-            let fast = c.decompress(&stream).expect("optimized decode");
+            let fast = c.decompress(&stream, data.len()).expect("optimized decode");
             assert_eq!(
                 seed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -102,10 +102,11 @@
 //! segments gain nothing from being interleaved), each index converted
 //! `q·2eb → f32` as it is produced and each escape replaced by its
 //! verbatim value; the loop is monomorphized per order.
-//! [`Compressor::decompress_into`] does it in the caller's slice through
-//! pooled [`CodecScratch`](crate::CodecScratch) state, fused with the
-//! entropy decode: a run-free block's lanes decode 1 Ki symbols each into
-//! an L1 buffer and the pass takes them from there
+//! [`Compressor::decompress_into`], the one decoder, does it in the
+//! caller's slice through the caller's [`CodecScratch`](crate::CodecScratch),
+//! once the stream's element count has been checked against the slice's
+//! length, fused with the entropy decode: a run-free block's lanes decode
+//! 1 Ki symbols each into an L1 buffer and the pass takes them from there
 //! ([`huffman::Block::decode_each`]), so no 256 KiB symbol buffer is
 //! written or read.  (Splitting the pass into an index sweep, a vectorised
 //! conversion sweep and an escape patch, even over those L1 chunks,
@@ -117,8 +118,8 @@
 use crate::error_bound::ErrorBound;
 use crate::format::{self, BackendTag, MAX_STREAMS, V2_STREAMS};
 use crate::huffman::{self, DecodeScratch};
-use crate::scratch::{self, CodecScratch};
-use crate::traits::{check_tolerance, write_varint, CompressError, Compressor};
+use crate::scratch::CodecScratch;
+use crate::traits::{check_count, check_tolerance, write_varint, CompressError, Compressor};
 use errflow_tensor::simd;
 
 /// Second differences live in `[-MAX_CODE, MAX_CODE]`; anything outside
@@ -516,7 +517,6 @@ fn next_value<const K: usize>(
 
 /// The fields of a parsed stream header the reconstruction needs.
 struct Header {
-    n: usize,
     eb: f64,
     /// The segments, from `n` and the sub-stream count.
     parts: format::Parts,
@@ -528,17 +528,20 @@ struct Header {
 
 impl Header {
     /// Parses the container header and the symbol block's header, and
-    /// checks the framing: every segment's order field must name an order
+    /// checks the framing: the element count must be the caller's
+    /// `expected`, every segment's order field must name an order
     /// and the fields past the last segment must be clear, and the declared
     /// outlier tables must exactly fill the rest of the stream.  A mismatch
     /// is a typed [`CompressError::CorruptStream`].
     fn parse<'a>(
         stream: &'a [u8],
+        expected: usize,
         huff: &mut DecodeScratch,
     ) -> Result<(Header, huffman::Block<'a>), CompressError> {
         let mut pos = 0usize;
         let n_streams = format::read_preamble(stream, &mut pos, BackendTag::Sz)?;
         let n = crate::traits::read_varint_len(stream, &mut pos, "element count")?;
+        check_count(n, expected)?;
         let eb = crate::traits::read_f64(stream, &mut pos, "error bound")?;
         let mut orders = [0u8; MAX_STREAMS];
         for (b, group) in orders[..n_streams.div_ceil(4) * 4]
@@ -589,7 +592,6 @@ impl Header {
             start += c * 4;
         }
         let header = Header {
-            n,
             eb,
             parts,
             orders,
@@ -795,24 +797,6 @@ impl Compressor for SzCompressor {
         Ok(Self::compress_lattice(data, eb, simd::force_scalar()))
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-        let _span = errflow_obs::trace::span("codec.sz.decompress");
-        let mut scratch = scratch::acquire();
-        let CodecScratch { huff, symbols, .. } = &mut *scratch;
-        let (header, block) = Header::parse(stream, huff)?;
-        // The symbols are decoded before the output is allocated: with runs,
-        // a declared count is only bounded by the payload once expanded.
-        block.decode_into(huff, symbols)?;
-        let mut recon = vec![0.0f32; header.n];
-        let _recon_span = errflow_obs::trace::span("codec.sz.v2.reconstruct");
-        let mut rebuild = Rebuild::new(stream, &header);
-        for (k, &(off, len)) in header.parts.iter().enumerate() {
-            rebuild.take(k, &symbols[off..off + len], &mut recon);
-        }
-        rebuild.finish()?;
-        Ok(recon)
-    }
-
     fn decompress_into(
         &self,
         stream: &[u8],
@@ -820,14 +804,7 @@ impl Compressor for SzCompressor {
         scratch: &mut CodecScratch,
     ) -> Result<(), CompressError> {
         let CodecScratch { huff, symbols, .. } = scratch;
-        let (header, block) = Header::parse(stream, huff)?;
-        if header.n != out.len() {
-            return Err(CompressError::CorruptStream(format!(
-                "stream declares {} values, expected {}",
-                header.n,
-                out.len()
-            )));
-        }
+        let (header, block) = Header::parse(stream, out.len(), huff)?;
         // Entropy decode and reconstruction run one L1-sized chunk at a
         // time (a run-free block; others decode whole first).
         let _span = errflow_obs::trace::span("codec.sz.v2.decode_fused");
@@ -863,7 +840,7 @@ mod tests {
             let bound = ErrorBound::abs_linf(tol);
             let sz = SzCompressor::new();
             let stream = sz.compress(&data, &bound).unwrap();
-            let recon = sz.decompress(&stream).unwrap();
+            let recon = sz.decompress(&stream, data.len()).unwrap();
             assert!(bound.verify(&data, &recon), "tol={tol}");
         }
     }
@@ -878,7 +855,7 @@ mod tests {
             ErrorBound::rel_l2(1e-4),
         ] {
             let stream = sz.compress(&data, &bound).unwrap();
-            let recon = sz.decompress(&stream).unwrap();
+            let recon = sz.decompress(&stream, data.len()).unwrap();
             assert!(bound.verify(&data, &recon), "{bound:?}");
         }
     }
@@ -911,7 +888,9 @@ mod tests {
         let data: Vec<f32> = (0..2000).map(|_| rng.gen_range(-10.0..10.0)).collect();
         let sz = SzCompressor::new();
         let bound = ErrorBound::abs_linf(1e-3);
-        let recon = sz.decompress(&sz.compress(&data, &bound).unwrap()).unwrap();
+        let recon = sz
+            .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
+            .unwrap();
         assert!(bound.verify(&data, &recon));
     }
 
@@ -922,7 +901,9 @@ mod tests {
         data[51] = -1e30;
         let sz = SzCompressor::new();
         let bound = ErrorBound::abs_linf(1e-4);
-        let recon = sz.decompress(&sz.compress(&data, &bound).unwrap()).unwrap();
+        let recon = sz
+            .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
+            .unwrap();
         assert!(bound.verify(&data, &recon));
         assert_eq!(recon[50], 1e30);
     }
@@ -931,10 +912,12 @@ mod tests {
     fn empty_and_single_element() {
         let sz = SzCompressor::new();
         let bound = ErrorBound::abs_linf(1e-3);
-        let empty = sz.decompress(&sz.compress(&[], &bound).unwrap()).unwrap();
+        let empty = sz
+            .decompress(&sz.compress(&[], &bound).unwrap(), 0)
+            .unwrap();
         assert!(empty.is_empty());
         let one = sz
-            .decompress(&sz.compress(&[42.0], &bound).unwrap())
+            .decompress(&sz.compress(&[42.0], &bound).unwrap(), 1)
             .unwrap();
         assert!((one[0] - 42.0).abs() <= 1e-3);
     }
@@ -951,11 +934,13 @@ mod tests {
     #[test]
     fn corrupt_stream_rejected() {
         let sz = SzCompressor::new();
-        assert!(sz.decompress(&[1, 2, 3]).is_err());
+        assert!(sz.decompress(&[1, 2, 3], 1).is_err());
         let stream = sz
             .compress(&smooth_field(100), &ErrorBound::abs_linf(1e-3))
             .unwrap();
-        assert!(sz.decompress(&stream[..stream.len() / 2]).is_err());
+        assert!(sz.decompress(&stream[..stream.len() / 2], 100).is_err());
+        assert!(sz.decompress(&stream, 99).is_err());
+        assert!(sz.decompress(&stream, 100).is_ok());
     }
 
     #[test]
@@ -996,7 +981,9 @@ mod tests {
                 .collect();
             let sz = SzCompressor::new();
             let bound = ErrorBound::abs_linf(tol);
-            let recon = sz.decompress(&sz.compress(&data, &bound).unwrap()).unwrap();
+            let recon = sz
+                .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon));
         }
     }
@@ -1134,7 +1121,7 @@ mod tests {
         // to the data everywhere.
         let sz = SzCompressor::new();
         let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
-        assert_eq!(sz.decompress(&stream).unwrap(), data);
+        assert_eq!(sz.decompress(&stream, data.len()).unwrap(), data);
         assert_eq!(reference::sz_decompress(&stream).unwrap(), data);
     }
 
@@ -1187,7 +1174,7 @@ mod tests {
         let sz = SzCompressor::new();
         for data in [flat, ramp, parabola] {
             let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
-            assert_eq!(sz.decompress(&stream).unwrap(), data);
+            assert_eq!(sz.decompress(&stream, data.len()).unwrap(), data);
             assert_eq!(reference::sz_decompress(&stream).unwrap(), data);
         }
     }
@@ -1313,7 +1300,9 @@ mod tests {
             let data: Vec<f32> = (0..256).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
             let sz = SzCompressor::new();
             let bound = ErrorBound::abs_l2(tol);
-            let recon = sz.decompress(&sz.compress(&data, &bound).unwrap()).unwrap();
+            let recon = sz
+                .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
+                .unwrap();
             assert!(bound.verify(&data, &recon));
         }
     }

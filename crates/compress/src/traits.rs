@@ -51,16 +51,12 @@ pub struct DecodeUnit<'a> {
     pub offset: usize,
     /// Number of values this unit decodes to.
     pub len: usize,
-    /// Backend-private discriminator interpreted by
-    /// [`Compressor::decode_unit_into`] (e.g. chunk vs. whole-container).
-    /// `0` always means "decode via the backend's `decompress_into`".
-    pub tag: u8,
 }
 
 /// An error-bounded lossy compressor over `f32` buffers.
 ///
 /// Implementations guarantee: for any input and any supported
-/// [`ErrorBound`], `decompress(compress(x, b))` reconstructs `x̃` with
+/// [`ErrorBound`], `decompress(compress(x, b), x.len())` reconstructs `x̃` with
 /// `b.verify(x, x̃) == true`.
 pub trait Compressor: Send + Sync {
     /// Short backend name (`"sz"`, `"zfp"`, `"mgard"`).
@@ -72,33 +68,24 @@ pub trait Compressor: Send + Sync {
     /// Compresses `data` under `bound`.
     fn compress(&self, data: &[f32], bound: &ErrorBound) -> Result<Vec<u8>, CompressError>;
 
-    /// Decompresses a stream produced by [`Compressor::compress`].
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError>;
-
-    /// Decompresses into a caller-provided buffer, reusing `scratch` for
-    /// all transient state.  Errors if the stream does not decode to
-    /// exactly `out.len()` values.
-    ///
-    /// The optimized backends override this with allocation-free decode
-    /// paths; the default falls back to [`Compressor::decompress`] plus a
-    /// copy, so custom backends stay correct without extra work.
+    /// Decodes a stream produced by [`Compressor::compress`] into
+    /// `out`, reusing `scratch` for all transient state.  The backend's one
+    /// decoder: it checks the count the stream declares against
+    /// `out.len()` before it does any work sized by that count, and errors
+    /// if the stream does not decode to exactly `out.len()` values.
     fn decompress_into(
         &self,
         stream: &[u8],
         out: &mut [f32],
         scratch: &mut crate::scratch::CodecScratch,
-    ) -> Result<(), CompressError> {
-        let _ = scratch;
-        let v = self.decompress(stream)?;
-        if v.len() != out.len() {
-            return Err(CompressError::CorruptStream(format!(
-                "stream decoded to {} values, expected {}",
-                v.len(),
-                out.len()
-            )));
-        }
-        out.copy_from_slice(&v);
-        Ok(())
+    ) -> Result<(), CompressError>;
+
+    /// [`Compressor::decompress_into`] into a new buffer of the caller's
+    /// `n` values, with pooled scratch.
+    fn decompress(&self, stream: &[u8], n: usize) -> Result<Vec<f32>, CompressError> {
+        let mut out = vec![0.0f32; n];
+        self.decompress_into(stream, &mut out, &mut crate::scratch::acquire())?;
+        Ok(out)
     }
 
     /// Splits `stream` into independently-decodable [`DecodeUnit`]s.
@@ -119,7 +106,6 @@ pub trait Compressor: Send + Sync {
             stream,
             offset: 0,
             len: expected_len,
-            tag: 0,
         }])
     }
 
@@ -145,7 +131,7 @@ pub trait Compressor: Send + Sync {
         let stream = self.compress(data, bound)?;
         let compress_secs = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let recon = self.decompress(&stream)?;
+        let recon = self.decompress(&stream, data.len())?;
         let decompress_secs = t1.elapsed().as_secs_f64();
         Ok((
             recon,
@@ -159,12 +145,23 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// Caps a header-declared element count for preallocation: untrusted
-/// streams can declare absurd counts, so reserve at most what the stream
-/// could plausibly encode (one element per remaining *bit*), bounded by a
-/// hard 16 Mi ceiling.  Vectors still grow on demand; this only guards the
-/// up-front allocation.
-pub fn safe_capacity(declared: usize, remaining_bytes: usize) -> usize {
+/// The check every decoder makes before any work sized by the count a
+/// stream declares: that count must be the caller's.
+pub(crate) fn check_count(declared: usize, expected: usize) -> Result<(), CompressError> {
+    if declared != expected {
+        return Err(CompressError::CorruptStream(format!(
+            "stream declares {declared} values, expected {expected}"
+        )));
+    }
+    Ok(())
+}
+
+/// Caps a header-declared count for the oracle's preallocation
+/// ([`crate::reference`] decodes without the caller's length): reserve at
+/// most one element per remaining *bit*, bounded by a 16 Mi ceiling.
+/// Vectors still grow on demand.  The fast decoders do not use it; they
+/// check the declared count against the caller's with [`check_count`].
+pub(crate) fn safe_capacity(declared: usize, remaining_bytes: usize) -> usize {
     declared.min(remaining_bytes.saturating_mul(8)).min(1 << 24)
 }
 

@@ -144,30 +144,15 @@ impl Compressor for ZfpCompressor {
         compress_on(EncodeArm::dispatched(), data, bound)
     }
 
-    fn decompress(&self, stream: &[u8]) -> Result<Vec<f32>, CompressError> {
-        let _span = errflow_obs::trace::span("codec.zfp.decompress");
-        let hdr = parse_header_v2(stream)?;
-        // Allocation is safe: `parse_header_v2` bounded `n` by the
-        // per-stream 2-bits-per-block minimum.
-        let mut out = vec![0.0f32; hdr.n];
-        decompress_v2_into(stream, &hdr, &mut out)?;
-        Ok(out)
-    }
-
     fn decompress_into(
         &self,
         stream: &[u8],
         out: &mut [f32],
         _scratch: &mut crate::scratch::CodecScratch,
     ) -> Result<(), CompressError> {
+        let _span = errflow_obs::trace::span("codec.zfp.decompress");
         let hdr = parse_header_v2(stream)?;
-        if hdr.n != out.len() {
-            return Err(CompressError::CorruptStream(format!(
-                "stream declares {} values, expected {}",
-                hdr.n,
-                out.len()
-            )));
-        }
+        crate::traits::check_count(hdr.n, out.len())?;
         decompress_v2_into(stream, &hdr, out)
     }
 }
@@ -992,7 +977,7 @@ mod tests {
         for tol in [1e-1, 1e-3, 1e-5, 1e-7] {
             let bound = ErrorBound::abs_linf(tol);
             let recon = zfp
-                .decompress(&zfp.compress(&data, &bound).unwrap())
+                .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
                 .unwrap();
             assert!(bound.verify(&data, &recon), "tol={tol}");
         }
@@ -1004,7 +989,7 @@ mod tests {
         let zfp = ZfpCompressor::new();
         let bound = ErrorBound::rel_linf(1e-4);
         let recon = zfp
-            .decompress(&zfp.compress(&data, &bound).unwrap())
+            .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
             .unwrap();
         assert!(bound.verify(&data, &recon));
     }
@@ -1039,7 +1024,7 @@ mod tests {
         let stream = zfp.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
         // 2 bits per 4-value block + header.
         assert!(stream.len() < 8 + 4096 / 4, "len={}", stream.len());
-        let recon = zfp.decompress(&stream).unwrap();
+        let recon = zfp.decompress(&stream, data.len()).unwrap();
         assert!(recon.iter().all(|&v| v == 0.0));
     }
 
@@ -1057,7 +1042,7 @@ mod tests {
         let zfp = ZfpCompressor::new();
         let bound = ErrorBound::abs_linf(1e-2);
         let recon = zfp
-            .decompress(&zfp.compress(&data, &bound).unwrap())
+            .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
             .unwrap();
         assert!(bound.verify(&data, &recon));
     }
@@ -1069,7 +1054,7 @@ mod tests {
         for n in [1usize, 2, 3, 5, 7, 1023] {
             let data = smooth_field(n);
             let recon = zfp
-                .decompress(&zfp.compress(&data, &bound).unwrap())
+                .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
                 .unwrap();
             assert_eq!(recon.len(), n);
             assert!(bound.verify(&data, &recon), "n={n}");
@@ -1080,17 +1065,18 @@ mod tests {
     fn empty_input() {
         let zfp = ZfpCompressor::new();
         let stream = zfp.compress(&[], &ErrorBound::abs_linf(1e-3)).unwrap();
-        assert!(zfp.decompress(&stream).unwrap().is_empty());
+        assert!(zfp.decompress(&stream, 0).unwrap().is_empty());
+        assert!(zfp.decompress(&stream, 1).is_err());
     }
 
     #[test]
     fn corrupt_stream_rejected() {
         let zfp = ZfpCompressor::new();
-        assert!(zfp.decompress(&[0]).is_err());
+        assert!(zfp.decompress(&[0], 1).is_err());
         let stream = zfp
             .compress(&smooth_field(64), &ErrorBound::abs_linf(1e-5))
             .unwrap();
-        assert!(zfp.decompress(&stream[..9]).is_err());
+        assert!(zfp.decompress(&stream[..9], 64).is_err());
     }
 
     #[test]
@@ -1105,7 +1091,7 @@ mod tests {
             let zfp = ZfpCompressor::new();
             let bound = ErrorBound::abs_linf(tol);
             let recon = zfp
-                .decompress(&zfp.compress(&data, &bound).unwrap())
+                .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
                 .unwrap();
             assert!(bound.verify(&data, &recon));
         }

@@ -4,17 +4,18 @@
 //! streams.  Every decoder checks the container magic first, so random
 //! bytes alone stop there; the sweeps that put random bodies behind a
 //! valid preamble, and the ones that mutate valid streams, reach the
-//! parsers behind it.  Wherever a stream reaches a backend's fast decoder,
-//! the oracle in `errflow_compress::reference` must accept and reject it
-//! alike and, when both accept, decode it to the same bits.
+//! parsers behind it.  Every decode is asked for a value count, as every
+//! caller asks: wherever a stream reaches a backend's fast decoder, it must
+//! accept exactly when the oracle in `errflow_compress::reference` accepts
+//! and decodes that many values, and then decode to the same bits.
 
 use errflow_compress::bitstream::BitWriter;
 use errflow_compress::chunked::{ChunkedCompressor, CONTAINER_TAG};
 use errflow_compress::format::{write_preamble, BackendTag, V2_STREAMS};
 use errflow_compress::traits::{read_varint, write_varint};
 use errflow_compress::{
-    all_backends, reference, scratch, CompressError, Compressor, ErrorBound, MgardCompressor,
-    SzCompressor, ZfpCompressor,
+    all_backends, reference, scratch, CodecScratch, CompressError, Compressor, ErrorBound,
+    MgardCompressor, SzCompressor, ZfpCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
@@ -62,18 +63,29 @@ fn tag_of(backend: &str) -> BackendTag {
     }
 }
 
-/// Decodes `stream` with `c` and with the oracle for `key`, and checks
-/// that they accept and reject alike and agree on every value; when they
-/// accept, `decompress_into` must return the same values.  Returns the
-/// values.
+/// Decodes `stream` to the caller's `n` values with `c` and checks it
+/// against the oracle for `key`: `c` must accept exactly when the oracle
+/// accepts and decodes `n` values, and then agree with it on every value,
+/// through `decompress` and through `decompress_into` on pooled scratch.
+/// Returns the values.
 fn assert_oracle_parity(
     c: &dyn Compressor,
     key: &str,
     stream: &[u8],
+    n: usize,
     what: &str,
 ) -> Option<Vec<f32>> {
-    let fast = c.decompress(stream);
-    let slow = oracle(key, stream);
+    let fast = c.decompress(stream, n);
+    let slow = oracle(key, stream).and_then(|v| {
+        if v.len() == n {
+            Ok(v)
+        } else {
+            Err(CompressError::CorruptStream(format!(
+                "{} values where the caller expects {n}",
+                v.len()
+            )))
+        }
+    });
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     match (fast, slow) {
         (Ok(fast), Ok(slow)) => {
@@ -81,11 +93,11 @@ fn assert_oracle_parity(
                 bits(&fast) == bits(&slow),
                 "{key}: decoders disagree on {what}"
             );
-            let mut into = vec![f32::NAN; fast.len()];
+            let mut into = vec![f32::NAN; n];
             let got = c.decompress_into(stream, &mut into, &mut scratch::acquire());
             assert!(got.is_ok(), "{key}: decompress_into rejects {what}");
             assert!(
-                bits(&into) == bits(&fast),
+                bits(&into) == bits(&slow),
                 "{key}: decompress_into on {what}"
             );
             Some(fast)
@@ -99,6 +111,19 @@ fn assert_oracle_parity(
     }
 }
 
+/// [`assert_oracle_parity`] for a caller who expects the count the oracle
+/// decodes `stream` to (none when it refuses the stream), and for one who
+/// expects a value more.
+fn assert_parity_at_its_own_count(c: &dyn Compressor, key: &str, stream: &[u8], what: &str) {
+    let n = oracle(key, stream).map_or(0, |v| v.len());
+    assert_oracle_parity(c, key, stream, n, what);
+    assert_oracle_parity(c, key, stream, n + 1, what);
+}
+
+fn is_corrupt<T>(result: Result<T, CompressError>) -> bool {
+    matches!(result, Err(CompressError::CorruptStream(_)))
+}
+
 #[test]
 fn random_bytes_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xf22);
@@ -107,7 +132,7 @@ fn random_bytes_never_panic() {
             for _ in 0..20 {
                 let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
                 // Any Result is fine; panics/OOM are the failure mode.
-                let _ = c.decompress(&buf);
+                let _ = c.decompress(&buf, len);
             }
         }
     }
@@ -132,7 +157,7 @@ fn random_bodies_behind_each_preamble_agree_with_the_oracle() {
                     }
                     buf.extend((0..len).map(|_| rng.gen::<u8>()));
                     let what = format!("a {len}-byte body behind {n_streams} sub-streams");
-                    assert_oracle_parity(c.as_ref(), c.name(), &buf, &what);
+                    assert_parity_at_its_own_count(c.as_ref(), c.name(), &buf, &what);
                 }
             }
         }
@@ -151,8 +176,44 @@ fn huge_declared_counts_do_not_allocate() {
         }
         write_varint(&mut buf, 1 << 60);
         buf.extend_from_slice(&[0u8; 16]);
-        assert!(c.decompress(&buf).is_err(), "{key}");
+        assert!(c.decompress(&buf, 16).is_err(), "{key}");
         assert!(oracle(key, &buf).is_err(), "{key}");
+    }
+}
+
+/// Every container's element count — the `u64` after ZFP's preamble, the
+/// first varint of the others — set to anything but the caller's count,
+/// and an honest stream asked for another count: every decoder refuses
+/// with a typed error, before any work sized by the declared count, as the
+/// oracle does.
+#[test]
+fn element_counts_other_than_the_callers_are_refused() {
+    let data: Vec<f32> = (0..1500).map(|i| (i as f32 * 0.01).sin()).collect();
+    let n = data.len();
+    let bound = ErrorBound::abs_linf(1e-4);
+    for (c, key) in codecs() {
+        let stream = c.compress(&data, &bound).unwrap();
+        let counts = [0, n - 1, n + 1, 2 * n, u32::MAX as usize, usize::MAX];
+        for w in counts.map(|w| w as u64) {
+            let mutant = match key {
+                "zfp" => [&stream[..10], &w.to_le_bytes(), &stream[18..]].concat(),
+                _ if key.starts_with("chunked-") => splice(&stream, 1, &varint(w)),
+                _ => splice(&stream, 10, &varint(w)),
+            };
+            let what = format!("a declared count of {w}");
+            assert!(is_corrupt(c.decompress(&mutant, n)), "{key}: {what}");
+            assert!(assert_oracle_parity(c.as_ref(), key, &mutant, n, &what).is_none());
+        }
+        for m in [0, 1, n - 1, n + 1] {
+            let what = format!("the honest stream asked for {m} values");
+            assert!(is_corrupt(c.decompress(&stream, m)), "{key}: {what}");
+            let mut out = vec![0.0f32; m];
+            let mut fresh = CodecScratch::default();
+            let into = c.decompress_into(&stream, &mut out, &mut fresh);
+            assert!(is_corrupt(into), "{key}: {what}, decompress_into");
+            assert!(assert_oracle_parity(c.as_ref(), key, &stream, m, &what).is_none());
+        }
+        assert!(assert_oracle_parity(c.as_ref(), key, &stream, n, "the honest count").is_some());
     }
 }
 
@@ -170,7 +231,7 @@ fn bit_flips_in_valid_streams_agree_with_the_oracle() {
                 // Either an error or a (wrong) reconstruction — never a
                 // panic, and the same verdict and values as the oracle.
                 let what = format!("a flip in byte {idx} under {bound:?}");
-                assert_oracle_parity(c.as_ref(), key, &mutated, &what);
+                assert_oracle_parity(c.as_ref(), key, &mutated, data.len(), &what);
             }
         }
     }
@@ -213,18 +274,18 @@ fn every_predictor_order_byte_agrees_with_the_oracle() {
         let mut mutated = stream.clone();
         mutated[ORDERS_AT] = byte;
         let what = format!("order byte {byte:#04x}");
-        assert_oracle_parity(&sz, "sz", &mutated, &what);
+        assert_oracle_parity(&sz, "sz", &mutated, n, &what);
         let well_formed = (0..4).all(|s| (byte >> (2 * s)) & 3 != 0);
-        assert_eq!(sz.decompress(&mutated).is_ok(), well_formed, "{what}");
+        assert_eq!(sz.decompress(&mutated, n).is_ok(), well_formed, "{what}");
         let contained = ChunkedCompressor::new(SzCompressor::new())
             .with_chunk_values(n)
             .compress(&data, &bound)
             .unwrap();
         let mut mutated_in = contained.clone();
         mutated_in[contained.len() - stream.len() + ORDERS_AT] = byte;
-        assert_oracle_parity(&chunked, "chunked-sz", &mutated_in, &what);
+        assert_oracle_parity(&chunked, "chunked-sz", &mutated_in, n, &what);
         if byte == honest {
-            assert!(bound.verify(&data, &sz.decompress(&mutated).unwrap()));
+            assert!(bound.verify(&data, &sz.decompress(&mutated, n).unwrap()));
         }
     }
     // A field past the last segment must be clear: a one-segment stream
@@ -240,8 +301,12 @@ fn every_predictor_order_byte_agrees_with_the_oracle() {
     for byte in 0..=u8::MAX {
         one[at] = byte;
         let what = format!("one-segment order byte {byte:#04x}");
-        assert_oracle_parity(&sz, "sz", &one, &what);
-        assert_eq!(sz.decompress(&one).is_ok(), matches!(byte, 1..=3), "{what}");
+        assert_oracle_parity(&sz, "sz", &one, 0, &what);
+        assert_eq!(
+            sz.decompress(&one, 0).is_ok(),
+            matches!(byte, 1..=3),
+            "{what}"
+        );
     }
 }
 
@@ -282,8 +347,9 @@ fn forged_zfp_coefficient_ranges_decode_like_the_oracle() {
         }
         stream.extend(payloads.concat());
         let what = format!("blocks with cut {cut} and width {width}");
-        assert!(zfp.decompress(&stream).is_ok(), "{what}: well framed");
-        assert_oracle_parity(&zfp, "zfp", &stream, &what);
+        let n = V2_STREAMS * blocks * 4;
+        assert!(zfp.decompress(&stream, n).is_ok(), "{what}: well framed");
+        assert_oracle_parity(&zfp, "zfp", &stream, n, &what);
     }
 }
 
@@ -294,12 +360,12 @@ fn truncations_of_valid_streams_never_panic() {
     for (c, _) in codecs() {
         let stream = c.compress(&data, &bound).unwrap();
         for cut in 0..stream.len().min(200) {
-            let _ = c.decompress(&stream[..cut]);
+            let _ = c.decompress(&stream[..cut], data.len());
         }
         // Also a coarse sweep across the whole stream.
         let step = (stream.len() / 50).max(1);
         for cut in (0..stream.len()).step_by(step) {
-            let _ = c.decompress(&stream[..cut]);
+            let _ = c.decompress(&stream[..cut], data.len());
         }
     }
 }
@@ -433,6 +499,7 @@ fn every_varint_field_mutated_agrees_with_the_oracle() {
             None => c,
         };
         for (data, tol) in [(&smooth, 1e-2), (&noisy, 1e-4), (&noisy, 1e-7)] {
+            let n = data.len();
             let stream = c.compress(data, &ErrorBound::abs_linf(tol)).unwrap();
             for f in varint_fields(key, &stream) {
                 let mut end = f.at;
@@ -441,18 +508,25 @@ fn every_varint_field_mutated_agrees_with_the_oracle() {
                 // Truncated inside the field (or right before it).
                 for cut in f.at..end {
                     let mutant = &stream[..cut];
-                    assert!(assert_oracle_parity(c.as_ref(), key, mutant, &what("cut")).is_none());
+                    let got = assert_oracle_parity(c.as_ref(), key, mutant, n, &what("cut"));
+                    assert!(got.is_none());
                 }
                 // Overlong: the same value with a zero byte more.
                 let mut long = varint(v);
                 *long.last_mut().unwrap() |= 0x80;
                 long.push(0);
                 let mutant = splice(&stream, f.at, &long);
-                let got = assert_oracle_parity(c.as_ref(), key, &mutant, &what("overlong"));
+                let got = assert_oracle_parity(c.as_ref(), key, &mutant, n, &what("overlong"));
                 assert!(got.is_none(), "{}", what("overlong"));
                 for w in [0, v.saturating_sub(1), v + 1, u64::from(u32::MAX), u64::MAX] {
                     let mutant = splice(&stream, f.at, &varint(w));
-                    assert_oracle_parity(c.as_ref(), key, &mutant, &what(&format!("= {w}")));
+                    let what = what(&format!("= {w}"));
+                    let got = assert_oracle_parity(c.as_ref(), key, &mutant, n, &what);
+                    // An element count is the caller's (or, in a chunk, its
+                    // share of the caller's), or the stream is refused.
+                    if f.name == "element count" && w != v {
+                        assert!(got.is_none(), "{what}");
+                    }
                     cases += 1;
                 }
             }
@@ -513,12 +587,12 @@ fn forged_code_tables_agree_with_the_oracle() {
     assert_eq!(stream[flag_at], 0, "a run-free block with nibble lengths");
     let n_distinct = gaps.len();
     let check = |mutant: &[u8], what: &str| {
-        let got = assert_oracle_parity(&sz, "sz", mutant, what);
+        let got = assert_oracle_parity(&sz, "sz", mutant, data.len(), what);
         let mut container = vec![CONTAINER_TAG];
         write_varint(&mut container, data.len() as u64);
         write_varint(&mut container, 65_536);
         container.extend_from_slice(mutant);
-        let contained = assert_oracle_parity(&chunked, "chunked-sz", &container, what);
+        let contained = assert_oracle_parity(&chunked, "chunked-sz", &container, data.len(), what);
         assert_eq!(got.is_some(), contained.is_some(), "{what}: chunked");
         got
     };
@@ -586,7 +660,8 @@ fn forged_chunk_headers_agree_with_the_oracle() {
         for tag in 0..=u8::MAX {
             let mut mutant = stream.clone();
             mutant[0] = tag;
-            let got = assert_oracle_parity(c.as_ref(), key, &mutant, &format!("tag {tag}"));
+            let what = format!("tag {tag}");
+            let got = assert_oracle_parity(c.as_ref(), key, &mutant, data.len(), &what);
             assert_eq!(got.is_some(), tag == CONTAINER_TAG, "{key}: tag {tag}");
         }
         // The retired header: u64 count and size, u32 chunk count, u64
@@ -608,7 +683,8 @@ fn forged_chunk_headers_agree_with_the_oracle() {
                 retired.extend_from_slice(&(len as u64).to_le_bytes());
             }
             retired.extend_from_slice(&stream[pos..]);
-            let got = assert_oracle_parity(c.as_ref(), key, &retired, "the retired header");
+            let got =
+                assert_oracle_parity(c.as_ref(), key, &retired, data.len(), "the retired header");
             assert!(got.is_none(), "{key}: the retired header");
             lens
         };
@@ -621,7 +697,8 @@ fn forged_chunk_headers_agree_with_the_oracle() {
             for len in [lens[k] - 1, lens[k] + 1] {
                 let mutant = splice(&stream, f.at, &varint(len as u64));
                 let what = format!("chunk {k} of {len} bytes");
-                assert!(assert_oracle_parity(c.as_ref(), key, &mutant, &what).is_none());
+                let got = assert_oracle_parity(c.as_ref(), key, &mutant, data.len(), &what);
+                assert!(got.is_none());
             }
         }
     }

@@ -305,7 +305,7 @@ fn sz_segments_at_the_fused_decode_chunk_edges() {
     // at a time.  Segments of 1, 1 Ki − 1, 1 Ki and 1 Ki + 1 values (and
     // 2 Ki + 1: two whole chunks and one symbol), with an escape as the
     // first and the last symbol of a chunk, must decode through it exactly
-    // as the staged path and the oracle do.
+    // as the oracle does.
     const CHUNK: usize = 1024;
     let sz = SzCompressor::new();
     let bound = ErrorBound::abs_linf(1e-4);
@@ -335,12 +335,12 @@ fn sz_segments_at_the_fused_decode_chunk_edges() {
             }
             assert_ne!(stream[pos] & 3, 1, "runs, n = {n}");
             let oracle = sz_decompress(&stream).unwrap();
-            let staged = sz.decompress(&stream).unwrap();
+            let pooled = sz.decompress(&stream, n).unwrap();
             let mut fused = vec![0.0f32; n];
             sz.decompress_into(&stream, &mut fused, &mut scratch::acquire())
                 .unwrap();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&staged), bits(&oracle), "staged, n = {n}");
+            assert_eq!(bits(&pooled), bits(&oracle), "decompress, n = {n}");
             assert_eq!(bits(&fused), bits(&oracle), "fused, n = {n}");
             assert!(bound.verify(&data, &fused), "bound, n = {n}");
         }

@@ -5,13 +5,15 @@
 //!
 //! Every stream, honest or forged, goes to the fast decoder through
 //! `decompress`, `decompress_into` and `ChunkedCompressor::decode_unit_into`
-//! and to the oracle in `errflow_compress::reference`; they must agree on
-//! accept/reject and, when they accept, bit for bit.
+//! under the caller's value count, and to the oracle in
+//! `errflow_compress::reference`; the fast decoder must accept exactly when
+//! the oracle accepts with that many values, and then agree bit for bit.
 
 use errflow_compress::format::{self, BackendTag};
 use errflow_compress::traits::{read_varint, write_varint};
 use errflow_compress::{
-    huffman, reference, scratch, ChunkedCompressor, Compressor, ErrorBound, SzCompressor,
+    huffman, reference, scratch, ChunkedCompressor, CompressError, Compressor, ErrorBound,
+    SzCompressor,
 };
 use errflow_tensor::rng::StdRng;
 
@@ -19,12 +21,28 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Decodes `stream` every way there is and checks the ways agree.  Returns
-/// the decoded values when the stream is accepted.
-fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
+/// The oracle's verdict for a caller that expects `n` values: values of
+/// another count are a refusal.
+fn of_length(oracle: Result<Vec<f32>, CompressError>, n: usize) -> Result<Vec<f32>, CompressError> {
+    oracle.and_then(|v| {
+        if v.len() == n {
+            Ok(v)
+        } else {
+            Err(CompressError::CorruptStream(format!(
+                "{} values where the caller expects {n}",
+                v.len()
+            )))
+        }
+    })
+}
+
+/// Decodes `stream` to the caller's `n` values every way there is and
+/// checks the ways agree with the oracle.  Returns the decoded values when
+/// the stream is accepted.
+fn decode_everywhere(stream: &[u8], n: usize, what: &str) -> Option<Vec<f32>> {
     let sz = SzCompressor::new();
-    let oracle = reference::sz_decompress(stream);
-    let fast = sz.decompress(stream);
+    let oracle = of_length(reference::sz_decompress(stream), n);
+    let fast = sz.decompress(stream, n);
     let (fast, oracle) = match (fast, oracle) {
         (Ok(fast), Ok(oracle)) => (fast, oracle),
         (Err(_), Err(_)) => return None,
@@ -36,13 +54,14 @@ fn decode_everywhere(stream: &[u8], what: &str) -> Option<Vec<f32>> {
     };
     assert_eq!(bits(&fast), bits(&oracle), "{what}: decompress vs oracle");
     let mut sc = scratch::acquire();
-    let mut into = vec![f32::NAN; fast.len()];
+    let mut into = vec![f32::NAN; n];
     sz.decompress_into(stream, &mut into, &mut sc)
         .unwrap_or_else(|e| panic!("{what}: decompress_into: {e}"));
     assert_eq!(bits(&into), bits(&oracle), "{what}: decompress_into");
     // A destination of the wrong size is a typed error, not a partial write.
-    let mut wrong = vec![0.0f32; fast.len() + 1];
+    let mut wrong = vec![0.0f32; n + 1];
     assert!(sz.decompress_into(stream, &mut wrong, &mut sc).is_err());
+    assert!(sz.decompress(stream, n + 1).is_err());
     Some(fast)
 }
 
@@ -52,8 +71,8 @@ fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     let sz = SzCompressor::new();
     let stream = sz.compress(data, bound).unwrap();
     assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::Sz as u8);
-    let recon =
-        decode_everywhere(&stream, what).unwrap_or_else(|| panic!("{what}: own stream rejected"));
+    let recon = decode_everywhere(&stream, data.len(), what)
+        .unwrap_or_else(|| panic!("{what}: own stream rejected"));
     assert_eq!(recon.len(), data.len());
 
     // Chunks of 1000 leave a ragged last chunk and ragged segments in it.
@@ -65,15 +84,19 @@ fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     for unit in &units {
         let dst = &mut by_unit[unit.offset..unit.offset + unit.len];
         chunked.decode_unit_into(unit, dst, &mut sc).unwrap();
-        if unit.tag != 0 {
-            let oracle = reference::sz_decompress(unit.stream).unwrap();
-            assert_eq!(bits(dst), bits(&oracle), "{what}: unit at {}", unit.offset);
-        }
+        let oracle = reference::sz_decompress(unit.stream).unwrap();
+        assert_eq!(bits(dst), bits(&oracle), "{what}: unit at {}", unit.offset);
     }
+    let oracle = reference::chunked_decompress("sz", &container).unwrap();
     assert_eq!(
         bits(&by_unit),
-        bits(&chunked.decompress(&container).unwrap()),
-        "{what}: decode_unit_into vs chunked decompress"
+        bits(&oracle),
+        "{what}: decode_unit_into vs the chunked oracle"
+    );
+    assert_eq!(
+        bits(&chunked.decompress(&container, data.len()).unwrap()),
+        bits(&oracle),
+        "{what}: chunked decompress vs the chunked oracle"
     );
     if data.iter().all(|v| v.is_finite()) {
         assert!(bound.verify(data, &by_unit), "{what}: chunked bound");
@@ -213,7 +236,8 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
     // holds then, the decoders agree on it.
     for bound in [ErrorBound::rel_linf(1e-3), ErrorBound::rel_l2(1e-3)] {
         let stream = SzCompressor::new().compress(&data, &bound).unwrap();
-        let recon = decode_everywhere(&stream, "non-finite values, relative bound").unwrap();
+        let recon =
+            decode_everywhere(&stream, data.len(), "non-finite values, relative bound").unwrap();
         assert_eq!(recon.len(), data.len());
     }
 }
@@ -324,7 +348,7 @@ fn every_order_restarts_and_escapes_alike_in_every_decoder() {
         for orders in [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3], [3, 1, 2, 3]] {
             let what = format!("escapes at {pattern:?}, orders {orders:?}");
             let (stream, want) = encode_at(&data, eb, orders);
-            let got = decode_everywhere(&stream, &what)
+            let got = decode_everywhere(&stream, data.len(), &what)
                 .unwrap_or_else(|| panic!("{what}: honest stream rejected"));
             assert_eq!(bits(&got), bits(&want), "{what}");
             assert!(ErrorBound::abs_linf(eb).verify(&data, &got), "{what}");
@@ -349,7 +373,7 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
     let up = vec![65_535u32; 8000];
     for (k, n) in [(1u8, 4 * 70_000), (2, 8000), (3, 8000)] {
         let up = vec![65_535u32; n];
-        let values = decode_everywhere(&forge(1e-3, &[k; 4], &up, &none), "all +MAX_CODE")
+        let values = decode_everywhere(&forge(1e-3, &[k; 4], &up, &none), n, "all +MAX_CODE")
             .expect("a well-framed stream");
         assert!(
             values.iter().any(|&v| v < 0.0),
@@ -370,8 +394,12 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
     for n_streams in [1, 3, 4, 16] {
         let tables = vec![Vec::new(); n_streams];
         let orders: Vec<u8> = (0..n_streams).map(|s| 1 + (s % 3) as u8).collect();
-        decode_everywhere(&forge(0.5, &orders, &wild, &tables), "wild symbols")
-            .expect("a well-framed stream");
+        decode_everywhere(
+            &forge(0.5, &orders, &wild, &tables),
+            wild.len(),
+            "wild symbols",
+        )
+        .expect("a well-framed stream");
     }
     // Header bounds no encoder writes.
     for eb in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
@@ -381,6 +409,7 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
         let tables = vec![vec![3.5f32], Vec::new(), vec![f32::NAN], Vec::new()];
         decode_everywhere(
             &forge(eb, &[3, 2, 1, 3], &symbols, &tables),
+            symbols.len(),
             "hostile error bound",
         )
         .expect("a well-framed stream");
@@ -397,21 +426,21 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     let sz = SzCompressor::new();
     for (entries, accepted) in [(2, true), (1, false), (3, false), (0, false)] {
         let stream = forge(1e-3, &[2; 4], &symbols, &table(entries));
-        let decoded = decode_everywhere(&stream, "table length");
+        let decoded = decode_everywhere(&stream, symbols.len(), "table length");
         assert_eq!(
             decoded.is_some(),
             accepted,
             "{entries} entries for 2 escapes"
         );
         if !accepted {
-            let err = sz.decompress(&stream).unwrap_err();
+            let err = sz.decompress(&stream, symbols.len()).unwrap_err();
             assert!(err.to_string().contains("outlier table"), "{err}");
         }
     }
     // The right number of entries, one segment over.
     let moved = vec![vec![1.25f32; 2], Vec::new(), Vec::new(), Vec::new()];
     let stream = forge(1e-3, &[2; 4], &symbols, &moved);
-    assert!(decode_everywhere(&stream, "table in the wrong segment").is_none());
+    assert!(decode_everywhere(&stream, symbols.len(), "table in the wrong segment").is_none());
 }
 
 #[test]
@@ -430,7 +459,7 @@ fn any_tag_but_the_order_one_is_no_sz_stream() {
     for tag in (0..=u8::MAX).filter(|&t| t != BackendTag::Sz as u8) {
         stream[8] = tag;
         assert!(
-            decode_everywhere(&stream, "foreign tag").is_none(),
+            decode_everywhere(&stream, data.len(), "foreign tag").is_none(),
             "tag {tag}"
         );
         assert!(

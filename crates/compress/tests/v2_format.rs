@@ -82,13 +82,18 @@ fn the_sz_golden_decodes_to_the_recorded_values_everywhere() {
     let oracle = reference::decompress(sz.name(), stream).unwrap();
     assert_eq!(bits(&oracle), want, "oracle");
     assert!(ErrorBound::rel_linf(1e-4).verify(&data, &oracle), "bound");
-    assert_eq!(bits(&sz.decompress(stream).unwrap()), want, "decompress");
+    assert_eq!(
+        bits(&sz.decompress(stream, FIELD_LEN).unwrap()),
+        want,
+        "decompress"
+    );
     let mut sc = scratch::acquire();
     let mut into = vec![0.0f32; want.len()];
     sz.decompress_into(stream, &mut into, &mut sc).unwrap();
     assert_eq!(bits(&into), want, "decompress_into");
     // A wrong-sized destination is a typed error, not a partial write.
     assert!(sz.decompress_into(stream, &mut into[1..], &mut sc).is_err());
+    assert!(sz.decompress(stream, FIELD_LEN + 1).is_err());
 }
 
 #[test]
@@ -119,7 +124,10 @@ fn is_corrupt<T>(result: Result<T, CompressError>) -> bool {
 fn refused_everywhere<C: Compressor + Clone>(c: &C, stream: &[u8], what: &str) {
     let mut sc = scratch::acquire();
     let mut out = vec![0.0f32; FIELD_LEN];
-    assert!(is_corrupt(c.decompress(stream)), "{what}: decompress");
+    assert!(
+        is_corrupt(c.decompress(stream, FIELD_LEN)),
+        "{what}: decompress"
+    );
     assert!(
         is_corrupt(c.decompress_into(stream, &mut out, &mut sc)),
         "{what}: decompress_into"
@@ -140,7 +148,7 @@ fn refused_everywhere<C: Compressor + Clone>(c: &C, stream: &[u8], what: &str) {
     );
     let chunked = ChunkedCompressor::new(c.clone());
     assert!(
-        is_corrupt(chunked.decompress(&container)),
+        is_corrupt(chunked.decompress(&container, FIELD_LEN)),
         "{what}: chunked decompress"
     );
     assert!(
@@ -184,7 +192,7 @@ fn retired_layouts_are_refused_by_every_decoder() {
     // either.
     let bound = ErrorBound::rel_linf(1e-4);
     let today = sz.compress(&golden_field(), &bound).unwrap();
-    assert!(sz.decompress(&today).is_ok());
+    assert!(sz.decompress(&today, FIELD_LEN).is_ok());
     for tag in [1, 3, 4, 5] {
         let mut retagged = today.clone();
         retagged[8] = tag;
@@ -192,7 +200,7 @@ fn retired_layouts_are_refused_by_every_decoder() {
     }
     let mgard = MgardCompressor::new();
     let today = mgard.compress(&golden_field(), &bound).unwrap();
-    assert!(mgard.decompress(&today).is_ok());
+    assert!(mgard.decompress(&today, FIELD_LEN).is_ok());
     for tag in [1, 3, 4, 5] {
         let mut retagged = today.clone();
         retagged[8] = tag;
@@ -224,7 +232,10 @@ fn the_retired_chunk_header_is_refused_around_valid_streams() {
         retired.extend_from_slice(&stream);
         let chunked = ChunkedCompressor::new(c.clone());
         let what = c.name();
-        assert!(is_corrupt(chunked.decompress(&retired)), "{what}");
+        assert!(
+            is_corrupt(chunked.decompress(&retired, data.len())),
+            "{what}"
+        );
         assert!(
             is_corrupt(chunked.decompress_into(&retired, &mut out, &mut sc)),
             "{what}: decompress_into"
@@ -239,8 +250,12 @@ fn the_retired_chunk_header_is_refused_around_valid_streams() {
         );
         let today = chunked.compress(&data, &bound).unwrap();
         assert_eq!(today[today.len() - stream.len()..], stream[..], "{what}");
-        let want = bits(&c.decompress(&stream).unwrap());
-        assert_eq!(bits(&chunked.decompress(&today).unwrap()), want, "{what}");
+        let want = bits(&c.decompress(&stream, data.len()).unwrap());
+        assert_eq!(
+            bits(&chunked.decompress(&today, data.len()).unwrap()),
+            want,
+            "{what}"
+        );
         let oracle = reference::chunked_decompress(what, &today).unwrap();
         assert_eq!(bits(&oracle), want, "{what}: oracle");
     }
@@ -266,18 +281,17 @@ fn v2_round_trips_under_every_supported_bound_mode() {
                 continue;
             }
             let stream = c.compress(&data, bound).unwrap();
-            let rec = c.decompress(&stream).unwrap();
+            let rec = c.decompress(&stream, data.len()).unwrap();
             assert!(
                 bound.verify(&data, &rec),
                 "{} v2 violates {bound:?}",
                 c.name()
             );
+            let oracle = reference::decompress(c.name(), &stream).unwrap();
+            assert_eq!(bits(&rec), bits(&oracle), "{}: decompress", c.name());
             let mut into = vec![0.0f32; data.len()];
             c.decompress_into(&stream, &mut into, &mut sc).unwrap();
-            assert!(rec
-                .iter()
-                .zip(&into)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(bits(&into), bits(&oracle), "{}: decompress_into", c.name());
         }
     }
 }
@@ -304,7 +318,7 @@ fn zfp_forged_substream_lengths_are_a_typed_corrupt_stream() {
         }
         other => panic!("expected CorruptStream, got {other:?}"),
     }
-    assert!(zfp.decompress(&stream).is_err());
+    assert!(zfp.decompress(&stream, data.len()).is_err());
 }
 
 /// Inflate a declared per-segment outlier count in a v2 SZ header so the
@@ -330,7 +344,7 @@ fn sz_forged_outlier_counts_are_a_typed_corrupt_stream() {
         }
         other => panic!("expected CorruptStream, got {other:?}"),
     }
-    assert!(sz.decompress(&stream).is_err());
+    assert!(sz.decompress(&stream, data.len()).is_err());
 }
 
 /// Truncating the payload (without touching the header) must also be
@@ -346,7 +360,10 @@ fn v2_truncated_payloads_are_rejected() {
         let stream = c.compress(&data, &bound).unwrap();
         let cut = &stream[..stream.len() - 3];
         assert!(
-            matches!(c.decompress(cut), Err(CompressError::CorruptStream(_))),
+            matches!(
+                c.decompress(cut, data.len()),
+                Err(CompressError::CorruptStream(_))
+            ),
             "{}: truncated v2 stream must be CorruptStream",
             c.name()
         );

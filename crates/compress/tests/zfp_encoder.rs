@@ -28,7 +28,7 @@ fn roundtrip(data: &[f32], tol: f64, what: &str) -> Vec<u8> {
     let oracle = reference::zfp_decompress(&stream).unwrap();
     assert_eq!(oracle.len(), data.len(), "{what}: length");
     assert_eq!(
-        bits(&zfp.decompress(&stream).unwrap()),
+        bits(&zfp.decompress(&stream, data.len()).unwrap()),
         bits(&oracle),
         "{what}: decompress vs oracle"
     );

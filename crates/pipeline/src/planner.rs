@@ -446,7 +446,7 @@ impl<'m, M: Model> Planner<'m, M> {
             let reps = ((5e-3 / stats.decompress_secs.max(1e-7)) as usize).clamp(3, 200);
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
-                compressor.decompress(&stream)?;
+                compressor.decompress(&stream, payload.len())?;
             }
             stats.decompress_secs = t0.elapsed().as_secs_f64() / reps as f64;
         }

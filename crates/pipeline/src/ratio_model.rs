@@ -62,7 +62,7 @@ impl RatioModel {
                 let reps = ((4e-3 / stats.decompress_secs.max(1e-7)) as usize).clamp(3, 100);
                 let t0 = std::time::Instant::now();
                 for _ in 0..reps {
-                    compressor.decompress(&stream)?;
+                    compressor.decompress(&stream, sample.len())?;
                 }
                 stats.decompress_secs = t0.elapsed().as_secs_f64() / reps as f64;
             }

@@ -1033,7 +1033,7 @@ mod tests {
         let compressor = BackendKind::Sz.build(2);
         let bound = ErrorBound::abs_linf(1e-3);
         let stream = compressor.compress(&payload, &bound).unwrap();
-        let expected = compressor.decompress(&stream).unwrap();
+        let expected = compressor.decompress(&stream, payload.len()).unwrap();
 
         let mut m = Matrix::zeros(n_samples + 10, d); // payload lands mid-matrix
         let slab = m.rows_mut(5, n_samples).unwrap();

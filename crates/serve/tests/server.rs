@@ -183,7 +183,7 @@ fn every_plan_of_a_format_serves_from_one_shared_weight_build() {
             let flat = flatten(&payload, PayloadLayout::SampleMajor);
             let bound = planner.compressor_bound(&plan, &codec, flat.len());
             let recon = codec
-                .decompress(&codec.compress(&flat, &bound).unwrap())
+                .decompress(&codec.compress(&flat, &bound).unwrap(), flat.len())
                 .unwrap();
             let expected = quantize_model(&m, resp.format).forward_batch(&unflatten(
                 &recon,

@@ -51,7 +51,7 @@ fn main() {
     let stream = sz
         .compress(&x, &ErrorBound::abs_l2(dx))
         .expect("sz supports L2 bounds");
-    let x_tilde = sz.decompress(&stream).expect("roundtrip");
+    let x_tilde = sz.decompress(&stream, x.len()).expect("roundtrip");
     let quantized = errflow::core::quantize_model(&model, QuantFormat::Fp16);
     let flow = ErrorFlow::decompose(&model, &quantized, &x, &x_tilde);
     println!(

@@ -33,7 +33,7 @@ fn combined_bound_holds_for_every_task_compressor_and_format() {
         for backend in errflow::compress::all_backends() {
             let bound_spec = ErrorBound::abs_linf(1e-4);
             let stream = backend.compress(&payload, &bound_spec).unwrap();
-            let recon_payload = backend.decompress(&stream).unwrap();
+            let recon_payload = backend.decompress(&stream, payload.len()).unwrap();
             let recon = unflatten(&recon_payload, inputs.len(), inputs[0].len(), lay);
             for format in [QuantFormat::Fp16, QuantFormat::Int8] {
                 let qm = quantize_model(&model, format);
@@ -64,7 +64,7 @@ fn error_flow_legs_individually_bounded() {
     let inputs: Vec<Vec<f32>> = task.ordered_inputs().iter().take(30).cloned().collect();
     for x in &inputs {
         let stream = sz.compress(x, &ErrorBound::abs_l2(1e-3)).unwrap();
-        let xt = sz.decompress(&stream).unwrap();
+        let xt = sz.decompress(&stream, x.len()).unwrap();
         let dx = diff_norm(x, &xt, Norm::L2);
         let flow = ErrorFlow::decompose(&model, &qm, x, &xt);
         assert!(flow.compression_error(Norm::L2) <= analysis.compression_bound(dx) + 1e-9);
@@ -250,7 +250,7 @@ fn certificate_holds_against_an_f64_oracle_that_shares_no_kernel() {
                     for backend in errflow::compress::all_backends() {
                         let bound = input_bound(&plan, backend.as_ref(), payload.len());
                         let stream = backend.compress(&payload, &bound).unwrap();
-                        let recon = backend.decompress(&stream).unwrap();
+                        let recon = backend.decompress(&stream, payload.len()).unwrap();
                         let recon = unflatten(&recon, inputs.len(), 256, layout);
                         for (y, y64) in qm.forward_batch(&recon).iter().zip(&oracle) {
                             let realized =

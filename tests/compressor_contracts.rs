@@ -20,7 +20,7 @@ fn all_backends_honour_linf_bounds_on_all_workloads() {
             for tol in [1e-2, 1e-4, 1e-6] {
                 let bound = ErrorBound::rel_linf(tol);
                 let stream = backend.compress(&data, &bound).unwrap();
-                let recon = backend.decompress(&stream).unwrap();
+                let recon = backend.decompress(&stream, data.len()).unwrap();
                 assert!(
                     bound.verify(&data, &recon),
                     "{}/{kind:?} tol={tol}",
@@ -41,7 +41,7 @@ fn sz_and_mgard_honour_l2_bounds_zfp_rejects() {
             assert!(backend.compress(&data, &bound).is_err());
         } else {
             let recon = backend
-                .decompress(&backend.compress(&data, &bound).unwrap())
+                .decompress(&backend.compress(&data, &bound).unwrap(), data.len())
                 .unwrap();
             assert!(bound.verify(&data, &recon), "{}", backend.name());
         }
