@@ -1,9 +1,11 @@
 //! Bit-level stream I/O used by the ZFP-class coder and the Huffman coder.
 //!
-//! [`BitWriter`] packs bits LSB-first into bytes; [`BitReader`] reads them
-//! back.  Both buffer through a 64-bit accumulator so multi-bit operations
-//! cost a few ALU ops instead of per-bit byte arithmetic — decompression
-//! throughput of the compressors is dominated by these paths.
+//! [`BitWriter`] packs bits LSB-first into bytes (the encoders write their
+//! own packed words; the reference encoders in their tests write through
+//! this); [`BitReader`] reads them back.  Both buffer through a 64-bit
+//! accumulator so multi-bit operations cost a few ALU ops instead of
+//! per-bit byte arithmetic — decompression throughput of the compressors
+//! is dominated by these paths.
 
 /// Append-only bit sink.
 #[derive(Debug, Default, Clone)]

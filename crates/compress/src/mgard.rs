@@ -46,7 +46,7 @@ use crate::scratch::{self, CodecScratch};
 use crate::traits::{check_tolerance, CompressError, Compressor};
 
 const MAX_CODE: i64 = 32_767;
-const ESCAPE: u32 = 0;
+const ESCAPE: u16 = 0;
 /// Recursion stops when a level has at most this many nodes.
 const COARSEST_LEN: usize = 3;
 /// Hard cap on hierarchy depth.
@@ -147,7 +147,7 @@ impl MgardCompressor {
         stream: &[u8],
         pos: &mut usize,
         eb: f64,
-        symbols: &[u32],
+        symbols: &[u16],
         sym_idx: &mut usize,
         coarse: &[f32],
         recon: &mut [f32],
@@ -162,7 +162,7 @@ impl MgardCompressor {
             if sym == ESCAPE {
                 recon[i] = crate::traits::read_f32(stream, pos, "outlier table")?;
             } else {
-                let code = sym as i64 - MAX_CODE - 1;
+                let code = i64::from(sym) - MAX_CODE - 1;
                 let pred = interpolate(recon, i, len);
                 recon[i] = (pred as f64 + 2.0 * eb * code as f64) as f32;
             }
@@ -264,7 +264,7 @@ impl Compressor for MgardCompressor {
                 if code.unsigned_abs() <= MAX_CODE as u64 {
                     let r = (pred as f64 + 2.0 * eb * code as f64) as f32;
                     if ((x - r).abs() as f64) <= eb && r.is_finite() {
-                        symbols.push((code + MAX_CODE + 1) as u32);
+                        symbols.push((code + MAX_CODE + 1) as u16);
                         next[i] = r;
                         accepted = true;
                     }

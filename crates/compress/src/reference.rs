@@ -29,7 +29,7 @@ use std::collections::HashMap;
 const PEEK: u32 = 13;
 const RUN_MARKER: u32 = u32::MAX;
 const MAX_CODE: i64 = 32_767;
-const ESCAPE: u32 = 0;
+const ESCAPE: u16 = 0;
 const PRECISION: i32 = 38;
 const MAGIC_V2: [u8; 8] = *b"EFv2\x9e\xad\xf5\xbf";
 const MAX_STREAMS: usize = 16;
@@ -259,18 +259,16 @@ fn read_code_table(
         return Err(CompressError::CorruptStream("empty code table".into()));
     }
     let explicit = n_distinct - usize::from(runs);
-    let top = if runs {
-        u64::from(RUN_MARKER) - 1
-    } else {
-        u64::from(u32::MAX)
-    };
+    // Every listed symbol is a `u16`; the run marker is implied.
     let mut symbols: Vec<u32> = Vec::with_capacity(safe_capacity(n_distinct, stream.len()));
     let mut next = 0u64;
     for _ in 0..explicit {
-        if next > top {
-            return Err(CompressError::CorruptStream("symbol past u32".into()));
-        }
-        let sym = next + read_varint(stream, pos, top - next)?;
+        let sym = next
+            .checked_add(read_varint(stream, pos, u64::MAX)?)
+            .filter(|&sym| sym <= u64::from(u16::MAX))
+            .ok_or_else(|| {
+                CompressError::CorruptStream("code table: symbol past the alphabet".into())
+            })?;
         symbols.push(sym as u32);
         next = sym + 1;
     }
@@ -441,12 +439,13 @@ fn finish_symbols(
 /// Oracle decode of the multi-stream Huffman block of `n` symbols in
 /// `n_streams` segments ([`crate::huffman::encode_multi_with`] documents
 /// the layout): the sub-streams are decoded one after another through the
-/// seed-path probe and expanded segment by segment.
+/// seed-path probe and expanded segment by segment.  Every symbol is a
+/// `u16`: a code table that lists one past it is refused.
 pub fn huffman_decode_multi(
     stream: &[u8],
     n: usize,
     n_streams: usize,
-) -> Result<(Vec<u32>, usize), CompressError> {
+) -> Result<(Vec<u16>, usize), CompressError> {
     if n_streams == 0 || n_streams > MAX_STREAMS {
         return Err(CompressError::CorruptStream("bad sub-stream count".into()));
     }
@@ -458,7 +457,7 @@ pub fn huffman_decode_multi(
         .first()
         .ok_or_else(|| CompressError::CorruptStream("no block flag".into()))?;
     let mut pos = 1usize;
-    let mut out: Vec<u32> = Vec::new();
+    let mut out: Vec<u16> = Vec::new();
     if flag == FLAG_RAW16 {
         for (_, len) in segments {
             let bytes = len
@@ -469,7 +468,7 @@ pub fn huffman_decode_multi(
             out.extend(
                 payload
                     .chunks_exact(2)
-                    .map(|pair| u32::from(u16::from_le_bytes([pair[0], pair[1]]))),
+                    .map(|pair| u16::from_le_bytes([pair[0], pair[1]])),
             );
         }
         return Ok((out, pos));
@@ -515,7 +514,9 @@ pub fn huffman_decode_multi(
         let payload = slice_at(stream, pos, payload_len, "sub-stream payload")?;
         pos += payload_len;
         let symbols = codes.decode(payload, n_sym)?;
-        out.extend(finish_symbols(symbols, runs_used, &runs, n_orig_s)?);
+        // Past the marker's expansion every symbol came from the table.
+        let segment = finish_symbols(symbols, runs_used, &runs, n_orig_s)?;
+        out.extend(segment.into_iter().map(|sym| sym as u16));
     }
     Ok((out, pos))
 }
@@ -572,7 +573,7 @@ fn lattice_index(x: f32, eb: f64) -> i32 {
 /// and contributes the index recomputed from it.  Appends one value per
 /// symbol to `recon` and returns the table bytes consumed.
 fn sz_lattice_reconstruct(
-    symbols: &[u32],
+    symbols: &[u16],
     order: usize,
     eb: f64,
     table: &[u8],
@@ -600,7 +601,7 @@ fn sz_lattice_reconstruct(
             indices.push(lattice_index(x, eb));
             recon.push(x);
         } else {
-            let difference = (sym as i32).wrapping_sub(MAX_CODE as i32 + 1);
+            let difference = i32::from(sym).wrapping_sub(MAX_CODE as i32 + 1);
             let index = prediction.wrapping_add(difference);
             indices.push(index);
             recon.push((index as f64 * (2.0 * eb)) as f32);
@@ -822,7 +823,7 @@ pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
                 pos += 4;
                 recon[i] = f32::from_le_bytes(fixed(bytes, "outlier")?);
             } else {
-                let code = sym as i64 - MAX_CODE - 1;
+                let code = i64::from(sym) - MAX_CODE - 1;
                 let pred = interpolate(&recon, i, len);
                 recon[i] = (pred as f64 + 2.0 * eb * code as f64) as f32;
             }
@@ -913,8 +914,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xFACE);
         for round in 0..32 {
             let n = rng.gen_range(0usize..4000);
-            let alphabet = rng.gen_range(1u32..300);
-            let mut symbols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+            let alphabet = rng.gen_range(1u16..300);
+            let mut symbols: Vec<u16> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
             // Splice in some runs so the RLE path is exercised.
             if n > 200 {
                 let v = rng.gen_range(0..alphabet);

@@ -20,7 +20,7 @@ pub struct CodecScratch {
     /// Huffman decoder state (prefix table, canonical arrays, RLE buffers).
     pub(crate) huff: DecodeScratch,
     /// Decoded quantization symbols.
-    pub(crate) symbols: Vec<u32>,
+    pub(crate) symbols: Vec<u16>,
     /// Float workspace A (MGARD hierarchy arena / coarse level).
     pub(crate) fa: Vec<f32>,
     /// Float workspace B (MGARD reconstruction ping buffer).

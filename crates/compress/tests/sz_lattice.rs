@@ -244,7 +244,7 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
 
 /// A lattice container built by hand: `symbols` cut into `tables.len()`
 /// even segments, one predictor order and one outlier table per segment.
-fn forge(eb: f64, orders: &[u8], symbols: &[u32], tables: &[Vec<f32>]) -> Vec<u8> {
+fn forge(eb: f64, orders: &[u8], symbols: &[u16], tables: &[Vec<f32>]) -> Vec<u8> {
     assert_eq!(orders.len(), tables.len());
     let mut out = Vec::new();
     format::write_preamble(&mut out, BackendTag::Sz, tables.len());
@@ -302,7 +302,7 @@ fn encode_at(data: &[f32], eb: f64, orders: [u8; 4]) -> (Vec<u8>, Vec<f32>) {
                 .fold(0i32, |d, (m, &w)| d.wrapping_add(w.wrapping_mul(q[i - m])));
             let r = (q[i] as f64 * (2.0 * eb)) as f32;
             if f64::from((x - r).abs()) <= eb && r.is_finite() && d.abs() <= 32_767 {
-                symbols.push((d + 32_768) as u32);
+                symbols.push((d + 32_768) as u16);
                 want.push(r);
             } else {
                 symbols.push(0);
@@ -370,9 +370,9 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
     // The largest honest difference, forever: at order 2 the index passes
     // 2^31 after ~360 values and keeps wrapping, at order 3 sooner, and at
     // order 1 after 65 538.
-    let up = vec![65_535u32; 8000];
+    let up = vec![u16::MAX; 8000];
     for (k, n) in [(1u8, 4 * 70_000), (2, 8000), (3, 8000)] {
-        let up = vec![65_535u32; n];
+        let up = vec![u16::MAX; n];
         let values = decode_everywhere(&forge(1e-3, &[k; 4], &up, &none), n, "all +MAX_CODE")
             .expect("a well-framed stream");
         assert!(
@@ -380,14 +380,16 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
             "order {k}: the sum wrapped"
         );
     }
-    // Symbols no encoder emits, the marker among them.
+    // Symbols no field's encoding holds together: random differences, the
+    // extreme ones of either sign and zero.  (A symbol past `u16` has no
+    // code table to carry it: both decoders refuse such a table.)
     let mut rng = StdRng::seed_from_u64(0xF0F);
-    let wild: Vec<u32> = (0..4001)
+    let wild: Vec<u16> = (0..4001)
         .map(|i| match i % 5 {
-            0 => rng.gen_range(1u32..65_536),
-            1 => 65_536 + rng.gen_range(0u32..1000),
-            2 => 0x8000_0000 + rng.gen_range(0u32..3),
-            3 => u32::MAX - rng.gen_range(0u32..2),
+            0 => rng.gen_range(1u16..u16::MAX),
+            1 => 1 + rng.gen_range(0u16..3),
+            2 => u16::MAX - rng.gen_range(0u16..3),
+            3 => u16::MAX,
             _ => 32_768,
         })
         .collect();
@@ -419,7 +421,7 @@ fn forged_symbols_wrap_the_prefix_sum_alike_in_both_decoders() {
 #[test]
 fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     // Segment 1 of 4 holds two escapes.
-    let mut symbols = vec![32_768u32; 400];
+    let mut symbols = vec![32_768u16; 400];
     symbols[110] = 0;
     symbols[150] = 0;
     let table = |n: usize| vec![Vec::new(), vec![1.25f32; n], Vec::new(), Vec::new()];
