@@ -391,3 +391,37 @@ fn serves_task_models_and_every_backend() {
         );
     }
 }
+
+/// The planner hands all tolerance the weights leave unused to compression,
+/// so the certified bound is the plan tolerance up to rounding: every
+/// reply, under either norm and every backend, sits within 1e-15 relative
+/// below it and never above.
+#[test]
+fn served_bound_sits_at_the_plan_tolerance() {
+    let mut rng = StdRng::seed_from_u64(21);
+    for backend in [BackendKind::Sz, BackendKind::Zfp, BackendKind::Mgard] {
+        let server = Server::new(
+            model(),
+            calibration(8),
+            ServeConfig {
+                workers: 1,
+                backend,
+                ..ServeConfig::default()
+            },
+        );
+        for norm in [Norm::L2, Norm::LInf] {
+            for e in -8..0 {
+                let mut req = Request::new(samples(&mut rng, 8, 6), tolerance_in_bucket(e));
+                req.norm = norm;
+                let resp = server.process(req).unwrap();
+                let tol = resp.plan_tolerance;
+                assert!(
+                    tol * (1.0 - 1e-15) <= resp.rel_bound && resp.rel_bound <= tol,
+                    "{} {norm:?} bucket {e}: bound {} tolerance {tol}",
+                    backend.name(),
+                    resp.rel_bound
+                );
+            }
+        }
+    }
+}
