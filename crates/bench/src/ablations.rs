@@ -105,7 +105,7 @@ pub fn allocation(models: &Models) -> Vec<Table> {
                 .plan_optimal(tol, Norm::LInf, &backend, &payload, inputs[0].len())
                 .expect("optimizer");
             // The share that would produce this plan (approximate label).
-            let opt_share = opt_plan.predicted_quant_bound / opt_plan.abs_tolerance.max(1e-300);
+            let opt_share = opt_plan.certificate.weight_quant / opt_plan.abs_tolerance.max(1e-300);
             row.extend([
                 fixed(best.0),
                 fixed(best.1),
@@ -251,13 +251,13 @@ pub fn mixed_formats(models: &Models) -> Vec<Table> {
             for cand in FASTEST_FIRST {
                 let mut trial = mixed.clone();
                 trial[l] = cand;
-                if analysis.combined_bound_mixed(0.0, &trial).quantization <= budget {
+                if analysis.combined_bound_mixed(0.0, &trial).weight_quant <= budget {
                     mixed = trial;
                     break;
                 }
             }
         }
-        let mixed_bound = analysis.combined_bound_mixed(0.0, &mixed).quantization;
+        let mixed_bound = analysis.combined_bound_mixed(0.0, &mixed).weight_quant;
         let achieved = worst_output_error(tt, &quantize_model_mixed(&tt.model, &mixed), 120);
         assert!(achieved <= mixed_bound + 1e-9, "mixed bound violated");
         let reduced = mixed.iter().filter(|f| **f != QuantFormat::Fp32).count();

@@ -238,8 +238,8 @@ fn fp16_speedup(t: &Table, o: &mut Outcome) {
 }
 
 /// Fig. 10 left: with quantization prioritised the allocator holds FP32
-/// until a reduced format's bound fits its share, and quant_bound +
-/// compression_budget + unused = tolerance on every row.
+/// until a reduced format's bound fits its share, and quant_bound_rel +
+/// compression_budget_rel + unused_rel = tolerance on every row.
 fn coordination(t: &Table, o: &mut Outcome) {
     let cols = [
         "qoi_tolerance",

@@ -677,7 +677,7 @@ pub fn pipeline_table(
                     sci(tol),
                     fixed(share),
                     plan.format.label().into(),
-                    sci(report.predicted_rel_bound),
+                    sci(report.plan.rel_bound),
                     sci(report.achieved_rel_error.max),
                     fixed(report.io_gbps),
                     fixed(report.exec_gbps),
@@ -706,9 +706,9 @@ pub fn coordination_table(tt: &TrainedTask, norm: Norm, tolerances: &[f64]) -> T
         table.push(vec![
             sci(tol),
             plan.format.label().into(),
-            sci(plan.predicted_quant_bound / r),
-            sci(plan.compression_budget / r),
-            sci((plan.abs_tolerance - plan.predicted_total_bound).max(0.0) / r),
+            sci(plan.certificate.weight_quant / r),
+            sci(plan.certificate.compression / r),
+            sci((plan.abs_tolerance - plan.certificate.total()).max(0.0) / r),
         ]);
     }
     table

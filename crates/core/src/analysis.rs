@@ -59,19 +59,22 @@ pub fn format_index(format: QuantFormat) -> usize {
     }
 }
 
-/// The two additive components of Ineq. (3).
+/// The two additive legs of Ineq. (3): what a plan certifies and a served
+/// response's `rel_bound` is a quotient of.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundBreakdown {
-    /// Compression term: `(σ_s + Πσ)·‖Δx‖₂` composed across blocks (Ineq. 5).
+pub struct Certificate {
+    /// Compression leg, a theorem: `(σ_s + Πσ)·‖Δx‖₂` composed across
+    /// blocks (the Lipschitz argument of Ineq. 5).
     pub compression: f64,
-    /// Quantization term: the concentration sum of §III-B.
-    pub quantization: f64,
+    /// Weight-quantization leg: the concentration estimate of §III-B (each
+    /// rounding error uniform and independent), not a worst case.
+    pub weight_quant: f64,
 }
 
-impl BoundBreakdown {
+impl Certificate {
     /// The combined bound (the right-hand side of Ineq. 3).
     pub fn total(&self) -> f64 {
-        self.compression + self.quantization
+        self.compression + self.weight_quant
     }
 }
 
@@ -209,7 +212,7 @@ impl NetworkAnalysis {
     /// Quantization-only output error bound for the given format, assuming
     /// exact inputs normalized to `[-1, 1]` (so `‖x‖₂ ≤ √n₀`).
     pub fn quantization_bound(&self, format: QuantFormat) -> f64 {
-        self.combined_bound(0.0, format).quantization
+        self.combined_bound(0.0, format).weight_quant
     }
 
     /// The combined bound of Ineq. (3): compression term + quantization
@@ -218,30 +221,8 @@ impl NetworkAnalysis {
     /// The quantization term uses the noisy-input magnitude `√n₀ + ‖Δx‖₂`
     /// (the paper assumes `√n₀`; the extra `dx` term keeps the bound sound
     /// for inputs that leave the normalized box after reconstruction).
-    pub fn combined_bound(&self, dx_l2: f64, format: QuantFormat) -> BoundBreakdown {
-        let compression = self.compression_bound(dx_l2);
-        let qs: Vec<Vec<f64>> = self
-            .blocks
-            .iter()
-            .map(|b| {
-                b.layers
-                    .iter()
-                    .map(|l| l.q_steps[format_index(format)])
-                    .collect()
-            })
-            .collect();
-        let state = propagate_network(
-            &self.blocks,
-            &qs,
-            FlowState {
-                error: 0.0,
-                magnitude: (self.input_dim as f64).sqrt() + dx_l2,
-            },
-        );
-        BoundBreakdown {
-            compression,
-            quantization: state.error,
-        }
+    pub fn combined_bound(&self, dx_l2: f64, format: QuantFormat) -> Certificate {
+        self.certify(dx_l2, |l| l.q_steps[format_index(format)])
     }
 
     /// **Future-work extension** (§IV-D: "the granularity of quantization
@@ -250,20 +231,22 @@ impl NetworkAnalysis {
     /// space"): the combined bound with one format *per layer*, `formats`
     /// flattened in block/layer order.  Reduces to
     /// [`NetworkAnalysis::combined_bound`] when all entries are equal.
-    pub fn combined_bound_mixed(&self, dx_l2: f64, formats: &[QuantFormat]) -> BoundBreakdown {
+    pub fn combined_bound_mixed(&self, dx_l2: f64, formats: &[QuantFormat]) -> Certificate {
         let n_layers: usize = self.blocks.iter().map(|b| b.layers.len()).sum();
         assert_eq!(formats.len(), n_layers, "one format per layer");
-        let compression = self.compression_bound(dx_l2);
         let mut it = formats.iter();
+        self.certify(dx_l2, |l| {
+            l.q_steps[format_index(*it.next().expect("count checked"))]
+        })
+    }
+
+    /// The propagation both combined bounds share: `step` gives each
+    /// layer's quantization step, called in block/layer order.
+    fn certify(&self, dx_l2: f64, mut step: impl FnMut(&LayerSpec) -> f64) -> Certificate {
         let qs: Vec<Vec<f64>> = self
             .blocks
             .iter()
-            .map(|b| {
-                b.layers
-                    .iter()
-                    .map(|l| l.q_steps[format_index(*it.next().expect("count checked"))])
-                    .collect()
-            })
+            .map(|b| b.layers.iter().map(&mut step).collect())
             .collect();
         let state = propagate_network(
             &self.blocks,
@@ -273,9 +256,9 @@ impl NetworkAnalysis {
                 magnitude: (self.input_dim as f64).sqrt() + dx_l2,
             },
         );
-        BoundBreakdown {
-            compression,
-            quantization: state.error,
+        Certificate {
+            compression: self.compression_bound(dx_l2),
+            weight_quant: state.error,
         }
     }
 
@@ -362,7 +345,7 @@ impl NetworkAnalysis {
     /// The printed single-block Ineq. (3) for MLP-style networks (one block,
     /// dense layers, no shortcut).  Returns `None` for other architectures.
     /// Used to cross-check the recurrence against the paper's exact formula.
-    pub fn equation3(&self, dx_l2: f64, format: QuantFormat) -> Option<BoundBreakdown> {
+    pub fn equation3(&self, dx_l2: f64, format: QuantFormat) -> Option<Certificate> {
         if self.blocks.len() != 1 {
             return None;
         }
@@ -386,9 +369,9 @@ impl NetworkAnalysis {
             &min_dims,
             self.input_dim,
         );
-        Some(BoundBreakdown {
+        Some(Certificate {
             compression: comp * dx_l2,
-            quantization: quant,
+            weight_quant: quant,
         })
     }
 }
@@ -495,8 +478,8 @@ mod tests {
     fn combined_is_sum_of_parts() {
         let a = NetworkAnalysis::of(&mlp());
         let b = a.combined_bound(1e-3, QuantFormat::Bf16);
-        assert!((b.total() - (b.compression + b.quantization)).abs() < 1e-15);
-        assert!(b.compression > 0.0 && b.quantization > 0.0);
+        assert!((b.total() - (b.compression + b.weight_quant)).abs() < 1e-15);
+        assert!(b.compression > 0.0 && b.weight_quant > 0.0);
     }
 
     #[test]
@@ -525,12 +508,12 @@ mod tests {
             let rec = a.combined_bound(1e-4, format);
             let eq3 = a.equation3(1e-4, format).expect("single-block MLP");
             assert!((rec.compression - eq3.compression).abs() < 1e-12);
-            assert!(rec.quantization >= eq3.quantization - 1e-12);
+            assert!(rec.weight_quant >= eq3.weight_quant - 1e-12);
             assert!(
-                rec.quantization <= eq3.quantization * 2.0,
+                rec.weight_quant <= eq3.weight_quant * 2.0,
                 "{format}: rec={} eq3={}",
-                rec.quantization,
-                eq3.quantization
+                rec.weight_quant,
+                eq3.weight_quant
             );
         }
     }
@@ -660,7 +643,7 @@ mod tests {
         }
         // And it must sit between the all-FP16-ish extremes sensibly.
         let all_int8 = a.quantization_bound(QuantFormat::Int8);
-        assert!(a.combined_bound_mixed(0.0, &formats).quantization <= all_int8);
+        assert!(a.combined_bound_mixed(0.0, &formats).weight_quant <= all_int8);
     }
 
     #[test]

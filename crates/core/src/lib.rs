@@ -14,7 +14,8 @@
 //!   §III-B: each layer contributes `q_l √(n₀ n_l) / (2√3)` scaled by the
 //!   spectral gains of the surrounding layers),
 //! * the **combined bound** of Ineq. (3), which is their sum — the additive
-//!   decomposition justified by the path integral of Eq. (4),
+//!   decomposition justified by the path integral of Eq. (4) — returned as
+//!   a [`Certificate`] that keeps the two legs apart,
 //!
 //! in both global and per-output-feature form.  [`flow`] provides the
 //! empirical counterpart: the exact two-leg path decomposition
@@ -33,6 +34,6 @@ pub mod bound;
 pub mod flow;
 pub mod quantize;
 
-pub use analysis::{BlockSpec, BoundBreakdown, LayerSpec, NetworkAnalysis};
+pub use analysis::{BlockSpec, Certificate, LayerSpec, NetworkAnalysis};
 pub use flow::ErrorFlow;
 pub use quantize::{quantize_model, quantize_model_mixed};

@@ -1202,7 +1202,7 @@ mod tests {
                 ],
             },
             hists: vec![HistogramDump {
-                name: "serve.bound_margin".into(),
+                name: "serve.stage.forward_ns".into(),
                 count: 7,
                 sum: 99_000,
                 buckets: vec![(10, 3), (13, 4)],

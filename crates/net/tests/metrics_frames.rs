@@ -100,8 +100,8 @@ fn scrape_while_serving_returns_live_telemetry() {
             assert!(
                 p.hists
                     .iter()
-                    .any(|h| h.name == "serve.bound_margin" && h.count > 0),
-                "bound-margin histogram missing from scrape"
+                    .any(|h| h.name == "serve.stage.forward_ns" && h.count > 0),
+                "forward-stage histogram missing from scrape"
             );
         }
         other => panic!("expected binary payload, got {other:?}"),

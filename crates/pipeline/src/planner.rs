@@ -18,7 +18,7 @@
 
 use crate::io::StorageModel;
 use errflow_compress::{Compressor, ErrorBound};
-use errflow_core::{quantize_model, NetworkAnalysis};
+use errflow_core::{quantize_model, Certificate, NetworkAnalysis};
 use errflow_nn::Model;
 use errflow_quant::throughput::ExecutionModel;
 use errflow_quant::QuantFormat;
@@ -111,14 +111,16 @@ pub struct PipelinePlan {
     pub format: QuantFormat,
     /// Absolute QoI tolerance implied by the relative one.
     pub abs_tolerance: f64,
-    /// Predicted quantization error bound of the chosen format (absolute).
-    pub predicted_quant_bound: f64,
-    /// Absolute QoI budget left for compression after quantization.
-    pub compression_budget: f64,
-    /// Admissible input-error L2 norm (`compression_budget / amplification`).
+    /// Admissible input-error L2 norm (`certificate.compression /
+    /// amplification`): the compressor's input, not a leg of the bound.
     pub input_budget_l2: f64,
-    /// Predicted total bound (quantization bound + compression budget).
-    pub predicted_total_bound: f64,
+    /// The absolute bound's two legs: the chosen format's quantization
+    /// bound and the budget left for compression after it.
+    pub certificate: Certificate,
+    /// `certificate.total()` relative to the reference QoI, clamped to the
+    /// requested tolerance (an all-to-compression split can land an ulp
+    /// above it): the bound a served response carries.
+    pub rel_bound: f64,
 }
 
 /// Outcome of executing a plan on real data.
@@ -136,8 +138,6 @@ pub struct PipelineReport {
     pub end_to_end_gbps: f64,
     /// Achieved relative QoI errors across samples (in the plan's norm).
     pub achieved_rel_error: Summary,
-    /// The predicted total bound, relative to the reference QoI norm.
-    pub predicted_rel_bound: f64,
 }
 
 /// Everything [`Planner::plan`] reads, evaluated once: the reference QoI
@@ -179,14 +179,16 @@ impl PlanTable {
             .find(|&(_, b)| b <= quant_budget)
             .unwrap_or((QuantFormat::Fp32, 0.0));
         // All unutilized tolerance flows to compression.
-        let compression_budget = (abs_tol - chosen_bound).max(0.0);
+        let certificate = Certificate {
+            compression: (abs_tol - chosen_bound).max(0.0),
+            weight_quant: chosen_bound,
+        };
         PipelinePlan {
             format: chosen,
             abs_tolerance: abs_tol,
-            predicted_quant_bound: chosen_bound,
-            compression_budget,
-            input_budget_l2: compression_budget / self.amplification,
-            predicted_total_bound: chosen_bound + compression_budget,
+            input_budget_l2: certificate.compression / self.amplification,
+            certificate,
+            rel_bound: (certificate.total() / self.qoi_reference(cfg.norm)).min(cfg.rel_tolerance),
         }
     }
 }
@@ -476,7 +478,6 @@ impl<'m, M: Model> Planner<'m, M> {
             exec_gbps,
             end_to_end_gbps: io_gbps.min(exec_gbps),
             achieved_rel_error: Summary::of(&rel_errors).expect("nonempty"),
-            predicted_rel_bound: plan.predicted_total_bound / self.qoi_reference(norm),
         })
     }
 }
@@ -565,8 +566,8 @@ mod tests {
             norm: Norm::L2,
             quant_share: 0.5,
         });
-        assert!(plan.predicted_quant_bound <= plan.abs_tolerance * 0.5 + 1e-15);
-        assert!(plan.predicted_total_bound <= plan.abs_tolerance + 1e-15);
+        assert!(plan.certificate.weight_quant <= plan.abs_tolerance * 0.5 + 1e-15);
+        assert!(plan.certificate.total() <= plan.abs_tolerance + 1e-15);
         assert!(plan.input_budget_l2 > 0.0);
     }
 
@@ -580,7 +581,7 @@ mod tests {
             quant_share: 0.5,
         });
         assert_eq!(plan.format, QuantFormat::Fp32);
-        assert_eq!(plan.predicted_quant_bound, 0.0);
+        assert_eq!(plan.certificate.weight_quant, 0.0);
     }
 
     #[test]
@@ -656,11 +657,11 @@ mod tests {
             // The achieved relative error must stay below the predicted
             // relative bound (the paper's headline validation).
             assert!(
-                report.achieved_rel_error.max <= report.predicted_rel_bound,
+                report.achieved_rel_error.max <= report.plan.rel_bound,
                 "{}: achieved {} > bound {}",
                 be.name(),
                 report.achieved_rel_error.max,
-                report.predicted_rel_bound
+                report.plan.rel_bound
             );
             assert!(report.io_gbps > 0.0);
             assert!(report.exec_gbps > 0.0);
@@ -681,7 +682,7 @@ mod tests {
             .plan_optimal(1e-2, Norm::L2, &sz, &payload, 6)
             .unwrap();
         assert!(best_score > 0.0);
-        assert!(best_plan.predicted_total_bound <= best_plan.abs_tolerance * (1.0 + 1e-12));
+        assert!(best_plan.certificate.total() <= best_plan.abs_tolerance * (1.0 + 1e-12));
         // The optimal plan must still execute soundly.
         let report = planner
             .execute(
@@ -692,7 +693,7 @@ mod tests {
                 PayloadLayout::FeatureMajor,
             )
             .unwrap();
-        assert!(report.achieved_rel_error.max <= report.predicted_rel_bound);
+        assert!(report.achieved_rel_error.max <= report.plan.rel_bound);
     }
 
     #[test]
@@ -758,7 +759,7 @@ mod tests {
                 PayloadLayout::FeatureMajor,
             )
             .unwrap();
-        assert!(report.achieved_rel_error.max <= report.predicted_rel_bound);
+        assert!(report.achieved_rel_error.max <= report.plan.rel_bound);
     }
 
     #[test]

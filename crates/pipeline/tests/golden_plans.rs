@@ -122,21 +122,24 @@ fn grid() -> Vec<PlannerConfig> {
         .collect()
 }
 
-fn bits(p: &PipelinePlan, rel_bound: f64) -> [u64; 6] {
+fn bits(p: &PipelinePlan) -> [u64; 6] {
     [
         p.abs_tolerance,
-        p.predicted_quant_bound,
-        p.compression_budget,
+        p.certificate.weight_quant,
+        p.certificate.compression,
         p.input_budget_l2,
-        p.predicted_total_bound,
-        rel_bound,
+        p.certificate.total(),
+        p.rel_bound,
     ]
     .map(f64::to_bits)
 }
 
-/// `abs_tolerance, predicted_quant_bound, compression_budget,
-/// input_budget_l2, predicted_total_bound, rel_bound` as `f64::to_bits`.
-/// `rel_bound` is what the server answers with:
+/// `abs_tolerance, certificate.weight_quant, certificate.compression,
+/// input_budget_l2, certificate.total(), rel_bound` as `f64::to_bits`.
+/// The first five were recorded as the planner's `abs_tolerance,
+/// predicted_quant_bound, compression_budget, input_budget_l2,
+/// predicted_total_bound` before `Certificate` carried the legs; the sixth
+/// as the bound the server answered with then,
 /// `(predicted_total_bound / qoi_reference(norm)).min(rel_tolerance)`.
 /// It reads the tolerance itself on every row; on rows 6 and 8 the
 /// unclamped quotient is one ulp above it.
@@ -184,9 +187,7 @@ fn table_driven_plan_reproduces_the_recorded_plans_bit_for_bit() {
     assert_eq!(grid.len(), GOLDEN.len());
     for (cfg, (format, want)) in grid.iter().zip(GOLDEN) {
         let p = planner.plan(cfg);
-        let rel_bound =
-            (p.predicted_total_bound / planner.qoi_reference(cfg.norm)).min(cfg.rel_tolerance);
         assert_eq!(p.format, format, "{cfg:?}");
-        assert_eq!(bits(&p, rel_bound), want, "{cfg:?}: {p:?}");
+        assert_eq!(bits(&p), want, "{cfg:?}: {p:?}");
     }
 }

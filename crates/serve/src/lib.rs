@@ -58,8 +58,5 @@ pub use cache::{bucket_tolerance, PlanCache, PlanKey};
 pub use loadgen::{report_json, run_loadgen, CallError, Client, LoadSummary, LoadgenConfig, Reply};
 pub use queue::{BoundedQueue, QueueFull};
 pub use server::{BackendKind, Request, Response, ServeConfig, ServeError, Server, Ticket};
-pub use stats::{
-    BoundMarginSummary, LatencyHistogram, LatencySummary, RequestStages, StageBreakdown,
-    StatsSnapshot,
-};
+pub use stats::{LatencyHistogram, LatencySummary, RequestStages, StageBreakdown, StatsSnapshot};
 pub use telemetry::{default_objectives, start_telemetry, Telemetry, TelemetryConfig};

@@ -354,10 +354,6 @@ pub fn report_json(load: &LoadSummary, server: &StatsSnapshot) -> String {
         }
     }
     w.end_object();
-    let m = &server.bound_margin;
-    w.key("bound_margin").begin_object();
-    w.key("count").int(m.count).key("p50").f64(m.p50);
-    w.key("p99").f64(m.p99).key("max").f64(m.max).end_object();
     w.key("cache").begin_object();
     w.key("hits").int(server.cache_hits);
     w.key("misses").int(server.cache_misses);

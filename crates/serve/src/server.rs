@@ -307,11 +307,11 @@ struct FormatWeights<M> {
     packed: Option<PackedWeights>,
 }
 
-/// A plan-cache entry: the per-key arithmetic (the plan and its certified
-/// relative bound) and a handle to the per-format weights.
+/// A plan-cache entry: the per-key arithmetic (the plan, whose
+/// `rel_bound` every response carries) and a handle to the per-format
+/// weights.
 struct CachedPlan<M> {
     plan: PipelinePlan,
-    rel_bound: f64,
     weights: Arc<FormatWeights<M>>,
 }
 
@@ -599,7 +599,6 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
             decomp_bytes_out: s.decomp_bytes_out.get(),
             scratch_hits: hits.saturating_sub(base_hits),
             scratch_misses: misses.saturating_sub(base_misses),
-            bound_margin: s.stages.bound_margin_summary(),
             latency: s.latency.summary(),
             stages: s.stages.breakdown(),
         }
@@ -705,15 +704,8 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
                 norm,
                 quant_share: inner.cfg.quant_share,
             });
-            // The planner guarantees predicted_total_bound ≤ plan_tol ·
-            // qoi_ref; the min() strips the division's last-ulp rounding
-            // so the certificate never lands above the tolerance it was
-            // planned for.
-            let rel_bound =
-                (plan.predicted_total_bound / inner.table.qoi_reference(norm)).min(plan_tol);
             CachedPlan {
                 plan,
-                rel_bound,
                 weights: inner.weights_for(plan.format),
             }
         })
@@ -802,10 +794,6 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
     for p in served {
         let job = p.job;
         let outputs = extract_rows(&out, p.row0, p.n);
-        inner
-            .stats
-            .stages
-            .record_bound_margin(cached.rel_bound, job.plan_tol);
         // respond_ns is measured *before* the end-to-end latency so the
         // stage sum stays ≤ latency for this request.
         let respond_ns = t_respond.elapsed().as_nanos() as u64;
@@ -818,7 +806,7 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
         // via `Server::note_egress_ns`.
         job.responder.fulfill(Ok(Response {
             outputs,
-            rel_bound: cached.rel_bound,
+            rel_bound: cached.plan.rel_bound,
             format: cached.plan.format,
             plan_tolerance: plan_tol,
             cache_hit: hit,

@@ -11,11 +11,12 @@
 //! named registry metric for Prometheus/JSON exposition.
 //!
 //! [`StatsSnapshot`] is the server's half of the `serve-bench` line
-//! ([`crate::loadgen::report_json`]).  It counts no pass/fail over the
-//! served `rel_bound`, which is ≤ the plan tolerance by construction;
-//! `bound_margin` says how much of the tolerance that *predicted* bound
-//! consumes, and realized error is checked where the originals are
-//! (`benchmark/`, `tests/bound_soundness.rs`).
+//! ([`crate::loadgen::report_json`]).  It keeps no series over the served
+//! `rel_bound`: the planner hands compression all the tolerance the
+//! weights leave, so that bound is the plan tolerance to within an ulp on
+//! every request, and a distribution of it could only read 1.0.  Realized
+//! error, which can sit anywhere under it, is checked where the originals
+//! are (`benchmark/`, `tests/bound_soundness.rs`).
 
 use errflow_obs::ScopedCounter;
 pub use errflow_obs::{LatencyHistogram, LatencySummary};
@@ -59,15 +60,6 @@ impl MirroredHistogram {
     /// Point-in-time summary of the instance distribution.
     pub fn summary(&self) -> LatencySummary {
         self.local.summary()
-    }
-
-    /// The unit-agnostic instance histogram, for callers that record
-    /// something other than nanoseconds (e.g. scaled ratios) and need raw
-    /// quantiles without the microsecond conversion of [`summary`].
-    ///
-    /// [`summary`]: Self::summary
-    pub fn raw(&self) -> &errflow_obs::Log2Histogram {
-        self.local.as_log2()
     }
 }
 
@@ -121,7 +113,7 @@ impl RequestStages {
     }
 }
 
-/// Per-stage latency histograms plus the bound-margin distribution.
+/// Per-stage latency histograms.
 ///
 /// Per-job stages (`batch_wait`, `decompress`, `respond`) record one
 /// observation per job; batch-level stages (`plan`, `forward`) record one
@@ -144,12 +136,6 @@ pub struct StageStats {
     /// Response encode + write, per job (net frontend only — empty for
     /// in-process traffic).
     pub egress: MirroredHistogram,
-    /// Per-request bound margin `round((rel_bound / plan_tol) · 1e6)` in a
-    /// log₂ histogram: how much of the requested tolerance the *predicted*
-    /// bound consumed.  1e6 ≙ the prediction exactly met the tolerance (it
-    /// is clamped there); small values mean the planner over-delivered.
-    /// Summarised by [`StageStats::bound_margin_summary`] as a 0‥1 ratio.
-    pub bound_margin: MirroredHistogram,
 }
 
 impl Default for StageStats {
@@ -162,7 +148,6 @@ impl Default for StageStats {
             forward: MirroredHistogram::new("serve.stage.forward_ns"),
             respond: MirroredHistogram::new("serve.stage.respond_ns"),
             egress: MirroredHistogram::new("serve.stage.egress_ns"),
-            bound_margin: MirroredHistogram::new("serve.bound_margin"),
         }
     }
 }
@@ -180,50 +165,6 @@ impl StageStats {
             egress: self.egress.summary(),
         }
     }
-
-    /// Records one request's bound margin: the certified `rel_bound` as a
-    /// fraction of the plan tolerance, scaled by 1e6 onto the log₂ grid.
-    pub(crate) fn record_bound_margin(&self, rel_bound: f64, plan_tol: f64) {
-        if plan_tol > 0.0 && rel_bound.is_finite() {
-            let scaled = (rel_bound / plan_tol * 1e6).round();
-            if scaled.is_finite() && scaled >= 0.0 {
-                self.bound_margin.record_ns(scaled as u64);
-            }
-        }
-    }
-
-    /// Summary of the bound-margin distribution as 0‥1 ratios (a margin of
-    /// 1.0 means the certificate exactly met the requested tolerance).
-    pub fn bound_margin_summary(&self) -> BoundMarginSummary {
-        let h = self.bound_margin.raw();
-        let count = h.count();
-        if count == 0 {
-            return BoundMarginSummary::default();
-        }
-        // Within-bucket interpolation can overshoot the true maximum in
-        // the top bucket; clamp so a run never reports p99 > max.
-        let max = h.max() as f64 / 1e6;
-        BoundMarginSummary {
-            count,
-            p50: (h.quantile(0.50) / 1e6).min(max),
-            p99: (h.quantile(0.99) / 1e6).min(max),
-            max,
-        }
-    }
-}
-
-/// Snapshot of the per-request bound-margin distribution
-/// (`rel_bound / plan_tol`, dimensionless, ≤ 1.0 by construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BoundMarginSummary {
-    /// Requests that recorded a margin.
-    pub count: u64,
-    /// Median margin (histogram-approximate).
-    pub p50: f64,
-    /// 99th-percentile margin (histogram-approximate).
-    pub p99: f64,
-    /// Largest recorded margin.
-    pub max: f64,
 }
 
 /// Snapshot of the per-stage latency distributions (microseconds).
@@ -273,7 +214,7 @@ pub struct ServerStats {
     pub decomp_bytes_out: ScopedCounter,
     /// End-to-end request latency (enqueue → response).
     pub latency: MirroredHistogram,
-    /// Per-stage latency breakdown and the bound-margin distribution.
+    /// Per-stage latency breakdown.
     pub stages: StageStats,
 }
 
@@ -348,9 +289,6 @@ pub struct StatsSnapshot {
     /// Codec scratch-pool misses since this server was built (delta, as
     /// with `scratch_hits`).
     pub scratch_misses: u64,
-    /// Distribution of `rel_bound / plan_tol` per request: how tight the
-    /// predicted bounds ran against the requested tolerance.
-    pub bound_margin: BoundMarginSummary,
     /// Latency distribution snapshot.
     pub latency: LatencySummary,
     /// Per-stage latency breakdown.
@@ -525,26 +463,6 @@ mod tests {
         // 4 MB decoded in 1 ms = 4 GB/s (bytes per nanosecond).
         assert!((snap.decomp_gbps() - 4.0).abs() < 1e-12);
         assert!((snap.scratch_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bound_margin_summary_reports_ratio_quantiles() {
-        let s = StageStats::default();
-        assert_eq!(s.bound_margin_summary(), BoundMarginSummary::default());
-        // Margins spread over [0.1, 0.9] of tolerance, one near-exact.
-        for k in 1..=9u64 {
-            s.record_bound_margin(k as f64 * 1e-4, 1e-3);
-        }
-        s.record_bound_margin(9.9e-4, 1e-3);
-        let m = s.bound_margin_summary();
-        assert_eq!(m.count, 10);
-        assert!(m.p50 > 0.2 && m.p50 < 0.8, "{m:?}");
-        assert!(m.p99 > m.p50, "{m:?}");
-        assert!(m.max > 0.95 && m.max <= 1.0, "{m:?}");
-        // Degenerate inputs are dropped, not recorded as garbage.
-        s.record_bound_margin(f64::NAN, 1e-3);
-        s.record_bound_margin(1e-4, 0.0);
-        assert_eq!(s.bound_margin_summary().count, 10);
     }
 
     #[test]

@@ -100,10 +100,6 @@ fn breakdown_populates_and_bounds_are_certified() {
     assert_eq!(snap.stages.forward.count, snap.batches, "{snap:?}");
     assert!(snap.stages.decompress.mean_us > 0.0, "{snap:?}");
     assert!(snap.stages.forward.mean_us > 0.0, "{snap:?}");
-    // Every completed response recorded how much of its tolerance the
-    // predicted bound consumed — never more than all of it.
-    assert_eq!(snap.bound_margin.count, n_requests, "{snap:?}");
-    assert!(snap.bound_margin.max <= 1.0, "{snap:?}");
 }
 
 #[test]

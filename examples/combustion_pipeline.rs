@@ -58,7 +58,7 @@ fn main() {
                 )
                 .expect("pipeline run");
             assert!(
-                report.achieved_rel_error.max <= report.predicted_rel_bound,
+                report.achieved_rel_error.max <= report.plan.rel_bound,
                 "bound violated"
             );
             println!(
@@ -66,7 +66,7 @@ fn main() {
                 tol,
                 backend.name(),
                 plan.format.label(),
-                report.predicted_rel_bound,
+                report.plan.rel_bound,
                 report.achieved_rel_error.max,
                 report.io_gbps,
                 report.exec_gbps,

@@ -39,7 +39,7 @@ fn main() {
     println!(
         "predicted bound at ||dx||={dx}: compression {:.3e} + quantization {:.3e} = {:.3e}",
         bound.compression,
-        bound.quantization,
+        bound.weight_quant,
         bound.total()
     );
 

@@ -494,10 +494,13 @@ pub fn run(cmd: Command) -> i32 {
             println!("task:                 {}", task.name());
             println!("tolerance:            {tol:.3e} ({norm}, relative)");
             println!("chosen format:        {}", plan.format);
-            println!("quantization bound:   {:.4e}", plan.predicted_quant_bound);
-            println!("compression budget:   {:.4e}", plan.compression_budget);
+            println!(
+                "quantization bound:   {:.4e}",
+                plan.certificate.weight_quant
+            );
+            println!("compression budget:   {:.4e}", plan.certificate.compression);
             println!("input ‖Δx‖₂ budget:   {:.4e}", plan.input_budget_l2);
-            println!("total bound:          {:.4e}", plan.predicted_total_bound);
+            println!("total bound:          {:.4e}", plan.certificate.total());
             0
         }
         Command::Run {
@@ -533,7 +536,7 @@ pub fn run(cmd: Command) -> i32 {
                 Ok(report) => {
                     println!("format:          {}", plan.format);
                     println!("compression:     {:.1}x", report.stats.ratio());
-                    println!("predicted bound: {:.4e}", report.predicted_rel_bound);
+                    println!("predicted bound: {:.4e}", report.plan.rel_bound);
                     println!("achieved (max):  {:.4e}", report.achieved_rel_error.max);
                     println!(
                         "achieved (geo):  {:.4e}",
@@ -542,7 +545,7 @@ pub fn run(cmd: Command) -> i32 {
                     println!("I/O throughput:  {:.3} GB/s", report.io_gbps);
                     println!("exec throughput: {:.3} GB/s", report.exec_gbps);
                     println!("end-to-end:      {:.3} GB/s", report.end_to_end_gbps);
-                    let ok = report.achieved_rel_error.max <= report.predicted_rel_bound;
+                    let ok = report.achieved_rel_error.max <= report.plan.rel_bound;
                     println!("bound held:      {ok}");
                     i32::from(!ok)
                 }

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use errflow_compress::{
         Compressor, ErrorBound, MgardCompressor, SzCompressor, ZfpCompressor,
     };
-    pub use errflow_core::{BoundBreakdown, NetworkAnalysis};
+    pub use errflow_core::{Certificate, NetworkAnalysis};
     pub use errflow_nn::{Activation, Mlp, Model, TrainConfig};
     pub use errflow_pipeline::{PipelinePlan, Planner, PlannerConfig};
     pub use errflow_quant::QuantFormat;

@@ -3,8 +3,11 @@
 //!
 //! Each frame issues one binary metrics scrape plus one health request
 //! over EFNP ([`crate::net::proto`]) and renders throughput, per-stage
-//! latency sparklines, cache/scratch hit rates, the bound-margin
-//! distribution, and SLO badges.  Everything below the connection loop is
+//! latency sparklines, cache/scratch hit rates and SLO badges.  It shows
+//! no bound-margin row: the served bound is the plan tolerance to within
+//! an ulp on every request (see `errflow_serve::stats`), so the row
+//! returns when the server records a realized-error series, which can
+//! exceed 1.  Everything below the connection loop is
 //! a pure `&data -> String` render function, unit-tested without a
 //! server or a terminal; `std` only, like the rest of the workspace.
 //!
@@ -148,56 +151,6 @@ fn rate_ratio(payload: &ScrapePayload, hits: &str, misses: &str) -> Option<f64> 
     }
 }
 
-/// Renders the bound-margin distribution (how much of the requested
-/// tolerance each certificate consumed) as percentage bars over coarse
-/// margin bins.  Returns one line per non-empty bin.
-pub fn render_bound_margin(h: &HistogramDump, bar_width: usize) -> Vec<String> {
-    // Margin was recorded as round(ratio·1e6) on the log₂ grid; bucket i
-    // covers [2^i, 2^(i+1))/1e6 of tolerance.  Fold into human bins.
-    const BINS: [(&str, f64); 5] = [
-        ("<0.1%", 0.001),
-        ("<1%  ", 0.01),
-        ("<10% ", 0.1),
-        ("<50% ", 0.5),
-        ("≤100%", 1.01),
-    ];
-    let mut counts = [0u64; 6];
-    let mut total = 0u64;
-    for &(idx, c) in &h.buckets {
-        let mid = 1.5 * 2f64.powi(idx as i32) / 1e6;
-        let bin = BINS
-            .iter()
-            .position(|&(_, ub)| mid < ub)
-            .unwrap_or(BINS.len());
-        counts[bin] += c;
-        total += c;
-    }
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (bin, &(label, _)) in BINS.iter().enumerate() {
-        let c = counts[bin];
-        if c == 0 {
-            continue;
-        }
-        let frac = c as f64 / total as f64;
-        let filled = ((frac * bar_width as f64).ceil() as usize).min(bar_width);
-        out.push(format!(
-            "    {label} {:5.1}% {}",
-            frac * 100.0,
-            "█".repeat(filled)
-        ));
-    }
-    if counts[BINS.len()] > 0 {
-        out.push(format!(
-            "    >100% {:5.1}% ← BROKEN CERTIFICATE",
-            counts[BINS.len()] as f64 / total as f64 * 100.0
-        ));
-    }
-    out
-}
-
 /// Renders one full dashboard frame from a binary scrape and the SLO
 /// statuses.  Pure; `color` toggles ANSI escapes in the badges.
 pub fn render_frame(
@@ -256,21 +209,6 @@ pub fn render_frame(
             last_v(p99s).map(fmt_ns).unwrap_or_else(|| "-".into()),
             sparkline(p99s, SPARK_W)
         ));
-    }
-
-    // Bound-margin distribution.
-    if let Some(h) = hist(payload, "serve.bound_margin") {
-        let lines = render_bound_margin(h, 24);
-        if !lines.is_empty() {
-            out.push_str(&format!(
-                "  bound margin (tolerance consumed, {} certs)\n",
-                fmt_si(h.count as f64)
-            ));
-            for l in lines {
-                out.push_str(&l);
-                out.push('\n');
-            }
-        }
     }
 
     // SLO badges.
@@ -393,13 +331,6 @@ mod tests {
                     sum: 0,
                     buckets: vec![],
                 },
-                HistogramDump {
-                    name: "serve.bound_margin".into(),
-                    count: 300,
-                    sum: 0,
-                    // ~2.1% and ~26% margin bins.
-                    buckets: vec![(14, 200), (18, 100)],
-                },
             ],
         }
     }
@@ -461,7 +392,6 @@ mod tests {
         // ingress has count == 0 → omitted from the stage panel.
         assert!(!f.contains("ingress"), "{f}");
         assert!(f.contains("plan-cache 99.0%"), "{f}");
-        assert!(f.contains("bound margin"), "{f}");
         assert!(f.contains("[ OK ] forward_p99"), "{f}");
         assert!(f.contains("[BRCH] rejection_budget"), "{f}");
         // Pure render: no ANSI clear codes inside the frame body.
@@ -472,37 +402,5 @@ mod tests {
     fn empty_payload_renders_without_panicking() {
         let f = render_frame(&ScrapePayload::default(), &[], "x", false);
         assert!(f.contains("throughput"), "{f}");
-        assert!(!f.contains("bound margin"), "{f}");
-    }
-
-    #[test]
-    fn bound_margin_bins_fold_log2_buckets() {
-        let h = HistogramDump {
-            name: "serve.bound_margin".into(),
-            count: 300,
-            sum: 0,
-            buckets: vec![(14, 200), (18, 100)],
-        };
-        let lines = render_bound_margin(&h, 10);
-        // 2^14·1.5/1e6 ≈ 2.5% → "<10%"; 2^18·1.5/1e6 ≈ 39% → "<50%".
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert!(
-            lines[0].contains("<10%") && lines[0].contains("66.7%"),
-            "{lines:?}"
-        );
-        assert!(
-            lines[1].contains("<50%") && lines[1].contains("33.3%"),
-            "{lines:?}"
-        );
-        assert!(render_bound_margin(
-            &HistogramDump {
-                name: "x".into(),
-                count: 0,
-                sum: 0,
-                buckets: vec![]
-            },
-            10
-        )
-        .is_empty());
     }
 }

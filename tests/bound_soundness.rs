@@ -70,7 +70,7 @@ fn error_flow_legs_individually_bounded() {
         assert!(flow.compression_error(Norm::L2) <= analysis.compression_bound(dx) + 1e-9);
         assert!(
             flow.quantization_error(Norm::L2)
-                <= analysis.combined_bound(dx, QuantFormat::Bf16).quantization + 1e-9
+                <= analysis.combined_bound(dx, QuantFormat::Bf16).weight_quant + 1e-9
         );
     }
 }
@@ -91,15 +91,15 @@ fn planner_end_to_end_never_violates_tolerance() {
                         quant_share: share,
                     });
                     // The plan itself must respect the budget split.
-                    assert!(plan.predicted_total_bound <= plan.abs_tolerance * (1.0 + 1e-12));
+                    assert!(plan.certificate.total() <= plan.abs_tolerance * (1.0 + 1e-12));
                     let report = planner
                         .execute(&plan, &SzCompressor::default(), &inputs, norm, layout(kind))
                         .unwrap();
                     assert!(
-                        report.achieved_rel_error.max <= report.predicted_rel_bound + 1e-12,
+                        report.achieved_rel_error.max <= report.plan.rel_bound + 1e-12,
                         "{kind:?} norm={norm} tol={tol} share={share}: {} > {}",
                         report.achieved_rel_error.max,
-                        report.predicted_rel_bound
+                        report.plan.rel_bound
                     );
                 }
             }
@@ -235,18 +235,22 @@ fn certificate_holds_against_an_f64_oracle_that_shares_no_kernel() {
                     } else {
                         served.abs_tolerance
                     };
+                    // `rel_bound` stays the served plan's; nothing below
+                    // reads it.
                     let plan = PipelinePlan {
                         format,
-                        predicted_quant_bound: quant_bound,
-                        compression_budget: budget,
                         input_budget_l2: budget / amplification,
-                        predicted_total_bound: quant_bound + budget,
+                        certificate: Certificate {
+                            compression: budget,
+                            weight_quant: quant_bound,
+                        },
                         ..served
                     };
                     if format == served.format {
                         assert_eq!(plan.input_budget_l2, served.input_budget_l2);
-                        assert_eq!(plan.predicted_total_bound, served.predicted_total_bound);
+                        assert_eq!(plan.certificate, served.certificate);
                     }
+                    let certified = plan.certificate.total();
                     for backend in errflow::compress::all_backends() {
                         let bound = input_bound(&plan, backend.as_ref(), payload.len());
                         let stream = backend.compress(&payload, &bound).unwrap();
@@ -256,13 +260,12 @@ fn certificate_holds_against_an_f64_oracle_that_shares_no_kernel() {
                             let realized =
                                 norm_f64(y.iter().zip(y64).map(|(&a, b)| a as f64 - b), norm);
                             assert!(
-                                realized <= plan.predicted_total_bound,
+                                realized <= certified,
                                 "{dims:?}/{}/{format}/{norm}/{tol}: realized {realized:e} > \
-                                 certified {:e}",
+                                 certified {certified:e}",
                                 backend.name(),
-                                plan.predicted_total_bound
                             );
-                            worst_share = worst_share.max(realized / plan.predicted_total_bound);
+                            worst_share = worst_share.max(realized / certified);
                         }
                     }
                 }

@@ -36,7 +36,7 @@ fn chunked_backend_in_planner_is_sound_and_consistent() {
             PayloadLayout::FeatureMajor,
         )
         .unwrap();
-    assert!(report.achieved_rel_error.max <= report.predicted_rel_bound);
+    assert!(report.achieved_rel_error.max <= report.plan.rel_bound);
 }
 
 #[test]
@@ -137,7 +137,7 @@ fn all_tasks_roundtrip_through_planner_with_all_extensions() {
             .execute(&plan, &sz, &inputs, Norm::L2, layout)
             .unwrap();
         assert!(
-            report.achieved_rel_error.max <= report.predicted_rel_bound,
+            report.achieved_rel_error.max <= report.plan.rel_bound,
             "{kind:?}"
         );
     }
