@@ -88,15 +88,6 @@ impl BitWriter {
         self.acc = 0;
         self.nbits = 0;
     }
-
-    /// Appends the packed bytes (including the partial tail byte, if any)
-    /// to `out` without consuming the writer.  Byte-for-byte identical to
-    /// what [`BitWriter::into_bytes`] would return.
-    pub fn append_bytes_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.buf);
-        let tail_bytes = self.nbits.div_ceil(8) as usize;
-        out.extend_from_slice(&self.acc.to_le_bytes()[..tail_bytes]);
-    }
 }
 
 /// Sequential bit source with 64-bit buffered reads.

@@ -30,11 +30,6 @@ impl BlockwiseQuantizedMatrix {
         (self.rows, self.cols)
     }
 
-    /// Tile side length.
-    pub fn block_size(&self) -> usize {
-        self.block
-    }
-
     /// Storage footprint in bytes (codes + per-block scale/zero-point).
     pub fn storage_bytes(&self) -> usize {
         self.blocks.iter().map(|b| b.storage_bytes() + 8).sum()

@@ -63,15 +63,6 @@ impl QuantFormat {
         }
     }
 
-    /// Exponent bits; `None` for the integer format.
-    pub fn exponent_bits(&self) -> Option<u32> {
-        match self {
-            QuantFormat::Fp32 | QuantFormat::Tf32 | QuantFormat::Bf16 => Some(8),
-            QuantFormat::Fp16 => Some(5),
-            QuantFormat::Int8 => None,
-        }
-    }
-
     /// Storage size in bits per weight.
     ///
     /// TF32 is stored in 19 significant bits but occupies 32 bits in memory

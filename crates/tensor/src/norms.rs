@@ -34,30 +34,6 @@ impl Norm {
             Norm::LInf => "linf",
         }
     }
-
-    /// Converts an L2-norm bound to a bound in this norm for a vector of
-    /// length `n`, using `‖·‖∞ ≤ ‖·‖₂`.
-    ///
-    /// The L2 bound is itself a valid L∞ bound; no scaling is needed.  This
-    /// method exists so call sites state their intent explicitly.
-    pub fn from_l2_bound(&self, l2_bound: f64, _n: usize) -> f64 {
-        match self {
-            Norm::L2 => l2_bound,
-            Norm::LInf => l2_bound,
-        }
-    }
-
-    /// Converts a tolerance expressed in this norm into a *safe* L2
-    /// tolerance for a vector of length `n`:
-    /// an L∞ tolerance `t` guarantees at most `t·√n` in L2; conversely an L2
-    /// tolerance is already an L∞ tolerance.
-    pub fn to_l2_tolerance(&self, tol: f64, n: usize) -> f64 {
-        match self {
-            Norm::L2 => tol,
-            Norm::LInf => tol, // an L2 bound of `tol` implies an L∞ bound of `tol`
-        }
-        .min(tol * (n as f64).sqrt())
-    }
 }
 
 impl std::fmt::Display for Norm {
