@@ -391,6 +391,7 @@ impl<M: Model + Clone + Send + Sync + 'static> Server<M> {
         for x in &calibration {
             assert_eq!(x.len(), input_dim, "calibration sample dim mismatch");
         }
+        settle_malloc_thresholds();
         let table =
             *Planner::with_analysis(&model, &calibration, NetworkAnalysis::of(&model)).table();
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -624,11 +625,6 @@ impl<M: Model + Clone + Send + Sync + 'static> Drop for Server<M> {
     }
 }
 
-/// Payload size from which a worker calls [`settle_malloc_thresholds`]:
-/// glibc's initial `M_MMAP_THRESHOLD`, i.e. the payload's own flat copy is
-/// large enough to be mmapped and so to start moving the thresholds.
-const LARGE_PAYLOAD_BYTES: usize = 128 << 10;
-
 /// Allocates and frees one untouched 16 MiB block, once per process.
 ///
 /// A worker's per-batch transients (flat payload, stream, batch matrix,
@@ -643,8 +639,9 @@ const LARGE_PAYLOAD_BYTES: usize = 128 << 10;
 /// transients first settles the thresholds at 16/32 MiB for every run.
 /// The block is never written, so it costs one `mmap`/`munmap` pair and no
 /// resident memory; on allocators without the heuristic it does nothing.
-/// Called on the first payload of [`LARGE_PAYLOAD_BYTES`] or more, so a
-/// process that only serves small ones keeps the allocator's defaults.
+/// Called by [`Server::new`], so small-payload servers settle too: left to
+/// the dynamic heuristic, their set-up time followed the size of each new
+/// worker's encoder scratch.
 fn settle_malloc_thresholds() {
     static SETTLED: Once = Once::new();
     SETTLED.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(16 << 20))));
@@ -731,9 +728,6 @@ fn serve_batch<M: Model + Clone + Send + Sync>(
         // interval rather than a scoped guard.
         errflow_obs::trace::record_span("serve.batch_wait", job.t0_trace_ns, dequeued_trace_ns);
         let n = job.samples.len();
-        if n * d * 4 >= LARGE_PAYLOAD_BYTES {
-            settle_malloc_thresholds();
-        }
         let payload = flatten(&job.samples, job.layout);
         let bound = input_bound(&cached.plan, compressor, payload.len());
         match compressor.compress(&payload, &bound) {
