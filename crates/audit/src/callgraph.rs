@@ -23,7 +23,7 @@
 //!   is held to the end of its statement.
 
 use crate::graph::Digraph;
-use crate::lexer::{lex, Lexed, TokKind};
+use crate::lexer::{Lexed, TokKind};
 use crate::rules::{classify, FileClass};
 use std::collections::HashMap;
 
@@ -233,15 +233,15 @@ pub fn fn_digraph(cg: &CallGraph) -> Digraph {
     g
 }
 
-/// Builds the workspace call graph from `(relative path, source)` pairs.
-pub fn build(files: &[(String, String)]) -> CallGraph {
+/// Builds the workspace call graph from `(relative path, source)` pairs and
+/// their token streams (`lexed[i]` is `files[i]` lexed).
+pub fn build(files: &[(String, String)], lexed: &[Lexed]) -> CallGraph {
     let mut fns = Vec::new();
     let mut facts = Vec::new();
-    for (idx, (rel, src)) in files.iter().enumerate() {
-        let lx = lex(src);
+    for (idx, ((rel, _), lx)) in files.iter().zip(lexed).enumerate() {
         let class = classify(rel);
         let crate_name = crate_of(rel);
-        extract_file(idx, rel, &lx, class, crate_name, &mut fns, &mut facts);
+        extract_file(idx, rel, lx, class, crate_name, &mut fns, &mut facts);
     }
     let callees = resolve(&fns);
     CallGraph {
@@ -262,12 +262,12 @@ fn crate_of(rel: &str) -> &str {
 // Extraction
 // ---------------------------------------------------------------------------
 
-struct Span {
-    name: String,
+pub(crate) struct Span {
+    pub(crate) name: String,
     qual: Option<String>,
     line: u32,
     /// Token range `[open_brace, close_brace]` of the body.
-    body: (usize, usize),
+    pub(crate) body: (usize, usize),
     job_root: bool,
 }
 
@@ -288,8 +288,10 @@ fn match_brace(lx: &Lexed, open: usize) -> usize {
     lx.tokens.len().saturating_sub(1)
 }
 
-/// `#[cfg(test)] mod … { }` token ranges (same walk as the per-file rules).
-fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
+/// Token ranges compiled only under test: a `#[cfg(test)]`-gated module or
+/// item (any `cfg` attribute naming `test`), from the attribute to the
+/// item's closing `}` or `;`.
+pub(crate) fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let n = lx.tokens.len();
     let mut i = 0usize;
@@ -336,17 +338,10 @@ fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
                         k += 1;
                     }
                 }
-                if lx.is_ident(k, "mod") {
-                    let mut open = k + 1;
-                    while open < n && !lx.is_punct(open, b'{') {
-                        if lx.is_punct(open, b';') {
-                            break;
-                        }
-                        open += 1;
-                    }
-                    if lx.is_punct(open, b'{') {
-                        spans.push((i, match_brace(lx, open)));
-                    }
+                let end = item_end(lx, k);
+                if !(lx.is_ident(k, "mod") && lx.is_punct(end, b';')) {
+                    // An out-of-line `mod name;` is a file of its own.
+                    spans.push((i, end));
                 }
             }
             i = close + 1;
@@ -357,9 +352,38 @@ fn test_spans(lx: &Lexed) -> Vec<(usize, usize)> {
     spans
 }
 
-/// `impl` block ranges with the implemented type's last path segment
-/// (`impl Compressor for Huffman { … }` → `Huffman`).
-fn impl_spans(lx: &Lexed) -> Vec<(usize, usize, String)> {
+/// Last token of the item starting at `start`: the `}` closing its first
+/// top-level brace, or its terminating `;`, whichever comes first.
+pub(crate) fn item_end(lx: &Lexed, start: usize) -> usize {
+    let mut depth = 0i32;
+    for j in start..lx.tokens.len() {
+        match lx.tokens[j].kind {
+            TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
+            TokKind::Punct(b')') | TokKind::Punct(b']') => depth -= 1,
+            TokKind::Punct(b'{') if depth == 0 => return match_brace(lx, j),
+            TokKind::Punct(b';') if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    lx.tokens.len().saturating_sub(1)
+}
+
+/// An `impl` block: its body's token range and the implemented type's last
+/// path segment (`impl Compressor for Huffman { … }` → `Huffman`).
+pub(crate) struct ImplSpan {
+    pub(crate) body: (usize, usize),
+    pub(crate) ty: String,
+}
+
+/// The innermost `impl` block whose body contains token `tok`.
+pub(crate) fn enclosing_impl(impls: &[ImplSpan], tok: usize) -> Option<&ImplSpan> {
+    impls
+        .iter()
+        .filter(|s| tok >= s.body.0 && tok <= s.body.1)
+        .min_by_key(|s| s.body.1 - s.body.0)
+}
+
+pub(crate) fn impl_spans(lx: &Lexed) -> Vec<ImplSpan> {
     let n = lx.tokens.len();
     let mut out = Vec::new();
     for i in 0..n {
@@ -423,16 +447,20 @@ fn impl_spans(lx: &Lexed) -> Vec<(usize, usize, String)> {
             j += 1;
         }
         if j < n {
-            if let Some(t) = ty {
-                out.push((j, match_brace(lx, j), t));
+            if let Some(ty) = ty {
+                out.push(ImplSpan {
+                    body: (j, match_brace(lx, j)),
+                    ty,
+                });
             }
         }
     }
     out
 }
 
-/// Named function spans (`fn name … { body }`).
-fn fn_spans(lx: &Lexed, impls: &[(usize, usize, String)]) -> Vec<Span> {
+/// Named function spans (`fn name … { body }`).  `fn` followed by `(` is a
+/// function-pointer type and a `;` before the body a bodiless declaration.
+pub(crate) fn fn_spans(lx: &Lexed, impls: &[ImplSpan]) -> Vec<Span> {
     let n = lx.tokens.len();
     let mut out = Vec::new();
     for i in 0..n {
@@ -451,11 +479,7 @@ fn fn_spans(lx: &Lexed, impls: &[(usize, usize, String)]) -> Vec<Span> {
                 TokKind::Punct(b';') if depth == 0 => break,
                 TokKind::Punct(b'{') if depth == 0 => {
                     let body = (j, match_brace(lx, j));
-                    let qual = impls
-                        .iter()
-                        .filter(|&&(a, b, _)| j >= a && j <= b)
-                        .min_by_key(|&&(a, b, _)| b - a)
-                        .map(|(_, _, t)| t.clone());
+                    let qual = enclosing_impl(impls, j).map(|s| s.ty.clone());
                     out.push(Span {
                         name,
                         qual,
@@ -582,9 +606,10 @@ fn closure_body(
     None
 }
 
-/// `audit:allow(rule-a, rule-b)` waiver lines (attached to the end of the
-/// contiguous comment block, covering the line below).
-fn allow_lines(lx: &Lexed) -> HashMap<u32, Vec<String>> {
+/// `audit:allow(rule-a, rule-b) reason` waiver lines.  The reason may wrap
+/// over several comment lines; the waiver attaches to the *end* of the
+/// contiguous comment block so it covers the line right below it.
+pub(crate) fn allow_lines(lx: &Lexed) -> HashMap<u32, Vec<String>> {
     let mut allows: HashMap<u32, Vec<String>> = HashMap::new();
     for (ci, c) in lx.comments.iter().enumerate() {
         let text = lx.comment_text(c);

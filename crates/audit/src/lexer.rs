@@ -50,13 +50,6 @@ impl<'a> Lexed<'a> {
         &self.src[c.start..c.end]
     }
 
-    /// True when tokens `i` and `i + 1` are adjacent in the source with no
-    /// intervening bytes (used to distinguish `::` from `:` `:` across space,
-    /// and `->` from a bare `>`).
-    pub fn adjacent(&self, i: usize) -> bool {
-        i + 1 < self.tokens.len() && self.tokens[i].end == self.tokens[i + 1].start
-    }
-
     pub fn is_punct(&self, idx: usize, b: u8) -> bool {
         matches!(self.tokens.get(idx), Some(t) if t.kind == TokKind::Punct(b))
     }

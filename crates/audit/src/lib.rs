@@ -22,20 +22,24 @@
 //! 8. `hot-path-probe` — nothing reachable from the serve worker's batch
 //!    chain or the net io loop reads the environment, the core count or
 //!    the filesystem outside a once-initialiser (ratcheted).
+//! 9. `dead-pub` — every `pub fn`/`const`/`static` in library source is
+//!    named by some non-test code: binaries, examples and the benchmark
+//!    count as callers, `tests/` and `#[cfg(test)]` do not (ratcheted;
+//!    waivers only for test oracles, test seams and README API).
 //!
 //! The analysis runs in two phases — a hand-rolled lexer
 //! (comment/string/char-literal aware) feeding per-file token rules, then a
 //! workspace symbol table + approximate call graph (see DESIGN.md §14)
-//! feeding the graph rules — no regex over raw lines, no syn, no deps.
+//! feeding the graph rules and the symbol-table rule `dead-pub` — no regex
+//! over raw lines, no syn, no deps.
 
 pub mod callgraph;
+pub mod deadpub;
 pub mod graph;
 pub mod lexer;
 pub mod locks;
 pub mod report;
 pub mod rules;
 
-pub use report::{
-    audit_tree, audit_tree_opts, check, counts, render_human, render_json, CheckOutcome, Ratchet,
-};
-pub use rules::{audit_files, audit_files_opts, audit_source, Finding, Hop};
+pub use report::{audit_tree, check, counts, render_human, render_json, CheckOutcome, Ratchet};
+pub use rules::{audit_files, Finding, Hop};

@@ -5,14 +5,16 @@
 //!               [--update-ratchet] [--explain] [--strict-panics]
 //! ```
 //!
-//! Default mode prints the human report and exits 0. `--check` exits 1 on
-//! any hard-rule finding or ratchet regression (the CI gate). `--explain`
+//! Default mode prints the human report and exits 0: one summary row per
+//! rule (nine, `dead-pub` among them), then every finding, waived ones
+//! marked. `--check` exits 1 on any hard-rule finding or ratchet
+//! regression (the CI gate). `--explain`
 //! appends the entry-point→site call chain under each graph-rule finding.
 //! `--strict-panics` also counts indexing/slicing as panic-capable (not part
 //! of the CI gate). `--update-ratchet` rewrites the baseline file to the
 //! current unwaived counts of every ratcheted rule.
 
-use errflow_audit::{audit_tree_opts, check, render_human, render_json, rules, Ratchet};
+use errflow_audit::{audit_tree, check, render_human, render_json, rules, Ratchet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -45,7 +47,9 @@ fn parse_opts() -> Result<Opts, String> {
             "--explain" => explain = true,
             "--strict-panics" => strict_panics = true,
             "--help" | "-h" => {
-                return Err("usage: errflow-audit [--root PATH] [--ratchet PATH] [--json] [--check] [--update-ratchet] [--explain] [--strict-panics]".into())
+                return Err("usage: errflow-audit [--root PATH] [--ratchet PATH] [--json] [--check] [--update-ratchet] [--explain] [--strict-panics]\n\
+                            rules: safety-comment, unchecked-contract, unchecked-header-cast, thread-discipline (hard);\n\
+                            panic-reach, lock-order, pool-blocking, hot-path-probe, dead-pub (ratcheted, audit:allow(<rule>) waivable)".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -81,7 +85,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let findings = match audit_tree_opts(&opts.root, opts.strict_panics) {
+    let findings = match audit_tree(&opts.root, opts.strict_panics) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("errflow-audit: failed to read {}: {e}", opts.root.display());

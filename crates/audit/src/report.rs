@@ -52,15 +52,10 @@ fn rel_path(root: &Path, path: &PathBuf) -> String {
 }
 
 /// Audits every source file under `root` as one workspace (the call-graph
-/// rules see cross-file edges).
-pub fn audit_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    audit_tree_opts(root, false)
-}
-
-/// [`audit_tree`] with the `--strict-panics` toggle.
-pub fn audit_tree_opts(root: &Path, strict_panics: bool) -> std::io::Result<Vec<Finding>> {
+/// rules see cross-file edges); `strict_panics` as in [`rules::audit_files`].
+pub fn audit_tree(root: &Path, strict_panics: bool) -> std::io::Result<Vec<Finding>> {
     let files = collect_sources(root)?;
-    Ok(rules::audit_files_opts(&files, strict_panics))
+    Ok(rules::audit_files(&files, strict_panics))
 }
 
 /// Per-rule counts of unwaived and waived findings.

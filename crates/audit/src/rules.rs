@@ -7,7 +7,7 @@
 use crate::callgraph::{self, fn_digraph, CallGraph};
 use crate::graph::Digraph;
 use crate::lexer::{lex, Lexed, TokKind};
-use crate::locks;
+use crate::{deadpub, locks};
 use std::collections::HashMap;
 
 pub const RULE_SAFETY: &str = "safety-comment";
@@ -18,8 +18,9 @@ pub const RULE_THREADS: &str = "thread-discipline";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_POOL_BLOCK: &str = "pool-blocking";
 pub const RULE_HOT_PROBE: &str = "hot-path-probe";
+pub const RULE_DEAD_PUB: &str = "dead-pub";
 
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     RULE_SAFETY,
     RULE_UNCHECKED,
     RULE_PANIC_REACH,
@@ -28,15 +29,17 @@ pub const ALL_RULES: [&str; 8] = [
     RULE_LOCK_ORDER,
     RULE_POOL_BLOCK,
     RULE_HOT_PROBE,
+    RULE_DEAD_PUB,
 ];
 
 /// Graph-analysis rules: waivable with `audit:allow`, ratcheted in
 /// `AUDIT_RATCHET.json` (the unwaived count may only decrease).
-pub const SOFT_RULES: [&str; 4] = [
+pub const SOFT_RULES: [&str; 5] = [
     RULE_PANIC_REACH,
     RULE_LOCK_ORDER,
     RULE_POOL_BLOCK,
     RULE_HOT_PROBE,
+    RULE_DEAD_PUB,
 ];
 
 /// Rules where a finding — waived or not — fails `--check`. Only the soft
@@ -102,19 +105,13 @@ pub struct Finding {
     pub chain: Vec<Hop>,
 }
 
-/// Span of a function body as a token-index range `[open_brace, close_brace]`.
-struct FnSpan {
-    name: String,
-    body: (usize, usize),
-}
-
 struct FileCtx<'a> {
     rel: &'a str,
     lx: &'a Lexed<'a>,
     class: FileClass,
-    /// Token-index ranges covered by `#[cfg(test)] mod ... { }`.
+    /// Token-index ranges compiled only under `#[cfg(test)]`.
     test_spans: Vec<(usize, usize)>,
-    fns: Vec<FnSpan>,
+    fns: Vec<callgraph::Span>,
     /// Line → rules waived on that line and the next.
     allows: HashMap<u32, Vec<String>>,
 }
@@ -125,7 +122,7 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Innermost function body containing token `tok`.
-    fn enclosing_fn(&self, tok: usize) -> Option<&FnSpan> {
+    fn enclosing_fn(&self, tok: usize) -> Option<&callgraph::Span> {
         self.fns
             .iter()
             .filter(|f| tok >= f.body.0 && tok <= f.body.1)
@@ -151,196 +148,42 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Finds the matching close brace for the open brace at token `open`.
-fn match_brace(lx: &Lexed, open: usize) -> usize {
-    let mut depth = 0usize;
-    for i in open..lx.tokens.len() {
-        match lx.tokens[i].kind {
-            TokKind::Punct(b'{') => depth += 1,
-            TokKind::Punct(b'}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-    }
-    lx.tokens.len().saturating_sub(1)
-}
-
 fn build_ctx<'a>(rel: &'a str, lx: &'a Lexed<'a>, class: FileClass) -> FileCtx<'a> {
-    // #[cfg(test)] mod spans: `#` `[` ... cfg ... test ... `]` then (more
-    // attributes) then `mod name {`.
-    let mut test_spans = Vec::new();
-    let n = lx.tokens.len();
-    let mut i = 0usize;
-    while i < n {
-        if lx.is_punct(i, b'#') && lx.is_punct(i + 1, b'[') {
-            // Find matching `]`.
-            let mut depth = 0usize;
-            let mut close = i + 1;
-            let mut saw_cfg = false;
-            let mut saw_test = false;
-            for j in i + 1..n {
-                match lx.tokens[j].kind {
-                    TokKind::Punct(b'[') => depth += 1,
-                    TokKind::Punct(b']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            close = j;
-                            break;
-                        }
-                    }
-                    TokKind::Ident => {
-                        let t = lx.text(j);
-                        saw_cfg |= t == "cfg";
-                        saw_test |= t == "test";
-                    }
-                    _ => {}
-                }
-            }
-            if saw_cfg && saw_test {
-                // Skip any further attributes, then expect `mod name {`.
-                let mut k = close + 1;
-                while lx.is_punct(k, b'#') && lx.is_punct(k + 1, b'[') {
-                    let mut d = 0usize;
-                    while k < n {
-                        match lx.tokens[k].kind {
-                            TokKind::Punct(b'[') => d += 1,
-                            TokKind::Punct(b']') => {
-                                d -= 1;
-                                if d == 0 {
-                                    k += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                }
-                if lx.is_ident(k, "mod") {
-                    let mut open = k + 1;
-                    while open < n && !lx.is_punct(open, b'{') {
-                        if lx.is_punct(open, b';') {
-                            break; // out-of-line module
-                        }
-                        open += 1;
-                    }
-                    if lx.is_punct(open, b'{') {
-                        test_spans.push((i, match_brace(lx, open)));
-                    }
-                }
-            }
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-
-    // Function spans: `fn` + ident name, scan to the first `{` at paren depth
-    // zero (a `;` first means a bodiless trait/extern decl). `fn` followed by
-    // `(` is a function-pointer type, not a declaration.
-    let mut fns = Vec::new();
-    for i in 0..n {
-        if lx.is_ident(i, "fn")
-            && matches!(lx.tokens.get(i + 1), Some(t) if t.kind == TokKind::Ident)
-        {
-            let name = lx.text(i + 1).to_string();
-            let mut depth = 0i32;
-            let mut j = i + 2;
-            while j < n {
-                match lx.tokens[j].kind {
-                    TokKind::Punct(b'(') => depth += 1,
-                    TokKind::Punct(b')') => depth -= 1,
-                    TokKind::Punct(b';') if depth == 0 => break,
-                    TokKind::Punct(b'{') if depth == 0 => {
-                        fns.push(FnSpan {
-                            name,
-                            body: (j, match_brace(lx, j)),
-                        });
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-    }
-
-    // `// audit:allow(rule-a, rule-b) reason` annotations.  The reason may
-    // wrap over several comment lines; the waiver attaches to the *end* of
-    // the contiguous comment block so it covers the line right below it.
-    let mut allows: HashMap<u32, Vec<String>> = HashMap::new();
-    for (ci, c) in lx.comments.iter().enumerate() {
-        let text = lx.comment_text(c);
-        if let Some(at) = text.find("audit:allow(") {
-            if let Some(close) = text[at..].find(')') {
-                let inner = &text[at + "audit:allow(".len()..at + close];
-                let rules: Vec<String> = inner
-                    .split(',')
-                    .map(|r| r.trim().to_string())
-                    .filter(|r| !r.is_empty())
-                    .collect();
-                let mut end = c.end_line;
-                for next in &lx.comments[ci + 1..] {
-                    if next.line == end + 1 {
-                        end = next.end_line;
-                    } else {
-                        break;
-                    }
-                }
-                allows.entry(end).or_default().extend(rules);
-            }
-        }
-    }
-
     FileCtx {
         rel,
         lx,
         class,
-        test_spans,
-        fns,
-        allows,
+        test_spans: callgraph::test_spans(lx),
+        fns: callgraph::fn_spans(lx, &[]),
+        allows: callgraph::allow_lines(lx),
     }
 }
 
-/// Runs the full engine against one source file — the per-file lexical rules
-/// plus the graph analyses restricted to this file's own call graph.  `rel`
-/// must be the workspace-relative path with `/` separators — rule scoping
-/// keys off it.
-pub fn audit_source(rel: &str, src: &str) -> Vec<Finding> {
-    audit_files(&[(rel.to_string(), src.to_string())])
-}
-
-/// Runs every rule across a set of files as one workspace: phase 1 extracts
-/// the symbol table and call graph, phase 2 runs the graph analyses, and the
-/// per-file lexical rules run alongside.  Findings are sorted by
-/// (file, line, rule) for stable reports.
-pub fn audit_files(files: &[(String, String)]) -> Vec<Finding> {
-    audit_files_opts(files, false)
-}
-
-/// [`audit_files`] with `strict_panics`: when set, indexing/slicing sites
-/// (`buf[i]`) count as panic-capable too.  Off by default — the workspace
-/// convention is that index invariants are covered by `debug_assert!`
-/// contracts, and flagging every slice access would drown the signal.
-pub fn audit_files_opts(files: &[(String, String)], strict_panics: bool) -> Vec<Finding> {
+/// Runs every rule across a set of `(relative path, source)` files as one
+/// workspace: phase 1 extracts the symbol table and call graph, phase 2 runs
+/// the graph analyses, and the per-file lexical rules run alongside.  Paths
+/// are workspace-relative with `/` separators — rule scoping keys off them.
+/// Findings are sorted by (file, line, rule) for stable reports.
+///
+/// With `strict_panics`, indexing/slicing sites (`buf[i]`) count as
+/// panic-capable too.  Off in the CI gate — the workspace convention is that
+/// index invariants are covered by `debug_assert!` contracts, and flagging
+/// every slice access would drown the signal.
+pub fn audit_files(files: &[(String, String)], strict_panics: bool) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (rel, src) in files {
-        let lx = lex(src);
-        let class = classify(rel);
-        let ctx = build_ctx(rel, &lx, class);
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    for ((rel, _), lx) in files.iter().zip(&lexed) {
+        let ctx = build_ctx(rel, lx, classify(rel));
         rule_safety_comment(&ctx, &mut out);
         rule_unchecked_contract(&ctx, &mut out);
         rule_header_cast(&ctx, &mut out);
         rule_thread_discipline(&ctx, &mut out);
     }
-    let cg = callgraph::build(files);
+    let cg = callgraph::build(files, &lexed);
     rule_panic_reach(&cg, strict_panics, &mut out);
     locks::analyze(&cg, &mut out);
     rule_hot_path_probe(&cg, &mut out);
+    deadpub::analyze(&cg, &lexed, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }

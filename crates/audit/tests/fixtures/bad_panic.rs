@@ -1,6 +1,6 @@
 // Fixture: an unwrap on a library request path.
 // Expected: exactly one panic-reach finding.
 
-pub fn must(v: Option<u32>) -> u32 {
+fn must(v: Option<u32>) -> u32 {
     v.unwrap()
 }

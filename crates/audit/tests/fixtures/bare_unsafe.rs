@@ -1,7 +1,7 @@
 // Fixture: an unsafe block with no SAFETY justification anywhere near it.
 // Expected: exactly one safety-comment finding.
 
-pub fn write_through(p: *mut u8) {
+fn write_through(p: *mut u8) {
     unsafe {
         *p = 1;
     }

@@ -1,7 +1,7 @@
 // Fixture: one satisfied or out-of-scope instance of everything the rules
 // look for.  Expected: zero findings under any scoped path.
 
-pub fn read_first(buf: &[u8]) -> u8 {
+fn read_first(buf: &[u8]) -> u8 {
     debug_assert!(!buf.is_empty(), "caller guarantees a nonempty buffer");
     // SAFETY: the debug_assert above states the caller contract; in release
     // the same invariant is upheld by every call site.
@@ -12,18 +12,18 @@ fn first_unchecked(buf: &[u8]) -> u8 {
     buf[0]
 }
 
-pub fn head(buf: &[u8]) -> u8 {
+fn head(buf: &[u8]) -> u8 {
     debug_assert!(!buf.is_empty());
     first_unchecked(buf)
 }
 
-pub fn parse_count(stream: &[u8]) -> Option<usize> {
+fn parse_count(stream: &[u8]) -> Option<usize> {
     // The cast is fine here: no raw header read feeds it in-statement.
     let small: u8 = *stream.first()?;
     Some(small as usize)
 }
 
-pub fn describe() -> String {
+fn describe() -> String {
     // Keywords inside strings and comments must not trip any rule:
     // unsafe { panic!() } thread::spawn(|| {}) x.unwrap()
     String::from("unsafe panic! unwrap() expect( thread::spawn")

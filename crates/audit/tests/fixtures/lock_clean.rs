@@ -9,13 +9,13 @@ pub struct Pair {
 }
 
 impl Pair {
-    pub fn forward(&self) -> u32 {
+    fn forward(&self) -> u32 {
         let a = self.alpha.lock().unwrap();
         let b = self.beta.lock().unwrap();
         *a + *b
     }
 
-    pub fn backward(&self) -> u32 {
+    fn backward(&self) -> u32 {
         let a = self.alpha.lock().unwrap();
         let b = self.beta.lock().unwrap();
         *b - *a

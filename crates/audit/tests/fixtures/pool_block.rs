@@ -7,14 +7,14 @@ use std::sync::mpsc::Receiver;
 pub struct Pool;
 
 impl Pool {
-    pub fn parallel_for(&self, n: usize, _threads: usize, f: impl Fn(usize)) {
+    fn parallel_for(&self, n: usize, _threads: usize, f: impl Fn(usize)) {
         for i in 0..n {
             f(i);
         }
     }
 }
 
-pub fn drain_all(rx: &Receiver<u32>) -> u32 {
+fn drain_all(rx: &Receiver<u32>) -> u32 {
     let mut total = 0;
     while let Ok(v) = rx.recv() {
         total += v;
@@ -22,7 +22,7 @@ pub fn drain_all(rx: &Receiver<u32>) -> u32 {
     total
 }
 
-pub fn fan_out(pool: &Pool, rx: &Receiver<u32>, n: usize) -> u32 {
+fn fan_out(pool: &Pool, rx: &Receiver<u32>, n: usize) -> u32 {
     let total = AtomicU32::new(0);
     pool.parallel_for(n, 4, |_i| {
         let got = drain_all(rx);

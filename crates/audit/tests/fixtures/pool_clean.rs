@@ -5,18 +5,18 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub struct Pool;
 
 impl Pool {
-    pub fn parallel_for(&self, n: usize, _threads: usize, f: impl Fn(usize)) {
+    fn parallel_for(&self, n: usize, _threads: usize, f: impl Fn(usize)) {
         for i in 0..n {
             f(i);
         }
     }
 }
 
-pub fn scale(x: u32) -> u32 {
+fn scale(x: u32) -> u32 {
     x.wrapping_mul(3).wrapping_add(1)
 }
 
-pub fn fan_out(pool: &Pool, n: usize) -> u32 {
+fn fan_out(pool: &Pool, n: usize) -> u32 {
     let total = AtomicU32::new(0);
     pool.parallel_for(n, 4, |i| {
         total.fetch_add(scale(i as u32), Ordering::Relaxed);

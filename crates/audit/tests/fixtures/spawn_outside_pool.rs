@@ -1,6 +1,6 @@
 // Fixture: a raw thread spawn outside tensor/src/pool.rs.
 // Expected: exactly one thread-discipline finding.
 
-pub fn start() -> std::thread::JoinHandle<()> {
+fn start() -> std::thread::JoinHandle<()> {
     std::thread::spawn(|| {})
 }

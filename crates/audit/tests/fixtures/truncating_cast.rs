@@ -2,7 +2,7 @@
 // usize instead of going through the checked helpers.
 // Expected: exactly one unchecked-header-cast finding.
 
-pub fn decode_header(stream: &[u8]) -> usize {
+fn decode_header(stream: &[u8]) -> usize {
     let mut w = [0u8; 8];
     w.copy_from_slice(&stream[..8]);
     u64::from_le_bytes(w) as usize

@@ -7,6 +7,6 @@ fn load_unchecked(buf: &[u8], i: usize) -> u8 {
     buf[i]
 }
 
-pub fn head(buf: &[u8]) -> u8 {
+fn head(buf: &[u8]) -> u8 {
     load_unchecked(buf, 0)
 }

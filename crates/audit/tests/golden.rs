@@ -8,7 +8,9 @@ use errflow_audit::rules::{RULE_PANIC_REACH, RULE_POOL_BLOCK};
 use errflow_audit::{audit_files, render_json, Ratchet};
 
 /// The fixed input behind the golden file: one open interprocedural finding
-/// (with a two-hop chain), one waived finding, stable paths.
+/// (with a two-hop chain), one waived finding, two `dead-pub` findings
+/// (`handle` and `also` have no caller; `noisy` is called by `also`), stable
+/// paths.
 fn golden_input() -> Vec<(String, String)> {
     let serve = "pub fn handle(v: Option<u32>) -> u32 {\n    helper_scale(v)\n}\n";
     let tensor = "pub fn helper_scale(v: Option<u32>) -> u32 {\n    v.unwrap() * 3\n}\n\
@@ -27,7 +29,7 @@ fn golden_input() -> Vec<(String, String)> {
 
 #[test]
 fn json_report_matches_golden_schema() {
-    let findings = audit_files(&golden_input());
+    let findings = audit_files(&golden_input(), false);
     let mut ratchet = Ratchet::default();
     ratchet.set(RULE_PANIC_REACH, 1);
     ratchet.set("lock-order", 0);
@@ -46,10 +48,10 @@ fn json_report_matches_golden_schema() {
 fn json_report_is_structurally_sound() {
     // Cheap structural checks that hold for ANY input, not just the golden:
     // version tag first, every finding carries a chain array, counts cover
-    // all eight rules, ratchet covers exactly the soft rules.
-    let rendered = render_json(&audit_files(&golden_input()), &Ratchet::default());
+    // all nine rules, ratchet covers exactly the soft rules.
+    let rendered = render_json(&audit_files(&golden_input(), false), &Ratchet::default());
     assert!(rendered.starts_with("{\n  \"version\": 2,\n"));
-    assert_eq!(rendered.matches("\"chain\": [").count(), 2);
+    assert_eq!(rendered.matches("\"chain\": [").count(), 4);
     for rule in errflow_audit::rules::ALL_RULES {
         assert!(
             rendered.contains(&format!("\"{rule}\": {{\"open\": ")),

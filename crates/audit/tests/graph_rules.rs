@@ -3,7 +3,12 @@
 //! and panic-reachability crosses file boundaries.
 
 use errflow_audit::rules::{RULE_HOT_PROBE, RULE_LOCK_ORDER, RULE_PANIC_REACH, RULE_POOL_BLOCK};
-use errflow_audit::{audit_files, audit_source, render_human, Finding, Ratchet};
+use errflow_audit::{audit_files, render_human, Finding, Ratchet};
+
+/// The engine on one file at a library path (`rel` keys the rule scoping).
+fn audit_source(rel: &str, src: &str) -> Vec<Finding> {
+    audit_files(&[(rel.to_string(), src.to_string())], false)
+}
 
 /// Lock/pool fixtures live at a library path *outside* the panic-reach entry
 /// crates, so their `.unwrap()` scaffolding never contributes findings.
@@ -108,7 +113,7 @@ fn blocking_while_lock_held_fires_lock_order() {
                use std::sync::mpsc::Receiver;\n\
                pub struct S { state: Mutex<u32>, rx: Receiver<u32> }\n\
                impl S {\n\
-                   pub fn pump(&mut self) {\n\
+                   fn pump(&mut self) {\n\
                        let mut g = self.state.lock().unwrap();\n\
                        if let Ok(v) = self.rx.recv() {\n\
                            *g += v;\n\
@@ -129,8 +134,8 @@ fn panic_reach_crosses_file_boundaries() {
     // The panic lives in a tensor helper — out of the lexical v1 rule's
     // scope — but is reachable from a serve entry point, so v2 flags it
     // at the helper with the entry→site chain.
-    let serve = "pub fn handle(v: Option<u32>) -> u32 {\n    helper_scale(v)\n}\n";
-    let tensor = "pub fn helper_scale(v: Option<u32>) -> u32 {\n    v.unwrap() * 3\n}\n";
+    let serve = "fn handle(v: Option<u32>) -> u32 {\n    helper_scale(v)\n}\n";
+    let tensor = "fn helper_scale(v: Option<u32>) -> u32 {\n    v.unwrap() * 3\n}\n";
     let files = vec![
         ("crates/serve/src/entry.rs".to_string(), serve.to_string()),
         (
@@ -138,7 +143,7 @@ fn panic_reach_crosses_file_boundaries() {
             tensor.to_string(),
         ),
     ];
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     only_rule(&findings, RULE_PANIC_REACH);
     let f = &findings[0];
     assert_eq!(f.file, "crates/tensor/src/helper.rs");
@@ -161,19 +166,19 @@ fn panic_reach_crosses_file_boundaries() {
 #[test]
 fn unreachable_helper_panic_does_not_fire() {
     // Same helper, but nothing on an entry path calls it: silent.
-    let tensor = "pub fn helper_scale(v: Option<u32>) -> u32 {\n    v.unwrap() * 3\n}\n";
+    let tensor = "fn helper_scale(v: Option<u32>) -> u32 {\n    v.unwrap() * 3\n}\n";
     let files = vec![(
         "crates/tensor/src/helper.rs".to_string(),
         tensor.to_string(),
     )];
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }
 
 #[test]
 fn waivers_attach_to_the_panic_site_not_the_entry() {
-    let serve = "pub fn handle(v: Option<u32>) -> u32 {\n    helper_scale(v)\n}\n";
-    let tensor = "pub fn helper_scale(v: Option<u32>) -> u32 {\n    \
+    let serve = "fn handle(v: Option<u32>) -> u32 {\n    helper_scale(v)\n}\n";
+    let tensor = "fn helper_scale(v: Option<u32>) -> u32 {\n    \
                   // audit:allow(panic-reach) validated upstream\n    v.unwrap() * 3\n}\n";
     let files = vec![
         ("crates/serve/src/entry.rs".to_string(), serve.to_string()),
@@ -182,7 +187,7 @@ fn waivers_attach_to_the_panic_site_not_the_entry() {
             tensor.to_string(),
         ),
     ];
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     assert_eq!(findings.len(), 1);
     assert!(findings[0].waived);
 }
@@ -192,14 +197,14 @@ fn waivers_attach_to_the_panic_site_not_the_entry() {
 /// `pool` how `hardware_threads` answers.
 fn hot_path_workspace(decode: &str, forward: &str, pool: &str) -> Vec<(String, String)> {
     let serve = format!(
-        "pub fn serve_batch(x: &[f32]) -> usize {{\n    \
+        "fn serve_batch(x: &[f32]) -> usize {{\n    \
              decode_into_rows(x) + forward_batch_matrix(x)\n}}\n\
          fn decode_into_rows(x: &[f32]) -> usize {{\n    {decode}\n}}\n"
     );
-    let nn = format!("pub fn forward_batch_matrix(x: &[f32]) -> usize {{\n    {forward}\n}}\n");
-    let matrix = "pub fn matmul_transb_prepacked(x: &[f32]) -> usize {\n    \
+    let nn = format!("fn forward_batch_matrix(x: &[f32]) -> usize {{\n    {forward}\n}}\n");
+    let matrix = "fn matmul_transb_prepacked(x: &[f32]) -> usize {\n    \
                       auto_threads(x.len())\n}\n\
-                  pub fn auto_threads(flops: usize) -> usize {\n    \
+                  fn auto_threads(flops: usize) -> usize {\n    \
                       if flops < 1 << 18 { 1 } else { hardware_threads() }\n}\n";
     [
         ("crates/serve/src/server.rs", serve.as_str()),
@@ -212,7 +217,7 @@ fn hot_path_workspace(decode: &str, forward: &str, pool: &str) -> Vec<(String, S
 }
 
 /// `hardware_threads` asking the OS on every call.
-const POOL_UNCACHED: &str = "pub fn hardware_threads() -> usize {\n    \
+const POOL_UNCACHED: &str = "fn hardware_threads() -> usize {\n    \
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)\n}\n";
 
 fn chain_names(f: &Finding) -> Vec<&str> {
@@ -222,7 +227,7 @@ fn chain_names(f: &Finding) -> Vec<&str> {
 #[test]
 fn uncached_thread_budget_on_the_decode_path_fires_hot_path_probe() {
     let files = hot_path_workspace("x.len().min(hardware_threads())", "x.len()", POOL_UNCACHED);
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     only_rule(&findings, RULE_HOT_PROBE);
     let f = &findings[0];
     assert_eq!((f.file.as_str(), f.line), ("crates/tensor/src/pool.rs", 2));
@@ -241,7 +246,7 @@ fn uncached_thread_budget_on_the_decode_path_fires_hot_path_probe() {
 #[test]
 fn uncached_thread_budget_under_every_gemm_fires_hot_path_probe() {
     let files = hot_path_workspace("x.len()", "matmul_transb_prepacked(x)", POOL_UNCACHED);
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     only_rule(&findings, RULE_HOT_PROBE);
     assert_eq!(
         chain_names(&findings[0]),
@@ -263,7 +268,7 @@ fn once_initialised_thread_budget_is_clean() {
     let pool = "use std::sync::{Once, OnceLock};\n\
                 fn env_threads() -> Option<usize> {\n    \
                     std::env::var(\"ERRFLOW_THREADS\").ok().and_then(|s| s.parse().ok())\n}\n\
-                pub fn hardware_threads() -> usize {\n    \
+                fn hardware_threads() -> usize {\n    \
                     static CORES: OnceLock<usize> = OnceLock::new();\n    \
                     static WARM: Once = Once::new();\n    \
                     WARM.call_once(|| drop(std::fs::read(\"/proc/self/status\")));\n    \
@@ -277,7 +282,7 @@ fn once_initialised_thread_budget_is_clean() {
         "matmul_transb_prepacked(x)",
         pool,
     );
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }
 
@@ -288,11 +293,11 @@ fn a_call_made_both_inside_and_outside_an_initialiser_keeps_its_edge() {
     let pool = "use std::sync::OnceLock;\n\
                 fn probe() -> usize {\n    \
                     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)\n}\n\
-                pub fn hardware_threads() -> usize {\n    \
+                fn hardware_threads() -> usize {\n    \
                     static CORES: OnceLock<usize> = OnceLock::new();\n    \
                     probe() + *CORES.get_or_init(|| probe())\n}\n";
     let files = hot_path_workspace("x.len().min(hardware_threads())", "x.len()", pool);
-    let findings = audit_files(&files);
+    let findings = audit_files(&files, false);
     only_rule(&findings, RULE_HOT_PROBE);
     assert_eq!(
         chain_names(&findings[0]),
@@ -309,12 +314,12 @@ fn a_call_made_both_inside_and_outside_an_initialiser_keeps_its_edge() {
 fn hot_path_probe_roots_at_the_io_loop_and_nowhere_else() {
     let probe = "fn load() -> usize {\n    \
                      std::fs::read_to_string(\"/proc/cpuinfo\").map(|s| s.len()).unwrap_or(0)\n}\n";
-    let io = format!("pub fn io_loop() -> usize {{\n    load()\n}}\n{probe}");
+    let io = format!("fn io_loop() -> usize {{\n    load()\n}}\n{probe}");
     let findings = audit_source("crates/net/src/server.rs", &io);
     only_rule(&findings, RULE_HOT_PROBE);
     assert!(findings[0].message.contains("fs::read_to_string"));
     // The same function reached from anything but a root is set-up code.
-    let setup = format!("pub fn bind() -> usize {{\n    load()\n}}\n{probe}");
+    let setup = format!("fn bind() -> usize {{\n    load()\n}}\n{probe}");
     let findings = audit_source("crates/net/src/server.rs", &setup);
     assert!(findings.is_empty(), "unexpected findings: {findings:?}");
 }

@@ -3,8 +3,13 @@
 //! strings with `#` guards, string line-continuations — and the
 //! doc-comment-adjacency behaviour the SAFETY rule depends on.
 
-use errflow_audit::audit_source;
 use errflow_audit::lexer::{lex, TokKind};
+use errflow_audit::{audit_files, Finding};
+
+/// The engine on one file at a library path (`rel` keys the rule scoping).
+fn audit_source(rel: &str, src: &str) -> Vec<Finding> {
+    audit_files(&[(rel.to_string(), src.to_string())], false)
+}
 
 /// Line number of the first occurrence of identifier `name`.
 fn ident_line(src: &str, name: &str) -> u32 {
@@ -68,7 +73,7 @@ fn safety_note_after_inner_doc_comments_is_honoured() {
     // `//!` inner docs above an item must not break the adjacency window
     // between a SAFETY note and its unsafe block.
     let src = "//! Module docs.\n//! More docs.\n\n\
-               pub fn f(p: *mut u8) {\n    \
+               fn f(p: *mut u8) {\n    \
                // SAFETY: p is valid for writes by the caller's contract.\n    \
                unsafe { *p = 1 }\n}\n";
     let findings = audit_source("crates/compress/src/fixture.rs", src);
@@ -81,7 +86,7 @@ fn safety_note_stays_adjacent_across_a_raw_string() {
     // site: if the lexer miscounts its newlines, the SAFETY note's comment
     // span drifts and the rule misfires.
     let src = "const HELP: &str = r#\"usage:\n  tool [--flag]\n  lines here\n\"#;\n\n\
-               pub fn f(p: *mut u8) {\n    \
+               fn f(p: *mut u8) {\n    \
                // SAFETY: p is valid for writes by the caller's contract.\n    \
                unsafe { *p = 1 }\n}\n";
     let findings = audit_source("crates/compress/src/fixture.rs", src);

@@ -1,8 +1,9 @@
 //! Bit-level stream I/O used by the ZFP-class coder and the Huffman coder.
 //!
-//! [`BitWriter`] packs bits LSB-first into bytes (the encoders write their
-//! own packed words; the reference encoders in their tests write through
-//! this); [`BitReader`] reads them back.  Both buffer through a 64-bit
+//! [`BitWriter`] packs bits LSB-first into bytes: the encoders write their
+//! own packed words, so it is the tests' reference writer (their reference
+//! encoders and forged streams go through it); [`BitReader`] reads them
+//! back.  Both buffer through a 64-bit
 //! accumulator so multi-bit operations cost a few ALU ops instead of
 //! per-bit byte arithmetic — decompression throughput of the compressors
 //! is dominated by these paths.
@@ -16,11 +17,8 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+    // audit:allow(dead-pub) the tests' reference writer: `fuzz_robustness.rs`
+    // forges ZFP blocks through it.
     /// Writes a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
@@ -31,6 +29,7 @@ impl BitWriter {
         }
     }
 
+    // audit:allow(dead-pub) the tests' reference writer (see `write_bit`).
     /// Writes the low `n` bits of `value`, LSB first (`n ≤ 64`).
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
@@ -67,26 +66,13 @@ impl BitWriter {
         self.nbits = 0;
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
-    }
-
+    // audit:allow(dead-pub) the tests' reference writer (see `write_bit`).
     /// Finishes the stream, returning the packed bytes.
     pub fn into_bytes(mut self) -> Vec<u8> {
         let tail_bytes = self.nbits.div_ceil(8) as usize;
         let bytes = self.acc.to_le_bytes();
         self.buf.extend_from_slice(&bytes[..tail_bytes]);
         self.buf
-    }
-
-    /// Clears the writer for reuse without releasing its buffer — lets a
-    /// scratch-held writer encode repeatedly with zero steady-state
-    /// allocations.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.acc = 0;
-        self.nbits = 0;
     }
 }
 
@@ -206,6 +192,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Current bit offset.
+    #[cfg(test)]
     pub fn bit_pos(&self) -> usize {
         self.pos
     }
@@ -242,13 +229,13 @@ mod tests {
 
     #[test]
     fn single_bits_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         let pattern = [true, false, true, true, false, false, true, false, true];
         for &b in &pattern {
             w.write_bit(b);
         }
-        assert_eq!(w.bit_len(), 9);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 2, "9 bits occupy 2 bytes");
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit(), Some(b));
@@ -257,7 +244,7 @@ mod tests {
 
     #[test]
     fn multi_bit_values_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b1011, 4);
         w.write_bits(0xdead_beef, 32);
         w.write_bits(u64::MAX, 64);
@@ -278,7 +265,7 @@ mod tests {
                 (v, n)
             })
             .collect();
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         for &(v, n) in &ops {
             w.write_bits(v, n);
         }
@@ -291,7 +278,7 @@ mod tests {
 
     #[test]
     fn read_past_end_is_none() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b101, 3);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
@@ -302,16 +289,16 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
+        let w = BitWriter::default();
         let bytes = w.into_bytes();
+        assert!(bytes.is_empty());
         let mut r = BitReader::new(&bytes);
         assert!(r.read_bit().is_none());
     }
 
     #[test]
     fn bit_pos_tracks() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0xff, 8);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
@@ -321,7 +308,7 @@ mod tests {
 
     #[test]
     fn peek_and_skip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b1100_1010, 8);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
@@ -342,7 +329,7 @@ mod tests {
                 (rng.gen::<u64>() & ((1 << n) - 1), n)
             })
             .collect();
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         for &(v, n) in &ops {
             w.write_bits(v, n);
         }
@@ -372,7 +359,7 @@ mod tests {
 
     #[test]
     fn writer_flushes_across_word_boundaries() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         for i in 0..100u64 {
             w.write_bits(i, 7);
         }

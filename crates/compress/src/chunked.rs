@@ -72,6 +72,8 @@ impl<C: Compressor> ChunkedCompressor<C> {
         }
     }
 
+    // audit:allow(dead-pub) the seam the tests build multi-chunk containers
+    // through without megabyte inputs (`fuzz_robustness.rs`, `sz_lattice.rs`).
     /// Overrides the chunk size (in values).
     pub fn with_chunk_values(mut self, chunk_values: usize) -> Self {
         assert!(chunk_values > 0, "chunk size must be nonzero");

@@ -8,14 +8,14 @@
 //! each (zstd's huff0 table header is the model) — and the payloads;
 //! canonical code assignment makes decode tables cheap to rebuild.  The
 //! block holds no count its decoder is handed: the caller passes the
-//! symbol count and the segment count ([`decode_multi`]).
+//! symbol count and the segment count ([`decode_multi_into`]).
 //!
 //! ## One block format: multi-stream
 //!
 //! Serial Huffman decode is latency-bound: every symbol's table lookup
 //! depends on the previous symbol's length, so one dependency chain caps
 //! throughput regardless of ILP or SIMD width.  The block format breaks
-//! that chain: [`encode_multi`] cuts its symbols into up to
+//! that chain: [`encode_multi_into`] cuts its symbols into up to
 //! [`crate::format::MAX_STREAMS`] contiguous [`crate::format::split_even`]
 //! segments that share one code table but carry **independent payloads**,
 //! and [`decode_multi_into`] runs one chain per sub-stream —
@@ -63,8 +63,8 @@
 //!
 //! Both directions carry reusable scratch state ([`DecodeScratch`],
 //! [`EncodeScratch`]) so steady-state coding performs no per-call table
-//! allocations; the plain [`encode_multi`]/[`decode_multi`] entry points
-//! reuse a thread-local scratch transparently.  The slow,
+//! allocations; [`encode_multi_into`] reuses a thread-local scratch
+//! transparently.  The slow,
 //! obvious decoder for the same bytes is
 //! [`crate::reference::huffman_decode_multi`], which the tests hold this
 //! one to symbol for symbol.
@@ -232,7 +232,6 @@ struct Histogram {
 
 thread_local! {
     static ENC_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::default());
-    static DEC_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::default());
 }
 
 /// Runs `f` on this thread's [`EncodeScratch`].  A backend that keeps its
@@ -280,18 +279,21 @@ fn choose_raw16(sorted: &[(u32, u64)], n_original: usize, n_runs: usize) -> bool
 /// [`split_even`], against one shared code table but into independent
 /// payloads, one per segment, so they can be decoded as parallel lanes.
 /// The block does not record the symbol count or the segment count: its
-/// decoder is handed both ([`decode_multi`]).  See the module docs.
+/// decoder is handed both ([`decode_multi_into`]).  See the module docs.
 ///
 /// # Panics
 /// If `n_streams` is 0 or exceeds [`crate::format::MAX_STREAMS`].
-pub fn encode_multi(symbols: &[u16], n_streams: usize) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_multi(symbols: &[u16], n_streams: usize) -> Vec<u8> {
     let mut out = Vec::new();
     encode_multi_into(symbols, n_streams, &mut out);
     out
 }
 
-/// [`encode_multi`] appending to an existing buffer via the thread-local
-/// [`EncodeScratch`].
+/// Encodes `symbols`, cut into the `n_streams` segments of
+/// [`split_even`], against one shared code table but into independent
+/// payloads appended to `out`, one per segment, so they can be decoded as
+/// parallel lanes.  Runs on the thread-local [`EncodeScratch`].
 pub fn encode_multi_into(symbols: &[u16], n_streams: usize, out: &mut Vec<u8>) {
     with_encode_scratch(|s| encode_multi_with(symbols, n_streams, out, s));
 }
@@ -1053,22 +1055,29 @@ pub(crate) struct Block<'a> {
     max_len: u8,
 }
 
-/// Decodes a multi-stream block produced by [`encode_multi`] from `n`
+/// Decodes a multi-stream block produced by [`encode_multi_into`] from `n`
 /// symbols in `n_streams` segments.  Returns the symbols and the number of
 /// bytes consumed.
-pub fn decode_multi(
+#[cfg(test)]
+pub(crate) fn decode_multi(
     stream: &[u8],
     n: usize,
     n_streams: usize,
 ) -> Result<(Vec<u16>, usize), CompressError> {
-    DEC_SCRATCH.with(|s| {
-        let mut out = Vec::new();
-        let consumed = decode_multi_into(stream, n, n_streams, &mut out, &mut s.borrow_mut())?;
-        Ok((out, consumed))
-    })
+    let mut out = Vec::new();
+    let consumed = decode_multi_into(
+        stream,
+        n,
+        n_streams,
+        &mut out,
+        &mut DecodeScratch::default(),
+    )?;
+    Ok((out, consumed))
 }
 
-/// [`decode_multi`] into a caller-owned buffer with reusable scratch.
+/// Decodes a multi-stream block produced by [`encode_multi_into`] from `n`
+/// symbols in `n_streams` segments into a caller-owned buffer with
+/// reusable scratch.
 ///
 /// `out` is cleared first; on success it holds the decoded symbols and the
 /// return value is the number of bytes consumed from `stream`.  Every
@@ -1839,7 +1848,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let symbols: Vec<u16> = (0..10_000)
             .map(|_| {
-                if rng.gen_bool(0.95) {
+                if rng.next_f64() < 0.95 {
                     0
                 } else {
                     rng.gen_range(1..8)
@@ -1924,7 +1933,7 @@ mod tests {
             let mut seg: Vec<u16> = (0..n).map(|_| rng.gen_range(10u16..5000)).collect();
             // A run of exactly MIN_RUN at a random offset must be flagged
             // wherever it falls against the block grid.
-            let with_run = n >= MIN_RUN && rng.gen_bool(0.5);
+            let with_run = n >= MIN_RUN && rng.next_f64() < 0.5;
             if with_run {
                 let at = rng.gen_range(0..=n - MIN_RUN);
                 seg[at..at + MIN_RUN].fill(77);
@@ -2185,7 +2194,7 @@ mod tests {
             }
             let mut payloads: Vec<Vec<u8>> = Vec::new();
             for i in 0..segments.len() {
-                let mut w = BitWriter::new();
+                let mut w = BitWriter::default();
                 for sym in &transformed[t_bounds[i]..t_bounds[i + 1]] {
                     let (rev, len) = codes[sym];
                     w.write_bits(rev, len as u32);
@@ -2332,7 +2341,7 @@ mod tests {
                 let symbols: Vec<u16> = (0..=longest as u16)
                     .chain((extra..=longest as u16).rev())
                     .collect();
-                let mut w = BitWriter::new();
+                let mut w = BitWriter::default();
                 for sym in &symbols {
                     let (rev, len) = codes[&u32::from(*sym)];
                     w.write_bits(rev, len as u32);

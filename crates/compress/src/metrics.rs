@@ -25,15 +25,6 @@ impl CompressionStats {
         }
     }
 
-    /// Bits per value (for 4-byte floats).
-    pub fn bits_per_value(&self) -> f64 {
-        if self.original_bytes == 0 {
-            0.0
-        } else {
-            self.compressed_bytes as f64 * 8.0 / (self.original_bytes as f64 / 4.0)
-        }
-    }
-
     /// Decompression throughput in GB/s of *original* data produced.
     pub fn decompress_gbps(&self) -> f64 {
         if self.decompress_secs <= 0.0 {
@@ -48,16 +39,6 @@ impl CompressionStats {
             return f64::INFINITY;
         }
         self.original_bytes as f64 / self.compress_secs / 1e9
-    }
-
-    /// Merges two stats (e.g. across batches): sizes and times add.
-    pub fn merge(&self, other: &CompressionStats) -> CompressionStats {
-        CompressionStats {
-            original_bytes: self.original_bytes + other.original_bytes,
-            compressed_bytes: self.compressed_bytes + other.compressed_bytes,
-            compress_secs: self.compress_secs + other.compress_secs,
-            decompress_secs: self.decompress_secs + other.decompress_secs,
-        }
     }
 }
 
@@ -75,10 +56,9 @@ mod tests {
     }
 
     #[test]
-    fn ratio_and_bits() {
+    fn ratio() {
         let s = stats();
         assert_eq!(s.ratio(), 10.0);
-        assert!((s.bits_per_value() - 3.2).abs() < 1e-12);
     }
 
     #[test]
@@ -86,14 +66,6 @@ mod tests {
         let s = stats();
         assert!((s.decompress_gbps() - 4000.0 / 0.002 / 1e9).abs() < 1e-12);
         assert!((s.compress_gbps() - 4000.0 / 0.001 / 1e9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let s = stats().merge(&stats());
-        assert_eq!(s.original_bytes, 8000);
-        assert_eq!(s.compressed_bytes, 800);
-        assert!((s.compress_secs - 0.002).abs() < 1e-12);
     }
 
     #[test]
@@ -105,7 +77,6 @@ mod tests {
             decompress_secs: 0.0,
         };
         assert!(z.ratio().is_infinite());
-        assert_eq!(z.bits_per_value(), 0.0);
         assert!(z.decompress_gbps().is_infinite());
     }
 }

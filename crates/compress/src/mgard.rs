@@ -57,11 +57,6 @@ const MAX_LEVELS: usize = 24;
 pub struct MgardCompressor;
 
 impl MgardCompressor {
-    /// Creates the compressor with default settings.
-    pub fn new() -> Self {
-        MgardCompressor
-    }
-
     /// Parses the header, reads the coarse level into `scratch.fa`, and
     /// entropy-decodes the coefficient symbols into `scratch.symbols`.
     /// Returns `(eb, level_lengths, outlier_table_offset)`.  The declared
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_abs_linf_bound() {
         let data = smooth_field(4096);
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         for tol in [1e-2, 1e-4, 1e-6] {
             let bound = ErrorBound::abs_linf(tol);
             let recon = m
@@ -351,7 +346,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_l2_bounds() {
         let data = smooth_field(2048);
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         for bound in [ErrorBound::abs_l2(1e-2), ErrorBound::rel_l2(1e-4)] {
             let recon = m
                 .decompress(&m.compress(&data, &bound).unwrap(), data.len())
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn smooth_data_compresses_well() {
         let data = smooth_field(16_384);
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         let stream = m.compress(&data, &ErrorBound::rel_linf(1e-3)).unwrap();
         let ratio = (data.len() * 4) as f64 / stream.len() as f64;
         assert!(ratio > 6.0, "ratio = {ratio:.2}");
@@ -372,7 +367,7 @@ mod tests {
     #[test]
     fn ratio_grows_with_tolerance() {
         let data = smooth_field(8192);
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         let len_at = |tol: f64| m.compress(&data, &ErrorBound::rel_linf(tol)).unwrap().len();
         assert!(len_at(1e-2) < len_at(1e-5));
     }
@@ -381,7 +376,7 @@ mod tests {
     fn outliers_handled() {
         let mut data = smooth_field(256);
         data[100] = 1e28;
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         let bound = ErrorBound::abs_linf(1e-5);
         let recon = m
             .decompress(&m.compress(&data, &bound).unwrap(), data.len())
@@ -391,7 +386,7 @@ mod tests {
 
     #[test]
     fn small_inputs() {
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         let bound = ErrorBound::abs_linf(1e-3);
         for n in [0usize, 1, 2, 3, 4, 5] {
             let data = smooth_field(n);
@@ -407,7 +402,7 @@ mod tests {
     fn coarse_level_is_exact() {
         // Coarsest nodes are stored verbatim: stride-2^K samples are exact.
         let data = smooth_field(33);
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         let recon = m
             .decompress(
                 &m.compress(&data, &ErrorBound::abs_linf(1e-1)).unwrap(),
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn corrupt_stream_rejected() {
-        let m = MgardCompressor::new();
+        let m = MgardCompressor;
         assert!(m.decompress(&[0; 10], 1).is_err());
         let stream = m
             .compress(&smooth_field(200), &ErrorBound::abs_linf(1e-3))
@@ -439,7 +434,7 @@ mod tests {
             let data: Vec<f32> = (0..n)
                 .map(|i| ((i as f32) * 0.05).cos() * 2.0 + rng.gen_range(-0.3f32..0.3))
                 .collect();
-            let m = MgardCompressor::new();
+            let m = MgardCompressor;
             let bound = ErrorBound::abs_linf(tol);
             let recon = m
                 .decompress(&m.compress(&data, &bound).unwrap(), data.len())
@@ -454,7 +449,7 @@ mod tests {
         for _ in 0..64 {
             let tol = 10f64.powf(rng.gen_range(-4.0f64..-1.0));
             let data: Vec<f32> = (0..311).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let m = MgardCompressor::new();
+            let m = MgardCompressor;
             let bound = ErrorBound::abs_l2(tol);
             let recon = m
                 .decompress(&m.compress(&data, &bound).unwrap(), data.len())

@@ -833,6 +833,8 @@ pub fn mgard_decompress(stream: &[u8]) -> Result<Vec<f32>, CompressError> {
     Ok(recon_coarse)
 }
 
+// audit:allow(dead-pub) the oracle `fuzz_robustness.rs`, `v2_format.rs` and
+// `sz_lattice.rs` hold the chunked container's decoder to.
 /// Oracle decode of a [`crate::ChunkedCompressor`] container over
 /// `backend`: the tag byte, the element count and the chunk size as
 /// varints, a varint byte length for every chunk but the last (which runs
@@ -935,9 +937,9 @@ mod tests {
         let data = smooth_field(10_000);
         let bound = ErrorBound::rel_linf(1e-4);
         for c in [
-            &SzCompressor::new() as &dyn Compressor,
-            &ZfpCompressor::new(),
-            &MgardCompressor::new(),
+            &SzCompressor as &dyn Compressor,
+            &ZfpCompressor,
+            &MgardCompressor,
         ] {
             let stream = c.compress(&data, &bound).expect("compress");
             let seed = decompress(c.name(), &stream).expect("seed decode");

@@ -79,7 +79,7 @@
 //! The container ([`crate::format`], tag [`BackendTag::Sz`]) splits the
 //! values into [`crate::format::V2_STREAMS`] contiguous segments with
 //! per-segment orders and outlier tables, and entropy-codes the symbols
-//! with the multi-stream Huffman block ([`crate::huffman::encode_multi`]):
+//! with the multi-stream Huffman block ([`crate::huffman::encode_multi_into`]):
 //!
 //! ```text
 //! [magic u64][tag=Sz u8][n_streams u8]
@@ -727,11 +727,6 @@ fn take_order<const K: usize>(
 pub struct SzCompressor;
 
 impl SzCompressor {
-    /// Creates the compressor.
-    pub fn new() -> Self {
-        SzCompressor
-    }
-
     /// Encodes the container described in the module docs.  `portable`
     /// keeps the two passes off the AVX2 instantiation; the bytes do not
     /// depend on it.
@@ -837,7 +832,7 @@ mod tests {
         let data = smooth_field(4096);
         for tol in [1e-2, 1e-4, 1e-6] {
             let bound = ErrorBound::abs_linf(tol);
-            let sz = SzCompressor::new();
+            let sz = SzCompressor;
             let stream = sz.compress(&data, &bound).unwrap();
             let recon = sz.decompress(&stream, data.len()).unwrap();
             assert!(bound.verify(&data, &recon), "tol={tol}");
@@ -847,7 +842,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_rel_bounds() {
         let data = smooth_field(2048);
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         for bound in [
             ErrorBound::rel_linf(1e-3),
             ErrorBound::abs_l2(1e-2),
@@ -862,7 +857,7 @@ mod tests {
     #[test]
     fn smooth_data_compresses_well() {
         let data = smooth_field(16_384);
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let stream = sz.compress(&data, &ErrorBound::rel_linf(1e-3)).unwrap();
         let ratio = (data.len() * 4) as f64 / stream.len() as f64;
         assert!(ratio > 8.0, "ratio = {ratio:.2}");
@@ -871,7 +866,7 @@ mod tests {
     #[test]
     fn ratio_grows_with_tolerance() {
         let data = smooth_field(8192);
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let len_at = |tol: f64| {
             sz.compress(&data, &ErrorBound::rel_linf(tol))
                 .unwrap()
@@ -885,7 +880,7 @@ mod tests {
     fn random_noise_still_bounded() {
         let mut rng = StdRng::seed_from_u64(5);
         let data: Vec<f32> = (0..2000).map(|_| rng.gen_range(-10.0..10.0)).collect();
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let bound = ErrorBound::abs_linf(1e-3);
         let recon = sz
             .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
@@ -898,7 +893,7 @@ mod tests {
         let mut data = smooth_field(128);
         data[50] = 1e30;
         data[51] = -1e30;
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let bound = ErrorBound::abs_linf(1e-4);
         let recon = sz
             .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
@@ -909,7 +904,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_element() {
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let bound = ErrorBound::abs_linf(1e-3);
         let empty = sz
             .decompress(&sz.compress(&[], &bound).unwrap(), 0)
@@ -923,7 +918,7 @@ mod tests {
 
     #[test]
     fn invalid_tolerance_rejected() {
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         assert!(sz.compress(&[1.0], &ErrorBound::abs_linf(0.0)).is_err());
         assert!(sz
             .compress(&[1.0], &ErrorBound::abs_linf(f64::NAN))
@@ -932,7 +927,7 @@ mod tests {
 
     #[test]
     fn corrupt_stream_rejected() {
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         assert!(sz.decompress(&[1, 2, 3], 1).is_err());
         let stream = sz
             .compress(&smooth_field(100), &ErrorBound::abs_linf(1e-3))
@@ -944,7 +939,7 @@ mod tests {
 
     #[test]
     fn supports_all_modes() {
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         for mode in [
             BoundMode::AbsLInf,
             BoundMode::RelLInf,
@@ -961,7 +956,7 @@ mod tests {
     #[test]
     fn roundtrip_stats() {
         let data = smooth_field(4096);
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let (recon, stats) = sz.roundtrip(&data, &ErrorBound::rel_linf(1e-3)).unwrap();
         assert_eq!(recon.len(), data.len());
         assert!(stats.ratio() > 1.0);
@@ -978,7 +973,7 @@ mod tests {
             let data: Vec<f32> = (0..n)
                 .map(|i| ((i as f32) * 0.1).sin() * 5.0 + rng.gen_range(-1.0f32..1.0))
                 .collect();
-            let sz = SzCompressor::new();
+            let sz = SzCompressor;
             let bound = ErrorBound::abs_linf(tol);
             let recon = sz
                 .decompress(&sz.compress(&data, &bound).unwrap(), data.len())
@@ -1118,7 +1113,7 @@ mod tests {
         }
         // The stream the encoder writes (its own choice of order) decodes
         // to the data everywhere.
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
         assert_eq!(sz.decompress(&stream, data.len()).unwrap(), data);
         assert_eq!(reference::sz_decompress(&stream).unwrap(), data);
@@ -1170,7 +1165,7 @@ mod tests {
                 assert_eq!(passes_at(&parabola[..len], eb, order).1, full[..len]);
             }
         }
-        let sz = SzCompressor::new();
+        let sz = SzCompressor;
         for data in [flat, ramp, parabola] {
             let stream = sz.compress(&data, &ErrorBound::abs_linf(eb)).unwrap();
             assert_eq!(sz.decompress(&stream, data.len()).unwrap(), data);
@@ -1297,7 +1292,7 @@ mod tests {
         for _ in 0..64 {
             let tol = 10f64.powf(rng.gen_range(-4.0f64..-1.0));
             let data: Vec<f32> = (0..256).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let sz = SzCompressor::new();
+            let sz = SzCompressor;
             let bound = ErrorBound::abs_l2(tol);
             let recon = sz
                 .decompress(&sz.compress(&data, &bound).unwrap(), data.len())

@@ -89,13 +89,6 @@ pub(crate) const PRECISION: i32 = 38;
 #[derive(Debug, Clone, Default)]
 pub struct ZfpCompressor;
 
-impl ZfpCompressor {
-    /// Creates the compressor.
-    pub fn new() -> Self {
-        ZfpCompressor
-    }
-}
-
 /// Forward reversible S-transform on a 4-value block (two Haar levels).
 fn fwd_transform(p: &mut [i64; 4]) {
     let (l0, h0) = haar_fwd(p[0], p[1]);
@@ -844,7 +837,7 @@ mod reference_encoder {
         let parts = format::split_even(n_blocks, V2_STREAMS);
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(parts.len());
         for &(block_off, block_len) in &parts {
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::default();
             let v0 = (block_off * 4).min(data.len());
             let v1 = ((block_off + block_len) * 4).min(data.len());
             for chunk in data[v0..v1].chunks(4) {
@@ -973,7 +966,7 @@ mod tests {
     #[test]
     fn roundtrip_respects_bound() {
         let data = smooth_field(4096);
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         for tol in [1e-1, 1e-3, 1e-5, 1e-7] {
             let bound = ErrorBound::abs_linf(tol);
             let recon = zfp
@@ -986,7 +979,7 @@ mod tests {
     #[test]
     fn rel_linf_roundtrip() {
         let data = smooth_field(1024);
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let bound = ErrorBound::rel_linf(1e-4);
         let recon = zfp
             .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
@@ -996,7 +989,7 @@ mod tests {
 
     #[test]
     fn l2_bound_rejected() {
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         assert!(!zfp.supports(&ErrorBound::abs_l2(1e-3)));
         assert!(matches!(
             zfp.compress(&[1.0, 2.0], &ErrorBound::abs_l2(1e-3)),
@@ -1007,7 +1000,7 @@ mod tests {
     #[test]
     fn ratio_grows_with_tolerance() {
         let data = smooth_field(8192);
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let len_at = |tol: f64| {
             zfp.compress(&data, &ErrorBound::abs_linf(tol))
                 .unwrap()
@@ -1020,7 +1013,7 @@ mod tests {
     #[test]
     fn zero_blocks_are_tiny() {
         let data = vec![0.0f32; 4096];
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let stream = zfp.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
         // 2 bits per 4-value block + header.
         assert!(stream.len() < 8 + 4096 / 4, "len={}", stream.len());
@@ -1039,7 +1032,7 @@ mod tests {
                 *v *= 1e-6;
             }
         }
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let bound = ErrorBound::abs_linf(1e-2);
         let recon = zfp
             .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
@@ -1049,7 +1042,7 @@ mod tests {
 
     #[test]
     fn non_multiple_of_four_lengths() {
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let bound = ErrorBound::abs_linf(1e-4);
         for n in [1usize, 2, 3, 5, 7, 1023] {
             let data = smooth_field(n);
@@ -1063,7 +1056,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         let stream = zfp.compress(&[], &ErrorBound::abs_linf(1e-3)).unwrap();
         assert!(zfp.decompress(&stream, 0).unwrap().is_empty());
         assert!(zfp.decompress(&stream, 1).is_err());
@@ -1071,7 +1064,7 @@ mod tests {
 
     #[test]
     fn corrupt_stream_rejected() {
-        let zfp = ZfpCompressor::new();
+        let zfp = ZfpCompressor;
         assert!(zfp.decompress(&[0], 1).is_err());
         let stream = zfp
             .compress(&smooth_field(64), &ErrorBound::abs_linf(1e-5))
@@ -1088,7 +1081,7 @@ mod tests {
             let data: Vec<f32> = (0..n)
                 .map(|i| ((i as f32) * 0.07).sin() * 3.0 + rng.gen_range(-0.5f32..0.5))
                 .collect();
-            let zfp = ZfpCompressor::new();
+            let zfp = ZfpCompressor;
             let bound = ErrorBound::abs_linf(tol);
             let recon = zfp
                 .decompress(&zfp.compress(&data, &bound).unwrap(), data.len())
@@ -1150,7 +1143,7 @@ mod tests {
     /// `±(1.f) · 2^k` with a random fraction.
     fn at_exponent(rng: &mut StdRng, k: i32) -> f32 {
         let x = rng.gen_range(1.0f64..2.0) * 2f64.powi(k);
-        if rng.gen_bool(0.5) {
+        if rng.next_f64() < 0.5 {
             x as f32
         } else {
             -x as f32
@@ -1208,7 +1201,7 @@ mod tests {
                 for _ in 0..runs {
                     let at = rng.gen_range(0..=n);
                     let len = rng.gen_range(0usize..200).min(n - at);
-                    data[at..at + len].fill(if rng.gen_bool(0.5) { 0.0 } else { -0.0 });
+                    data[at..at + len].fill(if rng.next_f64() < 0.5 { 0.0 } else { -0.0 });
                 }
                 ("smooth with zero runs", data)
             }

@@ -92,10 +92,10 @@ const BUDGET: usize = 64 << 10;
 fn a_declared_count_past_the_callers_is_refused_before_it_allocates() {
     errflow_obs::trace::set_enabled(false);
     let codecs: [Box<dyn Compressor>; 4] = [
-        Box::new(SzCompressor::new()),
-        Box::new(ZfpCompressor::new()),
-        Box::new(MgardCompressor::new()),
-        Box::new(ChunkedCompressor::new(SzCompressor::new())),
+        Box::new(SzCompressor),
+        Box::new(ZfpCompressor),
+        Box::new(MgardCompressor),
+        Box::new(ChunkedCompressor::new(SzCompressor)),
     ];
     let keys = ["sz", "zfp", "mgard", "chunked-sz"];
     let bound = ErrorBound::abs_linf(1e-3);

@@ -30,16 +30,13 @@ fn codecs() -> Vec<(Box<dyn Compressor>, &'static str)> {
             (c, name)
         })
         .collect();
+    all.push((Box::new(ChunkedCompressor::new(SzCompressor)), "chunked-sz"));
     all.push((
-        Box::new(ChunkedCompressor::new(SzCompressor::new())),
-        "chunked-sz",
-    ));
-    all.push((
-        Box::new(ChunkedCompressor::new(ZfpCompressor::new())),
+        Box::new(ChunkedCompressor::new(ZfpCompressor)),
         "chunked-zfp",
     ));
     all.push((
-        Box::new(ChunkedCompressor::new(MgardCompressor::new())),
+        Box::new(ChunkedCompressor::new(MgardCompressor)),
         "chunked-mgard",
     ));
     all
@@ -152,7 +149,7 @@ fn random_bodies_behind_each_preamble_agree_with_the_oracle() {
                     write_preamble(&mut buf, tag_of(c.name()), n_streams);
                     // Half the bodies open with a small element count, so
                     // that the parsers behind it are reached too.
-                    if rng.gen_bool(0.5) {
+                    if rng.next_f64() < 0.5 {
                         buf.push(rng.gen_range(0u8..128));
                     }
                     buf.extend((0..len).map(|_| rng.gen::<u8>()));
@@ -245,8 +242,8 @@ fn bit_flips_in_valid_streams_agree_with_the_oracle() {
 #[test]
 fn every_predictor_order_byte_agrees_with_the_oracle() {
     const ORDERS_AT: usize = 20;
-    let sz = SzCompressor::new();
-    let chunked = ChunkedCompressor::new(SzCompressor::new()).with_chunk_values(4 * 700);
+    let sz = SzCompressor;
+    let chunked = ChunkedCompressor::new(SzCompressor).with_chunk_values(4 * 700);
     let mut rng = StdRng::seed_from_u64(0x0B7E);
     let n = 4 * 700;
     // A segment per order — a random walk, a line, a parabola (indices 5t
@@ -277,7 +274,7 @@ fn every_predictor_order_byte_agrees_with_the_oracle() {
         assert_oracle_parity(&sz, "sz", &mutated, n, &what);
         let well_formed = (0..4).all(|s| (byte >> (2 * s)) & 3 != 0);
         assert_eq!(sz.decompress(&mutated, n).is_ok(), well_formed, "{what}");
-        let contained = ChunkedCompressor::new(SzCompressor::new())
+        let contained = ChunkedCompressor::new(SzCompressor)
             .with_chunk_values(n)
             .compress(&data, &bound)
             .unwrap();
@@ -297,7 +294,7 @@ fn every_predictor_order_byte_agrees_with_the_oracle() {
     let at = one.len();
     one.push(0);
     write_varint(&mut one, 0);
-    one.extend(errflow_compress::huffman::encode_multi(&[], 1));
+    errflow_compress::huffman::encode_multi_into(&[], 1, &mut one);
     for byte in 0..=u8::MAX {
         one[at] = byte;
         let what = format!("one-segment order byte {byte:#04x}");
@@ -317,13 +314,13 @@ fn every_predictor_order_byte_agrees_with_the_oracle() {
 /// bit at the `width + cut = 48` edge of its vector path and beyond it.
 #[test]
 fn forged_zfp_coefficient_ranges_decode_like_the_oracle() {
-    let zfp = ZfpCompressor::new();
+    let zfp = ZfpCompressor;
     let mut rng = StdRng::seed_from_u64(0x2F3);
     let blocks = 64;
     for (cut, width) in [(21u32, 27u32), (22, 27), (30, 20), (40, 8), (63, 27)] {
         let payloads: Vec<Vec<u8>> = (0..V2_STREAMS)
             .map(|_| {
-                let mut w = BitWriter::new();
+                let mut w = BitWriter::default();
                 for _ in 0..blocks {
                     // A normal block: flag, biased exponent, cut, width,
                     // then four sign + magnitude fields.
@@ -539,14 +536,12 @@ fn every_varint_field_mutated_agrees_with_the_oracle() {
 fn codec_with_chunks(key: &str, chunk_values: usize) -> Box<dyn Compressor> {
     match key {
         "chunked-sz" => {
-            Box::new(ChunkedCompressor::new(SzCompressor::new()).with_chunk_values(chunk_values))
+            Box::new(ChunkedCompressor::new(SzCompressor).with_chunk_values(chunk_values))
         }
         "chunked-zfp" => {
-            Box::new(ChunkedCompressor::new(ZfpCompressor::new()).with_chunk_values(chunk_values))
+            Box::new(ChunkedCompressor::new(ZfpCompressor).with_chunk_values(chunk_values))
         }
-        _ => {
-            Box::new(ChunkedCompressor::new(MgardCompressor::new()).with_chunk_values(chunk_values))
-        }
+        _ => Box::new(ChunkedCompressor::new(MgardCompressor).with_chunk_values(chunk_values)),
     }
 }
 
@@ -576,8 +571,8 @@ fn sz_table(stream: &[u8]) -> (usize, Vec<usize>, usize) {
 /// and the oracle must agree on each.
 #[test]
 fn forged_code_tables_agree_with_the_oracle() {
-    let sz = SzCompressor::new();
-    let chunked = ChunkedCompressor::new(SzCompressor::new());
+    let sz = SzCompressor;
+    let chunked = ChunkedCompressor::new(SzCompressor);
     let mut rng = StdRng::seed_from_u64(0x7AB1);
     let data: Vec<f32> = (0..1024)
         .map(|i| (i as f32 * 0.02).sin() + rng.gen_range(-1e-3f32..1e-3))

@@ -10,7 +10,9 @@
 //! both the fast decoder and the slow oracle in
 //! `errflow_compress::reference`, which must agree symbol for symbol.
 
-use errflow_compress::huffman::{decode_multi, encode_multi, MIN_RUN, PEEK};
+use errflow_compress::huffman::{
+    decode_multi_into, encode_multi_into, DecodeScratch, MIN_RUN, PEEK,
+};
 use errflow_compress::reference::{huffman_decode_multi, sz_decompress};
 use errflow_compress::traits::{read_varint, write_varint};
 use errflow_compress::{scratch, CompressError, Compressor, ErrorBound, SzCompressor};
@@ -18,7 +20,26 @@ use errflow_tensor::rng::StdRng;
 
 /// Encodes `symbols` as an `n_streams`-segment block.
 fn encode(symbols: &[u16], n_streams: usize) -> Vec<u8> {
-    encode_multi(symbols, n_streams)
+    let mut out = Vec::new();
+    encode_multi_into(symbols, n_streams, &mut out);
+    out
+}
+
+/// The fast decoder on fresh scratch: the symbols and the bytes consumed.
+fn decode_multi(
+    stream: &[u8],
+    n: usize,
+    n_streams: usize,
+) -> Result<(Vec<u16>, usize), CompressError> {
+    let mut out = Vec::new();
+    let consumed = decode_multi_into(
+        stream,
+        n,
+        n_streams,
+        &mut out,
+        &mut DecodeScratch::default(),
+    )?;
+    Ok((out, consumed))
 }
 
 /// Round-trips through the fast decoder AND the oracle, asserting both
@@ -328,7 +349,7 @@ fn sz_segments_at_the_fused_decode_chunk_edges() {
     // first and the last symbol of a chunk, must decode through it exactly
     // as the oracle does.
     const CHUNK: usize = 1024;
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let bound = ErrorBound::abs_linf(1e-4);
     let mut rng = StdRng::seed_from_u64(0xD3);
     for seg in [1usize, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {

@@ -40,7 +40,7 @@ fn of_length(oracle: Result<Vec<f32>, CompressError>, n: usize) -> Result<Vec<f3
 /// checks the ways agree with the oracle.  Returns the decoded values when
 /// the stream is accepted.
 fn decode_everywhere(stream: &[u8], n: usize, what: &str) -> Option<Vec<f32>> {
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let oracle = of_length(reference::sz_decompress(stream), n);
     let fast = sz.decompress(stream, n);
     let (fast, oracle) = match (fast, oracle) {
@@ -68,7 +68,7 @@ fn decode_everywhere(stream: &[u8], n: usize, what: &str) -> Option<Vec<f32>> {
 /// Round-trips `data` through the plain and the chunked compressor and
 /// holds every decode path to the oracle.
 fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let stream = sz.compress(data, bound).unwrap();
     assert!(stream[..8] == format::MAGIC_V2 && stream[8] == BackendTag::Sz as u8);
     let recon = decode_everywhere(&stream, data.len(), what)
@@ -76,7 +76,7 @@ fn roundtrip(data: &[f32], bound: &ErrorBound, what: &str) -> Vec<f32> {
     assert_eq!(recon.len(), data.len());
 
     // Chunks of 1000 leave a ragged last chunk and ragged segments in it.
-    let chunked = ChunkedCompressor::new(SzCompressor::new()).with_chunk_values(1000);
+    let chunked = ChunkedCompressor::new(SzCompressor).with_chunk_values(1000);
     let container = chunked.compress(data, bound).unwrap();
     let units = chunked.decode_units(&container, data.len()).unwrap();
     let mut sc = scratch::acquire();
@@ -235,7 +235,7 @@ fn ties_guard_values_extremes_and_non_finite_values_round_trip() {
     // chunked wrapper refuses as a tolerance); whatever the plain stream
     // holds then, the decoders agree on it.
     for bound in [ErrorBound::rel_linf(1e-3), ErrorBound::rel_l2(1e-3)] {
-        let stream = SzCompressor::new().compress(&data, &bound).unwrap();
+        let stream = SzCompressor.compress(&data, &bound).unwrap();
         let recon =
             decode_everywhere(&stream, data.len(), "non-finite values, relative bound").unwrap();
         assert_eq!(recon.len(), data.len());
@@ -337,7 +337,7 @@ fn every_order_restarts_and_escapes_alike_in_every_decoder() {
         &[CHUNK - 1, CHUNK, CHUNK + 1],
         &[1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK],
     ];
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     for pattern in patterns {
         let mut data = base.clone();
         for s in 0..4 {
@@ -425,7 +425,7 @@ fn outlier_tables_off_by_one_entry_are_rejected_by_both_decoders() {
     symbols[110] = 0;
     symbols[150] = 0;
     let table = |n: usize| vec![Vec::new(), vec![1.25f32; n], Vec::new(), Vec::new()];
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     for (entries, accepted) in [(2, true), (1, false), (3, false), (0, false)] {
         let stream = forge(1e-3, &[2; 4], &symbols, &table(entries));
         let decoded = decode_everywhere(&stream, symbols.len(), "table length");
@@ -451,7 +451,7 @@ fn any_tag_but_the_order_one_is_no_sz_stream() {
         .chunks_exact(4)
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         .collect();
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let mut stream = sz.compress(&data, &ErrorBound::rel_linf(1e-4)).unwrap();
     let mut sc = scratch::acquire();
     let mut out = vec![0.0f32; data.len()];

@@ -78,7 +78,7 @@ fn field(n: usize) -> Vec<f32> {
 
 #[test]
 fn the_sz_golden_decodes_to_the_recorded_values_everywhere() {
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let stream = include_bytes!("fixtures/sz_compact.bin");
     let want = f32_bits(include_bytes!("fixtures/sz_order.f32"));
     let data = golden_field();
@@ -124,7 +124,7 @@ fn sz_mgard_and_zfp_still_write_the_recorded_container_bytes() {
     let golden = golden_field();
     let smooth = field(FIELD_LEN);
     let at = ErrorBound::rel_linf(1e-4);
-    let (sz, mgard) = (SzCompressor::new(), MgardCompressor::new());
+    let (sz, mgard) = (SzCompressor, MgardCompressor);
     // (codec, field, bound, fixture, the symbol block's flag byte: kind 1
     // is a Huffman block with runs, 2 a raw 16-bit one).
     type Case<'a> = (
@@ -164,7 +164,7 @@ fn sz_mgard_and_zfp_still_write_the_recorded_container_bytes() {
             None,
         ),
         (
-            &ZfpCompressor::new(),
+            &ZfpCompressor,
             &golden,
             at,
             include_bytes!("fixtures/zfp_v2.bin"),
@@ -244,7 +244,7 @@ fn refused_everywhere<C: Compressor + Clone>(c: &C, stream: &[u8], what: &str) {
 
 #[test]
 fn retired_layouts_are_refused_by_every_decoder() {
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     refused_everywhere(&sz, include_bytes!("fixtures/sz_v1.bin"), "sz headerless");
     refused_everywhere(&sz, include_bytes!("fixtures/sz_v2.bin"), "sz tag 1");
     refused_everywhere(
@@ -258,12 +258,12 @@ fn retired_layouts_are_refused_by_every_decoder() {
         "sz fixed-width framing, tag 5",
     );
     refused_everywhere(
-        &ZfpCompressor::new(),
+        &ZfpCompressor,
         include_bytes!("fixtures/zfp_v1.bin"),
         "zfp headerless",
     );
     refused_everywhere(
-        &MgardCompressor::new(),
+        &MgardCompressor,
         include_bytes!("fixtures/mgard_v1.bin"),
         "mgard headerless",
     );
@@ -277,7 +277,7 @@ fn retired_layouts_are_refused_by_every_decoder() {
         retagged[8] = tag;
         refused_everywhere(&sz, &retagged, &format!("today's SZ body under tag {tag}"));
     }
-    let mgard = MgardCompressor::new();
+    let mgard = MgardCompressor;
     let today = mgard.compress(&golden_field(), &bound).unwrap();
     assert!(mgard.decompress(&today, FIELD_LEN).is_ok());
     for tag in [1, 3, 4, 5] {
@@ -338,9 +338,9 @@ fn the_retired_chunk_header_is_refused_around_valid_streams() {
         let oracle = reference::chunked_decompress(what, &today).unwrap();
         assert_eq!(bits(&oracle), want, "{what}: oracle");
     }
-    check(&SzCompressor::new());
-    check(&ZfpCompressor::new());
-    check(&MgardCompressor::new());
+    check(&SzCompressor);
+    check(&ZfpCompressor);
+    check(&MgardCompressor);
 }
 
 #[test]
@@ -352,8 +352,8 @@ fn v2_round_trips_under_every_supported_bound_mode() {
         ErrorBound::rel_linf(1e-4),
         ErrorBound::abs_l2(1e-3),
     ];
-    let sz = SzCompressor::new();
-    let zfp = ZfpCompressor::new();
+    let sz = SzCompressor;
+    let zfp = ZfpCompressor;
     for bound in &bounds {
         for c in [&sz as &dyn Compressor, &zfp] {
             if !c.supports(bound) {
@@ -380,7 +380,7 @@ fn v2_round_trips_under_every_supported_bound_mode() {
 #[test]
 fn zfp_forged_substream_lengths_are_a_typed_corrupt_stream() {
     let data = field(2048);
-    let zfp = ZfpCompressor::new();
+    let zfp = ZfpCompressor;
     let mut stream = zfp.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
     // Layout: preamble (10) + n (8) + per-stream u64 lengths.
     let len0 = u64::from_le_bytes(stream[18..26].try_into().unwrap());
@@ -405,7 +405,7 @@ fn zfp_forged_substream_lengths_are_a_typed_corrupt_stream() {
 #[test]
 fn sz_forged_outlier_counts_are_a_typed_corrupt_stream() {
     let data = field(2048);
-    let sz = SzCompressor::new();
+    let sz = SzCompressor;
     let valid = sz.compress(&data, &ErrorBound::abs_linf(1e-3)).unwrap();
     // Layout: preamble (10) + n (2048: a two-byte varint) + eb (8) +
     // orders (1) + per-stream varint counts.
@@ -432,10 +432,7 @@ fn sz_forged_outlier_counts_are_a_typed_corrupt_stream() {
 fn v2_truncated_payloads_are_rejected() {
     let data = field(4096);
     let bound = ErrorBound::abs_linf(1e-3);
-    for c in [
-        &SzCompressor::new() as &dyn Compressor,
-        &ZfpCompressor::new(),
-    ] {
+    for c in [&SzCompressor as &dyn Compressor, &ZfpCompressor] {
         let stream = c.compress(&data, &bound).unwrap();
         let cut = &stream[..stream.len() - 3];
         assert!(

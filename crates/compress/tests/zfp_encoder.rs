@@ -15,7 +15,7 @@ const MAX_BLOCK_BYTES: usize = 23;
 
 /// Encodes `data` and holds every decoder to the oracle, bit for bit.
 fn roundtrip(data: &[f32], tol: f64, what: &str) -> Vec<u8> {
-    let zfp = ZfpCompressor::new();
+    let zfp = ZfpCompressor;
     let bound = ErrorBound::abs_linf(tol);
     let stream = zfp.compress(data, &bound).unwrap();
     assert!(

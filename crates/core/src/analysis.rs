@@ -1,7 +1,7 @@
 //! [`NetworkAnalysis`]: extracting the bound parameters from a trained
 //! model and evaluating the paper's error bounds.
 
-use crate::bound::{self, network_amplification, propagate_network, FlowState};
+use crate::bound::{network_amplification, propagate_network, FlowState};
 use errflow_nn::{Model, ShortcutView};
 use errflow_quant::QuantFormat;
 use errflow_tensor::norms::l2;
@@ -293,63 +293,26 @@ impl NetworkAnalysis {
             })
             .collect()
     }
+}
 
-    /// Bound on the QoI error introduced by *activation* quantization at
-    /// one layer (§III-B: "the error introduced by activation quantization
-    /// can be addressed similarly to compression error by applying
-    /// Equation (5), while excluding all layers preceding the affected
-    /// activation").
-    ///
-    /// Quantizing the activations after flat layer index `layer_idx`
-    /// (0-based over the flattened block/layer sequence) with step `q_act`
-    /// perturbs each of the layer's `n_l` outputs by at most `q_act/2`, so
-    /// `‖Δh‖₂ ≤ q_act·√n_l/2`; that perturbation then propagates through
-    /// the *remaining* layers with their compression amplification.
-    pub fn activation_quantization_bound(&self, layer_idx: usize, q_act: f64) -> f64 {
-        let mut flat = 0usize;
-        let mut injected: Option<f64> = None;
-        let mut amplify = 1.0f64;
-        for block in &self.blocks {
-            // Shortcut paths bypass the interior layers, so an interior
-            // injection is (conservatively) amplified by the full block
-            // factor once the block containing it completes; injections
-            // propagate through later blocks with their block amplification.
-            let mut within = 1.0f64;
-            let mut in_this_block = false;
-            for layer in &block.layers {
-                if injected.is_some() && in_this_block {
-                    within *= bound::layer_gain(layer);
-                }
-                if injected.is_none() && flat == layer_idx {
-                    let inject = q_act * (layer.out_elems as f64).sqrt() / 2.0;
-                    injected = Some(inject);
-                    in_this_block = true;
-                    within = 1.0;
-                }
-                flat += 1;
-            }
-            if injected.is_some() {
-                if in_this_block {
-                    amplify *= within * block.output_scale;
-                } else {
-                    amplify *= bound::block_amplification(block);
-                }
-            }
-        }
-        match injected {
-            Some(inject) => inject * amplify,
-            None => panic!("layer index {layer_idx} out of range"),
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bound;
+    use crate::quantize::quantize_model;
+    use errflow_nn::{Activation, ConvNet, Mlp};
+    use errflow_tensor::conv::MapShape;
+    use errflow_tensor::norms::{diff_norm, Norm};
+    use errflow_tensor::rng::StdRng;
 
     /// The printed single-block Ineq. (3) for MLP-style networks (one block,
     /// dense layers, no shortcut).  Returns `None` for other architectures.
-    /// Used to cross-check the recurrence against the paper's exact formula.
-    pub fn equation3(&self, dx_l2: f64, format: QuantFormat) -> Option<Certificate> {
-        if self.blocks.len() != 1 {
+    /// The oracle the recurrence is cross-checked against.
+    fn equation3(a: &NetworkAnalysis, dx_l2: f64, format: QuantFormat) -> Option<Certificate> {
+        if a.blocks.len() != 1 {
             return None;
         }
-        let b = &self.blocks[0];
+        let b = &a.blocks[0];
         if b.layers.iter().any(|l| l.replication != 1.0) {
             return None;
         }
@@ -367,23 +330,13 @@ impl NetworkAnalysis {
             &qs,
             &rows,
             &min_dims,
-            self.input_dim,
+            a.input_dim,
         );
         Some(Certificate {
             compression: comp * dx_l2,
             weight_quant: quant,
         })
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::quantize::quantize_model;
-    use errflow_nn::{Activation, ConvNet, Mlp};
-    use errflow_tensor::conv::MapShape;
-    use errflow_tensor::norms::{diff_norm, Norm};
-    use errflow_tensor::rng::StdRng;
 
     #[test]
     fn format_index_is_the_position_in_all() {
@@ -506,7 +459,7 @@ mod tests {
         let a = NetworkAnalysis::of(&mlp());
         for format in QuantFormat::REDUCED {
             let rec = a.combined_bound(1e-4, format);
-            let eq3 = a.equation3(1e-4, format).expect("single-block MLP");
+            let eq3 = equation3(&a, 1e-4, format).expect("single-block MLP");
             assert!((rec.compression - eq3.compression).abs() < 1e-12);
             assert!(rec.weight_quant >= eq3.weight_quant - 1e-12);
             assert!(
@@ -572,50 +525,6 @@ mod tests {
             assert!(err <= b + 1e-9, "err={err} bound={b}");
         }
         let _ = rng;
-    }
-
-    #[test]
-    fn activation_quantization_bound_dominates_observed() {
-        // Quantize the hidden activations after layer 0 of the MLP with a
-        // uniform step and compare to the predicted bound.
-        let model = mlp();
-        let a = NetworkAnalysis::of(&model);
-        let q_act = 1e-3f32;
-        let bound = a.activation_quantization_bound(0, q_act as f64);
-        assert!(bound > 0.0);
-        let layers = model.layers();
-        for x in random_inputs(10, 9, 91) {
-            // Manual forward with quantized post-layer-0 activations.
-            let h0 = layers[0].forward(&x);
-            let h0q: Vec<f32> = h0.iter().map(|&v| (v / q_act).round() * q_act).collect();
-            let mut clean = h0;
-            let mut noisy = h0q;
-            for layer in &layers[1..] {
-                clean = layer.forward(&clean);
-                noisy = layer.forward(&noisy);
-            }
-            let err = diff_norm(&clean, &noisy, Norm::L2);
-            assert!(err <= bound + 1e-9, "err={err} bound={bound}");
-        }
-    }
-
-    #[test]
-    fn activation_quantization_bound_shrinks_with_depth() {
-        // Injecting later in the network passes through fewer layers.
-        let model = mlp();
-        let a = NetworkAnalysis::of(&model);
-        let early = a.activation_quantization_bound(0, 1e-3);
-        let late = a.activation_quantization_bound(2, 1e-3);
-        // Not strictly monotone in general (layer widths differ), but with
-        // σ > 1 layers the early injection must dominate here.
-        assert!(early > late, "early={early} late={late}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn activation_quantization_bound_rejects_bad_index() {
-        let a = NetworkAnalysis::of(&mlp());
-        a.activation_quantization_bound(99, 1e-3);
     }
 
     #[test]

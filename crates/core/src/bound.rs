@@ -69,7 +69,7 @@ pub struct FlowState {
 /// dense layers this recurrence expands to exactly the quantization sum in
 /// Ineq. (3) with σ̃ kept on *every* propagation factor — a slightly safer
 /// variant of the printed bound, which relaxes the factors after the
-/// injecting layer to plain σ (see [`equation3_bound`]).
+/// injecting layer to plain σ (see `equation3_bound` in the tests).
 pub fn propagate_block(block: &BlockSpec, qs: &[f64], state: FlowState) -> FlowState {
     assert_eq!(qs.len(), block.layers.len(), "one q per layer");
     let mut path_err = state.error;
@@ -117,8 +117,10 @@ pub fn propagate_network(blocks: &[BlockSpec], qs: &[Vec<f64>], state: FlowState
 ///
 /// `n0` is the block's input dimension; `sigmas[l]`, `qs[l]`, `rows[l]`,
 /// `min_dims[l]` describe layer `l`.  Returns `(compression_term_per_unit_dx,
-/// quantization_term)` so callers can scale the first by `‖Δx‖₂`.
-pub fn equation3_bound(
+/// quantization_term)` so callers can scale the first by `‖Δx‖₂`.  The
+/// oracle the recurrence's tests check [`propagate_block`] against.
+#[cfg(test)]
+pub(crate) fn equation3_bound(
     shortcut_sigma: f64,
     sigmas: &[f64],
     qs: &[f64],

@@ -9,7 +9,7 @@
 //! predicted bound — this is how Figs. 3–6 pair "achieved" with "predicted".
 
 use errflow_nn::Model;
-use errflow_tensor::norms::{l2, linf, Norm};
+use errflow_tensor::norms::Norm;
 
 /// The exact two-leg decomposition of one sample's output error.
 #[derive(Debug, Clone)]
@@ -57,19 +57,6 @@ impl ErrorFlow {
     /// Norm of the total error.
     pub fn total_error(&self, norm: Norm) -> f64 {
         norm.eval(&self.total)
-    }
-
-    /// Relative total error `‖Δy‖/‖y‖` in the given norm.
-    pub fn relative_total_error(&self, norm: Norm) -> f64 {
-        let denom = match norm {
-            Norm::L2 => l2(&self.reference),
-            Norm::LInf => linf(&self.reference),
-        };
-        if denom == 0.0 {
-            self.total_error(norm)
-        } else {
-            self.total_error(norm) / denom
-        }
     }
 }
 
@@ -133,15 +120,5 @@ mod tests {
         let f2 = ErrorFlow::decompose(&m, &q2, &x, &xt);
         assert_eq!(f1.compression_leg, f2.compression_leg);
         assert_ne!(f1.quantization_leg, f2.quantization_leg);
-    }
-
-    #[test]
-    fn relative_error_scales() {
-        let (m, q, x, xt) = setup();
-        let flow = ErrorFlow::decompose(&m, &q, &x, &xt);
-        let rel = flow.relative_total_error(Norm::L2);
-        let abs = flow.total_error(Norm::L2);
-        assert!(rel > 0.0 && abs > 0.0);
-        assert!((rel - abs / l2(&flow.reference)).abs() < 1e-12);
     }
 }

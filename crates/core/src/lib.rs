@@ -26,8 +26,8 @@
 //! residual building block to a *sequence* of blocks (stem → residual
 //! blocks → head), which is how the ResNet models decompose; for a single
 //! MLP-style block it reduces exactly to the printed Eq. (3)
-//! ([`bound::equation3_bound`] implements the printed form verbatim and the
-//! test suite checks the reduction).
+//! (the test suite's `bound::equation3_bound` implements the printed form
+//! verbatim and checks the reduction).
 
 pub mod analysis;
 pub mod bound;

@@ -706,9 +706,9 @@ pub struct HistogramDump {
 }
 
 /// The typed binary body of a [`MetricsFormat::Binary`] scrape: the
-/// tiered series dump plus the current histogram states (for
-/// distribution panels like bound margin, which need buckets rather than
-/// pre-derived quantiles).
+/// tiered series dump plus the current cumulative histogram states.  `top`
+/// reads the histograms only to leave out the stages that never recorded
+/// (`count == 0`); the series carry every plotted value.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScrapePayload {
     /// Tiered series (see [`errflow_obs::timeseries::Sampler::dump`]).

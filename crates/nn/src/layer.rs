@@ -387,27 +387,6 @@ impl Layer {
     pub fn alpha_mut(&mut self) -> Option<&mut f32> {
         self.psn.as_mut().map(|p| &mut p.alpha)
     }
-
-    /// `true` when PSN is enabled.
-    pub fn has_psn(&self) -> bool {
-        self.psn.is_some()
-    }
-
-    /// Replaces this layer's parameters with externally-loaded values
-    /// (e.g. from [`crate::io`]).  Shapes must match; PSN state is dropped
-    /// because a loaded model is a frozen artifact.
-    pub fn load_parameters(&mut self, weights: Matrix, bias: Vec<f32>) {
-        assert_eq!(
-            weights.shape(),
-            self.raw.shape(),
-            "loaded weight shape mismatch"
-        );
-        assert_eq!(bias.len(), self.bias.len(), "loaded bias length mismatch");
-        self.raw = weights.clone();
-        self.w_eff = weights;
-        self.bias = bias;
-        self.psn = None;
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +470,7 @@ mod tests {
         let l = Layer::conv(w, vec![0.0; 4], Activation::Relu, spec, in_shape);
         assert_eq!(l.in_dim(), 72);
         assert_eq!(l.out_dim(), 4 * 36);
-        let x = init::uniform_vec(72, 1.0, &mut rng);
+        let x = init::uniform(1, 72, 1.0, &mut rng).into_vec();
         let (y, cache) = l.forward_cached(&x);
         assert_eq!(y.len(), 144);
         let (dx, grads) = l.backward(&cache, &vec![1.0; 144]);
@@ -507,7 +486,7 @@ mod tests {
         let spec = ConvSpec::square(3, 1, 1);
         let w = init::he_uniform(2, 9, &mut rng);
         let l = Layer::conv(w, vec![0.05, -0.05], Activation::Tanh, spec, in_shape);
-        let x = init::uniform_vec(16, 1.0, &mut rng);
+        let x = init::uniform(1, 16, 1.0, &mut rng).into_vec();
         let (y, cache) = l.forward_cached(&x);
         let (dx, grads) = l.backward(&cache, &y);
         let loss = |layer: &Layer, input: &[f32]| -> f32 {
@@ -544,10 +523,10 @@ mod tests {
     #[test]
     fn with_weights_swaps_and_freezes() {
         let l = dense_layer(6).with_psn(10);
-        let new_w = Matrix::filled(3, 4, 0.25);
-        let frozen = l.with_weights(new_w.clone());
+        let new_w = Matrix::from_fn(3, 4, |_, _| 0.25);
+        let mut frozen = l.with_weights(new_w.clone());
         assert_eq!(frozen.weights(), &new_w);
-        assert!(!frozen.has_psn());
+        assert!(frozen.alpha_mut().is_none());
     }
 
     #[test]

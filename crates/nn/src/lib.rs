@@ -20,7 +20,6 @@
 //!   paper compares: plain, weight decay, and PSN.
 
 pub mod activation;
-pub mod io;
 pub mod layer;
 pub mod loss;
 pub mod model;

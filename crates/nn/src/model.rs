@@ -67,14 +67,6 @@ impl PackedWeights {
     pub fn layer(&self, i: usize) -> Option<&errflow_tensor::gemm::PackedB> {
         self.layers.get(i)
     }
-
-    /// Extra bytes held by the panel buffers (for cache accounting).
-    pub fn packed_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(errflow_tensor::gemm::PackedB::packed_bytes)
-            .sum()
-    }
 }
 
 /// Common interface over the paper's model families.
@@ -196,12 +188,6 @@ impl Mlp {
             }
             layers.push(layer);
         }
-        Mlp { layers }
-    }
-
-    /// Wraps pre-built layers (all must be dense).
-    pub fn from_layers(layers: Vec<Layer>) -> Self {
-        assert!(!layers.is_empty());
         Mlp { layers }
     }
 
@@ -502,11 +488,6 @@ impl ConvNet {
     /// Input feature-map shape.
     pub fn input_shape(&self) -> MapShape {
         self.input_shape
-    }
-
-    /// Width (channel count) of the stem and residual blocks.
-    pub fn feature_channels(&self) -> usize {
-        self.feature_shape.channels
     }
 
     /// The post-block / hidden activation.
@@ -921,7 +902,6 @@ mod tests {
             let x = Matrix::from_fn(batch, 6, |_, _| rng.gen_range(-1.0f32..1.0));
             let unpacked = m.forward_batch_matrix(&x, None);
             let packed = m.pack_weights().expect("dense MLP packs");
-            assert!(packed.packed_bytes() > 0);
             let got = m.forward_batch_matrix(&x, Some(&packed));
             assert_eq!(got, unpacked, "batch={batch}");
             // And both agree with the row-vector entry point.

@@ -113,13 +113,6 @@ pub struct TrainReport {
     pub loss_history: Vec<f64>,
 }
 
-impl TrainReport {
-    /// Loss of the final epoch.
-    pub fn final_loss(&self) -> f64 {
-        *self.loss_history.last().unwrap_or(&f64::NAN)
-    }
-}
-
 fn build_optimizer(cfg: &TrainConfig) -> Box<dyn Optimizer> {
     let wd = match cfg.regularizer {
         Regularizer::WeightDecay(wd) => wd,
@@ -252,6 +245,13 @@ mod tests {
     use crate::model::Model;
     use errflow_tensor::conv::MapShape;
 
+    fn final_loss(report: &TrainReport) -> f64 {
+        *report
+            .loss_history
+            .last()
+            .expect("trained at least one epoch")
+    }
+
     /// Tiny regression problem: learn y = [x0 + x1, x0 − x1].
     fn linear_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -277,11 +277,11 @@ mod tests {
         };
         let report = train_mlp(&mut model, &data, &cfg);
         assert!(
-            report.final_loss() < 1e-3,
+            final_loss(&report) < 1e-3,
             "final loss = {}",
-            report.final_loss()
+            final_loss(&report)
         );
-        assert!(report.final_loss() < report.loss_history[0]);
+        assert!(final_loss(&report) < report.loss_history[0]);
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
             ..Default::default()
         };
         let report = train_mlp(&mut model, &data, &cfg);
-        assert!(report.final_loss() < 5e-3, "loss={}", report.final_loss());
+        assert!(final_loss(&report) < 5e-3, "loss={}", final_loss(&report));
         // After training, each layer's spectral norm equals its α.
         for l in model.layers() {
             let alpha = l.alpha().unwrap() as f64;
@@ -356,7 +356,7 @@ mod tests {
             ..Default::default()
         };
         let report = train_mlp(&mut model, &data, &cfg);
-        assert!(report.final_loss() < 1e-2, "loss={}", report.final_loss());
+        assert!(final_loss(&report) < 1e-2, "loss={}", final_loss(&report));
     }
 
     #[test]
@@ -367,7 +367,7 @@ mod tests {
         let mut inputs = Vec::new();
         let mut targets = Vec::new();
         for _ in 0..64 {
-            let top: bool = rng.gen_bool(0.5);
+            let top: bool = rng.next_f64() < 0.5;
             let mut img = vec![0.0f32; 36];
             for y in 0..6 {
                 for x in 0..6 {
@@ -389,9 +389,9 @@ mod tests {
         };
         let report = train_convnet(&mut model, &data, &cfg);
         assert!(
-            report.final_loss() < 0.2,
+            final_loss(&report) < 0.2,
             "final CE loss = {}",
-            report.final_loss()
+            final_loss(&report)
         );
         // Check accuracy on the training set.
         let correct = data

@@ -10,8 +10,7 @@
 //!
 //! [`LatencyHistogram`] is the latency-flavoured wrapper the serve layer
 //! uses (observations are `Duration`s recorded in nanoseconds, summaries
-//! in microseconds).  Both types [`merge`](Log2Histogram::merge) so
-//! multi-worker histograms aggregate into one summary.
+//! in microseconds).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -89,27 +88,6 @@ impl Log2Histogram {
     /// `[2^i, 2^(i+1))`).
     pub fn buckets(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Folds `other`'s observations into `self`: bucket counts, count and
-    /// sum add; min/max combine.  After the merge, `self` summarises the
-    /// union of both recording streams — the aggregation primitive for
-    /// per-worker histograms.
-    pub fn merge(&self, other: &Log2Histogram) {
-        for i in 0..BUCKETS {
-            let c = other.buckets[i].load(Ordering::Relaxed);
-            if c > 0 {
-                self.buckets[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Approximate `q`-quantile with within-bucket linear interpolation
@@ -201,18 +179,6 @@ impl LatencyHistogram {
         self.inner.buckets()
     }
 
-    /// Folds `other`'s observations into `self` (see
-    /// [`Log2Histogram::merge`]) so per-worker latency histograms can be
-    /// aggregated into one summary.
-    pub fn merge(&self, other: &LatencyHistogram) {
-        self.inner.merge(&other.inner);
-    }
-
-    /// The underlying unit-agnostic histogram.
-    pub fn as_log2(&self) -> &Log2Histogram {
-        &self.inner
-    }
-
     /// Point-in-time summary of the recorded distribution.
     pub fn summary(&self) -> LatencySummary {
         let count = self.inner.count();
@@ -255,58 +221,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 8);
-    }
-
-    #[test]
-    fn merged_quantiles_match_single_combined_histogram() {
-        // Two workers record disjoint halves of a distribution; merging
-        // their histograms must reproduce exactly the histogram that
-        // recorded everything — buckets, count, sum, min, max, and hence
-        // every quantile.
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        let combined = LatencyHistogram::new();
-        let mut ns = 17u64;
-        for i in 0..2000u64 {
-            // A deterministic spread over ~6 decades.
-            ns = ns
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = 50 + ns % (10_000_000 * (1 + i % 7));
-            if i % 2 == 0 {
-                a.record_ns(v);
-            } else {
-                b.record_ns(v);
-            }
-            combined.record_ns(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.buckets(), combined.buckets());
-        let (ma, mc) = (a.summary(), combined.summary());
-        assert_eq!(ma.count, mc.count);
-        assert_eq!(ma.p50_us, mc.p50_us, "{ma:?} vs {mc:?}");
-        assert_eq!(ma.p99_us, mc.p99_us);
-        assert_eq!(ma.min_us, mc.min_us);
-        assert_eq!(ma.max_us, mc.max_us);
-        assert!((ma.mean_us - mc.mean_us).abs() < 1e-9);
-        for q in [0.01, 0.25, 0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(a.as_log2().quantile(q), combined.as_log2().quantile(q));
-        }
-    }
-
-    #[test]
-    fn merge_into_empty_is_identity() {
-        let src = Log2Histogram::new();
-        for v in [3, 900, 12_345, 1 << 40] {
-            src.record(v);
-        }
-        let dst = Log2Histogram::new();
-        dst.merge(&src);
-        assert_eq!(dst.buckets(), src.buckets());
-        assert_eq!(dst.count(), src.count());
-        assert_eq!(dst.sum(), src.sum());
-        assert_eq!(dst.min(), src.min());
-        assert_eq!(dst.max(), src.max());
     }
 
     #[test]

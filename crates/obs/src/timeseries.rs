@@ -6,7 +6,8 @@
 //! per-series ring buffers at several resolutions (**tiers**).  The
 //! default layout retains 1 s × 300, 10 s × 360, and 60 s × 1440 — five
 //! minutes at full resolution, an hour at 10 s, a day at one minute — in
-//! a constant memory envelope (see [`Sampler::memory_bound`]).
+//! a constant memory envelope (the tests hold live usage under
+//! `Sampler::memory_bound`).
 //!
 //! Derivation rules per metric kind:
 //! - **counter** `name` → one series `name` holding the per-second rate
@@ -247,8 +248,9 @@ impl Sampler {
     /// Upper bound, in bytes, on the point storage a sampler with `tiers`
     /// can ever hold: `MAX_SERIES` series × the full tier capacity (16 B
     /// per point) plus per-series bookkeeping and a name of at most
-    /// [`MAX_SERIES_NAME`] bytes.  [`Sampler::memory_bytes`] never
+    /// [`MAX_SERIES_NAME`] bytes.  `Sampler::memory_bytes` never
     /// exceeds this, which the tests assert.
+    #[cfg(test)]
     pub fn memory_bound(tiers: &[TierSpec]) -> usize {
         let points: usize = tiers.iter().take(MAX_TIERS).map(|t| t.len.max(1)).sum();
         let per_series = MAX_SERIES_NAME
@@ -261,6 +263,7 @@ impl Sampler {
 
     /// Current point-storage footprint in bytes (ring capacities are
     /// pre-committed, so this moves only when a new series registers).
+    #[cfg(test)]
     pub fn memory_bytes(&self) -> usize {
         self.series
             .iter()
@@ -434,6 +437,7 @@ impl Sampler {
     }
 
     /// Names of all retained series, sorted.
+    #[cfg(test)]
     pub fn series_names(&self) -> Vec<String> {
         self.series.keys().cloned().collect()
     }

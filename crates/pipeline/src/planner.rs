@@ -300,13 +300,6 @@ impl<'m, M: Model> Planner<'m, M> {
         }
     }
 
-    /// Overrides the execution model (e.g. different hardware calibration).
-    pub fn with_execution_model(mut self, exec: ExecutionModel) -> Self {
-        self.table.formats_by_speed = formats_by_speed(&exec, self.model.flops(), &self.analysis);
-        self.exec = exec;
-        self
-    }
-
     /// Overrides the storage model.
     pub fn with_storage_model(mut self, storage: StorageModel) -> Self {
         self.storage = storage;

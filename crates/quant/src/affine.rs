@@ -39,11 +39,6 @@ impl QuantizedMatrix {
         &self.codes
     }
 
-    /// Storage footprint in bytes (codes only; scale/zero-point amortise).
-    pub fn storage_bytes(&self) -> usize {
-        self.codes.len()
-    }
-
     /// Reconstructs the `f32` weight matrix.
     pub fn dequantize(&self) -> Matrix {
         let data = self
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn constant_matrix_quantizes_cleanly() {
         for c in [0.7f32, -3.2, 44.19899, 1e-20] {
-            let w = Matrix::filled(3, 3, c);
+            let w = Matrix::from_fn(3, 3, |_, _| c);
             let q = quantize_int8(&w);
             let back = q.dequantize();
             for &v in back.as_slice() {
@@ -156,7 +151,6 @@ mod tests {
         let w = Matrix::from_fn(5, 5, |r, c| (r as f32 * 17.0 - c as f32 * 3.0).sin() * 4.0);
         let q = quantize_int8(&w);
         assert_eq!(q.codes().len(), 25);
-        assert_eq!(q.storage_bytes(), 25);
     }
 
     #[test]

@@ -63,19 +63,6 @@ impl QuantFormat {
         }
     }
 
-    /// Storage size in bits per weight.
-    ///
-    /// TF32 is stored in 19 significant bits but occupies 32 bits in memory
-    /// on real hardware; we report the *memory* footprint because that is
-    /// what drives bandwidth in the throughput model.
-    pub fn storage_bits(&self) -> u32 {
-        match self {
-            QuantFormat::Fp32 | QuantFormat::Tf32 => 32,
-            QuantFormat::Fp16 | QuantFormat::Bf16 => 16,
-            QuantFormat::Int8 => 8,
-        }
-    }
-
     /// Average quantization step size `q(W)` for a weight matrix — Table I.
     ///
     /// For the float formats the per-element step is `2⁻ᵐ · 2^⌊log₂|W_ij|⌋`
@@ -232,7 +219,7 @@ mod tests {
     use super::*;
 
     fn ones() -> Matrix {
-        Matrix::filled(4, 4, 1.0)
+        Matrix::from_fn(4, 4, |_, _| 1.0)
     }
 
     #[test]
@@ -260,7 +247,7 @@ mod tests {
     #[test]
     fn step_size_fp16_floors_exponent_at_minus_14() {
         // Tiny weights: TF32 ulp keeps shrinking, FP16 hits the subnormal floor.
-        let tiny = Matrix::filled(2, 2, 2f32.powi(-20));
+        let tiny = Matrix::from_fn(2, 2, |_, _| 2f32.powi(-20));
         let q16 = QuantFormat::Fp16.step_size(&tiny);
         let q32 = QuantFormat::Tf32.step_size(&tiny);
         assert!((q16 - 2f64.powi(-10) * 2f64.powi(-14)).abs() < 1e-22);
@@ -397,15 +384,6 @@ mod tests {
     #[should_panic(expected = "tensor-level calibration")]
     fn int8_scalar_rounding_panics() {
         QuantFormat::Int8.round_scalar(0.5);
-    }
-
-    #[test]
-    fn storage_bits() {
-        assert_eq!(QuantFormat::Fp32.storage_bits(), 32);
-        assert_eq!(QuantFormat::Tf32.storage_bits(), 32);
-        assert_eq!(QuantFormat::Fp16.storage_bits(), 16);
-        assert_eq!(QuantFormat::Bf16.storage_bits(), 16);
-        assert_eq!(QuantFormat::Int8.storage_bits(), 8);
     }
 
     #[test]

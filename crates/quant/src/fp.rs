@@ -126,12 +126,6 @@ pub fn fp16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Machine-epsilon-style relative step of a float format with `m` mantissa
-/// bits: the spacing of representable values around 1.0 is `2⁻ᵐ`.
-pub fn mantissa_ulp(mantissa_bits: u32) -> f64 {
-    2f64.powi(-(mantissa_bits as i32))
-}
-
 /// Rounds an `f32` to `m` mantissa bits (round-to-nearest-even), keeping the
 /// full 8-bit exponent — a *hypothetical* FP32-exponent format with a
 /// configurable significand.
@@ -250,12 +244,6 @@ mod tests {
         assert!(round_to_bf16(f32::NAN).is_nan());
         assert!(round_to_tf32(f32::NAN).is_nan());
         assert!(round_to_fp16(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn mantissa_ulp_values() {
-        assert_eq!(mantissa_ulp(10), 2f64.powi(-10));
-        assert_eq!(mantissa_ulp(7), 2f64.powi(-7));
     }
 
     #[test]

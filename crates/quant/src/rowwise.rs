@@ -13,7 +13,9 @@
 //! the §III-B concentration argument — the layer injection becomes
 //! `‖q‖₂/(2√3)` (the root-sum-square of per-row steps) instead of
 //! `q·√n_l/(2√3)` with the per-tensor step `q`.  Since
-//! `‖q‖₂ ≤ q_tensor·√n_l` always, row-wise bounds are never looser.
+//! `‖q‖₂ ≤ q_tensor·√n_l` always, row-wise bounds are never looser.  The
+//! certificate does not price row-wise plans yet: `repro`'s ablation runs
+//! them against the per-tensor bound.
 
 use crate::affine::QuantizedMatrix;
 use errflow_tensor::Matrix;
@@ -32,16 +34,9 @@ impl RowwiseQuantizedMatrix {
     }
 
     /// Per-row affine step sizes.
+    #[cfg(test)]
     pub fn row_scales(&self) -> Vec<f32> {
         self.rows.iter().map(QuantizedMatrix::scale).collect()
-    }
-
-    /// Storage footprint in bytes (codes + per-row scale/zero-point).
-    pub fn storage_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.storage_bytes() + 8)
-            .sum::<usize>()
     }
 
     /// Reconstructs the `f32` weight matrix.
@@ -68,27 +63,6 @@ pub fn quantize_int8_rowwise(w: &Matrix) -> RowwiseQuantizedMatrix {
         rows,
         cols: w.cols(),
     }
-}
-
-/// Per-row Table-I-style step sizes for row-wise INT8:
-/// `q_i = 2⁻⁸·(max_j W_ij − min_j W_ij)`.
-pub fn rowwise_int8_steps(w: &Matrix) -> Vec<f64> {
-    (0..w.rows())
-        .map(|r| {
-            let row = w.row(r);
-            let min = row.iter().copied().fold(f32::INFINITY, f32::min);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            ((max - min) as f64).max(0.0) * 2f64.powi(-8)
-        })
-        .collect()
-}
-
-/// The layer quantization injection under row-wise steps:
-/// `‖q‖₂/(2√3)` — the row-wise refinement of the paper's
-/// `q·√n_l/(2√3)` (see module docs).
-pub fn rowwise_injection(steps: &[f64]) -> f64 {
-    let sum_sq: f64 = steps.iter().map(|&q| q * q).sum();
-    sum_sq.sqrt() / (2.0 * 3f64.sqrt())
 }
 
 #[cfg(test)]
@@ -156,49 +130,5 @@ mod tests {
                 .sqrt()
         };
         assert!(fro(&rowwise) < fro(&per_tensor));
-    }
-
-    #[test]
-    fn rowwise_injection_never_looser_than_tensor() {
-        for seed in 0..10 {
-            let w = heterogeneous(seed);
-            let steps = rowwise_int8_steps(&w);
-            let row_inject = rowwise_injection(&steps);
-            let q_tensor = QuantFormat::Int8.step_size(&w);
-            let tensor_inject = q_tensor * (w.rows() as f64).sqrt() / (2.0 * 3f64.sqrt());
-            assert!(
-                row_inject <= tensor_inject + 1e-12,
-                "seed {seed}: {row_inject} vs {tensor_inject}"
-            );
-        }
-    }
-
-    #[test]
-    fn homogeneous_rows_match_per_tensor_steps() {
-        // When all rows share the same range, row-wise ≈ per-tensor.
-        let mut rng = StdRng::seed_from_u64(5);
-        let w = Matrix::from_fn(6, 20, |_, _| rng.gen_range(-1.0..1.0));
-        let steps = rowwise_int8_steps(&w);
-        let q_tensor = QuantFormat::Int8.step_size(&w);
-        for &q in &steps {
-            assert!(q <= q_tensor * 1.01);
-            assert!(q >= q_tensor * 0.5, "q={q} tensor={q_tensor}");
-        }
-    }
-
-    #[test]
-    fn storage_accounts_for_per_row_metadata() {
-        let w = heterogeneous(7);
-        let q = quantize_int8_rowwise(&w);
-        assert_eq!(q.storage_bytes(), 8 * 16 + 8 * 8);
-        assert_eq!(q.shape(), (8, 16));
-    }
-
-    #[test]
-    fn steps_of_constant_rows_are_zero() {
-        let w = Matrix::filled(3, 5, 2.0);
-        let steps = rowwise_int8_steps(&w);
-        assert!(steps.iter().all(|&q| q == 0.0));
-        assert_eq!(rowwise_injection(&steps), 0.0);
     }
 }

@@ -19,9 +19,6 @@ use errflow_tensor::rng::StdRng;
 /// Number of thermochemical input variables.
 pub const NUM_VARS: usize = 13;
 
-/// Number of output dissipation rates.
-pub const NUM_RATES: usize = 3;
-
 /// Dissipation-rate surrogate over normalized inputs.
 ///
 /// `x\[0\]` plays the mixture fraction Z, `x\[1\]` the progress variable C,

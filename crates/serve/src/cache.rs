@@ -139,17 +139,6 @@ impl<V> PlanCache<V> {
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
-
-    /// `hits / (hits + misses)`, or 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +191,6 @@ mod tests {
         assert!(hit2);
         assert_eq!((*v1, *v2), (42, 42), "hit returns the memoized value");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.hit_rate(), 0.5);
     }
 
     #[test]

@@ -100,19 +100,6 @@ pub struct RequestStages {
     pub egress_ns: u64,
 }
 
-impl RequestStages {
-    /// Total attributed time; ≤ the response's end-to-end latency.
-    pub fn sum_ns(&self) -> u64 {
-        self.ingress_ns
-            + self.batch_wait_ns
-            + self.plan_ns
-            + self.decompress_ns
-            + self.forward_ns
-            + self.respond_ns
-            + self.egress_ns
-    }
-}
-
 /// Per-stage latency histograms.
 ///
 /// Per-job stages (`batch_wait`, `decompress`, `respond`) record one
@@ -424,21 +411,6 @@ mod tests {
         assert_eq!(a.batches.get(), 1);
         assert_eq!(a.batched_jobs.get(), 3);
         assert_eq!(b.batches.get(), 0);
-    }
-
-    #[test]
-    fn request_stages_sum() {
-        let s = RequestStages {
-            ingress_ns: 5,
-            batch_wait_ns: 10,
-            plan_ns: 20,
-            decompress_ns: 30,
-            forward_ns: 40,
-            respond_ns: 50,
-            egress_ns: 7,
-        };
-        assert_eq!(s.sum_ns(), 162);
-        assert_eq!(RequestStages::default().sum_ns(), 0);
     }
 
     #[test]

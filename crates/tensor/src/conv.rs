@@ -133,30 +133,6 @@ pub fn im2col(input: &[f32], shape: MapShape, spec: ConvSpec) -> Result<Matrix> 
     Ok(out)
 }
 
-/// Convolution forward pass: `weights · im2col(input)`.
-///
-/// `weights` must have shape `(out_channels, in_channels·kh·kw)`.  Returns
-/// the CHW output buffer and its shape.
-pub fn conv2d(
-    input: &[f32],
-    shape: MapShape,
-    weights: &Matrix,
-    spec: ConvSpec,
-) -> Result<(Vec<f32>, MapShape)> {
-    let patches = im2col(input, shape, spec)?;
-    if weights.cols() != patches.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d",
-            lhs: weights.shape(),
-            rhs: patches.shape(),
-        });
-    }
-    let (oh, ow) = spec.output_hw(shape.height, shape.width)?;
-    let out = weights.matmul(&patches)?;
-    let out_shape = MapShape::new(weights.rows(), oh, ow);
-    Ok((out.into_vec(), out_shape))
-}
-
 /// Adjoint of [`im2col`]: scatters a patch matrix back into a CHW buffer,
 /// accumulating overlapping contributions.
 ///
@@ -201,27 +177,6 @@ pub fn col2im(cols: &Matrix, shape: MapShape, spec: ConvSpec) -> Result<Vec<f32>
     Ok(out)
 }
 
-/// 2×2 average pooling with stride 2 (used by the compact ResNet head).
-pub fn avg_pool2(input: &[f32], shape: MapShape) -> (Vec<f32>, MapShape) {
-    let oh = shape.height / 2;
-    let ow = shape.width / 2;
-    let mut out = vec![0.0f32; shape.channels * oh * ow];
-    for c in 0..shape.channels {
-        for y in 0..oh {
-            for x in 0..ow {
-                let mut acc = 0.0;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        acc += input[(c * shape.height + 2 * y + dy) * shape.width + 2 * x + dx];
-                    }
-                }
-                out[(c * oh + y) * ow + x] = acc / 4.0;
-            }
-        }
-    }
-    (out, MapShape::new(shape.channels, oh, ow))
-}
-
 /// Global average pooling: collapses each channel to its mean.
 pub fn global_avg_pool(input: &[f32], shape: MapShape) -> Vec<f32> {
     let hw = (shape.height * shape.width) as f32;
@@ -238,6 +193,30 @@ pub fn global_avg_pool(input: &[f32], shape: MapShape) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Convolution forward pass: `weights · im2col(input)`.
+    ///
+    /// `weights` must have shape `(out_channels, in_channels·kh·kw)`.  Returns
+    /// the CHW output buffer and its shape.
+    fn conv2d(
+        input: &[f32],
+        shape: MapShape,
+        weights: &Matrix,
+        spec: ConvSpec,
+    ) -> Result<(Vec<f32>, MapShape)> {
+        let patches = im2col(input, shape, spec)?;
+        if weights.cols() != patches.rows() {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d",
+                lhs: weights.shape(),
+                rhs: patches.shape(),
+            });
+        }
+        let (oh, ow) = spec.output_hw(shape.height, shape.width)?;
+        let out = weights.matmul(&patches)?;
+        let out_shape = MapShape::new(weights.rows(), oh, ow);
+        Ok((out.into_vec(), out_shape))
+    }
 
     #[test]
     fn output_hw_same_padding() {
@@ -277,7 +256,7 @@ mod tests {
         let shape = MapShape::new(2, 4, 4);
         let input: Vec<f32> = (0..32).map(|v| v as f32 * 0.1).collect();
         // 1x1 conv whose weight matrix is the 2x2 identity over channels.
-        let w = Matrix::identity(2);
+        let w = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
         let (out, out_shape) = conv2d(&input, shape, &w, ConvSpec::square(1, 1, 0)).unwrap();
         assert_eq!(out_shape, shape);
         assert_eq!(out, input);
@@ -288,7 +267,7 @@ mod tests {
         // 3x3 mean filter over a constant image stays constant (interior).
         let shape = MapShape::new(1, 5, 5);
         let input = vec![2.0f32; 25];
-        let w = Matrix::filled(1, 9, 1.0 / 9.0);
+        let w = Matrix::from_fn(1, 9, |_, _| 1.0 / 9.0);
         let (out, os) = conv2d(&input, shape, &w, ConvSpec::square(3, 1, 0)).unwrap();
         assert_eq!(os, MapShape::new(1, 3, 3));
         assert!(out.iter().all(|&v| (v - 2.0).abs() < 1e-6));
@@ -298,21 +277,12 @@ mod tests {
     fn conv2d_padding_zeros_at_border() {
         let shape = MapShape::new(1, 3, 3);
         let input = vec![1.0f32; 9];
-        let w = Matrix::filled(1, 9, 1.0); // 3x3 sum filter
+        let w = Matrix::from_fn(1, 9, |_, _| 1.0); // 3x3 sum filter
         let (out, os) = conv2d(&input, shape, &w, ConvSpec::square(3, 1, 1)).unwrap();
         assert_eq!(os, MapShape::new(1, 3, 3));
         // centre sees all 9 ones; corner sees 4.
         assert_eq!(out[4], 9.0);
         assert_eq!(out[0], 4.0);
-    }
-
-    #[test]
-    fn avg_pool_halves_dimensions() {
-        let shape = MapShape::new(1, 4, 4);
-        let input: Vec<f32> = (0..16).map(|v| v as f32).collect();
-        let (out, os) = avg_pool2(&input, shape);
-        assert_eq!(os, MapShape::new(1, 2, 2));
-        assert_eq!(out[0], (0.0 + 1.0 + 4.0 + 5.0) / 4.0);
     }
 
     #[test]
@@ -354,7 +324,7 @@ mod tests {
         // is covered by all 9 patches.
         let shape = MapShape::new(1, 3, 3);
         let spec = ConvSpec::square(3, 1, 1);
-        let cols = Matrix::filled(9, 9, 1.0);
+        let cols = Matrix::from_fn(9, 9, |_, _| 1.0);
         let out = col2im(&cols, shape, spec).unwrap();
         assert_eq!(out[4], 9.0);
         assert_eq!(out[0], 4.0); // corner covered by 4 patches

@@ -645,11 +645,6 @@ impl PackedB {
     pub fn shape(&self) -> (usize, usize) {
         (self.k, self.n)
     }
-
-    /// Bytes held beyond the raw operand (panel buffer), for accounting.
-    pub fn packed_bytes(&self) -> usize {
-        self.panels.buf.len() * std::mem::size_of::<f32>()
-    }
 }
 
 /// `C += A·B` against a [`PackedB`], bitwise identical to [`gemm`] /

@@ -26,11 +26,6 @@ pub fn uniform(rows: usize, cols: usize, scale: f32, rng: &mut StdRng) -> Matrix
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
 }
 
-/// A random vector with entries in `U(-scale, scale)`.
-pub fn uniform_vec(n: usize, scale: f32, rng: &mut StdRng) -> Vec<f32> {
-    (0..n).map(|_| rng.gen_range(-scale..scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,14 +54,6 @@ mod tests {
             xavier_uniform(4, 4, &mut r1).as_slice(),
             xavier_uniform(4, 4, &mut r2).as_slice()
         );
-    }
-
-    #[test]
-    fn uniform_vec_length_and_range() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let v = uniform_vec(100, 0.5, &mut rng);
-        assert_eq!(v.len(), 100);
-        assert!(v.iter().all(|&x| x.abs() <= 0.5));
     }
 
     #[test]

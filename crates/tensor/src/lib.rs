@@ -27,7 +27,7 @@
 //!   randomness in the workspace flows through.
 //! * [`transpose`] — the tiled out-of-place transpose behind
 //!   [`Matrix::transpose`] and the feature-major payload layout.
-//! * [`stats`] — small statistics helpers (mean, variance, geometric mean)
+//! * [`stats`] — small statistics helpers (mean, geometric mean)
 //!   used by the benchmark harness when aggregating achieved errors.
 
 pub mod conv;

@@ -34,24 +34,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// Creates the `n`×`n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a generator `f(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -169,23 +151,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable view of the contiguous row slab `[r0, r0 + n_rows)` — the
-    /// zero-copy decode target for batch assembly: each payload's decoder
-    /// writes its samples straight into its row range of the batch matrix.
-    pub fn rows_mut(&mut self, r0: usize, n_rows: usize) -> Result<&mut [f32]> {
-        let end = r0.checked_add(n_rows).filter(|&e| e <= self.rows);
-        match end {
-            Some(e) => Ok(&mut self.data[r0 * self.cols..e * self.cols]),
-            None => Err(TensorError::InvalidDimension {
-                op: "rows_mut",
-                detail: format!(
-                    "row slab [{r0}, {r0}+{n_rows}) out of range for {} rows",
-                    self.rows
-                ),
-            }),
-        }
     }
 
     /// Copies column `c` into a new vector.
@@ -349,11 +314,6 @@ impl Matrix {
         self.zip_with("sub", rhs, |a, b| a - b)
     }
 
-    /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with("hadamard", rhs, |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         op: &'static str,
@@ -416,15 +376,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Frobenius norm `√Σ w_ij²`.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
     /// Largest absolute element.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
@@ -454,16 +405,6 @@ mod tests {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.shape(), (3, 4));
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn identity_diagonal() {
-        let m = Matrix::identity(4);
-        for r in 0..4 {
-            for c in 0..4 {
-                assert_eq!(m.get(r, c), if r == c { 1.0 } else { 0.0 });
-            }
-        }
     }
 
     #[test]
@@ -498,7 +439,8 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = m23();
-        let c = a.matmul(&Matrix::identity(3)).unwrap();
+        let eye = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
+        let c = a.matmul(&eye).unwrap();
         assert_eq!(c, a);
     }
 
@@ -576,18 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_mut_slab_views_and_bounds() {
-        let mut m = Matrix::zeros(4, 3);
-        m.rows_mut(1, 2).unwrap().fill(7.0);
-        assert!(m.row(0).iter().all(|&v| v == 0.0));
-        assert!(m.row(1).iter().chain(m.row(2)).all(|&v| v == 7.0));
-        assert!(m.row(3).iter().all(|&v| v == 0.0));
-        assert_eq!(m.rows_mut(4, 0).unwrap().len(), 0);
-        assert!(m.rows_mut(3, 2).is_err());
-        assert!(m.rows_mut(usize::MAX, 2).is_err());
-    }
-
-    #[test]
     fn matvec_matches_matmul() {
         let a = m23();
         let x = vec![1.0, -1.0, 2.0];
@@ -617,22 +547,14 @@ mod tests {
         assert_eq!(sum.get(1, 2), 12.0);
         let diff = a.sub(&a).unwrap();
         assert!(diff.as_slice().iter().all(|&v| v == 0.0));
-        let prod = a.hadamard(&a).unwrap();
-        assert_eq!(prod.get(0, 1), 4.0);
     }
 
     #[test]
     fn axpy_accumulates() {
         let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::filled(2, 2, 3.0);
+        let b = Matrix::from_fn(2, 2, |_, _| 3.0);
         a.axpy(0.5, &b).unwrap();
         assert!(a.as_slice().iter().all(|&v| v == 1.5));
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

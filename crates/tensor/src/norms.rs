@@ -70,20 +70,6 @@ pub fn diff_norm(a: &[f32], b: &[f32], norm: Norm) -> f64 {
     norm.eval(&d)
 }
 
-/// Relative error `‖a - b‖ / ‖a‖` in the given norm.
-///
-/// Returns the absolute error when `‖a‖ == 0` (the convention the figure
-/// harness uses so zero reference batches do not produce NaN).
-pub fn relative_error(reference: &[f32], approx: &[f32], norm: Norm) -> f64 {
-    let denom = norm.eval(reference);
-    let num = diff_norm(reference, approx, norm);
-    if denom == 0.0 {
-        num
-    } else {
-        num / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,20 +112,6 @@ mod tests {
         let v = [1.0f32, 2.0, 3.0];
         assert_eq!(diff_norm(&v, &v, Norm::L2), 0.0);
         assert_eq!(diff_norm(&v, &v, Norm::LInf), 0.0);
-    }
-
-    #[test]
-    fn relative_error_basic() {
-        let a = [2.0f32, 0.0];
-        let b = [1.0f32, 0.0];
-        assert!((relative_error(&a, &b, Norm::L2) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relative_error_zero_reference_falls_back_to_absolute() {
-        let a = [0.0f32, 0.0];
-        let b = [0.0f32, 1.0];
-        assert_eq!(relative_error(&a, &b, Norm::LInf), 1.0);
     }
 
     #[test]

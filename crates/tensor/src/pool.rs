@@ -232,6 +232,8 @@ impl ThreadPool {
             .expect("spawn dedicated thread")
     }
 
+    // audit:allow(dead-pub) the seam `serve/tests/threads.rs` counts a
+    // server's worker threads through.
     /// Number of live dedicated threads created by
     /// [`ThreadPool::spawn_dedicated`].
     pub fn dedicated_threads(&self) -> usize {

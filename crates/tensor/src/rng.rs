@@ -3,7 +3,7 @@
 //! The workspace is built and tested fully offline, so it cannot depend on
 //! crates.io `rand`.  This module provides the small slice of the `rand`
 //! API the repository actually uses — a seedable generator with
-//! `gen_range`, `gen`, `gen_bool`, and slice shuffling — backed by
+//! `gen_range`, `gen`, and slice shuffling — backed by
 //! xoshiro256++ seeded through SplitMix64 (Blackman & Vigna).  Every
 //! model, test, and figure stays bit-reproducible run to run, exactly as
 //! with the previous `StdRng` seeds.
@@ -85,12 +85,6 @@ impl StdRng {
     #[inline]
     pub fn gen<T: FromRng>(&mut self) -> T {
         T::from_rng(self)
-    }
-
-    /// `true` with probability `p`.
-    #[inline]
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -287,13 +281,6 @@ mod tests {
             let y = rng.next_f32();
             assert!((0.0..1.0).contains(&y));
         }
-    }
-
-    #[test]
-    fn gen_bool_tracks_probability() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
-        assert!((2000..3000).contains(&hits), "got {hits}");
     }
 
     #[test]

@@ -13,15 +13,6 @@ pub fn mean(v: &[f64]) -> f64 {
     }
 }
 
-/// Population variance; `0.0` for fewer than two samples.
-pub fn variance(v: &[f64]) -> f64 {
-    if v.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(v);
-    v.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64
-}
-
 /// Geometric mean of strictly positive samples; non-positive samples are
 /// skipped (they would otherwise collapse the product to zero, which is not
 /// what an error-magnitude aggregate wants).  Returns `0.0` when no positive
@@ -71,13 +62,6 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn variance_basic() {
-        assert_eq!(variance(&[1.0, 1.0, 1.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(variance(&[5.0]), 0.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn matmul_identity_right() {
     let mut rng = StdRng::seed_from_u64(0xA1);
     for _ in 0..CASES {
         let m = random_matrix(&mut rng, 8);
-        let i = Matrix::identity(m.cols());
+        let i = Matrix::from_fn(m.cols(), m.cols(), |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(m.matmul(&i).unwrap(), m);
     }
 }
