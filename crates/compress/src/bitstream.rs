@@ -3,10 +3,9 @@
 //! [`BitWriter`] packs bits LSB-first into bytes: the encoders write their
 //! own packed words, so it is the tests' reference writer (their reference
 //! encoders and forged streams go through it); [`BitReader`] reads them
-//! back.  Both buffer through a 64-bit
-//! accumulator so multi-bit operations cost a few ALU ops instead of
-//! per-bit byte arithmetic — decompression throughput of the compressors
-//! is dominated by these paths.
+//! back.  Both buffer through a 64-bit accumulator so multi-bit operations
+//! cost a few ALU ops instead of per-bit byte arithmetic — decompression
+//! throughput of the compressors is dominated by these paths.
 
 /// Append-only bit sink.
 #[derive(Debug, Default, Clone)]

@@ -64,8 +64,7 @@
 //! Both directions carry reusable scratch state ([`DecodeScratch`],
 //! [`EncodeScratch`]) so steady-state coding performs no per-call table
 //! allocations; [`encode_multi_into`] reuses a thread-local scratch
-//! transparently.  The slow,
-//! obvious decoder for the same bytes is
+//! transparently.  The slow, obvious decoder for the same bytes is
 //! [`crate::reference::huffman_decode_multi`], which the tests hold this
 //! one to symbol for symbol.
 
